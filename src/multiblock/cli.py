@@ -139,6 +139,11 @@ def cmd_carve(args):
 
 
 def cmd_simulate(args):
+    # checked before any output, so a bad count never leaves a partial CSV
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if not args.infinite and args.carve_trials < 1:
+        raise ValueError("--carve-trials must be >= 1")
     cat = load_catalog()
     lat, name, _, _, _ = _load_lattice(cat, args)
     model = _model_from_args(args, lat.n)

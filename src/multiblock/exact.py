@@ -15,20 +15,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_scale(a, s):
-    return [c * s for c in a]
-
-
 def poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):

@@ -6,7 +6,12 @@ iterating blocks in order, each block in column-major order, emitting
 Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 
 Shortest vectors and closest points use Schnorr-Euchner enumeration with
-LLL(0.99) preprocessing; list mode enumerates every point of a ball.
+LLL(0.99) preprocessing; list mode enumerates every point of a ball.  The
+LLL computes Gram-Schmidt data once by QR and updates it in place after each
+size reduction and swap, recomputing it by QR when a large size-reduction
+coefficient signals lost precision.  Its unimodular transform is an int64
+array, and enumeration coordinates map back to the input basis by one
+matrix product.
 """
 
 from dataclasses import dataclass
@@ -14,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateLattice, EmptyBall,
-                     SingularChannel)
+                     PrecisionFailure, SingularChannel)
 from .rng import complex_gaussian, philox
 
 DEFAULT_BUDGET = 10 ** 8
 LLL_DELTA = 0.99
 LLL_ETA = 0.51
+_Q_GUARD = 2 ** 26      # size-reduction coefficient that forces a GSO recompute
+_U_LIMIT = 2 ** 52      # largest |U| entry for which U @ basis stays exact
 
 
 def realify(blocks):
@@ -98,43 +105,76 @@ def field_lattice(field):
 # ---------------------------------------------------------------------------
 # LLL reduction
 
+def _gso(b):
+    """Gram-Schmidt data of the rows of b from one QR factorization: mu
+    (unit lower triangular) and the squared norms B of the orthogonalized
+    rows."""
+    R = np.linalg.qr(b.T, mode="r")
+    d = np.diag(R)
+    if d.size < len(b) or not np.all(d):
+        raise DegenerateLattice("LLL input rows are linearly dependent")
+    return (R / d[:, None]).T.copy(), (d * d).tolist()
+
+
 def lll_reduce(basis, delta=LLL_DELTA, eta=LLL_ETA):
     """LLL-reduce the rows of `basis`.  Returns (reduced, U) with
-    reduced = U @ basis and U unimodular (as a list of integer rows)."""
+    reduced = U @ basis and U a unimodular int64 array.
+
+    The Gram-Schmidt data is computed once and then updated in place after
+    each size reduction and swap (Cohen, Alg. 2.6.3).  A size-reduction
+    coefficient above 2^26 means the incremental data has lost precision, so
+    it is recomputed from a fresh QR and the row is reduced again
+    (Schnorr-Euchner 1994).  PrecisionFailure is raised before an entry of U
+    could exceed 2^52, beyond which the float rows would no longer equal
+    U @ basis exactly (and int64 arithmetic could wrap)."""
     b = np.array(basis, dtype=float)
     r = b.shape[0]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def gso():
-        ortho = np.zeros_like(b)
-        mu = np.zeros((r, r))
-        norms = np.zeros(r)
-        for i in range(r):
-            v = b[i].copy()
-            for j in range(i):
-                mu[i, j] = (b[i] @ ortho[j]) / norms[j] if norms[j] > 0 else 0.0
-                v -= mu[i, j] * ortho[j]
-            ortho[i] = v
-            norms[i] = v @ v
-        return mu, norms
-
-    mu, norms = gso()
+    mu, B = _gso(b)
+    # rows are held in lists so that a swap exchanges two references
+    b = list(b)
+    U = list(np.eye(r, dtype=np.int64))
+    ubound = [1.0] * r      # upper bounds on max |U[i]|, refreshed on demand
     k = 1
     while k < r:
+        lost_precision = False
+        row = mu[k].tolist()
         for j in range(k - 1, -1, -1):
-            if abs(mu[k, j]) > eta:
-                q = round(mu[k, j])
+            if abs(row[j]) > eta:
+                q = round(row[j])
+                bound = ubound[k] + abs(q) * ubound[j]
+                if bound > _U_LIMIT:
+                    ubound = np.abs(U).max(axis=1).astype(float).tolist()
+                    bound = ubound[k] + abs(q) * ubound[j]
+                    if bound > _U_LIMIT:
+                        raise PrecisionFailure(
+                            "LLL transform entries exceed 2^52")
+                ubound[k] = bound
+                lost_precision = lost_precision or abs(q) > _Q_GUARD
                 b[k] -= q * b[j]
-                U[k] = [uk - q * uj for uk, uj in zip(U[k], U[j])]
-                mu, norms = gso()
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+                U[k] -= q * U[j]
+                mu[k, :j + 1] -= q * mu[j, :j + 1]      # mu[j, j] == 1
+                row = mu[k].tolist()
+        if lost_precision:
+            mu, B = _gso(np.array(b))
+            continue
+        m = row[k - 1]
+        if B[k] >= (delta - m * m) * B[k - 1]:
             k += 1
-        else:
-            b[[k, k - 1]] = b[[k - 1, k]]
-            U[k], U[k - 1] = U[k - 1], U[k]
-            mu, norms = gso()
-            k = max(k - 1, 1)
-    return b, U
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        U[k - 1], U[k] = U[k], U[k - 1]
+        ubound[k - 1], ubound[k] = ubound[k], ubound[k - 1]
+        mu[[k - 1, k], :k - 1] = mu[[k, k - 1], :k - 1]
+        Bk1 = B[k] + m * m * B[k - 1]
+        m_new = m * B[k - 1] / Bk1
+        B[k] = B[k - 1] * B[k] / Bk1
+        B[k - 1] = Bk1
+        mu[k, k - 1] = m_new
+        t = mu[k + 1:, k].copy()
+        mu[k + 1:, k] = mu[k + 1:, k - 1] - m * t
+        mu[k + 1:, k - 1] = t + m_new * mu[k + 1:, k]
+        k = max(k - 1, 1)
+    return np.array(b), np.array(U)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +339,7 @@ class PreparedCVP:
                          collect_limit=collect_limit)
         if not res.leaves:
             return np.zeros((0, self.rank), dtype=int), np.zeros(0), res.nodes
-        coords = np.array([_apply_u(z, self.U) for z, _ in res.leaves], dtype=int)
+        coords = np.array([z for z, _ in res.leaves], dtype=np.int64) @ self.U
         metrics = np.array([m + offset2 for _, m in res.leaves])
         return coords, metrics, res.nodes
 
@@ -326,13 +366,8 @@ def points_in_ball(basis_rows, center, radius, budget=DEFAULT_BUDGET,
 
 
 def _apply_u(z, U):
-    r = len(U)
-    out = [0] * r
-    for zi, row in zip(z, U):
-        if zi:
-            for j in range(r):
-                out[j] += zi * row[j]
-    return out
+    """Coordinates z @ U in the input basis, as a list of Python ints."""
+    return (np.asarray(z, dtype=np.int64) @ U).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 
+from multiblock.lattice import LLL_DELTA, LLL_ETA
+
 
 def brute_shortest(basis_rows, box=3):
     """Exhaustive SVP over the coordinate box [-box, box]^r."""
@@ -52,3 +54,44 @@ def _scan(Z, B, t, best):
     if norms[idx] < best[0]:
         return float(norms[idx]), Z[idx]
     return best
+
+
+def reference_lll(basis, delta=LLL_DELTA, eta=LLL_ETA):
+    """LLL that recomputes the whole Gram-Schmidt orthogonalization after
+    every size reduction and swap: the slow, obviously correct reference for
+    the incremental lattice.lll_reduce.  Returns (reduced, U) with U a list
+    of integer rows."""
+    b = np.array(basis, dtype=float)
+    r = b.shape[0]
+    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+
+    def gso():
+        ortho = np.zeros_like(b)
+        mu = np.zeros((r, r))
+        norms = np.zeros(r)
+        for i in range(r):
+            v = b[i].copy()
+            for j in range(i):
+                mu[i, j] = (b[i] @ ortho[j]) / norms[j] if norms[j] > 0 else 0.0
+                v -= mu[i, j] * ortho[j]
+            ortho[i] = v
+            norms[i] = v @ v
+        return mu, norms
+
+    mu, norms = gso()
+    k = 1
+    while k < r:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k, j]) > eta:
+                q = round(mu[k, j])
+                b[k] -= q * b[j]
+                U[k] = [uk - q * uj for uk, uj in zip(U[k], U[j])]
+                mu, norms = gso()
+        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[[k, k - 1]] = b[[k - 1, k]]
+            U[k], U[k - 1] = U[k - 1], U[k]
+            mu, norms = gso()
+            k = max(k - 1, 1)
+    return b, U

@@ -5,6 +5,7 @@ Run as `pytest tests/test_acceptance.py -v -s`.
 """
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_criterion_03_nvd_certificate(catalog):
     for name, alg in sorted(catalog.algebras.items()):
         order = NaturalOrder(alg)
         lat = order_lattice(order)
-        gen = philox(303, hash(name) % 1000)
+        gen = philox(303, zlib.crc32(name.encode()) % 1000)
         Z = gen.integers(-2, 3, size=(1100, lat.rank))
         Z = Z[np.any(Z != 0, axis=1)][:1000]
         assert len(Z) == 1000

@@ -109,6 +109,22 @@ def test_simulate_carve_failure_flagged(tmp_path):
     assert rows[0]["flag"].startswith("carve_failed")
 
 
+@pytest.mark.parametrize("extra", [
+    ["--trials", "0", "--infinite"],
+    ["--trials", "0"],
+    ["--trials", "-3", "--infinite"],
+    ["--trials", "5", "--carve-trials", "0"],
+])
+def test_simulate_rejects_count_below_one(tmp_path, capsys, extra):
+    code, text = run_cli(["simulate", "--field", "q_i", "--snr-db", "10",
+                          "--rate", "1", "--seed", "1"] + extra, tmp_path)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >= 1" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_rates_low_power_rate_clipped(tmp_path):
     code, text = run_cli(["rates", "--n", "1", "--nr", "1", "--snr-db", "-10",
                           "--cl", "46.184", "--samples", "2000", "--seed", "1"],
