@@ -21,7 +21,7 @@ from .codebook import carve, save_codebook
 from .cyclic_algebra import NaturalOrder, order_lattice
 from .errors import (BudgetExceeded, CarveFailed, CatalogError,
                      DegenerateLattice, DomainError, EmptyBall,
-                     PrecisionFailure)
+                     PrecisionFailure, SingularChannel)
 from .lattice import field_lattice, invariant_report, min_pdet
 
 CONFIG_ERROR, NUMERICAL_ERROR = 2, 3
@@ -54,12 +54,14 @@ def _config_dict(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _load_lattice(cat, args):
-    """Lattice plus its algebraic det_min certificate, if any."""
-    if args.field:
-        f = cat.field(args.field)
+def _load_lattice(cat, field=None, algebra=None):
+    """Lattice plus its algebraic det_min certificate, if any: the field
+    lattice of `field` if given, else the natural-order lattice of `algebra`.
+    Returns (lattice, name, det_min, certificate, center field)."""
+    if field:
+        f = cat.field(field)
         return field_lattice(f), f.name, 1.0, "algebraic", f
-    alg = cat.algebra(args.algebra)
+    alg = cat.algebra(algebra)
     lat = order_lattice(NaturalOrder(alg))
     cert = "algebraic" if alg.division_asserted else None
     det_min = 1.0 if alg.division_asserted else None
@@ -70,10 +72,18 @@ def _model_from_args(args, n):
     fixed = None
     if args.model == "constant":
         if args.fixed_h_file:
-            rows = [[complex(tok) for tok in line.split()]
-                    for line in open(args.fixed_h_file, encoding="utf-8")
-                    if line.strip()]
+            with open(args.fixed_h_file, encoding="utf-8") as fh:
+                rows = [[complex(tok) for tok in line.split()]
+                        for line in fh if line.strip()]
+            if len({len(r) for r in rows}) > 1:
+                raise ValueError("--fixed-h-file rows differ in length")
             fixed = np.array(rows, dtype=complex)
+            if fixed.shape != (args.nr, n):
+                raise ValueError(f"--fixed-h-file holds a matrix of shape "
+                                 f"{fixed.shape}; the channel needs (nr, n) = "
+                                 f"{(args.nr, n)}")
+            if not np.all(np.isfinite(fixed)):
+                raise ValueError("--fixed-h-file entries must be finite")
         else:
             fixed = np.eye(args.nr, n, dtype=complex)
     return FadingModel(kind=args.model, n=n, n_r=args.nr, fixed_H=fixed,
@@ -99,15 +109,7 @@ def cmd_invariants(args):
              "certificate", "delta", "rh_lower", "root_disc", "table_target",
              "meets_target"])
     for kind, name in names:
-        if kind == "field":
-            f = cat.field(name)
-            lat, det_min, cert = field_lattice(f), 1.0, "algebraic"
-        else:
-            alg = cat.algebra(name)
-            f = alg.center
-            lat = order_lattice(NaturalOrder(alg))
-            det_min = 1.0 if alg.division_asserted else None
-            cert = "algebraic" if alg.division_asserted else None
+        lat, _, det_min, cert, f = _load_lattice(cat, **{kind: name})
         rep = invariant_report(lat, name=name, det_min=det_min,
                                certificate=cert or "enumerated-upper-bound",
                                radius=args.radius, budget=args.budget)
@@ -124,7 +126,7 @@ def cmd_invariants(args):
 
 def cmd_carve(args):
     cat = load_catalog()
-    lat, name, _, _, _ = _load_lattice(cat, args)
+    lat, name, _, _, _ = _load_lattice(cat, args.field, args.algebra)
     P = 10.0 ** (args.snr_db / 10.0)
     book = carve(lat, P, args.rate, args.trials, args.seed, budget=args.budget)
     if args.export:
@@ -145,7 +147,7 @@ def cmd_simulate(args):
     if not args.infinite and args.carve_trials < 1:
         raise ValueError("--carve-trials must be >= 1")
     cat = load_catalog()
-    lat, name, _, _, _ = _load_lattice(cat, args)
+    lat, name, _, _, _ = _load_lattice(cat, args.field, args.algebra)
     model = _model_from_args(args, lat.n)
     decoders = {"ml": ("ml",), "lattice": ("lattice",),
                 "both": ("ml", "lattice")}[args.decoder]
@@ -345,12 +347,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, CarveFailed, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except (PrecisionFailure, DegenerateLattice, BudgetExceeded, EmptyBall) as exc:
+    # numerical classes first: numpy's LinAlgError subclasses ValueError
+    except (PrecisionFailure, DegenerateLattice, BudgetExceeded, EmptyBall,
+            SingularChannel, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except (CatalogError, CarveFailed, DomainError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
 
 
 if __name__ == "__main__":

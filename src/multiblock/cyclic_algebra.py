@@ -2,8 +2,9 @@
 
 E is represented as K[eta]/(rel_poly); algebra elements are x_0 + u x_1 +
 ... + u^{n-1} x_{n-1} with coefficients in E and relations x u = u sigma(x),
-u^n = gamma.  All coefficient arithmetic is exact over the rationals; only
-the final embeddings into complex matrices use doubles.
+u^n = gamma.  All coefficient arithmetic is exact (center elements on
+integer numerators over a common denominator); only the final embeddings
+into complex matrices use doubles.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import CatalogInconsistent, PrecisionFailure
-from .exact import bareiss_det, invert_exact
+from .exact import bareiss_det, common_denominator, inverse
 
 
 class AlgebraElement:
@@ -320,7 +321,7 @@ class NaturalOrder:
         flat = [self.flatten(b) for b in self.z_basis]
         mat = [[flat[j][i] for j in range(self.rank)] for i in range(self.rank)]
         try:
-            self._flat_inv = invert_exact(mat)
+            self._flat_inv, self._flat_inv_den = inverse(mat)
         except ZeroDivisionError:
             raise CatalogInconsistent(f"{algebra.name}: z-basis is not linearly independent")
         self._zdisc = None
@@ -335,9 +336,10 @@ class NaturalOrder:
 
     def coordinates(self, a):
         """Exact coordinates of a over the z-basis."""
-        flat = self.flatten(a)
-        return [sum(self._flat_inv[i][j] * flat[j] for j in range(self.rank))
-                for i in range(self.rank)]
+        nums, den = common_denominator(self.flatten(a))
+        den *= self._flat_inv_den
+        return [Fraction(sum(m * c for m, c in zip(row, nums)), den)
+                for row in self._flat_inv]
 
     def contains(self, a):
         return all(c.denominator == 1 for c in self.coordinates(a))

@@ -1,10 +1,28 @@
-"""Exact rational arithmetic: polynomials over Fraction, determinants, power sums.
+"""Exact arithmetic on Python integers: polynomials, power sums,
+determinants and inverses.
 
-Used wherever a result must be a provably exact integer (field discriminants,
+A rational vector or matrix is held as integer numerators over one common
+denominator, so the hot paths build no per-coefficient Fraction; a Fraction
+appears only where a result leaves as one.  Determinants and inverses use
+fraction-free elimination (Bareiss 1968; Cohen, *A Course in Computational
+Algebraic Number Theory*, Alg. 2.2.6), whose every division is exact.  Used
+wherever a result must be a provably exact integer (field discriminants,
 order discriminants, algebraic norms).  Geometry elsewhere runs in doubles.
 """
 
+import math
+import numbers
 from fractions import Fraction
+
+
+def common_denominator(values):
+    """(numerators, denominator) of a sequence of rationals: integer
+    numerators over the least positive common denominator."""
+    fracs = [v if type(v) is int
+             else int(v) if isinstance(v, numbers.Integral) else Fraction(v)
+             for v in values]
+    den = math.lcm(*(v.denominator for v in fracs)) if fracs else 1
+    return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
 def poly_trim(p):
@@ -16,114 +34,135 @@ def poly_trim(p):
 
 
 def poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """Product of two integer polynomials (ascending, untrimmed)."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly_trim(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
 def poly_mod(a, m):
-    """Remainder of a modulo the monic polynomial m (both ascending)."""
-    assert m[-1] == 1, "modulus must be monic"
-    a = list(a)
+    """Remainder of the integer polynomial a modulo the monic integer
+    polynomial m (both ascending), padded to exactly deg m coefficients."""
+    if m[-1] != 1:
+        raise ValueError("modulus must be monic")
     deg_m = len(m) - 1
-    while len(a) - 1 >= deg_m and len(a) > 1:
-        lead = a[-1]
-        if lead != 0:
-            shift = len(a) - 1 - deg_m
-            for i in range(deg_m + 1):
-                a[shift + i] -= lead * m[i]
-        a.pop()
-    return poly_trim(a)
+    a = list(a)
+    for top in range(len(a) - 1, deg_m - 1, -1):
+        lead = a[top]
+        if lead:
+            base = top - deg_m
+            for i in range(deg_m):
+                a[base + i] -= lead * m[i]
+    out = a[:deg_m]
+    return out + [0] * (deg_m - len(out))
 
 
 def power_sums(min_poly, upto):
-    """Newton power sums p_m = sum of roots^m, m = 0..upto, for a monic
-    integer/rational polynomial given in ascending order."""
+    """Newton power sums p_m = sum of roots^m, m = 0..upto, of a monic
+    integer polynomial given in ascending order (integers, because the
+    roots are algebraic integers)."""
     deg = len(min_poly) - 1
-    assert min_poly[-1] == 1
+    if min_poly[-1] != 1:
+        raise ValueError("polynomial must be monic")
     # e_i = (-1)^i * coefficient of x^{deg-i}
-    e = [Fraction(0)] * (deg + 1)
-    for i in range(deg + 1):
-        e[i] = Fraction((-1) ** i) * Fraction(min_poly[deg - i])
-    p = [Fraction(deg)]
+    e = [(-1) ** i * int(min_poly[deg - i]) for i in range(deg + 1)]
+    p = [deg]
     for m in range(1, upto + 1):
         if m <= deg:
-            acc = Fraction((-1) ** (m - 1) * m) * e[m]
+            acc = (-1) ** (m - 1) * m * e[m]
             for i in range(1, m):
-                acc += Fraction((-1) ** (m - 1 + i)) * e[m - i] * p[i]
+                acc += (-1) ** (m - 1 + i) * e[m - i] * p[i]
         else:
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, deg + 1):
-                acc += Fraction((-1) ** (i - 1)) * e[i] * p[m - i]
+                acc += (-1) ** (i - 1) * e[i] * p[m - i]
         p.append(acc)
     return p
 
 
+def _integer_rows(matrix):
+    """Each row scaled to integers by its least common denominator:
+    (integer rows, per-row denominators)."""
+    rows, dens = [], []
+    for row in matrix:
+        nums, den = common_denominator(row)
+        rows.append(nums)
+        dens.append(den)
+    return rows, dens
+
+
+def _pivot(a, k):
+    """Bring a row with a nonzero entry in column k into row k, searching
+    rows k, k+1, ...: 1 if row k already had one, -1 after a swap, 0 if the
+    column is zero from row k down."""
+    if a[k][k]:
+        return 1
+    for r in range(k + 1, len(a)):
+        if a[r][k]:
+            a[k], a[r] = a[r], a[k]
+            return -1
+    return 0
+
+
 def bareiss_det(matrix):
-    """Exact determinant of a square matrix of Fractions (fraction-free path
-    is not needed; plain fraction elimination is fine at catalog sizes)."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    """Exact determinant of a square matrix of integers or rationals, as a
+    Fraction.
+
+    Each row is cleared of denominators, and the integer matrix is reduced
+    by fraction-free Bareiss elimination: every entry of the trailing block
+    is a minor of the integer matrix, so each division by the previous
+    pivot is exact and no entry outgrows the minors."""
+    a, dens = _integer_rows(matrix)
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        swap = _pivot(a, k)
+        if not swap:
             return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        inv = 1 / pivot
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor == 0:
+        sign *= swap
+        p, row_k = a[k][k], a[k]
+        for row_i in a[k + 1:]:
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
+        prev = p
+    det = sign * a[n - 1][n - 1] if n else 1
+    return Fraction(det, math.prod(dens))
+
+
+def inverse(matrix):
+    """Exact inverse of a square invertible rational matrix as (integer
+    numerator rows, positive denominator) in lowest terms.
+
+    Fraction-free Gauss-Jordan on [A | I] with A cleared of denominators
+    row by row: each step divides exactly by the previous pivot, and at the
+    end the left block is d*I and the right block d*A^-1, d = det of the
+    row-permuted A.  Raises ZeroDivisionError when A is singular."""
+    a, dens = _integer_rows(matrix)
+    n = len(a)
+    for i, row in enumerate(a):
+        row.extend(int(i == j) for j in range(n))
+    prev = 1
+    for k in range(n):
+        if not _pivot(a, k):
+            raise ZeroDivisionError("singular matrix")
+        p, row_k = a[k][k], a[k]
+        for i, row_i in enumerate(a):
+            if i == k:
                 continue
-            row_r = m[r]
-            row_c = m[col]
-            for c in range(col, n):
-                row_r[c] -= factor * row_c[c]
-    return det
-
-
-def solve_exact(matrix, rhs):
-    """Solve A x = b exactly over the rationals.  A must be square invertible."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular system")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        for c in range(col, n + 1):
-            m[col][c] /= pivot
-        for r in range(n):
-            if r == col or m[r][col] == 0:
-                continue
-            factor = m[r][col]
-            for c in range(col, n + 1):
-                m[r][c] -= factor * m[col][c]
-    return [m[r][n] for r in range(n)]
-
-
-def invert_exact(matrix):
-    """Exact inverse of a square rational matrix, column by column."""
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve_exact(matrix, rhs))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+            f = row_i[k]
+            for j in range(2 * n):
+                if j != k:
+                    row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
+            row_i[k] = 0
+        prev = p
+    # A = diag(1/dens) * A_int, so A^-1 = A_int^-1 * diag(dens)
+    det = prev
+    nums = [[row[n + j] * dens[j] for j in range(n)] for row in a]
+    if det < 0:
+        det, nums = -det, [[-x for x in row] for row in nums]
+    g = math.gcd(det, *(x for row in nums for x in row))
+    return [[x // g for x in row] for row in nums], det // g

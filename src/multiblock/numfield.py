@@ -1,21 +1,23 @@
 """Totally complex number fields from a text catalog.
 
 A field is defined by a monic integer minimal polynomial and an explicit
-integral basis (rational polynomials in the root theta).  Discriminants,
-traces and norms are computed exactly over the rationals; the relative
-canonical embedding (one root per complex-conjugate pair, positive
-imaginary part) is computed in doubles.
+integral basis (rational polynomials in the root theta).  Elements,
+products, traces, norms and discriminants are exact: every rational vector
+is held as integer numerators over one common denominator, and products
+are taken on the integer theta polynomials modulo the minimal polynomial.
+The relative canonical embedding (one root per complex-conjugate pair,
+positive imaginary part) is computed in doubles.
 """
 
-import numbers
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CatalogInconsistent, NotTotallyComplex
-from .exact import (bareiss_det, invert_exact, poly_mod, poly_mul,
-                    poly_trim, power_sums)
+from .exact import (bareiss_det, common_denominator, inverse, poly_mod,
+                    poly_mul, poly_trim, power_sums)
 
 ROOT_RESIDUAL_TOL = 1e-12
 REAL_ROOT_TOL = 1e-8
@@ -26,35 +28,51 @@ BEST_ROOT_DISC = {1: 1.732, 2: 3.289, 3: 4.622, 4: 5.787, 5: 6.793}
 
 
 class FieldElement:
-    """Element of a NumberField, held as exact rational coordinates over the
-    integral basis."""
+    """Element of a NumberField: coordinates over the integral basis, held
+    as the integer numerators `nums` over the positive denominator `den`, in
+    lowest terms.  `coords` gives the same coordinates as Fractions."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field, coords):
-        self.field = field
-        # force plain python ints: numpy integer scalars overflow inside
-        # Fraction arithmetic
-        self.coords = tuple(
-            Fraction(int(c)) if isinstance(c, numbers.Integral) else Fraction(c)
-            for c in coords)
-        if len(self.coords) != field.degree:
+        nums, den = common_denominator(coords)
+        if len(nums) != field.degree:
             raise ValueError("coordinate length != field degree")
+        self.field = field
+        self.nums, self.den = _lowest_terms(nums, den)
+
+    @classmethod
+    def _from_ints(cls, field, nums, den):
+        """Element with coordinates nums / den (integers, den > 0)."""
+        x = object.__new__(cls)
+        x.field = field
+        x.nums, x.den = _lowest_terms(nums, den)
+        return x
+
+    @property
+    def coords(self):
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+        da, db = self.den, other.den
+        return FieldElement._from_ints(
+            self.field, [a * db + b * da for a, b in zip(self.nums, other.nums)], da * db)
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.field, [a - b for a, b in zip(self.coords, other.coords)])
+        da, db = self.den, other.den
+        return FieldElement._from_ints(
+            self.field, [a * db - b * da for a, b in zip(self.nums, other.nums)], da * db)
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return FieldElement._from_ints(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [a * other for a in self.coords])
+            q = Fraction(other)
+            return FieldElement._from_ints(
+                self.field, [a * q.numerator for a in self.nums], self.den * q.denominator)
         self._check(other)
         return self.field.mul(self, other)
 
@@ -62,10 +80,10 @@ class FieldElement:
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement) and other.field is self.field
-                and other.coords == self.coords)
+                and other.den == self.den and other.nums == self.nums)
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
+        return hash((id(self.field), self.nums, self.den))
 
     def __repr__(self):
         return f"FieldElement({self.field.name}, {[str(c) for c in self.coords]})"
@@ -75,14 +93,22 @@ class FieldElement:
             raise ValueError("elements belong to different fields")
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def theta_poly(self):
         """Exact polynomial in theta (ascending) representing this element."""
-        return self.field.coords_to_theta(self.coords)
+        nums, den = self.field._theta_ints(self)
+        return poly_trim([Fraction(c, den) for c in nums])
+
+
+def _lowest_terms(nums, den):
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(a // g for a in nums), den // g
 
 
 class NumberField:
@@ -110,7 +136,8 @@ class NumberField:
         self.roots = self._find_roots()
         self.chosen = self._choose_embeddings()
 
-        # change of basis: column j = theta-power coefficients of basis[j]
+        # change of basis: column j = theta-power coefficients of basis[j],
+        # held as integer numerators over one denominator, and its inverse
         n = self.degree
         mat = [[Fraction(0)] * n for _ in range(n)]
         for j, b in enumerate(self.basis):
@@ -118,12 +145,14 @@ class NumberField:
                 if i >= n:
                     raise CatalogInconsistent(f"{name}: basis polynomial degree too high")
                 mat[i][j] = c
-        self._basis_mat = mat
+        flat, self._basis_den = common_denominator(c for row in mat for c in row)
+        self._basis_mat = [flat[i * n:(i + 1) * n] for i in range(n)]
         try:
-            self._basis_mat_inv = invert_exact(mat)
+            self._basis_inv, self._basis_inv_den = inverse(mat)
         except ZeroDivisionError:
             raise CatalogInconsistent(f"{name}: integral basis is not linearly independent")
-        self._theta_traces = power_sums([Fraction(c) for c in self.min_poly], 2 * (n - 1))
+        # Tr(theta^m), m = 0..2n-2: integers, theta being an algebraic integer
+        self._theta_traces = power_sums(self.min_poly, 2 * (n - 1))
         self._disc = None
         # complex values of each basis element at every root (2k x 2k)
         self._basis_values = np.array(
@@ -192,64 +221,62 @@ class NumberField:
         return FieldElement(self, coords)
 
     def zero(self):
-        return FieldElement(self, [0] * self.degree)
+        return FieldElement._from_ints(self, [0] * self.degree, 1)
 
     def one(self):
-        return self.from_theta_poly([Fraction(1)])
+        return self.from_theta_poly([1])
 
     def theta(self):
-        return self.from_theta_poly([Fraction(0), Fraction(1)])
+        return self.from_theta_poly([0, 1])
 
     def rational(self, q):
         return self.from_theta_poly([Fraction(q)])
 
-    def coords_to_theta(self, coords):
-        n = self.degree
-        out = [Fraction(0)] * n
-        for j, c in enumerate(coords):
-            if c == 0:
-                continue
-            for i in range(n):
-                out[i] += self._basis_mat[i][j] * c
-        return poly_trim(out)
+    def _theta_ints(self, x):
+        """Theta polynomial of x as (n integer numerators, denominator)."""
+        nums = x.nums
+        return ([sum(m * c for m, c in zip(row, nums)) for row in self._basis_mat],
+                x.den * self._basis_den)
+
+    def _from_theta_ints(self, poly, den):
+        """Element whose theta polynomial is poly / den (poly already
+        reduced: n integer coefficients)."""
+        coords = [sum(m * c for m, c in zip(row, poly)) for row in self._basis_inv]
+        return FieldElement._from_ints(self, coords, den * self._basis_inv_den)
 
     def from_theta_poly(self, poly):
-        poly = poly_mod([Fraction(c) for c in poly], [Fraction(c) for c in self.min_poly])
-        n = self.degree
-        padded = list(poly) + [Fraction(0)] * (n - len(poly))
-        coords = [sum(self._basis_mat_inv[j][i] * padded[i] for i in range(n))
-                  for j in range(n)]
-        return FieldElement(self, coords)
+        nums, den = common_denominator(poly)
+        return self._from_theta_ints(poly_mod(nums, self.min_poly), den)
 
     def mul(self, a, b):
-        prod = poly_mul(a.theta_poly(), b.theta_poly())
-        return self.from_theta_poly(prod)
+        """Exact product: integer theta polynomials multiplied and reduced
+        modulo the monic min_poly, then mapped back to the integral basis."""
+        pa, da = self._theta_ints(a)
+        pb, db = self._theta_ints(b)
+        return self._from_theta_ints(poly_mod(poly_mul(pa, pb), self.min_poly), da * db)
 
     def trace(self, x):
         """Exact Tr_{K/Q}(x) as a Fraction."""
-        poly = x.theta_poly()
-        return sum(c * self._theta_traces[i] for i, c in enumerate(poly))
+        poly, den = self._theta_ints(x)
+        return Fraction(sum(c * t for c, t in zip(poly, self._theta_traces)), den)
 
     def norm(self, x):
         """Exact N_{K/Q}(x): determinant of multiplication by x in the theta
         power basis."""
         n = self.degree
-        poly = x.theta_poly()
+        current, den = self._theta_ints(x)
         cols = []
-        current = list(poly)
-        mp = [Fraction(c) for c in self.min_poly]
         for _ in range(n):
-            padded = list(current) + [Fraction(0)] * (n - len(current))
-            cols.append(padded)
-            current = poly_mod(poly_mul(current, [Fraction(0), Fraction(1)]), mp)
+            cols.append(current)
+            current = poly_mod([0] + current, self.min_poly)
         matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        return bareiss_det(matrix)
+        return bareiss_det(matrix) / den ** n
 
     # -- embeddings ----------------------------------------------------------
 
     def embed_all(self, x):
         """Values of x at all 2k roots (chosen embeddings first)."""
-        coords = np.array([float(c) for c in x.coords])
+        coords = np.array([a / x.den for a in x.nums])
         return self._basis_values @ coords
 
     def canonical_embed(self, x):
@@ -260,12 +287,19 @@ class NumberField:
 
     def discriminant(self):
         """det(Tr(w_i w_j)) as an exact integer; cross-checked against the
-        catalog value when one was supplied."""
+        catalog value when one was supplied.
+
+        With w = theta-power coefficients M / D (columns) and H[a][b] =
+        Tr(theta^(a+b)), the trace form is M^T H M / D^2, so the
+        discriminant is det(M^T H M) / D^(2n) on integers alone."""
         if self._disc is None:
             n = self.degree
-            gram = [[self.trace(self.element(_unit(n, i)) * self.element(_unit(n, j)))
-                     for j in range(n)] for i in range(n)]
-            d = bareiss_det(gram)
+            M, t = self._basis_mat, self._theta_traces
+            HM = [[sum(t[a + b] * M[b][j] for b in range(n)) for j in range(n)]
+                  for a in range(n)]
+            gram = [[sum(M[a][i] * HM[a][j] for a in range(n)) for j in range(n)]
+                    for i in range(n)]
+            d = bareiss_det(gram) / self._basis_den ** (2 * n)
             if d.denominator != 1:
                 raise CatalogInconsistent(
                     f"{self.name}: trace form determinant {d} is not an integer; "
@@ -292,12 +326,6 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({self.name}, degree={self.degree})"
-
-
-def _unit(n, i):
-    coords = [0] * n
-    coords[i] = 1
-    return coords
 
 
 def _eval_poly(coeffs, z):
@@ -341,7 +369,7 @@ def _quartic_splits(p):
         disc = s * s - 4 * prod
         if disc < 0:
             continue
-        r = _isqrt(disc)
+        r = math.isqrt(disc)
         if r * r != disc:
             continue
         for num in (s + r, s - r):
@@ -357,8 +385,3 @@ def _quartic_splits(p):
 def _signed_divisors(n):
     ds = _divisors(abs(n))
     return [d for x in ds for d in (x, -x)]
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)

@@ -1,7 +1,8 @@
 """Test-side brute-force oracles, deliberately independent of the package's
-enumeration machinery."""
+enumeration machinery and of its integer exact arithmetic."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,3 +96,139 @@ def reference_lll(basis, delta=LLL_DELTA, eta=LLL_ETA):
             mu, norms = gso()
             k = max(k - 1, 1)
     return b, U
+
+
+# ---------------------------------------------------------------------------
+# Exact arithmetic on per-coefficient Fractions: the theta-polynomial route
+# that multiblock.numfield replaced with integer numerators over a common
+# denominator, kept as the slow, obviously correct reference.
+
+def _poly_trim(p):
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _poly_trim(out)
+
+
+def _poly_mod(a, m):
+    """Remainder of a modulo the monic polynomial m (both ascending)."""
+    assert m[-1] == 1, "modulus must be monic"
+    a = list(a)
+    deg_m = len(m) - 1
+    while len(a) - 1 >= deg_m and len(a) > 1:
+        lead = a[-1]
+        if lead != 0:
+            shift = len(a) - 1 - deg_m
+            for i in range(deg_m + 1):
+                a[shift + i] -= lead * m[i]
+        a.pop()
+    return _poly_trim(a)
+
+
+def _power_sums(min_poly, upto):
+    """Newton power sums p_m = sum of roots^m, m = 0..upto."""
+    deg = len(min_poly) - 1
+    e = [Fraction((-1) ** i) * Fraction(min_poly[deg - i]) for i in range(deg + 1)]
+    p = [Fraction(deg)]
+    for m in range(1, upto + 1):
+        if m <= deg:
+            acc = Fraction((-1) ** (m - 1) * m) * e[m]
+            for i in range(1, m):
+                acc += Fraction((-1) ** (m - 1 + i)) * e[m - i] * p[i]
+        else:
+            acc = Fraction(0)
+            for i in range(1, deg + 1):
+                acc += Fraction((-1) ** (i - 1)) * e[i] * p[m - i]
+        p.append(acc)
+    return p
+
+
+def fraction_det(matrix):
+    """Determinant by plain Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        pivot = m[col][col]
+        det *= pivot
+        for r in range(col + 1, n):
+            factor = m[r][col] / pivot
+            if factor == 0:
+                continue
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def fraction_solve(matrix, rhs):
+    """Solve A x = b over the rationals by Gauss-Jordan on Fractions."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            raise ZeroDivisionError("singular system")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        pivot = m[col][col]
+        for c in range(col, n + 1):
+            m[col][c] /= pivot
+        for r in range(n):
+            if r == col or m[r][col] == 0:
+                continue
+            factor = m[r][col]
+            for c in range(col, n + 1):
+                m[r][c] -= factor * m[col][c]
+    return [m[r][n] for r in range(n)]
+
+
+def _theta_poly(field, coords):
+    n = field.degree
+    out = [Fraction(0)] * n
+    for w, c in zip(field.basis, coords):
+        for i, b in enumerate(w):
+            out[i] += b * c
+    return _poly_trim(out)
+
+
+def reference_field_mul(field, a, b):
+    """a * b by Fraction theta polynomials: multiply, reduce modulo
+    min_poly, and solve for coordinates over the integral basis."""
+    n = field.degree
+    mp = [Fraction(c) for c in field.min_poly]
+    prod = _poly_mod(_poly_mul(_theta_poly(field, a.coords),
+                               _theta_poly(field, b.coords)), mp)
+    prod = prod + [Fraction(0)] * (n - len(prod))
+    basis_cols = [[Fraction(w[i]) if i < len(w) else Fraction(0)
+                   for w in field.basis] for i in range(n)]
+    return field.element(fraction_solve(basis_cols, prod))
+
+
+def reference_trace(field, x):
+    """Tr(x) from the Fraction theta polynomial and Newton power sums."""
+    traces = _power_sums([Fraction(c) for c in field.min_poly], 2 * (field.degree - 1))
+    return sum(c * traces[i] for i, c in enumerate(_theta_poly(field, x.coords)))
+
+
+def reference_discriminant(field):
+    """det(Tr(w_i w_j)) from Fraction products and Fraction traces."""
+    n = field.degree
+    units = [field.element([int(i == j) for j in range(n)]) for i in range(n)]
+    gram = [[reference_trace(field, reference_field_mul(field, units[i], units[j]))
+             for j in range(n)] for i in range(n)]
+    return fraction_det(gram)

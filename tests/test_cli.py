@@ -176,3 +176,75 @@ def test_console_entrypoint_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "invariants" in proc.stdout and "catalog-verify" in proc.stdout
+
+
+QI_CONSTANT = ["simulate", "--field", "q_i", "--model", "constant",
+               "--snr-db", "10", "--rate", "1", "--trials", "5", "--seed", "1",
+               "--decoder", "lattice", "--infinite"]
+
+
+def assert_one_line(err, prefix):
+    assert err.startswith(prefix)
+    assert len(err.splitlines()) == 1
+
+
+def test_singular_fixed_h_exits_3(tmp_path, capsys):
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("0\n")
+    code = main(QI_CONSTANT + ["--fixed-h-file", str(hfile)])
+    assert code == 3
+    assert_one_line(capsys.readouterr().err, "numerical failure: ")
+
+
+def test_linalg_error_exits_3(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which would otherwise exit 2
+    import numpy as np
+    from multiblock import sim
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sim, "simulate_infinite_wer", fail)
+    code = main(QI_CONSTANT)
+    assert code == 3
+    assert_one_line(capsys.readouterr().err, "numerical failure: SVD did not converge")
+
+
+@pytest.mark.parametrize("content, needle", [
+    ("1 0\n0 1\n", "(2, 2)"),
+    ("1 0\n", "(1, 2)"),
+    ("1 0\n1\n", "differ in length"),
+    ("inf\n", "finite"),
+    ("nan\n", "finite"),
+])
+def test_bad_fixed_h_exits_2_before_output(tmp_path, capsys, content, needle):
+    hfile = tmp_path / "h.txt"
+    hfile.write_text(content)
+    code = main(QI_CONSTANT + ["--fixed-h-file", str(hfile)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: ")
+    assert needle in err
+    if "(nr, n)" in err:
+        assert "(1, 1)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5"],
+    QI_CONSTANT,
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    code = main(argv + ["--output", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: ")
+
+
+def test_missing_fixed_h_file_exits_2(tmp_path, capsys):
+    code = main(QI_CONSTANT + ["--fixed-h-file", str(tmp_path / "nope.txt")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: ")
