@@ -5,7 +5,7 @@ from .channel import ChannelRealization, FadingModel, sample, transmit
 from .codebook import Codebook, carve, scaling_alpha
 from .cyclic_algebra import (AlgebraElement, CyclicAlgebra, NaturalOrder,
                              order_lattice, trivial_algebra)
-from .decoder import DecodeResult, LatticeDecoder, lattice_decode, ml_decode, qr_reduce
+from .decoder import DecodeResult, LatticeDecoder, ml_decode, qr_reduce
 from .lattice import (InvariantReport, MatrixLattice, fade, field_lattice,
                       hermite_invariant, invariant_report, min_pdet,
                       normalized_min_det)
@@ -23,7 +23,7 @@ __all__ = [
     "NumberField", "carve", "chernoff_exponent", "chernoff_vdelta",
     "digamma", "ergodic_capacity_mc", "expected_logdet_rayleigh", "fade",
     "field_lattice", "hermite_invariant", "invariant_report",
-    "lattice_decode", "load_catalog", "min_pdet", "ml_decode",
+    "load_catalog", "min_pdet", "ml_decode",
     "normalized_min_det", "order_lattice", "qr_reduce", "rate_slow_fading",
     "rate_theorem1", "rate_theorem2", "sample", "scaling_alpha", "transmit",
     "trivial_algebra",

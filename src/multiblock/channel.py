@@ -85,7 +85,8 @@ def transmit(X, realization, noise_seed, noiseless=False):
 
 def logdet_statistic(realization):
     """(1/k) sum_i log2 det of the Gram of each block (H^dag H when
-    n_r >= n, H H^dag otherwise)."""
+    n_r >= n, H H^dag otherwise).  Test-only witness of the ergodic
+    log-determinant limit in which the paper writes its rates."""
     H = realization.blocks
     k, n_r, n = H.shape
     Hh = H.conj().swapaxes(1, 2)

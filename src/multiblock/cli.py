@@ -1,7 +1,8 @@
 """Command-line front end: invariants, carve, simulate, rates, chernoff,
 catalog-verify.  All output is CSV on stdout (or --output) with the run
 configuration echoed as '# key = value' header lines, so identical configs
-produce identical bytes.
+produce identical bytes.  A command writes its CSV only once it has finished,
+so a failed command leaves no partial CSV.
 
 SNR convention: P is the per-channel-use average power against unit-variance
 noise, SNR_dB = 10 log10 P.
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import ratecalc, sim
 from .catalog import load_catalog
-from .channel import FadingModel
+from .channel import KINDS, FadingModel
 from .codebook import carve, save_codebook
 from .cyclic_algebra import NaturalOrder, order_lattice
 from .errors import (BudgetExceeded, CarveFailed, CatalogError,
@@ -34,20 +35,27 @@ def _fmt(x):
 
 
 class Output:
+    """The CSV of one command, held until close() writes it in one piece, so
+    a command that fails leaves stdout and any existing --output file as
+    they were."""
+
     def __init__(self, path=None):
-        self.fh = open(path, "w", encoding="utf-8") if path else sys.stdout
-        self.owned = path is not None
+        self.path = path
+        self.lines = []
 
     def header(self, config):
-        for key in sorted(config):
-            self.fh.write(f"# {key} = {config[key]}\n")
+        self.lines.extend(f"# {key} = {config[key]}\n" for key in sorted(config))
 
     def row(self, values):
-        self.fh.write(",".join(_fmt(v) for v in values) + "\n")
+        self.lines.append(",".join(_fmt(v) for v in values) + "\n")
 
     def close(self):
-        if self.owned:
-            self.fh.close()
+        text = "".join(self.lines)
+        if self.path is None:
+            sys.stdout.write(text)
+            return
+        with open(self.path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _config_dict(args, keys):
@@ -141,7 +149,6 @@ def cmd_carve(args):
 
 
 def cmd_simulate(args):
-    # checked before any output, so a bad count never leaves a partial CSV
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     if not args.infinite and args.carve_trials < 1:
@@ -258,9 +265,8 @@ def _add_lattice_args(p):
     p.add_argument("--algebra", help="catalog algebra name (order lattice)")
 
 
-def _add_model_args(p, need_nr=True):
-    p.add_argument("--model", default="constant",
-                   choices=["constant", "iid_rayleigh", "gauss_markov"])
+def _add_model_args(p):
+    p.add_argument("--model", default="constant", choices=KINDS)
     p.add_argument("--nr", type=int, default=1, help="receive antennas")
     p.add_argument("--rho", type=float, default=0.0,
                    help="gauss_markov correlation in [0, 1)")
@@ -312,8 +318,7 @@ def build_parser():
     p = sub.add_parser("rates", help="capacity, achievable rate, gap, exponent")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nr", type=int, required=True)
-    p.add_argument("--model", default="iid_rayleigh",
-                   choices=["constant", "iid_rayleigh", "gauss_markov"])
+    p.add_argument("--model", default="iid_rayleigh", choices=KINDS)
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--snr-db", dest="snr_db", type=lambda s: [float(x) for x in s.split(",")],
                    required=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CarveFailed
-from .lattice import points_in_ball, realify
+from .lattice import PreparedCVP, realify
 from .rng import philox
 
 log = logging.getLogger(__name__)
@@ -30,7 +30,8 @@ def c_nk_root(n, k):
 
 
 def c_nk_root_stirling(n, k):
-    """Stirling form pi*e/n * (2 pi n^2 k)^{-1/(2 n^2 k)} of the same root."""
+    """Stirling form pi*e/n * (2 pi n^2 k)^{-1/(2 n^2 k)} of the same root.
+    Test-only witness of C_{n,k}^{1/n^2k} -> pi e / n in the paper's gap."""
     m = n * n * k
     return math.pi * math.e / n * (2 * math.pi * m) ** (-1.0 / (2 * m))
 
@@ -71,7 +72,7 @@ def count_points_in_ball(lat, alpha, shift, radius, budget=10 ** 8):
     together with their lattice coordinates."""
     basis = alpha * lat.real_basis
     center = -realify(np.asarray(shift, dtype=complex))
-    coords, metrics, _ = points_in_ball(basis, center, radius, budget)
+    coords, metrics, _ = PreparedCVP(basis).ball(center, radius, budget)
     return len(coords), coords, metrics
 
 

@@ -84,15 +84,11 @@ class LatticeDecoder:
         return not found, nodes
 
 
-def lattice_decode(Y, H, alpha, lat, shift=None, budget=DEFAULT_BUDGET):
-    """One-shot naive lattice decoding; see LatticeDecoder."""
-    return LatticeDecoder(H, alpha, lat, shift).decode(Y, budget)
-
-
 def qr_reduce(Y, H):
     """Per-block thin QR: H_i = Q_i' R_i' with R_i' upper triangular n x n and
     positive real diagonal; Y_i' = Q_i'^dag Y_i.  Distances to lattice points
-    are preserved: ||H_i X|| = ||R_i' X||."""
+    are preserved: ||H_i X|| = ||R_i' X||.  Test-only witness of the paper's
+    n_r > n QR-reduction equivalence (acceptance criterion 7)."""
     Y = np.asarray(Y, dtype=complex)
     H = np.asarray(H, dtype=complex)
     k, n_r, n = H.shape
@@ -117,7 +113,8 @@ def qr_reduce(Y, H):
 
 def mismatched_bound(H, X):
     """Lower bound sum_j lambda_j l_j <= ||H X||^2 with the eigenvalues of
-    H^dag H ascending and those of X X^dag descending."""
+    H^dag H ascending and those of X X^dag descending.  Test-only witness
+    of the paper's mismatched eigenvalue bound (n_r < n allowed)."""
     H = np.asarray(H, dtype=complex)
     X = np.asarray(X, dtype=complex)
     lam = np.linalg.eigvalsh(H.conj().T @ H)

@@ -25,14 +25,6 @@ def common_denominator(values):
     return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
-def poly_trim(p):
-    """Drop trailing zero coefficients (ascending order)."""
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def poly_mul(a, b):
     """Product of two integer polynomials (ascending, untrimmed)."""
     out = [0] * (len(a) + len(b) - 1)

@@ -126,8 +126,11 @@ def lll_reduce(basis, delta=LLL_DELTA, eta=LLL_ETA):
     it is recomputed from a fresh QR and the row is reduced again
     (Schnorr-Euchner 1994).  PrecisionFailure is raised before an entry of U
     could exceed 2^52, beyond which the float rows would no longer equal
-    U @ basis exactly (and int64 arithmetic could wrap)."""
+    U @ basis exactly (and int64 arithmetic could wrap).  A non-finite entry
+    raises DegenerateLattice: no reduction of such a basis terminates."""
     b = np.array(basis, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise DegenerateLattice("LLL input has a non-finite entry")
     r = b.shape[0]
     mu, B = _gso(b)
     # rows are held in lists so that a swap exchanges two references
@@ -344,27 +347,6 @@ class PreparedCVP:
         return coords, metrics, res.nodes
 
 
-def shortest_vector(basis_rows, budget=DEFAULT_BUDGET):
-    """Exact SVP on the rows of basis_rows.  Returns (norm2, coords, nodes)."""
-    return PreparedCVP(basis_rows).shortest(budget)
-
-
-def closest_point(basis_rows, target, budget=DEFAULT_BUDGET, early_exit_below=None):
-    """One-shot CVP; see PreparedCVP.closest."""
-    return PreparedCVP(basis_rows).closest(target, budget, early_exit_below)
-
-
-def exists_closer_point(basis_rows, target, than_metric, budget=DEFAULT_BUDGET):
-    """One-shot form of PreparedCVP.exists_closer."""
-    return PreparedCVP(basis_rows).exists_closer(target, than_metric, budget)
-
-
-def points_in_ball(basis_rows, center, radius, budget=DEFAULT_BUDGET,
-                   collect_limit=None):
-    """One-shot form of PreparedCVP.ball."""
-    return PreparedCVP(basis_rows).ball(center, radius, budget, collect_limit)
-
-
 def _apply_u(z, U):
     """Coordinates z @ U in the input basis, as a list of Python ints."""
     return (np.asarray(z, dtype=np.int64) @ U).tolist()
@@ -392,20 +374,27 @@ class InvariantReport:
 def hermite_invariant(lat, budget=DEFAULT_BUDGET):
     """min ||X||^2 / Vol^{2/rank} over nonzero lattice points, plus witness
     coordinates and node count."""
-    norm2, coords, nodes = shortest_vector(lat.real_basis, budget)
+    norm2, coords, nodes = PreparedCVP(lat.real_basis).shortest(budget)
     return norm2 / lat.volume ** (2.0 / lat.rank), coords, nodes
+
+
+def _nonzero_ball_points(lat, radius, budget):
+    """Nonzero points of the closed ball of the given radius about 0, as
+    coordinates and as blocks; EmptyBall if there are none."""
+    basis = lat.real_basis
+    coords, _, _ = PreparedCVP(basis).ball(np.zeros(basis.shape[1]), radius,
+                                           budget)
+    nonzero = coords[np.any(coords != 0, axis=1)]
+    if len(nonzero) == 0:
+        raise EmptyBall(f"no nonzero lattice point within radius {radius}")
+    return nonzero, lat.points(nonzero)
 
 
 def min_pdet(lat, radius, budget=DEFAULT_BUDGET):
     """Upper bound on det_min: the smallest |pdet| over nonzero points of the
     closed ball of the given radius.  Completeness over the infinite lattice
     is not claimed."""
-    coords, _, _ = points_in_ball(lat.real_basis, np.zeros(lat.real_basis.shape[1]),
-                                  radius, budget)
-    nonzero = coords[np.any(coords != 0, axis=1)]
-    if len(nonzero) == 0:
-        raise EmptyBall(f"no nonzero lattice point within radius {radius}")
-    pts = lat.points(nonzero)
+    nonzero, pts = _nonzero_ball_points(lat, radius, budget)
     dets = np.abs(np.prod(np.linalg.det(pts), axis=1))
     idx = int(np.argmin(dets))
     return float(dets[idx]), list(nonzero[idx])
@@ -429,7 +418,8 @@ def fade(lat, H):
 
 
 def hadamard_check(blocks):
-    """Both sides of |pdet(X)| <= (||X||^2 / nk)^{nk/2}."""
+    """Both sides of |pdet(X)| <= (||X||^2 / nk)^{nk/2}.  Test-only witness
+    of the inequality behind the paper's bound rh >= nk delta^{2/nk}."""
     blocks = np.asarray(blocks, dtype=complex)
     k, n, _ = blocks.shape
     lhs = abs(pdet(blocks))
@@ -464,22 +454,17 @@ def homogeneous_minimum(form, lat, radius=None, budget=DEFAULT_BUDGET):
     rescaling the lattice to unit covolume.  For f1 this is the Hermite
     invariant (exact), for f2 the normalized minimum product distance and for
     f3 the normalized minimum determinant (enumerated upper bounds within the
-    stated radius); suprema over all lattices are out of scope."""
+    stated radius); suprema over all lattices are out of scope.  Test-only
+    witness of the paper's invariants as homogeneous minima of f1, f2, f3."""
     unit = lat.scale(lat.volume ** (-1.0 / lat.rank))
     if form == "f1":
-        norm2, _, _ = shortest_vector(unit.real_basis, budget)
+        norm2, _, _ = PreparedCVP(unit.real_basis).shortest(budget)
         return norm2
     if form == "f2" and lat.n != 1:
         raise ValueError("f2 requires n = 1")
     if radius is None:
         radius = 1.5 * np.sqrt(lat.n * lat.k) * max(1.0, unit.volume ** (1.0 / lat.rank))
-    coords, _, _ = points_in_ball(unit.real_basis,
-                                  np.zeros(unit.real_basis.shape[1]),
-                                  radius, budget)
-    nonzero = coords[np.any(coords != 0, axis=1)]
-    if len(nonzero) == 0:
-        raise EmptyBall(f"no nonzero lattice point within radius {radius}")
-    pts = unit.points(nonzero)
+    _, pts = _nonzero_ball_points(unit, radius, budget)
     return float(min(form_eval(form, p) for p in pts))
 
 
@@ -518,7 +503,8 @@ def sample_pdet1_fade(n, k, gen, min_rel_sv=0.05):
 
 def reduced_hermite_probe(lat, samples, seed, budget=DEFAULT_BUDGET):
     """Empirical min of h(HL) over sampled pdet-1 fades; a consistency probe
-    for the closed-form lower bound, not an exact infimum."""
+    for the closed-form lower bound, not an exact infimum.  Test-only witness
+    of h(HL) >= nk delta^{2/nk} over pdet-1 fades (acceptance criterion 4)."""
     best = np.inf
     for t in range(samples):
         gen = philox(seed, 0x7E, t)

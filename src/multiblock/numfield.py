@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CatalogInconsistent, NotTotallyComplex
 from .exact import (bareiss_det, common_denominator, inverse, poly_mod,
-                    poly_mul, poly_trim, power_sums)
+                    poly_mul, power_sums)
 
 ROOT_RESIDUAL_TOL = 1e-12
 REAL_ROOT_TOL = 1e-8
@@ -97,11 +97,6 @@ class FieldElement:
 
     def is_integral(self):
         return self.den == 1
-
-    def theta_poly(self):
-        """Exact polynomial in theta (ascending) representing this element."""
-        nums, den = self.field._theta_ints(self)
-        return poly_trim([Fraction(c, den) for c in nums])
 
 
 def _lowest_terms(nums, den):

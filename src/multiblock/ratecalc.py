@@ -191,7 +191,8 @@ def chernoff_exponent(n, n_r, delta):
 
 def gap_constants():
     """The three SISO gap terms: Martinet tower, Odlyzko limit, and the
-    exact two-bit Minkowski-Hlawka gap."""
+    exact two-bit Minkowski-Hlawka gap.  Test-only witness of the paper's
+    gap constants (acceptance criterion 10)."""
     pie = math.pi * math.e
     return {
         "martinet": math.log2(2.0 * MARTINET_G / pie),

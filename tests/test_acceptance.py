@@ -13,8 +13,8 @@ import pytest
 from multiblock import ratecalc as rc
 from multiblock.channel import FadingModel
 from multiblock.cyclic_algebra import NaturalOrder, order_lattice
-from multiblock.lattice import (PreparedCVP, exists_closer_point, fade,
-                                field_lattice, hermite_invariant, min_pdet,
+from multiblock.lattice import (PreparedCVP, fade, field_lattice,
+                                hermite_invariant, min_pdet,
                                 normalized_min_det, pdet, sample_pdet1_fade)
 from multiblock.rng import philox
 from multiblock.sim import simulate_infinite_wer
@@ -100,8 +100,8 @@ def test_criterion_04_reduced_hermite_chain(catalog):
         for t in range(100):
             H = sample_pdet1_fade(lat.n, lat.k, philox(404, t, lat.rank))
             faded = fade(lat, H)
-            found, _ = exists_closer_point(faded.real_basis, np.zeros(dim),
-                                           bound_metric)
+            found, _ = PreparedCVP(faded.real_basis).exists_closer(
+                np.zeros(dim), bound_metric)
             assert not found, (name, t)
         # adversarial fade built from the delta witness approaches equality
         _, wit = min_pdet(lat, 1.5 * math.sqrt(nk))
@@ -169,7 +169,7 @@ def test_criterion_06_chernoff_suite():
 # -- 7 ------------------------------------------------------------------------
 
 def test_criterion_07_decoder_equivalence(golden_lattice):
-    from multiblock.decoder import lattice_decode, qr_reduce
+    from multiblock.decoder import LatticeDecoder, qr_reduce
     trials = 1000
     worst = 0.0
     for t in range(trials):
@@ -180,9 +180,9 @@ def test_criterion_07_decoder_equivalence(golden_lattice):
         W = (philox(707, t, 3).normal(size=(1, 3, 2))
              + 1j * philox(707, t, 4).normal(size=(1, 3, 2))) * 0.25
         Y = H @ X + W
-        res_a = lattice_decode(Y, H, 1.0, golden_lattice)
+        res_a = LatticeDecoder(H, 1.0, golden_lattice).decode(Y)
         Yp, Rp = qr_reduce(Y, H)
-        res_b = lattice_decode(Yp, Rp, 1.0, golden_lattice)
+        res_b = LatticeDecoder(Rp, 1.0, golden_lattice).decode(Yp)
         assert list(res_a.coords) == list(res_b.coords), t
         # d_H = d_R': the faded metrics agree on the decoded point
         xhat = golden_lattice.point(res_a.coords)

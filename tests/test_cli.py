@@ -67,14 +67,34 @@ def test_golden_chernoff(tmp_path):
         assert text == fh.read()
 
 
+GOLDEN_SIMULATE = {
+    # codebook, constant channel, ML and lattice decoding
+    "simulate_q_omega.csv": "--field q_omega --model constant --snr-db 4,8 "
+                            "--rate 1.5 --trials 100 --seed 77 --decoder both",
+    # codebook, constant channel, ML only
+    "simulate_q_omega_ml.csv": "--field q_omega --model constant --snr-db 4,6 "
+                               "--rate 1.5 --trials 100 --seed 3 --decoder ml",
+    # codebook, Gauss-Markov fades over k = 2 blocks
+    "simulate_cyclo8_gauss_markov.csv": "--field cyclo8 --model gauss_markov "
+                                        "--rho 0.7 --nr 2 --snr-db 2,6 --rate 1 "
+                                        "--trials 100 --seed 11 --decoder both",
+    # infinite lattice, constant channel (one decoder for the run)
+    "simulate_cyclo32_infinite.csv": "--field cyclo32 --model constant "
+                                     "--snr-db 16,18 --rate 3.74 --trials 200 "
+                                     "--seed 1729 --decoder lattice --infinite",
+    # infinite lattice, i.i.d. Rayleigh (one decoder per trial)
+    "simulate_q_i_iid_infinite.csv": "--field q_i --model iid_rayleigh --nr 1 "
+                                     "--snr-db 10,16 --rate 1 --trials 200 "
+                                     "--seed 5 --decoder lattice --infinite",
+}
+
+
 def test_golden_simulate(tmp_path):
-    code, text = run_cli(["simulate", "--field", "q_omega", "--model",
-                          "constant", "--snr-db", "4,8", "--rate", "1.5",
-                          "--trials", "100", "--seed", "77",
-                          "--decoder", "both"], tmp_path)
-    assert code == 0
-    with open(os.path.join(GOLDEN_DIR, "simulate_q_omega.csv")) as fh:
-        assert text == fh.read()
+    for name, args in GOLDEN_SIMULATE.items():
+        code, text = run_cli(["simulate"] + args.split(), tmp_path, name)
+        assert code == 0
+        with open(os.path.join(GOLDEN_DIR, name)) as fh:
+            assert text == fh.read(), name
 
 
 def test_identical_config_identical_bytes(tmp_path):
@@ -156,7 +176,21 @@ def test_catalog_verify_ok(tmp_path):
 def test_budget_exhaustion_exits_3(tmp_path, capsys):
     code = main(["invariants", "--field", "cyclo5", "--budget", "3"])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_simulate_budget_hits_flagged_not_fatal(tmp_path):
+    code, text = run_cli(["simulate", "--algebra", "golden", "--model",
+                          "iid_rayleigh", "--nr", "2", "--snr-db", "12",
+                          "--rate", "1", "--trials", "20", "--seed", "7",
+                          "--decoder", "lattice", "--infinite",
+                          "--budget", "5"], tmp_path)
+    assert code == 0
+    [row] = parse_csv(text)
+    hits = int(row["flag"].removeprefix("budget_hits="))
+    assert 0 < hits <= int(row["word_errors"])
 
 
 def test_catalog_env_override(tmp_path, monkeypatch):
@@ -193,7 +227,26 @@ def test_singular_fixed_h_exits_3(tmp_path, capsys):
     hfile.write_text("0\n")
     code = main(QI_CONSTANT + ["--fixed-h-file", str(hfile)])
     assert code == 3
-    assert_one_line(capsys.readouterr().err, "numerical failure: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "numerical failure: ")
+
+
+def test_failed_run_leaves_output_file_unchanged(tmp_path, capsys):
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("0\n")
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier result\n")
+    missing = tmp_path / "missing.csv"
+    for path in (kept, missing):
+        code = main(QI_CONSTANT + ["--fixed-h-file", str(hfile),
+                                   "--output", str(path)])
+        assert code == 3
+    assert kept.read_text() == "earlier result\n"
+    assert not missing.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 2
 
 
 def test_linalg_error_exits_3(monkeypatch, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from multiblock.codebook import Codebook, carve
-from multiblock.decoder import (LatticeDecoder, lattice_decode, ml_decode,
-                                mismatched_bound, qr_reduce)
+from multiblock.decoder import (LatticeDecoder, ml_decode, mismatched_bound,
+                                qr_reduce)
 from multiblock.lattice import MatrixLattice
 from multiblock.rng import complex_gaussian, philox
 
@@ -49,7 +49,7 @@ def test_lattice_decode_exact_point(golden_lattice):
     coords = rng.integers(-2, 3, size=golden_lattice.rank)
     X = golden_lattice.point(coords)
     Y = H @ X
-    res = lattice_decode(Y, H, 1.0, golden_lattice)
+    res = LatticeDecoder(H, 1.0, golden_lattice).decode(Y)
     assert list(res.coords) == [int(c) for c in coords]
     assert res.metric == pytest.approx(0.0, abs=1e-12)
     assert not res.approximate
@@ -62,7 +62,7 @@ def test_lattice_decode_siso_gaussian_integers(qi_lattice):
     best = min(cands, key=lambda z: abs(z - y))
     assert best == 1j
     H = identity_channel(1, 1)
-    res = lattice_decode(np.array([[[y]]]), H, 1.0, qi_lattice)
+    res = LatticeDecoder(H, 1.0, qi_lattice).decode(np.array([[[y]]]))
     val = complex(qi_lattice.point(res.coords)[0, 0, 0])
     assert abs(val - best) < 1e-12
 
@@ -72,7 +72,7 @@ def test_lattice_decode_metric_consistency(golden_lattice):
     W = 0.1 * complex_gaussian(philox(7, 3), (1, 3, 2))
     X = golden_lattice.point([1, 0, -1, 0, 2, 0, 0, 1])
     Y = H @ X + W
-    res = lattice_decode(Y, H, 1.0, golden_lattice)
+    res = LatticeDecoder(H, 1.0, golden_lattice).decode(Y)
     xhat = golden_lattice.point(res.coords)
     direct = float(np.sum(np.abs(Y - H @ xhat) ** 2))
     assert res.metric == pytest.approx(direct, abs=1e-9)
@@ -82,7 +82,7 @@ def test_lattice_decode_requires_enough_antennas(golden_lattice):
     from multiblock.errors import DomainError
     H = complex_gaussian(philox(11, 0), (1, 1, 2))  # n_r = 1 < n = 2
     with pytest.raises(DomainError):
-        lattice_decode(np.zeros((1, 1, 2)), H, 1.0, golden_lattice)
+        LatticeDecoder(H, 1.0, golden_lattice).decode(np.zeros((1, 1, 2)))
 
 
 def test_cross_decoder_agreement(golden_lattice):
@@ -137,9 +137,9 @@ def test_qr_decode_equivalence(golden_lattice):
         H = complex_gaussian(philox(29, 2, t), (1, 3, 2))
         X = golden_lattice.point(philox(29, 3, t).integers(-2, 3, size=8))
         Y = H @ X + 0.3 * complex_gaussian(philox(29, 4, t), (1, 3, 2))
-        res_a = lattice_decode(Y, H, 1.0, golden_lattice)
+        res_a = LatticeDecoder(H, 1.0, golden_lattice).decode(Y)
         Yp, Rp = qr_reduce(Y, H)
-        res_b = lattice_decode(Yp, Rp, 1.0, golden_lattice)
+        res_b = LatticeDecoder(Rp, 1.0, golden_lattice).decode(Yp)
         assert list(res_a.coords) == list(res_b.coords)
 
 

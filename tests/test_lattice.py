@@ -3,11 +3,11 @@ import pytest
 
 from multiblock import lattice as lab
 from multiblock.errors import BudgetExceeded, EmptyBall, SingularChannel
-from multiblock.lattice import (MatrixLattice, fade, field_lattice, form_eval,
-                                hadamard_check, hermite_invariant, lll_reduce,
-                                load_lattice, min_pdet, normalized_min_det,
-                                points_in_ball, realify, sample_pdet1_fade,
-                                save_lattice, shortest_vector)
+from multiblock.lattice import (MatrixLattice, PreparedCVP, fade,
+                                field_lattice, form_eval, hadamard_check,
+                                hermite_invariant, lll_reduce, load_lattice,
+                                min_pdet, normalized_min_det, realify,
+                                sample_pdet1_fade, save_lattice)
 from multiblock.rng import philox
 
 from oracles import brute_closest, brute_shortest
@@ -78,7 +78,7 @@ def test_shortest_vector_matches_bruteforce_random():
     rng = np.random.default_rng(59)
     for _ in range(10):
         L = random_full_lattice(rng, 1, 2)
-        norm2, coords, _ = shortest_vector(L.real_basis)
+        norm2, coords, _ = PreparedCVP(L.real_basis).shortest()
         oracle, _ = brute_shortest(L.real_basis, box=3)
         assert norm2 == pytest.approx(oracle, rel=1e-9)
 
@@ -100,7 +100,7 @@ def test_golden_shortest_vector_vs_full_box(golden_lattice):
         Z = np.array(chunk)
         Z = Z[np.any(Z != 0, axis=1)]
         best = min(best, float(np.min(np.sum((Z @ B) ** 2, axis=1))))
-    norm2, _, _ = shortest_vector(B)
+    norm2, _, _ = PreparedCVP(B).shortest()
     assert norm2 == pytest.approx(best, rel=1e-9)
 
 
@@ -252,9 +252,8 @@ def test_proposition1_chain_sampled_fades(hex_lattice, golden_lattice):
             gen = philox(9100, t)
             H = sample_pdet1_fade(lat.n, lat.k, gen)
             faded = fade(lat, H)
-            coords, _, _ = points_in_ball(
-                faded.real_basis, np.zeros(faded.real_basis.shape[1]),
-                np.sqrt(bound) * 1.2)
+            coords, _, _ = PreparedCVP(faded.real_basis).ball(
+                np.zeros(faded.real_basis.shape[1]), np.sqrt(bound) * 1.2)
             nz = coords[np.any(coords != 0, axis=1)]
             if len(nz) == 0:
                 continue
@@ -311,7 +310,7 @@ def test_rh_lower_bounds_hermite(catalog, golden_lattice, zeta20_lattice):
 
 def test_budget_exceeded_carries_best(golden_lattice):
     with pytest.raises(BudgetExceeded) as info:
-        shortest_vector(golden_lattice.real_basis, budget=3)
+        PreparedCVP(golden_lattice.real_basis).shortest(budget=3)
     assert info.value.best is not None
 
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multiblock.errors import PrecisionFailure
+from multiblock.errors import DegenerateLattice, PrecisionFailure
 from multiblock.exact import bareiss_det
 from multiblock.lattice import (LLL_DELTA, LLL_ETA, PreparedCVP, lll_reduce,
                                 realify)
@@ -113,4 +113,12 @@ def test_lll_raises_before_transform_leaves_exact_range():
     # reducing this basis needs transform entries near 1e16 > 2^52
     basis = np.array([[1e-8, 0, 0], [1, 1e-8, 0], [1e8, 1, 1e-8]])
     with pytest.raises(PrecisionFailure):
+        lll_reduce(basis)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lll_rejects_non_finite_entry(bad):
+    # no reduction of such a basis terminates, so it must be refused up front
+    basis = np.array([[1.0, 0, 0], [0, 1, bad], [0, 0, 1]])
+    with pytest.raises(DegenerateLattice, match="non-finite"):
         lll_reduce(basis)

@@ -85,3 +85,20 @@ def test_seed_reproducibility(qi_lattice):
     a = simulate_infinite_wer(qi_lattice, model, 10.0, 1.0, 200, seed=13)
     b = simulate_infinite_wer(qi_lattice, model, 10.0, 1.0, 200, seed=13)
     assert a.errors == b.errors
+
+
+def test_budget_hit_counts_as_lattice_error(golden_lattice):
+    # a search cut off by the node budget cannot certify the word: it is
+    # scored as a lattice word error and reported in the flag, and the run
+    # goes on
+    book = carve(golden_lattice, 10 ** 0.8, 1.0, trials=16, seed=7)
+    model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
+    ml_full, lat_full = simulate_codebook_wer(book, model, 40, seed=7)
+    assert lat_full.flag == ""
+    for budget in (5, 16):
+        ml_cut, lat_cut = simulate_codebook_wer(book, model, 40, seed=7,
+                                                budget=budget)
+        assert ml_cut == ml_full
+        assert lat_cut.flag.startswith("budget_hits=")
+        hits = int(lat_cut.flag.split("=")[1])
+        assert 0 < hits <= lat_cut.errors <= hits + lat_full.errors
