@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 configuration or catalog error, 3 numerical failure.
 """
 
 import argparse
+import os
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -23,7 +26,8 @@ from .cyclic_algebra import NaturalOrder, order_lattice
 from .errors import (BudgetExceeded, CarveFailed, CatalogError,
                      DegenerateLattice, DomainError, EmptyBall,
                      PrecisionFailure, SingularChannel)
-from .lattice import field_lattice, invariant_report, min_pdet
+from .lattice import (DEFAULT_BUDGET, field_lattice, invariant_report,
+                      min_pdet)
 
 CONFIG_ERROR, NUMERICAL_ERROR = 2, 3
 
@@ -34,10 +38,22 @@ def _fmt(x):
     return str(x)
 
 
+def _file_mode(path):
+    """Permission bits that open(path, "w") leaves on path: those of the
+    file it overwrites, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 class Output:
     """The CSV of one command, held until close() writes it in one piece, so
     a command that fails leaves stdout and any existing --output file as
-    they were."""
+    they were.  A regular --output file is written beside its target and
+    renamed into place, so a write that fails partway leaves it whole too."""
 
     def __init__(self, path=None):
         self.path = path
@@ -54,8 +70,22 @@ class Output:
         if self.path is None:
             sys.stdout.write(text)
             return
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        target = os.path.realpath(self.path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            # a device or FIFO is written in place, never replaced
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix=".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fh.fileno(), _file_mode(target))
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _config_dict(args, keys):
@@ -137,14 +167,14 @@ def cmd_carve(args):
     lat, name, _, _, _ = _load_lattice(cat, args.field, args.algebra)
     P = 10.0 ** (args.snr_db / 10.0)
     book = carve(lat, P, args.rate, args.trials, args.seed, budget=args.budget)
-    if args.export:
-        save_codebook(book, args.export)
     out = Output(args.output)
     out.header(_config_dict(args, ["field", "algebra", "snr_db", "rate",
                                    "trials", "seed"]))
     out.row(["name", "snr_db", "rate_target", "codewords", "realized_rate", "alpha"])
     out.row([name, args.snr_db, args.rate, len(book), book.realized_rate, book.alpha])
     out.close()
+    if args.export:
+        save_codebook(book, args.export)
     return 0
 
 
@@ -176,9 +206,11 @@ def cmd_simulate(args):
             try:
                 book = carve(lat, P, args.rate, args.carve_trials, args.seed,
                              budget=args.budget)
-            except CarveFailed as exc:
+            except (CarveFailed, BudgetExceeded) as exc:
+                flag = (f"carve_failed:{exc.best_count}"
+                        if isinstance(exc, CarveFailed) else "carve_budget_exceeded")
                 out.row([name, snr_db, args.rate, args.decoder, args.trials,
-                         "", "", "", "", f"carve_failed:{exc.best_count}"])
+                         "", "", "", "", flag])
                 continue
             points = sim.simulate_codebook_wer(book, model, args.trials,
                                                args.seed, decoders,
@@ -283,7 +315,7 @@ def build_parser():
     _add_lattice_args(p)
     p.add_argument("--all", action="store_true")
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--output")
     p.set_defaults(func=cmd_invariants)
 
@@ -293,7 +325,7 @@ def build_parser():
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--trials", type=int, default=16)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--export", help="write the codebook in matrix text format")
     p.add_argument("--output")
     p.set_defaults(func=cmd_carve)
@@ -311,7 +343,7 @@ def build_parser():
                    help="skip carving; lattice-decode the infinite lattice")
     p.add_argument("--noiseless", action="store_true")
     p.add_argument("--carve-trials", dest="carve_trials", type=int, default=16)
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--output")
     p.set_defaults(func=cmd_simulate)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CarveFailed
-from .lattice import PreparedCVP, realify
+from .lattice import DEFAULT_BUDGET, realify
 from .rng import philox
 
 log = logging.getLogger(__name__)
@@ -67,16 +67,15 @@ class Codebook:
         return math.log2(len(self.coords)) / (self.lattice.n * self.lattice.k)
 
 
-def count_points_in_ball(lat, alpha, shift, radius, budget=10 ** 8):
-    """Number of points of (shift + alpha L) in the closed ball B(radius),
-    together with their lattice coordinates."""
-    basis = alpha * lat.real_basis
+def count_points_in_ball(lat, shift, radius, budget=DEFAULT_BUDGET):
+    """Number of points of (shift + L) in the closed ball B(radius),
+    together with their lattice coordinates and squared norms."""
     center = -realify(np.asarray(shift, dtype=complex))
-    coords, metrics, _ = PreparedCVP(basis).ball(center, radius, budget)
+    coords, metrics, _ = lat.cvp.ball(center, radius, budget)
     return len(coords), coords, metrics
 
 
-def carve(lat, P, R, trials, seed, budget=10 ** 8, truncate_margin=2):
+def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET, truncate_margin=2):
     """Search `trials` uniform shifts in the fundamental parallelotope of
     alpha L for one whose translate packs >= 2^floor(R n k) ball points."""
     if trials < 1:
@@ -86,12 +85,13 @@ def carve(lat, P, R, trials, seed, budget=10 ** 8, truncate_margin=2):
     radius = math.sqrt(P * n * k)
     target = 2 ** math.floor(R * n * k)
     gen = philox(seed, 0xCA)
+    scaled = lat.scale(alpha)
 
     best = None
     for _ in range(trials):
         fractions = gen.random(lat.rank)
         shift = alpha * np.tensordot(fractions, lat.blocks, axes=(0, 0))
-        count, coords, _ = count_points_in_ball(lat, alpha, shift, radius, budget)
+        count, coords, _ = count_points_in_ball(scaled, shift, radius, budget)
         if best is None or count > best[0]:
             best = (count, shift, coords)
     count, shift, coords = best

@@ -15,6 +15,7 @@ matrix product.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,9 @@ def pdet(blocks):
 class MatrixLattice:
     """Lattice with basis matrices B_1..B_r, each k blocks of n x n.
 
-    Immutable after construction; enumeration uses per-call state.
+    The basis never changes after construction.  The one search preparation
+    of the basis (`cvp`: LLL plus QR) is built on first use and then serves
+    every search on this lattice; each search keeps its own state.
     """
 
     def __init__(self, blocks, validate=True):
@@ -65,16 +68,9 @@ class MatrixLattice:
                 f"Gram matrix numerically singular (eigs {eig[0]:.3e}..{eig[-1]:.3e})")
         self.volume = float(np.sqrt(abs(np.linalg.det(self.gram))))
 
-    @property
-    def full(self):
-        return self.rank == 2 * self.n * self.n * self.k
-
     def matrix(self, j):
         """Basis matrix j as an n x nk matrix."""
         return np.concatenate(self.blocks[j], axis=1)
-
-    def matrices(self):
-        return np.concatenate(self.blocks, axis=2)
 
     def point(self, coords):
         """Lattice point with the given integer coordinates, as blocks."""
@@ -82,6 +78,11 @@ class MatrixLattice:
 
     def points(self, coord_rows):
         return np.tensordot(np.asarray(coord_rows, dtype=float), self.blocks, axes=(1, 0))
+
+    @cached_property
+    def cvp(self):
+        """The PreparedCVP of the realified basis, shared by all searches."""
+        return PreparedCVP(self.real_basis)
 
     def scale(self, alpha):
         return MatrixLattice(alpha * self.blocks, validate=False)
@@ -116,7 +117,7 @@ def _gso(b):
     return (R / d[:, None]).T.copy(), (d * d).tolist()
 
 
-def lll_reduce(basis, delta=LLL_DELTA, eta=LLL_ETA):
+def lll_reduce(basis):
     """LLL-reduce the rows of `basis`.  Returns (reduced, U) with
     reduced = U @ basis and U a unimodular int64 array.
 
@@ -142,7 +143,7 @@ def lll_reduce(basis, delta=LLL_DELTA, eta=LLL_ETA):
         lost_precision = False
         row = mu[k].tolist()
         for j in range(k - 1, -1, -1):
-            if abs(row[j]) > eta:
+            if abs(row[j]) > LLL_ETA:
                 q = round(row[j])
                 bound = ubound[k] + abs(q) * ubound[j]
                 if bound > _U_LIMIT:
@@ -161,7 +162,7 @@ def lll_reduce(basis, delta=LLL_DELTA, eta=LLL_ETA):
             mu, B = _gso(np.array(b))
             continue
         m = row[k - 1]
-        if B[k] >= (delta - m * m) * B[k - 1]:
+        if B[k] >= (LLL_DELTA - m * m) * B[k - 1]:
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]
@@ -186,18 +187,17 @@ def lll_reduce(basis, delta=LLL_DELTA, eta=LLL_ETA):
 class _Search:
     """One enumeration run over ||R z - y||^2 <= radius2."""
 
-    __slots__ = ("leaves", "best_z", "best_metric", "nodes", "exhausted")
+    __slots__ = ("leaves", "best_z", "best_metric", "nodes")
 
     def __init__(self):
         self.leaves = []
         self.best_z = None
         self.best_metric = None
         self.nodes = 0
-        self.exhausted = False
 
 
 def _enumerate(R, y, radius2, budget, mode="min", exclude_zero=False,
-               early_exit_below=None, collect_limit=None):
+               early_exit_below=None):
     """Depth-first Schnorr-Euchner search.
 
     mode "min": track the single best leaf, shrinking the radius.
@@ -248,8 +248,6 @@ def _enumerate(R, y, radius2, budget, mode="min", exclude_zero=False,
             if not (exclude_zero and is_zero):
                 if mode == "list":
                     out.leaves.append((list(z), new_dist))
-                    if collect_limit is not None and len(out.leaves) > collect_limit:
-                        raise BudgetExceeded("ball contains too many points", best=out)
                 else:
                     if out.best_metric is None or new_dist < out.best_metric:
                         out.best_metric = new_dist
@@ -263,7 +261,6 @@ def _enumerate(R, y, radius2, budget, mode="min", exclude_zero=False,
         else:
             level += 1
             if level == r:
-                out.exhausted = True
                 return out
             z[level] += step[level]
             step[level] = -step[level] - (1 if step[level] > 0 else -1)
@@ -289,15 +286,13 @@ class PreparedCVP:
         offset2 = float(t @ t - y @ y)
         return y, max(offset2, 0.0)
 
-    def closest(self, target, budget=DEFAULT_BUDGET, early_exit_below=None):
+    def closest(self, target, budget=DEFAULT_BUDGET):
         """CVP; returns (metric2, coords, nodes, exact_flag).  On budget
         exhaustion the best leaf so far (Babai or better) is returned with
         exact_flag False."""
         y, offset2 = self.project(target)
         try:
-            res = _enumerate(self.R, y, np.inf, budget, mode="min",
-                             early_exit_below=(None if early_exit_below is None
-                                               else early_exit_below - offset2))
+            res = _enumerate(self.R, y, np.inf, budget, mode="min")
             exact = True
         except BudgetExceeded as exc:
             res = exc.best
@@ -332,14 +327,13 @@ class PreparedCVP:
             raise
         return res.best_metric, _apply_u(res.best_z, self.U), res.nodes
 
-    def ball(self, center, radius, budget=DEFAULT_BUDGET, collect_limit=None):
+    def ball(self, center, radius, budget=DEFAULT_BUDGET):
         """All points z B with ||z B - center|| <= radius (closed ball)."""
         y, offset2 = self.project(center)
         bound = radius * radius - offset2
         if bound < 0:
             return np.zeros((0, self.rank), dtype=int), np.zeros(0), 0
-        res = _enumerate(self.R, y, bound, budget, mode="list",
-                         collect_limit=collect_limit)
+        res = _enumerate(self.R, y, bound, budget, mode="list")
         if not res.leaves:
             return np.zeros((0, self.rank), dtype=int), np.zeros(0), res.nodes
         coords = np.array([z for z, _ in res.leaves], dtype=np.int64) @ self.U
@@ -374,16 +368,15 @@ class InvariantReport:
 def hermite_invariant(lat, budget=DEFAULT_BUDGET):
     """min ||X||^2 / Vol^{2/rank} over nonzero lattice points, plus witness
     coordinates and node count."""
-    norm2, coords, nodes = PreparedCVP(lat.real_basis).shortest(budget)
+    norm2, coords, nodes = lat.cvp.shortest(budget)
     return norm2 / lat.volume ** (2.0 / lat.rank), coords, nodes
 
 
 def _nonzero_ball_points(lat, radius, budget):
     """Nonzero points of the closed ball of the given radius about 0, as
     coordinates and as blocks; EmptyBall if there are none."""
-    basis = lat.real_basis
-    coords, _, _ = PreparedCVP(basis).ball(np.zeros(basis.shape[1]), radius,
-                                           budget)
+    coords, _, _ = lat.cvp.ball(np.zeros(lat.real_basis.shape[1]), radius,
+                                budget)
     nonzero = coords[np.any(coords != 0, axis=1)]
     if len(nonzero) == 0:
         raise EmptyBall(f"no nonzero lattice point within radius {radius}")
@@ -458,7 +451,7 @@ def homogeneous_minimum(form, lat, radius=None, budget=DEFAULT_BUDGET):
     witness of the paper's invariants as homogeneous minima of f1, f2, f3."""
     unit = lat.scale(lat.volume ** (-1.0 / lat.rank))
     if form == "f1":
-        norm2, _, _ = PreparedCVP(unit.real_basis).shortest(budget)
+        norm2, _, _ = unit.cvp.shortest(budget)
         return norm2
     if form == "f2" and lat.n != 1:
         raise ValueError("f2 requires n = 1")

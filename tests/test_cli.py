@@ -193,6 +193,18 @@ def test_simulate_budget_hits_flagged_not_fatal(tmp_path):
     assert 0 < hits <= int(row["word_errors"])
 
 
+def test_simulate_carve_budget_flagged_not_fatal(tmp_path):
+    # the codebook path: the carve's ball searches run out of --budget
+    code, text = run_cli(["simulate", "--algebra", "golden", "--model",
+                          "iid_rayleigh", "--nr", "2", "--snr-db", "12",
+                          "--rate", "1", "--trials", "20", "--seed", "7",
+                          "--budget", "5"], tmp_path)
+    assert code == 0
+    [row] = parse_csv(text)
+    assert row["flag"] == "carve_budget_exceeded"
+    assert row["word_errors"] == row["wer"] == row["avg_nodes"] == ""
+
+
 def test_catalog_env_override(tmp_path, monkeypatch):
     import shutil
     from importlib import resources
@@ -301,3 +313,87 @@ def test_missing_fixed_h_file_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, "error: ")
+
+
+def test_carve_export_not_written_when_output_fails(tmp_path, capsys):
+    export = tmp_path / "book.txt"
+    code = main(["carve", "--field", "q_i", "--snr-db", "10", "--rate", "2",
+                 "--trials", "16", "--seed", "1", "--export", str(export),
+                 "--output", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    assert_one_line(capsys.readouterr().err, "error: ")
+    assert not export.exists()
+
+
+def test_output_write_failing_partway_keeps_old_file(tmp_path, monkeypatch,
+                                                     capsys):
+    import multiblock.cli as cli
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier result\n")
+    real_fdopen = os.fdopen
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "fdopen",
+                        lambda *a, **kw: DiskFull(real_fdopen(*a, **kw)))
+    code = main(["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5",
+                 "--output", str(kept)])
+    assert code == 2
+    assert_one_line(capsys.readouterr().err, "error: ")
+    assert kept.read_text() == "earlier result\n"
+    assert sorted(os.listdir(tmp_path)) == ["kept.csv"]
+
+
+def test_output_file_mode_matches_plain_open(tmp_path):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w"):
+        pass
+    fresh = tmp_path / "fresh.csv"
+    code = main(["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5",
+                 "--output", str(fresh)])
+    assert code == 0
+    assert os.stat(fresh).st_mode == os.stat(plain).st_mode
+    os.chmod(fresh, 0o640)
+    assert main(["chernoff", "--n", "1", "--nr", "1", "--delta", "1.0",
+                 "--output", str(fresh)]) == 0
+    assert os.stat(fresh).st_mode & 0o777 == 0o640
+    assert "1," in fresh.read_text().splitlines()[-1]
+
+
+def test_output_through_symlink_or_fifo_keeps_the_path(tmp_path):
+    # like open(path, "w"): a symlink is followed, a FIFO is written in place
+    import stat
+    import threading
+    argv = ["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5", "--output"]
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and real.read_text().startswith("# delta")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    assert main(argv + [str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got == [real.read_text()]

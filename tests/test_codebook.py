@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from multiblock import lattice as lab
 from multiblock.codebook import (c_nk_root, c_nk_root_stirling, carve,
                                  count_points_in_ball, save_codebook,
                                  scaling_alpha)
@@ -33,8 +34,28 @@ def test_cnk_root_approaches_stirling_form():
 
 def test_z2_ball_count_is_13():
     count, coords, _ = count_points_in_ball(
-        z2_lattice(), 1.0, np.zeros((2, 1, 1), dtype=complex), 2.0)
+        z2_lattice(), np.zeros((2, 1, 1), dtype=complex), 2.0)
     assert count == 13
+
+
+def count_lll_calls(monkeypatch):
+    calls = []
+    original = lab.lll_reduce
+
+    def counting(basis):
+        calls.append(1)
+        return original(basis)
+
+    monkeypatch.setattr(lab, "lll_reduce", counting)
+    return calls
+
+
+def test_carve_prepares_the_scaled_lattice_once(golden_lattice, monkeypatch):
+    # every shift is searched on the one basis alpha L
+    calls = count_lll_calls(monkeypatch)
+    book = carve(golden_lattice, 10.0 ** 1.6, 2.0, trials=16, seed=1)
+    assert len(calls) == 1
+    assert book.realized_rate >= 2.0
 
 
 def test_rate_zero_carve_succeeds(qi_lattice):
@@ -77,12 +98,13 @@ def test_average_count_matches_ball_volume_ratio(qi_lattice):
     # the averaging argument behind the shift-existence lemma
     radius, alpha = 1.3, 1.0
     expected = math.pi * radius ** 2 / alpha ** 2
+    scaled = qi_lattice.scale(alpha)
     gen = philox(509, 0)
     counts = []
     for _ in range(10000):
         fractions = gen.random(2)
         shift = alpha * np.tensordot(fractions, qi_lattice.blocks, axes=(0, 0))
-        c, _, _ = count_points_in_ball(qi_lattice, alpha, shift, radius)
+        c, _, _ = count_points_in_ball(scaled, shift, radius)
         counts.append(c)
     mean = np.mean(counts)
     assert abs(mean - expected) / expected < 0.05

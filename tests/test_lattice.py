@@ -5,7 +5,8 @@ from multiblock import lattice as lab
 from multiblock.errors import BudgetExceeded, EmptyBall, SingularChannel
 from multiblock.lattice import (MatrixLattice, PreparedCVP, fade,
                                 field_lattice, form_eval, hadamard_check,
-                                hermite_invariant, lll_reduce, load_lattice,
+                                hermite_invariant, invariant_report,
+                                lll_reduce, load_lattice,
                                 min_pdet, normalized_min_det, realify,
                                 sample_pdet1_fade, save_lattice)
 from multiblock.rng import philox
@@ -321,3 +322,22 @@ def test_save_load_roundtrip(tmp_path, golden_lattice):
     assert back.n == golden_lattice.n and back.k == golden_lattice.k
     assert np.allclose(back.gram, golden_lattice.gram, atol=1e-12)
     assert np.allclose(back.blocks, golden_lattice.blocks, atol=0)
+
+
+def test_lattice_search_preparation_is_cached(q_i, monkeypatch):
+    calls = []
+    original = lab.lll_reduce
+
+    def counting(basis):
+        calls.append(1)
+        return original(basis)
+
+    monkeypatch.setattr(lab, "lll_reduce", counting)
+    lat = field_lattice(q_i)
+    assert lat.cvp is lat.cvp
+    assert len(calls) == 1
+    # Hermite invariant and enumerated det_min share that one preparation
+    rep = invariant_report(field_lattice(q_i), name="q_i")
+    assert rep.det_min_certificate == "enumerated-upper-bound"
+    assert rep.hermite == pytest.approx(1.0) and rep.det_min == pytest.approx(1.0)
+    assert len(calls) == 2
