@@ -1,8 +1,9 @@
 """Command-line front end: invariants, carve, simulate, rates, chernoff,
 catalog-verify.  All output is CSV on stdout (or --output) with the run
 configuration echoed as '# key = value' header lines, so identical configs
-produce identical bytes.  A command writes its CSV only once it has finished,
-so a failed command leaves no partial CSV.
+produce identical bytes.  A command writes its CSV, and any side file such as
+a --export codebook, only once it has finished, all in one commit step, so a
+failed command leaves no partial CSV and no CSV without its side file.
 
 SNR convention: P is the per-channel-use average power against unit-variance
 noise, SNR_dB = 10 log10 P.
@@ -21,7 +22,7 @@ import numpy as np
 from . import ratecalc, sim
 from .catalog import load_catalog
 from .channel import KINDS, FadingModel
-from .codebook import carve, save_codebook
+from .codebook import carve, format_codebook
 from .cyclic_algebra import NaturalOrder, order_lattice
 from .errors import (BudgetExceeded, CarveFailed, CatalogError,
                      DegenerateLattice, DomainError, EmptyBall,
@@ -50,14 +51,17 @@ def _file_mode(path):
 
 
 class Output:
-    """The CSV of one command, held until close() writes it in one piece, so
-    a command that fails leaves stdout and any existing --output file as
-    they were.  A regular --output file is written beside its target and
-    renamed into place, so a write that fails partway leaves it whole too."""
+    """The files of one command, held until close() writes them together:
+    the CSV (to --output, or stdout) and any side file such as a --export
+    codebook.  A command that fails leaves stdout and every target as they
+    were.  Each regular target file is first written beside itself; only when
+    all are written are they renamed into place, so a write that fails
+    partway changes none of them."""
 
     def __init__(self, path=None):
         self.path = path
         self.lines = []
+        self.files = []         # (path, text) written beside the CSV
 
     def header(self, config):
         self.lines.extend(f"# {key} = {config[key]}\n" for key in sorted(config))
@@ -65,27 +69,38 @@ class Output:
     def row(self, values):
         self.lines.append(",".join(_fmt(v) for v in values) + "\n")
 
+    def add_file(self, path, text):
+        self.files.append((path, text))
+
     def close(self):
         text = "".join(self.lines)
+        files = self.files if self.path is None else [(self.path, text)] + self.files
+        staged, in_place = [], []
+        try:
+            for path, body in files:
+                target = os.path.realpath(path)
+                if os.path.exists(target) and not os.path.isfile(target):
+                    # a device or FIFO is written in place, never replaced
+                    in_place.append((target, body))
+                    continue
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                           prefix=".", suffix=".tmp")
+                staged.append((tmp, target))
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    os.fchmod(fh.fileno(), _file_mode(target))
+                    fh.write(body)
+            for tmp, target in staged:
+                os.replace(tmp, target)
+        except BaseException:
+            for tmp, _ in staged:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+            raise
+        for target, body in in_place:
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(body)
         if self.path is None:
             sys.stdout.write(text)
-            return
-        target = os.path.realpath(self.path)
-        if os.path.exists(target) and not os.path.isfile(target):
-            # a device or FIFO is written in place, never replaced
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            return
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
-                                   prefix=".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                os.fchmod(fh.fileno(), _file_mode(target))
-                fh.write(text)
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
 
 
 def _config_dict(args, keys):
@@ -93,17 +108,16 @@ def _config_dict(args, keys):
 
 
 def _load_lattice(cat, field=None, algebra=None):
-    """Lattice plus its algebraic det_min certificate, if any: the field
+    """Lattice plus its algebraically certified det_min, if any: the field
     lattice of `field` if given, else the natural-order lattice of `algebra`.
-    Returns (lattice, name, det_min, certificate, center field)."""
+    Returns (lattice, name, det_min or None, center field)."""
     if field:
         f = cat.field(field)
-        return field_lattice(f), f.name, 1.0, "algebraic", f
+        return field_lattice(f), f.name, 1.0, f
     alg = cat.algebra(algebra)
     lat = order_lattice(NaturalOrder(alg))
-    cert = "algebraic" if alg.division_asserted else None
     det_min = 1.0 if alg.division_asserted else None
-    return lat, alg.name, det_min, cert, alg.center
+    return lat, alg.name, det_min, alg.center
 
 
 def _model_from_args(args, n):
@@ -147,9 +161,8 @@ def cmd_invariants(args):
              "certificate", "delta", "rh_lower", "root_disc", "table_target",
              "meets_target"])
     for kind, name in names:
-        lat, _, det_min, cert, f = _load_lattice(cat, **{kind: name})
+        lat, _, det_min, f = _load_lattice(cat, **{kind: name})
         rep = invariant_report(lat, name=name, det_min=det_min,
-                               certificate=cert or "enumerated-upper-bound",
                                radius=args.radius, budget=args.budget)
         target = f.table_target()
         meets = f.meets_table_target()
@@ -164,7 +177,7 @@ def cmd_invariants(args):
 
 def cmd_carve(args):
     cat = load_catalog()
-    lat, name, _, _, _ = _load_lattice(cat, args.field, args.algebra)
+    lat, name, _, _ = _load_lattice(cat, args.field, args.algebra)
     P = 10.0 ** (args.snr_db / 10.0)
     book = carve(lat, P, args.rate, args.trials, args.seed, budget=args.budget)
     out = Output(args.output)
@@ -172,9 +185,9 @@ def cmd_carve(args):
                                    "trials", "seed"]))
     out.row(["name", "snr_db", "rate_target", "codewords", "realized_rate", "alpha"])
     out.row([name, args.snr_db, args.rate, len(book), book.realized_rate, book.alpha])
-    out.close()
     if args.export:
-        save_codebook(book, args.export)
+        out.add_file(args.export, format_codebook(book))
+    out.close()
     return 0
 
 
@@ -184,7 +197,7 @@ def cmd_simulate(args):
     if not args.infinite and args.carve_trials < 1:
         raise ValueError("--carve-trials must be >= 1")
     cat = load_catalog()
-    lat, name, _, _, _ = _load_lattice(cat, args.field, args.algebra)
+    lat, name, _, _ = _load_lattice(cat, args.field, args.algebra)
     model = _model_from_args(args, lat.n)
     decoders = {"ml": ("ml",), "lattice": ("lattice",),
                 "both": ("ml", "lattice")}[args.decoder]

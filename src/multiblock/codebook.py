@@ -24,13 +24,8 @@ def log_c_nk(n, k):
     return m * math.log(math.pi * n * k) - math.lgamma(m + 1)
 
 
-def c_nk_root(n, k):
-    """C_{n,k}^{1/(n^2 k)}."""
-    return math.exp(log_c_nk(n, k) / (n * n * k))
-
-
 def c_nk_root_stirling(n, k):
-    """Stirling form pi*e/n * (2 pi n^2 k)^{-1/(2 n^2 k)} of the same root.
+    """Stirling form pi*e/n * (2 pi n^2 k)^{-1/(2 n^2 k)} of C_{n,k}^{1/n^2k}.
     Test-only witness of C_{n,k}^{1/n^2k} -> pi e / n in the paper's gap."""
     m = n * n * k
     return math.pi * math.e / n * (2 * math.pi * m) ** (-1.0 / (2 * m))
@@ -40,6 +35,8 @@ def scaling_alpha(P, R, n, k, vol):
     """Scaling alpha with alpha^2 = C_{n,k}^{1/n^2k} P / (2^{R/n} vol^{1/n^2k})."""
     if min(P, n, k, vol) <= 0:
         raise ValueError("P, n, k, vol must be positive")
+    if not 0 <= R < math.inf:
+        raise ValueError(f"rate must be finite and >= 0, not {R}")
     m = n * n * k
     log_alpha2 = (log_c_nk(n, k) / m + math.log(P)
                   - (R / n) * math.log(2.0) - math.log(vol) / m)
@@ -121,19 +118,23 @@ def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET, truncate_margin=2):
                     power=P, coords=coords, matrices=mats)
 
 
-def save_codebook(book, path):
-    from .lattice import _fmt_complex
+def _fmt_complex(z):
+    return f"{z.real:.17g}{z.imag:+.17g}j"
+
+
+def _matrix_text(blocks):
+    """k blocks of n x n as the rows of one n x nk matrix, one line each."""
+    return "".join(" ".join(_fmt_complex(z) for z in row) + "\n"
+                   for row in np.concatenate(blocks, axis=1))
+
+
+def format_codebook(book):
+    """The codebook in matrix text format: a key = value header, then the
+    shift and each codeword as an n x nk matrix, stanzas split by blank
+    lines."""
     lat = book.lattice
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n = {lat.n}\nk = {lat.k}\nrank = {lat.rank}\n")
-        fh.write(f"alpha = {book.alpha!r}\nP = {book.power!r}\nR = {book.rate_target!r}\n")
-        fh.write(f"realized_rate = {book.realized_rate!r}\n")
-        fh.write("\n")
-        shift_mat = np.concatenate(book.shift, axis=1)
-        for row in shift_mat:
-            fh.write(" ".join(_fmt_complex(z) for z in row) + "\n")
-        for mat_blocks in book.matrices:
-            fh.write("\n")
-            mat = np.concatenate(mat_blocks, axis=1)
-            for row in mat:
-                fh.write(" ".join(_fmt_complex(z) for z in row) + "\n")
+    head = (f"n = {lat.n}\nk = {lat.k}\nrank = {lat.rank}\n"
+            f"alpha = {book.alpha!r}\nP = {book.power!r}\nR = {book.rate_target!r}\n"
+            f"realized_rate = {book.realized_rate!r}\n")
+    stanzas = [_matrix_text(book.shift)] + [_matrix_text(m) for m in book.matrices]
+    return head + "".join("\n" + s for s in stanzas)

@@ -252,12 +252,6 @@ class CyclicAlgebra:
             rows.append(row)
         return rows
 
-    def left_regular(self, a, i):
-        """alpha_i(phi(a)) as an n x n complex matrix, 0 <= i < k."""
-        entries = self.phi_entries(a)
-        return np.array([[self.embed_e(entries[r][c], i) for c in range(self.n)]
-                         for r in range(self.n)])
-
     def multiblock_embed(self, a):
         """(alpha_1(A), ..., alpha_k(A)) as an array of k blocks of shape n x n."""
         entries = self.phi_entries(a)
@@ -280,7 +274,9 @@ class CyclicAlgebra:
 
     def reduced_norm(self, a):
         """Nrd(a) = det(phi(a)) as an exact element of K (Leibniz expansion,
-        fine for the catalog degrees n <= 3)."""
+        fine for the catalog degrees n <= 3).  Test-only witness of the NVD
+        mechanism |pdet(phi(a))|^2 = |N_{K/Q}(Nrd a)|, a nonzero integer
+        for every nonzero a of the natural order of a division algebra."""
         entries = self.phi_entries(a)
         acc = self.e_zero()
         for perm in permutations(range(self.n)):
@@ -335,16 +331,22 @@ class NaturalOrder:
         return out
 
     def coordinates(self, a):
-        """Exact coordinates of a over the z-basis."""
+        """Exact coordinates of a over the z-basis.  With contains(), a
+        test-only witness that the natural order is a ring (closed under
+        the algebra product)."""
         nums, den = common_denominator(self.flatten(a))
         den *= self._flat_inv_den
         return [Fraction(sum(m * c for m, c in zip(row, nums)), den)
                 for row in self._flat_inv]
 
     def contains(self, a):
+        """True iff a lies in the order: all its z-coordinates are integers."""
         return all(c.denominator == 1 for c in self.coordinates(a))
 
     def element_from_z(self, zcoords):
+        """The order element with the given integer z-coordinates.  Test-only:
+        it builds the order elements on which reduced_norm() witnesses the
+        NVD mechanism |pdet(phi(a))|^2 = |N_{K/Q}(Nrd a)|."""
         alg = self.algebra
         acc = alg.element([alg.e_zero() for _ in range(alg.n)])
         for z, b in zip(zcoords, self.z_basis):

@@ -68,10 +68,6 @@ class MatrixLattice:
                 f"Gram matrix numerically singular (eigs {eig[0]:.3e}..{eig[-1]:.3e})")
         self.volume = float(np.sqrt(abs(np.linalg.det(self.gram))))
 
-    def matrix(self, j):
-        """Basis matrix j as an n x nk matrix."""
-        return np.concatenate(self.blocks[j], axis=1)
-
     def point(self, coords):
         """Lattice point with the given integer coordinates, as blocks."""
         return np.tensordot(np.asarray(coords, dtype=float), self.blocks, axes=(0, 0))
@@ -461,14 +457,15 @@ def homogeneous_minimum(form, lat, radius=None, budget=DEFAULT_BUDGET):
     return float(min(form_eval(form, p) for p in pts))
 
 
-def invariant_report(lat, name="", det_min=None, certificate="algebraic",
-                     radius=None, budget=DEFAULT_BUDGET):
-    """Bundle the geometric invariants of one lattice.  det_min either comes
-    from an algebraic certificate (NVD orders) or from ball enumeration, in
-    which case it is only an upper bound."""
+def invariant_report(lat, name="", det_min=None, radius=None,
+                     budget=DEFAULT_BUDGET):
+    """Bundle the geometric invariants of one lattice.  A given det_min is
+    certified algebraically (NVD orders); without one, det_min comes from
+    ball enumeration and is only an upper bound."""
     h, witness, _ = hermite_invariant(lat, budget)
     if radius is None:
         radius = 1.5 * np.sqrt(lat.n * lat.k)
+    certificate = "algebraic"
     if det_min is None:
         det_min, _ = min_pdet(lat, radius, budget)
         certificate = "enumerated-upper-bound"
@@ -481,13 +478,14 @@ def invariant_report(lat, name="", det_min=None, certificate="algebraic",
         delta=delta, rh_lower=rh_lower)
 
 
-def sample_pdet1_fade(n, k, gen, min_rel_sv=0.05):
+def sample_pdet1_fade(n, k, gen):
     """One random fade with pdet = 1: complex Gaussian blocks, rejection
-    sampled against bad conditioning, rescaled to unit product determinant."""
+    sampled until the smallest singular value is at least 0.05 of the
+    largest, rescaled to unit product determinant."""
     while True:
         H = complex_gaussian(gen, (k, n, n))
         sv = np.linalg.svd(H, compute_uv=False)
-        if sv[..., -1].min() >= min_rel_sv * sv[..., 0].max():
+        if sv[..., -1].min() >= 0.05 * sv[..., 0].max():
             break
     p = pdet(H)
     H = H / (p ** (1.0 / (n * k)))
@@ -506,38 +504,3 @@ def reduced_hermite_probe(lat, samples, seed, budget=DEFAULT_BUDGET):
         best = min(best, h)
     return best
 
-
-# ---------------------------------------------------------------------------
-# plain-text export
-
-def _fmt_complex(z):
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
-def save_lattice(lat, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n = {lat.n}\nk = {lat.k}\nrank = {lat.rank}\n")
-        for j in range(lat.rank):
-            fh.write("\n")
-            mat = lat.matrix(j)
-            for row in mat:
-                fh.write(" ".join(_fmt_complex(z) for z in row) + "\n")
-
-
-def load_lattice(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    header, *stanzas = [b for b in text.split("\n\n") if b.strip()]
-    meta = {}
-    for line in header.splitlines():
-        key, value = line.split("=")
-        meta[key.strip()] = int(value)
-    n, k, rank = meta["n"], meta["k"], meta["rank"]
-    blocks = np.empty((rank, k, n, n), dtype=complex)
-    for j, stanza in enumerate(stanzas):
-        rows = [[complex(tok) for tok in line.split()]
-                for line in stanza.strip().splitlines()]
-        mat = np.array(rows)
-        for i in range(k):
-            blocks[j, i] = mat[:, i * n:(i + 1) * n]
-    return MatrixLattice(blocks, validate=False)

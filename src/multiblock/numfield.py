@@ -23,7 +23,8 @@ ROOT_RESIDUAL_TOL = 1e-12
 REAL_ROOT_TOL = 1e-8
 
 # Best known root discriminants |d|^(1/2k) for totally complex fields of
-# degree 2k, k = 1..5.  The first four are known optimal.
+# degree 2k, k = 1..5, rounded to 3 decimals (meets_table_target allows
+# that 1e-3).  The first four are known optimal.
 BEST_ROOT_DISC = {1: 1.732, 2: 3.289, 3: 4.622, 4: 5.787, 5: 6.793}
 
 
@@ -95,9 +96,6 @@ class FieldElement:
     def is_zero(self):
         return not any(self.nums)
 
-    def is_integral(self):
-        return self.den == 1
-
 
 def _lowest_terms(nums, den):
     g = math.gcd(den, *nums)
@@ -128,8 +126,7 @@ class NumberField:
         self.suboptimal = suboptimal
 
         self._check_irreducible()
-        self.roots = self._find_roots()
-        self.chosen = self._choose_embeddings()
+        self.roots = self._choose_embeddings(self._find_roots())
 
         # change of basis: column j = theta-power coefficients of basis[j],
         # held as integer numerators over one denominator, and its inverse
@@ -191,11 +188,11 @@ class NumberField:
             raise NotTotallyComplex(f"{self.name}: min_poly has a real root")
         return roots
 
-    def _choose_embeddings(self):
+    def _choose_embeddings(self, roots):
         """Pick the positive-imaginary root of each conjugate pair and order
         the full root list as [chosen..., conjugates...]."""
-        upper = [r for r in self.roots if r.imag > 0]
-        lower = [r for r in self.roots if r.imag < 0]
+        upper = [r for r in roots if r.imag > 0]
+        lower = [r for r in roots if r.imag < 0]
         if len(upper) != self.k:
             raise NotTotallyComplex(f"{self.name}: roots do not split into conjugate pairs")
         upper.sort(key=lambda z: (z.real, z.imag))
@@ -207,8 +204,7 @@ class NumberField:
                 raise NotTotallyComplex(f"{self.name}: unpaired complex root {r}")
             pool.remove(match)
             paired.append(match)
-        self.roots = np.array(upper + paired)
-        return list(range(self.k))
+        return np.array(upper + paired)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -313,11 +309,11 @@ class NumberField:
         """Best known root discriminant for this degree, or None."""
         return BEST_ROOT_DISC.get(self.k)
 
-    def meets_table_target(self, tol=1e-3):
+    def meets_table_target(self):
         target = self.table_target()
         if target is None:
             return None
-        return self.root_discriminant() <= target + tol
+        return self.root_discriminant() <= target + 1e-3
 
     def __repr__(self):
         return f"NumberField({self.name}, degree={self.degree})"

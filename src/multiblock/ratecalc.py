@@ -24,19 +24,6 @@ LOG2 = math.log(2.0)
 MARTINET_G = 92.368
 ODLYZKO_BOUND = 22.3
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def digamma(x):
     """psi(x) for x > 0: recurrence up to x >= 8, then the asymptotic series.
@@ -52,20 +39,6 @@ def digamma(x):
         1.0 / 240.0 + inv2 * (-1.0 / 132.0 + inv2 * (691.0 / 32760.0
                                                      + inv2 * (-1.0 / 12.0)))))))
     return acc + math.log(x) - 0.5 / x + inv2 * series
-
-
-def lngamma(x):
-    """ln Gamma(x) for x > 0 by the Lanczos approximation (g = 7, 9 terms)."""
-    if x <= 0:
-        raise DomainError("lngamma requires x > 0")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - lngamma(1.0 - x)
-    x -= 1.0
-    a = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        a += _LANCZOS_COEF[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(a)
 
 
 def expected_logdet_rayleigh(n, n_r):
@@ -125,6 +98,8 @@ def ergodic_capacity_mc(model, P, samples, seed):
     """Monte Carlo estimate of E[log2 det(I + (P/n) H^dag H)] with its
     standard error.  For correlated models the error is estimated across
     independent chains."""
+    if samples < 2:
+        raise DomainError("a standard error needs at least 2 samples")
     n = model.n
     if model.kind == "constant":
         return white_input_capacity(model.fixed_H, P, n), 0.0
@@ -157,8 +132,8 @@ def chernoff_vdelta(n, n_r, delta):
     (0, n_r - n + 1), residual below 1e-10."""
     if not n_r >= n >= 1:
         raise DomainError("requires n_r >= n >= 1")
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    if not delta > 0:
+        raise DomainError(f"delta must be positive, not {delta}")
     pole = n_r - n + 1
     hi = pole - 1e-12
     if _vdelta_gap(n, n_r, hi) < delta:
@@ -185,7 +160,7 @@ def chernoff_exponent(n, n_r, delta):
     v = chernoff_vdelta(n, n_r, delta)
     total = 0.0
     for j in range(n_r - n + 1, n_r + 1):
-        total += v * digamma(j - v) - lngamma(j) + lngamma(j - v)
+        total += v * digamma(j - v) - math.lgamma(j) + math.lgamma(j - v)
     return -total
 
 
@@ -216,20 +191,19 @@ class RateReport:
     exponent: Optional[float] = None
 
 
-def rate_report(model, P, C_L, mu=None, samples=20000, seed=0, delta=None):
+def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     """Evaluate capacity, achievable rate and gap for one power level.
-    mu defaults to the Rayleigh closed form (n_r >= n) or has to be supplied
-    for other statistics."""
+    mu is log2 det of the fixed Gram for a constant channel, else the
+    Rayleigh closed form."""
     n, n_r = model.n, model.n_r
-    if mu is None:
-        if model.kind == "constant":
-            H = np.asarray(model.fixed_H, dtype=complex)
-            gram = H.conj().T @ H if n_r >= n else H @ H.conj().T
-            mu = float(np.linalg.slogdet(gram)[1] / LOG2)
-        elif n_r >= n:
-            mu = expected_logdet_rayleigh(n, n_r)
-        else:
-            mu = expected_logdet_rayleigh(n_r, n)  # det(H H^dag), swap roles
+    if model.kind == "constant":
+        H = np.asarray(model.fixed_H, dtype=complex)
+        gram = H.conj().T @ H if n_r >= n else H @ H.conj().T
+        mu = float(np.linalg.slogdet(gram)[1] / LOG2)
+    elif n_r >= n:
+        mu = expected_logdet_rayleigh(n, n_r)
+    else:
+        mu = expected_logdet_rayleigh(n_r, n)  # det(H H^dag), swap roles
     cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
     if model.kind == "constant":
         rate = rate_slow_fading(model.fixed_H, P, n, n_r, C_L)

@@ -325,6 +325,93 @@ def test_carve_export_not_written_when_output_fails(tmp_path, capsys):
     assert not export.exists()
 
 
+CARVE_Q_I = ["carve", "--field", "q_i", "--snr-db", "10", "--rate", "2",
+             "--trials", "16", "--seed", "1"]
+
+
+def test_carve_export_and_csv_commit_together(tmp_path):
+    export, csv_path = tmp_path / "book.txt", tmp_path / "ok.csv"
+    export.write_text("old export\n")
+    os.chmod(export, 0o640)
+    code = main(CARVE_Q_I + ["--export", str(export), "--output", str(csv_path)])
+    assert code == 0
+    with open(os.path.join(GOLDEN_DIR, "carve_q_i_export.txt")) as fh:
+        assert export.read_text() == fh.read()
+    assert os.stat(export).st_mode & 0o777 == 0o640
+    assert parse_csv(csv_path.read_text())[0]["codewords"] == "5"
+    assert sorted(os.listdir(tmp_path)) == ["book.txt", "ok.csv"]
+
+
+def test_carve_export_failure_leaves_csv_unwritten(tmp_path, capsys):
+    export = str(tmp_path / "missing" / "E")
+    fresh, kept = tmp_path / "ok.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier result\n")
+    for path in (fresh, kept):
+        code = main(CARVE_Q_I + ["--export", export, "--output", str(path)])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err, "error: ")
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier result\n"
+    assert sorted(os.listdir(tmp_path)) == ["kept.csv"]
+    # without --output the CSV would go to stdout: nothing reaches it
+    assert main(CARVE_Q_I + ["--export", export]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: ")
+
+
+def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
+    # the CSV's temporary file is written, the export's fails: neither
+    # target changes and no temporary file is left
+    import multiblock.cli as cli
+    export, kept = tmp_path / "book.txt", tmp_path / "kept.csv"
+    export.write_text("old export\n")
+    kept.write_text("earlier result\n")
+    real_fdopen = os.fdopen
+    opened = []
+
+    def fdopen(*args, **kwargs):
+        opened.append(args[0])
+        if len(opened) == 2:
+            os.close(args[0])
+            raise OSError(28, "No space left on device")
+        return real_fdopen(*args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "fdopen", fdopen)
+    code = main(CARVE_Q_I + ["--export", str(export), "--output", str(kept)])
+    assert code == 2
+    assert_one_line(capsys.readouterr().err, "error: ")
+    assert len(opened) == 2
+    assert export.read_text() == "old export\n"
+    assert kept.read_text() == "earlier result\n"
+    assert sorted(os.listdir(tmp_path)) == ["book.txt", "kept.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    CARVE_Q_I[:5] + ["--rate", "-5", "--seed", "1"],
+    CARVE_Q_I[:5] + ["--rate", "inf", "--seed", "1"],
+    ["simulate", "--field", "q_i", "--snr-db", "10", "--rate", "-5",
+     "--trials", "5", "--seed", "1"],
+    ["simulate", "--field", "q_i", "--snr-db", "10", "--rate", "-5",
+     "--trials", "5", "--seed", "1", "--infinite"],
+    ["simulate", "--field", "q_i", "--snr-db", "10", "--rate", "nan",
+     "--trials", "5", "--seed", "1", "--infinite"],
+    ["chernoff", "--n", "1", "--nr", "1", "--delta", "nan"],
+    ["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5,nan"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
+     "--delta", "nan"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
+     "--samples", "0"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
+     "--samples", "1"],
+])
+def test_out_of_range_value_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: ")
+
+
 def test_output_write_failing_partway_keeps_old_file(tmp_path, monkeypatch,
                                                      capsys):
     import multiblock.cli as cli

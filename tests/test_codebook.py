@@ -1,13 +1,14 @@
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
 
 from multiblock import lattice as lab
-from multiblock.codebook import (c_nk_root, c_nk_root_stirling, carve,
-                                 count_points_in_ball, save_codebook,
-                                 scaling_alpha)
+from multiblock.codebook import (c_nk_root_stirling, carve,
+                                 count_points_in_ball, format_codebook,
+                                 log_c_nk, scaling_alpha)
 from multiblock.errors import CarveFailed
 from multiblock.lattice import MatrixLattice
 from multiblock.rng import philox
@@ -27,7 +28,7 @@ def test_scaling_alpha_siso_examples():
 
 def test_cnk_root_approaches_stirling_form():
     for n, k in ((1, 64), (2, 16), (4, 4), (8, 1), (1, 256)):
-        exact = c_nk_root(n, k)
+        exact = math.exp(log_c_nk(n, k) / (n * n * k))
         approx = c_nk_root_stirling(n, k)
         assert abs(exact - approx) / exact < 1e-3, (n, k)
 
@@ -110,12 +111,19 @@ def test_average_count_matches_ball_volume_ratio(qi_lattice):
     assert abs(mean - expected) / expected < 0.05
 
 
-def test_save_codebook_roundtrip_header(tmp_path, qi_lattice):
+def test_save_codebook_roundtrip_header(qi_lattice):
     book = carve(qi_lattice, 10.0, 1.0, trials=4, seed=9)
-    path = tmp_path / "book.txt"
-    save_codebook(book, path)
-    text = path.read_text()
+    text = format_codebook(book)
     assert text.startswith("n = 1\nk = 1\n")
     assert "alpha = " in text and "realized_rate = " in text
     stanzas = [b for b in text.split("\n\n") if b.strip()]
     assert len(stanzas) == 1 + 1 + len(book)  # header, shift, codewords
+
+
+def test_format_codebook_matches_golden_export(qi_lattice):
+    # carve --field q_i --snr-db 10 --rate 2 --trials 16 --seed 1 --export
+    book = carve(qi_lattice, 10.0, 2.0, trials=16, seed=1)
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "carve_q_i_export.txt")
+    with open(golden, encoding="utf-8") as fh:
+        assert format_codebook(book) == fh.read()

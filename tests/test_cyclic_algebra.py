@@ -20,12 +20,12 @@ def random_order_element(order, rng, lo=-2, hi=3):
 def test_left_regular_of_one_is_identity(golden, zeta20):
     for alg in (golden, zeta20):
         for i in range(alg.k):
-            assert np.allclose(alg.left_regular(alg.one(), i), np.eye(alg.n),
-                               atol=1e-12)
+            assert np.allclose(alg.multiblock_embed(alg.one())[i],
+                               np.eye(alg.n), atol=1e-12)
 
 
 def test_golden_phi_u(golden):
-    M = golden.left_regular(golden.u(), 0)
+    M = golden.multiblock_embed(golden.u())[0]
     assert np.allclose(M, np.array([[0, 1j], [1, 0]]), atol=1e-12)
     det = np.linalg.det(M)
     assert abs(det - (-1j)) < 1e-12
@@ -36,7 +36,7 @@ def test_u_relation_all_embeddings(golden, zeta20):
     for alg in (golden, zeta20):
         u = alg.u()
         for i in range(alg.k):
-            M = alg.left_regular(u, i)
+            M = alg.multiblock_embed(u)[i]
             P = np.linalg.matrix_power(M, alg.n)
             g = alg.center.canonical_embed(alg.gamma)[i]
             assert np.max(np.abs(P - g * np.eye(alg.n))) < 1e-9
@@ -49,10 +49,9 @@ def test_representation_multiplicative(golden, zeta20, golden_order, zeta20_orde
             a, _ = random_order_element(order, rng)
             b, _ = random_order_element(order, rng)
             ab = alg.mul(a, b)
-            for i in range(alg.k):
-                lhs = alg.left_regular(ab, i)
-                rhs = alg.left_regular(a, i) @ alg.left_regular(b, i)
-                assert np.max(np.abs(lhs - rhs)) < 1e-8
+            lhs = alg.multiblock_embed(ab)
+            rhs = alg.multiblock_embed(a) @ alg.multiblock_embed(b)
+            assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_multiblock_embed_shapes(golden, zeta20):
@@ -60,13 +59,6 @@ def test_multiblock_embed_shapes(golden, zeta20):
     blocks = zeta20.multiblock_embed(zeta20.one())
     assert blocks.shape == (2, 2, 2)
     assert np.allclose(blocks, np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-12)
-
-
-def test_multiblock_is_left_regular_when_k1(golden, golden_order):
-    rng = np.random.default_rng(29)
-    a, _ = random_order_element(golden_order, rng)
-    assert np.allclose(golden.multiblock_embed(a)[0], golden.left_regular(a, 0),
-                       atol=1e-12)
 
 
 def test_pdet_matches_exact_reduced_norm(golden, golden_order):
@@ -159,6 +151,6 @@ def test_reduced_trace_lands_in_center(golden, golden_order):
     trd = golden.reduced_trace(a)
     # Trd(a) = trace of phi(a) at every embedding
     for i in range(golden.k):
-        M = golden.left_regular(a, i)
+        M = golden.multiblock_embed(a)[i]
         val = golden.center.canonical_embed(trd)[i]
         assert abs(np.trace(M) - val) < 1e-9

@@ -6,9 +6,8 @@ from multiblock.errors import BudgetExceeded, EmptyBall, SingularChannel
 from multiblock.lattice import (MatrixLattice, PreparedCVP, fade,
                                 field_lattice, form_eval, hadamard_check,
                                 hermite_invariant, invariant_report,
-                                lll_reduce, load_lattice,
-                                min_pdet, normalized_min_det, realify,
-                                sample_pdet1_fade, save_lattice)
+                                lll_reduce, min_pdet, normalized_min_det,
+                                realify, sample_pdet1_fade)
 from multiblock.rng import philox
 
 from oracles import brute_closest, brute_shortest
@@ -304,24 +303,19 @@ def test_rh_lower_bounds_hermite(catalog, golden_lattice, zeta20_lattice):
                 for n in ("q_i", "q_omega", "cyclo5", "quartic117")]
     lattices += [golden_lattice, zeta20_lattice]
     for lat in lattices:
-        rep = invariant_report(lat, det_min=1.0, certificate="algebraic")
+        rep = invariant_report(lat, det_min=1.0)
+        assert rep.det_min_certificate == "algebraic"
         assert rep.rh_lower <= rep.hermite + 1e-9
         assert rep.delta > 0 and rep.volume > 0
+    rep = invariant_report(field_lattice(catalog.field("q_i")))
+    assert rep.det_min_certificate == "enumerated-upper-bound"
+    assert rep.det_min == pytest.approx(1.0)
 
 
 def test_budget_exceeded_carries_best(golden_lattice):
     with pytest.raises(BudgetExceeded) as info:
         PreparedCVP(golden_lattice.real_basis).shortest(budget=3)
     assert info.value.best is not None
-
-
-def test_save_load_roundtrip(tmp_path, golden_lattice):
-    path = tmp_path / "golden.lat"
-    save_lattice(golden_lattice, path)
-    back = load_lattice(path)
-    assert back.n == golden_lattice.n and back.k == golden_lattice.k
-    assert np.allclose(back.gram, golden_lattice.gram, atol=1e-12)
-    assert np.allclose(back.blocks, golden_lattice.blocks, atol=0)
 
 
 def test_lattice_search_preparation_is_cached(q_i, monkeypatch):

@@ -117,8 +117,8 @@ def test_element_arithmetic_exact(q_omega):
     z = w * w + w + q_omega.one()
     assert z.is_zero()
     half = q_omega.element([Fraction(1, 2), Fraction(1, 2)])
-    assert not half.is_integral()
-    assert (half + half).is_integral()
+    assert half.den == 2
+    assert (half + half).den == 1
 
 
 def test_real_root_rejected():
