@@ -3,6 +3,12 @@
 Sampling is pure given (model, seed): constant, i.i.d. Rayleigh, or a
 Gauss-Markov chain H_i = rho H_{i-1} + sqrt(1 - rho^2) G_i, which is the
 simplest stationary ergodic family with tunable memory.
+
+A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
+`transmit_stack` serve a whole stack of paths (s, *indices) in one pass, as
+the WER drivers do for a chunk of trials; each realization and each noise
+draw is still the pure function of its own path, so `sample` and
+`transmit` are those functions on a stack of one.
 """
 
 import warnings
@@ -11,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import complex_gaussian, philox
+from .rng import complex_gaussian_streams
 
 KINDS = ("constant", "iid_rayleigh", "gauss_markov")
 
@@ -44,10 +50,31 @@ class ChannelRealization:
         return self.blocks.shape[0]
 
 
-def _stream(seed, tag):
+def _path(seed):
+    """Root seed and index tuple of a seed path."""
     if isinstance(seed, tuple):
-        return philox(seed[0], tag, *seed[1:])
-    return philox(seed, tag)
+        return seed[0], tuple(seed[1:])
+    return seed, ()
+
+
+def sample_stack(model, k, seed, streams):
+    """Blocks H_1..H_k of the realizations at seed paths (seed, *s) for s in
+    `streams`, stacked: shape (len(streams), k, n_r, n).  i.i.d. blocks are
+    drawn in one call; Gauss-Markov runs its k-step recurrence on all
+    realizations at once."""
+    shape = (k, model.n_r, model.n)
+    if model.kind == "constant":
+        return np.broadcast_to(np.asarray(model.fixed_H, dtype=complex),
+                               (len(streams),) + shape).copy()
+    g = complex_gaussian_streams(seed, [(0x48, *s) for s in streams], shape)
+    if model.kind == "iid_rayleigh" or model.rho == 0.0:
+        return g
+    blocks = np.empty_like(g)
+    blocks[:, 0] = g[:, 0]
+    scale = np.sqrt(1.0 - model.rho ** 2)
+    for i in range(1, k):
+        blocks[:, i] = model.rho * blocks[:, i - 1] + scale * g[:, i]
+    return blocks
 
 
 def sample(model, k, seed):
@@ -55,32 +82,28 @@ def sample(model, k, seed):
     rho = 0 reproduces iid_rayleigh block for block."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if model.kind == "constant":
-        blocks = np.broadcast_to(np.asarray(model.fixed_H, dtype=complex),
-                                 (k, model.n_r, model.n)).copy()
-    else:
-        gen = _stream(seed, 0x48)
-        g = complex_gaussian(gen, (k, model.n_r, model.n))
-        if model.kind == "iid_rayleigh" or model.rho == 0.0:
-            blocks = g
-        else:
-            blocks = np.empty_like(g)
-            blocks[0] = g[0]
-            scale = np.sqrt(1.0 - model.rho ** 2)
-            for i in range(1, k):
-                blocks[i] = model.rho * blocks[i - 1] + scale * g[i]
+    root, indices = _path(seed)
+    blocks = sample_stack(model, k, root, [indices])[0]
     return ChannelRealization(blocks=blocks, model=model, seed=seed)
+
+
+def transmit_stack(X, H, seed, streams, noiseless):
+    """Y = H X + W for a stack of words X over a stack of fades H (both
+    indexed by realization first), word s drawing its unit-variance circular
+    symmetric noise at seed path (seed, *streams[s])."""
+    Y = H @ np.asarray(X, dtype=complex)
+    if not noiseless:
+        Y = Y + complex_gaussian_streams(seed, [(0x57, *s) for s in streams],
+                                         Y.shape[1:])
+    return Y
 
 
 def transmit(X, realization, noise_seed, noiseless=False):
     """Y_i = H_i X_i + W_i with unit-variance circular symmetric noise."""
+    root, indices = _path(noise_seed)
     X = np.asarray(X, dtype=complex)
-    H = realization.blocks
-    Y = H @ X
-    if not noiseless:
-        gen = _stream(noise_seed, 0x57)
-        Y = Y + complex_gaussian(gen, Y.shape)
-    return Y
+    return transmit_stack(X[None], realization.blocks[None], root, [indices],
+                          noiseless)[0]
 
 
 def logdet_statistic(realization):

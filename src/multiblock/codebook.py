@@ -33,8 +33,10 @@ def c_nk_root_stirling(n, k):
 
 def scaling_alpha(P, R, n, k, vol):
     """Scaling alpha with alpha^2 = C_{n,k}^{1/n^2k} P / (2^{R/n} vol^{1/n^2k})."""
-    if min(P, n, k, vol) <= 0:
-        raise ValueError("P, n, k, vol must be positive")
+    if not 0 < P < math.inf:
+        raise ValueError(f"power P must be finite and > 0, not {P}")
+    if min(n, k, vol) <= 0:
+        raise ValueError("n, k, vol must be positive")
     if not 0 <= R < math.inf:
         raise ValueError(f"rate must be finite and >= 0, not {R}")
     m = n * n * k

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularChannel
+from .errors import BudgetExceeded, DomainError, SingularChannel
 from .lattice import DEFAULT_BUDGET, PreparedCVP, realify
 
 
@@ -29,16 +29,24 @@ def _check_full_rank(H):
 
 def ml_decode(Y, H, codebook):
     """argmin over codewords of sum_i ||Y_i - H_i X_i||^2, ties broken by the
-    lowest codeword index."""
+    lowest codeword index.  Y and H may also be stacks (T, k, n_r, n) of
+    received words and their fades: the result then holds one coordinate
+    row, index and metric per word, as arrays, and `nodes` counts the
+    comparisons of the whole stack."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     Y = np.asarray(Y, dtype=complex)
     H = np.asarray(H, dtype=complex)
-    diffs = Y[None, :, :, :] - H[None, :, :, :] @ codebook.matrices
-    metrics = np.sum(np.abs(diffs) ** 2, axis=(1, 2, 3))
-    idx = int(np.argmin(metrics))
-    return DecodeResult(coords=list(codebook.coords[idx]), index=idx,
-                        metric=float(metrics[idx]), nodes=len(codebook))
+    if Y.ndim == 3:
+        res = ml_decode(Y[None], H[None], codebook)
+        return DecodeResult(coords=list(res.coords[0]), index=int(res.index[0]),
+                            metric=float(res.metric[0]), nodes=len(codebook))
+    diffs = Y[:, None] - H[:, None] @ codebook.matrices
+    metrics = np.sum(np.abs(diffs) ** 2, axis=(2, 3, 4))
+    idx = np.argmin(metrics, axis=1)
+    return DecodeResult(coords=codebook.coords[idx], index=idx,
+                        metric=metrics[np.arange(len(idx)), idx],
+                        nodes=len(idx) * len(codebook))
 
 
 class LatticeDecoder:
@@ -72,16 +80,42 @@ class LatticeDecoder:
                             nodes=nodes, approximate=not exact)
 
     def decodes_to(self, Y, coords, budget=DEFAULT_BUDGET):
-        """Fast error check: True iff the decoder would return `coords`.
-        Equivalent to decode(...) == coords up to ties of measure zero; only
-        searches for a strictly better point than the hypothesized one."""
+        """Fast error check: True iff the decoder would return `coords`, and
+        the nodes searched.  Equivalent to decode(...) == coords up to ties of
+        measure zero; only searches for a strictly better point than the
+        hypothesized one.
+
+        Y may also be a stack (T, k, n_r, n) of received words with one row
+        of `coords` each.  Their residuals, targets and projections are
+        computed in one pass, and the result is a list of T (ok, nodes)
+        pairs, in which a search that exhausts `budget` gives (None, budget)
+        instead of raising BudgetExceeded."""
         Y = np.asarray(Y, dtype=complex)
-        xhyp = self.shift + self.alpha * self.lat.point(coords)
-        resid = float(np.sum(np.abs(Y - self.H @ xhyp) ** 2))
-        target = (realify(Y) - self._shift_rx
-                  - np.asarray(coords, float) @ self.basis_rows)
-        found, nodes = self.prepared.exists_closer(target, resid, budget)
-        return not found, nodes
+        if Y.ndim == 3:
+            ((ok, nodes),) = self.decodes_to(Y[None], [coords], budget)
+            if ok is None:
+                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+            return ok, nodes
+        # the hypothesized point, faded and lifted, once per distinct row
+        rows = {}
+        inverse = [rows.setdefault(c, len(rows))
+                   for c in map(tuple, np.asarray(coords).tolist())]
+        faded = np.array([self.H @ (self.shift + self.alpha * self.lat.point(c))
+                          for c in rows])
+        lifted = np.array([np.asarray(c, float) @ self.basis_rows for c in rows])
+        resid = np.sum(np.abs(Y - faded[inverse]) ** 2, axis=(1, 2, 3))
+        targets = realify(Y) - self._shift_rx - lifted[inverse]
+        ys, offsets = self.prepared.project(targets)
+        out = []
+        for y, offset2, metric in zip(ys, offsets.tolist(), resid.tolist()):
+            try:
+                found, nodes = self.prepared.exists_closer((y, offset2), metric,
+                                                           budget)
+            except BudgetExceeded:
+                out.append((None, budget))
+                continue
+            out.append((not found, nodes))
+        return out
 
 
 def qr_reduce(Y, H):

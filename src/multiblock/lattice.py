@@ -192,19 +192,18 @@ class _Search:
         self.nodes = 0
 
 
-def _enumerate(R, y, radius2, budget, mode="min", exclude_zero=False,
+def _enumerate(rows, diag, y, radius2, budget, mode="min", exclude_zero=False,
                early_exit_below=None):
-    """Depth-first Schnorr-Euchner search.
+    """Depth-first Schnorr-Euchner search over ||R z - y||^2, with the rows
+    and the diagonal of the upper triangular R and the target y given as
+    lists of floats.
 
     mode "min": track the single best leaf, shrinking the radius.
     mode "list": record every leaf with metric <= radius2 (radius fixed).
     early_exit_below: stop at the first non-zero leaf strictly below this
     metric (used for fast error detection).
     """
-    r = R.shape[0]
-    Rl = R.tolist()
-    diag = [Rl[i][i] for i in range(r)]
-    yl = [float(v) for v in y]
+    r = len(diag)
     out = _Search()
     C = float(radius2)
     bound_slack = 1e-9 * max(C, 1.0) if mode == "list" else 0.0
@@ -215,8 +214,8 @@ def _enumerate(R, y, radius2, budget, mode="min", exclude_zero=False,
     center = [0.0] * r
 
     def prepare(level):
-        p = yl[level]
-        row = Rl[level]
+        p = y[level]
+        row = rows[level]
         for j in range(level + 1, r):
             p -= row[j] * z[j]
         c = p / diag[level]
@@ -264,7 +263,8 @@ def _enumerate(R, y, radius2, budget, mode="min", exclude_zero=False,
 
 class PreparedCVP:
     """LLL reduction and QR factorization of a fixed basis, reused across
-    many targets (one preparation per basis, one cheap projection per call)."""
+    many targets (one preparation per basis, one cheap projection per call,
+    or one per stack of targets)."""
 
     def __init__(self, basis_rows):
         self.reduced, self.U = lll_reduce(basis_rows)
@@ -275,12 +275,24 @@ class PreparedCVP:
         self.R = R * signs[:, None]
         self.Q = Q * signs[None, :]
         self.rank = self.reduced.shape[0]
+        # what every search reads, as Python lists
+        self._rows = self.R.tolist()
+        self._diag = [self._rows[i][i] for i in range(self.rank)]
 
     def project(self, target):
+        """(y, offset2): the coordinates y = Q^T t of the target t in the
+        orthonormal basis of the lattice span, and its squared distance
+        offset2 >= 0 to that span.  For a stack (T, dim) of targets, y is
+        (T, rank) and offset2 an array; each row is computed by the same
+        matrix-vector and dot products as a single target."""
         t = np.asarray(target, dtype=float)
-        y = self.Q.T @ t
-        offset2 = float(t @ t - y @ y)
-        return y, max(offset2, 0.0)
+        if t.ndim == 1:
+            y, offset2 = self.project(t[None])
+            return y[0], float(offset2[0])
+        y = np.matmul(self.Q.T, t[:, :, None])[:, :, 0]
+        offset2 = (np.matmul(t[:, None, :], t[:, :, None])
+                   - np.matmul(y[:, None, :], y[:, :, None]))[:, 0, 0]
+        return y, np.maximum(offset2, 0.0)
 
     def closest(self, target, budget=DEFAULT_BUDGET):
         """CVP; returns (metric2, coords, nodes, exact_flag).  On budget
@@ -288,7 +300,8 @@ class PreparedCVP:
         exact_flag False."""
         y, offset2 = self.project(target)
         try:
-            res = _enumerate(self.R, y, np.inf, budget, mode="min")
+            res = _enumerate(self._rows, self._diag, y.tolist(), np.inf,
+                             budget, mode="min")
             exact = True
         except BudgetExceeded as exc:
             res = exc.best
@@ -298,23 +311,25 @@ class PreparedCVP:
         return (res.best_metric + offset2, _apply_u(res.best_z, self.U),
                 res.nodes, exact)
 
-    def exists_closer(self, target, than_metric, budget=DEFAULT_BUDGET):
+    def exists_closer(self, projected, than_metric, budget=DEFAULT_BUDGET):
         """True iff some nonzero-coordinate point lies strictly closer to the
-        target than sqrt(than_metric)."""
-        y, offset2 = self.project(target)
+        target than sqrt(than_metric), given the target's projection
+        (y, offset2) from `project`."""
+        y, offset2 = projected
         thr = than_metric - offset2
         if thr <= 0:
             return False, 0
-        res = _enumerate(self.R, y, thr * (1 - 1e-12), budget, mode="min",
-                         exclude_zero=True, early_exit_below=thr * (1 - 1e-12))
+        res = _enumerate(self._rows, self._diag, y.tolist(), thr * (1 - 1e-12),
+                         budget, mode="min", exclude_zero=True,
+                         early_exit_below=thr * (1 - 1e-12))
         found = res.best_z is not None and any(res.best_z)
         return found, res.nodes
 
     def shortest(self, budget=DEFAULT_BUDGET):
-        y = np.zeros(self.rank)
         start = float(min(np.sum(self.reduced ** 2, axis=1))) * (1 + 1e-12) + 1e-12
         try:
-            res = _enumerate(self.R, y, start, budget, mode="min", exclude_zero=True)
+            res = _enumerate(self._rows, self._diag, [0.0] * self.rank, start,
+                             budget, mode="min", exclude_zero=True)
         except BudgetExceeded as exc:
             best = exc.best
             if best.best_z is not None:
@@ -329,7 +344,8 @@ class PreparedCVP:
         bound = radius * radius - offset2
         if bound < 0:
             return np.zeros((0, self.rank), dtype=int), np.zeros(0), 0
-        res = _enumerate(self.R, y, bound, budget, mode="list")
+        res = _enumerate(self._rows, self._diag, y.tolist(), bound, budget,
+                         mode="list")
         if not res.leaves:
             return np.zeros((0, self.rank), dtype=int), np.zeros(0), res.nodes
         coords = np.array([z for z, _ in res.leaves], dtype=np.int64) @ self.U

@@ -195,6 +195,8 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     """Evaluate capacity, achievable rate and gap for one power level.
     mu is log2 det of the fixed Gram for a constant channel, else the
     Rayleigh closed form."""
+    if not 0 < P < math.inf:
+        raise DomainError(f"power P must be finite and > 0, not {P}")
     n, n_r = model.n, model.n_r
     if model.kind == "constant":
         H = np.asarray(model.fixed_H, dtype=complex)

@@ -3,7 +3,12 @@
 Trials are seed-split: trial t of a run with seed s draws its channel and
 noise from independent Philox streams keyed by (s, t), so runs are
 reproducible and trivially parallelizable.  Finite-codebook and
-infinite-lattice runs share one trial loop.
+infinite-lattice runs share one trial loop.  It works in chunks of trials:
+one numpy pass per chunk computes every trial's streams, channel, received
+word, ML metrics and projected search target, and only the lattice search
+(and, on a fading channel, each trial's decoder preparation) runs per
+trial.  Trial t's streams are still the pure function of (s, tag, t), so
+the chunking changes no output bit.
 """
 
 import math
@@ -14,9 +19,12 @@ import numpy as np
 from . import channel
 from .codebook import scaling_alpha
 from .decoder import LatticeDecoder, ml_decode
-from .errors import BudgetExceeded
 from .lattice import DEFAULT_BUDGET
 from .rng import philox
+
+# Bound on the bytes of the arrays one chunk of trials holds, so memory does
+# not grow with the trial count or the codebook size.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -41,6 +49,15 @@ def _wer_stderr(errors, trials):
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
+def _chunk_trials(lat, model, book, decoders):
+    """Trials per chunk: as many as keep the chunk's complex arrays (fades,
+    words, received words, noise and their realified targets, plus the ML
+    differences to every codeword) within CHUNK_BYTES."""
+    words = 8 + (3 * len(book) if "ml" in decoders else 0)
+    per_trial = 16 * lat.k * lat.n * max(lat.n, model.n_r) * words
+    return max(1, CHUNK_BYTES // per_trial)
+
+
 def _trial_loop(lat, model, alpha, shift, book, trials, seed, decoders,
                 budget, noiseless):
     """Send word t (a random codeword of `book`, or the zero point when
@@ -50,33 +67,38 @@ def _trial_loop(lat, model, alpha, shift, book, trials, seed, decoders,
     conservative WER), a budget hit and `budget` nodes.  Returns
     {decoder: [errors, nodes, budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
-    if book is None:
-        word = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
-        sent = [0] * lat.rank
-    else:
+    if book is not None:
         pick = philox(seed, 0xC0)
-    real = dec = None
-    for t in range(trials):
-        if book is not None:
-            idx = int(pick.integers(len(book)))
-            word, sent = book.matrices[idx], list(book.coords[idx])
-        if real is None or model.kind != "constant":
-            real = channel.sample(model, lat.k, (seed, t))
-            if "lattice" in decoders:
-                dec = LatticeDecoder(real.blocks, alpha, lat, shift)
-        y = channel.transmit(word, real, (seed, t), noiseless=noiseless)
+    dec = None
+    if "lattice" in decoders and model.kind == "constant":
+        dec = LatticeDecoder(channel.sample(model, lat.k, seed).blocks, alpha,
+                             lat, shift)
+    chunk = _chunk_trials(lat, model, book, decoders)
+    for start in range(0, trials, chunk):
+        streams = [(t,) for t in range(start, min(start + chunk, trials))]
+        H = channel.sample_stack(model, lat.k, seed, streams)
+        if book is None:
+            sent = np.zeros((len(streams), lat.rank), dtype=np.int64)
+            words = np.zeros((len(streams), lat.k, lat.n, lat.n), dtype=complex)
+        else:
+            idx = pick.integers(len(book), size=len(streams))
+            sent, words = book.coords[idx], book.matrices[idx]
+        Y = channel.transmit_stack(words, H, seed, streams, noiseless)
         if "ml" in decoders:
-            res = ml_decode(y, real.blocks, book)
-            tally["ml"][0] += res.index != idx
+            res = ml_decode(Y, H, book)
+            tally["ml"][0] += int(np.count_nonzero(res.index != idx))
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
-            try:
-                ok, nodes = dec.decodes_to(y, sent, budget)
-            except BudgetExceeded:
-                ok, nodes = False, budget
-                tally["lattice"][2] += 1
-            tally["lattice"][0] += not ok
-            tally["lattice"][1] += nodes
+            if dec is not None:
+                outcomes = dec.decodes_to(Y, sent, budget)
+            else:
+                outcomes = [LatticeDecoder(H[i], alpha, lat, shift).decodes_to(
+                    Y[i:i + 1], sent[i:i + 1], budget)[0]
+                    for i in range(len(streams))]
+            for ok, nodes in outcomes:
+                tally["lattice"][0] += not ok
+                tally["lattice"][1] += nodes
+                tally["lattice"][2] += ok is None
     return tally
 
 

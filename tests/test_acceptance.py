@@ -100,8 +100,9 @@ def test_criterion_04_reduced_hermite_chain(catalog):
         for t in range(100):
             H = sample_pdet1_fade(lat.n, lat.k, philox(404, t, lat.rank))
             faded = fade(lat, H)
-            found, _ = PreparedCVP(faded.real_basis).exists_closer(
-                np.zeros(dim), bound_metric)
+            prep = PreparedCVP(faded.real_basis)
+            found, _ = prep.exists_closer(prep.project(np.zeros(dim)),
+                                          bound_metric)
             assert not found, (name, t)
         # adversarial fade built from the delta witness approaches equality
         _, wit = min_pdet(lat, 1.5 * math.sqrt(nk))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from multiblock.channel import FadingModel, logdet_statistic, sample, transmit
+from multiblock.channel import (FadingModel, logdet_statistic, sample,
+                               sample_stack, transmit, transmit_stack)
+from multiblock.rng import complex_gaussian, philox
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -149,3 +151,31 @@ def test_model_validation():
         FadingModel(kind="constant", n=1, n_r=1)
     with pytest.raises(ValueError):
         FadingModel(kind="gauss_markov", n=1, n_r=1, rho=1.0)
+
+
+@pytest.mark.parametrize("kind,rho", [("iid_rayleigh", 0.0),
+                                      ("gauss_markov", 0.7)])
+def test_stacks_carry_the_one_realization_bits(kind, rho):
+    # each realization and received word of a stack has the bits of the
+    # one-realization arithmetic on its own seed path
+    model = FadingModel(kind=kind, n=2, n_r=3, rho=rho)
+    k, seed = 4, 61
+    streams = [(t,) for t in range(100, 140)]
+    H = sample_stack(model, k, seed, streams)
+    X = complex_gaussian(philox(62), (len(streams), k, 2, 2))
+    Y = transmit_stack(X, H, seed, streams, False)
+    for t, (s,) in enumerate(streams):
+        g = complex_gaussian(philox(seed, 0x48, s), (k, 3, 2))
+        blocks = g
+        if rho:
+            blocks = np.empty_like(g)
+            blocks[0] = g[0]
+            scale = np.sqrt(1.0 - rho ** 2)
+            for i in range(1, k):
+                blocks[i] = rho * blocks[i - 1] + scale * g[i]
+        assert H[t].tobytes() == blocks.tobytes()
+        y = blocks @ X[t] + complex_gaussian(philox(seed, 0x57, s), (k, 3, 2))
+        assert Y[t].tobytes() == y.tobytes()
+        real = sample(model, k, (seed, s))
+        assert real.blocks.tobytes() == blocks.tobytes()
+        assert transmit(X[t], real, (seed, s)).tobytes() == y.tobytes()

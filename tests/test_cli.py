@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -95,6 +96,21 @@ def test_golden_simulate(tmp_path):
         assert code == 0
         with open(os.path.join(GOLDEN_DIR, name)) as fh:
             assert text == fh.read(), name
+
+
+def _golden_commands():
+    # one "<sha256>  <command line>" per line, recorded from the CLI's stdout
+    with open(os.path.join(GOLDEN_DIR, "commands.sha256")) as fh:
+        return [tuple(line.rstrip("\n").split("  ", 1)) for line in fh]
+
+
+@pytest.mark.parametrize("digest,command", _golden_commands(),
+                         ids=[command for _, command in _golden_commands()])
+def test_golden_command_digest(capsys, digest, command):
+    # every output byte of these command lines is pinned, avg_nodes included
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_identical_config_identical_bytes(tmp_path):
@@ -404,6 +420,16 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
      "--samples", "0"],
     ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
      "--samples", "1"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "nan", "--cl", "46",
+     "--samples", "100"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "inf", "--cl", "46",
+     "--samples", "100"],
+    ["carve", "--field", "q_i", "--snr-db", "nan", "--rate", "1", "--seed", "1"],
+    ["carve", "--field", "q_i", "--snr-db", "inf", "--rate", "1", "--seed", "1"],
+    ["simulate", "--field", "q_i", "--snr-db", "nan", "--rate", "1",
+     "--trials", "5", "--seed", "1", "--infinite"],
+    ["simulate", "--field", "q_i", "--snr-db", "10,inf", "--rate", "1",
+     "--trials", "5", "--seed", "1", "--infinite"],
 ])
 def test_out_of_range_value_exits_2(capsys, argv):
     assert main(argv) == 2

@@ -4,7 +4,7 @@ import pytest
 from multiblock.codebook import Codebook, carve
 from multiblock.decoder import (LatticeDecoder, ml_decode, mismatched_bound,
                                 qr_reduce)
-from multiblock.lattice import MatrixLattice
+from multiblock.lattice import MatrixLattice, PreparedCVP, realify
 from multiblock.rng import complex_gaussian, philox
 
 
@@ -191,3 +191,68 @@ def test_wer_monotone_in_power(golden_lattice):
         pts = simulate_codebook_wer(book, model, 200, seed=43, decoders=("ml",))
         wers.append(pts[0].wer)
     assert wers[0] >= wers[1] >= wers[2]
+
+
+# -- stacks of received words against the single-word arithmetic -------------
+
+STACK_CASES = [("golden_lattice", 2), ("golden_lattice", 3), ("qi_lattice", 2)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _stack(lat, n_r, seed, words=40):
+    book = carve(lat, 10 ** 1.2, 1.0, trials=4, seed=seed)
+    gen = philox(seed, n_r)
+    H = complex_gaussian(gen, (words, lat.k, n_r, lat.n))
+    idx = gen.integers(len(book), size=words)
+    Y = H @ book.matrices[idx] + complex_gaussian(gen, H.shape)
+    return book, H, idx, Y
+
+
+@pytest.mark.parametrize("lattice_name,n_r", STACK_CASES)
+def test_stacked_ml_decode_matches_single_word_formula(request, lattice_name,
+                                                       n_r):
+    book, H, _, Y = _stack(request.getfixturevalue(lattice_name), n_r, 41)
+    res = ml_decode(Y, H, book)
+    assert res.nodes == len(Y) * len(book)
+    for t in range(len(Y)):
+        metrics = np.sum(np.abs(Y[t][None] - H[t][None] @ book.matrices) ** 2,
+                         axis=(1, 2, 3))
+        idx = int(np.argmin(metrics))
+        assert (res.index[t], res.metric[t]) == (idx, metrics[idx])
+        assert list(res.coords[t]) == list(book.coords[idx])
+        assert ml_decode(Y[t], H[t], book).index == idx
+
+
+@pytest.mark.parametrize("lattice_name,n_r", STACK_CASES)
+def test_stacked_decodes_to_searches_single_word_targets(request, monkeypatch,
+                                                         lattice_name, n_r):
+    # the residual, target and projection of each word of a stack carry the
+    # bits of the single-word arithmetic
+    lat = request.getfixturevalue(lattice_name)
+    book, H, idx, Y = _stack(lat, n_r, 43)
+    dec = LatticeDecoder(H[0], book.alpha, lat, book.shift)
+    searched = []
+    search = PreparedCVP.exists_closer
+
+    def recording(self, projected, than_metric, budget):
+        searched.append((projected, than_metric))
+        return search(self, projected, than_metric, budget)
+
+    monkeypatch.setattr(PreparedCVP, "exists_closer", recording)
+    outcomes = dec.decodes_to(Y, book.coords[idx])
+    assert len(searched) == len(Y)
+    for t, ((y, offset2), metric) in enumerate(searched):
+        coords = list(book.coords[idx[t]])
+        xhyp = dec.shift + dec.alpha * lat.point(coords)
+        assert metric == float(np.sum(np.abs(Y[t] - dec.H @ xhyp) ** 2))
+        target = (realify(Y[t]) - dec._shift_rx
+                  - np.asarray(coords, float) @ dec.basis_rows)
+        y1 = dec.prepared.Q.T @ target
+        assert _bits(y) == _bits(y1)
+        assert offset2 == max(float(target @ target - y1 @ y1), 0.0)
+    assert outcomes == [dec.decodes_to(Y[t], list(book.coords[idx[t]]))
+                        for t in range(len(Y))]
+    assert any(ok for ok, _ in outcomes) and not all(ok for ok, _ in outcomes)

@@ -287,7 +287,7 @@ def test_exists_closer_matches_full_cvp(golden_lattice):
     for _ in range(300):
         w = 1.1 * gen.normal(size=golden_lattice.real_basis.shape[1])
         metric0 = float(w @ w)
-        found, _ = prep.exists_closer(w, metric0)
+        found, _ = prep.exists_closer(prep.project(w), metric0)
         _, coords, _, _ = prep.closest(w)
         cvp_moved = any(coords)
         errors += cvp_moved

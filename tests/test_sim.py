@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from multiblock import sim
 from multiblock.channel import FadingModel
-from multiblock.codebook import carve
-from multiblock.lattice import reduced_hermite_probe
+from multiblock.codebook import carve, scaling_alpha
+from multiblock.cyclic_algebra import NaturalOrder, order_lattice
+from multiblock.errors import BudgetExceeded
+from multiblock.lattice import (DEFAULT_BUDGET, PreparedCVP, field_lattice,
+                                reduced_hermite_probe)
 from multiblock.rng import complex_gaussian, philox
 from multiblock.sim import simulate_codebook_wer, simulate_infinite_wer
+
+from oracles import reference_trial_loop
 
 
 def test_lemma4_minimum_distance_bound(golden_lattice):
@@ -102,3 +108,103 @@ def test_budget_hit_counts_as_lattice_error(golden_lattice):
         assert lat_cut.flag.startswith("budget_hits=")
         hits = int(lat_cut.flag.split("=")[1])
         assert 0 < hits <= lat_cut.errors <= hits + lat_full.errors
+
+
+# -- the chunked trial loop against the one-trial-at-a-time reference --------
+
+LOOP_CASES = {
+    # name: (lattice, model, SNR dB, rate, decoders, budget, noiseless, infinite)
+    "constant_both": ("q_omega", FadingModel(kind="constant", n=1, n_r=1,
+                                             fixed_H=np.eye(1, dtype=complex)),
+                      6, 1.5, ("ml", "lattice"), DEFAULT_BUDGET, False, False),
+    "iid_nr_above_n_both": ("q_i", FadingModel(kind="iid_rayleigh", n=1, n_r=2),
+                            4, 1.0, ("ml", "lattice"), DEFAULT_BUDGET, False,
+                            False),
+    "gauss_markov_rho0_ml": ("cyclo8", FadingModel(kind="gauss_markov", n=1,
+                                                   n_r=1, rho=0.0),
+                             8, 1.0, ("ml",), DEFAULT_BUDGET, False, False),
+    "gauss_markov_rho07_both": ("cyclo8", FadingModel(kind="gauss_markov", n=1,
+                                                      n_r=2, rho=0.7),
+                                6, 1.0, ("ml", "lattice"), DEFAULT_BUDGET,
+                                False, False),
+    "golden_iid_lattice_budget": ("golden", FadingModel(kind="iid_rayleigh",
+                                                        n=2, n_r=2),
+                                  8, 1.0, ("lattice",), 16, False, False),
+    "golden_iid_noiseless": ("golden", FadingModel(kind="iid_rayleigh", n=2,
+                                                   n_r=2),
+                             8, 1.0, ("ml", "lattice"), DEFAULT_BUDGET, True,
+                             False),
+    "infinite_constant": ("cyclo8", FadingModel(kind="constant", n=1, n_r=1,
+                                                fixed_H=np.eye(1, dtype=complex)),
+                          10, 2.0, ("lattice",), DEFAULT_BUDGET, False, True),
+    "infinite_cyclo32_constant": ("cyclo32",
+                                  FadingModel(kind="constant", n=1, n_r=1,
+                                              fixed_H=np.eye(1, dtype=complex)),
+                                  16, 3.74, ("lattice",), DEFAULT_BUDGET,
+                                  False, True),
+    "infinite_gauss_markov_budget": ("cyclo8",
+                                     FadingModel(kind="gauss_markov", n=1,
+                                                 n_r=1, rho=0.7),
+                                     12, 1.0, ("lattice",), 8, False, True),
+}
+
+
+def _lattice(catalog, name):
+    if name in catalog.fields:
+        return field_lattice(catalog.field(name))
+    return order_lattice(NaturalOrder(catalog.algebra(name)))
+
+
+def _recording_searches(monkeypatch):
+    """Record, per lattice search, the bits of its projected target and
+    residual and its outcome."""
+    log = []
+    search = PreparedCVP.exists_closer
+
+    def recording(self, projected, than_metric, budget=DEFAULT_BUDGET):
+        y, offset2 = projected
+        entry = [np.asarray(y).tobytes(), offset2, than_metric]
+        log.append(entry)
+        try:
+            found, nodes = search(self, projected, than_metric, budget)
+        except BudgetExceeded:
+            entry.append("budget exceeded")
+            raise
+        entry.append((found, nodes))
+        return found, nodes
+
+    monkeypatch.setattr(PreparedCVP, "exists_closer", recording)
+    return log
+
+
+@pytest.mark.parametrize("chunk_trials", [1, 20])
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
+                                                       case, chunk_trials):
+    name, model, snr_db, rate, decoders, budget, noiseless, infinite = \
+        LOOP_CASES[case]
+    lat = _lattice(catalog, name)
+    P = 10.0 ** (snr_db / 10.0)
+    if infinite:
+        book, alpha, shift = None, scaling_alpha(P, rate, lat.n, lat.k,
+                                                 lat.volume), None
+    else:
+        book = carve(lat, P, rate, trials=8, seed=3)
+        alpha, shift = book.alpha, book.shift
+    # set the chunk bound so that a chunk holds chunk_trials trials
+    monkeypatch.setattr(sim, "CHUNK_BYTES", 10 ** 12)
+    per_trial = 10 ** 12 // sim._chunk_trials(lat, model, book, decoders)
+    monkeypatch.setattr(sim, "CHUNK_BYTES", chunk_trials * per_trial)
+    chunk = sim._chunk_trials(lat, model, book, decoders)
+    assert chunk == chunk_trials
+    trials = 2 * chunk + 7                # two full chunks and a partial one
+    args = (lat, model, alpha, shift, book, trials, 29, decoders, budget,
+            noiseless)
+    searches = _recording_searches(monkeypatch)
+    expected = reference_trial_loop(*args)
+    reference_searches = list(searches)
+    searches.clear()
+    assert sim._trial_loop(*args) == expected
+    assert searches == reference_searches
+    if "lattice" in decoders:
+        assert len(searches) == trials
