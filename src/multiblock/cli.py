@@ -108,16 +108,14 @@ def _config_dict(args, keys):
 
 
 def _load_lattice(cat, field=None, algebra=None):
-    """Lattice plus its algebraically certified det_min, if any: the field
-    lattice of `field` if given, else the natural-order lattice of `algebra`.
-    Returns (lattice, name, det_min or None, center field)."""
+    """The field lattice of `field` if given, else the natural-order lattice
+    of `algebra`, each carrying its certified det_min (or None).  Returns
+    (lattice, name, center field)."""
     if field:
         f = cat.field(field)
-        return field_lattice(f), f.name, 1.0, f
+        return field_lattice(f), f.name, f
     alg = cat.algebra(algebra)
-    lat = order_lattice(NaturalOrder(alg))
-    det_min = 1.0 if alg.division_asserted else None
-    return lat, alg.name, det_min, alg.center
+    return order_lattice(NaturalOrder(alg)), alg.name, alg.center
 
 
 def _model_from_args(args, n):
@@ -161,8 +159,8 @@ def cmd_invariants(args):
              "certificate", "delta", "rh_lower", "root_disc", "table_target",
              "meets_target"])
     for kind, name in names:
-        lat, _, det_min, f = _load_lattice(cat, **{kind: name})
-        rep = invariant_report(lat, name=name, det_min=det_min,
+        lat, _, f = _load_lattice(cat, **{kind: name})
+        rep = invariant_report(lat, name=name, det_min=lat.det_min,
                                radius=args.radius, budget=args.budget)
         target = f.table_target()
         meets = f.meets_table_target()
@@ -177,7 +175,7 @@ def cmd_invariants(args):
 
 def cmd_carve(args):
     cat = load_catalog()
-    lat, name, _, _ = _load_lattice(cat, args.field, args.algebra)
+    lat, name, _ = _load_lattice(cat, args.field, args.algebra)
     P = 10.0 ** (args.snr_db / 10.0)
     book = carve(lat, P, args.rate, args.trials, args.seed, budget=args.budget)
     out = Output(args.output)
@@ -197,7 +195,7 @@ def cmd_simulate(args):
     if not args.infinite and args.carve_trials < 1:
         raise ValueError("--carve-trials must be >= 1")
     cat = load_catalog()
-    lat, name, _, _ = _load_lattice(cat, args.field, args.algebra)
+    lat, name, _ = _load_lattice(cat, args.field, args.algebra)
     model = _model_from_args(args, lat.n)
     decoders = {"ml": ("ml",), "lattice": ("lattice",),
                 "both": ("ml", "lattice")}[args.decoder]

@@ -378,11 +378,14 @@ class NaturalOrder:
 def order_lattice(order):
     """Multiblock embedding of the natural order as a 2kn^2-dimensional
     matrix lattice (raises DegenerateLattice through the constructor if the
-    Gram matrix is numerically rank deficient)."""
+    Gram matrix is numerically rank deficient).  Its det_min is 1 when the
+    algebra is asserted to be a division algebra (a nonzero element has
+    |pdet| = sqrt|N(Nrd a)| >= 1), and unknown (None) otherwise."""
     from .lattice import MatrixLattice
     alg = order.algebra
     blocks = np.array([alg.multiblock_embed(b) for b in order.z_basis])
-    return MatrixLattice(blocks)
+    return MatrixLattice(blocks,
+                         det_min=1.0 if alg.division_asserted else None)
 
 
 def trivial_algebra(field):

@@ -21,10 +21,15 @@ class DecodeResult:
     approximate: bool = False   # True when the budget forced a Babai answer
 
 
-def _check_full_rank(H):
+def check_full_rank(H):
+    """Singular values, descending, of the blocks of one fade H (k, n_r, n)
+    or of each fade of a stack (T, k, n_r, n).  SingularChannel if some
+    block's smallest is at most 1e-12 times the largest of its fade (or 1)."""
     sv = np.linalg.svd(H, compute_uv=False)
-    if np.any(sv[..., -1] <= 1e-12 * max(1.0, float(sv.max()))):
+    peak = np.maximum(1.0, sv.max(axis=(-2, -1)))
+    if np.any(sv[..., -1] <= 1e-12 * peak[..., None]):
         raise SingularChannel("fading block numerically rank deficient")
+    return sv
 
 
 def ml_decode(Y, H, codebook):
@@ -60,7 +65,7 @@ class LatticeDecoder:
         if n_r < n:
             # the faded infinite lattice is not discrete here; only ML applies
             raise DomainError("lattice decoding requires n_r >= n")
-        _check_full_rank(H)
+        check_full_rank(H)
         self.H = H
         self.alpha = alpha
         self.lat = lat
@@ -128,7 +133,7 @@ def qr_reduce(Y, H):
     k, n_r, n = H.shape
     if n_r <= n:
         raise ValueError("qr_reduce applies to n_r > n")
-    _check_full_rank(H)
+    check_full_rank(H)
     Yp = np.empty((k, n, Y.shape[2]), dtype=complex)
     Rp = np.empty((k, n, n), dtype=complex)
     for i in range(k):

@@ -52,9 +52,13 @@ class MatrixLattice:
     The basis never changes after construction.  The one search preparation
     of the basis (`cvp`: LLL plus QR) is built on first use and then serves
     every search on this lattice; each search keeps its own state.
+
+    `det_min`, when not None, is a certified lower bound on |pdet(X)| over
+    the nonzero lattice points X (the paper's minimum determinant); None
+    claims nothing.
     """
 
-    def __init__(self, blocks, validate=True):
+    def __init__(self, blocks, validate=True, det_min=None):
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 4 or blocks.shape[2] != blocks.shape[3]:
             raise ValueError("expected basis of shape (r, k, n, n)")
@@ -67,6 +71,7 @@ class MatrixLattice:
             raise DegenerateLattice(
                 f"Gram matrix numerically singular (eigs {eig[0]:.3e}..{eig[-1]:.3e})")
         self.volume = float(np.sqrt(abs(np.linalg.det(self.gram))))
+        self.det_min = det_min
 
     def point(self, coords):
         """Lattice point with the given integer coordinates, as blocks."""
@@ -90,13 +95,14 @@ class MatrixLattice:
 
 def field_lattice(field):
     """Canonical embedding of the ring of integers of a totally complex
-    field, as a rank-2k lattice of 1x1 blocks."""
+    field, as a rank-2k lattice of 1x1 blocks.  Its det_min is 1: a nonzero
+    integer a has |pdet| = sqrt|N(a)| >= 1."""
     k = field.k
     blocks = np.empty((field.degree, k, 1, 1), dtype=complex)
     for j in range(field.degree):
         w = field.element([1 if t == j else 0 for t in range(field.degree)])
         blocks[j, :, 0, 0] = field.canonical_embed(w)
-    return MatrixLattice(blocks)
+    return MatrixLattice(blocks, det_min=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +430,10 @@ def fade(lat, H):
 
 def hadamard_check(blocks):
     """Both sides of |pdet(X)| <= (||X||^2 / nk)^{nk/2}.  Test-only witness
-    of the inequality behind the paper's bound rh >= nk delta^{2/nk}."""
+    of the inequality behind the paper's bound rh >= nk delta^{2/nk}.  The
+    inequality itself is load-bearing: applied to the faded points H X, it
+    is the minimum-distance bound with which `sim.certified` proves lattice
+    decisions without a search."""
     blocks = np.asarray(blocks, dtype=complex)
     k, n, _ = blocks.shape
     lhs = abs(pdet(blocks))

@@ -111,14 +111,11 @@ def ergodic_capacity_mc(model, P, samples, seed):
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     chains = max(8, min(64, samples // 64))
     length = max(1, samples // chains)
-    means = []
-    for c in range(chains):
-        real = channel.sample(model, length, (seed, c))
-        H = real.blocks
-        grams = np.eye(n) + (P / n) * (H.conj().swapaxes(1, 2) @ H)
-        vals = np.linalg.slogdet(grams)[1] / LOG2
-        means.append(vals.mean())
-    means = np.array(means)
+    # chain c is the realization at seed path (seed, c), all drawn at once
+    H = channel.sample_stack(model, length, seed, [(c,) for c in range(chains)])
+    grams = np.eye(n) + (P / n) * (H.conj().swapaxes(-1, -2) @ H)
+    vals = np.linalg.slogdet(grams)[1] / LOG2
+    means = vals.mean(axis=1)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(chains))
 
 

@@ -5,10 +5,20 @@ noise from independent Philox streams keyed by (s, t), so runs are
 reproducible and trivially parallelizable.  Finite-codebook and
 infinite-lattice runs share one trial loop.  It works in chunks of trials:
 one numpy pass per chunk computes every trial's streams, channel, received
-word, ML metrics and projected search target, and only the lattice search
-(and, on a fading channel, each trial's decoder preparation) runs per
-trial.  Trial t's streams are still the pure function of (s, tag, t), so
-the chunking changes no output bit.
+word and ML metrics, and only the lattice search (and, on a fading channel,
+each searched trial's decoder preparation) runs per trial.  Trial t's
+streams are still the pure function of (s, tag, t), so the chunking changes
+no output bit.
+
+Most lattice decisions need no search at all.  When the lattice carries a
+certified minimum determinant det_min, every nonzero X of alpha L has
+||H X||^2 >= nk alpha^2 det_min^{2/nk} prod_i det(H_i^dag H_i)^{1/nk}
+(AM-GM over the nk eigenvalues of the faded blocks' Grams), a lower bound
+lam2 on the squared minimum distance of the faded lattice.  If the received
+word lies within half of that distance of the sent point, 4 ||Y - H X||^2 <
+lam2, no other lattice point is as close (the packing-radius argument), so
+the decision is correct and costs 0 nodes.  Only the other trials are
+searched, and on a fading channel only they get a decoder.
 """
 
 import math
@@ -18,13 +28,18 @@ import numpy as np
 
 from . import channel
 from .codebook import scaling_alpha
-from .decoder import LatticeDecoder, ml_decode
+from .decoder import LatticeDecoder, check_full_rank, ml_decode
+from .errors import DomainError
 from .lattice import DEFAULT_BUDGET
 from .rng import philox
 
 # Bound on the bytes of the arrays one chunk of trials holds, so memory does
 # not grow with the trial count or the codebook size.
 CHUNK_BYTES = 1 << 20
+
+# Relative margin by which a certificate must hold: far above the float
+# error of the residuals and singular values it is computed from.
+CERT_MARGIN = 1e-9
 
 
 @dataclass
@@ -51,28 +66,50 @@ def _wer_stderr(errors, trials):
 
 def _chunk_trials(lat, model, book, decoders):
     """Trials per chunk: as many as keep the chunk's complex arrays (fades,
-    words, received words, noise and their realified targets, plus the ML
-    differences to every codeword) within CHUNK_BYTES."""
-    words = 8 + (3 * len(book) if "ml" in decoders else 0)
+    words, received words, noise, the sent words' faded residuals and the
+    searched trials' realified targets, plus the ML differences to every
+    codeword) within CHUNK_BYTES."""
+    words = 10 + (3 * len(book) if "ml" in decoders else 0)
     per_trial = 16 * lat.k * lat.n * max(lat.n, model.n_r) * words
     return max(1, CHUNK_BYTES // per_trial)
+
+
+def certified(lat, alpha, sv, resid):
+    """Which trials the minimum-determinant bound proves correct: those with
+    4 resid < lam2 (1 - CERT_MARGIN), where lam2 = nk alpha^2
+    det_min^{2/nk} prod det(H_i^dag H_i)^{1/nk}.  The product of Gram
+    determinants is that of the squared singular values `sv` (T, k, n) of
+    each trial's fade, or (1, k, n) of a fade all trials share, and `resid`
+    holds each trial's ||Y - H X_sent||^2.  A lattice without a certified
+    det_min proves nothing."""
+    if lat.det_min is None:
+        return np.zeros(len(resid), dtype=bool)
+    nk = lat.n * lat.k
+    lam2 = (nk * alpha ** 2 * lat.det_min ** (2.0 / nk)
+            * np.exp(2.0 * np.mean(np.log(sv), axis=(1, 2))))
+    return 4.0 * resid < lam2 * (1.0 - CERT_MARGIN)
 
 
 def _trial_loop(lat, model, alpha, shift, book, trials, seed, decoders,
                 budget, noiseless):
     """Send word t (a random codeword of `book`, or the zero point when
     `book` is None) through fade H_t and noise W_t, and decode it with each
-    of `decoders`; a constant channel gets one lattice decoder for the run.
-    A lattice search that exhausts `budget` counts as an error (a
-    conservative WER), a budget hit and `budget` nodes.  Returns
-    {decoder: [errors, nodes, budget hits]}."""
+    of `decoders`.  A lattice decision that `certified` proves correct costs
+    0 nodes; every other trial is searched, on a constant channel by the one
+    lattice decoder of the run.  A lattice search that exhausts `budget`
+    counts as an error (a conservative WER), a budget hit and `budget`
+    nodes.  Returns {decoder: [errors, nodes, budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
     if book is not None:
         pick = philox(seed, 0xC0)
     dec = None
-    if "lattice" in decoders and model.kind == "constant":
-        dec = LatticeDecoder(channel.sample(model, lat.k, seed).blocks, alpha,
-                             lat, shift)
+    if "lattice" in decoders:
+        if model.n_r < model.n:
+            # the faded infinite lattice is not discrete here; only ML applies
+            raise DomainError("lattice decoding requires n_r >= n")
+        if model.kind == "constant":
+            dec = LatticeDecoder(channel.sample(model, lat.k, seed).blocks,
+                                 alpha, lat, shift)
     chunk = _chunk_trials(lat, model, book, decoders)
     for start in range(0, trials, chunk):
         streams = [(t,) for t in range(start, min(start + chunk, trials))]
@@ -89,12 +126,16 @@ def _trial_loop(lat, model, alpha, shift, book, trials, seed, decoders,
             tally["ml"][0] += int(np.count_nonzero(res.index != idx))
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
+            # a constant channel's trials share one fade
+            sv = check_full_rank(H if dec is None else H[:1])
+            resid = np.sum(np.abs(Y - H @ words) ** 2, axis=(1, 2, 3))
+            todo = np.flatnonzero(~certified(lat, alpha, sv, resid))
             if dec is not None:
-                outcomes = dec.decodes_to(Y, sent, budget)
+                outcomes = (dec.decodes_to(Y[todo], sent[todo], budget)
+                            if len(todo) else [])
             else:
                 outcomes = [LatticeDecoder(H[i], alpha, lat, shift).decodes_to(
-                    Y[i:i + 1], sent[i:i + 1], budget)[0]
-                    for i in range(len(streams))]
+                    Y[i:i + 1], sent[i:i + 1], budget)[0] for i in todo]
             for ok, nodes in outcomes:
                 tally["lattice"][0] += not ok
                 tally["lattice"][1] += nodes

@@ -2,6 +2,7 @@
 enumeration machinery and of its integer exact arithmetic."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -272,3 +273,20 @@ def reference_discriminant(field):
     gram = [[reference_trace(field, reference_field_mul(field, units[i], units[j]))
              for j in range(n)] for i in range(n)]
     return fraction_det(gram)
+
+
+def reference_gauss_markov_capacity(model, P, samples, seed):
+    """ratecalc.ergodic_capacity_mc on a correlated model as it drew its
+    chains, one `channel.sample` at a time: the reference for the stacked
+    draw.  Returns (estimate, standard error)."""
+    n = model.n
+    chains = max(8, min(64, samples // 64))
+    length = max(1, samples // chains)
+    means = []
+    for c in range(chains):
+        H = channel.sample(model, length, (seed, c)).blocks
+        grams = np.eye(n) + (P / n) * (H.conj().swapaxes(1, 2) @ H)
+        vals = np.linalg.slogdet(grams)[1] / math.log(2.0)
+        means.append(vals.mean())
+    means = np.array(means)
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(chains))

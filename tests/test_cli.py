@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -90,12 +91,33 @@ GOLDEN_SIMULATE = {
 }
 
 
+def first_difference(text, golden):
+    """(line number, column) of the first cell in which a CSV differs from
+    its golden copy, the column named by the golden header row; None when
+    they are equal."""
+    if text == golden:
+        return None
+    want = golden.splitlines()
+    names = next((line.split(",") for line in want if not line.startswith("#")),
+                 [])
+    lines = itertools.zip_longest(text.splitlines(), want, fillvalue="")
+    for i, (got, exp) in enumerate(lines):
+        if got != exp:
+            cells = itertools.zip_longest(got.split(","), exp.split(","))
+            j = next(j for j, (a, b) in enumerate(cells) if a != b)
+            named = j < len(names) and not exp.startswith("#")
+            return i + 1, names[j] if named else j
+    return len(want), None          # only the line endings differ
+
+
 def test_golden_simulate(tmp_path):
     for name, args in GOLDEN_SIMULATE.items():
         code, text = run_cli(["simulate"] + args.split(), tmp_path, name)
         assert code == 0
         with open(os.path.join(GOLDEN_DIR, name)) as fh:
-            assert text == fh.read(), name
+            golden = fh.read()
+        diff = first_difference(text, golden)
+        assert diff is None, f"{name}: first difference at (line, column) {diff}"
 
 
 def _golden_commands():
@@ -289,6 +311,44 @@ def test_linalg_error_exits_3(monkeypatch, capsys):
     code = main(QI_CONSTANT)
     assert code == 3
     assert_one_line(capsys.readouterr().err, "numerical failure: SVD did not converge")
+
+
+@pytest.mark.parametrize("extra", [["--infinite"], []])
+def test_lattice_decoding_needs_nr_at_least_n_before_any_trial(capsys, extra):
+    # noiseless, every trial would pass the certificate: the antenna guard
+    # comes first
+    code = main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
+                 "--nr", "1", "--snr-db", "20", "--rate", "1", "--trials", "5",
+                 "--seed", "1", "--decoder", "lattice", "--noiseless"] + extra)
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: lattice decoding requires n_r >= n")
+
+
+def test_near_singular_fade_exits_3_even_when_certified(monkeypatch, capsys):
+    # one trial's fade is numerically rank deficient; noiseless, its
+    # received word is the sent one, yet the run must stop, not certify it
+    from multiblock import channel
+    sample_stack = channel.sample_stack
+
+    def near_singular(model, k, seed, streams):
+        H = sample_stack(model, k, seed, streams)
+        if (3,) in streams:
+            t = streams.index((3,))
+            H[t, 0, :, 1] = H[t, 0, :, 0] * (1 + 1e-14)
+        return H
+
+    monkeypatch.setattr(channel, "sample_stack", near_singular)
+    code = main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
+                 "--nr", "2", "--snr-db", "20", "--rate", "1", "--trials", "5",
+                 "--seed", "1", "--decoder", "lattice", "--infinite",
+                 "--noiseless"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "numerical failure: fading block numerically rank "
+                         "deficient")
 
 
 @pytest.mark.parametrize("content, needle", [

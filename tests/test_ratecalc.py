@@ -9,6 +9,8 @@ from multiblock.channel import FadingModel
 from multiblock.errors import DomainError
 from multiblock.rng import philox
 
+from oracles import reference_gauss_markov_capacity
+
 GAMMA = rc.EULER_GAMMA
 LN2 = math.log(2.0)
 
@@ -183,6 +185,18 @@ def test_gauss_markov_capacity_matches_iid():
     est_gm, se_gm = rc.ergodic_capacity_mc(gm, 10.0, 60000, seed=9)
     est_iid, se_iid = rc.ergodic_capacity_mc(iid, 10.0, 60000, seed=11)
     assert abs(est_gm - est_iid) <= 3 * math.hypot(se_gm, se_iid)
+
+
+@pytest.mark.parametrize("n, n_r, rho, samples", [
+    (1, 1, 0.7, 20000), (1, 2, 0.3, 500), (2, 2, 0.95, 4000), (2, 3, 0.7, 100),
+])
+def test_stacked_gauss_markov_capacity_matches_per_chain_loop(n, n_r, rho,
+                                                               samples):
+    # the chains drawn in one stack give the per-chain loop's bits
+    model = FadingModel(kind="gauss_markov", n=n, n_r=n_r, rho=rho)
+    for P in (0.5, 10.0, 1e4):
+        assert rc.ergodic_capacity_mc(model, P, samples, seed=5) == \
+            reference_gauss_markov_capacity(model, P, samples, seed=5)
 
 
 # -- Chernoff machinery -------------------------------------------------------

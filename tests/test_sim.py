@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multiblock import sim
+from multiblock import channel, sim
 from multiblock.channel import FadingModel
 from multiblock.codebook import carve, scaling_alpha
-from multiblock.cyclic_algebra import NaturalOrder, order_lattice
+from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
+from multiblock.decoder import LatticeDecoder, check_full_rank
 from multiblock.errors import BudgetExceeded
-from multiblock.lattice import (DEFAULT_BUDGET, PreparedCVP, field_lattice,
-                                reduced_hermite_probe)
+from multiblock.lattice import (DEFAULT_BUDGET, MatrixLattice, PreparedCVP,
+                                field_lattice, min_pdet, reduced_hermite_probe)
 from multiblock.rng import complex_gaussian, philox
 from multiblock.sim import simulate_codebook_wer, simulate_infinite_wer
 
@@ -177,6 +180,20 @@ def _recording_searches(monkeypatch):
     return log
 
 
+def _recording_certificates(monkeypatch):
+    """Record, per chunk, which trials the certificate proved correct."""
+    masks = []
+    prove = sim.certified
+
+    def recording(*args):
+        mask = prove(*args)
+        masks.append(mask)
+        return mask
+
+    monkeypatch.setattr(sim, "certified", recording)
+    return masks
+
+
 @pytest.mark.parametrize("chunk_trials", [1, 20])
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
@@ -204,7 +221,97 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
     expected = reference_trial_loop(*args)
     reference_searches = list(searches)
     searches.clear()
-    assert sim._trial_loop(*args) == expected
-    assert searches == reference_searches
-    if "lattice" in decoders:
-        assert len(searches) == trials
+    masks = _recording_certificates(monkeypatch)
+    got = sim._trial_loop(*args)
+    if "ml" in decoders:
+        assert got["ml"] == expected["ml"]
+    if "lattice" not in decoders:
+        assert searches == [] and masks == []
+        return
+    # the reference searched every trial; the loop searched exactly the
+    # trials the certificate did not prove, with the same targets, in order
+    assert len(reference_searches) == trials
+    proved = np.concatenate(masks).tolist()
+    assert len(proved) == trials
+    if noiseless:
+        # every received word is its sent point
+        assert all(proved)
+    assert searches == [s for s, p in zip(reference_searches, proved) if not p]
+    # a proved trial's reference search found no closer point; under a tiny
+    # budget it may have run out first, which the reference scored as an
+    # error and a budget hit
+    outcomes = [s[-1] for s, p in zip(reference_searches, proved) if p]
+    assert all(o == "budget exceeded" or not o[0] for o in outcomes)
+    freed = outcomes.count("budget exceeded")
+    if budget == DEFAULT_BUDGET:
+        assert freed == 0
+    errors, nodes, hits = got["lattice"]
+    ref_errors, _, ref_hits = expected["lattice"]
+    assert errors == ref_errors - freed and hits == ref_hits - freed
+    assert nodes == sum(budget if s[-1] == "budget exceeded" else s[-1][1]
+                        for s in searches)
+
+
+# -- soundness of the minimum-determinant certificate ------------------------
+
+CERTIFIED_LATTICES = ("golden", "zeta20", "cyclo8", "q_i")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(name=st.sampled_from(CERTIFIED_LATTICES), extra_rx=st.integers(0, 1),
+       kind=st.sampled_from(["iid_rayleigh", "gauss_markov"]),
+       rho=st.floats(0.0, 0.95), snr_db=st.floats(0.0, 40.0),
+       rate=st.floats(0.25, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_certified_trial_has_no_closer_point(catalog, name, extra_rx, kind,
+                                             rho, snr_db, rate, seed):
+    lat = _lattice(catalog, name)
+    model = FadingModel(kind=kind, n=lat.n, n_r=lat.n + extra_rx,
+                        rho=rho if kind == "gauss_markov" else 0.0)
+    alpha = scaling_alpha(10.0 ** (snr_db / 10.0), rate, lat.n, lat.k,
+                          lat.volume)
+    streams = [(t,) for t in range(16)]
+    H = channel.sample_stack(model, lat.k, seed, streams)
+    # the zero point and nonzero points of alpha L are sent
+    sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
+    sent[0] = 0
+    words = alpha * lat.points(sent)
+    Y = channel.transmit_stack(words, H, seed, streams, False)
+    resid = np.sum(np.abs(Y - H @ words) ** 2, axis=(1, 2, 3))
+    proved = sim.certified(lat, alpha, check_full_rank(H), resid)
+    for t in np.flatnonzero(proved):
+        dec = LatticeDecoder(H[t], alpha, lat)
+        ok, _ = dec.decodes_to(Y[t], sent[t])
+        assert ok, (name, t)
+
+
+def test_carried_det_min_bounds_the_ball(catalog):
+    # det_min <= min |pdet| over the nonzero points of the catalog-verify ball
+    lattices = [field_lattice(f) for _, f in sorted(catalog.fields.items())]
+    lattices += [order_lattice(NaturalOrder(a))
+                 for _, a in sorted(catalog.algebras.items())]
+    for lat in lattices:
+        assert lat.det_min == 1.0
+        radius = 1.5 * math.sqrt(lat.n * lat.k)
+        smallest, _ = min_pdet(lat, radius)
+        assert lat.det_min <= smallest * (1 + 1e-9)
+
+
+def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
+    # the Golden algebra's data with gamma = 1, a norm: a non-division
+    # algebra that asserts nothing, and a hand-built lattice, carry no
+    # det_min, so every trial is searched
+    golden = catalog.algebra("golden")
+    split = CyclicAlgebra("split_golden", golden.center, 2, golden.rel_poly,
+                          golden.sigma_eta, golden.center.one(),
+                          golden.rel_basis)
+    lattices = [order_lattice(NaturalOrder(split)),
+                MatrixLattice(_lattice(catalog, "golden").blocks)]
+    model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
+    searches = _recording_searches(monkeypatch)
+    for lat in lattices:
+        assert lat.det_min is None
+        assert not sim.certified(lat, 1.0, np.ones((3, lat.k, lat.n)),
+                                 np.zeros(3)).any()
+        searches.clear()
+        simulate_infinite_wer(lat, model, 10 ** 2.0, 1.0, 25, seed=4)
+        assert len(searches) == 25
