@@ -33,6 +33,9 @@ class FadingModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown fading model {self.kind!r}")
+        if self.n < 1 or self.n_r < 1:
+            raise ValueError(f"n and n_r must be >= 1, not n = {self.n}, "
+                             f"n_r = {self.n_r}")
         if self.kind == "constant" and self.fixed_H is None:
             raise ValueError("constant model needs fixed_H")
         if not 0.0 <= self.rho < 1.0:

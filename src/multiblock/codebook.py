@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CarveFailed
+from .errors import BudgetExceeded, CarveFailed
 from .lattice import DEFAULT_BUDGET, realify
 from .rng import philox
 
@@ -81,6 +81,11 @@ def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET, truncate_margin=2):
         raise ValueError("trials must be >= 1")
     n, k = lat.n, lat.k
     alpha = scaling_alpha(P, R, n, k, lat.volume)
+    # a ball of 2^floor(Rnk) points takes at least that many search nodes;
+    # compare exponents, so that no huge power is ever formed
+    if R * n * k >= int(budget).bit_length():
+        raise BudgetExceeded(f"rate {R} asks for 2^floor({R * n * k:g}) "
+                             f"codewords, more than {budget} nodes can find")
     radius = math.sqrt(P * n * k)
     target = 2 ** math.floor(R * n * k)
     gen = philox(seed, 0xCA)

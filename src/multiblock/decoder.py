@@ -72,54 +72,34 @@ class LatticeDecoder:
         self.shift = (np.zeros((k, n, n), dtype=complex) if shift is None
                       else np.asarray(shift, dtype=complex))
         faded = np.einsum("irc,jicd->jird", H, alpha * lat.blocks)
-        self.basis_rows = realify(faded)
-        self.prepared = PreparedCVP(self.basis_rows)
-        self._shift_rx = realify(np.einsum("irc,icd->ird", H, self.shift))
+        self.prepared = PreparedCVP(realify(faded))
 
     def decode(self, Y, budget=DEFAULT_BUDGET):
-        target = realify(np.asarray(Y, dtype=complex)) - self._shift_rx
+        Y = np.asarray(Y, dtype=complex)
+        target = realify(Y - self.H @ self.shift)
         metric, coords, nodes, exact = self.prepared.closest(target, budget)
         xhat = self.shift + self.alpha * self.lat.point(coords)
-        direct = float(np.sum(np.abs(np.asarray(Y) - self.H @ xhat) ** 2))
+        direct = float(np.sum(np.abs(Y - self.H @ xhat) ** 2))
         return DecodeResult(coords=coords, index=None, metric=direct,
                             nodes=nodes, approximate=not exact)
 
-    def decodes_to(self, Y, coords, budget=DEFAULT_BUDGET):
-        """Fast error check: True iff the decoder would return `coords`, and
-        the nodes searched.  Equivalent to decode(...) == coords up to ties of
-        measure zero; only searches for a strictly better point than the
-        hypothesized one.
-
-        Y may also be a stack (T, k, n_r, n) of received words with one row
-        of `coords` each.  Their residuals, targets and projections are
-        computed in one pass, and the result is a list of T (ok, nodes)
-        pairs, in which a search that exhausts `budget` gives (None, budget)
-        instead of raising BudgetExceeded."""
-        Y = np.asarray(Y, dtype=complex)
-        if Y.ndim == 3:
-            ((ok, nodes),) = self.decodes_to(Y[None], [coords], budget)
-            if ok is None:
-                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
-            return ok, nodes
-        # the hypothesized point, faded and lifted, once per distinct row
-        rows = {}
-        inverse = [rows.setdefault(c, len(rows))
-                   for c in map(tuple, np.asarray(coords).tolist())]
-        faded = np.array([self.H @ (self.shift + self.alpha * self.lat.point(c))
-                          for c in rows])
-        lifted = np.array([np.asarray(c, float) @ self.basis_rows for c in rows])
-        resid = np.sum(np.abs(Y - faded[inverse]) ** 2, axis=(1, 2, 3))
-        targets = realify(Y) - self._shift_rx - lifted[inverse]
-        ys, offsets = self.prepared.project(targets)
+    def decodes_to(self, W, budget=DEFAULT_BUDGET):
+        """(ok, nodes) for each residual W_t = Y_t - H X_t of a stack W
+        (T, k, n_r, n): ok iff decode(Y_t) returns X_t, which fails exactly
+        when a nonzero point of alpha H L is strictly closer to W_t than 0
+        (up to ties of measure zero).  A search that exhausts `budget` gives
+        (None, budget)."""
+        W = np.asarray(W, dtype=complex)
+        metrics = np.sum(np.abs(W) ** 2, axis=(1, 2, 3))
+        ys, offsets = self.prepared.project(realify(W))
         out = []
-        for y, offset2, metric in zip(ys, offsets.tolist(), resid.tolist()):
+        for y, offset2, metric in zip(ys, offsets.tolist(), metrics.tolist()):
             try:
                 found, nodes = self.prepared.exists_closer((y, offset2), metric,
                                                            budget)
+                out.append((not found, nodes))
             except BudgetExceeded:
                 out.append((None, budget))
-                continue
-            out.append((not found, nodes))
         return out
 
 

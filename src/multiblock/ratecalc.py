@@ -194,6 +194,8 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     Rayleigh closed form."""
     if not 0 < P < math.inf:
         raise DomainError(f"power P must be finite and > 0, not {P}")
+    if not 0 < C_L < math.inf:
+        raise DomainError(f"C_L must be finite and > 0, not {C_L}")
     n, n_r = model.n, model.n_r
     if model.kind == "constant":
         H = np.asarray(model.fixed_H, dtype=complex)

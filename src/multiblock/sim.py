@@ -10,14 +10,16 @@ each searched trial's decoder preparation) runs per trial.  Trial t's
 streams are still the pure function of (s, tag, t), so the chunking changes
 no output bit.
 
-Most lattice decisions need no search at all.  When the lattice carries a
-certified minimum determinant det_min, every nonzero X of alpha L has
+Each lattice decision is read from the trial's residual W = Y - H X.  Naive
+lattice decoding errs exactly when some nonzero point of the faded lattice
+alpha H L is closer to W than 0, whatever the shift and the sent point.
+Most decisions need no search at all.  When the lattice carries a certified
+minimum determinant det_min, every nonzero X of alpha L has
 ||H X||^2 >= nk alpha^2 det_min^{2/nk} prod_i det(H_i^dag H_i)^{1/nk}
 (AM-GM over the nk eigenvalues of the faded blocks' Grams), a lower bound
-lam2 on the squared minimum distance of the faded lattice.  If the received
-word lies within half of that distance of the sent point, 4 ||Y - H X||^2 <
-lam2, no other lattice point is as close (the packing-radius argument), so
-the decision is correct and costs 0 nodes.  Only the other trials are
+lam2 on the squared minimum distance of the faded lattice.  If 4 ||W||^2 <
+lam2, no nonzero point is as close to W as 0 (the packing-radius argument),
+so the decision is correct and costs 0 nodes.  Only the other trials are
 searched, and on a fading channel only they get a decoder.
 """
 
@@ -76,29 +78,31 @@ def _chunk_trials(lat, model, book, decoders):
 
 def certified(lat, alpha, sv, resid):
     """Which trials the minimum-determinant bound proves correct: those with
-    4 resid < lam2 (1 - CERT_MARGIN), where lam2 = nk alpha^2
+    4 ||W_t||^2 < lam2 (1 - CERT_MARGIN), where lam2 = nk alpha^2
     det_min^{2/nk} prod det(H_i^dag H_i)^{1/nk}.  The product of Gram
     determinants is that of the squared singular values `sv` (T, k, n) of
     each trial's fade, or (1, k, n) of a fade all trials share, and `resid`
-    holds each trial's ||Y - H X_sent||^2.  A lattice without a certified
-    det_min proves nothing."""
+    (T, k, n_r, n) holds each trial's residual W_t = Y_t - H X_t.  A lattice
+    without a certified det_min proves nothing."""
     if lat.det_min is None:
         return np.zeros(len(resid), dtype=bool)
     nk = lat.n * lat.k
     lam2 = (nk * alpha ** 2 * lat.det_min ** (2.0 / nk)
             * np.exp(2.0 * np.mean(np.log(sv), axis=(1, 2))))
-    return 4.0 * resid < lam2 * (1.0 - CERT_MARGIN)
+    d2 = np.sum(np.abs(resid) ** 2, axis=(1, 2, 3))
+    return 4.0 * d2 < lam2 * (1.0 - CERT_MARGIN)
 
 
-def _trial_loop(lat, model, alpha, shift, book, trials, seed, decoders,
-                budget, noiseless):
-    """Send word t (a random codeword of `book`, or the zero point when
-    `book` is None) through fade H_t and noise W_t, and decode it with each
-    of `decoders`.  A lattice decision that `certified` proves correct costs
-    0 nodes; every other trial is searched, on a constant channel by the one
-    lattice decoder of the run.  A lattice search that exhausts `budget`
-    counts as an error (a conservative WER), a budget hit and `budget`
-    nodes.  Returns {decoder: [errors, nodes, budget hits]}."""
+def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
+                noiseless):
+    """Send word X_t (a random codeword of `book`, or the zero point when
+    `book` is None) through fade H_t and noise, and decode it with each of
+    `decoders`.  The lattice decision reads only the residual W_t = Y_t -
+    H_t X_t, formed once per chunk: a trial that `certified` proves correct
+    costs 0 nodes, and every other residual is searched, on a constant
+    channel by the one lattice decoder of the run.  A lattice search that
+    exhausts `budget` counts as an error (a conservative WER), a budget hit
+    and `budget` nodes.  Returns {decoder: [errors, nodes, budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
     if book is not None:
         pick = philox(seed, 0xC0)
@@ -109,17 +113,16 @@ def _trial_loop(lat, model, alpha, shift, book, trials, seed, decoders,
             raise DomainError("lattice decoding requires n_r >= n")
         if model.kind == "constant":
             dec = LatticeDecoder(channel.sample(model, lat.k, seed).blocks,
-                                 alpha, lat, shift)
+                                 alpha, lat)
     chunk = _chunk_trials(lat, model, book, decoders)
     for start in range(0, trials, chunk):
         streams = [(t,) for t in range(start, min(start + chunk, trials))]
         H = channel.sample_stack(model, lat.k, seed, streams)
         if book is None:
-            sent = np.zeros((len(streams), lat.rank), dtype=np.int64)
             words = np.zeros((len(streams), lat.k, lat.n, lat.n), dtype=complex)
         else:
             idx = pick.integers(len(book), size=len(streams))
-            sent, words = book.coords[idx], book.matrices[idx]
+            words = book.matrices[idx]
         Y = channel.transmit_stack(words, H, seed, streams, noiseless)
         if "ml" in decoders:
             res = ml_decode(Y, H, book)
@@ -128,14 +131,13 @@ def _trial_loop(lat, model, alpha, shift, book, trials, seed, decoders,
         if "lattice" in decoders:
             # a constant channel's trials share one fade
             sv = check_full_rank(H if dec is None else H[:1])
-            resid = np.sum(np.abs(Y - H @ words) ** 2, axis=(1, 2, 3))
-            todo = np.flatnonzero(~certified(lat, alpha, sv, resid))
+            W = Y - H @ words
+            todo = np.flatnonzero(~certified(lat, alpha, sv, W))
             if dec is not None:
-                outcomes = (dec.decodes_to(Y[todo], sent[todo], budget)
-                            if len(todo) else [])
+                outcomes = dec.decodes_to(W[todo], budget) if len(todo) else []
             else:
-                outcomes = [LatticeDecoder(H[i], alpha, lat, shift).decodes_to(
-                    Y[i:i + 1], sent[i:i + 1], budget)[0] for i in todo]
+                outcomes = [LatticeDecoder(H[i], alpha, lat).decodes_to(
+                    W[i:i + 1], budget)[0] for i in todo]
             for ok, nodes in outcomes:
                 tally["lattice"][0] += not ok
                 tally["lattice"][1] += nodes
@@ -158,8 +160,8 @@ def simulate_infinite_wer(lat, model, P, R, trials, seed, budget=DEFAULT_BUDGET,
     trials where the closest point moves.  Works at rates where a codebook
     would be intractably large."""
     alpha = scaling_alpha(P, R, lat.n, lat.k, lat.volume)
-    tally = _trial_loop(lat, model, alpha, None, None, trials, seed,
-                        ("lattice",), budget, noiseless)
+    tally = _trial_loop(lat, model, alpha, None, trials, seed, ("lattice",),
+                        budget, noiseless)
     return _points(P, R, trials, tally)[0]
 
 
@@ -168,6 +170,6 @@ def simulate_codebook_wer(book, model, trials, seed, decoders=("ml", "lattice"),
     """Transmit random codewords of a finite codebook and decode with ML
     and/or naive lattice decoding.  A lattice decision outside the codebook
     counts as an error."""
-    tally = _trial_loop(book.lattice, model, book.alpha, book.shift, book,
-                        trials, seed, decoders, budget, noiseless)
+    tally = _trial_loop(book.lattice, model, book.alpha, book, trials, seed,
+                        decoders, budget, noiseless)
     return _points(book.power, book.realized_rate, trials, tally)

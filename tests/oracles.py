@@ -9,7 +9,6 @@ import numpy as np
 
 from multiblock import channel
 from multiblock.decoder import LatticeDecoder, ml_decode
-from multiblock.errors import BudgetExceeded
 from multiblock.lattice import LLL_DELTA, LLL_ETA
 from multiblock.rng import philox
 
@@ -103,39 +102,36 @@ def reference_lll(basis, delta=LLL_DELTA, eta=LLL_ETA):
     return b, U
 
 
-def reference_trial_loop(lat, model, alpha, shift, book, trials, seed,
-                         decoders, budget, noiseless):
+def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
+                         budget, noiseless):
     """The trial loop that one trial at a time samples, transmits and
     decodes: the slow, obviously correct reference for the chunked
     sim._trial_loop.  Returns {decoder: [errors, nodes, budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
     if book is None:
         word = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
-        sent = [0] * lat.rank
     else:
         pick = philox(seed, 0xC0)
     real = dec = None
     for t in range(trials):
         if book is not None:
             idx = int(pick.integers(len(book)))
-            word, sent = book.matrices[idx], list(book.coords[idx])
+            word = book.matrices[idx]
         if real is None or model.kind != "constant":
             real = channel.sample(model, lat.k, (seed, t))
             if "lattice" in decoders:
-                dec = LatticeDecoder(real.blocks, alpha, lat, shift)
+                dec = LatticeDecoder(real.blocks, alpha, lat)
         y = channel.transmit(word, real, (seed, t), noiseless=noiseless)
         if "ml" in decoders:
             res = ml_decode(y, real.blocks, book)
             tally["ml"][0] += res.index != idx
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
-            try:
-                ok, nodes = dec.decodes_to(y, sent, budget)
-            except BudgetExceeded:
-                ok, nodes = False, budget
-                tally["lattice"][2] += 1
+            ((ok, nodes),) = dec.decodes_to((y - real.blocks @ word)[None],
+                                            budget)
             tally["lattice"][0] += not ok
             tally["lattice"][1] += nodes
+            tally["lattice"][2] += ok is None
     return tally
 
 

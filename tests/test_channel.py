@@ -151,6 +151,9 @@ def test_model_validation():
         FadingModel(kind="constant", n=1, n_r=1)
     with pytest.raises(ValueError):
         FadingModel(kind="gauss_markov", n=1, n_r=1, rho=1.0)
+    for n, n_r in [(1, 0), (1, -1), (0, 1), (-2, 2)]:
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FadingModel(kind="iid_rayleigh", n=n, n_r=n_r)
 
 
 @pytest.mark.parametrize("kind,rho", [("iid_rayleigh", 0.0),

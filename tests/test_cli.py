@@ -211,6 +211,26 @@ def test_catalog_verify_ok(tmp_path):
     assert "FAIL" not in text
 
 
+@pytest.mark.parametrize("rate", ["100", "1e300"])
+def test_carve_beyond_budget_exits_3_before_searching(capsys, rate):
+    # 2^floor(R n k) codewords take more nodes than the default budget: no
+    # shift is searched, and no huge power is formed
+    assert main(CARVE_Q_I[:5] + ["--rate", rate, "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "numerical failure: ")
+
+
+def test_simulate_carve_beyond_budget_flagged(tmp_path):
+    code, text = run_cli(["simulate", "--field", "q_i", "--model",
+                          "iid_rayleigh", "--nr", "1", "--snr-db", "10",
+                          "--rate", "100", "--trials", "5", "--seed", "1"],
+                         tmp_path)
+    assert code == 0
+    [row] = parse_csv(text)
+    assert row["flag"] == "carve_budget_exceeded"
+
+
 def test_budget_exhaustion_exits_3(tmp_path, capsys):
     code = main(["invariants", "--field", "cyclo5", "--budget", "3"])
     assert code == 3
@@ -490,6 +510,20 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
      "--trials", "5", "--seed", "1", "--infinite"],
     ["simulate", "--field", "q_i", "--snr-db", "10,inf", "--rate", "1",
      "--trials", "5", "--seed", "1", "--infinite"],
+    ["simulate", "--field", "q_i", "--model", "iid_rayleigh", "--nr", "0",
+     "--snr-db", "10", "--rate", "1", "--trials", "5", "--seed", "1",
+     "--decoder", "ml"],
+    ["simulate", "--field", "q_i", "--model", "iid_rayleigh", "--nr", "-1",
+     "--snr-db", "10", "--rate", "1", "--trials", "5", "--seed", "1",
+     "--decoder", "ml"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "nan",
+     "--samples", "100"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "inf",
+     "--samples", "100"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "0",
+     "--samples", "100"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "-1",
+     "--samples", "100"],
 ])
 def test_out_of_range_value_exits_2(capsys, argv):
     assert main(argv) == 2

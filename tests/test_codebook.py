@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from multiblock import codebook
 from multiblock import lattice as lab
 from multiblock.codebook import (c_nk_root_stirling, carve,
                                  count_points_in_ball, format_codebook,
                                  log_c_nk, scaling_alpha)
-from multiblock.errors import CarveFailed
+from multiblock.errors import BudgetExceeded, CarveFailed
 from multiblock.lattice import MatrixLattice
 from multiblock.rng import philox
 
@@ -57,6 +58,21 @@ def test_carve_prepares_the_scaled_lattice_once(golden_lattice, monkeypatch):
     book = carve(golden_lattice, 10.0 ** 1.6, 2.0, trials=16, seed=1)
     assert len(calls) == 1
     assert book.realized_rate >= 2.0
+
+
+def test_carve_beyond_budget_raises_before_any_search(qi_lattice,
+                                                      monkeypatch):
+    # a ball of 2^floor(R n k) points takes at least that many nodes, so a
+    # target above the budget fails at once; a target equal to it is tried
+    searched = []
+    monkeypatch.setattr(codebook, "count_points_in_ball",
+                        lambda *args: searched.append(args) or (0, None, None))
+    with pytest.raises(BudgetExceeded):
+        carve(qi_lattice, 10.0, 3.0, trials=4, seed=1, budget=7)
+    assert searched == []
+    with pytest.raises(CarveFailed):
+        carve(qi_lattice, 10.0, 3.0, trials=4, seed=1, budget=8)
+    assert len(searched) == 4
 
 
 def test_rate_zero_carve_succeeds(qi_lattice):

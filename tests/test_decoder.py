@@ -229,11 +229,19 @@ def test_stacked_ml_decode_matches_single_word_formula(request, lattice_name,
 @pytest.mark.parametrize("lattice_name,n_r", STACK_CASES)
 def test_stacked_decodes_to_searches_single_word_targets(request, monkeypatch,
                                                          lattice_name, n_r):
-    # the residual, target and projection of each word of a stack carry the
-    # bits of the single-word arithmetic
+    # the metric and projected target of each search of a stack carry the
+    # bits of its own residual W_t = Y_t - H X_t, each row is decided as a
+    # stack of one decides it, and the decision is the naive decoder's
+    # error event: ok iff decode(Y_t) returns the sent point
     lat = request.getfixturevalue(lattice_name)
-    book, H, idx, Y = _stack(lat, n_r, 43)
+    book, H, idx, _ = _stack(lat, n_r, 43)
     dec = LatticeDecoder(H[0], book.alpha, lat, book.shift)
+    # one fade for every word, and noise on the scale of the faded lattice's
+    # shortest vector, so that some words decode and some do not
+    lam1 = np.sqrt(dec.prepared.shortest()[0])
+    sent = book.matrices[idx]
+    Y = H[0] @ sent + 0.4 * lam1 * complex_gaussian(philox(43, 0), H.shape)
+    W = Y - H[0] @ sent
     searched = []
     search = PreparedCVP.exists_closer
 
@@ -242,17 +250,15 @@ def test_stacked_decodes_to_searches_single_word_targets(request, monkeypatch,
         return search(self, projected, than_metric, budget)
 
     monkeypatch.setattr(PreparedCVP, "exists_closer", recording)
-    outcomes = dec.decodes_to(Y, book.coords[idx])
-    assert len(searched) == len(Y)
+    outcomes = dec.decodes_to(W)
+    assert len(searched) == len(W)
     for t, ((y, offset2), metric) in enumerate(searched):
-        coords = list(book.coords[idx[t]])
-        xhyp = dec.shift + dec.alpha * lat.point(coords)
-        assert metric == float(np.sum(np.abs(Y[t] - dec.H @ xhyp) ** 2))
-        target = (realify(Y[t]) - dec._shift_rx
-                  - np.asarray(coords, float) @ dec.basis_rows)
+        assert metric == float(np.sum(np.abs(W[t]) ** 2))
+        target = realify(W[t])
         y1 = dec.prepared.Q.T @ target
         assert _bits(y) == _bits(y1)
         assert offset2 == max(float(target @ target - y1 @ y1), 0.0)
-    assert outcomes == [dec.decodes_to(Y[t], list(book.coords[idx[t]]))
-                        for t in range(len(Y))]
+    assert outcomes == [dec.decodes_to(W[t:t + 1])[0] for t in range(len(W))]
+    for t, (ok, _) in enumerate(outcomes):
+        assert ok == (dec.decode(Y[t]).coords == list(book.coords[idx[t]]))
     assert any(ok for ok, _ in outcomes) and not all(ok for ok, _ in outcomes)

@@ -296,3 +296,10 @@ def test_rate_report_fields():
     assert rep.gap >= 0.0
     assert rep.v_delta is not None and rep.exponent is not None
     assert rep.mu == pytest.approx(-GAMMA / LN2, abs=1e-12)
+
+
+@pytest.mark.parametrize("C_L", [math.nan, math.inf, 0.0, -1.0])
+def test_rate_report_rejects_c_l_outside_open_half_line(C_L):
+    model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
+    with pytest.raises(DomainError, match="C_L"):
+        rc.rate_report(model, P=100.0, C_L=C_L, samples=100, seed=1)

@@ -203,11 +203,10 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
     lat = _lattice(catalog, name)
     P = 10.0 ** (snr_db / 10.0)
     if infinite:
-        book, alpha, shift = None, scaling_alpha(P, rate, lat.n, lat.k,
-                                                 lat.volume), None
+        book, alpha = None, scaling_alpha(P, rate, lat.n, lat.k, lat.volume)
     else:
         book = carve(lat, P, rate, trials=8, seed=3)
-        alpha, shift = book.alpha, book.shift
+        alpha = book.alpha
     # set the chunk bound so that a chunk holds chunk_trials trials
     monkeypatch.setattr(sim, "CHUNK_BYTES", 10 ** 12)
     per_trial = 10 ** 12 // sim._chunk_trials(lat, model, book, decoders)
@@ -215,8 +214,7 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
     chunk = sim._chunk_trials(lat, model, book, decoders)
     assert chunk == chunk_trials
     trials = 2 * chunk + 7                # two full chunks and a partial one
-    args = (lat, model, alpha, shift, book, trials, 29, decoders, budget,
-            noiseless)
+    args = (lat, model, alpha, book, trials, 29, decoders, budget, noiseless)
     searches = _recording_searches(monkeypatch)
     expected = reference_trial_loop(*args)
     reference_searches = list(searches)
@@ -276,11 +274,10 @@ def test_certified_trial_has_no_closer_point(catalog, name, extra_rx, kind,
     sent[0] = 0
     words = alpha * lat.points(sent)
     Y = channel.transmit_stack(words, H, seed, streams, False)
-    resid = np.sum(np.abs(Y - H @ words) ** 2, axis=(1, 2, 3))
-    proved = sim.certified(lat, alpha, check_full_rank(H), resid)
+    proved = sim.certified(lat, alpha, check_full_rank(H), Y - H @ words)
     for t in np.flatnonzero(proved):
         dec = LatticeDecoder(H[t], alpha, lat)
-        ok, _ = dec.decodes_to(Y[t], sent[t])
+        ((ok, _),) = dec.decodes_to((Y[t] - H[t] @ words[t])[None])
         assert ok, (name, t)
 
 
@@ -311,7 +308,7 @@ def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
     for lat in lattices:
         assert lat.det_min is None
         assert not sim.certified(lat, 1.0, np.ones((3, lat.k, lat.n)),
-                                 np.zeros(3)).any()
+                                 np.zeros((3, lat.k, 2, lat.n))).any()
         searches.clear()
         simulate_infinite_wer(lat, model, 10 ** 2.0, 1.0, 25, seed=4)
         assert len(searches) == 25
