@@ -31,13 +31,16 @@ class FadingModel:
     rho: float = 0.0
 
     def __post_init__(self):
+        """Validate the model; a constant model given no fixed_H gets the
+        n_r x n identity block."""
         if self.kind not in KINDS:
             raise ValueError(f"unknown fading model {self.kind!r}")
         if self.n < 1 or self.n_r < 1:
             raise ValueError(f"n and n_r must be >= 1, not n = {self.n}, "
                              f"n_r = {self.n_r}")
         if self.kind == "constant" and self.fixed_H is None:
-            raise ValueError("constant model needs fixed_H")
+            object.__setattr__(self, "fixed_H",
+                               np.eye(self.n_r, self.n, dtype=complex))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
 

@@ -120,22 +120,19 @@ def _load_lattice(cat, field=None, algebra=None):
 
 def _model_from_args(args, n):
     fixed = None
-    if args.model == "constant":
-        if args.fixed_h_file:
-            with open(args.fixed_h_file, encoding="utf-8") as fh:
-                rows = [[complex(tok) for tok in line.split()]
-                        for line in fh if line.strip()]
-            if len({len(r) for r in rows}) > 1:
-                raise ValueError("--fixed-h-file rows differ in length")
-            fixed = np.array(rows, dtype=complex)
-            if fixed.shape != (args.nr, n):
-                raise ValueError(f"--fixed-h-file holds a matrix of shape "
-                                 f"{fixed.shape}; the channel needs (nr, n) = "
-                                 f"{(args.nr, n)}")
-            if not np.all(np.isfinite(fixed)):
-                raise ValueError("--fixed-h-file entries must be finite")
-        else:
-            fixed = np.eye(args.nr, n, dtype=complex)
+    if args.model == "constant" and args.fixed_h_file:
+        with open(args.fixed_h_file, encoding="utf-8") as fh:
+            rows = [[complex(tok) for tok in line.split()]
+                    for line in fh if line.strip()]
+        if len({len(r) for r in rows}) > 1:
+            raise ValueError("--fixed-h-file rows differ in length")
+        fixed = np.array(rows, dtype=complex)
+        if fixed.shape != (args.nr, n):
+            raise ValueError(f"--fixed-h-file holds a matrix of shape "
+                             f"{fixed.shape}; the channel needs (nr, n) = "
+                             f"{(args.nr, n)}")
+        if not np.all(np.isfinite(fixed)):
+            raise ValueError("--fixed-h-file entries must be finite")
     return FadingModel(kind=args.model, n=n, n_r=args.nr, fixed_H=fixed,
                        rho=args.rho)
 
@@ -235,9 +232,7 @@ def cmd_simulate(args):
 
 
 def cmd_rates(args):
-    model = FadingModel(kind=args.model, n=args.n, n_r=args.nr, rho=args.rho,
-                        fixed_H=np.eye(args.nr, args.n) if args.model == "constant"
-                        else None)
+    model = FadingModel(kind=args.model, n=args.n, n_r=args.nr, rho=args.rho)
     out = Output(args.output)
     out.header(_config_dict(args, ["n", "nr", "model", "rho", "snr_db", "cl",
                                    "delta", "samples", "seed"]))
@@ -266,11 +261,8 @@ def cmd_chernoff(args):
 
 
 def cmd_catalog_verify(args):
-    import warnings
     out = Output(args.output)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cat = load_catalog()
+    cat = load_catalog()
     out.row(["name", "kind", "check", "status"])
     failures = 0
     for name, f in sorted(cat.fields.items()):

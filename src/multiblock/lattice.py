@@ -14,6 +14,7 @@ array, and enumeration coordinates map back to the input basis by one
 matrix product.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,7 @@ def realify(blocks):
     """(..., k, rows, cols) complex -> (..., 2*k*rows*cols) real."""
     blocks = np.asarray(blocks)
     colmajor = np.swapaxes(blocks, -1, -2)
-    flat = colmajor.reshape(colmajor.shape[:-3] + (-1,))
+    flat = colmajor.reshape(colmajor.shape[:-3] + (math.prod(colmajor.shape[-3:]),))
     out = np.empty(flat.shape[:-1] + (2 * flat.shape[-1],))
     out[..., 0::2] = flat.real
     out[..., 1::2] = flat.imag

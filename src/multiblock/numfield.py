@@ -9,9 +9,10 @@ The relative canonical embedding (one root per complex-conjugate pair,
 positive imaginary part) is computed in doubles.
 """
 
+import itertools
 import math
-import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -125,8 +126,9 @@ class NumberField:
         self.disc_expected = disc_expected
         self.suboptimal = suboptimal
 
-        self._check_irreducible()
-        self.roots = self._choose_embeddings(self._find_roots())
+        roots = self._find_roots()
+        self._check_irreducible(roots)
+        self.roots = self._choose_embeddings(roots)
 
         # change of basis: column j = theta-power coefficients of basis[j],
         # held as integer numerators over one denominator, and its inverse
@@ -152,22 +154,33 @@ class NumberField:
 
     # -- construction checks ------------------------------------------------
 
-    def _check_irreducible(self):
-        p = self.min_poly
-        a0 = p[0]
-        if a0 == 0:
-            raise CatalogInconsistent(f"{self.name}: min_poly has root 0")
-        # monic integer polynomial: any rational root is an integer divisor of a0
-        for d in _divisors(abs(a0)):
-            for r in (d, -d):
-                if _eval_int_poly(p, r) == 0:
-                    raise CatalogInconsistent(f"{self.name}: min_poly has rational root {r}")
-        if self.degree == 4 and _quartic_splits(p):
-            raise CatalogInconsistent(f"{self.name}: min_poly factors into two quadratics")
-        if self.degree > 4:
-            warnings.warn(
-                f"{self.name}: irreducibility of degree-{self.degree} min_poly "
-                "trusted from catalog", stacklevel=3)
+    def _check_irreducible(self, roots):
+        """Reject a min_poly with a monic integer factor g, 0 < deg g <=
+        deg/2.  Such a g has real coefficients, so it is a product of x - r
+        over real roots r and x^2 - 2Re(r) x + |r|^2 over conjugate pairs, and
+        every such product is tried.  Floats only choose the candidates: a
+        product whose x^(deg g - 1) coefficient lies more than 1e-3 from an
+        integer is skipped, and the rest is rounded to integers and rejected
+        only when it divides min_poly exactly."""
+        # (sum of the atom's roots, ascending coefficients)
+        atoms = ([(r.real, np.array([-r.real, 1.0]))
+                  for r in roots if abs(r.imag) < REAL_ROOT_TOL]
+                 + [(2 * r.real, np.array([abs(r) ** 2, -2 * r.real, 1.0]))
+                    for r in roots if r.imag >= REAL_ROOT_TOL])
+        half = self.degree // 2
+        for size in range(1, half + 1):
+            if sum(len(g) - 1 for _, g in atoms[:size]) > half:
+                break           # the real atoms come first: least degree
+            for subset in itertools.combinations(atoms, size):
+                trace = sum(t for t, _ in subset)
+                if (sum(len(g) - 1 for _, g in subset) > half
+                        or abs(trace - round(trace)) > 1e-3):
+                    continue
+                g = [round(c) for c in reduce(np.convolve, [g for _, g in subset])]
+                if not any(poly_mod(self.min_poly, g)):
+                    raise CatalogInconsistent(
+                        f"{self.name}: min_poly has the integer factor "
+                        f"{' '.join(map(str, g))} (ascending)")
 
     def _find_roots(self):
         # companion-matrix eigenvalues, then Newton polishing
@@ -184,13 +197,13 @@ class NumberField:
         if residual > ROOT_RESIDUAL_TOL:
             raise CatalogInconsistent(
                 f"{self.name}: root polishing stalled at residual {residual:.2e}")
-        if np.min(np.abs(roots.imag)) < REAL_ROOT_TOL:
-            raise NotTotallyComplex(f"{self.name}: min_poly has a real root")
         return roots
 
     def _choose_embeddings(self, roots):
         """Pick the positive-imaginary root of each conjugate pair and order
         the full root list as [chosen..., conjugates...]."""
+        if np.min(np.abs(roots.imag)) < REAL_ROOT_TOL:
+            raise NotTotallyComplex(f"{self.name}: min_poly has a real root")
         upper = [r for r in roots if r.imag > 0]
         lower = [r for r in roots if r.imag < 0]
         if len(upper) != self.k:
@@ -324,55 +337,3 @@ def _eval_poly(coeffs, z):
     for c in reversed(coeffs):
         acc = acc * z + complex(float(c))
     return acc
-
-
-def _eval_int_poly(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _quartic_splits(p):
-    """Check whether a monic integer quartic factors into two monic integer
-    quadratics (x^2+ax+b)(x^2+cx+d)."""
-    _, c1, c2, c3, _ = (p[0], p[1], p[2], p[3], p[4])
-    p0 = p[0]
-    for b in _signed_divisors(p0):
-        if p0 % b != 0:
-            continue
-        d = p0 // b
-        # a+c = c3, b+d+ac = c2, ad+bc = c1
-        s = c3
-        prod = c2 - b - d
-        # a, c are roots of t^2 - s t + prod
-        disc = s * s - 4 * prod
-        if disc < 0:
-            continue
-        r = math.isqrt(disc)
-        if r * r != disc:
-            continue
-        for num in (s + r, s - r):
-            if num % 2 != 0:
-                continue
-            a = num // 2
-            c = s - a
-            if a * d + b * c == c1:
-                return True
-    return False
-
-
-def _signed_divisors(n):
-    ds = _divisors(abs(n))
-    return [d for x in ds for d in (x, -x)]

@@ -134,7 +134,7 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
             W = Y - H @ words
             todo = np.flatnonzero(~certified(lat, alpha, sv, W))
             if dec is not None:
-                outcomes = dec.decodes_to(W[todo], budget) if len(todo) else []
+                outcomes = dec.decodes_to(W[todo], budget)
             else:
                 outcomes = [LatticeDecoder(H[i], alpha, lat).decodes_to(
                     W[i:i + 1], budget)[0] for i in todo]

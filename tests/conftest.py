@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from multiblock.catalog import load_catalog
@@ -9,9 +7,7 @@ from multiblock.lattice import field_lattice
 
 @pytest.fixture(scope="session")
 def catalog():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return load_catalog()
+    return load_catalog()
 
 
 @pytest.fixture(scope="session")

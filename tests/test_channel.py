@@ -147,8 +147,9 @@ def test_realization_reports_k():
 def test_model_validation():
     with pytest.raises(ValueError):
         FadingModel(kind="nonsense", n=1, n_r=1)
-    with pytest.raises(ValueError):
-        FadingModel(kind="constant", n=1, n_r=1)
+    # a constant model given no block sees the n_r x n identity
+    assert np.array_equal(FadingModel(kind="constant", n=2, n_r=3).fixed_H,
+                          np.eye(3, 2))
     with pytest.raises(ValueError):
         FadingModel(kind="gauss_markov", n=1, n_r=1, rho=1.0)
     for n, n_r in [(1, 0), (1, -1), (0, 1), (-2, 2)]:

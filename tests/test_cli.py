@@ -131,8 +131,9 @@ def _golden_commands():
 def test_golden_command_digest(capsys, digest, command):
     # every output byte of these command lines is pinned, avg_nodes included
     assert main(command.split()) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
 
 
 def test_identical_config_identical_bytes(tmp_path):
@@ -524,6 +525,12 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
      "--samples", "100"],
     ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "-1",
      "--samples", "100"],
+    ["simulate", "--field", "q_i", "--model", "constant", "--nr", "-1",
+     "--snr-db", "10", "--rate", "1", "--trials", "5", "--seed", "1"],
+    ["rates", "--model", "constant", "--n", "1", "--nr", "-1", "--snr-db",
+     "10", "--cl", "46"],
+    ["rates", "--model", "constant", "--n", "-1", "--nr", "1", "--snr-db",
+     "10", "--cl", "46"],
 ])
 def test_out_of_range_value_exits_2(capsys, argv):
     assert main(argv) == 2

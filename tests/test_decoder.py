@@ -262,3 +262,13 @@ def test_stacked_decodes_to_searches_single_word_targets(request, monkeypatch,
     for t, (ok, _) in enumerate(outcomes):
         assert ok == (dec.decode(Y[t]).coords == list(book.coords[idx[t]]))
     assert any(ok for ok, _ in outcomes) and not all(ok for ok, _ in outcomes)
+
+
+def test_empty_residual_stack_decides_nothing(golden_lattice):
+    # a chunk whose every trial is certified leaves an empty stack to search
+    k = golden_lattice.k
+    dec = LatticeDecoder(np.broadcast_to(np.eye(2, dtype=complex), (k, 2, 2)),
+                         1.0, golden_lattice)
+    assert dec.decodes_to(np.zeros((0, k, 2, 2), dtype=complex)) == []
+    y, offset2 = dec.prepared.project(np.zeros((0, dec.prepared.Q.shape[0])))
+    assert y.shape == (0, dec.prepared.rank) and offset2.shape == (0,)

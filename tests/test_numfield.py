@@ -1,11 +1,14 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+from multiblock.catalog import load_catalog
 from multiblock.errors import CatalogInconsistent, NotTotallyComplex
+from multiblock.exact import poly_mod
 from multiblock.numfield import NumberField
 
 POWER_BASIS_2 = [[1], [0, 1]]
@@ -131,10 +134,44 @@ def test_rational_root_rejected():
         NumberField("bad", [-1, 0, 0, 0, 1], POWER_BASIS_4)  # x^4 - 1
 
 
-def test_reducible_quartic_rejected():
-    # (x^2 + 1)^2 has no rational roots but splits into quadratics
-    with pytest.raises(CatalogInconsistent):
-        NumberField("bad", [1, 0, 2, 0, 1], POWER_BASIS_4)
+def _power_basis(degree):
+    return [[0] * i + [1] for i in range(degree)]
+
+
+@pytest.mark.parametrize("min_poly", [
+    [1, 0, 2, 0, 1],                        # (x^2 + 1)^2
+    [1, 0, 0, 0, 0, 0, 1],                  # x^6 + 1
+    [4, 0, 0, 0, 0, 0, 0, 0, 1],            # x^8 + 4
+    [1] + [0] * 11 + [1],                   # x^12 + 1
+    [1, 2, 3, 3, 3, 2, 1],                  # (x^2+x+1)(x^4+x^3+x^2+x+1)
+], ids=["x4+2x2+1", "x6+1", "x8+4", "x12+1", "phi3_phi5"])
+def test_reducible_min_poly_rejected(min_poly):
+    # none has a rational root, and all but the first have degree > 4; the
+    # error names a monic integer factor of degree <= deg/2 that divides
+    # min_poly exactly
+    degree = len(min_poly) - 1
+    with pytest.raises(CatalogInconsistent, match="integer factor") as exc:
+        NumberField("bad", min_poly, _power_basis(degree))
+    factor = [int(c) for c in
+              str(exc.value).split("integer factor ")[1].split(" (")[0].split()]
+    assert 1 <= len(factor) - 1 <= degree // 2 and factor[-1] == 1
+    assert not any(poly_mod(min_poly, factor))
+
+
+@pytest.mark.parametrize("min_poly", [
+    [1] * 7,                                # x^6 + ... + 1
+    [1] + [0] * 15 + [1],                   # x^16 + 1
+    [1, 0, 0, 0, -1, 0, 0, 0, 1],           # x^8 - x^4 + 1
+], ids=["cyclo7", "x16+1", "cyclo24"])
+def test_irreducible_min_poly_accepted(min_poly):
+    K = NumberField("ok", min_poly, _power_basis(len(min_poly) - 1))
+    assert K.discriminant() == sympy_poly_disc(min_poly)
+
+
+def test_catalog_loads_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_catalog()
 
 
 def test_disc_mismatch_rejected():
