@@ -105,7 +105,9 @@ def transmit_stack(X, H, seed, streams, noiseless):
 
 
 def transmit(X, realization, noise_seed, noiseless=False):
-    """Y_i = H_i X_i + W_i with unit-variance circular symmetric noise."""
+    """Y_i = H_i X_i + W_i with unit-variance circular symmetric noise.
+    Test-only: the one-trial channel of the oracle `reference_trial_loop`,
+    against which the chunked trial loop is checked bit for bit."""
     root, indices = _path(noise_seed)
     X = np.asarray(X, dtype=complex)
     return transmit_stack(X[None], realization.blocks[None], root, [indices],

@@ -1,9 +1,12 @@
 """Decoders for the multiblock channel: ML over a finite codebook, naive
 lattice decoding (closest point in the infinite shifted scaled lattice), and
 the per-block thin-QR reduction that maps an n_r > n system to square form.
+One fade serving many residuals gets a `LatticeDecoder`, LLL-reduced once;
+a stack of fades with one residual each goes to `faded_decodes_to`.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -14,6 +17,10 @@ from .lattice import DEFAULT_BUDGET, PreparedCVP, realify
 
 @dataclass
 class DecodeResult:
+    """One decision.  `approximate` is read only by tests: it witnesses that
+    a search cut off by its budget is reported as approximate, never as an
+    exact decode (the rule by which the simulation scores such a search as
+    an error and a budget hit)."""
     coords: Optional[list]      # lattice coordinates, None for pure-ML results
     index: Optional[int]        # codeword index, None for lattice decoding
     metric: float               # sum_i ||Y_i - H_i Xhat_i||^2 of the decision
@@ -75,6 +82,10 @@ class LatticeDecoder:
         self.prepared = PreparedCVP(realify(faded))
 
     def decode(self, Y, budget=DEFAULT_BUDGET):
+        """The closest point of shift + alpha L to Y, as a DecodeResult.
+        Test-only: it witnesses that decoding after the per-block QR
+        reduction returns the same point (acceptance criterion 7), and it is
+        the decoder whose error event `decodes_to` decides."""
         Y = np.asarray(Y, dtype=complex)
         target = realify(Y - self.H @ self.shift)
         metric, coords, nodes, exact = self.prepared.closest(target, budget)
@@ -90,17 +101,37 @@ class LatticeDecoder:
         (up to ties of measure zero).  A search that exhausts `budget` gives
         (None, budget)."""
         W = np.asarray(W, dtype=complex)
-        metrics = np.sum(np.abs(W) ** 2, axis=(1, 2, 3))
         ys, offsets = self.prepared.project(realify(W))
-        out = []
-        for y, offset2, metric in zip(ys, offsets.tolist(), metrics.tolist()):
-            try:
-                found, nodes = self.prepared.exists_closer((y, offset2), metric,
-                                                           budget)
-                out.append((not found, nodes))
-            except BudgetExceeded:
-                out.append((None, budget))
-        return out
+        return _decisions(repeat(self.prepared), ys, offsets, W, budget)
+
+
+def faded_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
+    """`LatticeDecoder.decodes_to` for a stack of residuals W (T, k, n_r, n),
+    each with its own fade H_t of the stack H (T, k, n_r, n), with no
+    decoder and no LLL per fade: one stacked QR factors the faded bases
+    alpha H_t (U B) of the lattice's own LLL basis U B.  The decision does
+    not depend on the basis, so it is the decoder's; only the node counts
+    differ.  The caller checks the fades' rank (`check_full_rank`); a zero
+    or non-finite pivot of a faded basis still raises DegenerateLattice."""
+    W = np.asarray(W, dtype=complex)
+    faded = np.einsum("tirc,jicd->tjird", H, alpha * lat.reduced_blocks)
+    preps, ys, offsets = PreparedCVP.stack(realify(faded), realify(W))
+    return _decisions(preps, ys, offsets, W, budget)
+
+
+def _decisions(preps, ys, offsets, W, budget):
+    """(ok, nodes) per residual W_t, from the search of preparation t for a
+    nonzero point closer to projected target (ys[t], offsets[t]) than 0."""
+    metrics = np.sum(np.abs(W) ** 2, axis=(1, 2, 3))
+    out = []
+    for prep, y, offset2, metric in zip(preps, ys, offsets.tolist(),
+                                        metrics.tolist()):
+        try:
+            found, nodes = prep.exists_closer((y, offset2), metric, budget)
+            out.append((not found, nodes))
+        except BudgetExceeded:
+            out.append((None, budget))
+    return out
 
 
 def qr_reduce(Y, H):

@@ -5,13 +5,16 @@ iterating blocks in order, each block in column-major order, emitting
 (Re, Im) per complex entry.  The Gram matrix of that real vector equals
 Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 
-Shortest vectors and closest points use Schnorr-Euchner enumeration with
-LLL(0.99) preprocessing; list mode enumerates every point of a ball.  The
-LLL computes Gram-Schmidt data once by QR and updates it in place after each
-size reduction and swap, recomputing it by QR when a large size-reduction
-coefficient signals lost precision.  Its unimodular transform is an int64
-array, and enumeration coordinates map back to the input basis by one
-matrix product.
+Shortest vectors and closest points use Schnorr-Euchner enumeration; list
+mode enumerates every point of a ball.  A basis that serves many searches
+(a lattice's own, or the one fade of a constant channel) gets LLL(0.99)
+preprocessing; a stack of faded bases that each serve one search is
+QR-factored as given, in one stacked pass.  The LLL computes Gram-Schmidt
+data once by QR and updates it in place after each size reduction and
+swap, recomputing it by QR when a large size-reduction coefficient signals
+lost precision.  Its unimodular transform is an int64 array, and
+enumeration coordinates map back to the input basis by one matrix
+product.
 """
 
 import math
@@ -85,6 +88,12 @@ class MatrixLattice:
     def cvp(self):
         """The PreparedCVP of the realified basis, shared by all searches."""
         return PreparedCVP(self.real_basis)
+
+    @cached_property
+    def reduced_blocks(self):
+        """The LLL-reduced basis of `cvp`, U B, as blocks: the basis that
+        faded searches fade."""
+        return self.points(self.cvp.U)
 
     def scale(self, alpha):
         return MatrixLattice(alpha * self.blocks, validate=False)
@@ -269,22 +278,39 @@ def _enumerate(rows, diag, y, radius2, budget, mode="min", exclude_zero=False,
 
 
 class PreparedCVP:
-    """LLL reduction and QR factorization of a fixed basis, reused across
-    many targets (one preparation per basis, one cheap projection per call,
-    or one per stack of targets)."""
+    """QR factorization of a fixed basis, reused across many targets (one
+    preparation per basis, one cheap projection per call, or one per stack
+    of targets).  A basis given to the constructor is LLL-reduced first;
+    `stack` factors a stack of bases as given."""
 
     def __init__(self, basis_rows):
-        self.reduced, self.U = lll_reduce(basis_rows)
-        A = self.reduced.T
-        Q, R = np.linalg.qr(A, mode="reduced")
-        signs = np.sign(np.diag(R))
-        signs[signs == 0] = 1.0
-        self.R = R * signs[:, None]
-        self.Q = Q * signs[None, :]
-        self.rank = self.reduced.shape[0]
+        reduced, U = lll_reduce(basis_rows)
+        self._factored(reduced, U, *_signed_qr(reduced.T))
+
+    def _factored(self, reduced, U, Q, R):
+        self.reduced, self.U, self.Q, self.R = reduced, U, Q, R
+        self.rank = reduced.shape[0]
         # what every search reads, as Python lists
-        self._rows = self.R.tolist()
+        self._rows = R.tolist()
         self._diag = [self._rows[i][i] for i in range(self.rank)]
+        return self
+
+    @classmethod
+    def stack(cls, bases, targets):
+        """Preparations of each basis of a stack (T, rank, dim), with no
+        LLL (each basis as given, U the identity), by one stacked QR; and
+        the projection (y, offset2) of each target of the stack `targets`
+        (T, dim) onto its own basis, as `project` computes it.  Whether a
+        nonzero lattice point is closer to a target than 0 does not depend
+        on the basis (Agrell et al. 2002), so `exists_closer` decides the
+        same on these preparations as on LLL-reduced ones; only its node
+        count differs."""
+        bases = np.asarray(bases, dtype=float)
+        Q, R = _signed_qr(np.swapaxes(bases, 1, 2))
+        eye = np.eye(bases.shape[1], dtype=np.int64)
+        preps = [cls.__new__(cls)._factored(b, eye, q, r)
+                 for b, q, r in zip(bases, Q, R)]
+        return (preps,) + _project(Q, np.asarray(targets, dtype=float))
 
     def project(self, target):
         """(y, offset2): the coordinates y = Q^T t of the target t in the
@@ -296,15 +322,14 @@ class PreparedCVP:
         if t.ndim == 1:
             y, offset2 = self.project(t[None])
             return y[0], float(offset2[0])
-        y = np.matmul(self.Q.T, t[:, :, None])[:, :, 0]
-        offset2 = (np.matmul(t[:, None, :], t[:, :, None])
-                   - np.matmul(y[:, None, :], y[:, :, None]))[:, 0, 0]
-        return y, np.maximum(offset2, 0.0)
+        return _project(self.Q, t)
 
     def closest(self, target, budget=DEFAULT_BUDGET):
         """CVP; returns (metric2, coords, nodes, exact_flag).  On budget
         exhaustion the best leaf so far (Babai or better) is returned with
-        exact_flag False."""
+        exact_flag False.  Test-only witness that the enumeration finds the
+        closest point: the exhaustive-box oracle checks it (acceptance
+        criterion 8), and `LatticeDecoder.decode` builds on it."""
         y, offset2 = self.project(target)
         try:
             res = _enumerate(self._rows, self._diag, y.tolist(), np.inf,
@@ -358,6 +383,29 @@ class PreparedCVP:
         coords = np.array([z for z, _ in res.leaves], dtype=np.int64) @ self.U
         metrics = np.array([m + offset2 for _, m in res.leaves])
         return coords, metrics, res.nodes
+
+
+def _signed_qr(A):
+    """Thin QR factorization A = Q R of a matrix or of each matrix of a
+    stack, with signs fixed so that diag(R) > 0.  DegenerateLattice if A has
+    a non-finite entry or R a zero pivot: the columns of A are then not the
+    basis of a lattice."""
+    if not np.all(np.isfinite(A)):
+        raise DegenerateLattice("lattice basis has a non-finite entry")
+    Q, R = np.linalg.qr(A, mode="reduced")
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
+    if not np.all(signs):
+        raise DegenerateLattice("lattice basis rows are linearly dependent")
+    return Q * signs[..., None, :], R * signs[..., :, None]
+
+
+def _project(Q, t):
+    """Stacked `project` of targets t (T, dim) onto the span of the columns
+    of Q (dim, rank), or of target s onto that of Q[s] for a stack of Q."""
+    y = np.matmul(np.swapaxes(Q, -1, -2), t[:, :, None])[:, :, 0]
+    offset2 = (np.matmul(t[:, None, :], t[:, :, None])
+               - np.matmul(y[:, None, :], y[:, :, None]))[:, 0, 0]
+    return y, np.maximum(offset2, 0.0)
 
 
 def _apply_u(z, U):

@@ -5,10 +5,10 @@ noise from independent Philox streams keyed by (s, t), so runs are
 reproducible and trivially parallelizable.  Finite-codebook and
 infinite-lattice runs share one trial loop.  It works in chunks of trials:
 one numpy pass per chunk computes every trial's streams, channel, received
-word and ML metrics, and only the lattice search (and, on a fading channel,
-each searched trial's decoder preparation) runs per trial.  Trial t's
-streams are still the pure function of (s, tag, t), so the chunking changes
-no output bit.
+word and ML metrics, and on a fading channel one stacked QR prepares the
+searches of all of the chunk's searched trials; only the lattice searches
+run per trial.  Trial t's streams are still the pure function of (s, tag,
+t), so the chunking changes no output bit.
 
 Each lattice decision is read from the trial's residual W = Y - H X.  Naive
 lattice decoding errs exactly when some nonzero point of the faded lattice
@@ -20,7 +20,11 @@ minimum determinant det_min, every nonzero X of alpha L has
 lam2 on the squared minimum distance of the faded lattice.  If 4 ||W||^2 <
 lam2, no nonzero point is as close to W as 0 (the packing-radius argument),
 so the decision is correct and costs 0 nodes.  Only the other trials are
-searched, and on a fading channel only they get a decoder.
+searched.  A constant channel's trials share one LLL-reduced decoder.  On a
+fading channel no trial gets an LLL or a decoder of its own: the search
+runs on the QR factor of the faded LLL basis of the lattice, alpha H (U B),
+since whether a nonzero point is closer to W than 0 does not depend on the
+basis (only the node count does).
 """
 
 import math
@@ -30,7 +34,8 @@ import numpy as np
 
 from . import channel
 from .codebook import scaling_alpha
-from .decoder import LatticeDecoder, check_full_rank, ml_decode
+from .decoder import (LatticeDecoder, check_full_rank, faded_decodes_to,
+                      ml_decode)
 from .errors import DomainError
 from .lattice import DEFAULT_BUDGET
 from .rng import philox
@@ -70,9 +75,13 @@ def _chunk_trials(lat, model, book, decoders):
     """Trials per chunk: as many as keep the chunk's complex arrays (fades,
     words, received words, noise, the sent words' faded residuals and the
     searched trials' realified targets, plus the ML differences to every
-    codeword) within CHUNK_BYTES."""
+    codeword) within CHUNK_BYTES, and on a fading channel also the searched
+    trials' faded bases, each with its Q and R factors (about three real
+    rank x 2 k n_r n arrays)."""
     words = 10 + (3 * len(book) if "ml" in decoders else 0)
     per_trial = 16 * lat.k * lat.n * max(lat.n, model.n_r) * words
+    if "lattice" in decoders and model.kind != "constant":
+        per_trial += 3 * 8 * lat.rank * 2 * lat.k * model.n_r * lat.n
     return max(1, CHUNK_BYTES // per_trial)
 
 
@@ -99,8 +108,9 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
     `book` is None) through fade H_t and noise, and decode it with each of
     `decoders`.  The lattice decision reads only the residual W_t = Y_t -
     H_t X_t, formed once per chunk: a trial that `certified` proves correct
-    costs 0 nodes, and every other residual is searched, on a constant
-    channel by the one lattice decoder of the run.  A lattice search that
+    costs 0 nodes, and every other residual is searched: on a constant
+    channel by the one lattice decoder of the run, on a fading channel by
+    `faded_decodes_to`, one stacked preparation per chunk.  A search that
     exhausts `budget` counts as an error (a conservative WER), a budget hit
     and `budget` nodes.  Returns {decoder: [errors, nodes, budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
@@ -136,8 +146,8 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
             if dec is not None:
                 outcomes = dec.decodes_to(W[todo], budget)
             else:
-                outcomes = [LatticeDecoder(H[i], alpha, lat).decodes_to(
-                    W[i:i + 1], budget)[0] for i in todo]
+                outcomes = faded_decodes_to(H[todo], alpha, lat, W[todo],
+                                            budget)
             for ok, nodes in outcomes:
                 tally["lattice"][0] += not ok
                 tally["lattice"][1] += nodes

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from multiblock import channel
-from multiblock.decoder import LatticeDecoder, ml_decode
+from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
 from multiblock.lattice import LLL_DELTA, LLL_ETA
 from multiblock.rng import philox
 
@@ -106,7 +106,9 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
                          budget, noiseless):
     """The trial loop that one trial at a time samples, transmits and
     decodes: the slow, obviously correct reference for the chunked
-    sim._trial_loop.  Returns {decoder: [errors, nodes, budget hits]}."""
+    sim._trial_loop.  A constant channel's trials share one LLL decoder; a
+    fading trial is prepared on its own, by the stacked QR of a stack of one.
+    Returns {decoder: [errors, nodes, budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
     if book is None:
         word = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
@@ -119,7 +121,7 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
             word = book.matrices[idx]
         if real is None or model.kind != "constant":
             real = channel.sample(model, lat.k, (seed, t))
-            if "lattice" in decoders:
+            if "lattice" in decoders and model.kind == "constant":
                 dec = LatticeDecoder(real.blocks, alpha, lat)
         y = channel.transmit(word, real, (seed, t), noiseless=noiseless)
         if "ml" in decoders:
@@ -127,8 +129,12 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
             tally["ml"][0] += res.index != idx
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
-            ((ok, nodes),) = dec.decodes_to((y - real.blocks @ word)[None],
-                                            budget)
+            W = (y - real.blocks @ word)[None]
+            if dec is not None:
+                ((ok, nodes),) = dec.decodes_to(W, budget)
+            else:
+                ((ok, nodes),) = faded_decodes_to(real.blocks[None], alpha,
+                                                  lat, W, budget)
             tally["lattice"][0] += not ok
             tally["lattice"][1] += nodes
             tally["lattice"][2] += ok is None

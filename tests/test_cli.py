@@ -252,6 +252,29 @@ def test_simulate_budget_hits_flagged_not_fatal(tmp_path):
     assert 0 < hits <= int(row["word_errors"])
 
 
+@pytest.mark.parametrize("entry", [0.0, float("nan")])
+def test_simulate_degenerate_fade_exits_3(tmp_path, capsys, monkeypatch,
+                                          entry):
+    # a hand-built fade (all zero, or not finite) among a run's i.i.d. fades
+    # ends the run with exit 3, one line on stderr and no CSV
+    from multiblock import channel
+    sample_stack = channel.sample_stack
+
+    def degenerate(*args):
+        H = sample_stack(*args)
+        H[len(H) // 2] = entry
+        return H
+
+    monkeypatch.setattr(channel, "sample_stack", degenerate)
+    code, text = run_cli(["simulate", "--algebra", "golden", "--model",
+                          "iid_rayleigh", "--nr", "2", "--snr-db", "12",
+                          "--rate", "1", "--trials", "20", "--seed", "7",
+                          "--decoder", "lattice", "--infinite"], tmp_path)
+    out, err = capsys.readouterr()
+    assert code == 3 and text == "" and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 def test_simulate_carve_budget_flagged_not_fatal(tmp_path):
     # the codebook path: the carve's ball searches run out of --budget
     code, text = run_cli(["simulate", "--algebra", "golden", "--model",

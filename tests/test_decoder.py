@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from multiblock.codebook import Codebook, carve
-from multiblock.decoder import (LatticeDecoder, ml_decode, mismatched_bound,
-                                qr_reduce)
+from multiblock.decoder import (LatticeDecoder, faded_decodes_to, ml_decode,
+                                mismatched_bound, qr_reduce)
+from multiblock.errors import DegenerateLattice
 from multiblock.lattice import MatrixLattice, PreparedCVP, realify
 from multiblock.rng import complex_gaussian, philox
 
@@ -272,3 +273,26 @@ def test_empty_residual_stack_decides_nothing(golden_lattice):
     assert dec.decodes_to(np.zeros((0, k, 2, 2), dtype=complex)) == []
     y, offset2 = dec.prepared.project(np.zeros((0, dec.prepared.Q.shape[0])))
     assert y.shape == (0, dec.prepared.rank) and offset2.shape == (0,)
+
+
+def test_empty_fade_stack_decides_nothing(golden_lattice):
+    k = golden_lattice.k
+    empty = np.zeros((0, k, 2, 2), dtype=complex)
+    assert faded_decodes_to(empty, 1.0, golden_lattice, empty) == []
+
+
+@pytest.mark.parametrize("entry", [0.0, np.nan])
+def test_degenerate_fade_raises_before_any_search(golden_lattice, monkeypatch,
+                                                  entry):
+    # one hand-built fade of a stack is all `entry`: its faded basis has zero
+    # pivots (a zero fade) or non-finite ones, which no search may read
+    H = complex_gaussian(philox(47, 0), (3, golden_lattice.k, 2, 2))
+    H[1] = entry
+    W = complex_gaussian(philox(47, 1), H.shape)
+
+    def no_search(*args):
+        raise AssertionError("searched a degenerate lattice")
+
+    monkeypatch.setattr(PreparedCVP, "exists_closer", no_search)
+    with pytest.raises(DegenerateLattice):
+        faded_decodes_to(H, 1.0, golden_lattice, W)

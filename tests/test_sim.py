@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiblock import channel, sim
+from multiblock import channel, decoder, lattice, sim
 from multiblock.channel import FadingModel
 from multiblock.codebook import carve, scaling_alpha
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
-from multiblock.decoder import LatticeDecoder, check_full_rank
+from multiblock.decoder import (LatticeDecoder, check_full_rank,
+                                faded_decodes_to)
 from multiblock.errors import BudgetExceeded
 from multiblock.lattice import (DEFAULT_BUDGET, MatrixLattice, PreparedCVP,
                                 field_lattice, min_pdet, reduced_hermite_probe)
@@ -312,3 +313,92 @@ def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
         searches.clear()
         simulate_infinite_wer(lat, model, 10 ** 2.0, 1.0, 25, seed=4)
         assert len(searches) == 25
+
+
+# -- fading searches prepared by one stacked QR, with no LLL of their own ----
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(name=st.sampled_from(CERTIFIED_LATTICES), extra_rx=st.integers(0, 1),
+       kind=st.sampled_from(["iid_rayleigh", "gauss_markov"]),
+       rho=st.floats(0.0, 0.95), snr_db=st.floats(0.0, 30.0),
+       rate=st.floats(0.25, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
+                                              rho, snr_db, rate, seed):
+    # whether a nonzero point of alpha H L is closer to W than 0 does not
+    # depend on the basis: the faded LLL basis of the lattice, QR-factored
+    # as given, decides every trial as a decoder that LLL-reduces its own
+    # faded basis; only the node counts may differ
+    lat = _lattice(catalog, name)
+    model = FadingModel(kind=kind, n=lat.n, n_r=lat.n + extra_rx,
+                        rho=rho if kind == "gauss_markov" else 0.0)
+    alpha = scaling_alpha(10.0 ** (snr_db / 10.0), rate, lat.n, lat.k,
+                          lat.volume)
+    streams = [(t,) for t in range(12)]
+    H = channel.sample_stack(model, lat.k, seed, streams)
+    sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
+    words = alpha * lat.points(sent)
+    W = channel.transmit_stack(words, H, seed, streams, False) - H @ words
+    got = faded_decodes_to(H, alpha, lat, W)
+    for t in range(len(streams)):
+        ((ok, _),) = LatticeDecoder(H[t], alpha, lat).decodes_to(W[t:t + 1])
+        assert got[t][0] == ok, (name, t)
+
+
+def test_lattice_searches_decide_both_ways_on_fades(catalog):
+    # the equivalence above is not vacuous: on these fades some searched
+    # trials find a closer point and some do not
+    lat = _lattice(catalog, "zeta20")
+    model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
+    alpha = scaling_alpha(10.0, 1.0, lat.n, lat.k, lat.volume)
+    streams = [(t,) for t in range(40)]
+    H = channel.sample_stack(model, lat.k, 5, streams)
+    W = channel.transmit_stack(np.zeros_like(H), H, 5, streams, False)
+    oks = [ok for ok, _ in faded_decodes_to(H, alpha, lat, W)]
+    assert True in oks and False in oks
+
+
+def test_chunk_bound_counts_faded_bases(catalog):
+    # a fading chunk of a rank-16 lattice holds every trial's faded basis
+    # and its Q and R factors (real, rank x 2 k n_r n each) within the bound
+    lat = _lattice(catalog, "zeta20")
+    model = FadingModel(kind="iid_rayleigh", n=2, n_r=3)
+    chunk = sim._chunk_trials(lat, model, None, ("lattice",))
+    dim = 2 * lat.k * model.n_r * lat.n
+    assert chunk * 3 * 8 * lat.rank * dim <= sim.CHUNK_BYTES
+    constant = FadingModel(kind="constant", n=2, n_r=3)
+    assert sim._chunk_trials(lat, constant, None, ("lattice",)) > chunk
+
+
+def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
+                                                                 monkeypatch):
+    # structural guard: a fading run LLL-reduces each lattice's own basis
+    # (for its lat.cvp) at most once and builds no LatticeDecoder, however
+    # many trials it searches
+    golden, zeta20 = _lattice(catalog, "golden"), _lattice(catalog, "zeta20")
+    reduced, decoders = [], []
+    reduce, init = lattice.lll_reduce, decoder.LatticeDecoder.__init__
+
+    def counting_reduce(basis):
+        reduced.append(np.asarray(basis).tobytes())
+        return reduce(basis)
+
+    def counting_init(*args, **kwargs):
+        decoders.append(args)
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "lll_reduce", counting_reduce)
+    monkeypatch.setattr(decoder.LatticeDecoder, "__init__", counting_init)
+    searches = _recording_searches(monkeypatch)
+    model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
+    book = carve(golden, 10 ** 0.8, 1.0, trials=4, seed=7)
+    simulate_codebook_wer(book, model, 200, seed=7)
+    # two lattices: carving searches the scaled lattice alpha L, and the
+    # trials fade the LLL basis of L itself
+    assert len(reduced) == len(set(reduced)) == 2
+    assert golden.real_basis.tobytes() in reduced
+    assert len(searches) > 20
+    searches.clear()
+    simulate_infinite_wer(zeta20, model, 10.0, 1.0, 200, seed=1)
+    assert reduced[2:] == [zeta20.real_basis.tobytes()]
+    assert len(searches) > 20
+    assert decoders == []
