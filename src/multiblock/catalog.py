@@ -55,7 +55,6 @@ def parse_field_entry(entry):
     disc = int(entry["disc"]) if "disc" in entry else None
     suboptimal = entry.get("suboptimal", "false").lower() == "true"
     field = NumberField(name, min_poly, basis, disc_expected=disc, suboptimal=suboptimal)
-    # pad basis polynomials implicitly: NumberField already coerces lengths
     return field
 
 

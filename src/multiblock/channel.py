@@ -85,7 +85,8 @@ def sample_stack(model, k, seed, streams):
 
 def sample(model, k, seed):
     """One realization H_1..H_k.  With the same seed path, gauss_markov at
-    rho = 0 reproduces iid_rayleigh block for block."""
+    rho = 0 reproduces iid_rayleigh block for block.  Test-only: the one-path
+    fade of the oracles against which `sample_stack`'s callers are checked."""
     if k < 1:
         raise ValueError("k must be >= 1")
     root, indices = _path(seed)

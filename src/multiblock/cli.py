@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration or catalog error, 3 numerical failure.
 """
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -145,10 +146,8 @@ def cmd_invariants(args):
                 [("algebra", a) for a in sorted(cat.algebras)]
     elif args.field:
         names = [("field", args.field)]
-    elif args.algebra:
-        names = [("algebra", args.algebra)]
     else:
-        raise CatalogError("need --field, --algebra or --all")
+        names = [("algebra", args.algebra)]
 
     out = Output(args.output)
     out.header(_config_dict(args, ["field", "algebra", "all", "radius", "budget"]))
@@ -309,6 +308,24 @@ def _add_model_args(p):
                    help="text file with the constant H block")
 
 
+def _check_args(args):
+    """The checks that several commands share, made before any work: one
+    lattice selected, a search budget of at least one node, and a finite
+    positive ball radius."""
+    if hasattr(args, "field"):
+        options = ["--field", "--algebra"] + (["--all"] if hasattr(args, "all")
+                                              else [])
+        given = [o for o in options if getattr(args, o[2:])]
+        if len(given) != 1:
+            raise ValueError(f"need exactly one of {', '.join(options)}; "
+                             f"got {' '.join(given) or 'none'}")
+    if getattr(args, "budget", 1) < 1:
+        raise ValueError(f"--budget must be >= 1, not {args.budget}")
+    radius = getattr(args, "radius", None)
+    if radius is not None and not 0 < radius < math.inf:
+        raise ValueError(f"--radius must be finite and > 0, not {radius}")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="multiblock",
                                  description="multiblock lattice code laboratory")
@@ -386,6 +403,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     # numerical classes first: numpy's LinAlgError subclasses ValueError
     except (PrecisionFailure, DegenerateLattice, BudgetExceeded, EmptyBall,

@@ -89,15 +89,14 @@ def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET, truncate_margin=2):
     radius = math.sqrt(P * n * k)
     target = 2 ** math.floor(R * n * k)
     gen = philox(seed, 0xCA)
-    scaled = lat.scale(alpha)
 
     best = None
     for _ in range(trials):
-        fractions = gen.random(lat.rank)
-        shift = alpha * np.tensordot(fractions, lat.blocks, axes=(0, 0))
-        count, coords, _ = count_points_in_ball(scaled, shift, radius, budget)
+        # ||alpha (u + z B)|| <= radius iff ||u + z B|| <= radius / alpha
+        u = np.tensordot(gen.random(lat.rank), lat.blocks, axes=(0, 0))
+        count, coords, _ = count_points_in_ball(lat, u, radius / alpha, budget)
         if best is None or count > best[0]:
-            best = (count, shift, coords)
+            best = (count, alpha * u, coords)
     count, shift, coords = best
     if count < target:
         raise CarveFailed(

@@ -6,15 +6,14 @@ iterating blocks in order, each block in column-major order, emitting
 Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 
 Shortest vectors and closest points use Schnorr-Euchner enumeration; list
-mode enumerates every point of a ball.  A basis that serves many searches
-(a lattice's own, or the one fade of a constant channel) gets LLL(0.99)
-preprocessing; a stack of faded bases that each serve one search is
-QR-factored as given, in one stacked pass.  The LLL computes Gram-Schmidt
-data once by QR and updates it in place after each size reduction and
-swap, recomputing it by QR when a large size-reduction coefficient signals
-lost precision.  Its unimodular transform is an int64 array, and
-enumeration coordinates map back to the input basis by one matrix
-product.
+mode enumerates every point of a ball.  A lattice's own basis gets
+LLL(0.99) preprocessing once, and every CLI search runs on it: directly, or
+faded, as a stack of faded bases QR-factored in one pass; no CLI command
+reduces a faded or scaled copy.  The LLL computes Gram-Schmidt data once by
+QR and updates it in place after each size reduction and swap, recomputing
+it by QR when a large size-reduction coefficient signals lost precision.
+Its unimodular transform is an int64 array, and enumeration coordinates map
+back to the input basis by one matrix product.
 """
 
 import math
@@ -96,6 +95,7 @@ class MatrixLattice:
         return self.points(self.cvp.U)
 
     def scale(self, alpha):
+        """alpha L.  Test-only, through `homogeneous_minimum`."""
         return MatrixLattice(alpha * self.blocks, validate=False)
 
     def __repr__(self):
@@ -300,17 +300,20 @@ class PreparedCVP:
         """Preparations of each basis of a stack (T, rank, dim), with no
         LLL (each basis as given, U the identity), by one stacked QR; and
         the projection (y, offset2) of each target of the stack `targets`
-        (T, dim) onto its own basis, as `project` computes it.  Whether a
-        nonzero lattice point is closer to a target than 0 does not depend
-        on the basis (Agrell et al. 2002), so `exists_closer` decides the
-        same on these preparations as on LLL-reduced ones; only its node
-        count differs."""
+        (T, dim) onto its own basis, as `project` computes it (a stack of
+        one basis serves every target).  Whether a nonzero lattice point is
+        closer to a target than 0 does not depend on the basis (Agrell et
+        al. 2002), so `exists_closer` decides the same on these
+        preparations as on LLL-reduced ones; only its node count differs."""
         bases = np.asarray(bases, dtype=float)
+        targets = np.asarray(targets, dtype=float)
         Q, R = _signed_qr(np.swapaxes(bases, 1, 2))
         eye = np.eye(bases.shape[1], dtype=np.int64)
         preps = [cls.__new__(cls)._factored(b, eye, q, r)
                  for b, q, r in zip(bases, Q, R)]
-        return (preps,) + _project(Q, np.asarray(targets, dtype=float))
+        if len(preps) == 1:
+            preps *= len(targets)
+        return (preps,) + _project(Q, targets)
 
     def project(self, target):
         """(y, offset2): the coordinates y = Q^T t of the target t in the

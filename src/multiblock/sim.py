@@ -5,10 +5,10 @@ noise from independent Philox streams keyed by (s, t), so runs are
 reproducible and trivially parallelizable.  Finite-codebook and
 infinite-lattice runs share one trial loop.  It works in chunks of trials:
 one numpy pass per chunk computes every trial's streams, channel, received
-word and ML metrics, and on a fading channel one stacked QR prepares the
-searches of all of the chunk's searched trials; only the lattice searches
-run per trial.  Trial t's streams are still the pure function of (s, tag,
-t), so the chunking changes no output bit.
+word and ML metrics, and one (stacked) QR prepares the searches of all of
+the chunk's searched trials; only the lattice searches run per trial.
+Trial t's streams are still the pure function of (s, tag, t), so the
+chunking changes no output bit.
 
 Each lattice decision is read from the trial's residual W = Y - H X.  Naive
 lattice decoding errs exactly when some nonzero point of the faded lattice
@@ -20,11 +20,10 @@ minimum determinant det_min, every nonzero X of alpha L has
 lam2 on the squared minimum distance of the faded lattice.  If 4 ||W||^2 <
 lam2, no nonzero point is as close to W as 0 (the packing-radius argument),
 so the decision is correct and costs 0 nodes.  Only the other trials are
-searched.  A constant channel's trials share one LLL-reduced decoder.  On a
-fading channel no trial gets an LLL or a decoder of its own: the search
-runs on the QR factor of the faded LLL basis of the lattice, alpha H (U B),
-since whether a nonzero point is closer to W than 0 does not depend on the
-basis (only the node count does).
+searched.  No trial, run or CLI command builds an LLL or a `LatticeDecoder`
+of its own: every search runs on the QR factor of the faded LLL basis of
+the lattice, alpha H (U B), since whether a nonzero point is closer to W
+than 0 does not depend on the basis (only the node count does).
 """
 
 import math
@@ -34,8 +33,7 @@ import numpy as np
 
 from . import channel
 from .codebook import scaling_alpha
-from .decoder import (LatticeDecoder, check_full_rank, faded_decodes_to,
-                      ml_decode)
+from .decoder import check_full_rank, faded_decodes_to, ml_decode
 from .errors import DomainError
 from .lattice import DEFAULT_BUDGET
 from .rng import philox
@@ -108,22 +106,17 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
     `book` is None) through fade H_t and noise, and decode it with each of
     `decoders`.  The lattice decision reads only the residual W_t = Y_t -
     H_t X_t, formed once per chunk: a trial that `certified` proves correct
-    costs 0 nodes, and every other residual is searched: on a constant
-    channel by the one lattice decoder of the run, on a fading channel by
-    `faded_decodes_to`, one stacked preparation per chunk.  A search that
-    exhausts `budget` counts as an error (a conservative WER), a budget hit
-    and `budget` nodes.  Returns {decoder: [errors, nodes, budget hits]}."""
+    costs 0 nodes, and every other residual is searched by
+    `faded_decodes_to`, on a constant channel's one fade or on each searched
+    trial's own, one preparation per chunk.  A search that exhausts
+    `budget` counts as an error (a conservative WER), a budget hit and
+    `budget` nodes.  Returns {decoder: [errors, nodes, budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
     if book is not None:
         pick = philox(seed, 0xC0)
-    dec = None
-    if "lattice" in decoders:
-        if model.n_r < model.n:
-            # the faded infinite lattice is not discrete here; only ML applies
-            raise DomainError("lattice decoding requires n_r >= n")
-        if model.kind == "constant":
-            dec = LatticeDecoder(channel.sample(model, lat.k, seed).blocks,
-                                 alpha, lat)
+    if "lattice" in decoders and model.n_r < model.n:
+        # the faded infinite lattice is not discrete here; only ML applies
+        raise DomainError("lattice decoding requires n_r >= n")
     chunk = _chunk_trials(lat, model, book, decoders)
     for start in range(0, trials, chunk):
         streams = [(t,) for t in range(start, min(start + chunk, trials))]
@@ -139,15 +132,14 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
             tally["ml"][0] += int(np.count_nonzero(res.index != idx))
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
-            # a constant channel's trials share one fade
-            sv = check_full_rank(H if dec is None else H[:1])
+            # a constant channel's trials share one fade and its preparation
+            shared = model.kind == "constant"
+            fades = H[:1] if shared else H
+            sv = check_full_rank(fades)
             W = Y - H @ words
             todo = np.flatnonzero(~certified(lat, alpha, sv, W))
-            if dec is not None:
-                outcomes = dec.decodes_to(W[todo], budget)
-            else:
-                outcomes = faded_decodes_to(H[todo], alpha, lat, W[todo],
-                                            budget)
+            outcomes = faded_decodes_to(fades if shared else fades[todo],
+                                        alpha, lat, W[todo], budget)
             for ok, nodes in outcomes:
                 tally["lattice"][0] += not ok
                 tally["lattice"][1] += nodes

@@ -1,8 +1,17 @@
+import os
+
 import pytest
 
 from multiblock.catalog import load_catalog
 from multiblock.cyclic_algebra import NaturalOrder, order_lattice
 from multiblock.lattice import field_lattice
+
+# subprocesses import the package from src/ as this process does (pytest's
+# pythonpath setting), so the suite runs without an install
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -554,6 +554,26 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
      "10", "--cl", "46"],
     ["rates", "--model", "constant", "--n", "-1", "--nr", "1", "--snr-db",
      "10", "--cl", "46"],
+    # exactly one lattice: one of --field/--algebra (invariants: or --all)
+    CARVE_Q_I + ["--algebra", "golden"],
+    ["simulate", "--snr-db", "10", "--rate", "1", "--trials", "5", "--seed",
+     "1", "--infinite"],
+    ["simulate", "--field", "q_i", "--algebra", "golden", "--snr-db", "10",
+     "--rate", "1", "--trials", "5", "--seed", "1", "--infinite"],
+    ["invariants"],
+    ["invariants", "--field", "q_i", "--all"],
+    ["invariants", "--field", "q_i", "--algebra", "golden"],
+    # a search budget below one node
+    ["invariants", "--field", "q_i", "--budget", "0"],
+    CARVE_Q_I + ["--budget", "-1"],
+    ["simulate", "--field", "q_i", "--snr-db", "10", "--rate", "1",
+     "--trials", "5", "--seed", "1", "--budget", "0", "--infinite"],
+    ["catalog-verify", "--budget", "0"],
+    # a ball radius that is not finite and positive
+    ["invariants", "--field", "q_i", "--radius", "-2"],
+    ["invariants", "--field", "q_i", "--radius", "0"],
+    ["invariants", "--field", "q_i", "--radius", "nan"],
+    ["invariants", "--all", "--radius", "inf"],
 ])
 def test_out_of_range_value_exits_2(capsys, argv):
     assert main(argv) == 2

@@ -53,11 +53,16 @@ def count_lll_calls(monkeypatch):
 
 
 def test_carve_prepares_the_scaled_lattice_once(golden_lattice, monkeypatch):
-    # every shift is searched on the one basis alpha L
+    # every shift of alpha L is searched on the lattice's own preparation,
+    # lat.cvp, at radius sqrt(Pnk) / alpha: carving reduces no scaled copy.
+    # A fresh copy of the shared fixture has no preparation cached yet
+    lat = MatrixLattice(golden_lattice.blocks, det_min=golden_lattice.det_min)
     calls = count_lll_calls(monkeypatch)
-    book = carve(golden_lattice, 10.0 ** 1.6, 2.0, trials=16, seed=1)
+    book = carve(lat, 10.0 ** 1.6, 2.0, trials=16, seed=1)
     assert len(calls) == 1
     assert book.realized_rate >= 2.0
+    carve(lat, 10.0 ** 2, 2.0, trials=16, seed=1)
+    assert len(calls) == 1
 
 
 def test_carve_beyond_budget_raises_before_any_search(qi_lattice,

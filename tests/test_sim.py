@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multiblock import channel, decoder, lattice, sim
 from multiblock.channel import FadingModel
+from multiblock.cli import main
 from multiblock.codebook import carve, scaling_alpha
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
 from multiblock.decoder import (LatticeDecoder, check_full_rank,
@@ -319,7 +320,7 @@ def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(name=st.sampled_from(CERTIFIED_LATTICES), extra_rx=st.integers(0, 1),
-       kind=st.sampled_from(["iid_rayleigh", "gauss_markov"]),
+       kind=st.sampled_from(["constant", "iid_rayleigh", "gauss_markov"]),
        rho=st.floats(0.0, 0.95), snr_db=st.floats(0.0, 30.0),
        rate=st.floats(0.25, 1.5), seed=st.integers(0, 2 ** 32 - 1))
 def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
@@ -327,9 +328,13 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     # whether a nonzero point of alpha H L is closer to W than 0 does not
     # depend on the basis: the faded LLL basis of the lattice, QR-factored
     # as given, decides every trial as a decoder that LLL-reduces its own
-    # faded basis; only the node counts may differ
+    # faded basis; only the node counts may differ.  A constant channel's
+    # trials share one random (non-identity) fade, passed as a stack of one
     lat = _lattice(catalog, name)
-    model = FadingModel(kind=kind, n=lat.n, n_r=lat.n + extra_rx,
+    n_r = lat.n + extra_rx
+    fixed = (complex_gaussian(philox(seed, 0xF1), (n_r, lat.n))
+             if kind == "constant" else None)
+    model = FadingModel(kind=kind, n=lat.n, n_r=n_r, fixed_H=fixed,
                         rho=rho if kind == "gauss_markov" else 0.0)
     alpha = scaling_alpha(10.0 ** (snr_db / 10.0), rate, lat.n, lat.k,
                           lat.volume)
@@ -338,7 +343,8 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
     words = alpha * lat.points(sent)
     W = channel.transmit_stack(words, H, seed, streams, False) - H @ words
-    got = faded_decodes_to(H, alpha, lat, W)
+    got = faded_decodes_to(H[:1] if kind == "constant" else H, alpha, lat, W)
+    assert len(got) == len(streams)
     for t in range(len(streams)):
         ((ok, _),) = LatticeDecoder(H[t], alpha, lat).decodes_to(W[t:t + 1])
         assert got[t][0] == ok, (name, t)
@@ -370,11 +376,12 @@ def test_chunk_bound_counts_faded_bases(catalog):
 
 
 def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
-                                                                 monkeypatch):
-    # structural guard: a fading run LLL-reduces each lattice's own basis
-    # (for its lat.cvp) at most once and builds no LatticeDecoder, however
-    # many trials it searches
-    golden, zeta20 = _lattice(catalog, "golden"), _lattice(catalog, "zeta20")
+                                                                 monkeypatch,
+                                                                 capsys):
+    # structural guard: a command LLL-reduces each lattice's own basis (for
+    # its lat.cvp) exactly once and builds no LatticeDecoder, on every
+    # channel, on the codebook and the infinite path, however many SNR
+    # points it carves at and however many trials it searches
     reduced, decoders = [], []
     reduce, init = lattice.lll_reduce, decoder.LatticeDecoder.__init__
 
@@ -389,16 +396,25 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
     monkeypatch.setattr(lattice, "lll_reduce", counting_reduce)
     monkeypatch.setattr(decoder.LatticeDecoder, "__init__", counting_init)
     searches = _recording_searches(monkeypatch)
-    model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
-    book = carve(golden, 10 ** 0.8, 1.0, trials=4, seed=7)
-    simulate_codebook_wer(book, model, 200, seed=7)
-    # two lattices: carving searches the scaled lattice alpha L, and the
-    # trials fade the LLL basis of L itself
-    assert len(reduced) == len(set(reduced)) == 2
-    assert golden.real_basis.tobytes() in reduced
-    assert len(searches) > 20
-    searches.clear()
-    simulate_infinite_wer(zeta20, model, 10.0, 1.0, 200, seed=1)
-    assert reduced[2:] == [zeta20.real_basis.tobytes()]
-    assert len(searches) > 20
+    runs = [
+        ("golden", ["--model", "constant", "--nr", "3"]),
+        ("golden", ["--model", "iid_rayleigh", "--nr", "2"]),
+        ("cyclo8", ["--model", "gauss_markov", "--rho", "0.7"]),
+        ("zeta20", ["--model", "constant", "--nr", "2", "--infinite"]),
+        ("zeta20", ["--model", "iid_rayleigh", "--nr", "2", "--infinite"]),
+        ("cyclo8", ["--model", "gauss_markov", "--rho", "0.7", "--infinite"]),
+    ]
+    for name, extra in runs:
+        kind = "--field" if name in catalog.fields else "--algebra"
+        reduced.clear()
+        searches.clear()
+        assert main(["simulate", kind, name, "--snr-db", "0,4,8", "--rate",
+                     "1", "--trials", "100", "--seed", "7"] + extra) == 0
+        assert reduced == [_lattice(catalog, name).real_basis.tobytes()], extra
+        assert len(searches) > 20, (name, extra)
+    reduced.clear()
+    assert main(["invariants", "--all"]) == 0
+    assert len(reduced) == len(set(reduced)) == (len(catalog.fields)
+                                                 + len(catalog.algebras))
+    capsys.readouterr()
     assert decoders == []
