@@ -1,9 +1,12 @@
 """Decoders for the multiblock channel: ML over a finite codebook, naive
 lattice decoding (closest point in the infinite shifted scaled lattice), and
 the per-block thin-QR reduction that maps an n_r > n system to square form.
-Every lattice decision of the CLI is `faded_decodes_to`'s, on faded copies of
-the lattice's one LLL basis; no CLI command builds a `LatticeDecoder`, which
-LLL-reduces a faded basis of its own and is the tests' reference.
+Every lattice decision of the CLI searches a preparation of the lattice: a
+constant channel's residuals share the one LLL-reduced preparation of the
+faded lattice (`shared_fade_decodes_to`), and a fading channel's residuals
+each get a faded copy of the lattice's LLL basis (`faded_decodes_to`).  No
+CLI command builds a `LatticeDecoder`, which LLL-reduces alpha H B of its
+own at each alpha and is the tests' reference.
 """
 
 from dataclasses import dataclass
@@ -65,8 +68,9 @@ def ml_decode(Y, H, codebook):
 class LatticeDecoder:
     """Naive lattice decoder for a fixed (H, alpha, L, shift): closest point
     of shift + alpha L to Y under the faded metric, LLL-reducing alpha H B.
-    Test-only: the reference whose decisions `faded_decodes_to` reproduces,
-    and the decoder of acceptance criterion 7; no CLI command builds one."""
+    Test-only: the reference whose decisions `faded_decodes_to` and
+    `shared_fade_decodes_to` reproduce, and the decoder of acceptance
+    criterion 7; no CLI command builds one."""
 
     def __init__(self, H, alpha, lat, shift=None):
         H = np.asarray(H, dtype=complex)
@@ -109,17 +113,28 @@ class LatticeDecoder:
 
 def faded_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
     """`LatticeDecoder.decodes_to` for a stack of residuals W (T, k, n_r, n),
-    each with its own fade H_t of the stack H (T, k, n_r, n), or all with
-    the one fade of H (1, k, n_r, n), with no LLL per fade: one stacked QR
-    factors the faded bases alpha H_t (U B) of the lattice's LLL basis U B.
-    The decision does not depend on the basis, so it is the decoder's; only
-    the node counts may differ.  The caller checks the fades' rank
-    (`check_full_rank`); a zero or non-finite pivot of a faded basis still
-    raises DegenerateLattice."""
+    each with its own fade H_t of the stack H (T, k, n_r, n), with no
+    decoder and no LLL per fade: one stacked QR factors the faded bases
+    alpha H_t (U B) of the lattice's own LLL basis U B.  The decision does
+    not depend on the basis, so it is the decoder's; only the node counts
+    differ.  The caller checks the fades' rank (`check_full_rank`); a zero
+    or non-finite pivot of a faded basis still raises DegenerateLattice."""
     W = np.asarray(W, dtype=complex)
     faded = np.einsum("tirc,jicd->tjird", H, alpha * lat.reduced_blocks)
     preps, ys, offsets = PreparedCVP.stack(realify(faded), realify(W))
     return _decisions(preps, ys, offsets, W, budget)
+
+
+def shared_fade_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
+    """`LatticeDecoder(H, alpha, lat).decodes_to(W)` for a stack of residuals
+    W (T, k, n_r, n) that all share the one fade H (k, n_r, n), with no
+    decoder: the searches run on the faded lattice's LLL-reduced
+    preparation, `lat.faded_cvp(H)`, built once per fade and scaled to
+    alpha H L.  The caller checks the fade's rank (`check_full_rank`)."""
+    W = np.asarray(W, dtype=complex)
+    prep = lat.faded_cvp(H).scaled(alpha)
+    ys, offsets = prep.project(realify(W))
+    return _decisions(repeat(prep), ys, offsets, W, budget)
 
 
 def _decisions(preps, ys, offsets, W, budget):

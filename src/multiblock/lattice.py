@@ -6,14 +6,17 @@ iterating blocks in order, each block in column-major order, emitting
 Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 
 Shortest vectors and closest points use Schnorr-Euchner enumeration; list
-mode enumerates every point of a ball.  A lattice's own basis gets
-LLL(0.99) preprocessing once, and every CLI search runs on it: directly, or
-faded, as a stack of faded bases QR-factored in one pass; no CLI command
-reduces a faded or scaled copy.  The LLL computes Gram-Schmidt data once by
-QR and updates it in place after each size reduction and swap, recomputing
-it by QR when a large size-reduction coefficient signals lost precision.
-Its unimodular transform is an int64 array, and enumeration coordinates map
-back to the input basis by one matrix product.
+mode enumerates every point of a ball.  Each lattice a command searches
+gets LLL(0.99) preprocessing once: the lattice's own basis, and on a
+constant channel the faded lattice H L, whose one preparation serves every
+alpha H L.  A stack of faded bases that each serve one search (a fading
+channel's, faded from the lattice's LLL basis) is QR-factored as given, in
+one stacked pass.  No CLI command reduces a scaled copy.  The LLL computes
+Gram-Schmidt data once by QR and updates it in place after each size
+reduction and swap, recomputing it by QR when a large size-reduction
+coefficient signals lost precision.  Its unimodular transform is an int64
+array, and enumeration coordinates map back to the input basis by one
+matrix product.
 """
 
 import math
@@ -75,6 +78,7 @@ class MatrixLattice:
                 f"Gram matrix numerically singular (eigs {eig[0]:.3e}..{eig[-1]:.3e})")
         self.volume = float(np.sqrt(abs(np.linalg.det(self.gram))))
         self.det_min = det_min
+        self._faded = {}
 
     def point(self, coords):
         """Lattice point with the given integer coordinates, as blocks."""
@@ -93,6 +97,18 @@ class MatrixLattice:
         """The LLL-reduced basis of `cvp`, U B, as blocks: the basis that
         faded searches fade."""
         return self.points(self.cvp.U)
+
+    def faded_cvp(self, H):
+        """The PreparedCVP of the faded lattice H L for one fade H (k, n_r,
+        n), built on first use for that fade and then shared by every search
+        on alpha H L, at any alpha (`PreparedCVP.scaled`): its basis H B is
+        LLL-reduced once.  The identity fade's is `cvp`."""
+        basis = realify(np.einsum("irc,jicd->jird", H, self.blocks))
+        key = basis.tobytes()
+        if key not in self._faded:
+            self._faded[key] = (self.cvp if np.array_equal(basis, self.real_basis)
+                                else PreparedCVP(basis))
+        return self._faded[key]
 
     def scale(self, alpha):
         """alpha L.  Test-only, through `homogeneous_minimum`."""
@@ -300,20 +316,25 @@ class PreparedCVP:
         """Preparations of each basis of a stack (T, rank, dim), with no
         LLL (each basis as given, U the identity), by one stacked QR; and
         the projection (y, offset2) of each target of the stack `targets`
-        (T, dim) onto its own basis, as `project` computes it (a stack of
-        one basis serves every target).  Whether a nonzero lattice point is
-        closer to a target than 0 does not depend on the basis (Agrell et
-        al. 2002), so `exists_closer` decides the same on these
-        preparations as on LLL-reduced ones; only its node count differs."""
+        (T, dim) onto its own basis, as `project` computes it.  Whether a
+        nonzero lattice point is closer to a target than 0 does not depend
+        on the basis (Agrell et al. 2002), so `exists_closer` decides the
+        same on these preparations as on LLL-reduced ones; only its node
+        count differs."""
         bases = np.asarray(bases, dtype=float)
-        targets = np.asarray(targets, dtype=float)
         Q, R = _signed_qr(np.swapaxes(bases, 1, 2))
         eye = np.eye(bases.shape[1], dtype=np.int64)
         preps = [cls.__new__(cls)._factored(b, eye, q, r)
                  for b, q, r in zip(bases, Q, R)]
-        if len(preps) == 1:
-            preps *= len(targets)
-        return (preps,) + _project(Q, targets)
+        return (preps,) + _project(Q, np.asarray(targets, dtype=float))
+
+    def scaled(self, alpha):
+        """The preparation of alpha times this basis (alpha > 0), with no
+        LLL: an LLL-reduced basis stays reduced under scaling, so U is kept
+        and only the scaled rows are QR-factored."""
+        reduced = alpha * self.reduced
+        return type(self).__new__(type(self))._factored(
+            reduced, self.U, *_signed_qr(reduced.T))
 
     def project(self, target):
         """(y, offset2): the coordinates y = Q^T t of the target t in the

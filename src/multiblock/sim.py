@@ -5,10 +5,10 @@ noise from independent Philox streams keyed by (s, t), so runs are
 reproducible and trivially parallelizable.  Finite-codebook and
 infinite-lattice runs share one trial loop.  It works in chunks of trials:
 one numpy pass per chunk computes every trial's streams, channel, received
-word and ML metrics, and one (stacked) QR prepares the searches of all of
-the chunk's searched trials; only the lattice searches run per trial.
-Trial t's streams are still the pure function of (s, tag, t), so the
-chunking changes no output bit.
+word and ML metrics, and on a fading channel one stacked QR prepares the
+searches of all of the chunk's searched trials; only the lattice searches
+run per trial.  Trial t's streams are still the pure function of (s, tag,
+t), so the chunking changes no output bit.
 
 Each lattice decision is read from the trial's residual W = Y - H X.  Naive
 lattice decoding errs exactly when some nonzero point of the faded lattice
@@ -20,8 +20,10 @@ minimum determinant det_min, every nonzero X of alpha L has
 lam2 on the squared minimum distance of the faded lattice.  If 4 ||W||^2 <
 lam2, no nonzero point is as close to W as 0 (the packing-radius argument),
 so the decision is correct and costs 0 nodes.  Only the other trials are
-searched.  No trial, run or CLI command builds an LLL or a `LatticeDecoder`
-of its own: every search runs on the QR factor of the faded LLL basis of
+searched.  No run builds a `LatticeDecoder`.  A constant channel's trials
+share the faded lattice H L's one LLL-reduced preparation, built once per
+command and scaled to each alpha.  On a fading channel no trial gets an
+LLL of its own: the search runs on the QR factor of the faded LLL basis of
 the lattice, alpha H (U B), since whether a nonzero point is closer to W
 than 0 does not depend on the basis (only the node count does).
 """
@@ -33,7 +35,8 @@ import numpy as np
 
 from . import channel
 from .codebook import scaling_alpha
-from .decoder import check_full_rank, faded_decodes_to, ml_decode
+from .decoder import (check_full_rank, faded_decodes_to, ml_decode,
+                      shared_fade_decodes_to)
 from .errors import DomainError
 from .lattice import DEFAULT_BUDGET
 from .rng import philox
@@ -106,11 +109,12 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
     `book` is None) through fade H_t and noise, and decode it with each of
     `decoders`.  The lattice decision reads only the residual W_t = Y_t -
     H_t X_t, formed once per chunk: a trial that `certified` proves correct
-    costs 0 nodes, and every other residual is searched by
-    `faded_decodes_to`, on a constant channel's one fade or on each searched
-    trial's own, one preparation per chunk.  A search that exhausts
-    `budget` counts as an error (a conservative WER), a budget hit and
-    `budget` nodes.  Returns {decoder: [errors, nodes, budget hits]}."""
+    costs 0 nodes, and every other residual is searched: on a constant
+    channel on the one preparation of the faded lattice, on a fading
+    channel by `faded_decodes_to`, one stacked preparation per chunk.  A
+    search that exhausts `budget` counts as an error (a conservative WER),
+    a budget hit and `budget` nodes.  Returns {decoder: [errors, nodes,
+    budget hits]}."""
     tally = {d: [0, 0, 0] for d in decoders}
     if book is not None:
         pick = philox(seed, 0xC0)
@@ -132,14 +136,17 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
             tally["ml"][0] += int(np.count_nonzero(res.index != idx))
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
-            # a constant channel's trials share one fade and its preparation
+            # a constant channel's trials share one fade
             shared = model.kind == "constant"
-            fades = H[:1] if shared else H
-            sv = check_full_rank(fades)
+            sv = check_full_rank(H[:1] if shared else H)
             W = Y - H @ words
             todo = np.flatnonzero(~certified(lat, alpha, sv, W))
-            outcomes = faded_decodes_to(fades if shared else fades[todo],
-                                        alpha, lat, W[todo], budget)
+            if shared:
+                outcomes = shared_fade_decodes_to(H[0], alpha, lat, W[todo],
+                                                  budget)
+            else:
+                outcomes = faded_decodes_to(H[todo], alpha, lat, W[todo],
+                                            budget)
             for ok, nodes in outcomes:
                 tally["lattice"][0] += not ok
                 tally["lattice"][1] += nodes

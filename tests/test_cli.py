@@ -206,6 +206,27 @@ def test_simulate_fixed_h_file(tmp_path):
     assert rows[0]["decoder"] == "lattice"
 
 
+@pytest.mark.parametrize("digest,command", [
+    ("325e1a88c2a299b6389693510ac76c8a52ed215bb827c68bb87e3d4f12a9a591",
+     "--snr-db 8,12,16 --rate 1 --decoder both"),
+    ("eb4f0b84f14f4af36e3cddc7d3cb8de6e277169d9fbc4b4089ee21191c707641",
+     "--snr-db 6,10,14 --rate 2 --decoder lattice --infinite"),
+])
+def test_sheared_fixed_h_digest(tmp_path, capsys, digest, command):
+    # a sheared fade leaves the faded basis H (U B) far from reduced; the
+    # digests, avg_nodes included, were recorded with a LatticeDecoder
+    # (an LLL of alpha H B) per SNR point, so they pin that the constant
+    # channel searches an LLL-reduced basis of its faded lattice
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("1 50\n0 1\n")
+    assert main(["simulate", "--algebra", "golden", "--model", "constant",
+                 "--nr", "2", "--fixed-h-file", str(hfile), "--trials", "200",
+                 "--seed", "5"] + command.split()) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
+
+
 def test_catalog_verify_ok(tmp_path):
     code, text = run_cli(["catalog-verify", "--budget", "2000000"], tmp_path)
     assert code == 0

@@ -11,10 +11,11 @@ from multiblock.cli import main
 from multiblock.codebook import carve, scaling_alpha
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
 from multiblock.decoder import (LatticeDecoder, check_full_rank,
-                                faded_decodes_to)
+                                faded_decodes_to, shared_fade_decodes_to)
 from multiblock.errors import BudgetExceeded
 from multiblock.lattice import (DEFAULT_BUDGET, MatrixLattice, PreparedCVP,
-                                field_lattice, min_pdet, reduced_hermite_probe)
+                                field_lattice, min_pdet, realify,
+                                reduced_hermite_probe)
 from multiblock.rng import complex_gaussian, philox
 from multiblock.sim import simulate_codebook_wer, simulate_infinite_wer
 
@@ -329,7 +330,8 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     # depend on the basis: the faded LLL basis of the lattice, QR-factored
     # as given, decides every trial as a decoder that LLL-reduces its own
     # faded basis; only the node counts may differ.  A constant channel's
-    # trials share one random (non-identity) fade, passed as a stack of one
+    # trials share one random (non-identity) fade and the one preparation
+    # of its faded lattice, reduced at unit scale and scaled to alpha
     lat = _lattice(catalog, name)
     n_r = lat.n + extra_rx
     fixed = (complex_gaussian(philox(seed, 0xF1), (n_r, lat.n))
@@ -343,7 +345,10 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
     words = alpha * lat.points(sent)
     W = channel.transmit_stack(words, H, seed, streams, False) - H @ words
-    got = faded_decodes_to(H[:1] if kind == "constant" else H, alpha, lat, W)
+    if kind == "constant":
+        got = shared_fade_decodes_to(H[0], alpha, lat, W)
+    else:
+        got = faded_decodes_to(H, alpha, lat, W)
     assert len(got) == len(streams)
     for t in range(len(streams)):
         ((ok, _),) = LatticeDecoder(H[t], alpha, lat).decodes_to(W[t:t + 1])
@@ -377,11 +382,16 @@ def test_chunk_bound_counts_faded_bases(catalog):
 
 def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
                                                                  monkeypatch,
-                                                                 capsys):
-    # structural guard: a command LLL-reduces each lattice's own basis (for
-    # its lat.cvp) exactly once and builds no LatticeDecoder, on every
-    # channel, on the codebook and the infinite path, however many SNR
-    # points it carves at and however many trials it searches
+                                                                 capsys,
+                                                                 tmp_path):
+    # structural guard: a command LLL-reduces each lattice it searches
+    # exactly once and builds no LatticeDecoder, on every channel, on the
+    # codebook and the infinite path, however many SNR points it carves at
+    # and however many trials it searches.  The lattice's own basis B is
+    # reduced for carving and for fading trials (lat.cvp); a constant
+    # channel's trials search the faded lattice H L, whose basis H B is
+    # reduced once for every SNR point (it is B itself, and lat.cvp, when
+    # the fade is the identity)
     reduced, decoders = [], []
     reduce, init = lattice.lll_reduce, decoder.LatticeDecoder.__init__
 
@@ -396,8 +406,15 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
     monkeypatch.setattr(lattice, "lll_reduce", counting_reduce)
     monkeypatch.setattr(decoder.LatticeDecoder, "__init__", counting_init)
     searches = _recording_searches(monkeypatch)
+    sheared = np.array([[1, 50], [0, 1]], dtype=complex)
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("1 50\n0 1\n")
     runs = [
         ("golden", ["--model", "constant", "--nr", "3"]),
+        ("golden", ["--model", "constant", "--nr", "2", "--fixed-h-file",
+                    str(hfile)]),
+        ("golden", ["--model", "constant", "--nr", "2", "--fixed-h-file",
+                    str(hfile), "--infinite"]),
         ("golden", ["--model", "iid_rayleigh", "--nr", "2"]),
         ("cyclo8", ["--model", "gauss_markov", "--rho", "0.7"]),
         ("zeta20", ["--model", "constant", "--nr", "2", "--infinite"]),
@@ -410,7 +427,17 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
         searches.clear()
         assert main(["simulate", kind, name, "--snr-db", "0,4,8", "--rate",
                      "1", "--trials", "100", "--seed", "7"] + extra) == 0
-        assert reduced == [_lattice(catalog, name).real_basis.tobytes()], extra
+        lat = _lattice(catalog, name)
+        want = [] if "--infinite" in extra else [lat.real_basis]
+        if "constant" in extra:
+            n_r = int(extra[extra.index("--nr") + 1])
+            fade = sheared if "--fixed-h-file" in extra else np.eye(n_r, lat.n)
+            H = np.broadcast_to(fade, (lat.k, n_r, lat.n))
+            want.append(realify(np.einsum("irc,jicd->jird", H, lat.blocks)))
+        else:
+            want = [lat.real_basis]
+        want = list(dict.fromkeys(b.tobytes() for b in want))
+        assert reduced == want, (name, extra)
         assert len(searches) > 20, (name, extra)
     reduced.clear()
     assert main(["invariants", "--all"]) == 0
