@@ -3,6 +3,16 @@
 Entries are blank-line separated; `#` starts a comment.  The shipped catalog
 lives in the package `catalog/` directory; set MULTIBLOCK_CATALOG to point at
 an alternative directory with the same file names.
+
+Loading checks the text of every entry (its keys, tokens and counts), that
+names are unique within each file, and that every algebra's center names a
+field.  The numeric proofs (a field's irreducible, totally complex minimal
+polynomial and independent basis; an algebra's monic relative polynomial,
+automorphism and embeddings) run when a command first uses an entry, through
+`Catalog.field` / `Catalog.algebra`; an algebra builds only its own center.
+`Catalog.fields` and `Catalog.algebras` build every entry, as
+`invariants --all` and `catalog-verify` do.  Each `load_catalog()` call
+builds afresh; nothing is shared between two loads.
 """
 
 import os
@@ -37,16 +47,26 @@ def _split_entries(text):
     return entries
 
 
-def _fractions(text, sep=None):
+def _rational(token):
+    """An integer token as an int, any other rational token as a Fraction."""
+    try:
+        return int(token)
+    except ValueError:
+        return Fraction(token)
+
+
+def _rationals(text, sep=None):
     parts = text.split(sep) if sep else text.split()
-    return [Fraction(p.strip()) for p in parts if p.strip()]
+    return [_rational(p.strip()) for p in parts if p.strip()]
 
 
 def parse_field_entry(entry):
+    """A field entry's text, checked: the keyword arguments of its
+    NumberField."""
     try:
         name = entry["name"]
         min_poly = [int(c) for c in entry["min_poly"].split()]
-        basis = [_fractions(b) for b in entry["basis"].split(";")]
+        basis = [_rationals(b) for b in entry["basis"].split(";")]
     except KeyError as exc:
         raise CatalogError(f"field entry missing key {exc}") from exc
     degree = int(entry.get("degree", len(min_poly) - 1))
@@ -54,61 +74,102 @@ def parse_field_entry(entry):
         raise CatalogError(f"{name}: degree does not match min_poly")
     disc = int(entry["disc"]) if "disc" in entry else None
     suboptimal = entry.get("suboptimal", "false").lower() == "true"
-    field = NumberField(name, min_poly, basis, disc_expected=disc, suboptimal=suboptimal)
-    return field
+    return dict(name=name, min_poly=min_poly, basis=basis,
+                disc_expected=disc, suboptimal=suboptimal)
 
 
 def parse_algebra_entry(entry, fields):
+    """An algebra entry's text, checked against the field entries `fields`
+    (name -> parse_field_entry result): the name of its center and the
+    keyword arguments of its CyclicAlgebra, with every center element given
+    by its rational coordinates."""
     try:
         name = entry["name"]
-        center = fields[entry["center"]]
+        center = entry["center"]
         n = int(entry["n"])
+        rel_poly, sigma_eta, gamma, rel_basis = (
+            entry[key] for key in ("rel_poly", "sigma_eta", "gamma", "rel_basis"))
     except KeyError as exc:
         raise CatalogError(f"algebra entry missing key {exc}") from exc
+    if center not in fields:
+        raise CatalogError(f"{name}: unknown center field {center!r}")
+    degree = len(fields[center]["min_poly"]) - 1
 
     def k_elem(text):
-        coords = _fractions(text, sep=",")
-        if len(coords) != center.degree:
-            raise CatalogError(f"{name}: K-element needs {center.degree} coordinates")
-        return center.element(coords)
+        coords = _rationals(text, sep=",")
+        if len(coords) != degree:
+            raise CatalogError(f"{name}: K-element needs {degree} coordinates")
+        return coords
 
     def e_elem(text):
-        parts = [p for p in text.split("|")]
-        coeffs = [k_elem(p) for p in parts]
+        coeffs = [k_elem(p) for p in text.split("|")]
         if len(coeffs) > n:
             raise CatalogError(f"{name}: E-element has more than {n} coefficients")
-        coeffs += [center.zero()] * (n - len(coeffs))
-        return tuple(coeffs)
+        return coeffs + [[0] * degree] * (n - len(coeffs))
 
-    rel_poly = [k_elem(p) for p in entry["rel_poly"].split(";")]
+    rel_poly = [k_elem(p) for p in rel_poly.split(";")]
     if len(rel_poly) != n + 1:
         raise CatalogError(f"{name}: rel_poly must have degree n = {n}")
-    sigma_eta = e_elem(entry["sigma_eta"].replace(";", "|"))
-    gamma = k_elem(entry["gamma"])
-    rel_basis = [e_elem(p) for p in entry["rel_basis"].split(";")]
+    rel_basis = [e_elem(p) for p in rel_basis.split(";")]
     if len(rel_basis) != n:
         raise CatalogError(f"{name}: rel_basis must have {n} elements")
     division = entry.get("division", "false").lower() == "true"
-    return CyclicAlgebra(name, center, n, rel_poly, sigma_eta, gamma,
-                         rel_basis, division_asserted=division)
+    return center, dict(name=name, n=n, rel_poly=rel_poly,
+                        sigma_eta=e_elem(sigma_eta.replace(";", "|")),
+                        gamma=k_elem(gamma), rel_basis=rel_basis,
+                        division_asserted=division)
+
+
+def _build_algebra(args, center):
+    """The CyclicAlgebra of parse_algebra_entry's arguments over `center`."""
+    k = center.element
+    return CyclicAlgebra(
+        args["name"], center, args["n"], [k(c) for c in args["rel_poly"]],
+        tuple(k(c) for c in args["sigma_eta"]), k(args["gamma"]),
+        [tuple(k(c) for c in e) for e in args["rel_basis"]],
+        division_asserted=args["division_asserted"])
+
+
+def _add(entries, kind, name, value):
+    if name in entries:
+        raise CatalogError(f"duplicate {kind} name {name!r}")
+    entries[name] = value
 
 
 class Catalog:
-    """All fields and algebras from one catalog directory."""
+    """The fields and algebras of one catalog directory, each built and
+    proven on its first use."""
 
-    def __init__(self, fields, algebras):
-        self.fields = fields
-        self.algebras = algebras
+    def __init__(self, field_entries, algebra_entries):
+        self._field_entries = field_entries        # name -> NumberField kwargs
+        self._algebra_entries = algebra_entries    # name -> (center, kwargs)
+        self._fields = {}
+        self._algebras = {}
 
     def field(self, name):
-        if name not in self.fields:
+        if name not in self._field_entries:
             raise CatalogError(f"unknown field {name!r}")
-        return self.fields[name]
+        if name not in self._fields:
+            self._fields[name] = NumberField(**self._field_entries[name])
+        return self._fields[name]
 
     def algebra(self, name):
-        if name not in self.algebras:
+        if name not in self._algebra_entries:
             raise CatalogError(f"unknown algebra {name!r}")
-        return self.algebras[name]
+        if name not in self._algebras:
+            center, args = self._algebra_entries[name]
+            self._algebras[name] = _build_algebra(args, self.field(center))
+        return self._algebras[name]
+
+    @property
+    def fields(self):
+        """Every field, by name (builds each one)."""
+        return {name: self.field(name) for name in self._field_entries}
+
+    @property
+    def algebras(self):
+        """Every algebra, by name (builds each one and its center)."""
+        return {name: self.algebra(name) for name in self._algebra_entries}
 
 
 def _read_text(directory, filename):
@@ -121,15 +182,16 @@ def _read_text(directory, filename):
 
 def load_catalog(directory=None):
     """Load the catalog from `directory`, from $MULTIBLOCK_CATALOG, or from
-    the shipped package data, in that order of preference."""
+    the shipped package data, in that order of preference.  Checks every
+    entry's text; builds no field or algebra."""
     if directory is None:
         directory = os.environ.get(ENV_VAR) or None
     fields = {}
     for entry in _split_entries(_read_text(directory, FIELDS_FILE)):
-        field = parse_field_entry(entry)
-        fields[field.name] = field
+        args = parse_field_entry(entry)
+        _add(fields, "field", args["name"], args)
     algebras = {}
     for entry in _split_entries(_read_text(directory, ALGEBRAS_FILE)):
-        alg = parse_algebra_entry(entry, fields)
-        algebras[alg.name] = alg
+        center, args = parse_algebra_entry(entry, fields)
+        _add(algebras, "algebra", args["name"], (center, args))
     return Catalog(fields, algebras)

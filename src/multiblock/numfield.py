@@ -12,7 +12,7 @@ positive imaginary part) is computed in doubles.
 import itertools
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -120,7 +120,9 @@ class NumberField:
         if self.degree % 2 != 0:
             raise NotTotallyComplex(f"{name}: odd degree field cannot be totally complex")
         self.k = self.degree // 2
-        self.basis = tuple(tuple(Fraction(c) for c in b) for b in basis)
+        # rationals as given: ints stay ints, anything else becomes a Fraction
+        self.basis = tuple(tuple(c if type(c) is int else Fraction(c) for c in b)
+                           for b in basis)
         if len(self.basis) != self.degree:
             raise CatalogInconsistent(f"{name}: integral basis must have {self.degree} elements")
         self.disc_expected = disc_expected
@@ -131,26 +133,33 @@ class NumberField:
         self.roots = self._choose_embeddings(roots)
 
         # change of basis: column j = theta-power coefficients of basis[j],
-        # held as integer numerators over one denominator, and its inverse
+        # held as integer numerators over one denominator
         n = self.degree
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for j, b in enumerate(self.basis):
-            for i, c in enumerate(b):
-                if i >= n:
-                    raise CatalogInconsistent(f"{name}: basis polynomial degree too high")
-                mat[i][j] = c
-        flat, self._basis_den = common_denominator(c for row in mat for c in row)
+        if any(len(b) > n for b in self.basis):
+            raise CatalogInconsistent(f"{name}: basis polynomial degree too high")
+        flat, self._basis_den = common_denominator(
+            b[i] if i < len(b) else 0 for i in range(n) for b in self.basis)
         self._basis_mat = [flat[i * n:(i + 1) * n] for i in range(n)]
-        try:
-            self._basis_inv, self._basis_inv_den = inverse(mat)
-        except ZeroDivisionError:
+        if bareiss_det(self._basis_mat) == 0:
             raise CatalogInconsistent(f"{name}: integral basis is not linearly independent")
         # Tr(theta^m), m = 0..2n-2: integers, theta being an algebraic integer
         self._theta_traces = power_sums(self.min_poly, 2 * (n - 1))
         self._disc = None
-        # complex values of each basis element at every root (2k x 2k)
+        # complex values of each basis element at every root (2k x 2k), each
+        # coefficient converted to a double once
+        float_basis = [[complex(float(c)) for c in b] for b in self.basis]
         self._basis_values = np.array(
-            [[_eval_poly(b, r) for b in self.basis] for r in self.roots])
+            [[_eval_poly(b, r) for b in float_basis] for r in self.roots])
+
+    @cached_property
+    def _basis_inv(self):
+        """Exact inverse of the change of basis, as (integer numerator rows,
+        denominator); computed when the field first maps a theta polynomial
+        back to the integral basis."""
+        # (M / D)^-1 = D M^-1 for the integer matrix M over the denominator D
+        nums, den = inverse(self._basis_mat)
+        g = math.gcd(den, self._basis_den)
+        return [[m * (self._basis_den // g) for m in row] for row in nums], den // g
 
     # -- construction checks ------------------------------------------------
 
@@ -245,8 +254,9 @@ class NumberField:
     def _from_theta_ints(self, poly, den):
         """Element whose theta polynomial is poly / den (poly already
         reduced: n integer coefficients)."""
-        coords = [sum(m * c for m, c in zip(row, poly)) for row in self._basis_inv]
-        return FieldElement._from_ints(self, coords, den * self._basis_inv_den)
+        inv, inv_den = self._basis_inv
+        coords = [sum(m * c for m, c in zip(row, poly)) for row in inv]
+        return FieldElement._from_ints(self, coords, den * inv_den)
 
     def from_theta_poly(self, poly):
         nums, den = common_denominator(poly)
@@ -333,7 +343,9 @@ class NumberField:
 
 
 def _eval_poly(coeffs, z):
+    """Horner value at z of a polynomial with complex coefficients
+    (ascending)."""
     acc = 0j
     for c in reversed(coeffs):
-        acc = acc * z + complex(float(c))
+        acc = acc * z + c
     return acc

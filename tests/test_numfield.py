@@ -8,7 +8,7 @@ import sympy
 
 from multiblock.catalog import load_catalog
 from multiblock.errors import CatalogInconsistent, NotTotallyComplex
-from multiblock.exact import poly_mod
+from multiblock.exact import inverse, poly_mod
 from multiblock.numfield import NumberField
 
 POWER_BASIS_2 = [[1], [0, 1]]
@@ -171,7 +171,8 @@ def test_irreducible_min_poly_accepted(min_poly):
 def test_catalog_loads_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        load_catalog()
+        cat = load_catalog()
+        assert cat.fields and cat.algebras      # builds every entry
 
 
 def test_disc_mismatch_rejected():
@@ -191,3 +192,34 @@ def test_table_targets(catalog):
     assert catalog.field("sextic9747").meets_table_target()
     assert not catalog.field("cyclo15").meets_table_target()
     assert catalog.field("cyclo32").meets_table_target() is None
+
+
+def _fraction_horner(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + complex(float(Fraction(c)))
+    return acc
+
+
+def test_basis_values_match_fraction_horner_bit_for_bit(catalog):
+    # each coefficient is converted to a double once, not once per root
+    for f in catalog.fields.values():
+        ref = np.array([[_fraction_horner(b, r) for b in f.basis] for r in f.roots])
+        assert f._basis_values.tobytes() == ref.tobytes(), f.name
+
+
+def test_basis_inverse_is_lazy_and_exact():
+    for basis in (POWER_BASIS_4, [[1], [0, 1], [Fraction(1, 2), 0, Fraction(1, 2)],
+                                  [0, Fraction(1, 2), 0, Fraction(1, 2)]]):
+        K = NumberField("c8", [1, 0, 0, 0, 1], basis)
+        assert "_basis_inv" not in vars(K)      # nothing multiplied yet
+        mat = [[Fraction(b[i]) if i < len(b) else Fraction(0) for b in basis]
+               for i in range(4)]
+        assert K._basis_inv == inverse(mat)
+        assert K.theta() * K.theta() * K.theta() * K.theta() == -K.one()
+
+
+def test_dependent_basis_rejected_at_construction():
+    for basis in ([[1], [2]], [[1, 1], [Fraction(1, 2), Fraction(1, 2)]]):
+        with pytest.raises(CatalogInconsistent, match="not linearly independent"):
+            NumberField("dep", [1, 0, 1], basis)
