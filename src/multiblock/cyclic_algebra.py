@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import CatalogInconsistent, PrecisionFailure
 from .exact import bareiss_det, common_denominator, inverse
+from .numfield import polished_roots
+
+ETA_RESIDUAL_TOL = 1e-13
 
 
 class AlgebraElement:
@@ -176,20 +179,15 @@ class CyclicAlgebra:
     def _choose_eta_roots(self):
         """One deterministic root of the embedded rel_poly per chosen
         embedding of K (sorted by descending imaginary, then descending real
-        part, after rounding out float noise)."""
+        part, after rounding out float noise), polished to a residual below
+        ETA_RESIDUAL_TOL or refused as CatalogInconsistent."""
         roots = []
         for i in range(self.k):
             coeffs = [complex(self.center.canonical_embed(c)[i]) for c in self.rel_poly]
             if self.n == 1:
                 roots.append(-coeffs[0])
                 continue
-            cand = np.roots(list(reversed(coeffs)))
-            for _ in range(40):
-                vals = np.polyval(list(reversed(coeffs)), cand)
-                if np.max(np.abs(vals)) < 1e-13:
-                    break
-                dcoeffs = [c * j for j, c in enumerate(coeffs)][1:]
-                cand = cand - vals / np.polyval(list(reversed(dcoeffs)), cand)
+            cand = polished_roots(coeffs, ETA_RESIDUAL_TOL, self.name)
             cand = sorted(cand, key=lambda z: (-round(z.imag, 9), -round(z.real, 9)))
             roots.append(complex(cand[0]))
         return roots

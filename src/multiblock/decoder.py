@@ -1,12 +1,14 @@
 """Decoders for the multiblock channel: ML over a finite codebook, naive
 lattice decoding (closest point in the infinite shifted scaled lattice), and
 the per-block thin-QR reduction that maps an n_r > n system to square form.
-Every lattice decision of the CLI searches a preparation of the lattice: a
-constant channel's residuals share the one LLL-reduced preparation of the
-faded lattice (`shared_fade_decodes_to`), and a fading channel's residuals
-each get a faded copy of the lattice's LLL basis (`faded_decodes_to`).  No
-CLI command builds a `LatticeDecoder`, which LLL-reduces alpha H B of its
-own at each alpha and is the tests' reference.
+Every lattice decision of the CLI searches an unscaled preparation: whether
+a nonzero point of alpha H L is closer to the residual W than 0 is whether
+one of H L is closer to W / alpha, so alpha divides the target and never
+scales a basis.  A constant channel's residuals share the one LLL-reduced
+preparation of the faded lattice H L (`shared_fade_decodes_to`), and a
+fading channel's residuals each get a faded copy of the lattice's LLL basis
+(`faded_decodes_to`).  No CLI command builds a `LatticeDecoder`, which
+LLL-reduces alpha H B of its own at each alpha and is the tests' reference.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, SingularChannel
-from .lattice import DEFAULT_BUDGET, PreparedCVP, realify
+from .lattice import DEFAULT_BUDGET, PreparedCVP, fade_blocks, realify
 
 
 @dataclass
@@ -84,8 +86,7 @@ class LatticeDecoder:
         self.lat = lat
         self.shift = (np.zeros((k, n, n), dtype=complex) if shift is None
                       else np.asarray(shift, dtype=complex))
-        faded = np.einsum("irc,jicd->jird", H, alpha * lat.blocks)
-        self.prepared = PreparedCVP(realify(faded))
+        self.prepared = PreparedCVP(realify(fade_blocks(H, alpha * lat.blocks)))
 
     def decode(self, Y, budget=DEFAULT_BUDGET):
         """The closest point of shift + alpha L to Y, as a DecodeResult.
@@ -106,46 +107,43 @@ class LatticeDecoder:
         when a nonzero point of alpha H L is strictly closer to W_t than 0
         (up to ties of measure zero).  A search that exhausts `budget` gives
         (None, budget)."""
-        W = np.asarray(W, dtype=complex)
-        ys, offsets = self.prepared.project(realify(W))
-        return _decisions(repeat(self.prepared), ys, offsets, W, budget)
+        ys, _ = self.prepared.project(realify(W))
+        return _decisions(repeat(self.prepared), ys, budget)
 
 
 def faded_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
     """`LatticeDecoder.decodes_to` for a stack of residuals W (T, k, n_r, n),
     each with its own fade H_t of the stack H (T, k, n_r, n), with no
     decoder and no LLL per fade: one stacked QR factors the faded bases
-    alpha H_t (U B) of the lattice's own LLL basis U B.  The decision does
-    not depend on the basis, so it is the decoder's; only the node counts
-    differ.  The caller checks the fades' rank (`check_full_rank`); a zero
-    or non-finite pivot of a faded basis still raises DegenerateLattice."""
-    W = np.asarray(W, dtype=complex)
-    faded = np.einsum("tirc,jicd->tjird", H, alpha * lat.reduced_blocks)
-    preps, ys, offsets = PreparedCVP.stack(realify(faded), realify(W))
-    return _decisions(preps, ys, offsets, W, budget)
+    H_t (U B) of the lattice's own LLL basis U B, searched at W_t / alpha.
+    The decision does not depend on the basis, so it is the decoder's; only
+    the node counts differ.  The caller checks the fades' rank
+    (`check_full_rank`); a zero or non-finite pivot of a faded basis still
+    raises DegenerateLattice."""
+    preps, ys = PreparedCVP.stack(realify(fade_blocks(H, lat.reduced_blocks)),
+                                  realify(W) / alpha)
+    return _decisions(preps, ys, budget)
 
 
 def shared_fade_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
     """`LatticeDecoder(H, alpha, lat).decodes_to(W)` for a stack of residuals
     W (T, k, n_r, n) that all share the one fade H (k, n_r, n), with no
-    decoder: the searches run on the faded lattice's LLL-reduced
-    preparation, `lat.faded_cvp(H)`, built once per fade and scaled to
-    alpha H L.  The caller checks the fade's rank (`check_full_rank`)."""
-    W = np.asarray(W, dtype=complex)
-    prep = lat.faded_cvp(H).scaled(alpha)
-    ys, offsets = prep.project(realify(W))
-    return _decisions(repeat(prep), ys, offsets, W, budget)
+    decoder: the searches run at W_t / alpha on the faded lattice's
+    LLL-reduced preparation, `lat.faded_cvp(H)`, built once per fade (for
+    the n x n identity fade it is `lat.cvp`).  The caller checks the fade's
+    rank (`check_full_rank`)."""
+    prep = lat.faded_cvp(H)
+    ys, _ = prep.project(realify(W) / alpha)
+    return _decisions(repeat(prep), ys, budget)
 
 
-def _decisions(preps, ys, offsets, W, budget):
-    """(ok, nodes) per residual W_t, from the search of preparation t for a
-    nonzero point closer to projected target (ys[t], offsets[t]) than 0."""
-    metrics = np.sum(np.abs(W) ** 2, axis=(1, 2, 3))
+def _decisions(preps, ys, budget):
+    """(ok, nodes) per target, from the search of preparation t for a
+    nonzero point closer than 0 to the target with span coordinates ys[t]."""
     out = []
-    for prep, y, offset2, metric in zip(preps, ys, offsets.tolist(),
-                                        metrics.tolist()):
+    for prep, y in zip(preps, ys):
         try:
-            found, nodes = prep.exists_closer((y, offset2), metric, budget)
+            found, nodes = prep.exists_closer(y, budget)
             out.append((not found, nodes))
         except BudgetExceeded:
             out.append((None, budget))

@@ -6,17 +6,17 @@ iterating blocks in order, each block in column-major order, emitting
 Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 
 Shortest vectors and closest points use Schnorr-Euchner enumeration; list
-mode enumerates every point of a ball.  Each lattice a command searches
-gets LLL(0.99) preprocessing once: the lattice's own basis, and on a
-constant channel the faded lattice H L, whose one preparation serves every
-alpha H L.  A stack of faded bases that each serve one search (a fading
+mode enumerates every point of a ball.  Every search runs on an unscaled
+preparation: a search on alpha L divides its target and radius by alpha
+instead.  Each lattice a command searches gets LLL(0.99) preprocessing
+once: the lattice's own basis, and on a constant channel the faded lattice
+H L.  A stack of faded bases that each serve one search (a fading
 channel's, faded from the lattice's LLL basis) is QR-factored as given, in
-one stacked pass.  No CLI command reduces a scaled copy.  The LLL computes
-Gram-Schmidt data once by QR and updates it in place after each size
-reduction and swap, recomputing it by QR when a large size-reduction
-coefficient signals lost precision.  Its unimodular transform is an int64
-array, and enumeration coordinates map back to the input basis by one
-matrix product.
+one stacked pass.  The LLL computes Gram-Schmidt data once by QR and
+updates it in place after each size reduction and swap, recomputing it by
+QR when a large size-reduction coefficient signals lost precision.  Its
+unimodular transform is an int64 array, and enumeration coordinates map
+back to the input basis by one matrix product.
 """
 
 import math
@@ -45,6 +45,13 @@ def realify(blocks):
     out[..., 0::2] = flat.real
     out[..., 1::2] = flat.imag
     return out
+
+
+def fade_blocks(H, blocks):
+    """The blocks H_i B_ji of each basis matrix B_j (blocks: r, k, n, n)
+    under one fade H (k, n_r, n), or under each fade of a stack H (..., k,
+    n_r, n): shape (..., r, k, n_r, n)."""
+    return np.einsum("...irc,jicd->...jird", H, blocks)
 
 
 def pdet(blocks):
@@ -101,9 +108,9 @@ class MatrixLattice:
     def faded_cvp(self, H):
         """The PreparedCVP of the faded lattice H L for one fade H (k, n_r,
         n), built on first use for that fade and then shared by every search
-        on alpha H L, at any alpha (`PreparedCVP.scaled`): its basis H B is
-        LLL-reduced once.  The identity fade's is `cvp`."""
-        basis = realify(np.einsum("irc,jicd->jird", H, self.blocks))
+        on alpha H L, at any alpha, with targets divided by alpha: its basis
+        H B is LLL-reduced once.  The identity fade's is `cvp`."""
+        basis = realify(fade_blocks(H, self.blocks))
         key = basis.tobytes()
         if key not in self._faded:
             self._faded[key] = (self.cvp if np.array_equal(basis, self.real_basis)
@@ -315,8 +322,8 @@ class PreparedCVP:
     def stack(cls, bases, targets):
         """Preparations of each basis of a stack (T, rank, dim), with no
         LLL (each basis as given, U the identity), by one stacked QR; and
-        the projection (y, offset2) of each target of the stack `targets`
-        (T, dim) onto its own basis, as `project` computes it.  Whether a
+        the span coordinates y = Q^T t of each target of the stack `targets`
+        (T, dim) in its own basis, as `project` computes them.  Whether a
         nonzero lattice point is closer to a target than 0 does not depend
         on the basis (Agrell et al. 2002), so `exists_closer` decides the
         same on these preparations as on LLL-reduced ones; only its node
@@ -326,15 +333,7 @@ class PreparedCVP:
         eye = np.eye(bases.shape[1], dtype=np.int64)
         preps = [cls.__new__(cls)._factored(b, eye, q, r)
                  for b, q, r in zip(bases, Q, R)]
-        return (preps,) + _project(Q, np.asarray(targets, dtype=float))
-
-    def scaled(self, alpha):
-        """The preparation of alpha times this basis (alpha > 0), with no
-        LLL: an LLL-reduced basis stays reduced under scaling, so U is kept
-        and only the scaled rows are QR-factored."""
-        reduced = alpha * self.reduced
-        return type(self).__new__(type(self))._factored(
-            reduced, self.U, *_signed_qr(reduced.T))
+        return preps, _span_coords(Q, np.asarray(targets, dtype=float))
 
     def project(self, target):
         """(y, offset2): the coordinates y = Q^T t of the target t in the
@@ -346,7 +345,10 @@ class PreparedCVP:
         if t.ndim == 1:
             y, offset2 = self.project(t[None])
             return y[0], float(offset2[0])
-        return _project(self.Q, t)
+        y = _span_coords(self.Q, t)
+        offset2 = (np.matmul(t[:, None, :], t[:, :, None])
+                   - np.matmul(y[:, None, :], y[:, :, None]))[:, 0, 0]
+        return y, np.maximum(offset2, 0.0)
 
     def closest(self, target, budget=DEFAULT_BUDGET):
         """CVP; returns (metric2, coords, nodes, exact_flag).  On budget
@@ -367,17 +369,18 @@ class PreparedCVP:
         return (res.best_metric + offset2, _apply_u(res.best_z, self.U),
                 res.nodes, exact)
 
-    def exists_closer(self, projected, than_metric, budget=DEFAULT_BUDGET):
-        """True iff some nonzero-coordinate point lies strictly closer to the
-        target than sqrt(than_metric), given the target's projection
-        (y, offset2) from `project`."""
-        y, offset2 = projected
-        thr = than_metric - offset2
+    def exists_closer(self, y, budget=DEFAULT_BUDGET):
+        """(found, nodes): found iff some nonzero-coordinate point lies
+        strictly closer to the target than 0, given the target's span
+        coordinates y from `project`.  The target's distance to the span
+        adds the same amount to both distances, so the search reads y alone
+        and looks below ||y||^2."""
+        y = y.tolist()
+        thr = math.fsum(v * v for v in y) * (1 - 1e-12)
         if thr <= 0:
             return False, 0
-        res = _enumerate(self._rows, self._diag, y.tolist(), thr * (1 - 1e-12),
-                         budget, mode="min", exclude_zero=True,
-                         early_exit_below=thr * (1 - 1e-12))
+        res = _enumerate(self._rows, self._diag, y, thr, budget, mode="min",
+                         exclude_zero=True, early_exit_below=thr)
         found = res.best_z is not None and any(res.best_z)
         return found, res.nodes
 
@@ -423,13 +426,11 @@ def _signed_qr(A):
     return Q * signs[..., None, :], R * signs[..., :, None]
 
 
-def _project(Q, t):
-    """Stacked `project` of targets t (T, dim) onto the span of the columns
-    of Q (dim, rank), or of target s onto that of Q[s] for a stack of Q."""
-    y = np.matmul(np.swapaxes(Q, -1, -2), t[:, :, None])[:, :, 0]
-    offset2 = (np.matmul(t[:, None, :], t[:, :, None])
-               - np.matmul(y[:, None, :], y[:, :, None]))[:, 0, 0]
-    return y, np.maximum(offset2, 0.0)
+def _span_coords(Q, t):
+    """y = Q^T t for each target of a stack t (T, dim), in the orthonormal
+    basis of the span of the columns of Q (dim, rank), or of target s in
+    that of Q[s] for a stack of Q."""
+    return np.matmul(np.swapaxes(Q, -1, -2), t[:, :, None])[:, :, 0]
 
 
 def _apply_u(z, U):
@@ -497,8 +498,7 @@ def fade(lat, H):
     dets = np.linalg.det(H)
     if np.any(np.abs(dets) <= 1e-12):
         raise SingularChannel("singular fading block")
-    faded = np.einsum("irc,jicd->jird", H, lat.blocks)
-    return MatrixLattice(faded, validate=False)
+    return MatrixLattice(fade_blocks(H, lat.blocks), validate=False)
 
 
 def hadamard_check(blocks):

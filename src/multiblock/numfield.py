@@ -29,6 +29,26 @@ REAL_ROOT_TOL = 1e-8
 BEST_ROOT_DISC = {1: 1.732, 2: 3.289, 3: 4.622, 4: 5.787, 5: 6.793}
 
 
+def polished_roots(coeffs, tol, name):
+    """Roots of the polynomial with ascending coefficients `coeffs`:
+    companion-matrix eigenvalues, then Newton steps until every residual is
+    below `tol`.  CatalogInconsistent if 50 steps leave a residual above
+    it."""
+    desc = list(reversed(coeffs))
+    deriv = [c * (len(desc) - 1 - i) for i, c in enumerate(desc[:-1])]
+    roots = np.roots(desc)
+    for _ in range(50):
+        vals = np.polyval(desc, roots)
+        if np.max(np.abs(vals)) < tol:
+            return roots
+        roots = roots - vals / np.polyval(deriv, roots)
+    residual = np.max(np.abs(np.polyval(desc, roots)))
+    if residual > tol:
+        raise CatalogInconsistent(
+            f"{name}: root polishing stalled at residual {residual:.2e}")
+    return roots
+
+
 class FieldElement:
     """Element of a NumberField: coordinates over the integral basis, held
     as the integer numerators `nums` over the positive denominator `den`, in
@@ -128,7 +148,7 @@ class NumberField:
         self.disc_expected = disc_expected
         self.suboptimal = suboptimal
 
-        roots = self._find_roots()
+        roots = polished_roots(self.min_poly, ROOT_RESIDUAL_TOL, name)
         self._check_irreducible(roots)
         self.roots = self._choose_embeddings(roots)
 
@@ -190,23 +210,6 @@ class NumberField:
                     raise CatalogInconsistent(
                         f"{self.name}: min_poly has the integer factor "
                         f"{' '.join(map(str, g))} (ascending)")
-
-    def _find_roots(self):
-        # companion-matrix eigenvalues, then Newton polishing
-        coeffs_desc = list(reversed(self.min_poly))
-        roots = np.roots(coeffs_desc)
-        deriv_desc = [c * (len(coeffs_desc) - 1 - i) for i, c in enumerate(coeffs_desc[:-1])]
-        for _ in range(50):
-            vals = np.polyval(coeffs_desc, roots)
-            if np.max(np.abs(vals)) < ROOT_RESIDUAL_TOL:
-                break
-            dvals = np.polyval(deriv_desc, roots)
-            roots = roots - vals / dvals
-        residual = np.max(np.abs(np.polyval(coeffs_desc, roots)))
-        if residual > ROOT_RESIDUAL_TOL:
-            raise CatalogInconsistent(
-                f"{self.name}: root polishing stalled at residual {residual:.2e}")
-        return roots
 
     def _choose_embeddings(self, roots):
         """Pick the positive-imaginary root of each conjugate pair and order

@@ -66,25 +66,32 @@ def rate_theorem2(mu, P, n, n_r, C_L):
             + n * math.log2(math.pi * math.e / (n * n * C_L)))
 
 
-def rate_slow_fading(H, P, n, n_r, C_L):
-    """Slow-fading achievable rate for a fixed full-rank block H."""
+def _log2det_gram(H, n, n_r):
+    """log2 det of the Gram of a full-rank n_r x n block H: H^dag H when
+    n_r >= n, else H H^dag."""
     H = np.asarray(H, dtype=complex)
     if H.shape != (n_r, n):
         raise DomainError(f"H must be {n_r} x {n}")
-    if n_r >= n:
-        gram = H.conj().T @ H
-        sign, logdet = np.linalg.slogdet((P / n) * gram)
-        if sign <= 0:
-            raise DomainError("singular channel block")
-        return (logdet / LOG2 - n * math.log2(C_L)
-                + n * math.log2(math.pi * math.e / (4.0 * n)))
-    gram = H @ H.conj().T
-    sign, logdet = np.linalg.slogdet((P / n) * gram)
+    gram = H.conj().T @ H if n_r >= n else H @ H.conj().T
+    sign, logdet = np.linalg.slogdet(gram)
     if sign <= 0:
         raise DomainError("singular channel block")
-    return (logdet / LOG2 - 2.0 * n_r
-            - (n - n_r) * math.log2(n / (n - n_r))
-            + n * math.log2(math.pi * math.e / (n * C_L)))
+    return float(logdet / LOG2)
+
+
+def _theorem_rate(mu, P, n, n_r, C_L):
+    """Theorem 1 when n_r >= n, else Theorem 2."""
+    if n_r >= n:
+        return rate_theorem1(mu, P, n, C_L)
+    return rate_theorem2(mu, P, n, n_r, C_L)
+
+
+def rate_slow_fading(H, P, n, n_r, C_L):
+    """Slow-fading achievable rate for a fixed full-rank block H: the
+    theorem's rate with mu = log2 det of H's Gram, as `rate_report` gives it
+    on a constant channel.  Test-only witness of the paper's slow-fading
+    claim that the gap C(P) - max(0, R(P)) stays bounded in P."""
+    return _theorem_rate(_log2det_gram(H, n, n_r), P, n, n_r, C_L)
 
 
 def white_input_capacity(H, P, n):
@@ -191,27 +198,21 @@ class RateReport:
 def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     """Evaluate capacity, achievable rate and gap for one power level.
     mu is log2 det of the fixed Gram for a constant channel, else the
-    Rayleigh closed form."""
+    Rayleigh closed form; the rate is Theorem 1's when n_r >= n, else
+    Theorem 2's."""
     if not 0 < P < math.inf:
         raise DomainError(f"power P must be finite and > 0, not {P}")
     if not 0 < C_L < math.inf:
         raise DomainError(f"C_L must be finite and > 0, not {C_L}")
     n, n_r = model.n, model.n_r
+    cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
     if model.kind == "constant":
-        H = np.asarray(model.fixed_H, dtype=complex)
-        gram = H.conj().T @ H if n_r >= n else H @ H.conj().T
-        mu = float(np.linalg.slogdet(gram)[1] / LOG2)
+        mu = _log2det_gram(model.fixed_H, n, n_r)
     elif n_r >= n:
         mu = expected_logdet_rayleigh(n, n_r)
     else:
         mu = expected_logdet_rayleigh(n_r, n)  # det(H H^dag), swap roles
-    cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
-    if model.kind == "constant":
-        rate = rate_slow_fading(model.fixed_H, P, n, n_r, C_L)
-    elif n_r >= n:
-        rate = rate_theorem1(mu, P, n, C_L)
-    else:
-        rate = rate_theorem2(mu, P, n, n_r, C_L)
+    rate = _theorem_rate(mu, P, n, n_r, C_L)
     vd = K = None
     if delta is not None and n_r >= n:
         vd = chernoff_vdelta(n, n_r, delta)

@@ -22,10 +22,6 @@ _W0, _W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
 _ROUNDS = 10
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
-# Below this many streams, one numpy Generator per stream is faster than the
-# array arithmetic; both give the same bits.
-_ARRAY_STREAMS = 16
-
 
 def _key(seed, stream):
     acc = 0
@@ -77,7 +73,8 @@ def _words(keys, count):
         hi0, lo0 = _mulhilo(_M0, x0)
         hi1, lo1 = _mulhilo(_M1, x2)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), -1)[:, :count]
+    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), 4 * blocks)
+    return words[:, :count]
 
 
 def complex_gaussian_streams(seed, streams, shape):
@@ -85,12 +82,9 @@ def complex_gaussian_streams(seed, streams, shape):
     `streams`, stacked into an array of shape (len(streams),) + shape, with
     the same bits."""
     shape = tuple(int(d) for d in np.atleast_1d(shape))
-    if len(streams) < _ARRAY_STREAMS:
-        return np.array([complex_gaussian(philox(seed, *s), shape)
-                         for s in streams], dtype=complex).reshape(
-                             (len(streams),) + shape)
     m = int(np.prod(shape))
-    keys = np.array([_key(seed, s) for s in streams], dtype=np.uint64)
+    keys = np.array([_key(seed, s) for s in streams],
+                    dtype=np.uint64).reshape(len(streams), 2)
     # a double is the top 53 bits of a word; the first m make u1, the next m u2
     u = (_words(keys, 2 * m) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
     full = (len(streams),) + shape

@@ -20,11 +20,13 @@ minimum determinant det_min, every nonzero X of alpha L has
 lam2 on the squared minimum distance of the faded lattice.  If 4 ||W||^2 <
 lam2, no nonzero point is as close to W as 0 (the packing-radius argument),
 so the decision is correct and costs 0 nodes.  Only the other trials are
-searched.  No run builds a `LatticeDecoder`.  A constant channel's trials
-share the faded lattice H L's one LLL-reduced preparation, built once per
-command and scaled to each alpha.  On a fading channel no trial gets an
-LLL of its own: the search runs on the QR factor of the faded LLL basis of
-the lattice, alpha H (U B), since whether a nonzero point is closer to W
+searched.  No run builds a `LatticeDecoder`, and no search scales a basis:
+a nonzero point of alpha H L is closer to W than 0 exactly when one of H L
+is closer to W / alpha.  A constant channel's trials share the faded
+lattice H L's one LLL-reduced preparation, built once per command and
+searched at every alpha.  On a fading channel no trial gets an LLL of its
+own: the search runs on the QR factor of the faded LLL basis of the
+lattice, H (U B), since whether a nonzero point is closer to the target
 than 0 does not depend on the basis (only the node count does).
 """
 

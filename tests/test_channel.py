@@ -62,16 +62,23 @@ def test_transmit_noiseless_exact():
     assert np.array_equal(Y, real.blocks @ X)
 
 
+def _noise_words(real, seed, count, start=0):
+    """transmit(0, real, noise_seed=(seed, t)) for t = start, ...,
+    start + count - 1, drawn as one stack: the same bits
+    (test_stacks_carry_the_one_realization_bits)."""
+    H = np.broadcast_to(real.blocks, (count,) + real.blocks.shape)
+    X = np.zeros(H.shape[:2] + (H.shape[3],) * 2, dtype=complex)
+    return transmit_stack(X, H, seed, [(t,) for t in range(start, start + count)],
+                          False)
+
+
 def test_noise_is_chi_square():
     # X = 0: 2||W||^2 ~ chi^2 with 2 k n n_r degrees of freedom
     k, n, n_r = 2, 2, 2
     model = iid_model(n, n_r)
     real = sample(model, k, seed=10)
-    X = np.zeros((k, n, n), dtype=complex)
-    vals = []
-    for t in range(10000):
-        Y = transmit(X, real, noise_seed=(11, t))
-        vals.append(2.0 * np.sum(np.abs(Y) ** 2))
+    Y = _noise_words(real, 11, 10000)
+    vals = 2.0 * np.sum(np.abs(Y) ** 2, axis=(1, 2, 3))
     res = stats.kstest(vals, stats.chi2(2 * k * n * n_r).cdf)
     assert res.pvalue > 0.01
 
@@ -81,13 +88,12 @@ def test_chi_square_tail_bound():
     k, n, eps, trials = 8, 2, 0.5, 100000
     model = iid_model(n, n)
     real = sample(model, k, seed=12)
-    X = np.zeros((k, n, n), dtype=complex)
     m = k * n * n
     hits = 0
-    for t in range(trials):
-        Y = transmit(X, real, noise_seed=(13, t), noiseless=False)
-        if np.sum(np.abs(Y) ** 2) / m >= 1 + eps:
-            hits += 1
+    for start in range(0, trials, 10000):
+        Y = _noise_words(real, 13, 10000, start)
+        hits += int(np.count_nonzero(np.sum(np.abs(Y) ** 2, axis=(1, 2, 3)) / m
+                                     >= 1 + eps))
     assert hits / trials <= 2 * math.exp(-m * eps * eps / 8.0)
 
 

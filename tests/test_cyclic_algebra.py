@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from multiblock import cyclic_algebra
+from multiblock.cli import main
 from multiblock.cyclic_algebra import NaturalOrder, order_lattice, trivial_algebra
 from multiblock.lattice import field_lattice, min_pdet, pdet
 
@@ -154,3 +156,15 @@ def test_reduced_trace_lands_in_center(golden, golden_order):
         M = golden.multiblock_embed(a)[i]
         val = golden.center.canonical_embed(trd)[i]
         assert abs(np.trace(M) - val) < 1e-9
+
+
+def test_unpolished_eta_root_is_a_catalog_error(monkeypatch, capsys):
+    # a relative root whose Newton polishing stalls above its tolerance is
+    # refused, not used: exit 2 with one line.  Golden's root converges to
+    # a residual of about 1e-15, so a zero tolerance cannot be met
+    monkeypatch.setattr(cyclic_algebra, "ETA_RESIDUAL_TOL", 0.0)
+    assert main(["invariants", "--algebra", "golden"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert "golden: root polishing stalled at residual" in err

@@ -286,8 +286,7 @@ def test_exists_closer_matches_full_cvp(golden_lattice):
     errors = 0
     for _ in range(300):
         w = 1.1 * gen.normal(size=golden_lattice.real_basis.shape[1])
-        metric0 = float(w @ w)
-        found, _ = prep.exists_closer(prep.project(w), metric0)
+        found, _ = prep.exists_closer(prep.project(w)[0])
         _, coords, _, _ = prep.closest(w)
         cvp_moved = any(coords)
         errors += cvp_moved
@@ -295,6 +294,29 @@ def test_exists_closer_matches_full_cvp(golden_lattice):
             disagreements += 1
     assert disagreements == 0
     assert 0 < errors < 300  # both outcomes exercised
+
+
+def test_exists_closer_reads_only_span_coordinates(golden_lattice):
+    # golden faded by the 3 x 2 identity: dimension 12 above rank 8.  A
+    # target's distance to the span adds the same amount to its distance
+    # from 0 and from every lattice point, so the search on y alone agrees
+    # with full CVP on targets far outside the span
+    H = np.broadcast_to(np.eye(3, 2, dtype=complex), (golden_lattice.k, 3, 2))
+    prep = golden_lattice.faded_cvp(H)
+    assert prep.Q.shape == (12, 8)
+    complement = np.linalg.qr(prep.Q, mode="complete")[0][:, prep.rank:]
+    gen = philox(93, 0)
+    moved = 0
+    for _ in range(200):
+        target = (prep.Q @ (0.4 * gen.normal(size=prep.rank))
+                  + 50.0 * complement @ gen.normal(size=complement.shape[1]))
+        y, offset2 = prep.project(target)
+        assert offset2 > 100.0 * float(y @ y)
+        found, _ = prep.exists_closer(y)
+        _, coords, _, _ = prep.closest(target)
+        assert found == any(coords)
+        moved += found
+    assert 0 < moved < 200  # both outcomes exercised
 
 
 def test_rh_lower_bounds_hermite(catalog, golden_lattice, zeta20_lattice):

@@ -9,9 +9,9 @@ derandomized, so every process draws the same examples.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +31,7 @@ def stream_paths(draw):
     head = (draw(st.integers(0, 2 ** 16)),
             draw(st.integers(0, 2 ** 40)))[:length - 1]
     start = draw(st.integers(0, 2 ** 32))
-    count = draw(st.integers(1, 3 * rng._ARRAY_STREAMS))
+    count = draw(st.integers(1, 48))
     return [head + (t,) for t in range(start, start + count)]
 
 
@@ -47,12 +47,15 @@ def bits(a):
 @given(SEEDS, stream_paths(), SHAPES)
 def test_batched_streams_equal_scalar_philox(seed, paths, shape):
     scalar = np.stack([complex_gaussian(philox(seed, *p), shape) for p in paths])
-    # every stack size through the array arithmetic, and the default split
-    for threshold in (1, rng._ARRAY_STREAMS):
-        with mock.patch.object(rng, "_ARRAY_STREAMS", threshold):
-            batched = complex_gaussian_streams(seed, paths, shape)
-        assert batched.shape == (len(paths),) + shape
-        assert np.array_equal(bits(batched), bits(scalar))
+    batched = complex_gaussian_streams(seed, paths, shape)
+    assert batched.shape == (len(paths),) + shape
+    assert np.array_equal(bits(batched), bits(scalar))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1,), (0,)])
+def test_no_streams_draw_an_empty_stack(shape):
+    empty = complex_gaussian_streams(5, [], shape)
+    assert empty.shape == (0,) + shape and empty.dtype == complex
 
 
 @PROPERTY

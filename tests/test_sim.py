@@ -169,17 +169,16 @@ def _lattice(catalog, name):
 
 
 def _recording_searches(monkeypatch):
-    """Record, per lattice search, the bits of its projected target and
-    residual and its outcome."""
+    """Record, per lattice search, the bits of its target's span coordinates
+    and its outcome."""
     log = []
     search = PreparedCVP.exists_closer
 
-    def recording(self, projected, than_metric, budget=DEFAULT_BUDGET):
-        y, offset2 = projected
-        entry = [np.asarray(y).tobytes(), offset2, than_metric]
+    def recording(self, y, budget=DEFAULT_BUDGET):
+        entry = [np.asarray(y).tobytes()]
         log.append(entry)
         try:
-            found, nodes = search(self, projected, than_metric, budget)
+            found, nodes = search(self, y, budget)
         except BudgetExceeded:
             entry.append("budget exceeded")
             raise
@@ -245,11 +244,10 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
         # every received word is its sent point
         assert all(proved)
     unproved = [s for s, p in zip(reference_searches, proved) if not p]
-    if model.kind == "constant" and not np.array_equal(
-            model.fixed_H, np.eye(*model.fixed_H.shape)):
-        # the loop reduces the faded lattice H L once and scales it to alpha,
-        # the reference reduces alpha H L: on a sheared fade the projected
-        # targets differ in the last bits, the outcomes do not
+    if model.kind == "constant":
+        # the loop searches H L at W / alpha, the reference alpha H L at W:
+        # the span coordinates differ in the last bits, the outcomes and
+        # node counts do not
         searches[:] = [s[-1:] for s in searches]
         unproved = [s[-1:] for s in unproved]
     assert searches == unproved
@@ -460,3 +458,27 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
                                                  + len(catalog.algebras))
     capsys.readouterr()
     assert decoders == []
+
+
+def test_identity_constant_run_factors_only_the_lattice_basis(catalog,
+                                                              monkeypatch,
+                                                              capsys):
+    # every alpha divides the targets, never the basis: on the identity
+    # fade, three SNR points search lat.cvp, and no QR factors a basis
+    # other than lat.cvp's reduced one
+    reduced = MatrixLattice(_lattice(catalog, "cyclo8").blocks).cvp.reduced
+    factored = []
+    signed_qr = lattice._signed_qr
+
+    def counting(A):
+        factored.append(np.asarray(A).tobytes())
+        return signed_qr(A)
+
+    monkeypatch.setattr(lattice, "_signed_qr", counting)
+    searches = _recording_searches(monkeypatch)
+    assert main(["simulate", "--field", "cyclo8", "--model", "constant",
+                 "--snr-db", "4,8,12", "--rate", "1", "--trials", "200",
+                 "--seed", "7", "--infinite"]) == 0
+    capsys.readouterr()
+    assert factored == [reduced.T.tobytes()]
+    assert len(searches) > 20

@@ -1,8 +1,13 @@
 """The benchmark's per-layer tracer (perfbench/tracer.py) wraps package
 functions by name.  A rename in the package would silently drop a layer
-from its report, so every target must resolve."""
+from its report, so every target must resolve; and it counts search nodes
+from the return value of `PreparedCVP.exists_closer`, so a traced run's
+count must match the run's own avg_nodes."""
 
+import contextlib
+import csv
 import importlib.util
+import io
 from pathlib import Path
 
 import multiblock.cli  # noqa: F401  (loads every module the targets name)
@@ -33,3 +38,24 @@ def test_every_trace_target_resolves_and_is_restored():
     finally:
         t.restore()
     assert [_resolve(t) for t in tracer.TARGETS] == before
+
+
+def test_traced_search_nodes_add_up_to_avg_nodes():
+    # the benchmark reads search effort from the tracer's count of the
+    # nodes `exists_closer` returns; a change of its signature or of its
+    # result must keep that count equal to the run's own avg_nodes
+    tracer = _load_tracer()
+    trials = 300
+    argv = ["simulate", "--field", "cyclo8", "--model", "constant",
+            "--snr-db", "2,6", "--rate", "1", "--trials", str(trials),
+            "--seed", "11", "--infinite"]
+    out = io.StringIO()
+    with tracer.Tracer() as t, contextlib.redirect_stdout(out):
+        assert multiblock.cli.main(argv) == 0
+    assert t.missing == []
+    rows = list(csv.DictReader(ln for ln in out.getvalue().splitlines()
+                               if not ln.startswith("#")))
+    assert len(rows) == 2
+    nodes = sum(float(r["avg_nodes"]) * trials for r in rows)
+    assert nodes > 0
+    assert t.stats["lattice.exists_closer"].counts["nodes"] == round(nodes)
