@@ -7,7 +7,9 @@ integer numerators over a common denominator); only the final embeddings
 into complex matrices use doubles.
 """
 
+import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -218,7 +220,11 @@ class CyclicAlgebra:
         return AlgebraElement(self, coords)
 
     def mul(self, a, b):
-        """Exact product via u^r x u^s y = u^{r+s} sigma^s(x) y and u^n = gamma."""
+        """Exact product via u^r x u^s y = u^{r+s} sigma^s(x) y and u^n = gamma.
+        Test-only witness that the multiblock embedding is multiplicative
+        and the natural order a ring, on which the paper's nonvanishing
+        determinant argument rests, and the pairwise route to the order
+        discriminant that z_discriminant's block form replaced."""
         n = self.n
         out = [self.e_zero() for _ in range(n)]
         for r, xr in enumerate(a.coords):
@@ -303,22 +309,31 @@ class NaturalOrder:
         K = algebra.center
         n, deg = algebra.n, K.degree
         self.rank = deg * n * n
+        units = [K.element([1 if t == a_idx else 0 for t in range(deg)])
+                 for a_idx in range(deg)]
+        # the O_E basis c = e w_a, shared by every power of u
+        cs = [algebra.e_scale(e, w) for e in algebra.rel_basis for w in units]
         basis = []
         for j in range(n):
-            for e in algebra.rel_basis:
-                for a_idx in range(deg):
-                    w = K.element([1 if t == a_idx else 0 for t in range(deg)])
-                    coords = [algebra.e_zero() for _ in range(n)]
-                    coords[j] = algebra.e_scale(e, w)
-                    basis.append(AlgebraElement(algebra, coords))
+            for c in cs:
+                coords = [algebra.e_zero() for _ in range(n)]
+                coords[j] = c
+                basis.append(AlgebraElement(algebra, coords))
         self.z_basis = tuple(basis)
-        flat = [self.flatten(b) for b in self.z_basis]
-        mat = [[flat[j][i] for j in range(self.rank)] for i in range(self.rank)]
-        try:
-            self._flat_inv, self._flat_inv_den = inverse(mat)
-        except ZeroDivisionError:
+        if bareiss_det(self._flat_matrix()) == 0:
             raise CatalogInconsistent(f"{algebra.name}: z-basis is not linearly independent")
         self._zdisc = None
+
+    def _flat_matrix(self):
+        """Rational matrix whose column j is flatten(z_basis[j])."""
+        flat = [self.flatten(b) for b in self.z_basis]
+        return [[flat[j][i] for j in range(self.rank)] for i in range(self.rank)]
+
+    @cached_property
+    def _flat_inv(self):
+        """Exact inverse of the flat z-basis matrix, as (integer numerator
+        rows, denominator); computed when coordinates() is first called."""
+        return inverse(self._flat_matrix())
 
     def flatten(self, a):
         """All rational coordinates of an algebra element, in z-basis order."""
@@ -332,10 +347,11 @@ class NaturalOrder:
         """Exact coordinates of a over the z-basis.  With contains(), a
         test-only witness that the natural order is a ring (closed under
         the algebra product)."""
+        inv, inv_den = self._flat_inv
         nums, den = common_denominator(self.flatten(a))
-        den *= self._flat_inv_den
+        den *= inv_den
         return [Fraction(sum(m * c for m, c in zip(row, nums)), den)
-                for row in self._flat_inv]
+                for row in inv]
 
     def contains(self, a):
         """True iff a lies in the order: all its z-coordinates are integers."""
@@ -354,23 +370,72 @@ class NaturalOrder:
 
     def z_discriminant(self):
         """Exact determinant of the reduced-trace form summed over all 2k
-        embeddings of the center, i.e. det Tr_{K/Q}(Trd(b_i b_j))."""
+        embeddings of the center, i.e. det Tr_{K/Q}(Trd(b_i b_j)).
+
+        The z-basis is b = u^r c_i, with c_i = e w_a the N = n deg(K)
+        elements of the O_E basis.  Since u^r x u^s y = u^{r+s} sigma^s(x) y,
+        u^n = gamma and Trd(u^m z) = 0 unless n divides m,
+
+            Tr_{K/Q} Trd(u^r c_i u^s c_j)
+                = [r + s = 0 mod n] Tr_{E/Q}(gamma^{(r+s)/n} sigma^s(c_i) c_j),
+
+        so only the n blocks (r, s) = ((n - s) mod n, s) of the n^2 N x N
+        blocks are nonzero, and block s is Y_s^T T C, where
+          T[(t,a),(t',b)] = Tr_{K/Q}(tau_{t+t'} w_a w_b), tau_m = Trd(eta^m),
+              is the trace form of E on its flat coordinates eta^t w_a,
+          C holds the flat coordinates of the c_i, and
+          Y_s those of gamma^[s > 0] sigma^s(c_i).
+        Every matrix is held on integer numerators; each block row's
+        denominator is divided out after one Bareiss determinant."""
         if self._zdisc is None:
-            alg, K = self.algebra, self.algebra.center
-            r = self.rank
-            trd = {}
-            gram = [[Fraction(0)] * r for _ in range(r)]
-            for i in range(r):
-                for j in range(i, r):
-                    val = K.trace(alg.reduced_trace(alg.mul(self.z_basis[i],
-                                                            self.z_basis[j])))
-                    gram[i][j] = gram[j][i] = val
-            d = bareiss_det(gram)
+            alg = self.algebra
+            n, N = alg.n, self.rank // alg.n
+            T, t_den = self._e_trace_form()
+            cs = [b.coords[0] for b in self.z_basis[:N]]
+            C, c_den = _flat_ints(cs)
+            # TC[j] = T c_j, so block entry (i, j) is y_i . TC[j]
+            TC = [[sum(t * c for t, c in zip(row, col)) for row in T] for col in C]
+            gram, scale = [], (t_den * c_den) ** (n * N)
+            for r in range(n):
+                s = (n - r) % n
+                Y, y_den = (C, c_den) if s == 0 else _flat_ints(
+                    [alg.e_scale(alg.sigma_pow(c, s), alg.gamma) for c in cs])
+                scale *= y_den ** N
+                for y in Y:
+                    row = [0] * (n * N)
+                    row[s * N:(s + 1) * N] = [sum(a * b for a, b in zip(y, tc))
+                                              for tc in TC]
+                    gram.append(row)
+            d = bareiss_det(gram) / scale
             if d.denominator != 1:
                 raise PrecisionFailure(
                     f"{alg.name}: order discriminant {d} is not an integer")
             self._zdisc = int(d)
         return self._zdisc
+
+    def _e_trace_form(self):
+        """Tr_{E/Q}(x y) on the flat coordinates eta^t w_a as (integer
+        matrix, denominator): entry (t,a),(t',b) is the center's trace form
+        twisted by tau_{t+t'} = Trd(eta^{t+t'})."""
+        alg, K = self.algebra, self.algebra.center
+        n, deg = alg.n, K.degree
+        eta, power, forms = alg.e_eta(), alg.e_one(), []
+        for _ in range(2 * n - 1):
+            tau = alg.reduced_trace(alg.element([power] + [alg.e_zero()] * (n - 1)))
+            forms.append(K.trace_form(tau))
+            power = alg.e_mul(power, eta)
+        den = math.lcm(*(d for _, d in forms))
+        scaled = [[[v * (den // d) for v in row] for row in g] for g, d in forms]
+        return [[v for u in range(n) for v in scaled[t + u][a]]
+                for t in range(n) for a in range(deg)], den
+
+
+def _flat_ints(elements):
+    """Flat rational coordinates of E-elements (over w_a, one eta^t
+    coefficient after another, as NaturalOrder.flatten orders them) as
+    integer rows over one common denominator."""
+    den = math.lcm(*(c.den for x in elements for c in x))
+    return [[m * (den // c.den) for c in x for m in c.nums] for x in elements], den
 
 
 def order_lattice(order):

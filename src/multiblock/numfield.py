@@ -162,8 +162,9 @@ class NumberField:
         self._basis_mat = [flat[i * n:(i + 1) * n] for i in range(n)]
         if bareiss_det(self._basis_mat) == 0:
             raise CatalogInconsistent(f"{name}: integral basis is not linearly independent")
-        # Tr(theta^m), m = 0..2n-2: integers, theta being an algebraic integer
-        self._theta_traces = power_sums(self.min_poly, 2 * (n - 1))
+        # Tr(theta^m), m = 0..3n-3: integers, theta being an algebraic
+        # integer; trace_form reads them all
+        self._theta_traces = power_sums(self.min_poly, 3 * (n - 1))
         self._disc = None
         # complex values of each basis element at every root (2k x 2k), each
         # coefficient converted to a double once
@@ -302,21 +303,31 @@ class NumberField:
 
     # -- invariants ----------------------------------------------------------
 
-    def discriminant(self):
-        """det(Tr(w_i w_j)) as an exact integer; cross-checked against the
-        catalog value when one was supplied.
+    def trace_form(self, x=None):
+        """Twisted trace form Tr(x w_i w_j) of the integral basis (x = 1 when
+        None) as (integer matrix, positive denominator).
 
-        With w = theta-power coefficients M / D (columns) and H[a][b] =
-        Tr(theta^(a+b)), the trace form is M^T H M / D^2, so the
-        discriminant is det(M^T H M) / D^(2n) on integers alone."""
+        With w = theta-power coefficients M / D (columns), x = t / e in
+        theta powers and p_m = Tr(theta^m), the form is M^T H M / (e D^2)
+        for the Hankel matrix H[a][b] = sum_l t_l p_{a+b+l}: integers alone,
+        and no product in the field."""
+        n = self.degree
+        t, den = ([1], 1) if x is None else self._theta_ints(x)
+        p, M = self._theta_traces, self._basis_mat
+        h = [sum(c * p[m + l] for l, c in enumerate(t) if c) for m in range(2 * n - 1)]
+        HM = [[sum(h[a + b] * M[b][j] for b in range(n)) for j in range(n)]
+              for a in range(n)]
+        gram = [[sum(M[a][i] * HM[a][j] for a in range(n)) for j in range(n)]
+                for i in range(n)]
+        return gram, den * self._basis_den ** 2
+
+    def discriminant(self):
+        """det(Tr(w_i w_j)) as an exact integer, the determinant of the
+        untwisted trace_form; cross-checked against the catalog value when
+        one was supplied."""
         if self._disc is None:
-            n = self.degree
-            M, t = self._basis_mat, self._theta_traces
-            HM = [[sum(t[a + b] * M[b][j] for b in range(n)) for j in range(n)]
-                  for a in range(n)]
-            gram = [[sum(M[a][i] * HM[a][j] for a in range(n)) for j in range(n)]
-                    for i in range(n)]
-            d = bareiss_det(gram) / self._basis_den ** (2 * n)
+            gram, den = self.trace_form()
+            d = bareiss_det(gram) / den ** self.degree
             if d.denominator != 1:
                 raise CatalogInconsistent(
                     f"{self.name}: trace form determinant {d} is not an integer; "

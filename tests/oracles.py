@@ -277,6 +277,24 @@ def reference_discriminant(field):
     return fraction_det(gram)
 
 
+def reference_z_discriminant(order):
+    """det Tr_{K/Q}(Trd(b_i b_j)) over an order's z-basis from all
+    r(r+1)/2 algebra products and a Fraction determinant: the pairwise
+    Gram that NaturalOrder.z_discriminant replaced by its n nonzero blocks.
+    Witnesses that the block-sparse form, with its integer denominators, is
+    the reduced-trace form whose determinant is the order discriminant on
+    which the paper's gap to capacity depends."""
+    alg, K = order.algebra, order.algebra.center
+    basis = order.z_basis
+    r = len(basis)
+    gram = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            val = K.trace(alg.reduced_trace(alg.mul(basis[i], basis[j])))
+            gram[i][j] = gram[j][i] = val
+    return fraction_det(gram)
+
+
 def reference_gauss_markov_capacity(model, P, samples, seed):
     """ratecalc.ergodic_capacity_mc on a correlated model as it drew its
     chains, one `channel.sample` at a time: the reference for the stacked

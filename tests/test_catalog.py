@@ -69,6 +69,21 @@ def test_whole_catalog_commands_build_every_entry_once(built, argv):
     assert set(counts.values()) == {1}
 
 
+def test_catalog_verify_makes_no_algebra_product(monkeypatch):
+    # the order discriminant comes from the block-sparse reduced-trace form,
+    # not from products of z-basis elements
+    calls = []
+    mul = CyclicAlgebra.mul
+
+    def counting(self, a, b):
+        calls.append(self.name)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(CyclicAlgebra, "mul", counting)
+    assert _run(["catalog-verify", "--budget", "2000000"]) == 0
+    assert calls == []
+
+
 def test_loads_share_no_object(built):
     a, b = load_catalog(), load_catalog()
     assert built == []                      # loading builds nothing

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from multiblock.cli import main
+from multiblock.cyclic_algebra import NaturalOrder
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -231,6 +232,23 @@ def test_catalog_verify_ok(tmp_path):
     code, text = run_cli(["catalog-verify", "--budget", "2000000"], tmp_path)
     assert code == 0
     assert "FAIL" not in text
+
+
+def test_catalog_verify_divisibility_is_exact(tmp_path, monkeypatch):
+    # zeta20's discriminant + 1 over disc(cyclo5)^4 = 125^4 is about 1.4e13,
+    # where a double cannot hold the remainder 1/125^4: only an integer
+    # test refuses it
+    true_zdisc = NaturalOrder.z_discriminant
+    monkeypatch.setattr(
+        NaturalOrder, "z_discriminant",
+        lambda self: (3429742096000000000001 if self.algebra.name == "zeta20"
+                      else true_zdisc(self)))
+    code, text = run_cli(["catalog-verify", "--budget", "2000000"], tmp_path)
+    assert code == 2
+    rows = text.splitlines()
+    assert "zeta20,algebra,zdisc=3429742096000000000001,FAIL" in rows
+    assert "golden,algebra,zdisc=160000,ok" in rows
+    assert sum(row.endswith(",FAIL") for row in rows) == 1
 
 
 @pytest.mark.parametrize("rate", ["100", "1e300"])

@@ -1,10 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from multiblock import cyclic_algebra
 from multiblock.cli import main
-from multiblock.cyclic_algebra import NaturalOrder, order_lattice, trivial_algebra
+from multiblock.cyclic_algebra import (CyclicAlgebra, NaturalOrder, order_lattice,
+                                       trivial_algebra)
+from multiblock.errors import CatalogInconsistent, PrecisionFailure
+from multiblock.exact import inverse
 from multiblock.lattice import field_lattice, min_pdet, pdet
+
+from oracles import reference_z_discriminant
 
 # z-discriminants frozen after dual-route verification (exact trace form vs
 # the float Gram volume identity Vol = 2^{-kn^2} sqrt|d|)
@@ -120,6 +127,81 @@ def test_zdisc_zeta20(zeta20_order, zeta20):
 def test_zdisc_trivial_algebra_is_field_disc(q_i):
     order = NaturalOrder(trivial_algebra(q_i))
     assert order.z_discriminant() == q_i.discriminant() == -4
+
+
+def _variant(alg, name, **changes):
+    """alg rebuilt under a new name with some constructor arguments
+    replaced."""
+    kwargs = dict(center=alg.center, n=alg.n, rel_poly=alg.rel_poly,
+                  sigma_eta=alg.sigma_eta, gamma=alg.gamma, rel_basis=alg.rel_basis)
+    kwargs.update(changes)
+    return CyclicAlgebra(name, **kwargs)
+
+
+def _ninth_roots(q_omega, gamma):
+    """(Q(zeta9) / Q(omega), eta -> omega eta, gamma) with E = K[y]/(y^3 -
+    omega) and the relative integral basis 1, eta, eta^2: the one catalog-
+    free algebra of degree 3, whose Gram has the off-diagonal nonzero blocks
+    (1, 2) and (2, 1)."""
+    one, zero, omega = q_omega.one(), q_omega.zero(), q_omega.theta()
+    return CyclicAlgebra("ninth", q_omega, 3, [-omega, zero, zero, one],
+                         (zero, omega, zero), gamma,
+                         [(one, zero, zero), (zero, one, zero), (zero, zero, one)])
+
+
+def test_zdisc_matches_pairwise_reference(golden_order, zeta20_order):
+    for order in (golden_order, zeta20_order):
+        assert order.z_discriminant() == reference_z_discriminant(order)
+
+
+def test_zdisc_of_every_trivial_algebra_matches_reference(catalog):
+    for name in sorted(catalog.fields):
+        order = NaturalOrder(trivial_algebra(catalog.field(name)))
+        assert order.z_discriminant() == reference_z_discriminant(order), name
+
+
+@pytest.mark.parametrize("gamma, expected", [
+    ((1, 1), -7625597484987),
+    ((2, 0), -31234447298506752),
+    ((1, 3), -897143918511235563),
+], ids=["1+omega", "2", "1+3omega"])
+def test_zdisc_degree_three_matches_reference(q_omega, gamma, expected):
+    order = NaturalOrder(_ninth_roots(q_omega, q_omega.element(gamma)))
+    assert order.z_discriminant() == expected
+    assert reference_z_discriminant(order) == expected
+
+
+def test_non_integer_zdisc_is_a_precision_failure(golden):
+    # a basis scaled by 1/3 spans a lattice that is no order: the block row
+    # denominators, divided out after the determinant, leave 3^-8
+    K = golden.center
+    e0, e1 = golden.rel_basis
+    g3 = _variant(golden, "g3",
+                  rel_basis=[golden.e_scale(e0, K.rational(Fraction(1, 3))), e1])
+    order = NaturalOrder(g3)
+    with pytest.raises(PrecisionFailure) as info:
+        order.z_discriminant()
+    assert str(info.value) == "g3: order discriminant 160000/6561 is not an integer"
+
+
+def test_order_inverse_is_lazy_and_exact(golden, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cyclic_algebra, "inverse",
+                        lambda m: calls.append(1) or inverse(m))
+    order = NaturalOrder(golden)
+    assert calls == []
+    flat = [order.flatten(b) for b in order.z_basis]
+    mat = [[col[i] for col in flat] for i in range(order.rank)]
+    assert order._flat_inv == inverse(mat)
+    assert order.contains(golden.one())
+    assert calls == [1]
+
+
+def test_dependent_z_basis_is_refused_at_construction(golden):
+    e0, _ = golden.rel_basis
+    with pytest.raises(CatalogInconsistent) as info:
+        NaturalOrder(_variant(golden, "gd", rel_basis=[e0, e0]))
+    assert str(info.value) == "gd: z-basis is not linearly independent"
 
 
 def test_volume_identity_dual_route(golden_order, zeta20_order,
