@@ -309,8 +309,9 @@ def _add_model_args(p):
 
 def _check_args(args):
     """The checks that several commands share, made before any work: one
-    lattice selected, a search budget of at least one node, and a finite
-    positive ball radius."""
+    lattice selected, a search budget of at least one node, a finite
+    positive ball radius, and a seed in [0, 2^64) (the Philox key takes the
+    seed modulo 2^64, so any other would alias one of these)."""
     if hasattr(args, "field"):
         options = ["--field", "--algebra"] + (["--all"] if hasattr(args, "all")
                                               else [])
@@ -323,11 +324,27 @@ def _check_args(args):
     radius = getattr(args, "radius", None)
     if radius is not None and not 0 < radius < math.inf:
         raise ValueError(f"--radius must be finite and > 0, not {radius}")
+    seed = getattr(args, "seed", 0)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"--seed must be in [0, 2^64), not {seed}")
+
+
+def float_list(text):
+    """A comma-separated list of floats."""
+    return [float(x) for x in text.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error: ...` line and exit 2,
+    like every other configuration error; its subparsers share the class."""
+
+    def error(self, message):
+        self.exit(CONFIG_ERROR, f"error: {message}\n")
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="multiblock",
-                                 description="multiblock lattice code laboratory")
+    ap = _Parser(prog="multiblock",
+                 description="multiblock lattice code laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="geometric invariants of catalog lattices")
@@ -352,7 +369,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="word error rate over a fading channel")
     _add_lattice_args(p)
     _add_model_args(p)
-    p.add_argument("--snr-db", dest="snr_db", type=lambda s: [float(x) for x in s.split(",")],
+    p.add_argument("--snr-db", dest="snr_db", type=float_list,
                    required=True, help="comma-separated SNR grid in dB")
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--trials", type=int, default=1000)
@@ -371,7 +388,7 @@ def build_parser():
     p.add_argument("--nr", type=int, required=True)
     p.add_argument("--model", default="iid_rayleigh", choices=KINDS)
     p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--snr-db", dest="snr_db", type=lambda s: [float(x) for x in s.split(",")],
+    p.add_argument("--snr-db", dest="snr_db", type=float_list,
                    required=True)
     p.add_argument("--cl", type=float, required=True,
                    help="lattice family constant C_L")
@@ -385,7 +402,7 @@ def build_parser():
     p = sub.add_parser("chernoff", help="v_delta and exponent K")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nr", type=int, required=True)
-    p.add_argument("--delta", type=lambda s: [float(x) for x in s.split(",")],
+    p.add_argument("--delta", type=float_list,
                    required=True, help="comma-separated deltas in nats")
     p.add_argument("--output")
     p.set_defaults(func=cmd_chernoff)

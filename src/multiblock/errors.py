@@ -38,11 +38,7 @@ class CarveFailed(Exception):
 
 
 class BudgetExceeded(Exception):
-    """Enumeration node budget exhausted; carries the best value seen so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Enumeration node budget exhausted."""
 
 
 class DomainError(ValueError):

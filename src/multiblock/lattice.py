@@ -5,8 +5,10 @@ iterating blocks in order, each block in column-major order, emitting
 (Re, Im) per complex entry.  The Gram matrix of that real vector equals
 Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 
-Shortest vectors and closest points use Schnorr-Euchner enumeration; list
-mode enumerates every point of a ball.  Every search runs on an unscaled
+Every search is one Schnorr-Euchner walk, and each caller gives it a
+leaf rule: the error test stops at the first nonzero point closer than 0,
+shortest and closest vectors keep the least leaf and shrink the radius to
+it, and a ball keeps every leaf.  Every search runs on an unscaled
 preparation: a search on alpha L divides its target and radius by alpha
 instead.  Each lattice a command searches gets LLL(0.99) preprocessing
 once: the lattice's own basis, and on a constant channel the faded lattice
@@ -219,85 +221,69 @@ def lll_reduce(basis):
 # ---------------------------------------------------------------------------
 # Schnorr-Euchner enumeration
 
-class _Search:
-    """One enumeration run over ||R z - y||^2 <= radius2."""
-
-    __slots__ = ("leaves", "best_z", "best_metric", "nodes")
-
-    def __init__(self):
-        self.leaves = []
-        self.best_z = None
-        self.best_metric = None
-        self.nodes = 0
-
-
-def _enumerate(rows, diag, y, radius2, budget, mode="min", exclude_zero=False,
-               early_exit_below=None):
-    """Depth-first Schnorr-Euchner search over ||R z - y||^2, with the rows
-    and the diagonal of the upper triangular R and the target y given as
-    lists of floats.
-
-    mode "min": track the single best leaf, shrinking the radius.
-    mode "list": record every leaf with metric <= radius2 (radius fixed).
-    early_exit_below: stop at the first non-zero leaf strictly below this
-    metric (used for fast error detection).
-    """
+def _enumerate(rows, diag, y, radius2, budget, leaf):
+    """Depth-first Schnorr-Euchner walk over the z with ||R z - y||^2 <= C,
+    given the rows and the diagonal of the upper triangular R and the target
+    y as lists of floats, from C = radius2.  At each leaf z (a list the walk
+    goes on to change) with metric m <= C it calls leaf(z, m), which returns
+    the squared radius C to continue under, or None to stop.  Returns the
+    nodes visited; BudgetExceeded when the walk would visit more than
+    `budget`."""
     r = len(diag)
-    out = _Search()
-    C = float(radius2)
-    bound_slack = 1e-9 * max(C, 1.0) if mode == "list" else 0.0
-
+    C = radius2
     z = [0] * r
     step = [0] * r
     dist = [0.0] * r      # accumulated metric from levels above
     center = [0.0] * r
-
-    def prepare(level):
+    nodes = 0
+    level = r
+    new_dist = 0.0
+    while True:
+        # descend one level: center the new level on the partial point above
+        level -= 1
+        dist[level] = new_dist
         p = y[level]
         row = rows[level]
         for j in range(level + 1, r):
             p -= row[j] * z[j]
         c = p / diag[level]
         center[level] = c
-        z[level] = int(round(c))
-        step[level] = 1 if c >= z[level] else -1
+        zl = round(c)
+        z[level] = zl
+        step[level] = 1 if c >= zl else -1
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+            t = (center[level] - z[level]) * diag[level]
+            new_dist = dist[level] + t * t
+            if new_dist <= C:
+                if level > 0:
+                    break
+                C = leaf(z, new_dist)
+                if C is None:
+                    return nodes
+            else:
+                level += 1
+                if level == r:
+                    return nodes
+            # next sibling, zig-zagging outward from the center
+            s = step[level]
+            z[level] += s
+            step[level] = -s - (1 if s > 0 else -1)
 
-    level = r - 1
-    dist[level] = 0.0
-    prepare(level)
-    while True:
-        out.nodes += 1
-        if out.nodes > budget:
-            raise BudgetExceeded(f"enumeration exceeded {budget} nodes", best=out)
-        t = (center[level] - z[level]) * diag[level]
-        new_dist = dist[level] + t * t
-        if new_dist <= C + bound_slack:
-            if level > 0:
-                level -= 1
-                dist[level] = new_dist
-                prepare(level)
-                continue
-            # leaf
-            is_zero = not any(z)
-            if not (exclude_zero and is_zero):
-                if mode == "list":
-                    out.leaves.append((list(z), new_dist))
-                else:
-                    if out.best_metric is None or new_dist < out.best_metric:
-                        out.best_metric = new_dist
-                        out.best_z = list(z)
-                        C = new_dist
-                    if (early_exit_below is not None and not is_zero
-                            and new_dist < early_exit_below):
-                        return out
-            z[level] += step[level]
-            step[level] = -step[level] - (1 if step[level] > 0 else -1)
-        else:
-            level += 1
-            if level == r:
-                return out
-            z[level] += step[level]
-            step[level] = -step[level] - (1 if step[level] > 0 else -1)
+
+def _least_leaf(radius2, nonzero):
+    """(leaf, best): a leaf rule that keeps in best = [metric, z] the least
+    leaf (nonzero if asked; the first of equal leaves wins) and shrinks the
+    radius to it.  best is [radius2, None] until a leaf is kept."""
+    best = [radius2, None]
+
+    def leaf(z, metric):
+        if (best[1] is None or metric < best[0]) and (not nonzero or any(z)):
+            best[0], best[1] = metric, list(z)
+        return best[0]
+    return leaf, best
 
 
 class PreparedCVP:
@@ -353,63 +339,68 @@ class PreparedCVP:
     def closest(self, target, budget=DEFAULT_BUDGET):
         """CVP; returns (metric2, coords, nodes, exact_flag).  On budget
         exhaustion the best leaf so far (Babai or better) is returned with
-        exact_flag False.  Test-only witness that the enumeration finds the
-        closest point: the exhaustive-box oracle checks it (acceptance
-        criterion 8), and `LatticeDecoder.decode` builds on it."""
+        exact_flag False and nodes = budget.  Test-only witness that the
+        enumeration finds the closest point: the exhaustive-box oracle
+        checks it (acceptance criterion 8), and `LatticeDecoder.decode`
+        builds on it."""
         y, offset2 = self.project(target)
+        leaf, best = _least_leaf(math.inf, nonzero=False)
         try:
-            res = _enumerate(self._rows, self._diag, y.tolist(), np.inf,
-                             budget, mode="min")
+            nodes = _enumerate(self._rows, self._diag, y.tolist(), math.inf,
+                               budget, leaf)
             exact = True
-        except BudgetExceeded as exc:
-            res = exc.best
-            exact = False
-            if res.best_z is None:
+        except BudgetExceeded:
+            if best[1] is None:
                 raise
-        return (res.best_metric + offset2, _apply_u(res.best_z, self.U),
-                res.nodes, exact)
+            nodes, exact = budget, False
+        metric, z = best
+        return metric + offset2, _apply_u(z, self.U), nodes, exact
 
     def exists_closer(self, y, budget=DEFAULT_BUDGET):
         """(found, nodes): found iff some nonzero-coordinate point lies
         strictly closer to the target than 0, given the target's span
         coordinates y from `project`.  The target's distance to the span
         adds the same amount to both distances, so the search reads y alone
-        and looks below ||y||^2."""
+        and stops at its first nonzero leaf within ||y||^2 (1 - 1e-12)."""
         y = y.tolist()
         thr = math.fsum(v * v for v in y) * (1 - 1e-12)
         if thr <= 0:
             return False, 0
-        res = _enumerate(self._rows, self._diag, y, thr, budget, mode="min",
-                         exclude_zero=True, early_exit_below=thr)
-        found = res.best_z is not None and any(res.best_z)
-        return found, res.nodes
+        found = False
+
+        def leaf(z, metric):
+            nonlocal found
+            found = any(z)
+            return None if found else thr
+        nodes = _enumerate(self._rows, self._diag, y, thr, budget, leaf)
+        return found, nodes
 
     def shortest(self, budget=DEFAULT_BUDGET):
         start = float(min(np.sum(self.reduced ** 2, axis=1))) * (1 + 1e-12) + 1e-12
-        try:
-            res = _enumerate(self._rows, self._diag, [0.0] * self.rank, start,
-                             budget, mode="min", exclude_zero=True)
-        except BudgetExceeded as exc:
-            best = exc.best
-            if best.best_z is not None:
-                exc.best = (best.best_metric, _apply_u(best.best_z, self.U),
-                            best.nodes)
-            raise
-        return res.best_metric, _apply_u(res.best_z, self.U), res.nodes
+        leaf, best = _least_leaf(start, nonzero=True)
+        nodes = _enumerate(self._rows, self._diag, [0.0] * self.rank, start,
+                           budget, leaf)
+        metric, z = best
+        return metric, _apply_u(z, self.U), nodes
 
     def ball(self, center, radius, budget=DEFAULT_BUDGET):
-        """All points z B with ||z B - center|| <= radius (closed ball)."""
+        """All points z B with ||z B - center|| <= radius (closed ball, to a
+        relative 1e-9)."""
         y, offset2 = self.project(center)
-        bound = radius * radius - offset2
+        bound = float(radius * radius - offset2)
         if bound < 0:
             return np.zeros((0, self.rank), dtype=int), np.zeros(0), 0
-        res = _enumerate(self._rows, self._diag, y.tolist(), bound, budget,
-                         mode="list")
-        if not res.leaves:
-            return np.zeros((0, self.rank), dtype=int), np.zeros(0), res.nodes
-        coords = np.array([z for z, _ in res.leaves], dtype=np.int64) @ self.U
-        metrics = np.array([m + offset2 for _, m in res.leaves])
-        return coords, metrics, res.nodes
+        bound += 1e-9 * max(bound, 1.0)
+        leaves, metrics = [], []
+
+        def leaf(z, metric):
+            leaves.append(list(z))
+            metrics.append(metric + offset2)
+            return bound
+        nodes = _enumerate(self._rows, self._diag, y.tolist(), bound, budget,
+                           leaf)
+        coords = np.array(leaves, dtype=np.int64).reshape(-1, self.rank) @ self.U
+        return coords, np.array(metrics), nodes
 
 
 def _signed_qr(A):

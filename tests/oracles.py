@@ -30,26 +30,46 @@ def brute_closest(basis_rows, target):
     (r0 = Babai residual, sigma_min = smallest singular value)."""
     B = np.asarray(basis_rows, dtype=float)
     t = np.asarray(target, dtype=float)
-    r = B.shape[0]
+    z_babai = np.rint(np.linalg.pinv(B.T) @ t)
+    r0 = np.linalg.norm(z_babai @ B - t)
+    best = (float("inf"), None)
+    for Z in _box_chunks(B, t, r0):
+        best = _scan(Z, B, t, best)
+    assert best[1] is not None
+    return best
+
+
+def brute_ball(basis_rows, center, radius2):
+    """Exhaustive ball: the coordinates z, as a set of tuples, of every point
+    with ||z B - center||^2 <= radius2, from the integer box that provably
+    holds them."""
+    B = np.asarray(basis_rows, dtype=float)
+    t = np.asarray(center, dtype=float)
+    found = set()
+    for Z in _box_chunks(B, t, math.sqrt(max(radius2, 0.0))):
+        d = Z @ B - t
+        found.update(map(tuple, Z[np.sum(d * d, axis=1) <= radius2].tolist()))
+    return found
+
+
+def _box_chunks(B, t, radius):
+    """The integer points z of the box |z_i - z_ls_i| <= radius ||row_i||
+    (z_ls = pinv t the least-squares solution, row_i a row of the
+    pseudoinverse), in chunks of at most 65536 rows: the box holds every z
+    with ||z B - t|| <= radius."""
     pinv = np.linalg.pinv(B.T)          # maps ambient -> coordinates
     z_ls = pinv @ t
-    z_babai = np.rint(z_ls)
-    r0 = np.linalg.norm(z_babai @ B - t)
-    # per-coordinate containment: |z_i - z_ls_i| <= r0 * ||row_i(pinv)||
-    widths = r0 * np.linalg.norm(pinv, axis=1) + 1e-9
+    widths = radius * np.linalg.norm(pinv, axis=1) + 1e-9
     ranges = [range(int(np.ceil(z - w)), int(np.floor(z + w)) + 1)
               for z, w in zip(z_ls, widths)]
-    best = (float("inf"), None)
     chunk = []
     for cand in itertools.product(*ranges):
         chunk.append(cand)
         if len(chunk) == 65536:
-            best = _scan(np.array(chunk), B, t, best)
+            yield np.array(chunk)
             chunk = []
     if chunk:
-        best = _scan(np.array(chunk), B, t, best)
-    assert best[1] is not None
-    return best
+        yield np.array(chunk)
 
 
 def _scan(Z, B, t, best):

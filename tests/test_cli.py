@@ -55,6 +55,33 @@ def test_seed_required_for_simulate():
     assert info.value.code == 2
 
 
+def test_largest_seed_runs(tmp_path):
+    code, text = run_cli(["simulate", "--field", "q_i", "--model",
+                          "iid_rayleigh", "--snr-db", "10", "--rate", "1",
+                          "--trials", "5", "--seed", str(2 ** 64 - 1)],
+                         tmp_path)
+    assert code == 0
+    assert f"# seed = {2 ** 64 - 1}" in text
+    assert len(parse_csv(text)) == 2
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["simulate", "--field", "q_i", "--snr-db", "8,,12", "--rate", "1",
+      "--seed", "1"], "invalid float_list value: '8,,12'"),
+    (["simulate", "--field", "q_i", "--snr-db", "10", "--rate", "1"],
+     "required: --seed"),
+    (["bogus"], "invalid choice: 'bogus'"),
+])
+def test_parser_error_is_one_line(capsys, argv, needle):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: ")
+    assert needle in err
+
+
 def test_golden_invariants_q_i(tmp_path):
     code, text = run_cli(["invariants", "--field", "q_i"], tmp_path)
     assert code == 0
@@ -613,6 +640,17 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
     ["invariants", "--field", "q_i", "--radius", "0"],
     ["invariants", "--field", "q_i", "--radius", "nan"],
     ["invariants", "--all", "--radius", "inf"],
+    # a seed outside [0, 2^64), which the Philox key would alias
+    ["simulate", "--field", "q_i", "--model", "iid_rayleigh", "--snr-db",
+     "10", "--rate", "1", "--trials", "5", "--seed", "-1"],
+    ["simulate", "--field", "q_i", "--model", "iid_rayleigh", "--snr-db",
+     "10", "--rate", "1", "--trials", "5", "--seed", str(2 ** 64)],
+    CARVE_Q_I[:-2] + ["--seed", "-1"],
+    CARVE_Q_I[:-2] + ["--seed", str(2 ** 64)],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
+     "--seed", "-1"],
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
+     "--seed", str(2 ** 64)],
 ])
 def test_out_of_range_value_exits_2(capsys, argv):
     assert main(argv) == 2

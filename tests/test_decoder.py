@@ -176,6 +176,7 @@ def test_budget_returns_babai_flagged(golden_lattice):
     assert full.nodes > 12
     res = dec.decode(Y, budget=12)
     assert res.approximate
+    assert res.nodes == 12      # a cut-off search reports its budget
     assert res.coords is not None
     assert res.metric >= full.metric - 1e-12
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multiblock import lattice as lab
+from multiblock.cli import main
 from multiblock.errors import BudgetExceeded, EmptyBall, SingularChannel
 from multiblock.lattice import (MatrixLattice, PreparedCVP, fade,
                                 field_lattice, form_eval, hadamard_check,
@@ -334,10 +335,16 @@ def test_rh_lower_bounds_hermite(catalog, golden_lattice, zeta20_lattice):
     assert rep.det_min == pytest.approx(1.0)
 
 
-def test_budget_exceeded_carries_best(golden_lattice):
-    with pytest.raises(BudgetExceeded) as info:
+def test_budget_exceeded_raises_and_exits_3(golden_lattice, capsys):
+    # a search cut off by its node budget raises with its message alone; on
+    # the command line that is one numerical-failure line and exit 3
+    with pytest.raises(BudgetExceeded, match="exceeded 3 nodes"):
         PreparedCVP(golden_lattice.real_basis).shortest(budget=3)
-    assert info.value.best is not None
+    assert main(["invariants", "--field", "q_i", "--budget", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_lattice_search_preparation_is_cached(q_i, monkeypatch):

@@ -1,11 +1,13 @@
 """Property tests for the incremental LLL and for Schnorr-Euchner CVP.
 
 The LLL is checked from its definition on a Gram-Schmidt orthogonalization
-computed here, and against the recompute-based oracles.reference_lll; CVP is
-checked against the exhaustive oracles.brute_closest.  Hypothesis runs
+computed here, and against the recompute-based oracles.reference_lll; the
+Schnorr-Euchner searches are checked against the exhaustive
+oracles.brute_closest and oracles.brute_ball.  Hypothesis runs
 derandomized, so every process draws the same examples.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from multiblock.lattice import (LLL_DELTA, LLL_ETA, PreparedCVP, lll_reduce,
                                 realify)
 from multiblock.rng import complex_gaussian, philox
 
-from oracles import brute_closest, reference_lll
+from oracles import brute_ball, brute_closest, reference_lll
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -71,13 +73,42 @@ def test_lll_output_is_unimodular_image_and_reduced(basis):
 @given(full_rank_bases(max_rank=4, min_sv_ratio=0.05),
        arrays(np.float64, 7, elements=ENTRY))
 def test_cvp_matches_brute_force(basis, raw_target):
+    # the one walk under each leaf rule against the exhaustive box oracles:
+    # the least leaf (closest), the first nonzero leaf closer than 0
+    # (exists_closer) and every leaf (ball)
     target = raw_target[:basis.shape[1]]
-    metric, coords, _, exact = PreparedCVP(basis).closest(target)
+    prep = PreparedCVP(basis)
+    metric, coords, _, exact = prep.closest(target)
     assert exact
-    oracle_metric, _ = brute_closest(basis, target)
+    oracle_metric, oracle_z = brute_closest(basis, target)
     assert metric == pytest.approx(oracle_metric, rel=1e-9, abs=1e-9)
     direct = float(np.sum((np.asarray(coords, float) @ basis - target) ** 2))
     assert direct == pytest.approx(metric, rel=1e-9, abs=1e-9)
+
+    # the ball about the target through its closest point and that point's
+    # neighbours along the shortest basis row; boundary points may go either
+    # way within the ball's closed-ball slack
+    radius = math.sqrt(oracle_metric) + float(np.min(np.linalg.norm(basis, axis=1)))
+    tol = 1e-7 * max(radius * radius, 1.0)
+    got, metrics, _ = prep.ball(target, radius)
+    assert len(got) >= 3
+    points = set(map(tuple, got.tolist()))
+    assert len(points) == len(got)
+    assert (brute_ball(basis, target, radius * radius - tol) <= points
+            <= brute_ball(basis, target, radius * radius + tol))
+    direct = np.sum((got @ basis - target) ** 2, axis=1)
+    assert np.allclose(metrics, direct, rtol=1e-9, atol=1e-9)
+
+    # a nonzero point closer than 0 exists iff the closest point is one;
+    # a nonzero closest point in a near-tie with 0 may go either way.  The
+    # target is mostly far from 0 and half of it often is not, so both
+    # outcomes are drawn
+    for w, (w_metric, w_z) in ((target, (oracle_metric, oracle_z)),
+                               (0.5 * target, brute_closest(basis, 0.5 * target))):
+        w2 = float(w @ w)
+        assume(not (any(w_z) and abs(w_metric - w2) < 1e-9 * w2))
+        found, _ = prep.exists_closer(prep.project(w)[0])
+        assert found == (any(w_z) and w_metric < w2)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
