@@ -104,6 +104,18 @@ class Output:
             sys.stdout.write(text)
 
 
+def _snr_power(snr_db):
+    """The power P = 10^(snr_db / 10), refused unless it is a finite
+    positive double."""
+    try:
+        P = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        P = math.inf
+    if not 0 < P < math.inf:
+        raise ValueError(f"--snr-db {snr_db:g} does not give a finite positive power")
+    return P
+
+
 def _config_dict(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -156,8 +168,8 @@ def cmd_invariants(args):
              "meets_target"])
     for kind, name in names:
         lat, _, f = _load_lattice(cat, **{kind: name})
-        rep = invariant_report(lat, name=name, det_min=lat.det_min,
-                               radius=args.radius, budget=args.budget)
+        rep = invariant_report(lat, name=name, radius=args.radius,
+                               budget=args.budget)
         target = f.table_target()
         meets = f.meets_table_target()
         out.row([name, kind, lat.n, lat.k, lat.rank, lat.volume, rep.hermite,
@@ -170,9 +182,9 @@ def cmd_invariants(args):
 
 
 def cmd_carve(args):
+    P = _snr_power(args.snr_db)
     cat = load_catalog()
     lat, name, _ = _load_lattice(cat, args.field, args.algebra)
-    P = 10.0 ** (args.snr_db / 10.0)
     book = carve(lat, P, args.rate, args.trials, args.seed, budget=args.budget)
     out = Output(args.output)
     out.header(_config_dict(args, ["field", "algebra", "snr_db", "rate",
@@ -190,6 +202,7 @@ def cmd_simulate(args):
         raise ValueError("--trials must be >= 1")
     if not args.infinite and args.carve_trials < 1:
         raise ValueError("--carve-trials must be >= 1")
+    powers = [_snr_power(snr_db) for snr_db in args.snr_db]
     cat = load_catalog()
     lat, name, _ = _load_lattice(cat, args.field, args.algebra)
     model = _model_from_args(args, lat.n)
@@ -201,8 +214,7 @@ def cmd_simulate(args):
                                    "decoder", "infinite", "noiseless"]))
     out.row(["name", "snr_db", "rate", "decoder", "trials", "word_errors",
              "wer", "stderr", "avg_nodes", "flag"])
-    for snr_db in args.snr_db:
-        P = 10.0 ** (snr_db / 10.0)
+    for snr_db, P in zip(args.snr_db, powers):
         if args.infinite:
             pt = sim.simulate_infinite_wer(lat, model, P, args.rate,
                                            args.trials, args.seed,
@@ -231,13 +243,13 @@ def cmd_simulate(args):
 
 
 def cmd_rates(args):
+    powers = [_snr_power(snr_db) for snr_db in args.snr_db]
     model = FadingModel(kind=args.model, n=args.n, n_r=args.nr, rho=args.rho)
     out = Output(args.output)
     out.header(_config_dict(args, ["n", "nr", "model", "rho", "snr_db", "cl",
                                    "delta", "samples", "seed"]))
     out.row(["P_dB", "C_est", "C_stderr", "R_thm", "gap", "v_delta", "K"])
-    for snr_db in args.snr_db:
-        P = 10.0 ** (snr_db / 10.0)
+    for snr_db, P in zip(args.snr_db, powers):
         rep = ratecalc.rate_report(model, P, args.cl, samples=args.samples,
                                    seed=args.seed, delta=args.delta)
         out.row([snr_db, rep.capacity, rep.capacity_stderr,

@@ -17,6 +17,9 @@ from .rng import philox
 
 log = logging.getLogger(__name__)
 
+# a carved book keeps at most 2^(ceil(R n k) + TRUNCATE_MARGIN) codewords
+TRUNCATE_MARGIN = 2
+
 
 def log_c_nk(n, k):
     """ln C_{n,k} with C_{n,k} = (pi n k)^{n^2 k} / (n^2 k)!, in log space."""
@@ -42,7 +45,14 @@ def scaling_alpha(P, R, n, k, vol):
     m = n * n * k
     log_alpha2 = (log_c_nk(n, k) / m + math.log(P)
                   - (R / n) * math.log(2.0) - math.log(vol) / m)
-    return math.sqrt(math.exp(log_alpha2))
+    try:
+        alpha = math.sqrt(math.exp(log_alpha2))
+    except OverflowError:
+        alpha = math.inf
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"scaling alpha for P = {P:g} and R = {R:g} is not "
+                         "a finite positive double")
+    return alpha
 
 
 @dataclass
@@ -74,18 +84,20 @@ def count_points_in_ball(lat, shift, radius, budget=DEFAULT_BUDGET):
     return len(coords), coords, metrics
 
 
-def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET, truncate_margin=2):
+def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET):
     """Search `trials` uniform shifts in the fundamental parallelotope of
     alpha L for one whose translate packs >= 2^floor(R n k) ball points."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = lat.n, lat.k
-    alpha = scaling_alpha(P, R, n, k, lat.volume)
     # a ball of 2^floor(Rnk) points takes at least that many search nodes;
-    # compare exponents, so that no huge power is ever formed
-    if R * n * k >= int(budget).bit_length():
+    # compare exponents, so that no huge power is ever formed.  This comes
+    # before alpha, which underflows at such rates; a rate that is not
+    # finite is scaling_alpha's to refuse
+    if math.isfinite(R) and R * n * k >= int(budget).bit_length():
         raise BudgetExceeded(f"rate {R} asks for 2^floor({R * n * k:g}) "
                              f"codewords, more than {budget} nodes can find")
+    alpha = scaling_alpha(P, R, n, k, lat.volume)
     radius = math.sqrt(P * n * k)
     target = 2 ** math.floor(R * n * k)
     gen = philox(seed, 0xCA)
@@ -112,7 +124,7 @@ def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET, truncate_margin=2):
             f"power filter left {len(coords)} points, target {target}",
             best_count=int(len(coords)))
 
-    cap = 2 ** (math.ceil(R * n * k) + truncate_margin)
+    cap = 2 ** (math.ceil(R * n * k) + TRUNCATE_MARGIN)
     if len(coords) > cap:
         log.info("truncating codebook from %d to %d lowest-energy codewords",
                  len(coords), cap)

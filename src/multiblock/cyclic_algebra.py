@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import CatalogInconsistent, PrecisionFailure
-from .exact import bareiss_det, common_denominator, inverse
+from .exact import bareiss_det, inverse
 from .numfield import polished_roots
 
 ETA_RESIDUAL_TOL = 1e-13
@@ -320,35 +320,26 @@ class NaturalOrder:
                 coords[j] = c
                 basis.append(AlgebraElement(algebra, coords))
         self.z_basis = tuple(basis)
-        if bareiss_det(self._flat_matrix()) == 0:
+        # the flat matrix, column j the flat coordinates of z_basis[j], as
+        # integer rows over one denominator
+        cols, self._flat_den = _flat_ints([_center_coeffs(b) for b in basis])
+        self._flat = list(zip(*cols))
+        if bareiss_det(self._flat) == 0:
             raise CatalogInconsistent(f"{algebra.name}: z-basis is not linearly independent")
         self._zdisc = None
-
-    def _flat_matrix(self):
-        """Rational matrix whose column j is flatten(z_basis[j])."""
-        flat = [self.flatten(b) for b in self.z_basis]
-        return [[flat[j][i] for j in range(self.rank)] for i in range(self.rank)]
 
     @cached_property
     def _flat_inv(self):
         """Exact inverse of the flat z-basis matrix, as (integer numerator
         rows, denominator); computed when coordinates() is first called."""
-        return inverse(self._flat_matrix())
-
-    def flatten(self, a):
-        """All rational coordinates of an algebra element, in z-basis order."""
-        out = []
-        for e in a.coords:
-            for x in e:
-                out.extend(x.coords)
-        return out
+        return inverse(self._flat, self._flat_den)
 
     def coordinates(self, a):
         """Exact coordinates of a over the z-basis.  With contains(), a
         test-only witness that the natural order is a ring (closed under
         the algebra product)."""
         inv, inv_den = self._flat_inv
-        nums, den = common_denominator(self.flatten(a))
+        (nums,), den = _flat_ints([_center_coeffs(a)])
         den *= inv_den
         return [Fraction(sum(m * c for m, c in zip(row, nums)), den)
                 for row in inv]
@@ -365,7 +356,7 @@ class NaturalOrder:
         acc = alg.element([alg.e_zero() for _ in range(alg.n)])
         for z, b in zip(zcoords, self.z_basis):
             if z:
-                acc = acc + b * Fraction(z)
+                acc = acc + b * z
         return acc
 
     def z_discriminant(self):
@@ -406,7 +397,7 @@ class NaturalOrder:
                     row[s * N:(s + 1) * N] = [sum(a * b for a, b in zip(y, tc))
                                               for tc in TC]
                     gram.append(row)
-            d = bareiss_det(gram) / scale
+            d = Fraction(bareiss_det(gram), scale)
             if d.denominator != 1:
                 raise PrecisionFailure(
                     f"{alg.name}: order discriminant {d} is not an integer")
@@ -431,11 +422,18 @@ class NaturalOrder:
 
 
 def _flat_ints(elements):
-    """Flat rational coordinates of E-elements (over w_a, one eta^t
-    coefficient after another, as NaturalOrder.flatten orders them) as
-    integer rows over one common denominator."""
+    """Flat rational coordinates of sequences of center elements (E-elements,
+    or algebra elements through _center_coeffs) as integer rows over one
+    common denominator: row i lists the coordinates of each center element
+    of elements[i] in turn."""
     den = math.lcm(*(c.den for x in elements for c in x))
     return [[m * (den // c.den) for c in x for m in c.nums] for x in elements], den
+
+
+def _center_coeffs(a):
+    """The center coefficients of an algebra element in flat order: u^j
+    after u^(j-1), and within each the eta^t coefficients in turn."""
+    return [c for e in a.coords for c in e]
 
 
 def order_lattice(order):

@@ -14,7 +14,9 @@ class CatalogInconsistent(CatalogError):
 
 
 class PrecisionFailure(Exception):
-    """A value that must round to an integer did not, within tolerance."""
+    """A computed value lost the exactness or range it must keep: it did not
+    round to an integer within tolerance, outgrew exact double arithmetic,
+    or is not finite."""
 
 
 class DegenerateLattice(Exception):

@@ -3,9 +3,10 @@ determinants and inverses.
 
 A rational vector or matrix is held as integer numerators over one common
 denominator, so the hot paths build no per-coefficient Fraction; a Fraction
-appears only where a result leaves as one.  Determinants and inverses use
-fraction-free elimination (Bareiss 1968; Cohen, *A Course in Computational
-Algebraic Number Theory*, Alg. 2.2.6), whose every division is exact.  Used
+appears only where a result leaves as one.  Determinants and inverses take
+integer rows (an inverse also their one denominator) and use fraction-free
+elimination (Bareiss 1968; Cohen, *A Course in Computational Algebraic
+Number Theory*, Alg. 2.2.6), whose every division is exact.  Used
 wherever a result must be a provably exact integer (field discriminants,
 order discriminants, algebraic norms).  Geometry elsewhere runs in doubles.
 """
@@ -75,17 +76,6 @@ def power_sums(min_poly, upto):
     return p
 
 
-def _integer_rows(matrix):
-    """Each row scaled to integers by its least common denominator:
-    (integer rows, per-row denominators)."""
-    rows, dens = [], []
-    for row in matrix:
-        nums, den = common_denominator(row)
-        rows.append(nums)
-        dens.append(den)
-    return rows, dens
-
-
 def _pivot(a, k):
     """Bring a row with a nonzero entry in column k into row k, searching
     rows k, k+1, ...: 1 if row k already had one, -1 after a swap, 0 if the
@@ -99,21 +89,21 @@ def _pivot(a, k):
     return 0
 
 
-def bareiss_det(matrix):
-    """Exact determinant of a square matrix of integers or rationals, as a
-    Fraction.
+def bareiss_det(rows):
+    """Exact determinant of a square matrix of integers, as an int.
 
-    Each row is cleared of denominators, and the integer matrix is reduced
-    by fraction-free Bareiss elimination: every entry of the trailing block
-    is a minor of the integer matrix, so each division by the previous
-    pivot is exact and no entry outgrows the minors."""
-    a, dens = _integer_rows(matrix)
+    Every entry must be an int: a rational matrix is passed as its integer
+    numerators over one denominator d, and its determinant is this one over
+    d^n.  Fraction-free Bareiss elimination: every entry of the trailing
+    block is a minor of the matrix, so each division by the previous pivot
+    is exact and no entry outgrows the minors."""
+    a = [list(row) for row in rows]
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
         swap = _pivot(a, k)
         if not swap:
-            return Fraction(0)
+            return 0
         sign *= swap
         p, row_k = a[k][k], a[k]
         for row_i in a[k + 1:]:
@@ -121,22 +111,21 @@ def bareiss_det(matrix):
             for j in range(k + 1, n):
                 row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
         prev = p
-    det = sign * a[n - 1][n - 1] if n else 1
-    return Fraction(det, math.prod(dens))
+    return sign * a[n - 1][n - 1] if n else 1
 
 
-def inverse(matrix):
-    """Exact inverse of a square invertible rational matrix as (integer
-    numerator rows, positive denominator) in lowest terms.
+def inverse(rows, den):
+    """Exact inverse of the invertible rational matrix rows / den (integer
+    rows, a nonzero integer den) as (integer numerator rows, positive
+    denominator) in lowest terms.
 
-    Fraction-free Gauss-Jordan on [A | I] with A cleared of denominators
-    row by row: each step divides exactly by the previous pivot, and at the
-    end the left block is d*I and the right block d*A^-1, d = det of the
-    row-permuted A.  Raises ZeroDivisionError when A is singular."""
-    a, dens = _integer_rows(matrix)
-    n = len(a)
-    for i, row in enumerate(a):
-        row.extend(int(i == j) for j in range(n))
+    Fraction-free Gauss-Jordan on [A | I], A the integer rows: each step
+    divides exactly by the previous pivot, and at the end the left block is
+    d*I and the right block d*A^-1, d = det of the row-permuted A, so
+    (A / den)^-1 = den * (right block) / d.  Raises ZeroDivisionError when A
+    is singular."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     prev = 1
     for k in range(n):
         if not _pivot(a, k):
@@ -151,9 +140,8 @@ def inverse(matrix):
                     row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
             row_i[k] = 0
         prev = p
-    # A = diag(1/dens) * A_int, so A^-1 = A_int^-1 * diag(dens)
     det = prev
-    nums = [[row[n + j] * dens[j] for j in range(n)] for row in a]
+    nums = [[den * x for x in row[n:]] for row in a]
     if det < 0:
         det, nums = -det, [[-x for x in row] for row in nums]
     g = math.gcd(det, *(x for row in nums for x in row))

@@ -546,15 +546,14 @@ def homogeneous_minimum(form, lat, radius=None, budget=DEFAULT_BUDGET):
     return float(min(form_eval(form, p) for p in pts))
 
 
-def invariant_report(lat, name="", det_min=None, radius=None,
-                     budget=DEFAULT_BUDGET):
-    """Bundle the geometric invariants of one lattice.  A given det_min is
-    certified algebraically (NVD orders); without one, det_min comes from
-    ball enumeration and is only an upper bound."""
+def invariant_report(lat, name="", radius=None, budget=DEFAULT_BUDGET):
+    """Bundle the geometric invariants of one lattice.  The lattice's own
+    det_min is certified algebraically (NVD orders); without one, det_min
+    comes from ball enumeration and is only an upper bound."""
     h, witness, _ = hermite_invariant(lat, budget)
     if radius is None:
         radius = 1.5 * np.sqrt(lat.n * lat.k)
-    certificate = "algebraic"
+    det_min, certificate = lat.det_min, "algebraic"
     if det_min is None:
         det_min, _ = min_pdet(lat, radius, budget)
         certificate = "enumerated-upper-bound"

@@ -177,10 +177,7 @@ class NumberField:
         """Exact inverse of the change of basis, as (integer numerator rows,
         denominator); computed when the field first maps a theta polynomial
         back to the integral basis."""
-        # (M / D)^-1 = D M^-1 for the integer matrix M over the denominator D
-        nums, den = inverse(self._basis_mat)
-        g = math.gcd(den, self._basis_den)
-        return [[m * (self._basis_den // g) for m in row] for row in nums], den // g
+        return inverse(self._basis_mat, self._basis_den)
 
     # -- construction checks ------------------------------------------------
 
@@ -287,8 +284,8 @@ class NumberField:
         for _ in range(n):
             cols.append(current)
             current = poly_mod([0] + current, self.min_poly)
-        matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        return bareiss_det(matrix) / den ** n
+        # the columns as rows: a transpose has the same determinant
+        return Fraction(bareiss_det(cols), den ** n)
 
     # -- embeddings ----------------------------------------------------------
 
@@ -327,7 +324,7 @@ class NumberField:
         one was supplied."""
         if self._disc is None:
             gram, den = self.trace_form()
-            d = bareiss_det(gram) / den ** self.degree
+            d = Fraction(bareiss_det(gram), den ** self.degree)
             if d.denominator != 1:
                 raise CatalogInconsistent(
                     f"{self.name}: trace form determinant {d} is not an integer; "

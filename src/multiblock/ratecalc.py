@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel
-from .errors import DomainError
+from .errors import DomainError, PrecisionFailure
 from .rng import complex_gaussian, philox
 
 EULER_GAMMA = 0.5772156649015328606
@@ -199,13 +199,19 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     """Evaluate capacity, achievable rate and gap for one power level.
     mu is log2 det of the fixed Gram for a constant channel, else the
     Rayleigh closed form; the rate is Theorem 1's when n_r >= n, else
-    Theorem 2's."""
+    Theorem 2's.  A capacity estimate that is not finite raises
+    PrecisionFailure."""
     if not 0 < P < math.inf:
         raise DomainError(f"power P must be finite and > 0, not {P}")
     if not 0 < C_L < math.inf:
         raise DomainError(f"C_L must be finite and > 0, not {C_L}")
     n, n_r = model.n, model.n_r
-    cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
+    # an estimate that overflows is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
+    if not (math.isfinite(cap) and math.isfinite(stderr)):
+        raise PrecisionFailure(f"capacity estimate at P = {P:g} is {cap} "
+                               f"with standard error {stderr}, not finite")
     if model.kind == "constant":
         mu = _log2det_gram(model.fixed_H, n, n_r)
     elif n_r >= n:

@@ -260,6 +260,15 @@ def fraction_solve(matrix, rhs):
     return [m[r][n] for r in range(n)]
 
 
+def fraction_inverse(matrix):
+    """Inverse of an invertible rational matrix as rows of Fractions, one
+    fraction_solve per column."""
+    n = len(matrix)
+    cols = [fraction_solve(matrix, [int(i == j) for i in range(n)])
+            for j in range(n)]
+    return [[col[i] for col in cols] for i in range(n)]
+
+
 def _theta_poly(field, coords):
     n = field.degree
     out = [Fraction(0)] * n

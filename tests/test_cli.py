@@ -651,12 +651,35 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
      "--seed", "-1"],
     ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
      "--seed", str(2 ** 64)],
+    # an SNR whose power 10^(dB/10) overflows a double
+    ["rates", "--n", "1", "--nr", "1", "--snr-db", "4000", "--cl", "1"],
+    ["simulate", "--field", "q_i", "--snr-db", "10,4000", "--rate", "1",
+     "--trials", "5", "--seed", "1"],
+    CARVE_Q_I[:3] + ["--snr-db", "4000"] + CARVE_Q_I[5:],
+    # a scaling alpha that overflows or underflows a double
+    ["carve", "--field", "q_i", "--snr-db", "3080", "--rate", "0",
+     "--trials", "1", "--seed", "1"],
+    ["simulate", "--field", "q_i", "--snr-db", "3080", "--rate", "0",
+     "--trials", "1", "--seed", "1", "--infinite"],
+    ["simulate", "--field", "q_i", "--model", "constant", "--snr-db", "10",
+     "--rate", "1e308", "--trials", "5", "--seed", "1", "--decoder",
+     "lattice", "--infinite"],
 ])
 def test_out_of_range_value_exits_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, "error: ")
+
+
+def test_non_finite_capacity_exits_3(capsys):
+    # at 3080 dB, P |h|^2 overflows for some fades: the estimate is inf and
+    # its standard error nan, which no CSV row may carry
+    assert main(["rates", "--n", "1", "--nr", "1", "--snr-db", "3080",
+                 "--cl", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "numerical failure: capacity estimate")
 
 
 def test_output_write_failing_partway_keeps_old_file(tmp_path, monkeypatch,

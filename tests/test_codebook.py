@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ def z2_lattice():
 def test_scaling_alpha_siso_examples():
     assert scaling_alpha(1.0, 0.0, 1, 1, 1.0) ** 2 == pytest.approx(math.pi, rel=1e-12)
     assert scaling_alpha(1.0, 2.0, 1, 1, 1.0) ** 2 == pytest.approx(math.pi / 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("P, R", [(1e308, 0.0), (10.0, 1e308)])
+def test_scaling_alpha_outside_doubles_is_refused(P, R):
+    # alpha^2 = pi P 2^-R overflows at the first pair and underflows to 0
+    # at the second; neither may reach the lattice as inf or 0
+    with pytest.raises(ValueError, match=re.escape(f"P = {P:g} and R = {R:g}")):
+        scaling_alpha(P, R, 1, 1, 1.0)
 
 
 def test_cnk_root_approaches_stirling_form():
@@ -106,11 +115,12 @@ def test_carve_failure_reports_best_count(qi_lattice):
     assert info.value.best_count == 0
 
 
-def test_carve_truncates_oversized_codebook(qi_lattice, caplog):
+def test_carve_truncates_oversized_codebook(qi_lattice, caplog, monkeypatch):
     # seed 1 packs two points at rate 0; a zero truncation margin caps the
     # book at 2^{ceil(Rnk)} = 1 lowest-energy codeword
+    monkeypatch.setattr(codebook, "TRUNCATE_MARGIN", 0)
     with caplog.at_level(logging.INFO, logger="multiblock.codebook"):
-        book = carve(qi_lattice, 1.0, 0.0, trials=1, seed=1, truncate_margin=0)
+        book = carve(qi_lattice, 1.0, 0.0, trials=1, seed=1)
     assert len(book) == 1
     assert any("truncating" in r.message for r in caplog.records)
 

@@ -11,7 +11,7 @@ from multiblock.errors import CatalogInconsistent, PrecisionFailure
 from multiblock.exact import inverse
 from multiblock.lattice import field_lattice, min_pdet, pdet
 
-from oracles import reference_z_discriminant
+from oracles import fraction_inverse, reference_z_discriminant
 
 # z-discriminants frozen after dual-route verification (exact trace form vs
 # the float Gram volume identity Vol = 2^{-kn^2} sqrt|d|)
@@ -187,14 +187,20 @@ def test_non_integer_zdisc_is_a_precision_failure(golden):
 def test_order_inverse_is_lazy_and_exact(golden, monkeypatch):
     calls = []
     monkeypatch.setattr(cyclic_algebra, "inverse",
-                        lambda m: calls.append(1) or inverse(m))
+                        lambda rows, den: calls.append(1) or inverse(rows, den))
     order = NaturalOrder(golden)
     assert calls == []
-    flat = [order.flatten(b) for b in order.z_basis]
+    # column j: the rational coordinates of z_basis[j], u^0 block first
+    flat = [[q for e in b.coords for x in e for q in x.coords]
+            for b in order.z_basis]
     mat = [[col[i] for col in flat] for i in range(order.rank)]
-    assert order._flat_inv == inverse(mat)
+    nums, den = order._flat_inv
+    assert [[Fraction(x, den) for x in row] for row in nums] == fraction_inverse(mat)
     assert order.contains(golden.one())
     assert calls == [1]
+    # coordinates() reads an element's flat coordinates in that same order
+    z = [3, -1, 0, 2, 0, 0, -5, 1]
+    assert order.coordinates(order.element_from_z(z)) == z
 
 
 def test_dependent_z_basis_is_refused_at_construction(golden):

@@ -3,20 +3,22 @@
 Field products, traces, norms and discriminants run on integer numerators
 over a common denominator; they are checked against the per-coefficient
 Fraction route in oracles, and the fraction-free Bareiss determinant and
-Gauss-Jordan inverse against plain Fraction elimination.  Hypothesis runs
-derandomized, so every process draws the same examples.
+Gauss-Jordan inverse, which take integer rows over one denominator, against
+plain Fraction elimination.  Hypothesis runs derandomized, so every process
+draws the same examples.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiblock.exact import bareiss_det, inverse
+from multiblock.exact import bareiss_det, common_denominator, inverse
 from multiblock.numfield import NumberField
 
-from oracles import (fraction_det, fraction_solve, reference_discriminant,
+from oracles import (fraction_det, fraction_inverse, reference_discriminant,
                      reference_field_mul, reference_trace)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -117,37 +119,48 @@ def square_matrices(draw, entries):
         for r in range(zeros):
             m[r][0] = 0
     if n >= 3 and draw(st.booleans()):
-        # singular: the last row is a rational combination of two others
-        s, t = draw(RATIONAL), draw(RATIONAL)
+        # singular: the last row is a combination of two others, with
+        # multipliers drawn like the entries
+        s, t = draw(entries), draw(entries)
         m[-1] = [s * x + t * y for x, y in zip(m[0], m[1])]
     return m
+
+
+def over_one_denominator(m):
+    """A rational square matrix as (integer rows, one denominator): the form
+    that bareiss_det and inverse take."""
+    nums, den = common_denominator(x for row in m for x in row)
+    n = len(m)
+    return [nums[i * n:(i + 1) * n] for i in range(n)], den
 
 
 @PROPERTY
 @given(square_matrices(st.integers(-9, 9)))
 def test_bareiss_det_integer_matrices(m):
+    before = [row[:] for row in m]
     d = bareiss_det(m)
-    assert isinstance(d, Fraction)
+    assert type(d) is int
     assert d == fraction_det(m)
+    assert m == before             # the caller's rows are left as they were
 
 
 @PROPERTY
 @given(square_matrices(st.one_of(st.integers(-9, 9), RATIONAL)))
 def test_bareiss_det_rational_matrices(m):
-    assert bareiss_det(m) == fraction_det(m)
+    rows, den = over_one_denominator(m)
+    assert Fraction(bareiss_det(rows), den ** len(m)) == fraction_det(m)
 
 
 @PROPERTY
 @given(square_matrices(st.one_of(st.integers(-9, 9), RATIONAL)))
 def test_inverse_matches_fraction_solve(m):
-    n = len(m)
+    rows, den = over_one_denominator(m)
     if fraction_det(m) == 0:
-        if n:
+        if m:
             with pytest.raises(ZeroDivisionError):
-                inverse(m)
+                inverse(rows, den)
         return
-    nums, den = inverse(m)
-    assert den > 0
-    for j in range(n):
-        col = fraction_solve(m, [int(i == j) for i in range(n)])
-        assert [Fraction(nums[i][j], den) for i in range(n)] == col
+    nums, inv_den = inverse(rows, den)
+    assert inv_den > 0
+    assert math.gcd(inv_den, *(x for row in nums for x in row)) == 1
+    assert [[Fraction(x, inv_den) for x in row] for row in nums] == fraction_inverse(m)

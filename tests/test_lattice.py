@@ -326,11 +326,13 @@ def test_rh_lower_bounds_hermite(catalog, golden_lattice, zeta20_lattice):
                 for n in ("q_i", "q_omega", "cyclo5", "quartic117")]
     lattices += [golden_lattice, zeta20_lattice]
     for lat in lattices:
-        rep = invariant_report(lat, det_min=1.0)
+        assert lat.det_min == 1.0
+        rep = invariant_report(lat)
         assert rep.det_min_certificate == "algebraic"
         assert rep.rh_lower <= rep.hermite + 1e-9
         assert rep.delta > 0 and rep.volume > 0
-    rep = invariant_report(field_lattice(catalog.field("q_i")))
+    # without a certified det_min the report enumerates one
+    rep = invariant_report(MatrixLattice(field_lattice(catalog.field("q_i")).blocks))
     assert rep.det_min_certificate == "enumerated-upper-bound"
     assert rep.det_min == pytest.approx(1.0)
 
@@ -360,7 +362,7 @@ def test_lattice_search_preparation_is_cached(q_i, monkeypatch):
     assert lat.cvp is lat.cvp
     assert len(calls) == 1
     # Hermite invariant and enumerated det_min share that one preparation
-    rep = invariant_report(field_lattice(q_i), name="q_i")
+    rep = invariant_report(MatrixLattice(field_lattice(q_i).blocks), name="q_i")
     assert rep.det_min_certificate == "enumerated-upper-bound"
     assert rep.hermite == pytest.approx(1.0) and rep.det_min == pytest.approx(1.0)
     assert len(calls) == 2
