@@ -1,7 +1,7 @@
 """Multiblock space-time lattice codes: construction, invariants, simulation."""
 
 from .catalog import Catalog, load_catalog
-from .channel import ChannelRealization, FadingModel, sample, transmit
+from .channel import FadingModel, sample, transmit
 from .codebook import Codebook, carve, scaling_alpha
 from .cyclic_algebra import (AlgebraElement, CyclicAlgebra, NaturalOrder,
                              order_lattice, trivial_algebra)
@@ -12,19 +12,18 @@ from .lattice import (InvariantReport, MatrixLattice, fade, field_lattice,
 from .numfield import FieldElement, NumberField
 from .ratecalc import (chernoff_exponent, chernoff_vdelta, digamma,
                        ergodic_capacity_mc, expected_logdet_rayleigh,
-                       rate_slow_fading, rate_theorem1, rate_theorem2)
+                       rate_theorem1, rate_theorem2)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "Catalog", "ChannelRealization", "Codebook",
+    "AlgebraElement", "Catalog", "Codebook",
     "CyclicAlgebra", "DecodeResult", "FadingModel", "FieldElement",
     "InvariantReport", "LatticeDecoder", "MatrixLattice", "NaturalOrder",
     "NumberField", "carve", "chernoff_exponent", "chernoff_vdelta",
     "digamma", "ergodic_capacity_mc", "expected_logdet_rayleigh", "fade",
     "field_lattice", "hermite_invariant", "invariant_report",
     "load_catalog", "min_pdet", "ml_decode",
-    "normalized_min_det", "order_lattice", "qr_reduce", "rate_slow_fading",
-    "rate_theorem1", "rate_theorem2", "sample", "scaling_alpha", "transmit",
-    "trivial_algebra",
+    "normalized_min_det", "order_lattice", "qr_reduce", "rate_theorem1",
+    "rate_theorem2", "sample", "scaling_alpha", "transmit", "trivial_algebra",
 ]

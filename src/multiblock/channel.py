@@ -4,6 +4,7 @@ Sampling is pure given (model, seed): constant, i.i.d. Rayleigh, or a
 Gauss-Markov chain H_i = rho H_{i-1} + sqrt(1 - rho^2) G_i, which is the
 simplest stationary ergodic family with tunable memory.
 
+A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
 A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
 `transmit_stack` serve a whole stack of paths (s, *indices) in one pass, as
 the WER drivers do for a chunk of trials; each realization and each noise
@@ -32,28 +33,25 @@ class FadingModel:
 
     def __post_init__(self):
         """Validate the model; a constant model given no fixed_H gets the
-        n_r x n identity block."""
+        n_r x n identity block.  A parameter the kind would not read is
+        refused: fixed_H unless constant, a nonzero rho unless
+        gauss_markov."""
         if self.kind not in KINDS:
             raise ValueError(f"unknown fading model {self.kind!r}")
         if self.n < 1 or self.n_r < 1:
             raise ValueError(f"n and n_r must be >= 1, not n = {self.n}, "
                              f"n_r = {self.n_r}")
+        if self.fixed_H is not None and self.kind != "constant":
+            raise ValueError(f"a fixed H applies only to the constant "
+                             f"model, not {self.kind}")
         if self.kind == "constant" and self.fixed_H is None:
             object.__setattr__(self, "fixed_H",
                                np.eye(self.n_r, self.n, dtype=complex))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    blocks: np.ndarray          # (k, n_r, n)
-    model: FadingModel
-    seed: object
-
-    @property
-    def k(self):
-        return self.blocks.shape[0]
+        if self.rho != 0.0 and self.kind != "gauss_markov":
+            raise ValueError(f"rho applies only to the gauss_markov model, "
+                             f"not {self.kind}")
 
 
 def _path(seed):
@@ -90,8 +88,7 @@ def sample(model, k, seed):
     if k < 1:
         raise ValueError("k must be >= 1")
     root, indices = _path(seed)
-    blocks = sample_stack(model, k, root, [indices])[0]
-    return ChannelRealization(blocks=blocks, model=model, seed=seed)
+    return sample_stack(model, k, root, [indices])[0]
 
 
 def transmit_stack(X, H, seed, streams, noiseless):
@@ -105,21 +102,20 @@ def transmit_stack(X, H, seed, streams, noiseless):
     return Y
 
 
-def transmit(X, realization, noise_seed, noiseless=False):
-    """Y_i = H_i X_i + W_i with unit-variance circular symmetric noise.
+def transmit(X, H, noise_seed, noiseless=False):
+    """Y_i = H_i X_i + W_i for the fade H (k, n_r, n), with unit-variance
+    circular symmetric noise.
     Test-only: the one-trial channel of the oracle `reference_trial_loop`,
     against which the chunked trial loop is checked bit for bit."""
     root, indices = _path(noise_seed)
     X = np.asarray(X, dtype=complex)
-    return transmit_stack(X[None], realization.blocks[None], root, [indices],
-                          noiseless)[0]
+    return transmit_stack(X[None], H[None], root, [indices], noiseless)[0]
 
 
-def logdet_statistic(realization):
-    """(1/k) sum_i log2 det of the Gram of each block (H^dag H when
-    n_r >= n, H H^dag otherwise).  Test-only witness of the ergodic
+def logdet_statistic(H):
+    """(1/k) sum_i log2 det of the Gram of each block of the fade H (H^dag H
+    when n_r >= n, H H^dag otherwise).  Test-only witness of the ergodic
     log-determinant limit in which the paper writes its rates."""
-    H = realization.blocks
     k, n_r, n = H.shape
     Hh = H.conj().swapaxes(1, 2)
     grams = Hh @ H if n_r >= n else H @ Hh

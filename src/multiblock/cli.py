@@ -133,7 +133,7 @@ def _load_lattice(cat, field=None, algebra=None):
 
 def _model_from_args(args, n):
     fixed = None
-    if args.model == "constant" and args.fixed_h_file:
+    if args.fixed_h_file:
         with open(args.fixed_h_file, encoding="utf-8") as fh:
             rows = [[complex(tok) for tok in line.split()]
                     for line in fh if line.strip()]
@@ -168,8 +168,7 @@ def cmd_invariants(args):
              "meets_target"])
     for kind, name in names:
         lat, _, f = _load_lattice(cat, **{kind: name})
-        rep = invariant_report(lat, name=name, radius=args.radius,
-                               budget=args.budget)
+        rep = invariant_report(lat, radius=args.radius, budget=args.budget)
         target = f.table_target()
         meets = f.meets_table_target()
         out.row([name, kind, lat.n, lat.k, lat.rank, lat.volume, rep.hermite,

@@ -68,6 +68,8 @@ class CyclicAlgebra:
         self.center = center
         self.n = n
         self.k = center.k
+        if len(rel_poly) != n + 1:
+            raise CatalogInconsistent(f"{name}: rel_poly must have degree n = {n}")
         if rel_poly[-1] != center.one():
             raise CatalogInconsistent(f"{name}: rel_poly must be monic")
         self.rel_poly = tuple(rel_poly)
@@ -161,8 +163,7 @@ class CyclicAlgebra:
         # sigma must send eta to another root of rel_poly ...
         acc = self.e_zero()
         for i, c in enumerate(self.rel_poly[:-1]):
-            acc = self.e_add(acc, self.e_scale(self._sigma_eta_pows[i] if i < self.n
-                                               else self.e_one(), c))
+            acc = self.e_add(acc, self.e_scale(self._sigma_eta_pows[i], c))
         top = self.e_mul(self._sigma_eta_pows[self.n - 1], self.sigma_eta) \
             if self.n > 1 else self.e_one()
         acc = self.e_add(acc, top)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DegenerateLattice, EmptyBall,
                      PrecisionFailure, SingularChannel)
-from .rng import complex_gaussian, philox
+from .rng import complex_gaussian
 
 DEFAULT_BUDGET = 10 ** 8
 LLL_DELTA = 0.99
@@ -434,16 +434,10 @@ def _apply_u(z, U):
 
 @dataclass
 class InvariantReport:
-    name: str
-    n: int
-    k: int
-    rank: int
     volume: float
     hermite: float
-    shortest_vector: list
     det_min: float
     det_min_certificate: str
-    det_min_radius: float
     delta: float
     rh_lower: float
 
@@ -482,7 +476,10 @@ def normalized_min_det(lat, det_min):
 
 
 def fade(lat, H):
-    """Lattice with basis H_d B_1, ..., H_d B_r for square blocks H_i."""
+    """Lattice with basis H_d B_1, ..., H_d B_r for square blocks H_i.
+    Test-only, with `sample_pdet1_fade`: the faded lattices HL on which the
+    tests witness h(HL) >= nk delta^{2/nk} over pdet-1 fades (acceptance
+    criterion 4, Proposition 1)."""
     H = np.asarray(H, dtype=complex)
     if H.shape != (lat.k, lat.n, lat.n):
         raise ValueError(f"expected {lat.k} blocks of shape {lat.n}x{lat.n}")
@@ -546,11 +543,11 @@ def homogeneous_minimum(form, lat, radius=None, budget=DEFAULT_BUDGET):
     return float(min(form_eval(form, p) for p in pts))
 
 
-def invariant_report(lat, name="", radius=None, budget=DEFAULT_BUDGET):
+def invariant_report(lat, radius=None, budget=DEFAULT_BUDGET):
     """Bundle the geometric invariants of one lattice.  The lattice's own
     det_min is certified algebraically (NVD orders); without one, det_min
     comes from ball enumeration and is only an upper bound."""
-    h, witness, _ = hermite_invariant(lat, budget)
+    h, _, _ = hermite_invariant(lat, budget)
     if radius is None:
         radius = 1.5 * np.sqrt(lat.n * lat.k)
     det_min, certificate = lat.det_min, "algebraic"
@@ -559,17 +556,16 @@ def invariant_report(lat, name="", radius=None, budget=DEFAULT_BUDGET):
         certificate = "enumerated-upper-bound"
     delta = normalized_min_det(lat, det_min)
     rh_lower = lat.n * lat.k * delta ** (2.0 / (lat.n * lat.k))
-    return InvariantReport(
-        name=name, n=lat.n, k=lat.k, rank=lat.rank, volume=lat.volume,
-        hermite=h, shortest_vector=witness, det_min=det_min,
-        det_min_certificate=certificate, det_min_radius=radius,
-        delta=delta, rh_lower=rh_lower)
+    return InvariantReport(volume=lat.volume, hermite=h, det_min=det_min,
+                           det_min_certificate=certificate, delta=delta,
+                           rh_lower=rh_lower)
 
 
 def sample_pdet1_fade(n, k, gen):
     """One random fade with pdet = 1: complex Gaussian blocks, rejection
     sampled until the smallest singular value is at least 0.05 of the
-    largest, rescaled to unit product determinant."""
+    largest, rescaled to unit product determinant.  Test-only: the fades
+    of the reduced Hermite bound's witness (see `fade`)."""
     while True:
         H = complex_gaussian(gen, (k, n, n))
         sv = np.linalg.svd(H, compute_uv=False)
@@ -578,17 +574,4 @@ def sample_pdet1_fade(n, k, gen):
     p = pdet(H)
     H = H / (p ** (1.0 / (n * k)))
     return H
-
-
-def reduced_hermite_probe(lat, samples, seed, budget=DEFAULT_BUDGET):
-    """Empirical min of h(HL) over sampled pdet-1 fades; a consistency probe
-    for the closed-form lower bound, not an exact infimum.  Test-only witness
-    of h(HL) >= nk delta^{2/nk} over pdet-1 fades (acceptance criterion 4)."""
-    best = np.inf
-    for t in range(samples):
-        gen = philox(seed, 0x7E, t)
-        H = sample_pdet1_fade(lat.n, lat.k, gen)
-        h, _, _ = hermite_invariant(fade(lat, H), budget)
-        best = min(best, h)
-    return best
 

@@ -11,6 +11,7 @@ positive imaginary part) is computed in doubles.
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import cached_property, reduce
 
@@ -91,10 +92,11 @@ class FieldElement:
         return FieldElement._from_ints(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+        if isinstance(other, numbers.Rational):
+            # any rational scalar, numpy integers included, as Python ints
+            num, den = int(other.numerator), int(other.denominator)
             return FieldElement._from_ints(
-                self.field, [a * q.numerator for a in self.nums], self.den * q.denominator)
+                self.field, [a * num for a in self.nums], self.den * den)
         self._check(other)
         return self.field.mul(self, other)
 
@@ -271,13 +273,19 @@ class NumberField:
         return self._from_theta_ints(poly_mod(poly_mul(pa, pb), self.min_poly), da * db)
 
     def trace(self, x):
-        """Exact Tr_{K/Q}(x) as a Fraction."""
+        """Exact Tr_{K/Q}(x) as a Fraction.  Test-only witness of the trace
+        form Tr(w_i w_j), whose determinant is the discriminant
+        (`trace_form`, on the same Newton power sums, is the load-bearing
+        route)."""
         poly, den = self._theta_ints(x)
         return Fraction(sum(c * t for c, t in zip(poly, self._theta_traces)), den)
 
     def norm(self, x):
         """Exact N_{K/Q}(x): determinant of multiplication by x in the theta
-        power basis."""
+        power basis.  Test-only: with `CyclicAlgebra.reduced_norm` it
+        witnesses the NVD mechanism |pdet phi(a)|^2 = |N_{K/Q}(Nrd a)|; an
+        exact division probe over the order's ball would make it
+        load-bearing."""
         n = self.degree
         current, den = self._theta_ints(x)
         cols = []

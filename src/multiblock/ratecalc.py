@@ -86,14 +86,6 @@ def _theorem_rate(mu, P, n, n_r, C_L):
     return rate_theorem2(mu, P, n, n_r, C_L)
 
 
-def rate_slow_fading(H, P, n, n_r, C_L):
-    """Slow-fading achievable rate for a fixed full-rank block H: the
-    theorem's rate with mu = log2 det of H's Gram, as `rate_report` gives it
-    on a constant channel.  Test-only witness of the paper's slow-fading
-    claim that the gap C(P) - max(0, R(P)) stays bounded in P."""
-    return _theorem_rate(_log2det_gram(H, n, n_r), P, n, n_r, C_L)
-
-
 def white_input_capacity(H, P, n):
     """log2 det(I + (P/n) H H^dag): uniform power allocation, no transmit CSI."""
     H = np.asarray(H, dtype=complex)
@@ -182,10 +174,6 @@ def gap_constants():
 
 @dataclass
 class RateReport:
-    P: float
-    n: int
-    n_r: int
-    C_L: float
     mu: float                   # bits
     capacity: float             # estimate C(P)
     capacity_stderr: float
@@ -223,6 +211,5 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     if delta is not None and n_r >= n:
         vd = chernoff_vdelta(n, n_r, delta)
         K = chernoff_exponent(n, n_r, delta)
-    return RateReport(P=P, n=n, n_r=n_r, C_L=C_L, mu=mu, capacity=cap,
-                      capacity_stderr=stderr, rate=rate,
+    return RateReport(mu=mu, capacity=cap, capacity_stderr=stderr, rate=rate,
                       gap=cap - max(0.0, rate), v_delta=vd, exponent=K)

@@ -54,7 +54,6 @@ CERT_MARGIN = 1e-9
 
 @dataclass
 class WERPoint:
-    P: float
     rate: float
     trials: int
     errors: int
@@ -63,10 +62,6 @@ class WERPoint:
     avg_nodes: float
     decoder: str
     flag: str = ""
-
-    @property
-    def snr_db(self):
-        return 10.0 * math.log10(self.P)
 
 
 def _wer_stderr(errors, trials):
@@ -156,8 +151,8 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
     return tally
 
 
-def _points(P, R, trials, tally):
-    return [WERPoint(P=P, rate=R, trials=trials, errors=errors,
+def _points(R, trials, tally):
+    return [WERPoint(rate=R, trials=trials, errors=errors,
                      wer=errors / trials, stderr=_wer_stderr(errors, trials),
                      avg_nodes=nodes / trials, decoder=d,
                      flag=f"budget_hits={hits}" if hits else "")
@@ -173,7 +168,7 @@ def simulate_infinite_wer(lat, model, P, R, trials, seed, budget=DEFAULT_BUDGET,
     alpha = scaling_alpha(P, R, lat.n, lat.k, lat.volume)
     tally = _trial_loop(lat, model, alpha, None, trials, seed, ("lattice",),
                         budget, noiseless)
-    return _points(P, R, trials, tally)[0]
+    return _points(R, trials, tally)[0]
 
 
 def simulate_codebook_wer(book, model, trials, seed, decoders=("ml", "lattice"),
@@ -183,4 +178,4 @@ def simulate_codebook_wer(book, model, trials, seed, decoders=("ml", "lattice"),
     counts as an error."""
     tally = _trial_loop(book.lattice, model, book.alpha, book, trials, seed,
                         decoders, budget, noiseless)
-    return _points(book.power, book.realized_rate, trials, tally)
+    return _points(book.realized_rate, trials, tally)

@@ -134,27 +134,27 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
         word = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
     else:
         pick = philox(seed, 0xC0)
-    real = dec = None
+    H = dec = None
     for t in range(trials):
         if book is not None:
             idx = int(pick.integers(len(book)))
             word = book.matrices[idx]
-        if real is None or model.kind != "constant":
-            real = channel.sample(model, lat.k, (seed, t))
+        if H is None or model.kind != "constant":
+            H = channel.sample(model, lat.k, (seed, t))
             if "lattice" in decoders and model.kind == "constant":
-                dec = LatticeDecoder(real.blocks, alpha, lat)
-        y = channel.transmit(word, real, (seed, t), noiseless=noiseless)
+                dec = LatticeDecoder(H, alpha, lat)
+        y = channel.transmit(word, H, (seed, t), noiseless=noiseless)
         if "ml" in decoders:
-            res = ml_decode(y, real.blocks, book)
+            res = ml_decode(y, H, book)
             tally["ml"][0] += res.index != idx
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
-            W = (y - real.blocks @ word)[None]
+            W = (y - H @ word)[None]
             if dec is not None:
                 ((ok, nodes),) = dec.decodes_to(W, budget)
             else:
-                ((ok, nodes),) = faded_decodes_to(real.blocks[None], alpha,
-                                                  lat, W, budget)
+                ((ok, nodes),) = faded_decodes_to(H[None], alpha, lat, W,
+                                                  budget)
             tally["lattice"][0] += not ok
             tally["lattice"][1] += nodes
             tally["lattice"][2] += ok is None
@@ -333,7 +333,7 @@ def reference_gauss_markov_capacity(model, P, samples, seed):
     length = max(1, samples // chains)
     means = []
     for c in range(chains):
-        H = channel.sample(model, length, (seed, c)).blocks
+        H = channel.sample(model, length, (seed, c))
         grams = np.eye(n) + (P / n) * (H.conj().swapaxes(1, 2) @ H)
         vals = np.linalg.slogdet(grams)[1] / math.log(2.0)
         means.append(vals.mean())

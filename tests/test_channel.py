@@ -18,8 +18,7 @@ def iid_model(n=1, n_r=1):
 def test_constant_model_repeats_block():
     H = np.array([[0.3 + 0.4j]])
     model = FadingModel(kind="constant", n=1, n_r=1, fixed_H=H)
-    real = sample(model, 5, seed=0)
-    assert np.all(real.blocks == H[None, :, :])
+    assert np.all(sample(model, 5, seed=0) == H[None, :, :])
 
 
 def test_gauss_markov_rho0_matches_iid():
@@ -27,46 +26,46 @@ def test_gauss_markov_rho0_matches_iid():
     iid = iid_model(2, 2)
     a = sample(gm, 7, seed=42)
     b = sample(iid, 7, seed=42)
-    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a, b)
 
 
 def test_seed_determinism():
     model = iid_model(2, 3)
     a = sample(model, 4, seed=5)
     b = sample(model, 4, seed=5)
-    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a, b)
     c = sample(model, 4, seed=6)
-    assert not np.array_equal(a.blocks, c.blocks)
+    assert not np.array_equal(a, c)
 
 
 def test_mean_frobenius_norm():
     model = iid_model(2, 2)
-    real = sample(model, 100000, seed=7)
-    vals = np.sum(np.abs(real.blocks) ** 2, axis=(1, 2))
+    H = sample(model, 100000, seed=7)
+    vals = np.sum(np.abs(H) ** 2, axis=(1, 2))
     stderr = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 4.0) <= 3 * stderr
 
 
 def test_blocks_full_rank():
     model = iid_model(2, 2)
-    real = sample(model, 2000, seed=8)
-    sv = np.linalg.svd(real.blocks, compute_uv=False)
+    H = sample(model, 2000, seed=8)
+    sv = np.linalg.svd(H, compute_uv=False)
     assert sv[:, -1].min() > 0
 
 
 def test_transmit_noiseless_exact():
     model = iid_model(2, 2)
-    real = sample(model, 3, seed=9)
+    H = sample(model, 3, seed=9)
     X = np.arange(12, dtype=float).reshape(3, 2, 2) + 0j
-    Y = transmit(X, real, noise_seed=1, noiseless=True)
-    assert np.array_equal(Y, real.blocks @ X)
+    Y = transmit(X, H, noise_seed=1, noiseless=True)
+    assert np.array_equal(Y, H @ X)
 
 
-def _noise_words(real, seed, count, start=0):
-    """transmit(0, real, noise_seed=(seed, t)) for t = start, ...,
+def _noise_words(fade, seed, count, start=0):
+    """transmit(0, fade, noise_seed=(seed, t)) for t = start, ...,
     start + count - 1, drawn as one stack: the same bits
     (test_stacks_carry_the_one_realization_bits)."""
-    H = np.broadcast_to(real.blocks, (count,) + real.blocks.shape)
+    H = np.broadcast_to(fade, (count,) + fade.shape)
     X = np.zeros(H.shape[:2] + (H.shape[3],) * 2, dtype=complex)
     return transmit_stack(X, H, seed, [(t,) for t in range(start, start + count)],
                           False)
@@ -76,8 +75,7 @@ def test_noise_is_chi_square():
     # X = 0: 2||W||^2 ~ chi^2 with 2 k n n_r degrees of freedom
     k, n, n_r = 2, 2, 2
     model = iid_model(n, n_r)
-    real = sample(model, k, seed=10)
-    Y = _noise_words(real, 11, 10000)
+    Y = _noise_words(sample(model, k, seed=10), 11, 10000)
     vals = 2.0 * np.sum(np.abs(Y) ** 2, axis=(1, 2, 3))
     res = stats.kstest(vals, stats.chi2(2 * k * n * n_r).cdf)
     assert res.pvalue > 0.01
@@ -87,11 +85,11 @@ def test_chi_square_tail_bound():
     # P{||W||^2/(k n^2) >= 1 + eps} <= 2 exp(-k n^2 eps^2 / 8)
     k, n, eps, trials = 8, 2, 0.5, 100000
     model = iid_model(n, n)
-    real = sample(model, k, seed=12)
+    H = sample(model, k, seed=12)
     m = k * n * n
     hits = 0
     for start in range(0, trials, 10000):
-        Y = _noise_words(real, 13, 10000, start)
+        Y = _noise_words(H, 13, 10000, start)
         hits += int(np.count_nonzero(np.sum(np.abs(Y) ** 2, axis=(1, 2, 3)) / m
                                      >= 1 + eps))
     assert hits / trials <= 2 * math.exp(-m * eps * eps / 8.0)
@@ -106,8 +104,7 @@ def test_logdet_statistic_identity():
 def test_logdet_statistic_siso_digamma_limit():
     model = iid_model(1, 1)
     k = 10000
-    real = sample(model, k, seed=14)
-    stat = logdet_statistic(real)
+    stat = logdet_statistic(sample(model, k, seed=14))
     expect = -EULER_GAMMA / math.log(2.0)
     sigma = math.sqrt(math.pi ** 2 / 6.0) / math.log(2.0)  # sd of log2|h|^2
     assert abs(stat - expect) <= 3 * sigma / math.sqrt(k)
@@ -129,9 +126,9 @@ def test_gauss_markov_stationarity_probe():
     model = FadingModel(kind="gauss_markov", n=2, n_r=2, rho=0.7)
     first, mid = [], []
     for c in range(4000):
-        real = sample(model, 9, seed=(16, c))
-        first.append(np.sum(np.abs(real.blocks[0]) ** 2))
-        mid.append(np.sum(np.abs(real.blocks[4]) ** 2))
+        H = sample(model, 9, seed=(16, c))
+        first.append(np.sum(np.abs(H[0]) ** 2))
+        mid.append(np.sum(np.abs(H[4]) ** 2))
     first, mid = np.array(first), np.array(mid)
     se = math.hypot(first.std(ddof=1), mid.std(ddof=1)) / math.sqrt(len(first))
     assert abs(first.mean() - mid.mean()) <= 3 * se
@@ -140,14 +137,13 @@ def test_gauss_markov_stationarity_probe():
 def test_logdet_statistic_singular_block_warns():
     H = np.zeros((1, 1), dtype=complex)
     model = FadingModel(kind="constant", n=1, n_r=1, fixed_H=H)
-    real = sample(model, 2, seed=0)
     with pytest.warns(UserWarning):
-        assert logdet_statistic(real) == -np.inf
+        assert logdet_statistic(sample(model, 2, seed=0)) == -np.inf
 
 
 def test_realization_reports_k():
     model = iid_model(1, 2)
-    assert sample(model, 11, seed=3).k == 11
+    assert len(sample(model, 11, seed=3)) == 11
 
 
 def test_model_validation():
@@ -158,6 +154,13 @@ def test_model_validation():
                           np.eye(3, 2))
     with pytest.raises(ValueError):
         FadingModel(kind="gauss_markov", n=1, n_r=1, rho=1.0)
+    # a parameter the kind would not read is refused, not ignored
+    with pytest.raises(ValueError, match="only to the constant model"):
+        FadingModel(kind="iid_rayleigh", n=1, n_r=1, fixed_H=np.eye(1))
+    with pytest.raises(ValueError, match="only to the gauss_markov model"):
+        FadingModel(kind="iid_rayleigh", n=1, n_r=1, rho=0.5)
+    with pytest.raises(ValueError, match="only to the gauss_markov model"):
+        FadingModel(kind="constant", n=1, n_r=1, rho=0.3)
     for n, n_r in [(1, 0), (1, -1), (0, 1), (-2, 2)]:
         with pytest.raises(ValueError, match="must be >= 1"):
             FadingModel(kind="iid_rayleigh", n=n, n_r=n_r)
@@ -186,6 +189,6 @@ def test_stacks_carry_the_one_realization_bits(kind, rho):
         assert H[t].tobytes() == blocks.tobytes()
         y = blocks @ X[t] + complex_gaussian(philox(seed, 0x57, s), (k, 3, 2))
         assert Y[t].tobytes() == y.tobytes()
-        real = sample(model, k, (seed, s))
-        assert real.blocks.tobytes() == blocks.tobytes()
-        assert transmit(X[t], real, (seed, s)).tobytes() == y.tobytes()
+        fade = sample(model, k, (seed, s))
+        assert fade.tobytes() == blocks.tobytes()
+        assert transmit(X[t], fade, (seed, s)).tobytes() == y.tobytes()

@@ -501,6 +501,31 @@ def test_missing_fixed_h_file_exits_2(tmp_path, capsys):
     assert_one_line(err, "error: ")
 
 
+QI_IID = ["simulate", "--field", "q_i", "--model", "iid_rayleigh",
+          "--snr-db", "10", "--rate", "1", "--trials", "5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (QI_IID + ["--fixed-h-file", "{h}"],
+     "a fixed H applies only to the constant model, not iid_rayleigh"),
+    (QI_IID + ["--rho", "0.5"],
+     "rho applies only to the gauss_markov model, not iid_rayleigh"),
+    (["rates", "--n", "1", "--nr", "1", "--model", "constant", "--rho", "0.3",
+      "--snr-db", "10", "--cl", "46", "--samples", "100"],
+     "rho applies only to the gauss_markov model, not constant"),
+])
+def test_unread_model_parameter_exits_2(tmp_path, capsys, argv, needle):
+    # a model refuses a parameter its kind would not read, so no run
+    # prints a configuration it ignored
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("1\n")
+    code = main([str(hfile) if a == "{h}" else a for a in argv])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "error: " + needle)
+
+
 def test_carve_export_not_written_when_output_fails(tmp_path, capsys):
     export = tmp_path / "book.txt"
     code = main(["carve", "--field", "q_i", "--snr-db", "10", "--rate", "2",

@@ -23,7 +23,7 @@ def random_order_element(order, rng, lo=-2, hi=3):
     while True:
         z = rng.integers(lo, hi, size=order.rank)
         if z.any():
-            return order.element_from_z([int(v) for v in z]), z
+            return order.element_from_z(z), z
 
 
 def test_left_regular_of_one_is_identity(golden, zeta20):
@@ -201,6 +201,25 @@ def test_order_inverse_is_lazy_and_exact(golden, monkeypatch):
     # coordinates() reads an element's flat coordinates in that same order
     z = [3, -1, 0, 2, 0, 0, -5, 1]
     assert order.coordinates(order.element_from_z(z)) == z
+
+
+def test_element_from_numpy_z_coordinates(golden_order):
+    # numpy integers scale center elements as Python ints do
+    z = np.arange(golden_order.rank)
+    a = golden_order.element_from_z(z)
+    assert golden_order.coordinates(a) == list(range(golden_order.rank))
+    assert a.coords == golden_order.element_from_z(z.tolist()).coords
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_rel_poly_of_wrong_degree_is_refused(golden, degree):
+    # E = K[eta]/(rel_poly) needs degree n: products reduce with n + 1
+    # coefficients and sigma's check reads sigma(eta)^i for i < n only
+    c0, c1, one = golden.rel_poly
+    rel_poly = {1: (c0, one), 3: (c0, c1, golden.center.zero(), one)}[degree]
+    with pytest.raises(CatalogInconsistent) as info:
+        _variant(golden, "gd", rel_poly=rel_poly)
+    assert str(info.value) == "gd: rel_poly must have degree n = 2"
 
 
 def test_dependent_z_basis_is_refused_at_construction(golden):

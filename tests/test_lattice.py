@@ -362,7 +362,7 @@ def test_lattice_search_preparation_is_cached(q_i, monkeypatch):
     assert lat.cvp is lat.cvp
     assert len(calls) == 1
     # Hermite invariant and enumerated det_min share that one preparation
-    rep = invariant_report(MatrixLattice(field_lattice(q_i).blocks), name="q_i")
+    rep = invariant_report(MatrixLattice(field_lattice(q_i).blocks))
     assert rep.det_min_certificate == "enumerated-upper-bound"
     assert rep.hermite == pytest.approx(1.0) and rep.det_min == pytest.approx(1.0)
     assert len(calls) == 2

@@ -126,6 +126,16 @@ def test_element_arithmetic_exact(q_omega):
     assert (half + half).den == 1
 
 
+def test_scaling_by_any_rational(q_i):
+    # numpy integers are rationals too: they scale, not multiply as elements
+    one = q_i.one()
+    assert one * np.int64(2) == one * 2 == q_i.rational(2)
+    assert one * np.uint8(3) == q_i.rational(3)
+    assert (one * Fraction(1, 2)).den == 2
+    with pytest.raises(ValueError, match="different fields"):
+        one * 0.5
+
+
 def test_real_root_rejected():
     with pytest.raises(NotTotallyComplex):
         NumberField("bad", [-2, 0, 1], POWER_BASIS_2)  # x^2 - 2

@@ -126,27 +126,30 @@ def test_rate_theorem2_domain():
 
 
 def test_rate_slow_fading_identity_channel():
-    # C_L = pi e / 4n makes the gap terms cancel: R = n log2(P/n)
+    # slow fading through the constant-channel path the rates command runs:
+    # C_L = pi e / 4n makes the gap terms cancel, R = n log2(P/n)
     n = 2
-    H = np.eye(n, dtype=complex)
+    model = FadingModel(kind="constant", n=n, n_r=n)
     P = 40.0
-    got = rc.rate_slow_fading(H, P, n, n, math.pi * math.e / (4.0 * n))
-    assert got == pytest.approx(n * math.log2(P / n), abs=1e-12)
+    rep = rc.rate_report(model, P, math.pi * math.e / (4.0 * n))
+    assert rep.rate == pytest.approx(n * math.log2(P / n), abs=1e-12)
 
 
 def test_slow_fading_gap_bounded():
-    # C(P) - max(0, R(P)) <= C(P_min) along a power grid
+    # C(P) - max(0, R(P)) <= C(P_min) along a power grid, for the fixed
+    # block H as the rates command evaluates it (mu = log2 det of H's Gram)
     n = 2
     rng = np.random.default_rng(7)
     H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    model = FadingModel(kind="constant", n=n, n_r=n, fixed_H=H)
     C_L = 4.0
     grid = [10 ** (db / 10) for db in range(-10, 41, 2)]
-    caps = [rc.white_input_capacity(H, P, n) for P in grid]
-    rates = [max(0.0, rc.rate_slow_fading(H, P, n, n, C_L)) for P in grid]
+    reps = [rc.rate_report(model, P, C_L) for P in grid]
+    rates = [max(0.0, rep.rate) for rep in reps]
     p_min_idx = max(i for i, r in enumerate(rates) if r == 0.0)
-    bound = caps[p_min_idx + 1]
-    for c, r in zip(caps, rates):
-        assert c - r <= bound + 1e-9
+    bound = reps[p_min_idx + 1].capacity
+    for rep in reps:
+        assert rep.gap <= bound + 1e-9
 
 
 def test_ergodic_capacity_small_p():

@@ -14,8 +14,7 @@ from multiblock.decoder import (LatticeDecoder, check_full_rank,
                                 faded_decodes_to, shared_fade_decodes_to)
 from multiblock.errors import BudgetExceeded
 from multiblock.lattice import (DEFAULT_BUDGET, MatrixLattice, PreparedCVP,
-                                field_lattice, min_pdet, realify,
-                                reduced_hermite_probe)
+                                field_lattice, min_pdet, realify)
 from multiblock.rng import complex_gaussian, philox
 from multiblock.sim import simulate_codebook_wer, simulate_infinite_wer
 
@@ -38,13 +37,6 @@ def test_lemma4_minimum_distance_bound(golden_lattice):
         prod = float(np.prod(np.linalg.det(grams).real))
         bound = book.alpha ** 2 * n * k * prod ** (1.0 / (n * k))
         assert d_min2 >= bound - 1e-6
-
-
-def test_reduced_hermite_probe_respects_lower_bound(hex_lattice):
-    # sampled fades never dip below the closed-form reduced Hermite invariant
-    rh = 1.0 * 1.0 * ((4.0 / 3.0) ** 0.25) ** 2.0  # nk delta^{2/nk}
-    probe = reduced_hermite_probe(hex_lattice, samples=10, seed=77)
-    assert probe >= rh - 1e-9
 
 
 def test_noiseless_wer_zero(qi_lattice):
