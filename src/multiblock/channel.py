@@ -9,15 +9,16 @@ A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
 `transmit_stack` serve a whole stack of paths (s, *indices) in one pass, as
 the WER drivers do for a chunk of trials; each realization and each noise
 draw is still the pure function of its own path, so `sample` and
-`transmit` are those functions on a stack of one.
+`transmit` are those functions on a stack of one.  `check_full_rank` is the
+one rank rule for fades, and `logdet_statistic` reads its singular values.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .errors import SingularChannel
 from .rng import complex_gaussian_streams
 
 KINDS = ("constant", "iid_rayleigh", "gauss_markov")
@@ -33,8 +34,9 @@ class FadingModel:
 
     def __post_init__(self):
         """Validate the model; a constant model given no fixed_H gets the
-        n_r x n identity block.  A parameter the kind would not read is
-        refused: fixed_H unless constant, a nonzero rho unless
+        n_r x n identity block, and a given one must be a finite n_r x n
+        block (kept as a complex array).  A parameter the kind would not
+        read is refused: fixed_H unless constant, a nonzero rho unless
         gauss_markov."""
         if self.kind not in KINDS:
             raise ValueError(f"unknown fading model {self.kind!r}")
@@ -44,9 +46,15 @@ class FadingModel:
         if self.fixed_H is not None and self.kind != "constant":
             raise ValueError(f"a fixed H applies only to the constant "
                              f"model, not {self.kind}")
-        if self.kind == "constant" and self.fixed_H is None:
-            object.__setattr__(self, "fixed_H",
-                               np.eye(self.n_r, self.n, dtype=complex))
+        if self.kind == "constant":
+            H = (np.eye(self.n_r, self.n, dtype=complex) if self.fixed_H is None
+                 else np.asarray(self.fixed_H, dtype=complex))
+            if H.shape != (self.n_r, self.n):
+                raise ValueError(f"fixed H has shape {H.shape}; the channel "
+                                 f"needs (n_r, n) = {(self.n_r, self.n)}")
+            if not np.all(np.isfinite(H)):
+                raise ValueError("fixed H entries must be finite")
+            object.__setattr__(self, "fixed_H", H)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
         if self.rho != 0.0 and self.kind != "gauss_markov":
@@ -112,15 +120,21 @@ def transmit(X, H, noise_seed, noiseless=False):
     return transmit_stack(X[None], H[None], root, [indices], noiseless)[0]
 
 
+def check_full_rank(H):
+    """Singular values, descending, of the blocks of one fade H (k, n_r, n)
+    or of each fade of a stack (T, k, n_r, n).  SingularChannel if some
+    block's smallest is at most 1e-12 times the largest of its fade (or 1)."""
+    sv = np.linalg.svd(H, compute_uv=False)
+    peak = np.maximum(1.0, sv.max(axis=(-2, -1)))
+    if np.any(sv[..., -1] <= 1e-12 * peak[..., None]):
+        raise SingularChannel("fading block numerically rank deficient")
+    return sv
+
+
 def logdet_statistic(H):
     """(1/k) sum_i log2 det of the Gram of each block of the fade H (H^dag H
-    when n_r >= n, H H^dag otherwise).  Test-only witness of the ergodic
-    log-determinant limit in which the paper writes its rates."""
-    k, n_r, n = H.shape
-    Hh = H.conj().swapaxes(1, 2)
-    grams = Hh @ H if n_r >= n else H @ Hh
-    signs, logdets = np.linalg.slogdet(grams)
-    if np.any(signs <= 0) or not np.all(np.isfinite(logdets)):
-        warnings.warn("singular fading block in logdet statistic", stacklevel=2)
-        return -np.inf
-    return float(np.sum(logdets) / np.log(2.0) / k)
+    when n_r >= n, H H^dag otherwise), as 2 sum log2 sigma / k over the
+    singular values of `check_full_rank`: the log-determinant statistic
+    whose ergodic limit mu the paper writes its rates in.  SingularChannel
+    for a rank-deficient block."""
+    return float(2.0 * np.sum(np.log2(check_full_rank(H))) / len(H))

@@ -140,12 +140,6 @@ def _model_from_args(args, n):
         if len({len(r) for r in rows}) > 1:
             raise ValueError("--fixed-h-file rows differ in length")
         fixed = np.array(rows, dtype=complex)
-        if fixed.shape != (args.nr, n):
-            raise ValueError(f"--fixed-h-file holds a matrix of shape "
-                             f"{fixed.shape}; the channel needs (nr, n) = "
-                             f"{(args.nr, n)}")
-        if not np.all(np.isfinite(fixed)):
-            raise ValueError("--fixed-h-file entries must be finite")
     return FadingModel(kind=args.model, n=n, n_r=args.nr, fixed_H=fixed,
                        rho=args.rho)
 

@@ -346,7 +346,9 @@ class NaturalOrder:
                 for row in inv]
 
     def contains(self, a):
-        """True iff a lies in the order: all its z-coordinates are integers."""
+        """True iff a lies in the order: all its z-coordinates are integers.
+        Test-only witness that the natural order holds 1, as an order must
+        for its lattice's certified det_min = 1."""
         return all(c.denominator == 1 for c in self.coordinates(a))
 
     def element_from_z(self, zcoords):
@@ -451,7 +453,9 @@ def order_lattice(order):
 
 
 def trivial_algebra(field):
-    """Degree-1 algebra: the center itself, phi(a) the 1x1 matrix (a)."""
+    """Degree-1 algebra: the center itself, phi(a) the 1x1 matrix (a).
+    Test-only witness that the order discriminant reduces to the field
+    discriminant at n = 1, where the algebra codes are the field codes."""
     one = field.one()
     return CyclicAlgebra(
         name=f"trivial_{field.name}",

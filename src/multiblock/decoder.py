@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, SingularChannel
+from .channel import check_full_rank
+from .errors import BudgetExceeded, DomainError
 from .lattice import DEFAULT_BUDGET, PreparedCVP, fade_blocks, realify
 
 
@@ -32,17 +33,6 @@ class DecodeResult:
     metric: float               # sum_i ||Y_i - H_i Xhat_i||^2 of the decision
     nodes: int                  # enumeration / comparison effort
     approximate: bool = False   # True when the budget forced a Babai answer
-
-
-def check_full_rank(H):
-    """Singular values, descending, of the blocks of one fade H (k, n_r, n)
-    or of each fade of a stack (T, k, n_r, n).  SingularChannel if some
-    block's smallest is at most 1e-12 times the largest of its fade (or 1)."""
-    sv = np.linalg.svd(H, compute_uv=False)
-    peak = np.maximum(1.0, sv.max(axis=(-2, -1)))
-    if np.any(sv[..., -1] <= 1e-12 * peak[..., None]):
-        raise SingularChannel("fading block numerically rank deficient")
-    return sv
 
 
 def ml_decode(Y, H, codebook):
@@ -106,7 +96,9 @@ class LatticeDecoder:
         (T, k, n_r, n): ok iff decode(Y_t) returns X_t, which fails exactly
         when a nonzero point of alpha H L is strictly closer to W_t than 0
         (up to ties of measure zero).  A search that exhausts `budget` gives
-        (None, budget)."""
+        (None, budget).  Test-only witness of that error event: the
+        reference decision against which `faded_decodes_to`,
+        `shared_fade_decodes_to` and the trial loop are checked."""
         ys, _ = self.prepared.project(realify(W))
         return _decisions(repeat(self.prepared), ys, budget)
 
@@ -165,11 +157,8 @@ def qr_reduce(Y, H):
     Rp = np.empty((k, n, n), dtype=complex)
     for i in range(k):
         Q, R = np.linalg.qr(H[i], mode="reduced")
-        phases = np.diag(R).copy()
-        mags = np.abs(phases)
-        if np.any(mags <= 1e-12 * mags.max()):
-            raise SingularChannel("rank-deficient block in QR reduction")
-        u = phases / mags
+        phases = np.diag(R)
+        u = phases / np.abs(phases)
         R = R * u.conj()[:, None]
         Q = Q * u[None, :]
         Rp[i] = R

@@ -27,8 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .channel import check_full_rank
 from .errors import (BudgetExceeded, DegenerateLattice, EmptyBall,
-                     PrecisionFailure, SingularChannel)
+                     PrecisionFailure)
 from .rng import complex_gaussian
 
 DEFAULT_BUDGET = 10 ** 8
@@ -73,7 +74,7 @@ class MatrixLattice:
     claims nothing.
     """
 
-    def __init__(self, blocks, validate=True, det_min=None):
+    def __init__(self, blocks, det_min=None):
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 4 or blocks.shape[2] != blocks.shape[3]:
             raise ValueError("expected basis of shape (r, k, n, n)")
@@ -82,7 +83,7 @@ class MatrixLattice:
         self.real_basis = realify(blocks)
         self.gram = self.real_basis @ self.real_basis.T
         eig = np.linalg.eigvalsh(self.gram)
-        if validate and eig[0] <= 1e-10 * eig[-1]:
+        if eig[0] <= 1e-10 * eig[-1]:
             raise DegenerateLattice(
                 f"Gram matrix numerically singular (eigs {eig[0]:.3e}..{eig[-1]:.3e})")
         self.volume = float(np.sqrt(abs(np.linalg.det(self.gram))))
@@ -118,10 +119,6 @@ class MatrixLattice:
             self._faded[key] = (self.cvp if np.array_equal(basis, self.real_basis)
                                 else PreparedCVP(basis))
         return self._faded[key]
-
-    def scale(self, alpha):
-        """alpha L.  Test-only, through `homogeneous_minimum`."""
-        return MatrixLattice(alpha * self.blocks, validate=False)
 
     def __repr__(self):
         return (f"MatrixLattice(n={self.n}, k={self.k}, rank={self.rank}, "
@@ -483,10 +480,8 @@ def fade(lat, H):
     H = np.asarray(H, dtype=complex)
     if H.shape != (lat.k, lat.n, lat.n):
         raise ValueError(f"expected {lat.k} blocks of shape {lat.n}x{lat.n}")
-    dets = np.linalg.det(H)
-    if np.any(np.abs(dets) <= 1e-12):
-        raise SingularChannel("singular fading block")
-    return MatrixLattice(fade_blocks(H, lat.blocks), validate=False)
+    check_full_rank(H)
+    return MatrixLattice(fade_blocks(H, lat.blocks))
 
 
 def hadamard_check(blocks):
@@ -507,7 +502,11 @@ def hadamard_check(blocks):
 def form_eval(form, X):
     """Evaluate the homogeneous forms: f1 = sum |x|^2 (degree 2),
     f2 = prod |x_i| over k scalar blocks (degree k), f3 = prod |det X_i|
-    (degree nk)."""
+    (degree nk).  Test-only witness of the paper's invariants as
+    homogeneous minima: at the witness points of `hermite_invariant` and
+    `min_pdet`, rescaled to unit covolume, f1, f2 and f3 give the Hermite
+    invariant and the normalized minimum product distance and
+    determinant."""
     X = np.asarray(X, dtype=complex)
     if form == "f1":
         return float(np.sum(np.abs(X) ** 2))
@@ -522,25 +521,6 @@ def form_eval(form, X):
             raise ValueError("f3 requires square blocks")
         return float(abs(pdet(X)))
     raise ValueError(f"unknown form {form!r}")
-
-
-def homogeneous_minimum(form, lat, radius=None, budget=DEFAULT_BUDGET):
-    """Per-lattice homogeneous minimum: min |F(X)| over nonzero points after
-    rescaling the lattice to unit covolume.  For f1 this is the Hermite
-    invariant (exact), for f2 the normalized minimum product distance and for
-    f3 the normalized minimum determinant (enumerated upper bounds within the
-    stated radius); suprema over all lattices are out of scope.  Test-only
-    witness of the paper's invariants as homogeneous minima of f1, f2, f3."""
-    unit = lat.scale(lat.volume ** (-1.0 / lat.rank))
-    if form == "f1":
-        norm2, _, _ = unit.cvp.shortest(budget)
-        return norm2
-    if form == "f2" and lat.n != 1:
-        raise ValueError("f2 requires n = 1")
-    if radius is None:
-        radius = 1.5 * np.sqrt(lat.n * lat.k) * max(1.0, unit.volume ** (1.0 / lat.rank))
-    _, pts = _nonzero_ball_points(unit, radius, budget)
-    return float(min(form_eval(form, p) for p in pts))
 
 
 def invariant_report(lat, radius=None, budget=DEFAULT_BUDGET):

@@ -243,9 +243,16 @@ class NumberField:
         return self.from_theta_poly([1])
 
     def theta(self):
+        """The generator theta, a root of min_poly.  Test-only: it builds the
+        elements on which the tests witness the trace form, the
+        discriminant and the canonical embedding that gives a field its
+        lattice."""
         return self.from_theta_poly([0, 1])
 
     def rational(self, q):
+        """The rational q as a field element.  Test-only witness that Q
+        embeds in the field with trace deg q and norm q^deg, and that
+        scaling by any rational (numpy integers included) is that product."""
         return self.from_theta_poly([Fraction(q)])
 
     def _theta_ints(self, x):

@@ -66,19 +66,6 @@ def rate_theorem2(mu, P, n, n_r, C_L):
             + n * math.log2(math.pi * math.e / (n * n * C_L)))
 
 
-def _log2det_gram(H, n, n_r):
-    """log2 det of the Gram of a full-rank n_r x n block H: H^dag H when
-    n_r >= n, else H H^dag."""
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (n_r, n):
-        raise DomainError(f"H must be {n_r} x {n}")
-    gram = H.conj().T @ H if n_r >= n else H @ H.conj().T
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0:
-        raise DomainError("singular channel block")
-    return float(logdet / LOG2)
-
-
 def _theorem_rate(mu, P, n, n_r, C_L):
     """Theorem 1 when n_r >= n, else Theorem 2."""
     if n_r >= n:
@@ -185,15 +172,19 @@ class RateReport:
 
 def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     """Evaluate capacity, achievable rate and gap for one power level.
-    mu is log2 det of the fixed Gram for a constant channel, else the
-    Rayleigh closed form; the rate is Theorem 1's when n_r >= n, else
-    Theorem 2's.  A capacity estimate that is not finite raises
-    PrecisionFailure."""
+    mu is the log-det statistic of the fixed block for a constant channel
+    (SingularChannel if it is rank deficient), else the Rayleigh closed
+    form; the rate is Theorem 1's when n_r >= n, else Theorem 2's.  A delta
+    asks for the Chernoff exponent, which needs n_r >= n.  A capacity
+    estimate that is not finite raises PrecisionFailure."""
     if not 0 < P < math.inf:
         raise DomainError(f"power P must be finite and > 0, not {P}")
     if not 0 < C_L < math.inf:
         raise DomainError(f"C_L must be finite and > 0, not {C_L}")
     n, n_r = model.n, model.n_r
+    if delta is not None and n_r < n:
+        raise DomainError(f"delta applies only when n_r >= n, not n = {n}, "
+                          f"n_r = {n_r}")
     # an estimate that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
@@ -201,14 +192,14 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
         raise PrecisionFailure(f"capacity estimate at P = {P:g} is {cap} "
                                f"with standard error {stderr}, not finite")
     if model.kind == "constant":
-        mu = _log2det_gram(model.fixed_H, n, n_r)
+        mu = channel.logdet_statistic(model.fixed_H[None])
     elif n_r >= n:
         mu = expected_logdet_rayleigh(n, n_r)
     else:
         mu = expected_logdet_rayleigh(n_r, n)  # det(H H^dag), swap roles
     rate = _theorem_rate(mu, P, n, n_r, C_L)
     vd = K = None
-    if delta is not None and n_r >= n:
+    if delta is not None:
         vd = chernoff_vdelta(n, n_r, delta)
         K = chernoff_exponent(n, n_r, delta)
     return RateReport(mu=mu, capacity=cap, capacity_stderr=stderr, rate=rate,

@@ -37,8 +37,7 @@ import numpy as np
 
 from . import channel
 from .codebook import scaling_alpha
-from .decoder import (check_full_rank, faded_decodes_to, ml_decode,
-                      shared_fade_decodes_to)
+from .decoder import faded_decodes_to, ml_decode, shared_fade_decodes_to
 from .errors import DomainError
 from .lattice import DEFAULT_BUDGET
 from .rng import philox
@@ -135,7 +134,7 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
         if "lattice" in decoders:
             # a constant channel's trials share one fade
             shared = model.kind == "constant"
-            sv = check_full_rank(H[:1] if shared else H)
+            sv = channel.check_full_rank(H[:1] if shared else H)
             W = Y - H @ words
             todo = np.flatnonzero(~certified(lat, alpha, sv, W))
             if shared:

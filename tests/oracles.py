@@ -339,3 +339,14 @@ def reference_gauss_markov_capacity(model, P, samples, seed):
         means.append(vals.mean())
     means = np.array(means)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(chains))
+
+
+def reference_logdet_statistic(H):
+    """channel.logdet_statistic by the Gram route: (1/k) sum_i log2 det of
+    H_i^dag H_i when n_r >= n, else of H_i H_i^dag, each by slogdet.  The
+    reference for the singular-value route; it checks no rank."""
+    k, n_r, n = H.shape
+    Hh = H.conj().swapaxes(1, 2)
+    grams = Hh @ H if n_r >= n else H @ Hh
+    _, logdets = np.linalg.slogdet(grams)
+    return float(np.sum(logdets) / math.log(2.0) / k)

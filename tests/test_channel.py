@@ -6,7 +6,10 @@ from scipy import stats
 
 from multiblock.channel import (FadingModel, logdet_statistic, sample,
                                sample_stack, transmit, transmit_stack)
+from multiblock.errors import SingularChannel
 from multiblock.rng import complex_gaussian, philox
+
+from oracles import reference_logdet_statistic
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -134,11 +137,22 @@ def test_gauss_markov_stationarity_probe():
     assert abs(first.mean() - mid.mean()) <= 3 * se
 
 
-def test_logdet_statistic_singular_block_warns():
+def test_logdet_statistic_singular_block_raises():
     H = np.zeros((1, 1), dtype=complex)
     model = FadingModel(kind="constant", n=1, n_r=1, fixed_H=H)
-    with pytest.warns(UserWarning):
-        assert logdet_statistic(sample(model, 2, seed=0)) == -np.inf
+    with pytest.raises(SingularChannel, match="numerically rank deficient"):
+        logdet_statistic(sample(model, 2, seed=0))
+
+
+@pytest.mark.parametrize("n, n_r", [(1, 1), (2, 2), (2, 3), (1, 4), (3, 2),
+                                    (4, 1)])
+def test_logdet_statistic_matches_gram_slogdet(n, n_r):
+    # 2 sum log2 sigma over the singular values is log2 det of the Gram
+    # H^dag H (n_r >= n) or H H^dag (n_r < n), block by block
+    for c in range(5):
+        H = sample(iid_model(n, n_r), 7, seed=(31, n, n_r, c))
+        assert logdet_statistic(H) == pytest.approx(
+            reference_logdet_statistic(H), rel=1e-12)
 
 
 def test_realization_reports_k():
@@ -164,6 +178,15 @@ def test_model_validation():
     for n, n_r in [(1, 0), (1, -1), (0, 1), (-2, 2)]:
         with pytest.raises(ValueError, match="must be >= 1"):
             FadingModel(kind="iid_rayleigh", n=n, n_r=n_r)
+    # a fixed H is an n_r x n block of finite entries
+    for H in (np.eye(3), np.eye(2, 3), np.ones(4)):
+        with pytest.raises(ValueError, match=r"needs \(n_r, n\) = \(2, 2\)"):
+            FadingModel(kind="constant", n=2, n_r=2, fixed_H=H)
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        H = np.eye(2, dtype=complex)
+        H[1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            FadingModel(kind="constant", n=2, n_r=2, fixed_H=H)
 
 
 @pytest.mark.parametrize("kind,rho", [("iid_rayleigh", 0.0),

@@ -20,7 +20,7 @@ def z2_lattice():
     blocks = np.zeros((2, 2, 1, 1), dtype=complex)
     blocks[0, 0, 0, 0] = 1
     blocks[1, 1, 0, 0] = 1
-    return MatrixLattice(blocks, validate=False)
+    return MatrixLattice(blocks)
 
 
 def test_scaling_alpha_siso_examples():
@@ -130,7 +130,7 @@ def test_average_count_matches_ball_volume_ratio(qi_lattice):
     # the averaging argument behind the shift-existence lemma
     radius, alpha = 1.3, 1.0
     expected = math.pi * radius ** 2 / alpha ** 2
-    scaled = qi_lattice.scale(alpha)
+    scaled = MatrixLattice(alpha * qi_lattice.blocks)
     gen = philox(509, 0)
     counts = []
     for _ in range(10000):

@@ -4,7 +4,7 @@ import pytest
 from multiblock.codebook import Codebook, carve
 from multiblock.decoder import (LatticeDecoder, faded_decodes_to, ml_decode,
                                 mismatched_bound, qr_reduce)
-from multiblock.errors import DegenerateLattice
+from multiblock.errors import DegenerateLattice, SingularChannel
 from multiblock.lattice import MatrixLattice, PreparedCVP, realify
 from multiblock.rng import complex_gaussian, philox
 
@@ -130,6 +130,14 @@ def test_qr_reduce_orthonormal_columns():
     Yp, Rp = qr_reduce(Y, H)
     assert np.allclose(Rp[0], np.eye(2), atol=1e-9)
     assert np.allclose(Yp[0], Q.conj().T @ Y[0], atol=1e-9)
+
+
+def test_qr_reduce_refuses_rank_deficient_block():
+    # the second block has rank 1: the channel's one rank rule refuses it
+    H = complex_gaussian(philox(37, 0), (2, 3, 2))
+    H[1, :, 1] = 2j * H[1, :, 0]
+    with pytest.raises(SingularChannel, match="numerically rank deficient"):
+        qr_reduce(H @ np.eye(2), H)
 
 
 def test_qr_decode_equivalence(golden_lattice):

@@ -18,7 +18,7 @@ def z2_lattice():
     blocks = np.zeros((2, 2, 1, 1), dtype=complex)
     blocks[0, 0, 0, 0] = 1
     blocks[1, 1, 0, 0] = 1
-    return MatrixLattice(blocks, validate=False)
+    return MatrixLattice(blocks)
 
 
 def random_full_lattice(rng, n, k):
@@ -177,14 +177,19 @@ def test_fade_inverse_restores_gram(golden_lattice):
 
 
 def test_fade_rejects_singular(golden_lattice):
-    H = np.zeros((1, 2, 2), dtype=complex)
-    with pytest.raises(SingularChannel):
-        fade(golden_lattice, H)
+    # the zero block, and a rank-1 block at scale 1e3 whose |det| of about
+    # 1e-8 passes an absolute determinant threshold: the channel's rank
+    # rule, relative to the largest singular value, refuses both
+    rank1 = np.full((1, 2, 2), 1e3, dtype=complex)
+    rank1[0, 1, 1] *= 1 + 1e-14
+    for H in (np.zeros((1, 2, 2), dtype=complex), rank1):
+        with pytest.raises(SingularChannel, match="numerically rank deficient"):
+            fade(golden_lattice, H)
 
 
 def test_volume_alpha_scaling(golden_lattice):
     alpha = 1.7
-    scaled = golden_lattice.scale(alpha)
+    scaled = MatrixLattice(alpha * golden_lattice.blocks)
     assert scaled.volume == pytest.approx(
         alpha ** golden_lattice.rank * golden_lattice.volume, rel=1e-9)
 
@@ -266,15 +271,21 @@ def test_proposition1_chain_sampled_fades(hex_lattice, golden_lattice):
 
 
 def test_homogeneous_minima_match_invariants(catalog, hex_lattice, golden_lattice):
-    from multiblock.lattice import homogeneous_minimum
-    # on a unit-covolume rescaling, the three forms reduce to the three
-    # classical invariants
-    h, _, _ = hermite_invariant(hex_lattice)
-    assert homogeneous_minimum("f1", hex_lattice) == pytest.approx(h, rel=1e-9)
-    assert homogeneous_minimum("f2", hex_lattice, radius=2.0) == pytest.approx(
-        normalized_min_det(hex_lattice, 1.0), rel=1e-9)
-    assert homogeneous_minimum("f3", golden_lattice, radius=2.5) == pytest.approx(
-        normalized_min_det(golden_lattice, 1.0), rel=1e-6)
+    # on a unit-covolume rescaling (by c = Vol^{-1/rank}), the three forms
+    # at the witness points of the invariants' own searches are the three
+    # classical invariants; min_pdet searches the ball of radius r / c,
+    # which rescales to radius r
+    def unit_point(lat, coords):
+        return lat.point(coords) * lat.volume ** (-1.0 / lat.rank)
+
+    h, coords, _ = hermite_invariant(hex_lattice)
+    assert form_eval("f1", unit_point(hex_lattice, coords)) == pytest.approx(
+        h, rel=1e-9)
+    for form, lat, r, rel in (("f2", hex_lattice, 2.0, 1e-9),
+                              ("f3", golden_lattice, 2.5, 1e-6)):
+        _, wit = min_pdet(lat, r * lat.volume ** (1.0 / lat.rank))
+        assert form_eval(form, unit_point(lat, wit)) == pytest.approx(
+            normalized_min_det(lat, 1.0), rel=rel)
 
 
 def test_exists_closer_matches_full_cvp(golden_lattice):

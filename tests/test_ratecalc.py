@@ -6,7 +6,7 @@ from scipy import integrate, special
 
 from multiblock import ratecalc as rc
 from multiblock.channel import FadingModel
-from multiblock.errors import DomainError
+from multiblock.errors import DomainError, SingularChannel
 from multiblock.rng import philox
 
 from oracles import reference_gauss_markov_capacity
@@ -306,3 +306,12 @@ def test_rate_report_rejects_c_l_outside_open_half_line(C_L):
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
     with pytest.raises(DomainError, match="C_L"):
         rc.rate_report(model, P=100.0, C_L=C_L, samples=100, seed=1)
+
+
+def test_rate_report_singular_fixed_block_fails_the_rank_rule():
+    # mu of a constant channel is the log-det statistic of its block, which
+    # a rank-deficient block does not have
+    H = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
+    model = FadingModel(kind="constant", n=2, n_r=2, fixed_H=H)
+    with pytest.raises(SingularChannel, match="numerically rank deficient"):
+        rc.rate_report(model, P=10.0, C_L=4.0)

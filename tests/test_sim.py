@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiblock import channel, decoder, lattice, sim
-from multiblock.channel import FadingModel
+from multiblock.channel import FadingModel, check_full_rank
 from multiblock.cli import main
 from multiblock.codebook import carve, scaling_alpha
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
-from multiblock.decoder import (LatticeDecoder, check_full_rank,
-                                faded_decodes_to, shared_fade_decodes_to)
+from multiblock.decoder import (LatticeDecoder, faded_decodes_to,
+                                shared_fade_decodes_to)
 from multiblock.errors import BudgetExceeded
 from multiblock.lattice import (DEFAULT_BUDGET, MatrixLattice, PreparedCVP,
                                 field_lattice, min_pdet, realify)
