@@ -123,9 +123,11 @@ def transmit(X, H, noise_seed, noiseless=False):
 def check_full_rank(H):
     """Singular values, descending, of the blocks of one fade H (k, n_r, n)
     or of each fade of a stack (T, k, n_r, n).  SingularChannel if some
-    block's smallest is at most 1e-12 times the largest of its fade (or 1)."""
+    block's smallest is at most 1e-12 times the largest of its fade, so the
+    rule reads only the fade's conditioning, never its scale (an all-zero
+    fade fails: 0 <= 0)."""
     sv = np.linalg.svd(H, compute_uv=False)
-    peak = np.maximum(1.0, sv.max(axis=(-2, -1)))
+    peak = sv.max(axis=(-2, -1))
     if np.any(sv[..., -1] <= 1e-12 * peak[..., None]):
         raise SingularChannel("fading block numerically rank deficient")
     return sv

@@ -195,6 +195,8 @@ def cmd_simulate(args):
         raise ValueError("--trials must be >= 1")
     if not args.infinite and args.carve_trials < 1:
         raise ValueError("--carve-trials must be >= 1")
+    if args.infinite and args.decoder == "ml":
+        raise ValueError("ML decoding needs a carved codebook, not --infinite")
     powers = [_snr_power(snr_db) for snr_db in args.snr_db]
     cat = load_catalog()
     lat, name, _ = _load_lattice(cat, args.field, args.algebra)

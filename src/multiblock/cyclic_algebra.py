@@ -10,7 +10,7 @@ into complex matrices use doubles.
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -23,34 +23,13 @@ ETA_RESIDUAL_TOL = 1e-13
 
 class AlgebraElement:
     """Element of a cyclic algebra: tuple of n E-coefficients, each a tuple
-    of n elements of the center."""
+    of n elements of the center.  Products go through CyclicAlgebra.mul."""
 
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
         self.coords = tuple(tuple(c) for c in coords)
-
-    def __add__(self, other):
-        alg = self.algebra
-        return AlgebraElement(alg, [alg.e_add(a, b)
-                                    for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        alg = self.algebra
-        return AlgebraElement(alg, [alg.e_add(a, alg.e_neg(b))
-                                    for a, b in zip(self.coords, other.coords)])
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.algebra.mul(self, other)
-        return AlgebraElement(self.algebra,
-                              [tuple(c * other for c in e) for e in self.coords])
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return all(c.is_zero() for e in self.coords for c in e)
 
     def __repr__(self):
         return f"AlgebraElement({self.algebra.name})"
@@ -78,6 +57,8 @@ class CyclicAlgebra:
         if gamma.is_zero():
             raise CatalogInconsistent(f"{name}: gamma must be nonzero")
         self.rel_basis = tuple(tuple(e) for e in rel_basis)
+        if len(self.rel_basis) != n:
+            raise CatalogInconsistent(f"{name}: rel_basis must have {n} elements")
         self.division_asserted = division_asserted
 
         self._sigma_eta_pows = self._powers(self.sigma_eta)
@@ -164,9 +145,7 @@ class CyclicAlgebra:
         acc = self.e_zero()
         for i, c in enumerate(self.rel_poly[:-1]):
             acc = self.e_add(acc, self.e_scale(self._sigma_eta_pows[i], c))
-        top = self.e_mul(self._sigma_eta_pows[self.n - 1], self.sigma_eta) \
-            if self.n > 1 else self.e_one()
-        acc = self.e_add(acc, top)
+        acc = self.e_add(acc, self.e_mul(self._sigma_eta_pows[-1], self.sigma_eta))
         if not all(c.is_zero() for c in acc):
             raise CatalogInconsistent(f"{self.name}: sigma_eta is not a root of rel_poly")
         # ... and have order dividing n (applied literally n times)
@@ -187,9 +166,6 @@ class CyclicAlgebra:
         roots = []
         for i in range(self.k):
             coeffs = [complex(self.center.canonical_embed(c)[i]) for c in self.rel_poly]
-            if self.n == 1:
-                roots.append(-coeffs[0])
-                continue
             cand = polished_roots(coeffs, ETA_RESIDUAL_TOL, self.name)
             cand = sorted(cand, key=lambda z: (-round(z.imag, 9), -round(z.real, 9)))
             roots.append(complex(cand[0]))
@@ -285,11 +261,11 @@ class CyclicAlgebra:
         entries = self.phi_entries(a)
         acc = self.e_zero()
         for perm in permutations(range(self.n)):
-            sign = _perm_sign(perm)
             term = self.e_one()
             for r in range(self.n):
                 term = self.e_mul(term, entries[r][perm[r]])
-            if sign < 0:
+            # the sign of perm is the parity of its inversion count
+            if sum(a > b for a, b in combinations(perm, 2)) % 2:
                 term = self.e_neg(term)
             acc = self.e_add(acc, term)
         for coeff in acc[1:]:
@@ -303,7 +279,9 @@ class CyclicAlgebra:
 
 class NaturalOrder:
     """The Z-order O_E + u O_E + ... + u^{n-1} O_E with its 2kn^2-element
-    Z-basis u^j (w_a e_b)."""
+    Z-basis u^j c_i, where c_i = e w_a runs over the N = n deg(K) elements
+    of the O_E basis.  O_E is kept once: the flat coordinate matrix of the
+    z-basis is n diagonal copies of the N x N matrix C of the c_i."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -312,38 +290,36 @@ class NaturalOrder:
         self.rank = deg * n * n
         units = [K.element([1 if t == a_idx else 0 for t in range(deg)])
                  for a_idx in range(deg)]
-        # the O_E basis c = e w_a, shared by every power of u
-        cs = [algebra.e_scale(e, w) for e in algebra.rel_basis for w in units]
-        basis = []
-        for j in range(n):
-            for c in cs:
-                coords = [algebra.e_zero() for _ in range(n)]
-                coords[j] = c
-                basis.append(AlgebraElement(algebra, coords))
-        self.z_basis = tuple(basis)
-        # the flat matrix, column j the flat coordinates of z_basis[j], as
-        # integer rows over one denominator
-        cols, self._flat_den = _flat_ints([_center_coeffs(b) for b in basis])
-        self._flat = list(zip(*cols))
-        if bareiss_det(self._flat) == 0:
+        self._cs = [algebra.e_scale(e, w) for e in algebra.rel_basis for w in units]
+        # row i: the flat coordinates of c_i, integer rows over one denominator
+        self._c_rows, self._c_den = _flat_ints(self._cs)
+        if bareiss_det(self._c_rows) == 0:
             raise CatalogInconsistent(f"{algebra.name}: z-basis is not linearly independent")
         self._zdisc = None
 
     @cached_property
+    def z_basis(self):
+        """The z-basis u^j c_i, u^0 block first; built on first use."""
+        alg = self.algebra
+        return tuple(alg.element([c if t == j else alg.e_zero() for t in range(alg.n)])
+                     for j in range(alg.n) for c in self._cs)
+
+    @cached_property
     def _flat_inv(self):
-        """Exact inverse of the flat z-basis matrix, as (integer numerator
-        rows, denominator); computed when coordinates() is first called."""
-        return inverse(self._flat, self._flat_den)
+        """Exact inverse of C (column i the flat coordinates of c_i), as
+        (integer numerator rows, denominator); computed when coordinates()
+        is first called."""
+        return inverse(list(zip(*self._c_rows)), self._c_den)
 
     def coordinates(self, a):
-        """Exact coordinates of a over the z-basis.  With contains(), a
-        test-only witness that the natural order is a ring (closed under
-        the algebra product)."""
+        """Exact coordinates of a over the z-basis, one u^j block at a time.
+        With contains(), a test-only witness that the natural order is a
+        ring (closed under the algebra product)."""
         inv, inv_den = self._flat_inv
-        (nums,), den = _flat_ints([_center_coeffs(a)])
+        blocks, den = _flat_ints(a.coords)
         den *= inv_den
         return [Fraction(sum(m * c for m, c in zip(row, nums)), den)
-                for row in inv]
+                for nums in blocks for row in inv]
 
     def contains(self, a):
         """True iff a lies in the order: all its z-coordinates are integers.
@@ -352,15 +328,19 @@ class NaturalOrder:
         return all(c.denominator == 1 for c in self.coordinates(a))
 
     def element_from_z(self, zcoords):
-        """The order element with the given integer z-coordinates.  Test-only:
-        it builds the order elements on which reduced_norm() witnesses the
-        NVD mechanism |pdet(phi(a))|^2 = |N_{K/Q}(Nrd a)|."""
-        alg = self.algebra
-        acc = alg.element([alg.e_zero() for _ in range(alg.n)])
-        for z, b in zip(zcoords, self.z_basis):
-            if z:
-                acc = acc + b * z
-        return acc
+        """The order element with the given integer z-coordinates: its u^j
+        coefficient is the sum of z_(jN+i) c_i.  Test-only: it builds the
+        order elements on which reduced_norm() witnesses the NVD mechanism
+        |pdet(phi(a))|^2 = |N_{K/Q}(Nrd a)|."""
+        alg, N = self.algebra, len(self._cs)
+        coeffs = []
+        for j in range(alg.n):
+            acc = alg.e_zero()
+            for z, c in zip(zcoords[j * N:(j + 1) * N], self._cs):
+                if z:
+                    acc = alg.e_add(acc, alg.e_scale(c, z))
+            coeffs.append(acc)
+        return alg.element(coeffs)
 
     def z_discriminant(self):
         """Exact determinant of the reduced-trace form summed over all 2k
@@ -379,28 +359,25 @@ class NaturalOrder:
               is the trace form of E on its flat coordinates eta^t w_a,
           C holds the flat coordinates of the c_i, and
           Y_s those of gamma^[s > 0] sigma^s(c_i).
-        Every matrix is held on integer numerators; each block row's
-        denominator is divided out after one Bareiss determinant."""
+        The blocks sit on a block permutation whose sign is +1, N being
+        even (deg K is), so the determinant is the product of the n block
+        determinants, each by Bareiss on integer numerators; the
+        denominators are divided out at the end."""
         if self._zdisc is None:
             alg = self.algebra
-            n, N = alg.n, self.rank // alg.n
+            n, N = alg.n, len(self._cs)
             T, t_den = self._e_trace_form()
-            cs = [b.coords[0] for b in self.z_basis[:N]]
-            C, c_den = _flat_ints(cs)
+            C, c_den = self._c_rows, self._c_den
             # TC[j] = T c_j, so block entry (i, j) is y_i . TC[j]
             TC = [[sum(t * c for t, c in zip(row, col)) for row in T] for col in C]
-            gram, scale = [], (t_den * c_den) ** (n * N)
-            for r in range(n):
-                s = (n - r) % n
+            det, scale = 1, (t_den * c_den) ** (n * N)
+            for s in range(n):
                 Y, y_den = (C, c_den) if s == 0 else _flat_ints(
-                    [alg.e_scale(alg.sigma_pow(c, s), alg.gamma) for c in cs])
+                    [alg.e_scale(alg.sigma_pow(c, s), alg.gamma) for c in self._cs])
                 scale *= y_den ** N
-                for y in Y:
-                    row = [0] * (n * N)
-                    row[s * N:(s + 1) * N] = [sum(a * b for a, b in zip(y, tc))
-                                              for tc in TC]
-                    gram.append(row)
-            d = Fraction(bareiss_det(gram), scale)
+                det *= bareiss_det([[sum(a * b for a, b in zip(y, tc)) for tc in TC]
+                                    for y in Y])
+            d = Fraction(det, scale)
             if d.denominator != 1:
                 raise PrecisionFailure(
                     f"{alg.name}: order discriminant {d} is not an integer")
@@ -425,18 +402,11 @@ class NaturalOrder:
 
 
 def _flat_ints(elements):
-    """Flat rational coordinates of sequences of center elements (E-elements,
-    or algebra elements through _center_coeffs) as integer rows over one
-    common denominator: row i lists the coordinates of each center element
-    of elements[i] in turn."""
+    """Flat rational coordinates of sequences of center elements (such as
+    E-elements) as integer rows over one common denominator: row i lists
+    the coordinates of each center element of elements[i] in turn."""
     den = math.lcm(*(c.den for x in elements for c in x))
     return [[m * (den // c.den) for c in x for m in c.nums] for x in elements], den
-
-
-def _center_coeffs(a):
-    """The center coefficients of an algebra element in flat order: u^j
-    after u^(j-1), and within each the eta^t coefficients in turn."""
-    return [c for e in a.coords for c in e]
 
 
 def order_lattice(order):
@@ -468,19 +438,3 @@ def trivial_algebra(field):
         division_asserted=True,
     )
 
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

@@ -2,7 +2,7 @@
 
 A field is defined by a monic integer minimal polynomial and an explicit
 integral basis (rational polynomials in the root theta).  Elements,
-products, traces, norms and discriminants are exact: every rational vector
+products, trace forms, norms and discriminants are exact: every rational vector
 is held as integer numerators over one common denominator, and products
 are taken on the integer theta polynomials modulo the minimal polynomial.
 The relative canonical embedding (one root per complex-conjugate pair,
@@ -242,19 +242,6 @@ class NumberField:
     def one(self):
         return self.from_theta_poly([1])
 
-    def theta(self):
-        """The generator theta, a root of min_poly.  Test-only: it builds the
-        elements on which the tests witness the trace form, the
-        discriminant and the canonical embedding that gives a field its
-        lattice."""
-        return self.from_theta_poly([0, 1])
-
-    def rational(self, q):
-        """The rational q as a field element.  Test-only witness that Q
-        embeds in the field with trace deg q and norm q^deg, and that
-        scaling by any rational (numpy integers included) is that product."""
-        return self.from_theta_poly([Fraction(q)])
-
     def _theta_ints(self, x):
         """Theta polynomial of x as (n integer numerators, denominator)."""
         nums = x.nums
@@ -278,14 +265,6 @@ class NumberField:
         pa, da = self._theta_ints(a)
         pb, db = self._theta_ints(b)
         return self._from_theta_ints(poly_mod(poly_mul(pa, pb), self.min_poly), da * db)
-
-    def trace(self, x):
-        """Exact Tr_{K/Q}(x) as a Fraction.  Test-only witness of the trace
-        form Tr(w_i w_j), whose determinant is the discriminant
-        (`trace_form`, on the same Newton power sums, is the load-bearing
-        route)."""
-        poly, den = self._theta_ints(x)
-        return Fraction(sum(c * t for c, t in zip(poly, self._theta_traces)), den)
 
     def norm(self, x):
         """Exact N_{K/Q}(x): determinant of multiplication by x in the theta

@@ -308,9 +308,9 @@ def reference_discriminant(field):
 
 def reference_z_discriminant(order):
     """det Tr_{K/Q}(Trd(b_i b_j)) over an order's z-basis from all
-    r(r+1)/2 algebra products and a Fraction determinant: the pairwise
-    Gram that NaturalOrder.z_discriminant replaced by its n nonzero blocks.
-    Witnesses that the block-sparse form, with its integer denominators, is
+    r(r+1)/2 algebra products, reference_trace and a Fraction determinant
+    (no trace form of the package): the pairwise Gram that
+    NaturalOrder.z_discriminant replaced by its n nonzero blocks.  Witnesses that the block-sparse form, with its integer denominators, is
     the reduced-trace form whose determinant is the order discriminant on
     which the paper's gap to capacity depends."""
     alg, K = order.algebra, order.algebra.center
@@ -319,7 +319,7 @@ def reference_z_discriminant(order):
     gram = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            val = K.trace(alg.reduced_trace(alg.mul(basis[i], basis[j])))
+            val = reference_trace(K, alg.reduced_trace(alg.mul(basis[i], basis[j])))
             gram[i][j] = gram[j][i] = val
     return fraction_det(gram)
 

@@ -392,6 +392,18 @@ def test_singular_fixed_h_exits_3(tmp_path, capsys):
     assert_one_line(err, "numerical failure: ")
 
 
+def test_tiny_well_conditioned_fixed_h_is_full_rank(tmp_path):
+    # the rank rule reads a fade's conditioning, not its scale: a 1 x 1
+    # fade of 1e-13 has condition number 1.  At that gain every trial is a
+    # word error, but the run completes
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("1e-13\n")
+    code, text = run_cli(QI_CONSTANT + ["--fixed-h-file", str(hfile)], tmp_path)
+    assert code == 0
+    [row] = parse_csv(text)
+    assert (row["decoder"], row["trials"], row["word_errors"]) == ("lattice", "5", "5")
+
+
 def test_failed_run_leaves_output_file_unchanged(tmp_path, capsys):
     hfile = tmp_path / "h.txt"
     hfile.write_text("0\n")
@@ -514,6 +526,9 @@ QI_IID = ["simulate", "--field", "q_i", "--model", "iid_rayleigh",
     (["rates", "--n", "1", "--nr", "1", "--model", "constant", "--rho", "0.3",
       "--snr-db", "10", "--cl", "46", "--samples", "100"],
      "rho applies only to the gauss_markov model, not constant"),
+    # the infinite lattice has no codebook for ML to search
+    (QI_CONSTANT[:-3] + ["--decoder", "ml", "--infinite"],
+     "ML decoding needs a carved codebook, not --infinite"),
 ])
 def test_unread_model_parameter_exits_2(tmp_path, capsys, argv, needle):
     # a model refuses a parameter its kind would not read, so no run
@@ -525,6 +540,35 @@ def test_unread_model_parameter_exits_2(tmp_path, capsys, argv, needle):
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, "error: " + needle)
+
+
+# the exit code of every exception class the package defines: 3 for a
+# numerical failure, 2 for a configuration error
+EXIT_CODES = {
+    "PrecisionFailure": 3, "DegenerateLattice": 3, "SingularChannel": 3,
+    "EmptyBall": 3, "BudgetExceeded": 3,
+    "CatalogError": 2, "NotTotallyComplex": 2, "CatalogInconsistent": 2,
+    "CarveFailed": 2, "DomainError": 2,
+}
+
+
+def test_every_package_error_has_its_exit_code(monkeypatch, capsys):
+    # a class added to multiblock.errors without an exit code in main fails
+    # here, instead of ending some command in a traceback
+    from multiblock import errors, ratecalc
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    assert sorted(classes) == sorted(EXIT_CODES)
+    for name, cls in sorted(classes.items()):
+        def fail(*args, cls=cls):
+            raise cls("injected")
+        monkeypatch.setattr(ratecalc, "chernoff_vdelta", fail)
+        code = main(["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CODES[name], name
+        assert out == "", name
+        prefix = "numerical failure: " if code == 3 else "error: "
+        assert err == prefix + "injected\n", name
 
 
 def test_carve_export_not_written_when_output_fails(tmp_path, capsys):

@@ -143,7 +143,7 @@ def _ninth_roots(q_omega, gamma):
     omega) and the relative integral basis 1, eta, eta^2: the one catalog-
     free algebra of degree 3, whose Gram has the off-diagonal nonzero blocks
     (1, 2) and (2, 1)."""
-    one, zero, omega = q_omega.one(), q_omega.zero(), q_omega.theta()
+    one, zero, omega = q_omega.one(), q_omega.zero(), q_omega.from_theta_poly([0, 1])
     return CyclicAlgebra("ninth", q_omega, 3, [-omega, zero, zero, one],
                          (zero, omega, zero), gamma,
                          [(one, zero, zero), (zero, one, zero), (zero, zero, one)])
@@ -171,13 +171,51 @@ def test_zdisc_degree_three_matches_reference(q_omega, gamma, expected):
     assert reference_z_discriminant(order) == expected
 
 
+def _cube_root_of_two(q_omega):
+    """(Q(omega, 2^(1/3)) / Q(omega), eta -> omega eta, gamma = omega) with
+    E = K[y]/(y^3 - 2) and the relative basis 1, eta, eta^2: a degree-3
+    algebra whose order is checked through its discriminant, its lattice
+    and its coordinates."""
+    one, zero = q_omega.one(), q_omega.zero()
+    omega, two = q_omega.from_theta_poly([0, 1]), q_omega.from_theta_poly([2])
+    return CyclicAlgebra("cube2", q_omega, 3, [-two, zero, zero, one],
+                         (zero, omega, zero), omega,
+                         [(one, zero, zero), (zero, one, zero), (zero, zero, one)])
+
+
+def test_degree_three_order_keeps_its_routes(q_omega):
+    order = NaturalOrder(_cube_root_of_two(q_omega))
+    assert order.z_discriminant() == -31234447298506752
+    assert reference_z_discriminant(order) == order.z_discriminant()
+    assert order_lattice(order).rank == order.rank == 18
+    z = list(range(-9, 9))
+    assert order.coordinates(order.element_from_z(z)) == z
+
+
+def test_degree_one_checks_sigma_eta_as_a_root(q_i):
+    # n = 1 takes the general check: sigma(eta) must be the root of eta - c
+    one = q_i.one()
+    two, six = q_i.from_theta_poly([2]), q_i.from_theta_poly([6])
+    alg = CyclicAlgebra("eta2", q_i, 1, [-two, one], (two,), one, [(one,)])
+    assert NaturalOrder(alg).z_discriminant() == q_i.discriminant()
+    with pytest.raises(CatalogInconsistent) as info:
+        CyclicAlgebra("eta1", q_i, 1, [-one, one], (six,), one, [(one,)])
+    assert str(info.value) == "eta1: sigma_eta is not a root of rel_poly"
+
+
+def test_rel_basis_of_wrong_length_is_refused(golden):
+    with pytest.raises(CatalogInconsistent) as info:
+        _variant(golden, "gb", rel_basis=golden.rel_basis[:1])
+    assert str(info.value) == "gb: rel_basis must have 2 elements"
+
+
 def test_non_integer_zdisc_is_a_precision_failure(golden):
     # a basis scaled by 1/3 spans a lattice that is no order: the block row
     # denominators, divided out after the determinant, leave 3^-8
     K = golden.center
     e0, e1 = golden.rel_basis
     g3 = _variant(golden, "g3",
-                  rel_basis=[golden.e_scale(e0, K.rational(Fraction(1, 3))), e1])
+                  rel_basis=[golden.e_scale(e0, K.from_theta_poly([Fraction(1, 3)])), e1])
     order = NaturalOrder(g3)
     with pytest.raises(PrecisionFailure) as info:
         order.z_discriminant()
@@ -190,10 +228,12 @@ def test_order_inverse_is_lazy_and_exact(golden, monkeypatch):
                         lambda rows, den: calls.append(1) or inverse(rows, den))
     order = NaturalOrder(golden)
     assert calls == []
-    # column j: the rational coordinates of z_basis[j], u^0 block first
-    flat = [[q for e in b.coords for x in e for q in x.coords]
-            for b in order.z_basis]
-    mat = [[col[i] for col in flat] for i in range(order.rank)]
+    # O_E is kept once: column i of its N x N matrix holds the rational
+    # coordinates of c_i, the u^0 coefficient of z_basis[i]
+    N = order.rank // golden.n
+    flat = [[q for x in b.coords[0] for q in x.coords]
+            for b in order.z_basis[:N]]
+    mat = [[col[i] for col in flat] for i in range(N)]
     nums, den = order._flat_inv
     assert [[Fraction(x, den) for x in row] for row in nums] == fraction_inverse(mat)
     assert order.contains(golden.one())

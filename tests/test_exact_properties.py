@@ -60,7 +60,13 @@ def test_mul_matches_fraction_reference(catalog, data):
     prod = a * b
     assert prod == reference_field_mul(K, a, b)
     assert prod.coords == reference_field_mul(K, a, b).coords
-    assert K.trace(prod) == reference_trace(K, prod)
+    # row 0 of the twisted trace form is Tr(prod w_0 w_j), with w_0 = 1
+    assert K.basis[0] == (1,)
+    gram, den = K.trace_form(prod)
+    units = [K.element([int(i == j) for i in range(K.degree)])
+             for j in range(K.degree)]
+    assert [Fraction(g, den) for g in gram[0]] == \
+        [reference_trace(K, prod * w) for w in units]
 
 
 @PROPERTY
