@@ -6,11 +6,12 @@ simplest stationary ergodic family with tunable memory.
 
 A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
 A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
-`transmit_stack` serve a whole stack of paths (s, *indices) in one pass, as
-the WER drivers do for a chunk of trials; each realization and each noise
-draw is still the pure function of its own path, so `sample` and
-`transmit` are those functions on a stack of one.  `check_full_rank` is the
-one rank rule for fades, and `logdet_statistic` reads its singular values.
+`transmit_stack` serve a whole stack of paths (s, *indices) in one pass, the
+index rows of an integer array, as the WER drivers do for a chunk of
+trials; each realization and each noise draw is still the pure function of
+its own path, so `sample` and `transmit` are those functions on a stack of
+one.  `check_full_rank` is the one rank rule for fades, and
+`logdet_statistic` reads its singular values.
 """
 
 from dataclasses import dataclass
@@ -63,22 +64,28 @@ class FadingModel:
 
 
 def _path(seed):
-    """Root seed and index tuple of a seed path."""
-    if isinstance(seed, tuple):
-        return seed[0], tuple(seed[1:])
-    return seed, ()
+    """Root seed and one-row index array of a seed path."""
+    root, *indices = seed if isinstance(seed, tuple) else (seed,)
+    if not indices:
+        return root, np.zeros((1, 0), dtype=np.int64)
+    return root, np.array([indices])
+
+
+def _tagged(tag, streams):
+    """The stream paths (tag, *s) for the rows s of `streams`."""
+    return np.insert(np.asarray(streams), 0, tag, axis=1)
 
 
 def sample_stack(model, k, seed, streams):
-    """Blocks H_1..H_k of the realizations at seed paths (seed, *s) for s in
-    `streams`, stacked: shape (len(streams), k, n_r, n).  i.i.d. blocks are
-    drawn in one call; Gauss-Markov runs its k-step recurrence on all
-    realizations at once."""
+    """Blocks H_1..H_k of the realizations at seed paths (seed, *s) for the
+    rows s of `streams`, stacked: shape (len(streams), k, n_r, n).  i.i.d.
+    blocks are drawn in one call; Gauss-Markov runs its k-step recurrence on
+    all realizations at once."""
     shape = (k, model.n_r, model.n)
     if model.kind == "constant":
         return np.broadcast_to(np.asarray(model.fixed_H, dtype=complex),
                                (len(streams),) + shape).copy()
-    g = complex_gaussian_streams(seed, [(0x48, *s) for s in streams], shape)
+    g = complex_gaussian_streams(seed, _tagged(0x48, streams), shape)
     if model.kind == "iid_rayleigh" or model.rho == 0.0:
         return g
     blocks = np.empty_like(g)
@@ -95,17 +102,17 @@ def sample(model, k, seed):
     fade of the oracles against which `sample_stack`'s callers are checked."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    root, indices = _path(seed)
-    return sample_stack(model, k, root, [indices])[0]
+    root, path = _path(seed)
+    return sample_stack(model, k, root, path)[0]
 
 
 def transmit_stack(X, H, seed, streams, noiseless):
     """Y = H X + W for a stack of words X over a stack of fades H (both
     indexed by realization first), word s drawing its unit-variance circular
-    symmetric noise at seed path (seed, *streams[s])."""
+    symmetric noise at seed path (seed, *streams[s]), rows of `streams`."""
     Y = H @ np.asarray(X, dtype=complex)
     if not noiseless:
-        Y = Y + complex_gaussian_streams(seed, [(0x57, *s) for s in streams],
+        Y = Y + complex_gaussian_streams(seed, _tagged(0x57, streams),
                                          Y.shape[1:])
     return Y
 
@@ -115,9 +122,9 @@ def transmit(X, H, noise_seed, noiseless=False):
     circular symmetric noise.
     Test-only: the one-trial channel of the oracle `reference_trial_loop`,
     against which the chunked trial loop is checked bit for bit."""
-    root, indices = _path(noise_seed)
+    root, path = _path(noise_seed)
     X = np.asarray(X, dtype=complex)
-    return transmit_stack(X[None], H[None], root, [indices], noiseless)[0]
+    return transmit_stack(X[None], H[None], root, path, noiseless)[0]
 
 
 def check_full_rank(H):

@@ -53,12 +53,18 @@ class CyclicAlgebra:
             raise CatalogInconsistent(f"{name}: rel_poly must be monic")
         self.rel_poly = tuple(rel_poly)
         self.sigma_eta = tuple(sigma_eta)
+        if len(self.sigma_eta) != n:
+            raise CatalogInconsistent(f"{name}: sigma_eta must have {n} "
+                                      f"coefficients")
         self.gamma = gamma
         if gamma.is_zero():
             raise CatalogInconsistent(f"{name}: gamma must be nonzero")
         self.rel_basis = tuple(tuple(e) for e in rel_basis)
         if len(self.rel_basis) != n:
             raise CatalogInconsistent(f"{name}: rel_basis must have {n} elements")
+        if any(len(e) != n for e in self.rel_basis):
+            raise CatalogInconsistent(f"{name}: each rel_basis element must "
+                                      f"have {n} coefficients")
         self.division_asserted = division_asserted
 
         self._sigma_eta_pows = self._powers(self.sigma_eta)

@@ -4,10 +4,12 @@ Every stochastic routine in the package derives its stream from
 (seed, *indices) through Philox4x64-10 (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), so identical configurations reproduce
 bit-identical runs and independent trials can be generated independently.
-Philox is a pure function of (key, counter), so `complex_gaussian_streams`
-computes the draws of many streams at once, as array arithmetic over their
-keys and counters; each stream's draws are still the pure function of
-(seed, *indices), bit for bit those of `philox(seed, *indices)`.
+A stream path (the indices) is a row of an integer array, each index in
+[0, 2^63); its key is a hash of the path's columns.  Philox is a pure
+function of (key, counter), so `complex_gaussian_streams` computes the draws
+of many streams at once, as array arithmetic over their keys and counters;
+each stream's draws are still the pure function of (seed, *indices), bit
+for bit those of `philox(seed, *indices)`.
 """
 
 import numpy as np
@@ -16,24 +18,39 @@ _MASK = (1 << 64) - 1
 
 # Philox4x64-10 as numpy's Philox runs it: two multipliers, two Weyl
 # increments added to the key between rounds, and the first block of a
-# fresh generator at counter 1.
-_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
-_W0, _W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+# fresh generator at counter 1.  Lane 0 multiplies x0, lane 1 multiplies x2.
+_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+              dtype=np.uint64).reshape(2, 1, 1)
+_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _ROUNDS = 10
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M_HI, _M_LO = _M >> _32, _M & _LOW32
+_HASH, _ONE = np.uint64(1000003), np.uint64(1)
 
 
-def _key(seed, stream):
-    acc = 0
-    for s in stream:
-        acc = (acc * 1000003 + int(s) + 1) & _MASK
-    return int(seed) & _MASK, acc
+def _keys(seed, paths):
+    """Philox keys (seed, hash of the path), a uint64 array (S, 2), of the
+    stream paths: the rows of the integer array `paths` (S, L), into which
+    a list of equal-length tuples converts.  The hash runs over the columns
+    in wrapping uint64 arithmetic, acc * 1000003 + index + 1.  ValueError
+    for an index that is not an integer in [0, 2^63)."""
+    paths = np.asarray(paths)
+    if paths.size == 0:
+        paths = np.zeros((len(paths), 0), dtype=np.int64)
+    elif (paths.ndim != 2 or paths.dtype.kind not in "iu"
+            or int(paths.min()) < 0 or int(paths.max()) >= 1 << 63):
+        raise ValueError("stream path indices must be integers in [0, 2^63)")
+    acc = np.zeros(len(paths), dtype=np.uint64)
+    for col in paths.T.astype(np.uint64):
+        acc = acc * _HASH + col + _ONE
+    keys = np.empty((len(paths), 2), dtype=np.uint64)
+    keys[:, 0], keys[:, 1] = int(seed) & _MASK, acc
+    return keys
 
 
 def philox(seed, *stream):
     """Generator on an independent Philox stream keyed by (seed, stream)."""
-    key = np.array(_key(seed, stream), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_keys(seed, [stream])[0]))
 
 
 def _box_muller(u1, u2):
@@ -48,44 +65,44 @@ def complex_gaussian(gen, shape):
     return _box_muller(u1, gen.random(shape))
 
 
-def _mulhilo(m, x):
-    """High and low words of the 128-bit products m * x of uint64s, from
-    32-bit halves."""
-    m_hi, m_lo = m >> _32, m & _LOW32
-    x_hi, x_lo = x >> _32, x & _LOW32
-    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
-    mid = (lo_lo >> _32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
-    hi = m_hi * x_hi + (hi_lo >> _32) + (lo_hi >> _32) + (mid >> _32)
-    return hi, m * x
-
-
 def _words(keys, count):
     """The first `count` 64-bit outputs of Philox4x64-10 under each row
-    (key0, key1) of the uint64 array `keys`: shape (len(keys), count)."""
+    (key0, key1) of the uint64 array `keys`: shape (len(keys), count).
+    Both lanes run as one array: a holds (x0, x2), b holds (x1, x3), each of
+    shape (2, blocks, streams), so the per-stream round keys broadcast along
+    the contiguous axis."""
     blocks = -(-count // 4)
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64),
-                         (len(keys), blocks))
-    x1 = x2 = x3 = np.zeros_like(x0)
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    for r in range(_ROUNDS):
-        if r:
-            k0, k1 = k0 + _W0, k1 + _W1
-        hi0, lo0 = _mulhilo(_M0, x0)
-        hi1, lo1 = _mulhilo(_M1, x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), 4 * blocks)
-    return words[:, :count]
+    a = np.zeros((2, blocks, len(keys)), dtype=np.uint64)
+    a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    b = np.zeros_like(a)
+    # numpy multiplies contiguous arrays faster than a broadcast column
+    m, m_hi, m_lo = (np.broadcast_to(c, a.shape).copy()
+                     for c in (_M, _M_HI, _M_LO))
+    # the key of round r is key + r * W, one (2, 1, streams) slice per round
+    schedule = (keys.T[None, :, None, :]
+                + np.arange(_ROUNDS, dtype=np.uint64)[:, None, None, None]
+                * _W[None, :, None, None])
+    for k in schedule:
+        # the 128-bit products M * a from 32-bit halves, high word by carries
+        a_hi, a_lo = a >> _32, a & _LOW32
+        t = m_lo * a_lo
+        u = m_hi * a_lo + (t >> _32)
+        v = m_lo * a_hi + (u & _LOW32)
+        hi = m_hi * a_hi + (u >> _32) + (v >> _32)
+        a, b = hi[::-1] ^ b ^ k, (m * a)[::-1]
+    # word 4 j + i of a stream is x_i of its block j
+    words = np.stack((a, b), axis=-1).transpose(2, 1, 0, 3)
+    return words.reshape(len(keys), 4 * blocks)[:, :count]
 
 
 def complex_gaussian_streams(seed, streams, shape):
-    """complex_gaussian(philox(seed, *s), shape) for every stream path s in
-    `streams`, stacked into an array of shape (len(streams),) + shape, with
-    the same bits."""
+    """complex_gaussian(philox(seed, *s), shape) for every stream path s,
+    a row of `streams`, stacked into an array of shape (len(streams),) +
+    shape, with the same bits."""
     shape = tuple(int(d) for d in np.atleast_1d(shape))
     m = int(np.prod(shape))
-    keys = np.array([_key(seed, s) for s in streams],
-                    dtype=np.uint64).reshape(len(streams), 2)
+    keys = _keys(seed, streams)
     # a double is the top 53 bits of a word; the first m make u1, the next m u2
     u = (_words(keys, 2 * m) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-    full = (len(streams),) + shape
+    full = (len(keys),) + shape
     return _box_muller(1.0 - u[:, :m].reshape(full), u[:, m:].reshape(full))

@@ -119,7 +119,7 @@ def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
         raise DomainError("lattice decoding requires n_r >= n")
     chunk = _chunk_trials(lat, model, book, decoders)
     for start in range(0, trials, chunk):
-        streams = [(t,) for t in range(start, min(start + chunk, trials))]
+        streams = np.arange(start, min(start + chunk, trials))[:, None]
         H = channel.sample_stack(model, lat.k, seed, streams)
         if book is None:
             words = np.zeros((len(streams), lat.k, lat.n, lat.n), dtype=complex)

@@ -162,6 +162,56 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
 
 
 # ---------------------------------------------------------------------------
+# Philox4x64-10 one stream key and one lane at a time: the engine that
+# multiblock.rng replaced with column-wise key hashing and both lanes in one
+# array multiply, kept as the slow, obviously correct reference.
+
+_MASK64 = (1 << 64) - 1
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def reference_key(seed, stream):
+    """Philox key (seed, hash) of one stream path, the hash folded in Python
+    integers modulo 2^64 one index at a time."""
+    acc = 0
+    for s in stream:
+        acc = (acc * 1000003 + int(s) + 1) & _MASK64
+    return int(seed) & _MASK64, acc
+
+
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products m * x of uint64s, from
+    32-bit halves and one shared middle sum."""
+    m_hi, m_lo = m >> _32, m & _LOW32
+    x_hi, x_lo = x >> _32, x & _LOW32
+    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
+    mid = (lo_lo >> _32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    hi = m_hi * x_hi + (hi_lo >> _32) + (lo_hi >> _32) + (mid >> _32)
+    return hi, m * x
+
+
+def reference_words(keys, count):
+    """The first `count` outputs of Philox4x64-10 under each row (key0,
+    key1) of the uint64 array `keys`, the four words of a block as four
+    arrays and the two multiplies of a round as two calls."""
+    m0, m1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+    w0, w1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+    blocks = -(-count // 4)
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64),
+                         (len(keys), blocks))
+    x1 = x2 = x3 = np.zeros_like(x0)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + w0, k1 + w1
+        hi0, lo0 = _mulhilo(m0, x0)
+        hi1, lo1 = _mulhilo(m1, x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), 4 * blocks)
+    return words[:, :count]
+
+
+# ---------------------------------------------------------------------------
 # Exact arithmetic on per-coefficient Fractions: the theta-polynomial route
 # that multiblock.numfield replaced with integer numerators over a common
 # denominator, kept as the slow, obviously correct reference.

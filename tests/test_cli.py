@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from multiblock.cli import main
 from multiblock.cyclic_algebra import NaturalOrder
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -255,6 +257,35 @@ def test_sheared_fixed_h_digest(tmp_path, capsys, digest, command):
     assert err == ""
 
 
+# The byte contract must not hang on the BLAS kernel or the SIMD width the
+# host picks: each child reruns the pinned digests with OpenBLAS forced to
+# its oldest x86 kernel, or with numpy's AVX2 and AVX-512 loops switched off.
+# The variables are set only in the child, and the SIMD child first proves
+# that the switch took effect.
+_DIGEST_TESTS = [f"{__file__}::test_golden_command_digest",
+                 f"{__file__}::test_sheared_fixed_h_digest"]
+_PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", *_DIGEST_TESTS]
+_RUN_DIGESTS = f"import sys, pytest\nsys.exit(pytest.main({_PYTEST_ARGS}))\n"
+_SIMD_OFF = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+             "assert __cpu_features__['X86_V3'] is False\n")
+
+
+@pytest.mark.parametrize("env, check", [
+    ({"OPENBLAS_CORETYPE": "Prescott"}, ""),
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+     _SIMD_OFF),
+], ids=["openblas-prescott", "no-avx2-avx512"])
+def test_digests_hold_under_other_blas_and_simd_kernels(env, check):
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if "X86_V3" not in umath.__cpu_features__:
+        pytest.skip("the kernels switched here are x86 ones")
+    proc = subprocess.run([sys.executable, "-c", check + _RUN_DIGESTS],
+                          env=dict(os.environ, **env), cwd=REPO,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout and "failed" not in proc.stdout
+
+
 def test_catalog_verify_ok(tmp_path):
     code, text = run_cli(["catalog-verify", "--budget", "2000000"], tmp_path)
     assert code == 0
@@ -456,8 +487,7 @@ def test_near_singular_fade_exits_3_even_when_certified(monkeypatch, capsys):
 
     def near_singular(model, k, seed, streams):
         H = sample_stack(model, k, seed, streams)
-        if (3,) in streams:
-            t = streams.index((3,))
+        for t in np.flatnonzero(np.all(streams == (3,), axis=1)):
             H[t, 0, :, 1] = H[t, 0, :, 0] * (1 + 1e-14)
         return H
 

@@ -209,6 +209,23 @@ def test_rel_basis_of_wrong_length_is_refused(golden):
     assert str(info.value) == "gb: rel_basis must have 2 elements"
 
 
+def test_rel_basis_element_of_wrong_length_is_refused(golden):
+    # cut to one coefficient each, the elements used to reach NaturalOrder
+    # and end in an IndexError there
+    with pytest.raises(CatalogInconsistent) as info:
+        _variant(golden, "gc", rel_basis=[e[:1] for e in golden.rel_basis])
+    assert str(info.value) == ("gc: each rel_basis element must have 2 "
+                               "coefficients")
+
+
+def test_sigma_eta_of_wrong_length_is_refused(golden):
+    # a third, zero coefficient used to be accepted
+    with pytest.raises(CatalogInconsistent) as info:
+        _variant(golden, "gs",
+                 sigma_eta=golden.sigma_eta + (golden.center.zero(),))
+    assert str(info.value) == "gs: sigma_eta must have 2 coefficients"
+
+
 def test_non_integer_zdisc_is_a_precision_failure(golden):
     # a basis scaled by 1/3 spans a lattice that is no order: the block row
     # denominators, divided out after the determinant, leave 3^-8
