@@ -73,7 +73,10 @@ def _path(seed):
 
 def _tagged(tag, streams):
     """The stream paths (tag, *s) for the rows s of `streams`."""
-    return np.insert(np.asarray(streams), 0, tag, axis=1)
+    streams = np.asarray(streams)
+    if not len(streams):  # an empty list has no column axis to tag
+        return np.zeros((0, 1), dtype=np.int64)
+    return np.insert(streams, 0, tag, axis=1)
 
 
 def sample_stack(model, k, seed, streams):

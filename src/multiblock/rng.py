@@ -75,9 +75,6 @@ def _words(keys, count):
     a = np.zeros((2, blocks, len(keys)), dtype=np.uint64)
     a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
     b = np.zeros_like(a)
-    # numpy multiplies contiguous arrays faster than a broadcast column
-    m, m_hi, m_lo = (np.broadcast_to(c, a.shape).copy()
-                     for c in (_M, _M_HI, _M_LO))
     # the key of round r is key + r * W, one (2, 1, streams) slice per round
     schedule = (keys.T[None, :, None, :]
                 + np.arange(_ROUNDS, dtype=np.uint64)[:, None, None, None]
@@ -85,11 +82,11 @@ def _words(keys, count):
     for k in schedule:
         # the 128-bit products M * a from 32-bit halves, high word by carries
         a_hi, a_lo = a >> _32, a & _LOW32
-        t = m_lo * a_lo
-        u = m_hi * a_lo + (t >> _32)
-        v = m_lo * a_hi + (u & _LOW32)
-        hi = m_hi * a_hi + (u >> _32) + (v >> _32)
-        a, b = hi[::-1] ^ b ^ k, (m * a)[::-1]
+        t = _M_LO * a_lo
+        u = _M_HI * a_lo + (t >> _32)
+        v = _M_LO * a_hi + (u & _LOW32)
+        hi = _M_HI * a_hi + (u >> _32) + (v >> _32)
+        a, b = hi[::-1] ^ b ^ k, (_M * a)[::-1]
     # word 4 j + i of a stream is x_i of its block j
     words = np.stack((a, b), axis=-1).transpose(2, 1, 0, 3)
     return words.reshape(len(keys), 4 * blocks)[:, :count]

@@ -215,3 +215,17 @@ def test_stacks_carry_the_one_realization_bits(kind, rho):
         fade = sample(model, k, (seed, s))
         assert fade.tobytes() == blocks.tobytes()
         assert transmit(X[t], fade, (seed, s)).tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind,rho", [("iid_rayleigh", 0.0),
+                                      ("gauss_markov", 0.7),
+                                      ("constant", 0.0)])
+@pytest.mark.parametrize("streams", [[], np.zeros((0, 1), dtype=np.int64)],
+                         ids=["list", "array"])
+def test_no_streams_give_empty_stacks(kind, rho, streams):
+    model = FadingModel(kind=kind, n=2, n_r=3, rho=rho)
+    H = sample_stack(model, 4, 61, streams)
+    assert H.shape == (0, 4, 3, 2) and H.dtype == complex
+    for noiseless in (False, True):
+        Y = transmit_stack(np.zeros((0, 4, 2, 2)), H, 61, streams, noiseless)
+        assert Y.shape == (0, 4, 3, 2) and Y.dtype == complex

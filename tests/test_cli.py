@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -259,31 +261,64 @@ def test_sheared_fixed_h_digest(tmp_path, capsys, digest, command):
 
 # The byte contract must not hang on the BLAS kernel or the SIMD width the
 # host picks: each child reruns the pinned digests with OpenBLAS forced to
-# its oldest x86 kernel, or with numpy's AVX2 and AVX-512 loops switched off.
-# The variables are set only in the child, and the SIMD child first proves
-# that the switch took effect.
+# its old x86 Prescott kernel, or with numpy's AVX2 and AVX-512 loops
+# switched off.  The variables are set only in the child, and each child
+# first proves that its switch took effect.
 _DIGEST_TESTS = [f"{__file__}::test_golden_command_digest",
                  f"{__file__}::test_sheared_fixed_h_digest"]
 _PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", *_DIGEST_TESTS]
 _RUN_DIGESTS = f"import sys, pytest\nsys.exit(pytest.main({_PYTEST_ARGS}))\n"
-_SIMD_OFF = ("from numpy._core._multiarray_umath import __cpu_features__\n"
-             "assert __cpu_features__['X86_V3'] is False\n")
+_X86 = platform.machine().lower() in {"x86_64", "amd64", "i386", "i686"}
 
 
-@pytest.mark.parametrize("env, check", [
-    ({"OPENBLAS_CORETYPE": "Prescott"}, ""),
-    ({"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
-     _SIMD_OFF),
-], ids=["openblas-prescott", "no-avx2-avx512"])
-def test_digests_hold_under_other_blas_and_simd_kernels(env, check):
-    umath = pytest.importorskip("numpy._core._multiarray_umath")
-    if "X86_V3" not in umath.__cpu_features__:
-        pytest.skip("the kernels switched here are x86 ones")
+def _openblas_core():
+    """The core name OpenBLAS runs under in this process, read from the
+    OpenBLAS library it maps (Linux only); None without one."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps
+                           if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        for name in ("openblas_get_corename", "openblas_get_corename64_",
+                     "scipy_openblas_get_corename64_"):
+            try:
+                corename = getattr(ctypes.CDLL(lib), name)
+            except (OSError, AttributeError):
+                continue
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def _run_digests(env, check):
     proc = subprocess.run([sys.executable, "-c", check + _RUN_DIGESTS],
                           env=dict(os.environ, **env), cwd=REPO,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " passed" in proc.stdout and "failed" not in proc.stdout
+
+
+def test_digests_hold_under_the_openblas_prescott_kernel():
+    core = _openblas_core()
+    if not _X86 or core is None:
+        pytest.skip("needs an x86 OpenBLAS whose core name can be read")
+    # the child's OpenBLAS must run another core than this process's
+    check = ("import numpy\n" + inspect.getsource(_openblas_core)
+             + f"assert _openblas_core() not in (None, {core!r})\n")
+    _run_digests({"OPENBLAS_CORETYPE": "Prescott"}, check)
+
+
+def test_digests_hold_without_avx2_and_avx512_loops():
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if "X86_V3" not in umath.__cpu_features__:
+        pytest.skip("this numpy names no X86_V3 dispatch target")
+    check = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+             "assert __cpu_features__['X86_V3'] is False\n")
+    _run_digests({"NPY_DISABLE_CPU_FEATURES":
+                  "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}, check)
 
 
 def test_catalog_verify_ok(tmp_path):

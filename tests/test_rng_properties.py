@@ -31,13 +31,13 @@ INDEX_MAX = 2 ** 63 - 1
 
 
 @st.composite
-def stream_paths(draw, max_count=48):
+def stream_paths(draw):
     """Paths of one length in 1..4 (a tag and fixed indices, then a running
     index), over an index range that need not start at 0 and may end at
     2^63 - 1."""
     length = draw(st.integers(1, 4))
     head = tuple(draw(st.integers(0, INDEX_MAX)) for _ in range(length - 1))
-    count = draw(st.integers(1, max_count))
+    count = draw(st.integers(1, 48))
     start = draw(st.integers(0, 2 ** 32) | st.just(INDEX_MAX + 1 - count))
     return [head + (t,) for t in range(start, start + count)]
 
