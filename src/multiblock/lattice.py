@@ -8,22 +8,27 @@ Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 Every search is one Schnorr-Euchner walk, and each caller gives it a
 leaf rule: the error test stops at the first nonzero point closer than 0,
 shortest and closest vectors keep the least leaf and shrink the radius to
-it, and a ball keeps every leaf.  Every search runs on an unscaled
-preparation: a search on alpha L divides its target and radius by alpha
-instead.  Each lattice a command searches gets LLL(0.99) preprocessing
-once: the lattice's own basis, and on a constant channel the faded lattice
-H L.  A stack of faded bases that each serve one search (a fading
-channel's, faded from the lattice's LLL basis) is QR-factored as given, in
-one stacked pass.  The LLL computes Gram-Schmidt data once by QR and
-updates it in place after each size reduction and swap, recomputing it by
-QR when a large size-reduction coefficient signals lost precision.  Its
-unimodular transform is an int64 array, and enumeration coordinates map
-back to the input basis by one matrix product.
+it, and a ball keeps every leaf.  The walk of each rank is Python source
+generated from the rank alone and compiled on its first search, then
+cached for the process: every coordinate is a local, each level one
+nested loop, and each center one straight-line sum.  CPython nests at most
+20 blocks, so levels go in segments of 16, each lower segment a nested
+function.  Every search runs on an unscaled preparation: a search on
+alpha L divides its target and radius by alpha instead.  Each lattice a
+command searches gets LLL(0.99) preprocessing once: the lattice's own
+basis, and on a constant channel the faded lattice H L.  A stack of faded
+bases that each serve one search (a fading channel's, faded from the
+lattice's LLL basis) is QR-factored as given, in one stacked pass.  The
+LLL computes Gram-Schmidt data once by QR and updates it in place after
+each size reduction and swap, recomputing it by QR when a large
+size-reduction coefficient signals lost precision.  Its unimodular
+transform is an int64 array, and enumeration coordinates map back to the
+input basis by one matrix product.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -218,56 +223,101 @@ def lll_reduce(basis):
 # ---------------------------------------------------------------------------
 # Schnorr-Euchner enumeration
 
+# Levels per generated function: CPython refuses more than 20 statically
+# nested blocks, and each level of the walk is one `while` loop.
+_SEGMENT = 16
+
+
 def _enumerate(rows, diag, y, radius2, budget, leaf):
     """Depth-first Schnorr-Euchner walk over the z with ||R z - y||^2 <= C,
     given the rows and the diagonal of the upper triangular R and the target
-    y as lists of floats, from C = radius2.  At each leaf z (a list the walk
-    goes on to change) with metric m <= C it calls leaf(z, m), which returns
-    the squared radius C to continue under, or None to stop.  Returns the
-    nodes visited; BudgetExceeded when the walk would visit more than
-    `budget`."""
-    r = len(diag)
-    C = radius2
-    z = [0] * r
-    step = [0] * r
-    dist = [0.0] * r      # accumulated metric from levels above
-    center = [0.0] * r
-    nodes = 0
-    level = r
-    new_dist = 0.0
-    while True:
-        # descend one level: center the new level on the partial point above
-        level -= 1
-        dist[level] = new_dist
-        p = y[level]
-        row = rows[level]
-        for j in range(level + 1, r):
-            p -= row[j] * z[j]
-        c = p / diag[level]
-        center[level] = c
-        zl = round(c)
-        z[level] = zl
-        step[level] = 1 if c >= zl else -1
-        while True:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
-            t = (center[level] - z[level]) * diag[level]
-            new_dist = dist[level] + t * t
-            if new_dist <= C:
-                if level > 0:
-                    break
-                C = leaf(z, new_dist)
-                if C is None:
-                    return nodes
-            else:
-                level += 1
-                if level == r:
-                    return nodes
-            # next sibling, zig-zagging outward from the center
-            s = step[level]
-            z[level] += s
-            step[level] = -s - (1 if s > 0 else -1)
+    y as lists of floats, from C = radius2.  At each leaf z (a list of ints)
+    with metric m <= C it calls leaf(z, m), which returns the squared radius
+    C to continue under, or None to stop.  Returns the nodes visited;
+    BudgetExceeded when the walk would visit more than `budget`.
+
+    The walk for rank r is generated and compiled on first use (`_walk`);
+    its reference, with the same float operations in the same order, is
+    the list-based loop `oracles.reference_enumerate` in the tests."""
+    return _walk(len(diag))(rows, diag, y, radius2, budget, leaf)
+
+
+@cache
+def _walk(r):
+    """The compiled walk of rank r, once per rank per process."""
+    namespace = {"BudgetExceeded": BudgetExceeded}
+    exec(compile(_walk_source(r), f"<walk of rank {r}>", "exec"), namespace)
+    return namespace["walk"]
+
+
+def _walk_source(r):
+    """Python source of the walk of rank r, a pure function of r: every
+    coordinate is a local (d_i, y_i, the entries ri_j of R above the
+    diagonal, and per level the center c_l, coordinate z_l, zig-zag step s_l
+    and accumulated metric b_l), each level is one `while` loop nested in
+    the level above, and each center is one straight-line expression.
+    Levels go in segments of at most `_SEGMENT`, counted from level 0: the
+    top segment is the body of `walk`, and each lower one a nested function
+    that takes the z above it, their metric b, C and the node count, and
+    returns (C, nodes), C None to stop.
+
+    z_l is held as a float, so that each product and difference it enters
+    is one of two floats; an integer below 2^53 in magnitude converts
+    exactly, so every float result equals that of an int z_l, and the leaf
+    gets ints.  The top level's metric is t * t, equal to 0.0 + t * t
+    because a square is never -0.0."""
+    lines = ["def walk(rows, diag, y, C, budget, leaf):",
+             "    " + "".join(f"d{i}, " for i in range(r)) + "= diag",
+             "    " + "".join(f"y{i}, " for i in range(r)) + "= y"]
+    for i in range(r - 1):
+        lines.append("    " + "_, " * (i + 1)
+                     + ", ".join(f"r{i}_{j}" for j in range(i + 1, r))
+                     + f" = rows[{i}]")
+    for seg, lo in enumerate(range(0, r, _SEGMENT)):
+        hi = min(lo + _SEGMENT, r)
+        if hi < r:
+            lines.append(f"    def seg{seg}("
+                         + "".join(f"z{j}, " for j in range(hi, r))
+                         + f"b{hi}, C, nodes):")
+            indent, stop, done = "        ", "return None, nodes", "return C, nodes"
+        else:
+            lines.append("    nodes = 0")
+            indent, stop, done = "    ", "return nodes", "return nodes"
+        for level in range(hi - 1, lo - 1, -1):
+            pad = indent + "    " * (hi - 1 - level)
+            c, z, b = f"c{level}", f"z{level}", f"b{level}"
+            terms = "".join(f" - r{level}_{j} * z{j}" for j in range(level + 1, r))
+            lines += [
+                f"{pad}{c} = " + (f"(y{level}{terms})" if terms else f"y{level}")
+                + f" / d{level}",
+                f"{pad}{z} = float(round({c}))",
+                f"{pad}s{level} = 1 if {c} >= {z} else -1",
+                f"{pad}while True:",
+                f"{pad}    nodes += 1",
+                f"{pad}    if nodes > budget:",
+                f"{pad}        raise BudgetExceeded("
+                f"f\"enumeration exceeded {{budget}} nodes\")",
+                f"{pad}    t = ({c} - {z}) * d{level}",
+                f"{pad}    {b} = " + (f"b{level + 1} + t * t" if level + 1 < r
+                                     else "t * t"),
+                f"{pad}    if not {b} <= C:",
+                f"{pad}        break"]
+        for level in range(lo, hi):
+            pad = indent + "    " * (hi - 1 - level)
+            if level == 0:
+                zs = ", ".join(f"int(z{j})" for j in range(r))
+                lines.append(f"{pad}    C = leaf([{zs}], b0)")
+            elif level == lo:
+                lines.append(f"{pad}    C, nodes = seg{seg - 1}("
+                             + "".join(f"z{j}, " for j in range(lo, r))
+                             + f"b{lo}, C, nodes)")
+            if level == lo:
+                lines += [f"{pad}    if C is None:", f"{pad}        {stop}"]
+            s = f"s{level}"
+            lines += [f"{pad}    z{level} += {s}",
+                      f"{pad}    {s} = -{s} - 1 if {s} > 0 else 1 - {s}"]
+        lines.append(indent + done)
+    return "\n".join(lines) + "\n"
 
 
 def _least_leaf(radius2, nonzero):

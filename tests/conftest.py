@@ -3,7 +3,7 @@ import os
 import pytest
 
 from multiblock.catalog import load_catalog
-from multiblock.cyclic_algebra import NaturalOrder, order_lattice
+from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
 from multiblock.lattice import field_lattice
 
 # subprocesses import the package from src/ as this process does (pytest's
@@ -32,6 +32,18 @@ def q_omega(catalog):
 @pytest.fixture(scope="session")
 def cyclo5(catalog):
     return catalog.field("cyclo5")
+
+
+@pytest.fixture(scope="session")
+def cube2(q_omega):
+    """(Q(omega, 2^(1/3)) / Q(omega), eta -> omega eta, gamma = omega) with
+    E = K[y]/(y^3 - 2) and the relative basis 1, eta, eta^2: a degree-3
+    algebra, whose order lattice has rank 18."""
+    one, zero = q_omega.one(), q_omega.zero()
+    omega, two = q_omega.from_theta_poly([0, 1]), q_omega.from_theta_poly([2])
+    return CyclicAlgebra("cube2", q_omega, 3, [-two, zero, zero, one],
+                         (zero, omega, zero), omega,
+                         [(one, zero, zero), (zero, one, zero), (zero, zero, one)])
 
 
 @pytest.fixture(scope="session")

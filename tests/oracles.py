@@ -9,6 +9,7 @@ import numpy as np
 
 from multiblock import channel
 from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
+from multiblock.errors import BudgetExceeded
 from multiblock.lattice import LLL_DELTA, LLL_ETA
 from multiblock.rng import philox
 
@@ -120,6 +121,60 @@ def reference_lll(basis, delta=LLL_DELTA, eta=LLL_ETA):
             mu, norms = gso()
             k = max(k - 1, 1)
     return b, U
+
+
+def reference_enumerate(rows, diag, y, radius2, budget, leaf):
+    """Depth-first Schnorr-Euchner walk over the z with ||R z - y||^2 <= C,
+    given the rows and the diagonal of the upper triangular R and the target
+    y as lists of floats, from C = radius2.  At each leaf z (a list the walk
+    goes on to change) with metric m <= C it calls leaf(z, m), which returns
+    the squared radius C to continue under, or None to stop.  Returns the
+    nodes visited; BudgetExceeded when the walk would visit more than
+    `budget`.  The reference for lattice._enumerate, which generates this
+    loop per rank with the same float operations in the same order: one
+    walk over lists, with an O(r) loop for each center."""
+    r = len(diag)
+    C = radius2
+    z = [0] * r
+    step = [0] * r
+    dist = [0.0] * r      # accumulated metric from levels above
+    center = [0.0] * r
+    nodes = 0
+    level = r
+    new_dist = 0.0
+    while True:
+        # descend one level: center the new level on the partial point above
+        level -= 1
+        dist[level] = new_dist
+        p = y[level]
+        row = rows[level]
+        for j in range(level + 1, r):
+            p -= row[j] * z[j]
+        c = p / diag[level]
+        center[level] = c
+        zl = round(c)
+        z[level] = zl
+        step[level] = 1 if c >= zl else -1
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+            t = (center[level] - z[level]) * diag[level]
+            new_dist = dist[level] + t * t
+            if new_dist <= C:
+                if level > 0:
+                    break
+                C = leaf(z, new_dist)
+                if C is None:
+                    return nodes
+            else:
+                level += 1
+                if level == r:
+                    return nodes
+            # next sibling, zig-zagging outward from the center
+            s = step[level]
+            z[level] += s
+            step[level] = -s - (1 if s > 0 else -1)
 
 
 def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,

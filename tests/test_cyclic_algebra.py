@@ -171,20 +171,8 @@ def test_zdisc_degree_three_matches_reference(q_omega, gamma, expected):
     assert reference_z_discriminant(order) == expected
 
 
-def _cube_root_of_two(q_omega):
-    """(Q(omega, 2^(1/3)) / Q(omega), eta -> omega eta, gamma = omega) with
-    E = K[y]/(y^3 - 2) and the relative basis 1, eta, eta^2: a degree-3
-    algebra whose order is checked through its discriminant, its lattice
-    and its coordinates."""
-    one, zero = q_omega.one(), q_omega.zero()
-    omega, two = q_omega.from_theta_poly([0, 1]), q_omega.from_theta_poly([2])
-    return CyclicAlgebra("cube2", q_omega, 3, [-two, zero, zero, one],
-                         (zero, omega, zero), omega,
-                         [(one, zero, zero), (zero, one, zero), (zero, zero, one)])
-
-
-def test_degree_three_order_keeps_its_routes(q_omega):
-    order = NaturalOrder(_cube_root_of_two(q_omega))
+def test_degree_three_order_keeps_its_routes(cube2):
+    order = NaturalOrder(cube2)
     assert order.z_discriminant() == -31234447298506752
     assert reference_z_discriminant(order) == order.z_discriminant()
     assert order_lattice(order).rank == order.rank == 18
