@@ -117,13 +117,7 @@ def _fixed_factors(r, seed):
 
 
 def _least_leaf(radius2, nonzero):
-    best = [radius2]
-
-    def leaf(z, metric):
-        if metric < best[0] and (not nonzero or any(z)):
-            best[0] = metric
-        return best[0]
-    return leaf
+    return lattice._least_leaf(radius2, nonzero)[0]
 
 
 def _rules(diag, y):
