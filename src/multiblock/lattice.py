@@ -231,10 +231,11 @@ _SEGMENT = 16
 def _enumerate(rows, diag, y, radius2, budget, leaf):
     """Depth-first Schnorr-Euchner walk over the z with ||R z - y||^2 <= C,
     given the rows and the diagonal of the upper triangular R and the target
-    y as lists of floats, from C = radius2.  At each leaf z (a list of ints)
-    with metric m <= C it calls leaf(z, m), which returns the squared radius
-    C to continue under, or None to stop.  Returns the nodes visited;
-    BudgetExceeded when the walk would visit more than `budget`.
+    y as lists of floats, from C = radius2.  At each leaf z (a list of ints,
+    a new list for each call, which the leaf may keep) with metric m <= C
+    it calls leaf(z, m), which returns the squared radius C to continue
+    under, or None to stop.  Returns the nodes visited; BudgetExceeded when
+    the walk would visit more than `budget`.
 
     The walk for rank r is generated and compiled on first use (`_walk`);
     its reference, with the same float operations in the same order, is
@@ -328,7 +329,7 @@ def _least_leaf(radius2, nonzero):
 
     def leaf(z, metric):
         if (best[1] is None or metric < best[0]) and (not nonzero or any(z)):
-            best[0], best[1] = metric, list(z)
+            best[0], best[1] = metric, z
         return best[0]
     return leaf, best
 
@@ -441,7 +442,7 @@ class PreparedCVP:
         leaves, metrics = [], []
 
         def leaf(z, metric):
-            leaves.append(list(z))
+            leaves.append(z)
             metrics.append(metric + offset2)
             return bound
         nodes = _enumerate(self._rows, self._diag, y.tolist(), bound, budget,

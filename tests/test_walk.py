@@ -97,12 +97,12 @@ def test_replayed_searches_match_reference(name, monkeypatch):
 # Hypothesis factors of ranks 1-40
 
 @st.composite
-def triangular_factors(draw, max_rank=40):
+def triangular_factors(draw):
     """(rows, diag, y) of an upper triangular R with diagonal in [0.7, 1.6]
     and entries above it in [-0.5, 0.5], and a target y, as lists: factors
     whose walks stay small up to rank 40.  Wider than `full_rank_bases`
     (test_lll_properties.py), which stops at rank 10."""
-    r = draw(st.integers(1, max_rank))
+    r = draw(st.integers(1, 40))
     upper = draw(arrays(np.float64, (r, r), elements=st.floats(-0.5, 0.5)))
     diag = draw(arrays(np.float64, r, elements=st.floats(0.7, 1.6)))
     y = draw(arrays(np.float64, r, elements=st.floats(-4.0, 4.0)))
