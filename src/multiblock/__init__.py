@@ -3,8 +3,8 @@
 from .catalog import Catalog, load_catalog
 from .channel import FadingModel, sample, transmit
 from .codebook import Codebook, carve, scaling_alpha
-from .cyclic_algebra import (AlgebraElement, CyclicAlgebra, NaturalOrder,
-                             order_lattice, trivial_algebra)
+from .cyclic_algebra import (CyclicAlgebra, NaturalOrder, order_lattice,
+                             trivial_algebra)
 from .decoder import DecodeResult, LatticeDecoder, ml_decode, qr_reduce
 from .lattice import (InvariantReport, MatrixLattice, fade, field_lattice,
                       hermite_invariant, invariant_report, min_pdet,
@@ -17,7 +17,7 @@ from .ratecalc import (chernoff_exponent, chernoff_vdelta, digamma,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "Catalog", "Codebook",
+    "Catalog", "Codebook",
     "CyclicAlgebra", "DecodeResult", "FadingModel", "FieldElement",
     "InvariantReport", "LatticeDecoder", "MatrixLattice", "NaturalOrder",
     "NumberField", "carve", "chernoff_exponent", "chernoff_vdelta",

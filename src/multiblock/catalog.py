@@ -173,19 +173,18 @@ class Catalog:
 
 
 def _read_text(directory, filename):
-    if directory is not None:
+    if directory:
         path = os.path.join(directory, filename)
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     return resources.files("multiblock").joinpath("catalog", filename).read_text("utf-8")
 
 
-def load_catalog(directory=None):
-    """Load the catalog from `directory`, from $MULTIBLOCK_CATALOG, or from
-    the shipped package data, in that order of preference.  Checks every
+def load_catalog():
+    """Load the catalog from the directory $MULTIBLOCK_CATALOG names, or,
+    when it is unset or empty, from the shipped package data.  Checks every
     entry's text; builds no field or algebra."""
-    if directory is None:
-        directory = os.environ.get(ENV_VAR) or None
+    directory = os.environ.get(ENV_VAR)
     fields = {}
     for entry in _split_entries(_read_text(directory, FIELDS_FILE)):
         args = parse_field_entry(entry)

@@ -1,9 +1,11 @@
 """Cyclic algebras (E/K, sigma, gamma), natural orders, and their embeddings.
 
-E is represented as K[eta]/(rel_poly); algebra elements are x_0 + u x_1 +
-... + u^{n-1} x_{n-1} with coefficients in E and relations x u = u sigma(x),
-u^n = gamma.  All coefficient arithmetic is exact (center elements on
-integer numerators over a common denominator); only the final embeddings
+E is represented as K[eta]/(rel_poly): an E-element is the tuple of its n
+center coefficients over 1, eta, ..., eta^{n-1}.  An algebra element
+x_0 + u x_1 + ... + u^{n-1} x_{n-1} is the tuple of its n E-coefficients,
+with relations x u = u sigma(x), u^n = gamma.  All coefficient arithmetic
+is exact (center elements on integer numerators over a common denominator,
+in lowest terms, so tuples compare with ==); only the final embeddings
 into complex matrices use doubles.
 """
 
@@ -19,20 +21,6 @@ from .exact import bareiss_det, inverse
 from .numfield import polished_roots
 
 ETA_RESIDUAL_TOL = 1e-13
-
-
-class AlgebraElement:
-    """Element of a cyclic algebra: tuple of n E-coefficients, each a tuple
-    of n elements of the center.  Products go through CyclicAlgebra.mul."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = tuple(tuple(c) for c in coords)
-
-    def __repr__(self):
-        return f"AlgebraElement({self.algebra.name})"
 
 
 class CyclicAlgebra:
@@ -67,7 +55,11 @@ class CyclicAlgebra:
                                       f"have {n} coefficients")
         self.division_asserted = division_asserted
 
-        self._sigma_eta_pows = self._powers(self.sigma_eta)
+        # sigma(eta)^j for j < n, which fix the K-linear sigma
+        pows = [self.e_scalar(center.one())]
+        for _ in range(n - 1):
+            pows.append(self.e_mul(pows[-1], self.sigma_eta))
+        self._sigma_eta_pows = pows
         self._check_sigma()
         self._eta_roots = self._choose_eta_roots()
 
@@ -76,37 +68,21 @@ class CyclicAlgebra:
     def e_zero(self):
         return tuple(self.center.zero() for _ in range(self.n))
 
-    def e_one(self):
-        out = [self.center.zero() for _ in range(self.n)]
-        out[0] = self.center.one()
-        return tuple(out)
-
-    def e_eta(self):
-        if self.n == 1:
-            # E = K and eta = 1 (rel_poly is y - 1 up to normalization)
-            return self.e_scalar(self.center.zero() - self.rel_poly[0])
-        out = [self.center.zero() for _ in range(self.n)]
-        out[1] = self.center.one()
-        return tuple(out)
-
-    def e_scalar(self, x):
-        out = [self.center.zero() for _ in range(self.n)]
-        out[0] = x
-        return tuple(out)
+    def e_scalar(self, x, j=0):
+        """x eta^j for a center element x, reduced modulo rel_poly."""
+        poly = [self.center.zero() for _ in range(max(self.n, j + 1))]
+        poly[j] = x
+        return self._reduce(poly)
 
     def e_add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def e_neg(self, a):
-        return tuple(-x for x in a)
-
     def e_scale(self, a, c):
-        """Scale an E-element by a K-element."""
+        """Scale an E-element by a K-element or a rational."""
         return tuple(x * c for x in a)
 
     def e_mul(self, a, b):
-        n = self.n
-        prod = [self.center.zero() for _ in range(2 * n - 1)]
+        prod = [self.center.zero() for _ in range(2 * self.n - 1)]
         for i, x in enumerate(a):
             if x.is_zero():
                 continue
@@ -114,23 +90,20 @@ class CyclicAlgebra:
                 if y.is_zero():
                     continue
                 prod[i + j] = prod[i + j] + x * y
-        # reduce modulo the monic rel_poly
-        for deg in range(2 * n - 2, n - 1, -1):
-            lead = prod[deg]
+        return self._reduce(prod)
+
+    def _reduce(self, poly):
+        """The E-element of the eta-polynomial with ascending coefficient
+        list poly (at least n long, consumed), reduced modulo the monic
+        rel_poly from the top degree down."""
+        n = self.n
+        for deg in range(len(poly) - 1, n - 1, -1):
+            lead = poly[deg]
             if lead.is_zero():
                 continue
             for i in range(n + 1):
-                prod[deg - n + i] = prod[deg - n + i] - lead * self.rel_poly[i]
-        return tuple(prod[:n])
-
-    def e_equal(self, a, b):
-        return all((x - y).is_zero() for x, y in zip(a, b))
-
-    def _powers(self, e):
-        pows = [self.e_one()]
-        for _ in range(self.n - 1):
-            pows.append(self.e_mul(pows[-1], e))
-        return pows
+                poly[deg - n + i] = poly[deg - n + i] - lead * self.rel_poly[i]
+        return tuple(poly[:n])
 
     def sigma(self, x):
         """Apply sigma once: K-linear extension of eta -> sigma_eta."""
@@ -147,19 +120,17 @@ class CyclicAlgebra:
         return x
 
     def _check_sigma(self):
-        # sigma must send eta to another root of rel_poly ...
-        acc = self.e_zero()
-        for i, c in enumerate(self.rel_poly[:-1]):
-            acc = self.e_add(acc, self.e_scale(self._sigma_eta_pows[i], c))
-        acc = self.e_add(acc, self.e_mul(self._sigma_eta_pows[-1], self.sigma_eta))
-        if not all(c.is_zero() for c in acc):
+        # sigma must send eta to another root of rel_poly, that is, map
+        # eta^n (reduced by rel_poly) to sigma(eta)^n ...
+        one = self.center.one()
+        if (self.sigma(self.e_scalar(one, self.n))
+                != self.e_mul(self._sigma_eta_pows[-1], self.sigma_eta)):
             raise CatalogInconsistent(f"{self.name}: sigma_eta is not a root of rel_poly")
         # ... and have order dividing n (applied literally n times)
-        e = self.e_eta()
-        img = e
+        eta = img = self.e_scalar(one, 1)
         for _ in range(self.n):
             img = self.sigma(img)
-        if not self.e_equal(img, e):
+        if img != eta:
             raise CatalogInconsistent(f"{self.name}: sigma^n is not the identity")
 
     # -- embeddings ------------------------------------------------------------
@@ -169,38 +140,49 @@ class CyclicAlgebra:
         embedding of K (sorted by descending imaginary, then descending real
         part, after rounding out float noise), polished to a residual below
         ETA_RESIDUAL_TOL or refused as CatalogInconsistent."""
+        embedded = [self.center.canonical_embed(c) for c in self.rel_poly]
         roots = []
         for i in range(self.k):
-            coeffs = [complex(self.center.canonical_embed(c)[i]) for c in self.rel_poly]
+            coeffs = [complex(vals[i]) for vals in embedded]
             cand = polished_roots(coeffs, ETA_RESIDUAL_TOL, self.name)
             cand = sorted(cand, key=lambda z: (-round(z.imag, 9), -round(z.real, 9)))
             roots.append(complex(cand[0]))
         return roots
 
-    def embed_e(self, x, i):
-        """Value of an E-element at the i-th chosen embedding."""
-        eta = self._eta_roots[i]
-        acc = 0j
-        for j in reversed(range(self.n)):
-            acc = acc * eta + complex(self.center.canonical_embed(x[j])[i])
-        return acc
+    def embed_e(self, x):
+        """Values of an E-element at the k chosen embeddings, each
+        coefficient embedded once."""
+        embedded = [self.center.canonical_embed(c) for c in x]
+        values = []
+        for i, eta in enumerate(self._eta_roots):
+            acc = 0j
+            for vals in reversed(embedded):
+                acc = acc * eta + complex(vals[i])
+            values.append(acc)
+        return values
 
     # -- algebra elements -------------------------------------------------------
 
-    def element(self, coords):
-        return AlgebraElement(self, coords)
+    def element(self, coeffs):
+        """The algebra element with E-coefficients coeffs (of 1, u, ...)."""
+        return tuple(tuple(x) for x in coeffs)
+
+    def _u_times(self, j, x):
+        """u^j x for an E-element x and 0 <= j < 2n: x placed at u^(j mod
+        n), times gamma when j >= n (u^n = gamma)."""
+        if j >= self.n:
+            x = self.e_scale(x, self.gamma)
+        return tuple(x if t == j % self.n else self.e_zero() for t in range(self.n))
 
     def one(self):
-        coords = [self.e_zero() for _ in range(self.n)]
-        coords[0] = self.e_one()
-        return AlgebraElement(self, coords)
+        """The unit u^0 1.  Test-only witness that phi(1) is the identity
+        at every embedding and that the natural order holds 1."""
+        return self._u_times(0, self.e_scalar(self.center.one()))
 
     def u(self):
-        if self.n == 1:
-            return AlgebraElement(self, [self.e_scalar(self.gamma)])
-        coords = [self.e_zero() for _ in range(self.n)]
-        coords[1] = self.e_one()
-        return AlgebraElement(self, coords)
+        """The generator u.  Test-only witness that phi(u)^n = gamma at
+        every embedding, the relation u^n = gamma of the cyclic algebra."""
+        return self._u_times(1, self.e_scalar(self.center.one()))
 
     def mul(self, a, b):
         """Exact product via u^r x u^s y = u^{r+s} sigma^s(x) y and u^n = gamma.
@@ -208,20 +190,16 @@ class CyclicAlgebra:
         and the natural order a ring, on which the paper's nonvanishing
         determinant argument rests, and the pairwise route to the order
         discriminant that z_discriminant's block form replaced."""
-        n = self.n
-        out = [self.e_zero() for _ in range(n)]
-        for r, xr in enumerate(a.coords):
+        out = (self.e_zero(),) * self.n
+        for r, xr in enumerate(a):
             if all(c.is_zero() for c in xr):
                 continue
-            for s, ys in enumerate(b.coords):
+            for s, ys in enumerate(b):
                 if all(c.is_zero() for c in ys):
                     continue
-                term = self.e_mul(self.sigma_pow(xr, s), ys)
-                power, wrap = (r + s) % n, (r + s) // n
-                for _ in range(wrap):
-                    term = self.e_scale(term, self.gamma)
-                out[power] = self.e_add(out[power], term)
-        return AlgebraElement(self, out)
+                term = self._u_times(r + s, self.e_mul(self.sigma_pow(xr, s), ys))
+                out = tuple(map(self.e_add, out, term))
+        return out
 
     def phi_entries(self, a):
         """Left-regular matrix of a with exact E-element entries: entry (r, c)
@@ -231,8 +209,7 @@ class CyclicAlgebra:
         for r in range(n):
             row = []
             for c in range(n):
-                x = a.coords[(r - c) % n]
-                entry = self.sigma_pow(x, c)
+                entry = self.sigma_pow(a[(r - c) % n], c)
                 if r < c:
                     entry = self.e_scale(entry, self.gamma)
                 row.append(entry)
@@ -243,21 +220,19 @@ class CyclicAlgebra:
         """(alpha_1(A), ..., alpha_k(A)) as an array of k blocks of shape n x n."""
         entries = self.phi_entries(a)
         blocks = np.empty((self.k, self.n, self.n), dtype=complex)
-        for i in range(self.k):
-            for r in range(self.n):
-                for c in range(self.n):
-                    blocks[i, r, c] = self.embed_e(entries[r][c], i)
+        for r in range(self.n):
+            for c in range(self.n):
+                blocks[:, r, c] = self.embed_e(entries[r][c])
         return blocks
 
-    def reduced_trace(self, a):
-        """Trd(a) = Tr_{E/K}(x_0) as an exact element of K."""
+    def reduced_trace(self, x):
+        """Tr_{E/K}(x) for an E-element x as an exact element of K: the
+        reduced trace of x, and Trd(a) = Tr_{E/K}(a_0) for an algebra
+        element a."""
         acc = self.e_zero()
         for c in range(self.n):
-            acc = self.e_add(acc, self.sigma_pow(a.coords[0], c))
-        for coeff in acc[1:]:
-            if not coeff.is_zero():
-                raise PrecisionFailure(f"{self.name}: reduced trace did not land in K")
-        return acc[0]
+            acc = self.e_add(acc, self.sigma_pow(x, c))
+        return self._in_center(acc, "reduced trace")
 
     def reduced_norm(self, a):
         """Nrd(a) = det(phi(a)) as an exact element of K (Leibniz expansion,
@@ -267,17 +242,21 @@ class CyclicAlgebra:
         entries = self.phi_entries(a)
         acc = self.e_zero()
         for perm in permutations(range(self.n)):
-            term = self.e_one()
+            term = self.e_scalar(self.center.one())
             for r in range(self.n):
                 term = self.e_mul(term, entries[r][perm[r]])
             # the sign of perm is the parity of its inversion count
             if sum(a > b for a, b in combinations(perm, 2)) % 2:
-                term = self.e_neg(term)
+                term = self.e_scale(term, -1)
             acc = self.e_add(acc, term)
-        for coeff in acc[1:]:
-            if not coeff.is_zero():
-                raise PrecisionFailure(f"{self.name}: reduced norm did not land in K")
-        return acc[0]
+        return self._in_center(acc, "reduced norm")
+
+    def _in_center(self, x, what):
+        """The center element an E-element x must be, or PrecisionFailure
+        naming `what` if x has an eta term."""
+        if not all(c.is_zero() for c in x[1:]):
+            raise PrecisionFailure(f"{self.name}: {what} did not land in K")
+        return x[0]
 
     def __repr__(self):
         return f"CyclicAlgebra({self.name}, n={self.n}, center={self.center.name})"
@@ -306,9 +285,8 @@ class NaturalOrder:
     @cached_property
     def z_basis(self):
         """The z-basis u^j c_i, u^0 block first; built on first use."""
-        alg = self.algebra
-        return tuple(alg.element([c if t == j else alg.e_zero() for t in range(alg.n)])
-                     for j in range(alg.n) for c in self._cs)
+        return tuple(self.algebra._u_times(j, c)
+                     for j in range(self.algebra.n) for c in self._cs)
 
     @cached_property
     def _flat_inv(self):
@@ -322,7 +300,7 @@ class NaturalOrder:
         With contains(), a test-only witness that the natural order is a
         ring (closed under the algebra product)."""
         inv, inv_den = self._flat_inv
-        blocks, den = _flat_ints(a.coords)
+        blocks, den = _flat_ints(a)
         den *= inv_den
         return [Fraction(sum(m * c for m, c in zip(row, nums)), den)
                 for nums in blocks for row in inv]
@@ -396,11 +374,8 @@ class NaturalOrder:
         twisted by tau_{t+t'} = Trd(eta^{t+t'})."""
         alg, K = self.algebra, self.algebra.center
         n, deg = alg.n, K.degree
-        eta, power, forms = alg.e_eta(), alg.e_one(), []
-        for _ in range(2 * n - 1):
-            tau = alg.reduced_trace(alg.element([power] + [alg.e_zero()] * (n - 1)))
-            forms.append(K.trace_form(tau))
-            power = alg.e_mul(power, eta)
+        forms = [K.trace_form(alg.reduced_trace(alg.e_scalar(K.one(), m)))
+                 for m in range(2 * n - 1)]
         den = math.lcm(*(d for _, d in forms))
         scaled = [[[v * (den // d) for v in row] for row in g] for g, d in forms]
         return [[v for u in range(n) for v in scaled[t + u][a]]

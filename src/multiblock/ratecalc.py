@@ -112,11 +112,16 @@ def _vdelta_gap(n, n_r, v):
 def chernoff_vdelta(n, n_r, delta):
     """The tightest Chernoff tilt: v solving
     delta = sum_l psi(l) - psi(l - v), delta in nats.  Bisection on
-    (0, n_r - n + 1), residual below 1e-10."""
+    (0, n_r - n + 1), residual below 1e-10.  A delta below 1e-6 nats is
+    refused: there the absolute residual, and lgamma's absolute accuracy
+    near 1 in the exponent K, are no longer small beside v and K."""
     if not n_r >= n >= 1:
         raise DomainError("requires n_r >= n >= 1")
     if not delta > 0:
         raise DomainError(f"delta must be positive, not {delta}")
+    if delta < 1e-6:
+        raise DomainError(f"delta = {delta} nats is below the solver's "
+                          f"resolution of 1e-6 nats")
     pole = n_r - n + 1
     hi = pole - 1e-12
     if _vdelta_gap(n, n_r, hi) < delta:
@@ -175,7 +180,8 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     mu is the log-det statistic of the fixed block for a constant channel
     (SingularChannel if it is rank deficient), else the Rayleigh closed
     form; the rate is Theorem 1's when n_r >= n, else Theorem 2's.  A delta
-    asks for the Chernoff exponent, which needs n_r >= n.  A capacity
+    asks for the Chernoff exponent, which needs n_r >= n and i.i.d.
+    Rayleigh blocks (iid_rayleigh, or gauss_markov at rho = 0).  A capacity
     estimate that is not finite raises PrecisionFailure."""
     if not 0 < P < math.inf:
         raise DomainError(f"power P must be finite and > 0, not {P}")
@@ -185,6 +191,11 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     if delta is not None and n_r < n:
         raise DomainError(f"delta applies only when n_r >= n, not n = {n}, "
                           f"n_r = {n_r}")
+    if delta is not None and (model.kind == "constant" or model.rho != 0.0):
+        blocks = (model.kind if model.kind == "constant"
+                  else f"{model.kind} at rho = {model.rho}")
+        raise DomainError(f"delta applies only to i.i.d. Rayleigh blocks, "
+                          f"not {blocks}")
     # an estimate that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         cap, stderr = ergodic_capacity_mc(model, P, samples, seed)

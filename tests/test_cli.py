@@ -721,9 +721,15 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
     ["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5,nan"],
     ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
      "--delta", "nan"],
-    # a Chernoff delta, which needs nr >= n
+    # a Chernoff delta, which needs nr >= n and i.i.d. Rayleigh blocks
     ["rates", "--n", "2", "--nr", "1", "--snr-db", "10", "--cl", "4",
      "--delta", "0.3"],
+    ["rates", "--model", "constant", "--n", "1", "--nr", "1", "--snr-db",
+     "10", "--cl", "1", "--delta", "0.3"],
+    ["rates", "--model", "gauss_markov", "--rho", "0.9", "--n", "1", "--nr",
+     "1", "--snr-db", "10", "--cl", "1", "--delta", "0.3"],
+    # a Chernoff delta below the solver's resolution
+    ["chernoff", "--n", "1", "--nr", "1", "--delta", "1e-8"],
     ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",
      "--samples", "0"],
     ["rates", "--n", "1", "--nr", "1", "--snr-db", "10", "--cl", "46",

@@ -220,9 +220,27 @@ def test_vdelta_residual_and_monotonicity():
         last = v
 
 
+@pytest.mark.parametrize("delta", [1e-8, 1e-7, 9.99e-7])
+def test_vdelta_refuses_delta_below_resolution(delta):
+    # below 1e-6 nats the bisection's absolute residual and lgamma's
+    # absolute accuracy near 1 swamp v and K (K < 0 at 1e-8)
+    with pytest.raises(DomainError, match="resolution of 1e-6 nats"):
+        rc.chernoff_vdelta(1, 1, delta)
+    with pytest.raises(DomainError, match="resolution of 1e-6 nats"):
+        rc.chernoff_exponent(1, 1, delta)
+
+
 def test_vdelta_continuity_at_zero():
-    assert rc.chernoff_vdelta(1, 1, 1e-8) < 1e-6
-    assert rc.chernoff_exponent(1, 1, 1e-8) < 1e-8
+    # at the smallest delta, v and K follow their small-delta expansions
+    # v = delta / T and K = delta^2 / (2 T), T = sum_l psi'(l)
+    delta = 1e-6
+    for n, n_r in ((1, 1), (2, 3)):
+        T = sum(special.polygamma(1, l) for l in range(n_r - n + 1, n_r + 1))
+        v = rc.chernoff_vdelta(n, n_r, delta)
+        K = rc.chernoff_exponent(n, n_r, delta)
+        assert v == pytest.approx(delta / T, rel=1e-4)
+        assert K > 0.0
+        assert K == pytest.approx(delta ** 2 / (2.0 * T), rel=2e-3)
 
 
 def test_vdelta_unreachable():
@@ -299,6 +317,27 @@ def test_rate_report_fields():
     assert rep.gap >= 0.0
     assert rep.v_delta is not None and rep.exponent is not None
     assert rep.mu == pytest.approx(-GAMMA / LN2, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, rho, iid", [
+    ("iid_rayleigh", 0.0, True), ("gauss_markov", 0.0, True),
+    ("gauss_markov", 0.9, False), ("constant", 0.0, False)])
+def test_rate_report_exponent_needs_iid_rayleigh_blocks(kind, rho, iid):
+    # v_delta and K come from (n, n_r, delta) alone, by the i.i.d. Rayleigh
+    # law of the blocks: gauss_markov at rho = 0 draws exactly those
+    model = FadingModel(kind=kind, n=1, n_r=1, rho=rho)
+    if iid:
+        rep = rc.rate_report(model, P=10.0, C_L=1.0, samples=100, seed=0,
+                             delta=0.3)
+        assert rep.v_delta == rc.chernoff_vdelta(1, 1, 0.3)
+        assert rep.exponent == rc.chernoff_exponent(1, 1, 0.3)
+    else:
+        with pytest.raises(DomainError, match="i.i.d. Rayleigh blocks"):
+            rc.rate_report(model, P=10.0, C_L=1.0, samples=100, seed=0,
+                           delta=0.3)
+        # without a delta the report stands
+        assert rc.rate_report(model, P=10.0, C_L=1.0, samples=100,
+                              seed=0).v_delta is None
 
 
 @pytest.mark.parametrize("C_L", [math.nan, math.inf, 0.0, -1.0])
