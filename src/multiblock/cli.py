@@ -55,9 +55,11 @@ class Output:
     """The files of one command, held until close() writes them together:
     the CSV (to --output, or stdout) and any side file such as a --export
     codebook.  A command that fails leaves stdout and every target as they
-    were.  Each regular target file is first written beside itself; only when
-    all are written are they renamed into place, so a write that fails
-    partway changes none of them."""
+    were.  Each regular target file is first written beside itself, and
+    each other target (a device, FIFO or directory) is written in place;
+    only when all are written are the regular files renamed into place, so a
+    write that fails partway changes none of them.  A failed write is
+    reported under the path given, never a temporary file's."""
 
     def __init__(self, path=None):
         self.path = path
@@ -81,25 +83,27 @@ class Output:
             for path, body in files:
                 target = os.path.realpath(path)
                 if os.path.exists(target) and not os.path.isfile(target):
-                    # a device or FIFO is written in place, never replaced
-                    in_place.append((target, body))
+                    # written in place, never replaced
+                    in_place.append((path, target, body))
                     continue
                 fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                            prefix=".", suffix=".tmp")
-                staged.append((tmp, target))
+                staged.append((path, tmp, target))
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     os.fchmod(fh.fileno(), _file_mode(target))
                     fh.write(body)
-            for tmp, target in staged:
+            for path, target, body in in_place:
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(body)
+            for path, tmp, target in staged:
                 os.replace(tmp, target)
-        except BaseException:
-            for tmp, _ in staged:
+        except BaseException as exc:
+            for _, tmp, _ in staged:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            if isinstance(exc, OSError) and exc.errno is not None:
+                raise OSError(exc.errno, exc.strerror, path) from exc
             raise
-        for target, body in in_place:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(body)
         if self.path is None:
             sys.stdout.write(text)
 
@@ -260,8 +264,7 @@ def cmd_chernoff(args):
     out.header(_config_dict(args, ["n", "nr", "delta"]))
     out.row(["delta_nats", "v_delta", "K"])
     for d in args.delta:
-        out.row([d, ratecalc.chernoff_vdelta(args.n, args.nr, d),
-                 ratecalc.chernoff_exponent(args.n, args.nr, d)])
+        out.row([d, *ratecalc.chernoff(args.n, args.nr, d)])
     out.close()
     return 0
 

@@ -27,13 +27,6 @@ def log_c_nk(n, k):
     return m * math.log(math.pi * n * k) - math.lgamma(m + 1)
 
 
-def c_nk_root_stirling(n, k):
-    """Stirling form pi*e/n * (2 pi n^2 k)^{-1/(2 n^2 k)} of C_{n,k}^{1/n^2k}.
-    Test-only witness of C_{n,k}^{1/n^2k} -> pi e / n in the paper's gap."""
-    m = n * n * k
-    return math.pi * math.e / n * (2 * math.pi * m) ** (-1.0 / (2 * m))
-
-
 def scaling_alpha(P, R, n, k, vol):
     """Scaling alpha with alpha^2 = C_{n,k}^{1/n^2k} P / (2^{R/n} vol^{1/n^2k})."""
     if not 0 < P < math.inf:

@@ -402,20 +402,3 @@ def order_lattice(order):
     return MatrixLattice(blocks,
                          det_min=1.0 if alg.division_asserted else None)
 
-
-def trivial_algebra(field):
-    """Degree-1 algebra: the center itself, phi(a) the 1x1 matrix (a).
-    Test-only witness that the order discriminant reduces to the field
-    discriminant at n = 1, where the algebra codes are the field codes."""
-    one = field.one()
-    return CyclicAlgebra(
-        name=f"trivial_{field.name}",
-        center=field,
-        n=1,
-        rel_poly=[-one, one],
-        sigma_eta=(one,),
-        gamma=one,
-        rel_basis=[(one,)],
-        division_asserted=True,
-    )
-

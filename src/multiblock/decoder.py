@@ -1,6 +1,5 @@
-"""Decoders for the multiblock channel: ML over a finite codebook, naive
-lattice decoding (closest point in the infinite shifted scaled lattice), and
-the per-block thin-QR reduction that maps an n_r > n system to square form.
+"""Decoders for the multiblock channel: ML over a finite codebook, and naive
+lattice decoding (closest point in the infinite shifted scaled lattice).
 Every lattice decision of the CLI searches an unscaled preparation: whether
 a nonzero point of alpha H L is closer to the residual W than 0 is whether
 one of H L is closer to W / alpha, so alpha divides the target and never
@@ -24,11 +23,13 @@ from .lattice import DEFAULT_BUDGET, PreparedCVP, fade_blocks, realify
 
 @dataclass
 class DecodeResult:
-    """One decision.  `approximate` is read only by tests: it witnesses that
-    a search cut off by its budget is reported as approximate, never as an
-    exact decode (the rule by which the simulation scores such a search as
-    an error and a budget hit)."""
-    coords: Optional[list]      # lattice coordinates, None for pure-ML results
+    """The decision of `LatticeDecoder.decode`, or those of `ml_decode` on a
+    stack of words, one coordinate row, index and metric per word.
+    `approximate` is read only by tests: it witnesses that a search cut off
+    by its budget is reported as approximate, never as an exact decode (the
+    rule by which the simulation scores such a search as an error and a
+    budget hit)."""
+    coords: Optional[list]      # lattice coordinates
     index: Optional[int]        # codeword index, None for lattice decoding
     metric: float               # sum_i ||Y_i - H_i Xhat_i||^2 of the decision
     nodes: int                  # enumeration / comparison effort
@@ -37,18 +38,14 @@ class DecodeResult:
 
 def ml_decode(Y, H, codebook):
     """argmin over codewords of sum_i ||Y_i - H_i X_i||^2, ties broken by the
-    lowest codeword index.  Y and H may also be stacks (T, k, n_r, n) of
-    received words and their fades: the result then holds one coordinate
-    row, index and metric per word, as arrays, and `nodes` counts the
+    lowest codeword index, for each received word of a stack Y (T, k, n_r,
+    n) with its fade in the stack H: the result holds one coordinate row,
+    index and metric per word, as arrays, and `nodes` counts the
     comparisons of the whole stack."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     Y = np.asarray(Y, dtype=complex)
     H = np.asarray(H, dtype=complex)
-    if Y.ndim == 3:
-        res = ml_decode(Y[None], H[None], codebook)
-        return DecodeResult(coords=list(res.coords[0]), index=int(res.index[0]),
-                            metric=float(res.metric[0]), nodes=len(codebook))
     diffs = Y[:, None] - H[:, None] @ codebook.matrices
     metrics = np.sum(np.abs(diffs) ** 2, axis=(2, 3, 4))
     idx = np.argmin(metrics, axis=1)
@@ -141,39 +138,3 @@ def _decisions(preps, ys, budget):
             out.append((None, budget))
     return out
 
-
-def qr_reduce(Y, H):
-    """Per-block thin QR: H_i = Q_i' R_i' with R_i' upper triangular n x n and
-    positive real diagonal; Y_i' = Q_i'^dag Y_i.  Distances to lattice points
-    are preserved: ||H_i X|| = ||R_i' X||.  Test-only witness of the paper's
-    n_r > n QR-reduction equivalence (acceptance criterion 7)."""
-    Y = np.asarray(Y, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    k, n_r, n = H.shape
-    if n_r <= n:
-        raise ValueError("qr_reduce applies to n_r > n")
-    check_full_rank(H)
-    Yp = np.empty((k, n, Y.shape[2]), dtype=complex)
-    Rp = np.empty((k, n, n), dtype=complex)
-    for i in range(k):
-        Q, R = np.linalg.qr(H[i], mode="reduced")
-        phases = np.diag(R)
-        u = phases / np.abs(phases)
-        R = R * u.conj()[:, None]
-        Q = Q * u[None, :]
-        Rp[i] = R
-        Yp[i] = Q.conj().T @ Y[i]
-    return Yp, Rp
-
-
-def mismatched_bound(H, X):
-    """Lower bound sum_j lambda_j l_j <= ||H X||^2 with the eigenvalues of
-    H^dag H ascending and those of X X^dag descending.  Test-only witness
-    of the paper's mismatched eigenvalue bound (n_r < n allowed)."""
-    H = np.asarray(H, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    lam = np.linalg.eigvalsh(H.conj().T @ H)
-    lam = np.clip(lam, 0.0, None)                 # ascending
-    ell = np.linalg.eigvalsh(X @ X.conj().T)[::-1]
-    ell = np.clip(ell, 0.0, None)                 # descending
-    return float(lam @ ell)

@@ -32,10 +32,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .channel import check_full_rank
 from .errors import (BudgetExceeded, DegenerateLattice, EmptyBall,
                      PrecisionFailure)
-from .rng import complex_gaussian
 
 DEFAULT_BUDGET = 10 ** 8
 LLL_DELTA = 0.99
@@ -60,11 +58,6 @@ def fade_blocks(H, blocks):
     under one fade H (k, n_r, n), or under each fade of a stack H (..., k,
     n_r, n): shape (..., r, k, n_r, n)."""
     return np.einsum("...irc,jicd->...jird", H, blocks)
-
-
-def pdet(blocks):
-    """Product of block determinants."""
-    return complex(np.prod(np.linalg.det(np.asarray(blocks))))
 
 
 class MatrixLattice:
@@ -345,7 +338,7 @@ class PreparedCVP:
         self._factored(reduced, U, *_signed_qr(reduced.T))
 
     def _factored(self, reduced, U, Q, R):
-        self.reduced, self.U, self.Q, self.R = reduced, U, Q, R
+        self.reduced, self.U, self.Q = reduced, U, Q
         self.rank = reduced.shape[0]
         # what every search reads, as Python lists
         self._rows = R.tolist()
@@ -523,57 +516,6 @@ def normalized_min_det(lat, det_min):
     return det_min / lat.volume ** (lat.n * lat.k / lat.rank)
 
 
-def fade(lat, H):
-    """Lattice with basis H_d B_1, ..., H_d B_r for square blocks H_i.
-    Test-only, with `sample_pdet1_fade`: the faded lattices HL on which the
-    tests witness h(HL) >= nk delta^{2/nk} over pdet-1 fades (acceptance
-    criterion 4, Proposition 1)."""
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (lat.k, lat.n, lat.n):
-        raise ValueError(f"expected {lat.k} blocks of shape {lat.n}x{lat.n}")
-    check_full_rank(H)
-    return MatrixLattice(fade_blocks(H, lat.blocks))
-
-
-def hadamard_check(blocks):
-    """Both sides of |pdet(X)| <= (||X||^2 / nk)^{nk/2}.  Test-only witness
-    of the inequality behind the paper's bound rh >= nk delta^{2/nk}.  The
-    inequality itself is load-bearing: applied to the faded points H X, it
-    is the minimum-distance bound with which `sim.certified` proves lattice
-    decisions without a search."""
-    blocks = np.asarray(blocks, dtype=complex)
-    k, n, _ = blocks.shape
-    lhs = abs(pdet(blocks))
-    norm2 = float(np.sum(np.abs(blocks) ** 2))
-    m = n * k
-    rhs = (norm2 / m) ** (m / 2.0)
-    return lhs, rhs
-
-
-def form_eval(form, X):
-    """Evaluate the homogeneous forms: f1 = sum |x|^2 (degree 2),
-    f2 = prod |x_i| over k scalar blocks (degree k), f3 = prod |det X_i|
-    (degree nk).  Test-only witness of the paper's invariants as
-    homogeneous minima: at the witness points of `hermite_invariant` and
-    `min_pdet`, rescaled to unit covolume, f1, f2 and f3 give the Hermite
-    invariant and the normalized minimum product distance and
-    determinant."""
-    X = np.asarray(X, dtype=complex)
-    if form == "f1":
-        return float(np.sum(np.abs(X) ** 2))
-    if form == "f2":
-        if X.ndim == 1:
-            return float(np.prod(np.abs(X)))
-        if X.ndim == 3 and X.shape[1] == X.shape[2] == 1:
-            return float(np.prod(np.abs(X[:, 0, 0])))
-        raise ValueError("f2 requires n = 1")
-    if form == "f3":
-        if X.ndim != 3 or X.shape[1] != X.shape[2]:
-            raise ValueError("f3 requires square blocks")
-        return float(abs(pdet(X)))
-    raise ValueError(f"unknown form {form!r}")
-
-
 def invariant_report(lat, radius=None, budget=DEFAULT_BUDGET):
     """Bundle the geometric invariants of one lattice.  The lattice's own
     det_min is certified algebraically (NVD orders); without one, det_min
@@ -590,19 +532,4 @@ def invariant_report(lat, radius=None, budget=DEFAULT_BUDGET):
     return InvariantReport(volume=lat.volume, hermite=h, det_min=det_min,
                            det_min_certificate=certificate, delta=delta,
                            rh_lower=rh_lower)
-
-
-def sample_pdet1_fade(n, k, gen):
-    """One random fade with pdet = 1: complex Gaussian blocks, rejection
-    sampled until the smallest singular value is at least 0.05 of the
-    largest, rescaled to unit product determinant.  Test-only: the fades
-    of the reduced Hermite bound's witness (see `fade`)."""
-    while True:
-        H = complex_gaussian(gen, (k, n, n))
-        sv = np.linalg.svd(H, compute_uv=False)
-        if sv[..., -1].min() >= 0.05 * sv[..., 0].max():
-            break
-    p = pdet(H)
-    H = H / (p ** (1.0 / (n * k)))
-    return H
 

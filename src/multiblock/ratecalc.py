@@ -19,11 +19,6 @@ from .rng import complex_gaussian, philox
 EULER_GAMMA = 0.5772156649015328606
 LOG2 = math.log(2.0)
 
-# Root-discriminant growth constant of the Martinet tower of totally complex
-# fields, and the asymptotic Odlyzko lower bound |d|^{1/2k} >= 22.3.
-MARTINET_G = 92.368
-ODLYZKO_BOUND = 22.3
-
 
 def digamma(x):
     """psi(x) for x > 0: recurrence up to x >= 8, then the asymptotic series.
@@ -109,12 +104,15 @@ def _vdelta_gap(n, n_r, v):
     return sum(digamma(l) - digamma(l - v) for l in range(n_r - n + 1, n_r + 1))
 
 
-def chernoff_vdelta(n, n_r, delta):
-    """The tightest Chernoff tilt: v solving
-    delta = sum_l psi(l) - psi(l - v), delta in nats.  Bisection on
-    (0, n_r - n + 1), residual below 1e-10.  A delta below 1e-6 nats is
-    refused: there the absolute residual, and lgamma's absolute accuracy
-    near 1 in the exponent K, are no longer small beside v and K."""
+def chernoff(n, n_r, delta):
+    """(v_delta, K): the tightest Chernoff tilt v solving
+    delta = sum_l psi(l) - psi(l - v), delta in nats, by bisection on
+    (0, n_r - n + 1) to a residual below 1e-10, and the large-deviation
+    exponent K > 0 of P{ mean log det falls delta below its expectation }:
+    K = -sum_j (v psi(j - v) - ln Gamma(j) + ln Gamma(j - v)) at that v.
+    A delta below 1e-6 nats is refused: there the absolute residual, and
+    lgamma's absolute accuracy near 1 in K, are no longer small beside v
+    and K."""
     if not n_r >= n >= 1:
         raise DomainError("requires n_r >= n >= 1")
     if not delta > 0:
@@ -138,30 +136,9 @@ def chernoff_vdelta(n, n_r, delta):
     v = 0.5 * (lo + hi)
     if abs(_vdelta_gap(n, n_r, v) - delta) >= 1e-10:
         raise DomainError("bisection failed to reach residual 1e-10")
-    return v
-
-
-def chernoff_exponent(n, n_r, delta):
-    """Large-deviation exponent K > 0 of
-    P{ mean log det falls delta (nats) below its expectation }:
-    K = -sum_j (v psi(j - v) - ln Gamma(j) + ln Gamma(j - v)) at v = v_delta."""
-    v = chernoff_vdelta(n, n_r, delta)
-    total = 0.0
-    for j in range(n_r - n + 1, n_r + 1):
-        total += v * digamma(j - v) - math.lgamma(j) + math.lgamma(j - v)
-    return -total
-
-
-def gap_constants():
-    """The three SISO gap terms: Martinet tower, Odlyzko limit, and the
-    exact two-bit Minkowski-Hlawka gap.  Test-only witness of the paper's
-    gap constants (acceptance criterion 10)."""
-    pie = math.pi * math.e
-    return {
-        "martinet": math.log2(2.0 * MARTINET_G / pie),
-        "odlyzko": math.log2(2.0 * ODLYZKO_BOUND / pie),
-        "minkowski_hlawka": math.log2(4.0 / pie) - math.log2(1.0 / pie),
-    }
+    K = -sum(v * digamma(j - v) - math.lgamma(j) + math.lgamma(j - v)
+             for j in range(pole, n_r + 1))
+    return v, K
 
 
 @dataclass
@@ -211,7 +188,6 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     rate = _theorem_rate(mu, P, n, n_r, C_L)
     vd = K = None
     if delta is not None:
-        vd = chernoff_vdelta(n, n_r, delta)
-        K = chernoff_exponent(n, n_r, delta)
+        vd, K = chernoff(n, n_r, delta)
     return RateReport(mu=mu, capacity=cap, capacity_stderr=stderr, rate=rate,
                       gap=cap - max(0.0, rate), v_delta=vd, exponent=K)

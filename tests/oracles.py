@@ -200,8 +200,8 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
                 dec = LatticeDecoder(H, alpha, lat)
         y = channel.transmit(word, H, (seed, t), noiseless=noiseless)
         if "ml" in decoders:
-            res = ml_decode(y, H, book)
-            tally["ml"][0] += res.index != idx
+            res = ml_decode(y[None], H[None], book)
+            tally["ml"][0] += res.index[0] != idx
             tally["ml"][1] += res.nodes
         if "lattice" in decoders:
             W = (y - H @ word)[None]

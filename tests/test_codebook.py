@@ -8,9 +8,8 @@ import pytest
 
 from multiblock import codebook
 from multiblock import lattice as lab
-from multiblock.codebook import (c_nk_root_stirling, carve,
-                                 count_points_in_ball, format_codebook,
-                                 log_c_nk, scaling_alpha)
+from multiblock.codebook import (carve, count_points_in_ball,
+                                 format_codebook, log_c_nk, scaling_alpha)
 from multiblock.errors import BudgetExceeded, CarveFailed
 from multiblock.lattice import MatrixLattice
 from multiblock.rng import philox
@@ -37,9 +36,12 @@ def test_scaling_alpha_outside_doubles_is_refused(P, R):
 
 
 def test_cnk_root_approaches_stirling_form():
+    # C_{n,k}^{1/n^2k} -> pi e / n in the paper's gap, through the Stirling
+    # form pi e / n (2 pi n^2 k)^{-1/(2 n^2 k)}
     for n, k in ((1, 64), (2, 16), (4, 4), (8, 1), (1, 256)):
-        exact = math.exp(log_c_nk(n, k) / (n * n * k))
-        approx = c_nk_root_stirling(n, k)
+        m = n * n * k
+        exact = math.exp(log_c_nk(n, k) / m)
+        approx = math.pi * math.e / n * (2 * math.pi * m) ** (-1.0 / (2 * m))
         assert abs(exact - approx) / exact < 1e-3, (n, k)
 
 

@@ -5,13 +5,13 @@ import pytest
 
 from multiblock import cyclic_algebra
 from multiblock.cli import main
-from multiblock.cyclic_algebra import (CyclicAlgebra, NaturalOrder, order_lattice,
-                                       trivial_algebra)
+from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
 from multiblock.errors import CatalogInconsistent, PrecisionFailure
 from multiblock.exact import inverse
-from multiblock.lattice import field_lattice, min_pdet, pdet
+from multiblock.lattice import field_lattice, min_pdet
 
 from oracles import fraction_inverse, reference_z_discriminant
+from witnesses import pdet, trivial_algebra
 
 # z-discriminants frozen after dual-route verification (exact trace form vs
 # the float Gram volume identity Vol = 2^{-kn^2} sqrt|d|)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from multiblock.codebook import Codebook, carve
-from multiblock.decoder import (LatticeDecoder, faded_decodes_to, ml_decode,
-                                mismatched_bound, qr_reduce)
+from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
 from multiblock.errors import DegenerateLattice, SingularChannel
 from multiblock.lattice import MatrixLattice, PreparedCVP, realify
 from multiblock.rng import complex_gaussian, philox
+
+from witnesses import mismatched_bound, qr_reduce
 
 
 def identity_channel(k, n):
@@ -17,8 +18,8 @@ def test_ml_noiseless_recovers_codeword(qi_lattice):
     book = carve(qi_lattice, 10.0, 2.0, trials=4, seed=1)
     H = identity_channel(1, 1)
     for j in range(len(book)):
-        res = ml_decode(H @ book.matrices[j], H, book)
-        assert res.index == j
+        res = ml_decode((H @ book.matrices[j])[None], H[None], book)
+        assert res.index[0] == j
 
 
 def test_ml_single_codeword(qi_lattice):
@@ -26,8 +27,8 @@ def test_ml_single_codeword(qi_lattice):
     sub = Codebook(lattice=qi_lattice, alpha=book.alpha, shift=book.shift,
                    rate_target=0.0, power=1.0, coords=book.coords[:1],
                    matrices=book.matrices[:1])
-    Y = np.array([[[5.0 + 5.0j]]])
-    assert ml_decode(Y, identity_channel(1, 1), sub).index == 0
+    Y = np.array([[[[5.0 + 5.0j]]]])
+    assert ml_decode(Y, identity_channel(1, 1)[None], sub).index[0] == 0
 
 
 def test_ml_midpoint_perturbation(qi_lattice):
@@ -37,11 +38,11 @@ def test_ml_midpoint_perturbation(qi_lattice):
                     shift=np.zeros((1, 1, 1), dtype=complex), rate_target=0.0,
                     power=1.0, coords=np.array([[0, 0], [1, 0]]),
                     matrices=np.stack([m0, m1]))
-    Y = np.array([[[0.5 + 1e-6]]], dtype=complex)
-    res = ml_decode(Y, identity_channel(1, 1), book)
-    assert res.index == 1
-    Y_tie = np.array([[[0.5]]], dtype=complex)
-    assert ml_decode(Y_tie, identity_channel(1, 1), book).index == 0  # lowest index
+    H = identity_channel(1, 1)[None]
+    Y = np.array([[[[0.5 + 1e-6]]]], dtype=complex)
+    assert ml_decode(Y, H, book).index[0] == 1
+    Y_tie = np.array([[[[0.5]]]], dtype=complex)
+    assert ml_decode(Y_tie, H, book).index[0] == 0  # lowest index
 
 
 def test_lattice_decode_exact_point(golden_lattice):
@@ -98,9 +99,9 @@ def test_cross_decoder_agreement(golden_lattice):
     for t in range(trials):
         j = int(pick.integers(len(book)))
         Y = H @ book.matrices[j] + 0.05 * complex_gaussian(gen, (1, 2, 2))
-        res_ml = ml_decode(Y, H, book)
+        res_ml = ml_decode(Y[None], H[None], book)
         res_lat = dec.decode(Y)
-        assert list(res_lat.coords) == list(book.coords[res_ml.index])
+        assert list(res_lat.coords) == list(book.coords[res_ml.index[0]])
         agree += 1
     assert agree == trials
 
@@ -233,7 +234,6 @@ def test_stacked_ml_decode_matches_single_word_formula(request, lattice_name,
         idx = int(np.argmin(metrics))
         assert (res.index[t], res.metric[t]) == (idx, metrics[idx])
         assert list(res.coords[t]) == list(book.coords[idx])
-        assert ml_decode(Y[t], H[t], book).index == idx
 
 
 @pytest.mark.parametrize("lattice_name,n_r", STACK_CASES)

@@ -4,14 +4,14 @@ import pytest
 from multiblock import lattice as lab
 from multiblock.cli import main
 from multiblock.errors import BudgetExceeded, EmptyBall, SingularChannel
-from multiblock.lattice import (MatrixLattice, PreparedCVP, fade,
-                                field_lattice, form_eval, hadamard_check,
+from multiblock.lattice import (MatrixLattice, PreparedCVP, field_lattice,
                                 hermite_invariant, invariant_report,
                                 lll_reduce, min_pdet, normalized_min_det,
-                                realify, sample_pdet1_fade)
+                                realify)
 from multiblock.rng import philox
 
 from oracles import brute_closest, brute_shortest
+from witnesses import fade, pdet, sample_pdet1_fade
 
 
 def z2_lattice():
@@ -194,31 +194,39 @@ def test_volume_alpha_scaling(golden_lattice):
         alpha ** golden_lattice.rank * golden_lattice.volume, rel=1e-9)
 
 
+# Hadamard: |pdet(X)| <= (||X||^2 / nk)^{nk/2}, the inequality behind the
+# paper's bound rh >= nk delta^{2/nk}; applied to the faded points H X it is
+# the minimum-distance bound with which `sim.certified` proves lattice
+# decisions without a search
+
 def test_hadamard_equality_at_identity():
-    lhs, rhs = hadamard_check(np.eye(1)[None, :, :])
-    assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
+    X = np.eye(1)[None, :, :]       # nk = 1
+    assert abs(pdet(X)) == pytest.approx(1.0)
+    assert np.sum(np.abs(X) ** 2) ** 0.5 == pytest.approx(1.0)
 
 
 def test_hadamard_diagonal_example():
-    X = np.array([[[2.0]], [[0.5]]], dtype=complex)
-    lhs, rhs = hadamard_check(X)
-    assert lhs == pytest.approx(1.0)
-    assert rhs == pytest.approx(2.125)
+    X = np.array([[[2.0]], [[0.5]]], dtype=complex)     # nk = 2
+    assert abs(pdet(X)) == pytest.approx(1.0)
+    assert np.sum(np.abs(X) ** 2) / 2 == pytest.approx(2.125)
 
 
 def test_hadamard_random_inequality():
     rng = np.random.default_rng(73)
-    for _ in range(100):
+    for _ in range(100):        # nk = 4
         X = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        lhs, rhs = hadamard_check(X)
-        assert lhs <= rhs * (1 + 1e-12)
+        assert abs(pdet(X)) <= (np.sum(np.abs(X) ** 2) / 4) ** 2 * (1 + 1e-12)
 
+
+# The paper's invariants as homogeneous minima of three forms: f1 = sum |x|^2
+# (degree 2), f2 = prod |x_i| over k scalar blocks (degree k) and
+# f3 = |pdet X| (degree nk)
 
 def test_form_values():
-    assert form_eval("f1", np.array([1.0, 1j])) == pytest.approx(2.0)
-    assert form_eval("f2", np.array([2.0, 0.5])) == pytest.approx(1.0)
+    assert np.sum(np.abs([1.0, 1j]) ** 2) == pytest.approx(2.0)
+    assert np.prod(np.abs([2.0, 0.5])) == pytest.approx(1.0)
     X = np.stack([np.eye(2), 2 * np.eye(2)]).astype(complex)
-    assert form_eval("f3", X) == pytest.approx(4.0)
+    assert abs(pdet(X)) == pytest.approx(4.0)
 
 
 def test_form_homogeneity():
@@ -227,17 +235,12 @@ def test_form_homogeneity():
     X = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
     vec = rng.normal(size=k) + 1j * rng.normal(size=k)
     for alpha in (0.3, 2.7):
-        assert form_eval("f1", alpha * X) == pytest.approx(
-            alpha ** 2 * form_eval("f1", X), rel=1e-9)
-        assert form_eval("f2", alpha * vec) == pytest.approx(
-            alpha ** k * form_eval("f2", vec), rel=1e-9)
-        assert form_eval("f3", alpha * X) == pytest.approx(
-            alpha ** (n * k) * form_eval("f3", X), rel=1e-9)
-
-
-def test_form_shape_mismatch():
-    with pytest.raises(ValueError):
-        form_eval("f2", np.ones((2, 2, 2)))
+        assert np.sum(np.abs(alpha * X) ** 2) == pytest.approx(
+            alpha ** 2 * np.sum(np.abs(X) ** 2), rel=1e-9)
+        assert np.prod(np.abs(alpha * vec)) == pytest.approx(
+            alpha ** k * np.prod(np.abs(vec)), rel=1e-9)
+        assert abs(pdet(alpha * X)) == pytest.approx(
+            alpha ** (n * k) * abs(pdet(X)), rel=1e-9)
 
 
 def test_lll_preserves_lattice():
@@ -279,12 +282,12 @@ def test_homogeneous_minima_match_invariants(catalog, hex_lattice, golden_lattic
         return lat.point(coords) * lat.volume ** (-1.0 / lat.rank)
 
     h, coords, _ = hermite_invariant(hex_lattice)
-    assert form_eval("f1", unit_point(hex_lattice, coords)) == pytest.approx(
-        h, rel=1e-9)
-    for form, lat, r, rel in (("f2", hex_lattice, 2.0, 1e-9),
-                              ("f3", golden_lattice, 2.5, 1e-6)):
+    f1 = np.sum(np.abs(unit_point(hex_lattice, coords)) ** 2)
+    assert f1 == pytest.approx(h, rel=1e-9)
+    # f2 on n = 1 blocks is f3
+    for lat, r, rel in ((hex_lattice, 2.0, 1e-9), (golden_lattice, 2.5, 1e-6)):
         _, wit = min_pdet(lat, r * lat.volume ** (1.0 / lat.rank))
-        assert form_eval(form, unit_point(lat, wit)) == pytest.approx(
+        assert abs(pdet(unit_point(lat, wit))) == pytest.approx(
             normalized_min_det(lat, 1.0), rel=rel)
 
 

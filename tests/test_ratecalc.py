@@ -13,6 +13,9 @@ from oracles import reference_gauss_markov_capacity
 
 GAMMA = rc.EULER_GAMMA
 LN2 = math.log(2.0)
+# root-discriminant growth constant of the Martinet tower of totally complex
+# fields
+MARTINET_G = 92.368
 
 
 # -- special functions -------------------------------------------------------
@@ -70,18 +73,21 @@ def test_gamma_moment_identities():
 # -- rate formulas -----------------------------------------------------------
 
 def test_gap_constants():
-    gaps = rc.gap_constants()
-    assert gaps["martinet"] == pytest.approx(4.435, abs=1e-3)
-    assert gaps["odlyzko"] == pytest.approx(2.385, abs=1e-3)
-    assert gaps["minkowski_hlawka"] == pytest.approx(2.0, abs=1e-12)
+    # the SISO gap terms: Martinet tower, Odlyzko limit |d|^{1/2k} >= 22.3,
+    # and the exact two-bit Minkowski-Hlawka gap
+    pie = math.pi * math.e
+    assert math.log2(2.0 * MARTINET_G / pie) == pytest.approx(4.435, abs=1e-3)
+    assert math.log2(2.0 * 22.3 / pie) == pytest.approx(2.385, abs=1e-3)
+    assert math.log2(4.0 / pie) - math.log2(1.0 / pie) == pytest.approx(
+        2.0, abs=1e-12)
 
 
 def test_rate_theorem1_siso_martinet_identity():
     # mu = -gamma/ln2 and C_L = G/2 reduce to log2(P e^-gamma) - log2(2G/pi e)
     P = 250.0
     mu = -GAMMA / LN2
-    lhs = rc.rate_theorem1(mu, P, 1, rc.MARTINET_G / 2.0)
-    rhs = math.log2(P * math.exp(-GAMMA)) - math.log2(2 * rc.MARTINET_G / (math.pi * math.e))
+    lhs = rc.rate_theorem1(mu, P, 1, MARTINET_G / 2.0)
+    rhs = math.log2(P * math.exp(-GAMMA)) - math.log2(2 * MARTINET_G / (math.pi * math.e))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -90,11 +96,11 @@ def test_rate_theorem1_with_tower_constants():
     # n (log(P/n) + (1/n) sum psi(i) / ln 2 + log(pi e / 2n) - log 23^{(1-1/n)/10} G)
     for n, P in ((2, 50.0), (3, 400.0)):
         mu = rc.expected_logdet_rayleigh(n, n)
-        C_L = 23.0 ** ((n - 1) / (10.0 * n)) * rc.MARTINET_G / 2.0
+        C_L = 23.0 ** ((n - 1) / (10.0 * n)) * MARTINET_G / 2.0
         lhs = rc.rate_theorem1(mu, P, n, C_L)
         rhs = n * (math.log2(P / n) + mu / n
                    + math.log2(math.pi * math.e / (2.0 * n))
-                   - math.log2(23.0 ** ((1.0 - 1.0 / n) / 10.0) * rc.MARTINET_G))
+                   - math.log2(23.0 ** ((1.0 - 1.0 / n) / 10.0) * MARTINET_G))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -206,14 +212,14 @@ def test_stacked_gauss_markov_capacity_matches_per_chain_loop(n, n_r, rho,
 
 def test_vdelta_forced_point():
     # psi(1) - psi(1/2) = 2 ln 2 pins v at exactly 1/2
-    v = rc.chernoff_vdelta(1, 1, 2.0 * math.log(2.0))
+    v, _ = rc.chernoff(1, 1, 2.0 * math.log(2.0))
     assert v == pytest.approx(0.5, abs=1e-9)
 
 
 def test_vdelta_residual_and_monotonicity():
     last = 0.0
     for delta in (0.05, 0.1, 0.3, 0.7, 1.5):
-        v = rc.chernoff_vdelta(2, 3, delta)
+        v, _ = rc.chernoff(2, 3, delta)
         gap = sum(rc.digamma(l) - rc.digamma(l - v) for l in (2, 3))
         assert abs(gap - delta) < 1e-10
         assert v > last
@@ -225,9 +231,7 @@ def test_vdelta_refuses_delta_below_resolution(delta):
     # below 1e-6 nats the bisection's absolute residual and lgamma's
     # absolute accuracy near 1 swamp v and K (K < 0 at 1e-8)
     with pytest.raises(DomainError, match="resolution of 1e-6 nats"):
-        rc.chernoff_vdelta(1, 1, delta)
-    with pytest.raises(DomainError, match="resolution of 1e-6 nats"):
-        rc.chernoff_exponent(1, 1, delta)
+        rc.chernoff(1, 1, delta)
 
 
 def test_vdelta_continuity_at_zero():
@@ -236,8 +240,7 @@ def test_vdelta_continuity_at_zero():
     delta = 1e-6
     for n, n_r in ((1, 1), (2, 3)):
         T = sum(special.polygamma(1, l) for l in range(n_r - n + 1, n_r + 1))
-        v = rc.chernoff_vdelta(n, n_r, delta)
-        K = rc.chernoff_exponent(n, n_r, delta)
+        v, K = rc.chernoff(n, n_r, delta)
         assert v == pytest.approx(delta / T, rel=1e-4)
         assert K > 0.0
         assert K == pytest.approx(delta ** 2 / (2.0 * T), rel=2e-3)
@@ -245,13 +248,13 @@ def test_vdelta_continuity_at_zero():
 
 def test_vdelta_unreachable():
     with pytest.raises(DomainError):
-        rc.chernoff_vdelta(1, 1, 1e13)
+        rc.chernoff(1, 1, 1e13)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
 def test_vdelta_rejects_delta_not_positive(delta):
     with pytest.raises(DomainError):
-        rc.chernoff_vdelta(1, 1, delta)
+        rc.chernoff(1, 1, delta)
 
 
 @pytest.mark.parametrize("samples", [0, 1])
@@ -263,7 +266,7 @@ def test_capacity_mc_needs_two_samples(samples):
 
 def test_exponent_forced_point_value():
     # K = -(0.5 psi(0.5) + ln Gamma(0.5)) at the forced point
-    K = rc.chernoff_exponent(1, 1, 2.0 * math.log(2.0))
+    _, K = rc.chernoff(1, 1, 2.0 * math.log(2.0))
     expect = -(0.5 * rc.digamma(0.5) + math.lgamma(0.5))
     assert K == pytest.approx(expect, abs=1e-9)
     assert K == pytest.approx(0.40939007, abs=1e-7)
@@ -275,14 +278,14 @@ def test_exponent_positive_on_grid():
             if n_r < n:
                 continue
             for delta in (0.1, 0.5, 1.0):
-                assert rc.chernoff_exponent(n, n_r, delta) > 0.0
+                assert rc.chernoff(n, n_r, delta)[1] > 0.0
 
 
 def test_chernoff_bound_on_simulated_paths():
     # empirical P{mu - mean log det >= delta} <= exp(-k K) + 3 stderr
     n = n_r = 1
     delta = 0.4
-    K = rc.chernoff_exponent(n, n_r, delta)
+    _, K = rc.chernoff(n, n_r, delta)
     k, paths = 60, 40000
     gen = philox(113, 0)
     e = gen.exponential(size=(paths, k))
@@ -312,7 +315,7 @@ def test_rate_report_fields():
     # C_L from the Martinet family: a value a genuine lattice family attains,
     # so the theorem rate stays below capacity
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
-    rep = rc.rate_report(model, P=100.0, C_L=rc.MARTINET_G / 2, samples=20000,
+    rep = rc.rate_report(model, P=100.0, C_L=MARTINET_G / 2, samples=20000,
                          seed=1, delta=0.3)
     assert rep.gap >= 0.0
     assert rep.v_delta is not None and rep.exponent is not None
@@ -329,8 +332,7 @@ def test_rate_report_exponent_needs_iid_rayleigh_blocks(kind, rho, iid):
     if iid:
         rep = rc.rate_report(model, P=10.0, C_L=1.0, samples=100, seed=0,
                              delta=0.3)
-        assert rep.v_delta == rc.chernoff_vdelta(1, 1, 0.3)
-        assert rep.exponent == rc.chernoff_exponent(1, 1, 0.3)
+        assert (rep.v_delta, rep.exponent) == rc.chernoff(1, 1, 0.3)
     else:
         with pytest.raises(DomainError, match="i.i.d. Rayleigh blocks"):
             rc.rate_report(model, P=10.0, C_L=1.0, samples=100, seed=0,
