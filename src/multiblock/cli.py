@@ -248,13 +248,14 @@ def cmd_rates(args):
     out.header(_config_dict(args, ["n", "nr", "model", "rho", "snr_db", "cl",
                                    "delta", "samples", "seed"]))
     out.row(["P_dB", "C_est", "C_stderr", "R_thm", "gap", "v_delta", "K"])
+    # the exponent reads no power: one solve serves every row
+    tilt = (("", "") if args.delta is None
+            else ratecalc.rayleigh_exponent(model, args.delta))
     for snr_db, P in zip(args.snr_db, powers):
         rep = ratecalc.rate_report(model, P, args.cl, samples=args.samples,
-                                   seed=args.seed, delta=args.delta)
+                                   seed=args.seed)
         out.row([snr_db, rep.capacity, rep.capacity_stderr,
-                 max(0.0, rep.rate), rep.gap,
-                 "" if rep.v_delta is None else rep.v_delta,
-                 "" if rep.exponent is None else rep.exponent])
+                 max(0.0, rep.rate), rep.gap, *tilt])
     out.close()
     return 0
 

@@ -98,7 +98,7 @@ def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET):
     best = None
     for _ in range(trials):
         # ||alpha (u + z B)|| <= radius iff ||u + z B|| <= radius / alpha
-        u = np.tensordot(gen.random(lat.rank), lat.blocks, axes=(0, 0))
+        u = lat.point(gen.random(lat.rank))
         count, coords, _ = count_points_in_ball(lat, u, radius / alpha, budget)
         if best is None or count > best[0]:
             best = (count, alpha * u, coords)

@@ -189,7 +189,7 @@ class CyclicAlgebra:
         Test-only witness that the multiblock embedding is multiplicative
         and the natural order a ring, on which the paper's nonvanishing
         determinant argument rests, and the pairwise route to the order
-        discriminant that z_discriminant's block form replaced."""
+        discriminant that z_discriminant's closed form replaced."""
         out = (self.e_zero(),) * self.n
         for r, xr in enumerate(a):
             if all(c.is_zero() for c in xr):
@@ -278,7 +278,8 @@ class NaturalOrder:
         self._cs = [algebra.e_scale(e, w) for e in algebra.rel_basis for w in units]
         # row i: the flat coordinates of c_i, integer rows over one denominator
         self._c_rows, self._c_den = _flat_ints(self._cs)
-        if bareiss_det(self._c_rows) == 0:
+        self._c_det = bareiss_det(self._c_rows)
+        if self._c_det == 0:
             raise CatalogInconsistent(f"{algebra.name}: z-basis is not linearly independent")
         self._zdisc = None
 
@@ -328,40 +329,32 @@ class NaturalOrder:
 
     def z_discriminant(self):
         """Exact determinant of the reduced-trace form summed over all 2k
-        embeddings of the center, i.e. det Tr_{K/Q}(Trd(b_i b_j)).
-
-        The z-basis is b = u^r c_i, with c_i = e w_a the N = n deg(K)
-        elements of the O_E basis.  Since u^r x u^s y = u^{r+s} sigma^s(x) y,
-        u^n = gamma and Trd(u^m z) = 0 unless n divides m,
-
-            Tr_{K/Q} Trd(u^r c_i u^s c_j)
-                = [r + s = 0 mod n] Tr_{E/Q}(gamma^{(r+s)/n} sigma^s(c_i) c_j),
-
-        so only the n blocks (r, s) = ((n - s) mod n, s) of the n^2 N x N
-        blocks are nonzero, and block s is Y_s^T T C, where
+        embeddings of the center, i.e. det Tr_{K/Q}(Trd(b_i b_j)), in closed
+        form: d^n N_{K/Q}(gamma)^(n(n-1)) with d = det(C)^2 det(T), where
+          C holds the flat coordinates of the N = n deg(K) elements c_i of
+              the O_E basis (its determinant taken by the constructor), and
           T[(t,a),(t',b)] = Tr_{K/Q}(tau_{t+t'} w_a w_b), tau_m = Trd(eta^m),
-              is the trace form of E on its flat coordinates eta^t w_a,
-          C holds the flat coordinates of the c_i, and
-          Y_s those of gamma^[s > 0] sigma^s(c_i).
-        The blocks sit on a block permutation whose sign is +1, N being
-        even (deg K is), so the determinant is the product of the n block
-        determinants, each by Bareiss on integer numerators; the
-        denominators are divided out at the end."""
+              is the trace form of E on its flat coordinates eta^t w_a.
+        The z-basis is b = u^r c_i, and u^r x u^s y = u^{r+s} sigma^s(x) y
+        with u^n = gamma, so three facts give the form:
+        - Trd(u^m z) = 0 unless n divides m, so only the n blocks (r, s) =
+          ((n - s) mod n, s) of the n^2 N x N blocks are nonzero; they sit
+          on a block permutation of sign +1, N being even (deg K is), and
+          block s is the Gram C^T L_s^T T C of the c_i under the map L_s:
+          x -> gamma^[s > 0] sigma^s(x).
+        - Multiplication by gamma in K has determinant N_{K/Q}(gamma)^n over
+          Q, E being n-dimensional over K.
+        - sigma^s is K-linear with det_K a root of unity, whose norm to Q is
+          1, deg K being even.
+        So det L_s = N_{K/Q}(gamma)^n for s > 0 and 1 for s = 0; the
+        denominators of C and T are divided out at the end."""
         if self._zdisc is None:
             alg = self.algebra
             n, N = alg.n, len(self._cs)
             T, t_den = self._e_trace_form()
-            C, c_den = self._c_rows, self._c_den
-            # TC[j] = T c_j, so block entry (i, j) is y_i . TC[j]
-            TC = [[sum(t * c for t, c in zip(row, col)) for row in T] for col in C]
-            det, scale = 1, (t_den * c_den) ** (n * N)
-            for s in range(n):
-                Y, y_den = (C, c_den) if s == 0 else _flat_ints(
-                    [alg.e_scale(alg.sigma_pow(c, s), alg.gamma) for c in self._cs])
-                scale *= y_den ** N
-                det *= bareiss_det([[sum(a * b for a, b in zip(y, tc)) for tc in TC]
-                                    for y in Y])
-            d = Fraction(det, scale)
+            d = Fraction(self._c_det ** 2 * bareiss_det(T),
+                         self._c_den ** (2 * N) * t_den ** N)
+            d = d ** n * alg.center.norm(alg.gamma) ** (n * (n - 1))
             if d.denominator != 1:
                 raise PrecisionFailure(
                     f"{alg.name}: order discriminant {d} is not an integer")

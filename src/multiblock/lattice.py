@@ -89,7 +89,8 @@ class MatrixLattice:
         self._faded = {}
 
     def point(self, coords):
-        """Lattice point with the given integer coordinates, as blocks."""
+        """Point with the given coordinates, as blocks: a lattice point for
+        integer ones."""
         return np.tensordot(np.asarray(coords, dtype=float), self.blocks, axes=(0, 0))
 
     def points(self, coord_rows):

@@ -162,10 +162,11 @@ class NumberField:
         flat, self._basis_den = common_denominator(
             b[i] if i < len(b) else 0 for i in range(n) for b in self.basis)
         self._basis_mat = [flat[i * n:(i + 1) * n] for i in range(n)]
-        if bareiss_det(self._basis_mat) == 0:
+        self._basis_det = bareiss_det(self._basis_mat)
+        if self._basis_det == 0:
             raise CatalogInconsistent(f"{name}: integral basis is not linearly independent")
         # Tr(theta^m), m = 0..3n-3: integers, theta being an algebraic
-        # integer; trace_form reads them all
+        # integer; trace_form reads them all, discriminant those to 2n-2
         self._theta_traces = power_sums(self.min_poly, 3 * (n - 1))
         self._disc = None
         # complex values of each basis element at every root (2k x 2k), each
@@ -268,10 +269,7 @@ class NumberField:
 
     def norm(self, x):
         """Exact N_{K/Q}(x): determinant of multiplication by x in the theta
-        power basis.  Test-only: with `CyclicAlgebra.reduced_norm` it
-        witnesses the NVD mechanism |pdet phi(a)|^2 = |N_{K/Q}(Nrd a)|; an
-        exact division probe over the order's ball would make it
-        load-bearing."""
+        power basis."""
         n = self.degree
         current, den = self._theta_ints(x)
         cols = []
@@ -294,16 +292,16 @@ class NumberField:
 
     # -- invariants ----------------------------------------------------------
 
-    def trace_form(self, x=None):
-        """Twisted trace form Tr(x w_i w_j) of the integral basis (x = 1 when
-        None) as (integer matrix, positive denominator).
+    def trace_form(self, x):
+        """Twisted trace form Tr(x w_i w_j) of the integral basis as (integer
+        matrix, positive denominator).
 
         With w = theta-power coefficients M / D (columns), x = t / e in
         theta powers and p_m = Tr(theta^m), the form is M^T H M / (e D^2)
         for the Hankel matrix H[a][b] = sum_l t_l p_{a+b+l}: integers alone,
         and no product in the field."""
         n = self.degree
-        t, den = ([1], 1) if x is None else self._theta_ints(x)
+        t, den = self._theta_ints(x)
         p, M = self._theta_traces, self._basis_mat
         h = [sum(c * p[m + l] for l, c in enumerate(t) if c) for m in range(2 * n - 1)]
         HM = [[sum(h[a + b] * M[b][j] for b in range(n)) for j in range(n)]
@@ -313,12 +311,16 @@ class NumberField:
         return gram, den * self._basis_den ** 2
 
     def discriminant(self):
-        """det(Tr(w_i w_j)) as an exact integer, the determinant of the
-        untwisted trace_form; cross-checked against the catalog value when
-        one was supplied."""
+        """det(Tr(w_i w_j)) as an exact integer, cross-checked against the
+        catalog value when one was supplied.  The Gram is M^T H M / D^2
+        (see trace_form) with H[a][b] = p_{a+b}, so its determinant is
+        det(M)^2 det(H) / D^(2n), det(M) being the one the constructor took
+        to check the basis."""
         if self._disc is None:
-            gram, den = self.trace_form()
-            d = Fraction(bareiss_det(gram), den ** self.degree)
+            n, p = self.degree, self._theta_traces
+            hankel = [[p[a + b] for b in range(n)] for a in range(n)]
+            d = Fraction(self._basis_det ** 2 * bareiss_det(hankel),
+                         self._basis_den ** (2 * n))
             if d.denominator != 1:
                 raise CatalogInconsistent(
                     f"{self.name}: trace form determinant {d} is not an integer; "

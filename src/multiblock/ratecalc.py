@@ -8,7 +8,6 @@ its defining equations, with conversions confined to the API boundary.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -141,6 +140,22 @@ def chernoff(n, n_r, delta):
     return v, K
 
 
+def rayleigh_exponent(model, delta):
+    """chernoff's (v_delta, K) for the blocks of a fading model, which must
+    have n_r >= n and be i.i.d. Rayleigh (iid_rayleigh, or gauss_markov at
+    rho = 0): the exponent reads only (n, n_r, delta), by that law."""
+    n, n_r = model.n, model.n_r
+    if n_r < n:
+        raise DomainError(f"delta applies only when n_r >= n, not n = {n}, "
+                          f"n_r = {n_r}")
+    if model.kind == "constant" or model.rho != 0.0:
+        blocks = (model.kind if model.kind == "constant"
+                  else f"{model.kind} at rho = {model.rho}")
+        raise DomainError(f"delta applies only to i.i.d. Rayleigh blocks, "
+                          f"not {blocks}")
+    return chernoff(n, n_r, delta)
+
+
 @dataclass
 class RateReport:
     mu: float                   # bits
@@ -148,31 +163,19 @@ class RateReport:
     capacity_stderr: float
     rate: float                 # applicable theorem rate, bits
     gap: float                  # C - max(0, rate)
-    v_delta: Optional[float] = None
-    exponent: Optional[float] = None
 
 
-def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
+def rate_report(model, P, C_L, samples=20000, seed=0):
     """Evaluate capacity, achievable rate and gap for one power level.
     mu is the log-det statistic of the fixed block for a constant channel
     (SingularChannel if it is rank deficient), else the Rayleigh closed
-    form; the rate is Theorem 1's when n_r >= n, else Theorem 2's.  A delta
-    asks for the Chernoff exponent, which needs n_r >= n and i.i.d.
-    Rayleigh blocks (iid_rayleigh, or gauss_markov at rho = 0).  A capacity
-    estimate that is not finite raises PrecisionFailure."""
+    form; the rate is Theorem 1's when n_r >= n, else Theorem 2's.  A
+    capacity estimate that is not finite raises PrecisionFailure."""
     if not 0 < P < math.inf:
         raise DomainError(f"power P must be finite and > 0, not {P}")
     if not 0 < C_L < math.inf:
         raise DomainError(f"C_L must be finite and > 0, not {C_L}")
     n, n_r = model.n, model.n_r
-    if delta is not None and n_r < n:
-        raise DomainError(f"delta applies only when n_r >= n, not n = {n}, "
-                          f"n_r = {n_r}")
-    if delta is not None and (model.kind == "constant" or model.rho != 0.0):
-        blocks = (model.kind if model.kind == "constant"
-                  else f"{model.kind} at rho = {model.rho}")
-        raise DomainError(f"delta applies only to i.i.d. Rayleigh blocks, "
-                          f"not {blocks}")
     # an estimate that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
@@ -186,8 +189,5 @@ def rate_report(model, P, C_L, samples=20000, seed=0, delta=None):
     else:
         mu = expected_logdet_rayleigh(n_r, n)  # det(H H^dag), swap roles
     rate = _theorem_rate(mu, P, n, n_r, C_L)
-    vd = K = None
-    if delta is not None:
-        vd, K = chernoff(n, n_r, delta)
     return RateReport(mu=mu, capacity=cap, capacity_stderr=stderr, rate=rate,
-                      gap=cap - max(0.0, rate), v_delta=vd, exponent=K)
+                      gap=cap - max(0.0, rate))

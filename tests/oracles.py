@@ -415,9 +415,10 @@ def reference_z_discriminant(order):
     """det Tr_{K/Q}(Trd(b_i b_j)) over an order's z-basis from all
     r(r+1)/2 algebra products, reference_trace and a Fraction determinant
     (no trace form of the package): the pairwise Gram that
-    NaturalOrder.z_discriminant replaced by its n nonzero blocks.  Witnesses that the block-sparse form, with its integer denominators, is
-    the reduced-trace form whose determinant is the order discriminant on
-    which the paper's gap to capacity depends."""
+    NaturalOrder.z_discriminant replaced by its closed form d^n
+    N_{K/Q}(gamma)^(n(n-1)).  Witnesses that the closed form, with its
+    integer denominators, is the determinant of the reduced-trace form, the
+    order discriminant on which the paper's gap to capacity depends."""
     alg, K = order.algebra, order.algebra.center
     basis = order.z_basis
     r = len(basis)

@@ -273,7 +273,7 @@ def test_criterion_10_gap_constants():
             "minkowski_hlawka": math.log2(4.0 / pie) - math.log2(1.0 / pie)}
     assert abs(gaps["martinet"] - 4.435) < 1e-3
     assert abs(gaps["odlyzko"] - 2.385) < 1e-3
-    assert abs(gaps["minkowski_hlawka"] - 2.0) < 1e-3
+    assert abs(gaps["minkowski_hlawka"] - 2.0) < 1e-12
     report("criterion 10", f"martinet {gaps['martinet']:.4f}, "
            f"odlyzko {gaps['odlyzko']:.4f}, "
            f"minkowski-hlawka {gaps['minkowski_hlawka']:.6f}")

@@ -70,8 +70,8 @@ def test_whole_catalog_commands_build_every_entry_once(built, argv):
 
 
 def test_catalog_verify_makes_no_algebra_product(monkeypatch):
-    # the order discriminant comes from the block-sparse reduced-trace form,
-    # not from products of z-basis elements
+    # the order discriminant comes in closed form from determinants and a
+    # norm, not from products of z-basis elements
     calls = []
     mul = CyclicAlgebra.mul
 

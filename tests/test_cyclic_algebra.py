@@ -9,6 +9,7 @@ from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
 from multiblock.errors import CatalogInconsistent, PrecisionFailure
 from multiblock.exact import inverse
 from multiblock.lattice import field_lattice, min_pdet
+from multiblock.numfield import NumberField
 
 from oracles import fraction_inverse, reference_z_discriminant
 from witnesses import pdet, trivial_algebra
@@ -187,6 +188,23 @@ def test_degree_three_order_keeps_its_routes(cube2):
     assert order.coordinates(order.element_from_z(z)) == z
 
 
+def test_zdisc_takes_one_determinant_and_one_norm(monkeypatch, q_i, golden,
+                                                 zeta20, cube2):
+    # the closed form d^n N(gamma)^(n(n-1)) reuses the constructor's det(C):
+    # whatever n, the method takes det(T) and one norm
+    calls = []
+    det, norm = cyclic_algebra.bareiss_det, NumberField.norm
+    monkeypatch.setattr(cyclic_algebra, "bareiss_det",
+                        lambda rows: calls.append("det") or det(rows))
+    monkeypatch.setattr(NumberField, "norm",
+                        lambda self, x: calls.append("norm") or norm(self, x))
+    for alg in (trivial_algebra(q_i), golden, zeta20, cube2):
+        order = NaturalOrder(alg)     # fresh, the result being memoized
+        calls.clear()
+        order.z_discriminant()
+        assert sorted(calls) == ["det", "norm"], alg.name
+
+
 def test_degree_one_checks_sigma_eta_as_a_root(q_i):
     # n = 1 takes the general check: sigma(eta) must be the root of eta - c
     one = q_i.one()
@@ -222,8 +240,9 @@ def test_sigma_eta_of_wrong_length_is_refused(golden):
 
 
 def test_non_integer_zdisc_is_a_precision_failure(golden):
-    # a basis scaled by 1/3 spans a lattice that is no order: the block row
-    # denominators, divided out after the determinant, leave 3^-8
+    # a basis scaled by 1/3 spans a lattice that is no order: det(C) takes
+    # a factor 3^-2 from the scaled row, d = det(C)^2 det(T) a factor 3^-4,
+    # and the order discriminant d^2 the 3^-8 left
     K = golden.center
     e0, e1 = golden.rel_basis
     g3 = _variant(golden, "g3",

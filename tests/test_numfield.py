@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from multiblock import numfield
 from multiblock.catalog import load_catalog
 from multiblock.errors import CatalogInconsistent, NotTotallyComplex
 from multiblock.exact import poly_mod
@@ -27,8 +28,32 @@ def sympy_poly_disc(min_poly):
 def test_gaussian_field_trace_form():
     # on the basis 1, theta: Tr(1) = 2, Tr(theta) = 0, Tr(theta^2) = -2
     K = NumberField("gauss", [1, 0, 1], POWER_BASIS_2)
-    assert K.trace_form() == ([[2, 0], [0, -2]], 1)
+    assert K.trace_form(K.one()) == ([[2, 0], [0, -2]], 1)
     assert K.discriminant() == -4
+
+
+def test_discriminant_reads_the_stored_traces(monkeypatch, catalog):
+    # det(M)^2 det[p_(a+b)] / D^(2n): the constructor's det(M), one Hankel
+    # determinant of the stored traces, and no trace form
+    calls = []
+    det = numfield.bareiss_det
+    monkeypatch.setattr(numfield, "bareiss_det",
+                        lambda rows: calls.append("det") or det(rows))
+    monkeypatch.setattr(NumberField, "trace_form",
+                        lambda self, x: calls.append("trace_form"))
+    for name in sorted(catalog.fields):
+        K = catalog.field(name)
+        expected = K.disc_expected
+        fresh = NumberField(name, K.min_poly, K.basis)  # discriminant memoized
+        calls.clear()
+        assert fresh.discriminant() == expected, name
+        assert calls == ["det"], name
+    # a basis that spans no order keeps its refusal line
+    third = NumberField("third", [1, 0, 1], [[Fraction(1, 3)], [0, 1]])
+    with pytest.raises(CatalogInconsistent) as info:
+        third.discriminant()
+    assert str(info.value) == ("third: trace form determinant -4/9 is not an "
+                               "integer; basis is not an order")
 
 
 def test_eisenstein_field_discriminant():
