@@ -20,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .cyclic_algebra import CyclicAlgebra
-from .errors import CatalogError
+from .errors import CatalogError, CatalogInconsistent
 from .numfield import NumberField
 
 ENV_VAR = "MULTIBLOCK_CATALOG"
@@ -47,32 +47,55 @@ def _split_entries(text):
     return entries
 
 
-def _rational(token):
-    """An integer token as an int, any other rational token as a Fraction."""
-    try:
-        return int(token)
-    except ValueError:
-        return Fraction(token)
+def _number(where, key, token, rational=False):
+    """A token as an int or, if `rational`, as an int or a Fraction; a
+    CatalogError naming the entry `where` and the key if it is neither."""
+    for kind in (int, Fraction) if rational else (int,):
+        try:
+            return kind(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+    kind = "a rational" if rational else "an integer"
+    raise CatalogError(f"{where}: {key}: {token!r} is not {kind}")
 
 
-def _rationals(text, sep=None):
+def _rationals(where, key, text, sep=None):
     parts = text.split(sep) if sep else text.split()
-    return [_rational(p.strip()) for p in parts if p.strip()]
+    return [_number(where, key, p.strip(), rational=True)
+            for p in parts if p.strip()]
+
+
+def _check_doubles(where, args, keys):
+    """Refuse, as CatalogInconsistent naming the entry `where` and the key,
+    a coefficient under `keys` in the entry's arguments `args` (nested lists)
+    whose double, in which the embeddings evaluate it, is not finite."""
+    def floats(value):
+        return ([f for v in value for f in floats(v)]
+                if isinstance(value, list) else [float(value)])
+
+    for key in keys:
+        try:
+            floats(args[key])
+        except OverflowError:
+            raise CatalogInconsistent(f"{where}: {key}: a coefficient is "
+                                      f"too large for a double") from None
 
 
 def parse_field_entry(entry):
     """A field entry's text, checked: the keyword arguments of its
     NumberField."""
     try:
-        name = entry["name"]
-        min_poly = [int(c) for c in entry["min_poly"].split()]
-        basis = [_rationals(b) for b in entry["basis"].split(";")]
+        name, min_poly, basis = (entry[key]
+                                 for key in ("name", "min_poly", "basis"))
     except KeyError as exc:
         raise CatalogError(f"field entry missing key {exc}") from exc
-    degree = int(entry.get("degree", len(min_poly) - 1))
-    if degree != len(min_poly) - 1:
+    where = f"field {name!r}"
+    min_poly = [_number(where, "min_poly", c) for c in min_poly.split()]
+    basis = [_rationals(where, "basis", b) for b in basis.split(";")]
+    if "degree" in entry and (_number(where, "degree", entry["degree"])
+                              != len(min_poly) - 1):
         raise CatalogError(f"{name}: degree does not match min_poly")
-    disc = int(entry["disc"]) if "disc" in entry else None
+    disc = _number(where, "disc", entry["disc"]) if "disc" in entry else None
     suboptimal = entry.get("suboptimal", "false").lower() == "true"
     return dict(name=name, min_poly=min_poly, basis=basis,
                 disc_expected=disc, suboptimal=suboptimal)
@@ -84,39 +107,39 @@ def parse_algebra_entry(entry, fields):
     keyword arguments of its CyclicAlgebra, with every center element given
     by its rational coordinates."""
     try:
-        name = entry["name"]
-        center = entry["center"]
-        n = int(entry["n"])
-        rel_poly, sigma_eta, gamma, rel_basis = (
-            entry[key] for key in ("rel_poly", "sigma_eta", "gamma", "rel_basis"))
+        name, center, n, rel_poly, sigma_eta, gamma, rel_basis = (
+            entry[key] for key in ("name", "center", "n", "rel_poly",
+                                   "sigma_eta", "gamma", "rel_basis"))
     except KeyError as exc:
         raise CatalogError(f"algebra entry missing key {exc}") from exc
+    where = f"algebra {name!r}"
+    n = _number(where, "n", n)
     if center not in fields:
         raise CatalogError(f"{name}: unknown center field {center!r}")
     degree = len(fields[center]["min_poly"]) - 1
 
-    def k_elem(text):
-        coords = _rationals(text, sep=",")
+    def k_elem(key, text):
+        coords = _rationals(where, key, text, sep=",")
         if len(coords) != degree:
             raise CatalogError(f"{name}: K-element needs {degree} coordinates")
         return coords
 
-    def e_elem(text):
-        coeffs = [k_elem(p) for p in text.split("|")]
+    def e_elem(key, text):
+        coeffs = [k_elem(key, p) for p in text.split("|")]
         if len(coeffs) > n:
             raise CatalogError(f"{name}: E-element has more than {n} coefficients")
         return coeffs + [[0] * degree] * (n - len(coeffs))
 
-    rel_poly = [k_elem(p) for p in rel_poly.split(";")]
+    rel_poly = [k_elem("rel_poly", p) for p in rel_poly.split(";")]
     if len(rel_poly) != n + 1:
         raise CatalogError(f"{name}: rel_poly must have degree n = {n}")
-    rel_basis = [e_elem(p) for p in rel_basis.split(";")]
+    rel_basis = [e_elem("rel_basis", p) for p in rel_basis.split(";")]
     if len(rel_basis) != n:
         raise CatalogError(f"{name}: rel_basis must have {n} elements")
     division = entry.get("division", "false").lower() == "true"
     return center, dict(name=name, n=n, rel_poly=rel_poly,
-                        sigma_eta=e_elem(sigma_eta.replace(";", "|")),
-                        gamma=k_elem(gamma), rel_basis=rel_basis,
+                        sigma_eta=e_elem("sigma_eta", sigma_eta.replace(";", "|")),
+                        gamma=k_elem("gamma", gamma), rel_basis=rel_basis,
                         division_asserted=division)
 
 
@@ -150,7 +173,9 @@ class Catalog:
         if name not in self._field_entries:
             raise CatalogError(f"unknown field {name!r}")
         if name not in self._fields:
-            self._fields[name] = NumberField(**self._field_entries[name])
+            args = self._field_entries[name]
+            _check_doubles(f"field {name!r}", args, ("min_poly", "basis"))
+            self._fields[name] = NumberField(**args)
         return self._fields[name]
 
     def algebra(self, name):
@@ -158,7 +183,10 @@ class Catalog:
             raise CatalogError(f"unknown algebra {name!r}")
         if name not in self._algebras:
             center, args = self._algebra_entries[name]
-            self._algebras[name] = _build_algebra(args, self.field(center))
+            field = self.field(center)
+            _check_doubles(f"algebra {name!r}", args,
+                           ("rel_poly", "sigma_eta", "gamma", "rel_basis"))
+            self._algebras[name] = _build_algebra(args, field)
         return self._algebras[name]
 
     @property

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration or catalog error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import math
 import os
 import stat
@@ -251,9 +252,9 @@ def cmd_rates(args):
     # the exponent reads no power: one solve serves every row
     tilt = (("", "") if args.delta is None
             else ratecalc.rayleigh_exponent(model, args.delta))
-    for snr_db, P in zip(args.snr_db, powers):
-        rep = ratecalc.rate_report(model, P, args.cl, samples=args.samples,
-                                   seed=args.seed)
+    reports = ratecalc.rate_report(model, powers, args.cl,
+                                   samples=args.samples, seed=args.seed)
+    for snr_db, rep in zip(args.snr_db, reports):
         out.row([snr_db, rep.capacity, rep.capacity_stderr,
                  max(0.0, rep.rate), rep.gap, *tilt])
     out.close()
@@ -353,7 +354,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(CONFIG_ERROR, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process for every `main`."""
     ap = _Parser(prog="multiblock",
                  description="multiblock lattice code laboratory")
     sub = ap.add_subparsers(dest="command", required=True)

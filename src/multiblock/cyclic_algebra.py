@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import CatalogInconsistent, PrecisionFailure
-from .exact import bareiss_det, inverse
+from .exact import bareiss_det
 from .numfield import polished_roots
 
 ETA_RESIDUAL_TOL = 1e-13
@@ -163,26 +163,12 @@ class CyclicAlgebra:
 
     # -- algebra elements -------------------------------------------------------
 
-    def element(self, coeffs):
-        """The algebra element with E-coefficients coeffs (of 1, u, ...)."""
-        return tuple(tuple(x) for x in coeffs)
-
     def _u_times(self, j, x):
         """u^j x for an E-element x and 0 <= j < 2n: x placed at u^(j mod
         n), times gamma when j >= n (u^n = gamma)."""
         if j >= self.n:
             x = self.e_scale(x, self.gamma)
         return tuple(x if t == j % self.n else self.e_zero() for t in range(self.n))
-
-    def one(self):
-        """The unit u^0 1.  Test-only witness that phi(1) is the identity
-        at every embedding and that the natural order holds 1."""
-        return self._u_times(0, self.e_scalar(self.center.one()))
-
-    def u(self):
-        """The generator u.  Test-only witness that phi(u)^n = gamma at
-        every embedding, the relation u^n = gamma of the cyclic algebra."""
-        return self._u_times(1, self.e_scalar(self.center.one()))
 
     def mul(self, a, b):
         """Exact product via u^r x u^s y = u^{r+s} sigma^s(x) y and u^n = gamma.
@@ -265,8 +251,9 @@ class CyclicAlgebra:
 class NaturalOrder:
     """The Z-order O_E + u O_E + ... + u^{n-1} O_E with its 2kn^2-element
     Z-basis u^j c_i, where c_i = e w_a runs over the N = n deg(K) elements
-    of the O_E basis.  O_E is kept once: the flat coordinate matrix of the
-    z-basis is n diagonal copies of the N x N matrix C of the c_i."""
+    of the O_E basis.  O_E is kept once, as the c_i: the flat coordinate
+    matrix of the z-basis is n diagonal copies of the N x N matrix C of the
+    c_i, of which only det(C) is kept."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -276,9 +263,10 @@ class NaturalOrder:
         units = [K.element([1 if t == a_idx else 0 for t in range(deg)])
                  for a_idx in range(deg)]
         self._cs = [algebra.e_scale(e, w) for e in algebra.rel_basis for w in units]
-        # row i: the flat coordinates of c_i, integer rows over one denominator
-        self._c_rows, self._c_den = _flat_ints(self._cs)
-        self._c_det = bareiss_det(self._c_rows)
+        # C: row i the flat coordinates of c_i, integers over one denominator
+        self._c_den = math.lcm(*(c.den for x in self._cs for c in x))
+        self._c_det = bareiss_det([[m * (self._c_den // c.den)
+                                    for c in x for m in c.nums] for x in self._cs])
         if self._c_det == 0:
             raise CatalogInconsistent(f"{algebra.name}: z-basis is not linearly independent")
         self._zdisc = None
@@ -288,29 +276,6 @@ class NaturalOrder:
         """The z-basis u^j c_i, u^0 block first; built on first use."""
         return tuple(self.algebra._u_times(j, c)
                      for j in range(self.algebra.n) for c in self._cs)
-
-    @cached_property
-    def _flat_inv(self):
-        """Exact inverse of C (column i the flat coordinates of c_i), as
-        (integer numerator rows, denominator); computed when coordinates()
-        is first called."""
-        return inverse(list(zip(*self._c_rows)), self._c_den)
-
-    def coordinates(self, a):
-        """Exact coordinates of a over the z-basis, one u^j block at a time.
-        With contains(), a test-only witness that the natural order is a
-        ring (closed under the algebra product)."""
-        inv, inv_den = self._flat_inv
-        blocks, den = _flat_ints(a)
-        den *= inv_den
-        return [Fraction(sum(m * c for m, c in zip(row, nums)), den)
-                for nums in blocks for row in inv]
-
-    def contains(self, a):
-        """True iff a lies in the order: all its z-coordinates are integers.
-        Test-only witness that the natural order holds 1, as an order must
-        for its lattice's certified det_min = 1."""
-        return all(c.denominator == 1 for c in self.coordinates(a))
 
     def element_from_z(self, zcoords):
         """The order element with the given integer z-coordinates: its u^j
@@ -325,7 +290,7 @@ class NaturalOrder:
                 if z:
                     acc = alg.e_add(acc, alg.e_scale(c, z))
             coeffs.append(acc)
-        return alg.element(coeffs)
+        return tuple(coeffs)
 
     def z_discriminant(self):
         """Exact determinant of the reduced-trace form summed over all 2k
@@ -373,14 +338,6 @@ class NaturalOrder:
         scaled = [[[v * (den // d) for v in row] for row in g] for g, d in forms]
         return [[v for u in range(n) for v in scaled[t + u][a]]
                 for t in range(n) for a in range(deg)], den
-
-
-def _flat_ints(elements):
-    """Flat rational coordinates of sequences of center elements (such as
-    E-elements) as integer rows over one common denominator: row i lists
-    the coordinates of each center element of elements[i] in turn."""
-    den = math.lcm(*(c.den for x in elements for c in x))
-    return [[m * (den // c.den) for c in x for m in c.nums] for x in elements], den
 
 
 def order_lattice(order):

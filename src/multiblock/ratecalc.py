@@ -67,36 +67,41 @@ def _theorem_rate(mu, P, n, n_r, C_L):
     return rate_theorem2(mu, P, n, n_r, C_L)
 
 
-def white_input_capacity(H, P, n):
-    """log2 det(I + (P/n) H H^dag): uniform power allocation, no transmit CSI."""
-    H = np.asarray(H, dtype=complex)
-    gram = np.eye(H.shape[0]) + (P / n) * (H @ H.conj().T)
-    return float(np.linalg.slogdet(gram)[1] / LOG2)
+def _capacity_grams(model, samples, seed):
+    """H^dag H of the fades of a capacity estimate: (samples, n, n) i.i.d.
+    blocks on the stream (seed, 0xE7), else (chains, length, n, n), chain c
+    at seed path (seed, c)."""
+    if model.kind == "iid_rayleigh" or model.rho == 0.0:
+        H = complex_gaussian(philox(seed, 0xE7), (samples, model.n_r, model.n))
+    else:
+        chains = max(8, min(64, samples // 64))
+        H = channel.sample_stack(model, max(1, samples // chains), seed,
+                                 [(c,) for c in range(chains)])
+    return H.conj().swapaxes(-1, -2) @ H
 
 
-def ergodic_capacity_mc(model, P, samples, seed):
-    """Monte Carlo estimate of E[log2 det(I + (P/n) H^dag H)] with its
-    standard error.  For correlated models the error is estimated across
-    independent chains."""
+def ergodic_capacity_mc(model, powers, samples, seed):
+    """Monte Carlo estimates of E[log2 det(I + (P/n) H^dag H)], one
+    (estimate, standard error) per power P of `powers`, all from one draw
+    of fades whose H^dag H each power scales in turn.  For correlated
+    models the error is estimated across independent chains."""
     if samples < 2:
         raise DomainError("a standard error needs at least 2 samples")
     n = model.n
-    if model.kind == "constant":
-        return white_input_capacity(model.fixed_H, P, n), 0.0
-    if model.kind == "iid_rayleigh" or model.rho == 0.0:
-        gen = philox(seed, 0xE7)
-        H = complex_gaussian(gen, (samples, model.n_r, n))
-        grams = np.eye(n) + (P / n) * (H.conj().swapaxes(1, 2) @ H)
-        vals = np.linalg.slogdet(grams)[1] / LOG2
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    chains = max(8, min(64, samples // 64))
-    length = max(1, samples // chains)
-    # chain c is the realization at seed path (seed, c), all drawn at once
-    H = channel.sample_stack(model, length, seed, [(c,) for c in range(chains)])
-    grams = np.eye(n) + (P / n) * (H.conj().swapaxes(-1, -2) @ H)
-    vals = np.linalg.slogdet(grams)[1] / LOG2
-    means = vals.mean(axis=1)
-    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(chains))
+    if model.kind == "constant":    # no sampling: log2 det(I + (P/n) H H^dag)
+        H = model.fixed_H
+        G = H @ H.conj().T
+        return [(float(np.linalg.slogdet(np.eye(model.n_r) + (P / n) * G)[1]
+                       / LOG2), 0.0) for P in powers]
+    G = _capacity_grams(model, samples, seed)
+    estimates = []
+    for P in powers:
+        vals = np.linalg.slogdet(np.eye(n) + (P / n) * G)[1] / LOG2
+        if vals.ndim == 2:      # chains: the mean of each is one sample
+            vals = vals.mean(axis=1)
+        estimates.append((float(vals.mean()),
+                          float(vals.std(ddof=1) / math.sqrt(len(vals)))))
+    return estimates
 
 
 def _vdelta_gap(n, n_r, v):
@@ -165,29 +170,34 @@ class RateReport:
     gap: float                  # C - max(0, rate)
 
 
-def rate_report(model, P, C_L, samples=20000, seed=0):
-    """Evaluate capacity, achievable rate and gap for one power level.
+def rate_report(model, powers, C_L, samples=20000, seed=0):
+    """Capacity, achievable rate and gap at each power of `powers`: one
+    RateReport per power, the capacities estimated from one draw of fades.
     mu is the log-det statistic of the fixed block for a constant channel
     (SingularChannel if it is rank deficient), else the Rayleigh closed
     form; the rate is Theorem 1's when n_r >= n, else Theorem 2's.  A
     capacity estimate that is not finite raises PrecisionFailure."""
-    if not 0 < P < math.inf:
-        raise DomainError(f"power P must be finite and > 0, not {P}")
+    for P in powers:
+        if not 0 < P < math.inf:
+            raise DomainError(f"power P must be finite and > 0, not {P}")
     if not 0 < C_L < math.inf:
         raise DomainError(f"C_L must be finite and > 0, not {C_L}")
     n, n_r = model.n, model.n_r
     # an estimate that overflows is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        cap, stderr = ergodic_capacity_mc(model, P, samples, seed)
-    if not (math.isfinite(cap) and math.isfinite(stderr)):
-        raise PrecisionFailure(f"capacity estimate at P = {P:g} is {cap} "
-                               f"with standard error {stderr}, not finite")
+        estimates = ergodic_capacity_mc(model, powers, samples, seed)
     if model.kind == "constant":
         mu = channel.logdet_statistic(model.fixed_H[None])
     elif n_r >= n:
         mu = expected_logdet_rayleigh(n, n_r)
     else:
         mu = expected_logdet_rayleigh(n_r, n)  # det(H H^dag), swap roles
-    rate = _theorem_rate(mu, P, n, n_r, C_L)
-    return RateReport(mu=mu, capacity=cap, capacity_stderr=stderr, rate=rate,
-                      gap=cap - max(0.0, rate))
+    reports = []
+    for P, (cap, stderr) in zip(powers, estimates):
+        if not (math.isfinite(cap) and math.isfinite(stderr)):
+            raise PrecisionFailure(f"capacity estimate at P = {P:g} is {cap} "
+                                   f"with standard error {stderr}, not finite")
+        rate = _theorem_rate(mu, P, n, n_r, C_L)
+        reports.append(RateReport(mu=mu, capacity=cap, capacity_stderr=stderr,
+                                  rate=rate, gap=cap - max(0.0, rate)))
+    return reports

@@ -411,6 +411,20 @@ def reference_discriminant(field):
     return fraction_det(gram)
 
 
+def _flat_coords(a):
+    """The rational coordinates of an algebra element: those of each center
+    coefficient of each of its E-coefficients, in turn."""
+    return [q for x in a for c in x for q in c.coords]
+
+
+def reference_coordinates(order, a):
+    """The z-coordinates of the algebra element a over order.z_basis, as
+    Fractions, by Gauss-Jordan on the flat rational coordinates of the
+    z-basis; a lies in the order iff every one is an integer."""
+    cols = [_flat_coords(b) for b in order.z_basis]
+    return fraction_solve([list(row) for row in zip(*cols)], _flat_coords(a))
+
+
 def reference_z_discriminant(order):
     """det Tr_{K/Q}(Trd(b_i b_j)) over an order's z-basis from all
     r(r+1)/2 algebra products, reference_trace and a Fraction determinant

@@ -175,3 +175,53 @@ def test_an_entry_is_proven_before_its_first_use(tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: bad: min_poly has")
         assert err.count("\n") == 1
+
+
+BIG = str(10 ** 400)
+
+
+@pytest.mark.parametrize("fields_extra, algebras_extra, commands, message", [
+    (f"\nname = bad\nmin_poly = {BIG} 0 1\nbasis = 1 ; 0 1\n", "",
+     [["invariants", "--field", "bad"]],
+     "field 'bad': min_poly: a coefficient is too large for a double"),
+    (f"\nname = bad\nmin_poly = 1 0 1\nbasis = 1 ; {BIG} 1\n", "",
+     [["invariants", "--field", "bad"]],
+     "field 'bad': basis: a coefficient is too large for a double"),
+    ("", f"\nname = huge\ncenter = q_i\nn = 1\nrel_poly = -1,0 ; 1,0\n"
+         f"sigma_eta = 1,0\ngamma = {BIG},1\nrel_basis = 1,0\n",
+     [["invariants", "--algebra", "huge"], ["catalog-verify"]],
+     "algebra 'huge': gamma: a coefficient is too large for a double"),
+], ids=["min_poly", "basis", "gamma"])
+def test_a_coefficient_too_large_for_a_double_exits_2(
+        tmp_path, monkeypatch, capsys, fields_extra, algebras_extra, commands,
+        message):
+    # np.roots, the float basis and the canonical embedding each used to
+    # end such an entry in an OverflowError traceback
+    _catalog_dir(tmp_path, monkeypatch, fields_extra, algebras_extra)
+    assert _run(["invariants", "--field", "q_i"]) == 0    # built on use
+    for argv in commands:
+        _fails_with(capsys, argv, message)
+
+
+def test_a_malformed_field_token_names_its_entry_and_key(tmp_path,
+                                                         monkeypatch, capsys):
+    _catalog_dir(tmp_path, monkeypatch,
+                 fields_extra="\nname = tok\nmin_poly = 1 x 1\nbasis = 1 ; 0 1\n")
+    _fails_with(capsys, ["invariants", "--field", "q_i"],
+                "field 'tok': min_poly: 'x' is not an integer")
+    _catalog_dir(tmp_path, monkeypatch,
+                 fields_extra="\nname = tok\nmin_poly = 1 0 1\nbasis = 1 ; 1/0 1\n")
+    _fails_with(capsys, ["invariants", "--field", "q_i"],
+                "field 'tok': basis: '1/0' is not a rational")
+
+
+def test_a_malformed_algebra_token_names_its_entry_and_key(tmp_path,
+                                                           monkeypatch, capsys):
+    _catalog_dir(tmp_path, monkeypatch,
+                 edit=lambda text: text.replace("gamma = 0,1\n", "gamma = 0,i\n"))
+    _fails_with(capsys, ["invariants", "--field", "q_i"],
+                "algebra 'golden': gamma: 'i' is not a rational")
+    _catalog_dir(tmp_path, monkeypatch,
+                 edit=lambda text: text.replace("n = 2\n", "n = two\n", 1))
+    _fails_with(capsys, ["invariants", "--field", "q_i"],
+                "algebra 'golden': n: 'two' is not an integer")

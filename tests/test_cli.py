@@ -183,6 +183,37 @@ def test_golden_command_digest(capsys, digest, command):
     assert err == ""
 
 
+README_RATES = "rates --n 1 --nr 1 --snr-db 10,20,30,40 --cl 46.184 --delta 0.3"
+
+
+def test_rates_draws_its_capacity_fades_once(monkeypatch, capsys):
+    # every power of the grid scales one draw's H^dag H
+    from multiblock import ratecalc
+    streams, real = [], ratecalc.philox
+    monkeypatch.setattr(ratecalc, "philox",
+                        lambda seed, *stream: streams.append(stream)
+                        or real(seed, *stream))
+    assert main(README_RATES.split()) == 0
+    assert streams == [(0xE7,)]
+    digest = dict((c, d) for d, c in _golden_commands())[README_RATES]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    from multiblock import cli
+    built, init = [], cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *args, **kw:
+                        built.append(kw.get("prog")) or init(self, *args, **kw))
+    cli.build_parser.cache_clear()
+    assert main(["chernoff", "--n", "1", "--nr", "1", "--delta", "0.5"]) == 0
+    assert built.count("multiblock") == 1
+    assert main(["chernoff", "--n", "2", "--nr", "2", "--delta", "0.1"]) == 0
+    assert built.count("multiblock") == 1
+    rows = [ln for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith(("#", "delta"))]
+    assert [row.split(",")[0] for row in rows] == ["0.5", "0.1"]
+
+
 def test_identical_config_identical_bytes(tmp_path):
     _, a = run_cli(["rates", "--n", "1", "--nr", "1", "--snr-db", "10,20",
                     "--cl", "46.184", "--samples", "4000", "--seed", "7"],

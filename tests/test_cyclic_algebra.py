@@ -7,12 +7,11 @@ from multiblock import cyclic_algebra
 from multiblock.cli import main
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
 from multiblock.errors import CatalogInconsistent, PrecisionFailure
-from multiblock.exact import inverse
 from multiblock.lattice import field_lattice, min_pdet
 from multiblock.numfield import NumberField
 
-from oracles import fraction_inverse, reference_z_discriminant
-from witnesses import pdet, trivial_algebra
+from oracles import reference_coordinates, reference_z_discriminant
+from witnesses import algebra_one, algebra_u, pdet, trivial_algebra
 
 # z-discriminants frozen after dual-route verification (exact trace form vs
 # the float Gram volume identity Vol = 2^{-kn^2} sqrt|d|)
@@ -37,12 +36,12 @@ def _gamma_theta(q_i):
 def test_left_regular_of_one_is_identity(golden, zeta20, cube2, q_i):
     for alg in (golden, zeta20, cube2, _gamma_theta(q_i)):
         for i in range(alg.k):
-            assert np.allclose(alg.multiblock_embed(alg.one())[i],
+            assert np.allclose(alg.multiblock_embed(algebra_one(alg))[i],
                                np.eye(alg.n), atol=1e-12)
 
 
 def test_golden_phi_u(golden):
-    M = golden.multiblock_embed(golden.u())[0]
+    M = golden.multiblock_embed(algebra_u(golden))[0]
     assert np.allclose(M, np.array([[0, 1j], [1, 0]]), atol=1e-12)
     det = np.linalg.det(M)
     assert abs(det - (-1j)) < 1e-12
@@ -51,7 +50,7 @@ def test_golden_phi_u(golden):
 
 def test_u_relation_all_embeddings(golden, zeta20, cube2, q_i):
     for alg in (golden, zeta20, cube2, _gamma_theta(q_i)):
-        u = alg.u()
+        u = algebra_u(alg)
         for i in range(alg.k):
             M = alg.multiblock_embed(u)[i]
             P = np.linalg.matrix_power(M, alg.n)
@@ -72,8 +71,8 @@ def test_representation_multiplicative(golden, zeta20, golden_order, zeta20_orde
 
 
 def test_multiblock_embed_shapes(golden, zeta20):
-    assert golden.multiblock_embed(golden.one()).shape == (1, 2, 2)
-    blocks = zeta20.multiblock_embed(zeta20.one())
+    assert golden.multiblock_embed(algebra_one(golden)).shape == (1, 2, 2)
+    blocks = zeta20.multiblock_embed(algebra_one(zeta20))
     assert blocks.shape == (2, 2, 2)
     assert np.allclose(blocks, np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-12)
 
@@ -106,13 +105,15 @@ def test_order_closed_under_multiplication(golden, golden_order):
     for _ in range(20):
         i, j = rng.integers(0, len(basis), size=2)
         prod = golden.mul(basis[i], basis[j])
-        coords = golden_order.coordinates(prod)
+        coords = reference_coordinates(golden_order, prod)
         assert all(c.denominator == 1 for c in coords)
 
 
 def test_order_contains_one(golden_order, zeta20_order):
     for order in (golden_order, zeta20_order):
-        assert order.contains(order.algebra.one())
+        coords = reference_coordinates(order, algebra_one(order.algebra))
+        assert all(c.denominator == 1 for c in coords)
+        assert any(coords)
 
 
 def test_zdisc_golden(golden_order, golden):
@@ -185,7 +186,7 @@ def test_degree_three_order_keeps_its_routes(cube2):
     assert reference_z_discriminant(order) == order.z_discriminant()
     assert order_lattice(order).rank == order.rank == 18
     z = list(range(-9, 9))
-    assert order.coordinates(order.element_from_z(z)) == z
+    assert reference_coordinates(order, order.element_from_z(z)) == z
 
 
 def test_zdisc_takes_one_determinant_and_one_norm(monkeypatch, q_i, golden,
@@ -253,32 +254,21 @@ def test_non_integer_zdisc_is_a_precision_failure(golden):
     assert str(info.value) == "g3: order discriminant 160000/6561 is not an integer"
 
 
-def test_order_inverse_is_lazy_and_exact(golden, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cyclic_algebra, "inverse",
-                        lambda rows, den: calls.append(1) or inverse(rows, den))
-    order = NaturalOrder(golden)
-    assert calls == []
-    # O_E is kept once: column i of its N x N matrix holds the rational
-    # coordinates of c_i, the u^0 coefficient of z_basis[i]
-    N = order.rank // golden.n
-    flat = [[q for x in b[0] for q in x.coords]
-            for b in order.z_basis[:N]]
-    mat = [[col[i] for col in flat] for i in range(N)]
-    nums, den = order._flat_inv
-    assert [[Fraction(x, den) for x in row] for row in nums] == fraction_inverse(mat)
-    assert order.contains(golden.one())
-    assert calls == [1]
-    # coordinates() reads an element's flat coordinates in that same order
+def test_element_from_z_round_trips_on_golden(golden_order):
+    # z-coordinate i is the coefficient of z_basis[i]
     z = [3, -1, 0, 2, 0, 0, -5, 1]
-    assert order.coordinates(order.element_from_z(z)) == z
+    a = golden_order.element_from_z(z)
+    assert reference_coordinates(golden_order, a) == z
+    for i, b in enumerate(golden_order.z_basis):
+        unit = [int(t == i) for t in range(golden_order.rank)]
+        assert golden_order.element_from_z(unit) == b
 
 
 def test_element_from_numpy_z_coordinates(golden_order):
     # numpy integers scale center elements as Python ints do
     z = np.arange(golden_order.rank)
     a = golden_order.element_from_z(z)
-    assert golden_order.coordinates(a) == list(range(golden_order.rank))
+    assert reference_coordinates(golden_order, a) == list(range(golden_order.rank))
     assert a == golden_order.element_from_z(z.tolist())
 
 

@@ -127,7 +127,7 @@ def test_rate_slow_fading_identity_channel():
     n = 2
     model = FadingModel(kind="constant", n=n, n_r=n)
     P = 40.0
-    rep = rc.rate_report(model, P, math.pi * math.e / (4.0 * n))
+    [rep] = rc.rate_report(model, [P], math.pi * math.e / (4.0 * n))
     assert rep.rate == pytest.approx(n * math.log2(P / n), abs=1e-12)
 
 
@@ -140,7 +140,7 @@ def test_slow_fading_gap_bounded():
     model = FadingModel(kind="constant", n=n, n_r=n, fixed_H=H)
     C_L = 4.0
     grid = [10 ** (db / 10) for db in range(-10, 41, 2)]
-    reps = [rc.rate_report(model, P, C_L) for P in grid]
+    reps = rc.rate_report(model, grid, C_L)
     rates = [max(0.0, rep.rate) for rep in reps]
     p_min_idx = max(i for i, r in enumerate(rates) if r == 0.0)
     bound = reps[p_min_idx + 1].capacity
@@ -150,7 +150,7 @@ def test_slow_fading_gap_bounded():
 
 def test_ergodic_capacity_small_p():
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
-    est, stderr = rc.ergodic_capacity_mc(model, 1e-6, 20000, seed=3)
+    [(est, stderr)] = rc.ergodic_capacity_mc(model, [1e-6], 20000, seed=3)
     assert est < 1e-4
 
 
@@ -159,7 +159,7 @@ def test_ergodic_capacity_vs_quadrature():
     P = 10.0
     val, _ = integrate.quad(lambda s: math.log2(1 + P * s) * math.exp(-s), 0, 60)
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
-    est, stderr = rc.ergodic_capacity_mc(model, P, 200000, seed=5)
+    [(est, stderr)] = rc.ergodic_capacity_mc(model, [P], 200000, seed=5)
     assert abs(est - val) <= 3 * stderr
     # closed form cross-check: e^{1/P} E_1(1/P) / ln 2
     closed = math.exp(1 / P) * special.exp1(1 / P) / LN2
@@ -169,8 +169,9 @@ def test_ergodic_capacity_vs_quadrature():
 def test_ergodic_capacity_high_snr_consistency():
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
     diffs = []
-    for P in (10.0, 100.0, 1000.0):
-        est, _ = rc.ergodic_capacity_mc(model, P, 100000, seed=7)
+    powers = (10.0, 100.0, 1000.0)
+    for P, (est, _) in zip(powers, rc.ergodic_capacity_mc(model, powers,
+                                                          100000, seed=7)):
         approx = 2 * math.log2(P / 2) + rc.expected_logdet_rayleigh(2, 2)
         diffs.append(abs(est - approx))
     assert diffs[-1] < diffs[0]
@@ -181,8 +182,8 @@ def test_gauss_markov_capacity_matches_iid():
     # first-order statistics coincide, so the ergodic capacity agrees
     gm = FadingModel(kind="gauss_markov", n=1, n_r=1, rho=0.8)
     iid = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
-    est_gm, se_gm = rc.ergodic_capacity_mc(gm, 10.0, 60000, seed=9)
-    est_iid, se_iid = rc.ergodic_capacity_mc(iid, 10.0, 60000, seed=11)
+    [(est_gm, se_gm)] = rc.ergodic_capacity_mc(gm, [10.0], 60000, seed=9)
+    [(est_iid, se_iid)] = rc.ergodic_capacity_mc(iid, [10.0], 60000, seed=11)
     assert abs(est_gm - est_iid) <= 3 * math.hypot(se_gm, se_iid)
 
 
@@ -191,11 +192,13 @@ def test_gauss_markov_capacity_matches_iid():
 ])
 def test_stacked_gauss_markov_capacity_matches_per_chain_loop(n, n_r, rho,
                                                                samples):
-    # the chains drawn in one stack give the per-chain loop's bits
+    # the chains drawn in one stack, and once for all powers, give the
+    # per-chain loop's bits at each power
     model = FadingModel(kind="gauss_markov", n=n, n_r=n_r, rho=rho)
-    for P in (0.5, 10.0, 1e4):
-        assert rc.ergodic_capacity_mc(model, P, samples, seed=5) == \
-            reference_gauss_markov_capacity(model, P, samples, seed=5)
+    powers = (0.5, 10.0, 1e4)
+    assert rc.ergodic_capacity_mc(model, powers, samples, seed=5) == [
+        reference_gauss_markov_capacity(model, P, samples, seed=5)
+        for P in powers]
 
 
 # -- Chernoff machinery -------------------------------------------------------
@@ -251,7 +254,7 @@ def test_vdelta_rejects_delta_not_positive(delta):
 def test_capacity_mc_needs_two_samples(samples):
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
     with pytest.raises(DomainError):
-        rc.ergodic_capacity_mc(model, 10.0, samples, seed=1)
+        rc.ergodic_capacity_mc(model, [10.0], samples, seed=1)
 
 
 def test_exponent_forced_point_value():
@@ -296,8 +299,8 @@ def test_rate_report_fields():
     # C_L from the Martinet family: a value a genuine lattice family attains,
     # so the theorem rate stays below capacity
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
-    rep = rc.rate_report(model, P=100.0, C_L=MARTINET_G / 2, samples=20000,
-                         seed=1)
+    [rep] = rc.rate_report(model, [100.0], C_L=MARTINET_G / 2, samples=20000,
+                           seed=1)
     assert rep.gap >= 0.0
     assert rep.mu == pytest.approx(-GAMMA / LN2, abs=1e-12)
 
@@ -320,7 +323,7 @@ def test_rate_report_exponent_needs_iid_rayleigh_blocks(kind, rho, iid):
 def test_rate_report_rejects_c_l_outside_open_half_line(C_L):
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
     with pytest.raises(DomainError, match="C_L"):
-        rc.rate_report(model, P=100.0, C_L=C_L, samples=100, seed=1)
+        rc.rate_report(model, [100.0], C_L=C_L, samples=100, seed=1)
 
 
 def test_rate_report_singular_fixed_block_fails_the_rank_rule():
@@ -329,4 +332,4 @@ def test_rate_report_singular_fixed_block_fails_the_rank_rule():
     H = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
     model = FadingModel(kind="constant", n=2, n_r=2, fixed_H=H)
     with pytest.raises(SingularChannel, match="numerically rank deficient"):
-        rc.rate_report(model, P=10.0, C_L=4.0)
+        rc.rate_report(model, [10.0], C_L=4.0)

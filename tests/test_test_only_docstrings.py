@@ -1,14 +1,17 @@
 """One implementation per concept: package code that only tests call must
 either carry load or say so.  Each public function and class of
 `src/multiblock`, and each public method of a public class, is named
-somewhere else in the package (outside its own body), or it is listed in
-TEST_ONLY, with what keeps it in the package, and its docstring says
-"Test-only" and names the paper claim it witnesses.  A method is named only
-as an attribute, so a variable of the same name is no use of it.  Dunders
-and members of private classes are exempt; a name only re-exported by an
-import is not a use.  The list only shrinks: an entry that is gone, has
-lost its marker or is named outside the listed defs fails, and so does a
-marker outside the list.  Other witnesses live in `tests/witnesses.py`."""
+somewhere else in the package (outside its own body and outside the listed
+defs), or it is listed in TEST_ONLY, with what keeps it in the package, and
+its docstring says "Test-only" and names the paper claim it witnesses.  So
+a def that only listed defs name fails: test-only code reaches it, and it
+must leave with them or be listed itself.  A method is named only as an
+attribute, so a variable of the same name is no use of it.  Dunders and
+members of private classes are exempt; a name only re-exported by an import
+is not a use, and a name that two public defs share counts every use of
+it.  The list only shrinks: an entry that is gone, has lost its marker or
+is named outside the listed defs fails, and so does a marker outside the
+list.  Other witnesses live in `tests/witnesses.py`."""
 
 import ast
 from collections import Counter
@@ -18,7 +21,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "multiblock"
 
 TRACED = "a target of the benchmark's tracer (perfbench/tracer.py)"
 EXACT_NORM = "an exact division probe over the order's ball would use it"
-PRIVATE = "reads private members, so it cannot move to the tests"
 
 TEST_ONLY = {
     "channel.py: sample": TRACED,
@@ -30,9 +32,6 @@ TEST_ONLY = {
     "cyclic_algebra.py: CyclicAlgebra.mul": EXACT_NORM,
     "cyclic_algebra.py: CyclicAlgebra.reduced_norm": EXACT_NORM,
     "cyclic_algebra.py: NaturalOrder.element_from_z": EXACT_NORM,
-    "cyclic_algebra.py: CyclicAlgebra.one": PRIVATE,
-    "cyclic_algebra.py: CyclicAlgebra.u": PRIVATE,
-    "cyclic_algebra.py: NaturalOrder.contains": PRIVATE,
 }
 
 
@@ -57,32 +56,77 @@ def _public_defs(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def test_every_public_def_carries_load_or_names_its_claim():
-    trees = {p.relative_to(PACKAGE): ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.rglob("*.py"))}
-    assert len(trees) > 10
+def _violations(trees, test_only):
+    """The keys "path: qualname" that break the rules in `trees` (path ->
+    module AST) under the list `test_only`: (markers off the list, or
+    entries without one; unlisted defs that carry no load; listed defs that
+    do)."""
     defs = {f"{path}: {qualname}": (node, "." in qualname)
             for path, tree in trees.items()
             for qualname, node in _public_defs(tree)}
     marked = {key for key, (node, _) in defs.items()
               if "Test-only" in (ast.get_docstring(node) or "")}
-    assert sorted(marked ^ set(TEST_ONLY)) == []
     # a function or class is used by name or as a module attribute, a
-    # method only as an attribute
+    # method only as an attribute.  A def carries load once it is named
+    # outside its own body and outside the listed defs; a name that two
+    # public defs share tells neither's use from the other's, so a listed
+    # def of a shared name is judged by its marker alone, and an unlisted
+    # one needs only a use outside its own body
     kinds = {False: (ast.Name, ast.Attribute), True: (ast.Attribute,)}
     package = [sub for tree in trees.values() for sub in ast.walk(tree)]
-    everywhere = {method: _named(package, k) for method, k in kinds.items()}
-    unmarked = [key for key, (node, method) in defs.items()
-                if key not in TEST_ONLY and everywhere[method][node.name]
-                == _named(ast.walk(node), kinds[method])[node.name]]
-    assert unmarked == []
-    # a listed def is load-bearing once named outside the listed defs; a
-    # name that two public defs share tells neither's use from the other's,
-    # so such an entry is judged by its marker alone
-    listed = {id(sub) for key in TEST_ONLY for sub in ast.walk(defs[key][0])}
-    outside = [sub for sub in package if id(sub) not in listed]
+    listed = {id(sub) for key in test_only if key in defs
+              for sub in ast.walk(defs[key][0])}
     shared = Counter(node.name for node, _ in defs.values())
-    load_bearing = [key for key in TEST_ONLY
-                    if shared[defs[key][0].name] == 1
-                    and _named(outside, kinds[defs[key][1]])[defs[key][0].name]]
-    assert load_bearing == []
+    skips = {True: listed, False: set()}    # keyed by "the name is unique"
+    totals = {(method, unique): _named([sub for sub in package
+                                        if id(sub) not in skip], k)
+              for method, k in kinds.items() for unique, skip in skips.items()}
+
+    def uses(node, method):
+        """How often node's name is used outside its own body (and, if no
+        other public def shares it, outside the listed defs)."""
+        unique = shared[node.name] == 1
+        own = [sub for sub in ast.walk(node) if id(sub) not in skips[unique]]
+        return (totals[method, unique][node.name]
+                - _named(own, kinds[method])[node.name])
+
+    unused = [key for key, (node, method) in defs.items()
+              if key not in test_only and not uses(node, method)]
+    load_bearing = [key for key in test_only if key in defs
+                    and shared[defs[key][0].name] == 1 and uses(*defs[key])]
+    return sorted(marked ^ set(test_only)), unused, load_bearing
+
+
+def test_every_public_def_carries_load_or_names_its_claim():
+    trees = {p.relative_to(PACKAGE): ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.rglob("*.py"))}
+    assert len(trees) > 10
+    assert _violations(trees, TEST_ONLY) == ([], [], [])
+
+
+SYNTHETIC = '''
+class Order:
+    def witness(self):
+        """Test-only: witnesses a claim."""
+        return self.helper()
+
+    def helper(self):
+        return 1
+
+    def used(self):
+        return 2
+
+
+def _caller():
+    return Order().used()
+'''
+
+
+def test_a_def_named_only_inside_listed_defs_carries_no_load():
+    trees = {Path("m.py"): ast.parse(SYNTHETIC)}
+    assert _violations(trees, {"m.py: Order.witness": "a claim"}) == \
+        ([], ["m.py: Order.helper"], [])
+    # listed with it, the helper needs a marker of its own
+    assert _violations(trees, {"m.py: Order.witness": "a claim",
+                               "m.py: Order.helper": "a claim"}) == \
+        (["m.py: Order.helper"], [], [])

@@ -66,3 +66,22 @@ def trivial_algebra(field):
     return CyclicAlgebra(name=f"trivial_{field.name}", center=field, n=1,
                          rel_poly=[-one, one], sigma_eta=(one,), gamma=one,
                          rel_basis=[(one,)], division_asserted=True)
+
+
+def algebra_one(alg):
+    """The unit 1 = u^0 1 of a cyclic algebra, as the tuple of its n
+    E-coefficients.  Witness that phi(1) is the identity at every embedding
+    and that the natural order holds 1, as an order must for its lattice's
+    certified det_min = 1."""
+    one = alg.e_scalar(alg.center.one())
+    return (one,) + (alg.e_zero(),) * (alg.n - 1)
+
+
+def algebra_u(alg):
+    """The generator u of a cyclic algebra: the coefficient 1 at u^1, or
+    for n = 1, where u = u^n, gamma at u^0.  Witness that phi(u)^n = gamma
+    at every embedding, the relation u^n = gamma of the cyclic algebra."""
+    one = alg.e_scalar(alg.center.one())
+    if alg.n == 1:
+        return (alg.e_scale(one, alg.gamma),)
+    return (alg.e_zero(), one) + (alg.e_zero(),) * (alg.n - 2)
