@@ -6,12 +6,12 @@ simplest stationary ergodic family with tunable memory.
 
 A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
 A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
-`transmit_stack` serve a whole stack of paths (s, *indices) in one pass, the
-index rows of an integer array, as the WER drivers do for a chunk of
-trials; each realization and each noise draw is still the pure function of
-its own path, so `sample` and `transmit` are those functions on a stack of
-one.  `check_full_rank` is the one rank rule for fades, and
-`logdet_statistic` reads its singular values.
+`transmit_stack` serve a whole stack of paths (s, *indices), the index rows
+of an integer array, in one pass: the trial loop's fades and its one noise
+draw per chunk of trials, for every SNR point.  Each realization and noise
+draw is the pure function of its own path, so `sample` and `transmit` are
+those functions on a stack of one.  `check_full_rank` is the one rank rule
+for fades, and `logdet_statistic` reads its singular values.
 """
 
 from dataclasses import dataclass
@@ -110,13 +110,14 @@ def sample(model, k, seed):
 
 
 def transmit_stack(X, H, seed, streams, noiseless):
-    """Y = H X + W for a stack of words X over a stack of fades H (both
-    indexed by realization first), word s drawing its unit-variance circular
-    symmetric noise at seed path (seed, *streams[s]), rows of `streams`."""
+    """Y = H X + W for a stack of words X (or one per SNR point, stacked on
+    leading axes) over a stack of fades H, realization s drawing its
+    unit-variance circular symmetric noise, shared by every point, at seed
+    path (seed, *streams[s]), rows of `streams`."""
     Y = H @ np.asarray(X, dtype=complex)
     if not noiseless:
         Y = Y + complex_gaussian_streams(seed, _tagged(0x57, streams),
-                                         Y.shape[1:])
+                                         Y.shape[-3:])
     return Y
 
 

@@ -214,28 +214,33 @@ def cmd_simulate(args):
                                    "decoder", "infinite", "noiseless"]))
     out.row(["name", "snr_db", "rate", "decoder", "trials", "word_errors",
              "wer", "stderr", "avg_nodes", "flag"])
-    for snr_db, P in zip(args.snr_db, powers):
-        if args.infinite:
-            pt = sim.simulate_infinite_wer(lat, model, P, args.rate,
-                                           args.trials, args.seed,
-                                           budget=args.budget,
-                                           noiseless=args.noiseless)
-            points = [pt]
-        else:
+    run = dict(budget=args.budget, noiseless=args.noiseless)
+    # per SNR point: its WER points, or the flag of a carve that failed
+    if args.infinite:
+        results = [[pt] for pt in sim.simulate_infinite_wer(
+            lat, model, powers, args.rate, args.trials, args.seed, **run)]
+    else:
+        results = []
+        for P in powers:
             try:
-                book = carve(lat, P, args.rate, args.carve_trials, args.seed,
-                             budget=args.budget)
+                results.append(carve(lat, P, args.rate, args.carve_trials,
+                                     args.seed, budget=args.budget))
             except (CarveFailed, BudgetExceeded) as exc:
-                flag = (f"carve_failed:{exc.best_count}"
-                        if isinstance(exc, CarveFailed) else "carve_budget_exceeded")
-                out.row([name, snr_db, args.rate, args.decoder, args.trials,
-                         "", "", "", "", flag])
-                continue
-            points = sim.simulate_codebook_wer(book, model, args.trials,
-                                               args.seed, decoders,
-                                               budget=args.budget,
-                                               noiseless=args.noiseless)
-        for pt in points:
+                results.append(f"carve_failed:{exc.best_count}"
+                               if isinstance(exc, CarveFailed)
+                               else "carve_budget_exceeded")
+        books = [r for r in results if not isinstance(r, str)]
+        if books:
+            simulated = iter(sim.simulate_codebook_wer(
+                books, model, args.trials, args.seed, decoders, **run))
+            results = [r if isinstance(r, str) else next(simulated)
+                       for r in results]
+    for snr_db, result in zip(args.snr_db, results):
+        if isinstance(result, str):
+            out.row([name, snr_db, args.rate, args.decoder, args.trials,
+                     "", "", "", "", result])
+            continue
+        for pt in result:
             out.row([name, snr_db, pt.rate, pt.decoder, pt.trials, pt.errors,
                      pt.wer, pt.stderr, pt.avg_nodes, pt.flag])
     out.close()

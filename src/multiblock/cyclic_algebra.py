@@ -170,7 +170,7 @@ class CyclicAlgebra:
             x = self.e_scale(x, self.gamma)
         return tuple(x if t == j % self.n else self.e_zero() for t in range(self.n))
 
-    def mul(self, a, b):
+    def product(self, a, b):
         """Exact product via u^r x u^s y = u^{r+s} sigma^s(x) y and u^n = gamma.
         Test-only witness that the multiblock embedding is multiplicative
         and the natural order a ring, on which the paper's nonvanishing
@@ -203,12 +203,12 @@ class CyclicAlgebra:
         return rows
 
     def multiblock_embed(self, a):
-        """(alpha_1(A), ..., alpha_k(A)) as an array of k blocks of shape n x n."""
-        entries = self.phi_entries(a)
-        blocks = np.empty((self.k, self.n, self.n), dtype=complex)
-        for r in range(self.n):
-            for c in range(self.n):
-                blocks[:, r, c] = self.embed_e(entries[r][c])
+        """(alpha_1(A), ..., alpha_k(A)) as k n x n blocks; a zero entry stays 0."""
+        blocks = np.zeros((self.k, self.n, self.n), dtype=complex)
+        for r, row in enumerate(self.phi_entries(a)):
+            for c, entry in enumerate(row):
+                if not all(x.is_zero() for x in entry):
+                    blocks[:, r, c] = self.embed_e(entry)
         return blocks
 
     def reduced_trace(self, x):

@@ -1,11 +1,9 @@
 """Decoders for the multiblock channel: ML over a finite codebook, and naive
 lattice decoding (closest point in the infinite shifted scaled lattice).
-Every lattice decision of the CLI searches an unscaled preparation: whether
-a nonzero point of alpha H L is closer to the residual W than 0 is whether
-one of H L is closer to W / alpha, so alpha divides the target and never
-scales a basis.  A constant channel's residuals share the one LLL-reduced
-preparation of the faded lattice H L (`shared_fade_decodes_to`), and a
-fading channel's residuals each get a faded copy of the lattice's LLL basis
+A lattice decision of the CLI searches H L at W / alpha, never a scaled
+basis: a constant channel's residuals, at every SNR point, on the one
+preparation of H L that the trial loop builds (`shared_fade_decodes_to`),
+and a fading channel's on faded copies of the lattice's LLL basis
 (`faded_decodes_to`).  No CLI command builds a `LatticeDecoder`, which
 LLL-reduces alpha H B of its own at each alpha and is the tests' reference.
 """
@@ -114,14 +112,13 @@ def faded_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
     return _decisions(preps, ys, budget)
 
 
-def shared_fade_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
+def shared_fade_decodes_to(prep, alpha, W, budget=DEFAULT_BUDGET):
     """`LatticeDecoder(H, alpha, lat).decodes_to(W)` for a stack of residuals
     W (T, k, n_r, n) that all share the one fade H (k, n_r, n), with no
-    decoder: the searches run at W_t / alpha on the faded lattice's
-    LLL-reduced preparation, `lat.faded_cvp(H)`, built once per fade (for
-    the n x n identity fade it is `lat.cvp`).  The caller checks the fade's
+    decoder: the searches run at W_t / alpha on `prep`, the faded lattice's
+    LLL-reduced preparation `lat.faded_cvp(H)`, which the caller builds once
+    per fade and shares across every alpha.  The caller checks the fade's
     rank (`check_full_rank`)."""
-    prep = lat.faded_cvp(H)
     ys, _ = prep.project(realify(W) / alpha)
     return _decisions(repeat(prep), ys, budget)
 

@@ -86,7 +86,6 @@ class MatrixLattice:
                 f"Gram matrix numerically singular (eigs {eig[0]:.3e}..{eig[-1]:.3e})")
         self.volume = float(np.sqrt(abs(np.linalg.det(self.gram))))
         self.det_min = det_min
-        self._faded = {}
 
     def point(self, coords):
         """Point with the given coordinates, as blocks: a lattice point for
@@ -108,16 +107,12 @@ class MatrixLattice:
         return self.points(self.cvp.U)
 
     def faded_cvp(self, H):
-        """The PreparedCVP of the faded lattice H L for one fade H (k, n_r,
-        n), built on first use for that fade and then shared by every search
-        on alpha H L, at any alpha, with targets divided by alpha: its basis
-        H B is LLL-reduced once.  The identity fade's is `cvp`."""
+        """A new PreparedCVP of the faded lattice H L for one fade H (k, n_r,
+        n), H B LLL-reduced, for every search on alpha H L at any alpha
+        (targets divided by alpha).  The identity fade's is `cvp`."""
         basis = realify(fade_blocks(H, self.blocks))
-        key = basis.tobytes()
-        if key not in self._faded:
-            self._faded[key] = (self.cvp if np.array_equal(basis, self.real_basis)
-                                else PreparedCVP(basis))
-        return self._faded[key]
+        return (self.cvp if np.array_equal(basis, self.real_basis)
+                else PreparedCVP(basis))
 
     def __repr__(self):
         return (f"MatrixLattice(n={self.n}, k={self.k}, rank={self.rank}, "

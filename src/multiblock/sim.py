@@ -1,33 +1,21 @@
 """Word-error-rate simulation drivers shared by the CLI and the test suite.
 
-Trials are seed-split: trial t of a run with seed s draws its channel and
-noise from independent Philox streams keyed by (s, t), so runs are
-reproducible and trivially parallelizable.  Finite-codebook and
-infinite-lattice runs share one trial loop.  It works in chunks of trials:
-one numpy pass per chunk computes every trial's streams, channel, received
-word and ML metrics, and on a fading channel one stacked QR prepares the
-searches of all of the chunk's searched trials; only the lattice searches
-run per trial.  Trial t's streams are still the pure function of (s, tag,
-t), so the chunking changes no output bit.
+Trials are seed-split: trial t of a run with seed s draws its fade and noise
+from independent Philox streams keyed by (s, t), never by the power, so runs
+are reproducible and one trial loop serves a whole SNR grid.  It works in
+chunks of trials: one numpy pass per chunk draws every trial's fade and
+noise for all points, and per point forms the received words, ML metrics
+and residuals; only the lattice searches run per trial, and the chunking
+changes no output bit.
 
-Each lattice decision is read from the trial's residual W = Y - H X.  Naive
+Each lattice decision is read from the trial's residual W = Y - H X: naive
 lattice decoding errs exactly when some nonzero point of the faded lattice
-alpha H L is closer to W than 0, whatever the shift and the sent point.
-Most decisions need no search at all.  When the lattice carries a certified
-minimum determinant det_min, every nonzero X of alpha L has
-||H X||^2 >= nk alpha^2 det_min^{2/nk} prod_i det(H_i^dag H_i)^{1/nk}
-(AM-GM over the nk eigenvalues of the faded blocks' Grams), a lower bound
-lam2 on the squared minimum distance of the faded lattice.  If 4 ||W||^2 <
-lam2, no nonzero point is as close to W as 0 (the packing-radius argument),
-so the decision is correct and costs 0 nodes.  Only the other trials are
-searched.  No run builds a `LatticeDecoder`, and no search scales a basis:
-a nonzero point of alpha H L is closer to W than 0 exactly when one of H L
-is closer to W / alpha.  A constant channel's trials share the faded
-lattice H L's one LLL-reduced preparation, built once per command and
-searched at every alpha.  On a fading channel no trial gets an LLL of its
-own: the search runs on the QR factor of the faded LLL basis of the
-lattice, H (U B), since whether a nonzero point is closer to the target
-than 0 does not depend on the basis (only the node count does).
+alpha H L is closer to W than 0.  When the lattice carries a certified
+minimum determinant det_min, every nonzero X of alpha L has ||H X||^2 >=
+lam2 = nk alpha^2 det_min^{2/nk} prod_i det(H_i^dag H_i)^{1/nk} (AM-GM over
+the nk eigenvalues of the faded blocks' Grams), so 4 ||W||^2 < lam2 proves
+the decision correct at 0 nodes (the packing-radius argument), and only
+the other trials are searched, as `decoder` describes.
 """
 
 import math
@@ -68,14 +56,16 @@ def _wer_stderr(errors, trials):
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
-def _chunk_trials(lat, model, book, decoders):
-    """Trials per chunk: as many as keep the chunk's complex arrays (fades,
-    words, received words, noise, the sent words' faded residuals and the
-    searched trials' realified targets, plus the ML differences to every
-    codeword) within CHUNK_BYTES, and on a fading channel also the searched
-    trials' faded bases, each with its Q and R factors (about three real
-    rank x 2 k n_r n arrays)."""
-    words = 10 + (3 * len(book) if "ml" in decoders else 0)
+def _chunk_trials(lat, model, books, decoders):
+    """Trials per chunk: as many as keep within CHUNK_BYTES the fades, noise
+    and searched targets; the words, received words and residuals of each of
+    `books` (one per SNR point; None for the infinite lattice, whose points
+    share them); one book's ML differences to every codeword at a time; and
+    on a fading channel the searched trials' faded bases with their Q and R
+    factors (about three real rank x 2 k n_r n arrays)."""
+    words = 7 + 3 * (1 if books[0] is None else len(books))
+    if "ml" in decoders:
+        words += 3 * max(map(len, books))
     per_trial = 16 * lat.k * lat.n * max(lat.n, model.n_r) * words
     if "lattice" in decoders and model.kind != "constant":
         per_trial += 3 * 8 * lat.rank * 2 * lat.k * model.n_r * lat.n
@@ -99,55 +89,62 @@ def certified(lat, alpha, sv, resid):
     return 4.0 * d2 < lam2 * (1.0 - CERT_MARGIN)
 
 
-def _trial_loop(lat, model, alpha, book, trials, seed, decoders, budget,
+def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                 noiseless):
-    """Send word X_t (a random codeword of `book`, or the zero point when
-    `book` is None) through fade H_t and noise, and decode it with each of
-    `decoders`.  The lattice decision reads only the residual W_t = Y_t -
-    H_t X_t, formed once per chunk: a trial that `certified` proves correct
-    costs 0 nodes, and every other residual is searched: on a constant
-    channel on the one preparation of the faded lattice, on a fading
-    channel by `faded_decodes_to`, one stacked preparation per chunk.  A
-    search that exhausts `budget` counts as an error (a conservative WER),
-    a budget hit and `budget` nodes.  Returns {decoder: [errors, nodes,
-    budget hits]}."""
-    tally = {d: [0, 0, 0] for d in decoders}
-    if book is not None:
-        pick = philox(seed, 0xC0)
+    """At each SNR point (alpha, book) of `points`, send word X_t (a random
+    codeword of `book`, or the zero point when `book` is None) through fade
+    H_t and noise, and decode it with each of `decoders`.  A chunk draws its
+    fades and noise and checks the fades' rank once for every point; a
+    constant channel's fade is checked and prepared once.  Each point picks
+    its words from its own stream.  The lattice decision reads only the
+    residual W_t = Y_t - H_t X_t: a trial that `certified` proves correct at
+    the point's alpha costs 0 nodes, and every other one is searched, on a
+    constant channel on the faded lattice's one preparation, on a fading
+    one by `faded_decodes_to`.  A search that exhausts `budget` counts as an
+    error (a conservative WER), a budget hit and `budget` nodes.  Returns
+    one {decoder: [errors, nodes, budget hits]} per point."""
+    tallies = [{d: [0, 0, 0] for d in decoders} for _ in points]
     if "lattice" in decoders and model.n_r < model.n:
         # the faded infinite lattice is not discrete here; only ML applies
         raise DomainError("lattice decoding requires n_r >= n")
-    chunk = _chunk_trials(lat, model, book, decoders)
+    books = [book for _, book in points]
+    picks = [philox(seed, 0xC0) for book in books if book is not None]
+    # the infinite lattice's points all send the zero point
+    zero = np.zeros((1, 1, lat.k, lat.n, lat.n), dtype=complex)
+    shared = model.kind == "constant"
+    chunk = _chunk_trials(lat, model, books, decoders)
     for start in range(0, trials, chunk):
         streams = np.arange(start, min(start + chunk, trials))[:, None]
         H = channel.sample_stack(model, lat.k, seed, streams)
-        if book is None:
-            words = np.zeros((len(streams), lat.k, lat.n, lat.n), dtype=complex)
-        else:
-            idx = pick.integers(len(book), size=len(streams))
-            words = book.matrices[idx]
-        Y = channel.transmit_stack(words, H, seed, streams, noiseless)
-        if "ml" in decoders:
-            res = ml_decode(Y, H, book)
-            tally["ml"][0] += int(np.count_nonzero(res.index != idx))
-            tally["ml"][1] += res.nodes
-        if "lattice" in decoders:
-            # a constant channel's trials share one fade
-            shared = model.kind == "constant"
+        if "lattice" in decoders and not (shared and start):
+            # a constant channel's trials share one fade and its preparation
             sv = channel.check_full_rank(H[:1] if shared else H)
-            W = Y - H @ words
-            todo = np.flatnonzero(~certified(lat, alpha, sv, W))
-            if shared:
-                outcomes = shared_fade_decodes_to(H[0], alpha, lat, W[todo],
-                                                  budget)
-            else:
-                outcomes = faded_decodes_to(H[todo], alpha, lat, W[todo],
-                                            budget)
-            for ok, nodes in outcomes:
-                tally["lattice"][0] += not ok
-                tally["lattice"][1] += nodes
-                tally["lattice"][2] += ok is None
-    return tally
+            prep = lat.faded_cvp(H[0]) if shared else None
+        idx = [pick.integers(len(book), size=len(streams))
+               for pick, book in zip(picks, books)]
+        words = (np.stack([book.matrices[i] for book, i in zip(books, idx)])
+                 if picks else zero)
+        Y = channel.transmit_stack(words, H, seed, streams, noiseless)
+        if "lattice" in decoders:
+            W = np.broadcast_to(Y - H @ words, (len(points),) + Y.shape[1:])
+        for p, ((alpha, book), tally) in enumerate(zip(points, tallies)):
+            if "ml" in decoders:
+                res = ml_decode(Y[p], H, book)
+                tally["ml"][0] += int(np.count_nonzero(res.index != idx[p]))
+                tally["ml"][1] += res.nodes
+            if "lattice" in decoders:
+                todo = np.flatnonzero(~certified(lat, alpha, sv, W[p]))
+                if shared:
+                    outcomes = shared_fade_decodes_to(prep, alpha, W[p][todo],
+                                                      budget)
+                else:
+                    outcomes = faded_decodes_to(H[todo], alpha, lat,
+                                                W[p][todo], budget)
+                for ok, nodes in outcomes:
+                    tally["lattice"][0] += not ok
+                    tally["lattice"][1] += nodes
+                    tally["lattice"][2] += ok is None
+    return tallies
 
 
 def _points(R, trials, tally):
@@ -158,23 +155,28 @@ def _points(R, trials, tally):
             for d, (errors, nodes, hits) in tally.items()]
 
 
-def simulate_infinite_wer(lat, model, P, R, trials, seed, budget=DEFAULT_BUDGET,
-                          noiseless=False):
-    """Naive lattice decoding on the infinite scaled lattice: transmit the
-    zero point with no shift (the error event is shift invariant) and count
-    trials where the closest point moves.  Works at rates where a codebook
-    would be intractably large."""
-    alpha = scaling_alpha(P, R, lat.n, lat.k, lat.volume)
-    tally = _trial_loop(lat, model, alpha, None, trials, seed, ("lattice",),
-                        budget, noiseless)
-    return _points(R, trials, tally)[0]
-
-
-def simulate_codebook_wer(book, model, trials, seed, decoders=("ml", "lattice"),
+def simulate_infinite_wer(lat, model, powers, R, trials, seed,
                           budget=DEFAULT_BUDGET, noiseless=False):
-    """Transmit random codewords of a finite codebook and decode with ML
+    """Naive lattice decoding on the infinite scaled lattice at each power of
+    `powers`: transmit the zero point with no shift (the error event is
+    shift invariant) and count trials where the closest point moves.  Works
+    at rates where a codebook would be intractably large.  Returns one
+    WERPoint per power."""
+    points = [(scaling_alpha(P, R, lat.n, lat.k, lat.volume), None)
+              for P in powers]
+    tallies = _trial_loop(lat, model, points, trials, seed, ("lattice",),
+                          budget, noiseless)
+    return [_points(R, trials, tally)[0] for tally in tallies]
+
+
+def simulate_codebook_wer(books, model, trials, seed, decoders=("ml", "lattice"),
+                          budget=DEFAULT_BUDGET, noiseless=False):
+    """Transmit random codewords of each of the finite codebooks `books`
+    (one per SNR point, all carved from one lattice) and decode with ML
     and/or naive lattice decoding.  A lattice decision outside the codebook
-    counts as an error."""
-    tally = _trial_loop(book.lattice, model, book.alpha, book, trials, seed,
-                        decoders, budget, noiseless)
-    return _points(book.realized_rate, trials, tally)
+    counts as an error.  Returns one list of WERPoints per book."""
+    tallies = _trial_loop(books[0].lattice, model,
+                          [(book.alpha, book) for book in books], trials, seed,
+                          decoders, budget, noiseless)
+    return [_points(book.realized_rate, trials, tally)
+            for book, tally in zip(books, tallies)]

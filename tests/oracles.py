@@ -439,7 +439,7 @@ def reference_z_discriminant(order):
     gram = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            val = reference_trace(K, alg.reduced_trace(alg.mul(basis[i], basis[j])[0]))
+            val = reference_trace(K, alg.reduced_trace(alg.product(basis[i], basis[j])[0]))
             gram[i][j] = gram[j][i] = val
     return fraction_det(gram)
 

@@ -244,7 +244,8 @@ def test_criterion_09_error_probability_trend(catalog):
     wers = {}
     for k, fname in fields.items():
         lat = field_lattice(catalog.field(fname))
-        pt = simulate_infinite_wer(lat, model, P, rate, trials=10000, seed=1729)
+        [pt] = simulate_infinite_wer(lat, model, [P], rate, trials=10000,
+                                     seed=1729)
         wers[k] = pt.wer
     ks = sorted(wers)
     for a, b in zip(ks, ks[1:]):
@@ -253,8 +254,8 @@ def test_criterion_09_error_probability_trend(catalog):
     # the same run one bit above white-input capacity does not converge
     rate_above = math.log2(1 + P * abs(h) ** 2) + 1.0
     lat8 = field_lattice(catalog.field("cyclo32"))
-    pt_above = simulate_infinite_wer(lat8, model, P, rate_above,
-                                     trials=10000, seed=1729)
+    [pt_above] = simulate_infinite_wer(lat8, model, [P], rate_above,
+                                       trials=10000, seed=1729)
     assert pt_above.wer > 0.3
     report("criterion 9", "WER at rate bound-1: " +
            ", ".join(f"k={k}: {wers[k]:.4f}" for k in ks) +

@@ -73,13 +73,13 @@ def test_catalog_verify_makes_no_algebra_product(monkeypatch):
     # the order discriminant comes in closed form from determinants and a
     # norm, not from products of z-basis elements
     calls = []
-    mul = CyclicAlgebra.mul
+    product = CyclicAlgebra.product
 
     def counting(self, a, b):
         calls.append(self.name)
-        return mul(self, a, b)
+        return product(self, a, b)
 
-    monkeypatch.setattr(CyclicAlgebra, "mul", counting)
+    monkeypatch.setattr(CyclicAlgebra, "product", counting)
     assert _run(["catalog-verify", "--budget", "2000000"]) == 0
     assert calls == []
 

@@ -410,6 +410,57 @@ def test_simulate_carve_beyond_budget_flagged(tmp_path):
     assert row["flag"] == "carve_budget_exceeded"
 
 
+GOLDEN_GRID = ["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
+               "--nr", "2", "--snr-db", "8,12,16", "--rate", "1", "--trials",
+               "20", "--seed", "7"]
+
+
+def test_failed_carve_keeps_its_row_between_the_simulated_points(
+        tmp_path, monkeypatch):
+    # every point is carved before the one trial loop runs; the flag row of
+    # the point whose carve fails stays in SNR order, and the other points
+    # simulate as in a run where every carve succeeds
+    from multiblock import cli
+    from multiblock.errors import CarveFailed
+    code, text = run_cli(GOLDEN_GRID, tmp_path, "full.csv")
+    assert code == 0
+    full = parse_csv(text)
+    carve, calls = cli.carve, []
+
+    def failing_in_the_middle(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise CarveFailed("best shift packs 3 points, target 4",
+                              best_count=3)
+        return carve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "carve", failing_in_the_middle)
+    code, text = run_cli(GOLDEN_GRID, tmp_path)
+    assert code == 0
+    rows = parse_csv(text)
+    assert [(r["snr_db"], r["decoder"]) for r in rows] == [
+        ("8", "ml"), ("8", "lattice"), ("12", "both"), ("16", "ml"),
+        ("16", "lattice")]
+    assert rows[2]["flag"] == "carve_failed:3"
+    assert rows[2]["word_errors"] == rows[2]["wer"] == ""
+    assert rows[:2] + rows[3:] == full[:2] + full[4:]
+
+
+def test_every_carve_failing_runs_no_trial(tmp_path):
+    # with no codebook there is no trial, so a singular fixed H is never
+    # rank-checked: the run exits 0 with one flag row per point
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("0\n")
+    code, text = run_cli(["simulate", "--field", "q_i", "--model", "constant",
+                          "--fixed-h-file", str(hfile), "--snr-db", "10,12",
+                          "--rate", "30", "--trials", "5", "--seed", "1"],
+                         tmp_path)
+    assert code == 0
+    rows = parse_csv(text)
+    assert [(r["snr_db"], r["flag"]) for r in rows] == [
+        ("10", "carve_budget_exceeded"), ("12", "carve_budget_exceeded")]
+
+
 def test_budget_exhaustion_exits_3(tmp_path, capsys):
     code = main(["invariants", "--field", "cyclo5", "--budget", "3"])
     assert code == 3

@@ -64,7 +64,7 @@ def test_representation_multiplicative(golden, zeta20, golden_order, zeta20_orde
         for _ in range(10):
             a, _ = random_order_element(order, rng)
             b, _ = random_order_element(order, rng)
-            ab = alg.mul(a, b)
+            ab = alg.product(a, b)
             lhs = alg.multiblock_embed(ab)
             rhs = alg.multiblock_embed(a) @ alg.multiblock_embed(b)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
@@ -75,6 +75,21 @@ def test_multiblock_embed_shapes(golden, zeta20):
     blocks = zeta20.multiblock_embed(algebra_one(zeta20))
     assert blocks.shape == (2, 2, 2)
     assert np.allclose(blocks, np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-12)
+
+
+def test_order_lattice_embeds_only_nonzero_entries(monkeypatch, golden,
+                                                   zeta20):
+    # a z-basis element u^j c_i has one nonzero E-coefficient, so phi of it
+    # has n nonzero entries of n^2, each embedding its n center coefficients
+    calls = []
+    embed = NumberField.canonical_embed
+    monkeypatch.setattr(NumberField, "canonical_embed",
+                        lambda self, x: calls.append(x) or embed(self, x))
+    for alg, expected in ((golden, 32), (zeta20, 64)):
+        order = NaturalOrder(alg)
+        calls.clear()
+        lat = order_lattice(order)
+        assert len(calls) == lat.rank * alg.n * alg.n == expected, alg.name
 
 
 def test_pdet_matches_exact_reduced_norm(golden, golden_order):
@@ -104,7 +119,7 @@ def test_order_closed_under_multiplication(golden, golden_order):
     basis = golden_order.z_basis
     for _ in range(20):
         i, j = rng.integers(0, len(basis), size=2)
-        prod = golden.mul(basis[i], basis[j])
+        prod = golden.product(basis[i], basis[j])
         coords = reference_coordinates(golden_order, prod)
         assert all(c.denominator == 1 for c in coords)
 

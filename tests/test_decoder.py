@@ -196,11 +196,11 @@ def test_wer_monotone_in_power(golden_lattice):
     from multiblock.sim import simulate_codebook_wer
     model = FadingModel(kind="constant", n=2, n_r=2,
                         fixed_H=np.eye(2, dtype=complex))
-    wers = []
-    for snr_db in (2.0, 8.0, 14.0):
-        book = carve(golden_lattice, 10 ** (snr_db / 10), 0.75, trials=4, seed=41)
-        pts = simulate_codebook_wer(book, model, 200, seed=43, decoders=("ml",))
-        wers.append(pts[0].wer)
+    books = [carve(golden_lattice, 10 ** (snr_db / 10), 0.75, trials=4, seed=41)
+             for snr_db in (2.0, 8.0, 14.0)]
+    wers = [pts[0].wer for pts in simulate_codebook_wer(books, model, 200,
+                                                        seed=43,
+                                                        decoders=("ml",))]
     assert wers[0] >= wers[1] >= wers[2]
 
 

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiblock import channel, decoder, lattice, sim
+from multiblock import channel, decoder, lattice, rng, sim
 from multiblock.channel import FadingModel, check_full_rank
 from multiblock.cli import main
 from multiblock.codebook import carve, scaling_alpha
@@ -43,7 +44,7 @@ def test_noiseless_wer_zero(qi_lattice):
     model = FadingModel(kind="constant", n=1, n_r=1,
                         fixed_H=np.eye(1, dtype=complex))
     book = carve(qi_lattice, 10.0, 1.0, trials=4, seed=2)
-    pts = simulate_codebook_wer(book, model, 100, seed=3, noiseless=True)
+    [pts] = simulate_codebook_wer([book], model, 100, seed=3, noiseless=True)
     assert all(p.wer == 0.0 for p in pts)
 
 
@@ -58,7 +59,8 @@ def test_rate_above_capacity_does_not_converge(catalog):
     wers = []
     for fname in ("cyclo8", "cyclo16"):
         lat = field_lattice(catalog.field(fname))
-        pt = simulate_infinite_wer(lat, model, P, rate, trials=400, seed=11)
+        [pt] = simulate_infinite_wer(lat, model, [P], rate, trials=400,
+                                     seed=11)
         wers.append(pt.wer)
     assert min(wers) > 0.3
 
@@ -66,7 +68,7 @@ def test_rate_above_capacity_does_not_converge(catalog):
 def test_iid_model_wer_runs(qi_lattice):
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=2)
     book = carve(qi_lattice, 10.0, 1.0, trials=4, seed=5)
-    pts = simulate_codebook_wer(book, model, 50, seed=7)
+    [pts] = simulate_codebook_wer([book], model, 50, seed=7)
     assert {p.decoder for p in pts} == {"ml", "lattice"}
     for p in pts:
         assert 0.0 <= p.wer <= 1.0
@@ -79,16 +81,18 @@ def test_multiblock_algebra_end_to_end(zeta20_lattice):
     book = carve(zeta20_lattice, 10 ** 1.8, 0.5, trials=64, seed=11)
     assert book.realized_rate >= 0.5
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
-    pts = simulate_codebook_wer(book, model, 30, seed=13)
+    [pts] = simulate_codebook_wer([book], model, 30, seed=13)
     for p in pts:
         assert p.wer <= 0.2  # comfortable SNR
 
 
 def test_seed_reproducibility(qi_lattice):
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=1)
-    a = simulate_infinite_wer(qi_lattice, model, 10.0, 1.0, 200, seed=13)
-    b = simulate_infinite_wer(qi_lattice, model, 10.0, 1.0, 200, seed=13)
-    assert a.errors == b.errors
+    a = simulate_infinite_wer(qi_lattice, model, [10.0, 30.0], 1.0, 200,
+                              seed=13)
+    b = simulate_infinite_wer(qi_lattice, model, [10.0, 30.0], 1.0, 200,
+                              seed=13)
+    assert a == b
 
 
 def test_budget_hit_counts_as_lattice_error(golden_lattice):
@@ -97,60 +101,65 @@ def test_budget_hit_counts_as_lattice_error(golden_lattice):
     # goes on
     book = carve(golden_lattice, 10 ** 0.8, 1.0, trials=16, seed=7)
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
-    ml_full, lat_full = simulate_codebook_wer(book, model, 40, seed=7)
+    [(ml_full, lat_full)] = simulate_codebook_wer([book], model, 40, seed=7)
     assert lat_full.flag == ""
     for budget in (5, 16):
-        ml_cut, lat_cut = simulate_codebook_wer(book, model, 40, seed=7,
-                                                budget=budget)
+        [(ml_cut, lat_cut)] = simulate_codebook_wer([book], model, 40, seed=7,
+                                                    budget=budget)
         assert ml_cut == ml_full
         assert lat_cut.flag.startswith("budget_hits=")
         hits = int(lat_cut.flag.split("=")[1])
         assert 0 < hits <= lat_cut.errors <= hits + lat_full.errors
 
 
-# -- the chunked trial loop against the one-trial-at-a-time reference --------
+# -- the chunked grid loop against the one-trial-at-a-time reference ---------
 
 SHEARED_H = np.array([[1, 50], [0, 1]], dtype=complex)
 
 LOOP_CASES = {
-    # name: (lattice, model, SNR dB, rate, decoders, budget, noiseless, infinite)
+    # name: (lattice, model, SNR grid in dB, rate, decoders, budget,
+    #        noiseless, infinite)
     "constant_both": ("q_omega", FadingModel(kind="constant", n=1, n_r=1,
                                              fixed_H=np.eye(1, dtype=complex)),
-                      6, 1.5, ("ml", "lattice"), DEFAULT_BUDGET, False, False),
+                      (6, 10), 1.5, ("ml", "lattice"), DEFAULT_BUDGET, False,
+                      False),
     "iid_nr_above_n_both": ("q_i", FadingModel(kind="iid_rayleigh", n=1, n_r=2),
-                            4, 1.0, ("ml", "lattice"), DEFAULT_BUDGET, False,
-                            False),
+                            (4, 8, 12), 1.0, ("ml", "lattice"), DEFAULT_BUDGET,
+                            False, False),
     "gauss_markov_rho0_ml": ("cyclo8", FadingModel(kind="gauss_markov", n=1,
                                                    n_r=1, rho=0.0),
-                             8, 1.0, ("ml",), DEFAULT_BUDGET, False, False),
+                             (8, 14), 1.0, ("ml",), DEFAULT_BUDGET, False,
+                             False),
     "gauss_markov_rho07_both": ("cyclo8", FadingModel(kind="gauss_markov", n=1,
                                                       n_r=2, rho=0.7),
-                                6, 1.0, ("ml", "lattice"), DEFAULT_BUDGET,
-                                False, False),
+                                (2, 6, 10), 1.0, ("ml", "lattice"),
+                                DEFAULT_BUDGET, False, False),
     "golden_sheared_constant_both": ("golden",
                                      FadingModel(kind="constant", n=2, n_r=2,
                                                  fixed_H=SHEARED_H),
-                                     8, 1.0, ("ml", "lattice"), DEFAULT_BUDGET,
-                                     False, False),
+                                     (8, 12), 1.0, ("ml", "lattice"),
+                                     DEFAULT_BUDGET, False, False),
     "golden_iid_lattice_budget": ("golden", FadingModel(kind="iid_rayleigh",
                                                         n=2, n_r=2),
-                                  8, 1.0, ("lattice",), 16, False, False),
+                                  (4, 8), 1.0, ("lattice",), 16, False, False),
     "golden_iid_noiseless": ("golden", FadingModel(kind="iid_rayleigh", n=2,
                                                    n_r=2),
-                             8, 1.0, ("ml", "lattice"), DEFAULT_BUDGET, True,
-                             False),
+                             (8, 16), 1.0, ("ml", "lattice"), DEFAULT_BUDGET,
+                             True, False),
     "infinite_constant": ("cyclo8", FadingModel(kind="constant", n=1, n_r=1,
                                                 fixed_H=np.eye(1, dtype=complex)),
-                          10, 2.0, ("lattice",), DEFAULT_BUDGET, False, True),
+                          (6, 10, 14), 2.0, ("lattice",), DEFAULT_BUDGET,
+                          False, True),
     "infinite_cyclo32_constant": ("cyclo32",
                                   FadingModel(kind="constant", n=1, n_r=1,
                                               fixed_H=np.eye(1, dtype=complex)),
-                                  16, 3.74, ("lattice",), DEFAULT_BUDGET,
+                                  (12, 16), 3.74, ("lattice",), DEFAULT_BUDGET,
                                   False, True),
     "infinite_gauss_markov_budget": ("cyclo8",
                                      FadingModel(kind="gauss_markov", n=1,
                                                  n_r=1, rho=0.7),
-                                     12, 1.0, ("lattice",), 8, False, True),
+                                     (8, 12, 16), 1.0, ("lattice",), 8, False,
+                                     True),
 }
 
 
@@ -181,14 +190,16 @@ def _recording_searches(monkeypatch):
     return log
 
 
-def _recording_certificates(monkeypatch):
-    """Record, per chunk, which trials the certificate proved correct."""
+def _recording_certificates(monkeypatch, searches):
+    """Record, per certificate (one per chunk and SNR point), which trials
+    it proved correct, and how many searches the log `searches` held when
+    it was asked."""
     masks = []
     prove = sim.certified
 
     def recording(*args):
         mask = prove(*args)
-        masks.append(mask)
+        masks.append((mask, len(searches)))
         return mask
 
     monkeypatch.setattr(sim, "certified", recording)
@@ -199,63 +210,79 @@ def _recording_certificates(monkeypatch):
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
                                                        case, chunk_trials):
-    name, model, snr_db, rate, decoders, budget, noiseless, infinite = \
+    # one run over the whole SNR grid tallies each point as the one-trial-
+    # at-a-time reference run at that point alone
+    name, model, grid, rate, decoders, budget, noiseless, infinite = \
         LOOP_CASES[case]
     lat = _lattice(catalog, name)
-    P = 10.0 ** (snr_db / 10.0)
+    powers = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     if infinite:
-        book, alpha = None, scaling_alpha(P, rate, lat.n, lat.k, lat.volume)
+        points = [(scaling_alpha(P, rate, lat.n, lat.k, lat.volume), None)
+                  for P in powers]
     else:
-        book = carve(lat, P, rate, trials=8, seed=3)
-        alpha = book.alpha
+        books = [carve(lat, P, rate, trials=8, seed=3) for P in powers]
+        points = [(book.alpha, book) for book in books]
+    books = [book for _, book in points]
     # set the chunk bound so that a chunk holds chunk_trials trials
     monkeypatch.setattr(sim, "CHUNK_BYTES", 10 ** 12)
-    per_trial = 10 ** 12 // sim._chunk_trials(lat, model, book, decoders)
+    per_trial = 10 ** 12 // sim._chunk_trials(lat, model, books, decoders)
     monkeypatch.setattr(sim, "CHUNK_BYTES", chunk_trials * per_trial)
-    chunk = sim._chunk_trials(lat, model, book, decoders)
+    chunk = sim._chunk_trials(lat, model, books, decoders)
     assert chunk == chunk_trials
     trials = 2 * chunk + 7                # two full chunks and a partial one
-    args = (lat, model, alpha, book, trials, 29, decoders, budget, noiseless)
+    run = (trials, 29, decoders, budget, noiseless)
     searches = _recording_searches(monkeypatch)
-    expected = reference_trial_loop(*args)
-    reference_searches = list(searches)
-    searches.clear()
-    masks = _recording_certificates(monkeypatch)
-    got = sim._trial_loop(*args)
+    expected, reference_searches = [], []
+    for alpha, book in points:
+        expected.append(reference_trial_loop(lat, model, alpha, book, *run))
+        reference_searches.append(list(searches))
+        searches.clear()
+    masks = _recording_certificates(monkeypatch, searches)
+    got = sim._trial_loop(lat, model, points, *run)
+    assert len(got) == len(points)
     if "ml" in decoders:
-        assert got["ml"] == expected["ml"]
+        assert [g["ml"] for g in got] == [e["ml"] for e in expected]
     if "lattice" not in decoders:
         assert searches == [] and masks == []
         return
-    # the reference searched every trial; the loop searched exactly the
-    # trials the certificate did not prove, with the same targets, in order
-    assert len(reference_searches) == trials
-    proved = np.concatenate(masks).tolist()
-    assert len(proved) == trials
-    if noiseless:
-        # every received word is its sent point
-        assert all(proved)
-    unproved = [s for s, p in zip(reference_searches, proved) if not p]
-    if model.kind == "constant":
-        # the loop searches H L at W / alpha, the reference alpha H L at W:
-        # the span coordinates differ in the last bits, the outcomes and
-        # node counts do not
-        searches[:] = [s[-1:] for s in searches]
-        unproved = [s[-1:] for s in unproved]
-    assert searches == unproved
-    # a proved trial's reference search found no closer point; under a tiny
-    # budget it may have run out first, which the reference scored as an
-    # error and a budget hit
-    outcomes = [s[-1] for s, p in zip(reference_searches, proved) if p]
-    assert all(o == "budget exceeded" or not o[0] for o in outcomes)
-    freed = outcomes.count("budget exceeded")
-    if budget == DEFAULT_BUDGET:
-        assert freed == 0
-    errors, nodes, hits = got["lattice"]
-    ref_errors, _, ref_hits = expected["lattice"]
-    assert errors == ref_errors - freed and hits == ref_hits - freed
-    assert nodes == sum(budget if s[-1] == "budget exceeded" else s[-1][1]
-                        for s in searches)
+    # the loop asks point p's certificate, then searches, in chunk c as its
+    # (c * points + p)-th certificate: split the log by point
+    ends = [n for _, n in masks[1:]] + [len(searches)]
+    per_point = [([], []) for _ in points]
+    for i, ((mask, begin), end) in enumerate(zip(masks, ends)):
+        proved, searched = per_point[i % len(points)]
+        proved.extend(mask.tolist())
+        searched.extend(searches[begin:end])
+    for p, (proved, searched) in enumerate(per_point):
+        reference = reference_searches[p]
+        # the reference searched every trial; the loop searched exactly the
+        # trials the certificate did not prove, with the same targets, in
+        # order
+        assert len(reference) == len(proved) == trials
+        if noiseless:
+            # every received word is its sent point
+            assert all(proved)
+        unproved = [s for s, ok in zip(reference, proved) if not ok]
+        if model.kind == "constant":
+            # the loop searches H L at W / alpha, the reference alpha H L at
+            # W: the span coordinates differ in the last bits, the outcomes
+            # and node counts do not
+            searched = [s[-1:] for s in searched]
+            unproved = [s[-1:] for s in unproved]
+        assert searched == unproved, p
+        # a proved trial's reference search found no closer point; under a
+        # tiny budget it may have run out first, which the reference scored
+        # as an error and a budget hit
+        outcomes = [s[-1] for s, ok in zip(reference, proved) if ok]
+        assert all(o == "budget exceeded" or not o[0] for o in outcomes)
+        freed = outcomes.count("budget exceeded")
+        if budget == DEFAULT_BUDGET:
+            assert freed == 0
+        errors, nodes, hits = got[p]["lattice"]
+        ref_errors, _, ref_hits = expected[p]["lattice"]
+        assert errors == ref_errors - freed and hits == ref_hits - freed
+        assert nodes == sum(budget if s[-1] == "budget exceeded" else s[-1][1]
+                            for s in searched)
 
 
 # -- soundness of the minimum-determinant certificate ------------------------
@@ -318,8 +345,9 @@ def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
         assert not sim.certified(lat, 1.0, np.ones((3, lat.k, lat.n)),
                                  np.zeros((3, lat.k, 2, lat.n))).any()
         searches.clear()
-        simulate_infinite_wer(lat, model, 10 ** 2.0, 1.0, 25, seed=4)
-        assert len(searches) == 25
+        simulate_infinite_wer(lat, model, [10 ** 2.0, 10 ** 3.0], 1.0, 25,
+                              seed=4)
+        assert len(searches) == 2 * 25
 
 
 # -- fading searches prepared by one stacked QR, with no LLL of their own ----
@@ -351,7 +379,7 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     words = alpha * lat.points(sent)
     W = channel.transmit_stack(words, H, seed, streams, False) - H @ words
     if kind == "constant":
-        got = shared_fade_decodes_to(H[0], alpha, lat, W)
+        got = shared_fade_decodes_to(lat.faded_cvp(H[0]), alpha, W)
     else:
         got = faded_decodes_to(H, alpha, lat, W)
     assert len(got) == len(streams)
@@ -378,11 +406,11 @@ def test_chunk_bound_counts_faded_bases(catalog):
     # and its Q and R factors (real, rank x 2 k n_r n each) within the bound
     lat = _lattice(catalog, "zeta20")
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=3)
-    chunk = sim._chunk_trials(lat, model, None, ("lattice",))
+    chunk = sim._chunk_trials(lat, model, [None], ("lattice",))
     dim = 2 * lat.k * model.n_r * lat.n
     assert chunk * 3 * 8 * lat.rank * dim <= sim.CHUNK_BYTES
     constant = FadingModel(kind="constant", n=2, n_r=3)
-    assert sim._chunk_trials(lat, constant, None, ("lattice",)) > chunk
+    assert sim._chunk_trials(lat, constant, [None], ("lattice",)) > chunk
 
 
 def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
@@ -474,3 +502,35 @@ def test_identity_constant_run_factors_only_the_lattice_basis(catalog,
     capsys.readouterr()
     assert factored == [reduced.T.tobytes()]
     assert len(searches) > 20
+
+
+def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
+                                                          capsys):
+    # structural guard: fades and noise are keyed by the trial, never by the
+    # power, so a command draws each chunk's fades and noise, and checks its
+    # fades' rank, once for all of its SNR points (one chunk here); a
+    # constant channel's one fade is checked once per command
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in [(channel, "sample_stack"), (channel, "check_full_rank"),
+                        (rng, "_words")]:
+        count(owner, name)
+    assert main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
+                 "--nr", "2", "--snr-db", "8,12,16", "--rate", "1",
+                 "--decoder", "both", "--trials", "20", "--seed", "7"]) == 0
+    assert calls == {"sample_stack": 1, "_words": 2, "check_full_rank": 1}
+    calls.clear()
+    assert main(["simulate", "--field", "cyclo8", "--model", "constant",
+                 "--snr-db", "4,8,12", "--rate", "1", "--trials", "200",
+                 "--seed", "7", "--infinite"]) == 0
+    assert calls == {"sample_stack": 1, "_words": 1, "check_full_rank": 1}
+    capsys.readouterr()
