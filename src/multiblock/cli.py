@@ -183,7 +183,10 @@ def cmd_carve(args):
     P = _snr_power(args.snr_db)
     cat = load_catalog()
     lat, name, _ = _load_lattice(cat, args.field, args.algebra)
-    book = carve(lat, P, args.rate, args.trials, args.seed, budget=args.budget)
+    [book] = carve(lat, [P], args.rate, args.trials, args.seed,
+                   budget=args.budget)
+    if isinstance(book, CarveFailed):
+        raise book
     out = Output(args.output)
     out.header(_config_dict(args, ["field", "algebra", "snr_db", "rate",
                                    "trials", "seed"]))
@@ -220,15 +223,15 @@ def cmd_simulate(args):
         results = [[pt] for pt in sim.simulate_infinite_wer(
             lat, model, powers, args.rate, args.trials, args.seed, **run)]
     else:
-        results = []
-        for P in powers:
-            try:
-                results.append(carve(lat, P, args.rate, args.carve_trials,
-                                     args.seed, budget=args.budget))
-            except (CarveFailed, BudgetExceeded) as exc:
-                results.append(f"carve_failed:{exc.best_count}"
-                               if isinstance(exc, CarveFailed)
-                               else "carve_budget_exceeded")
+        try:
+            carved = carve(lat, powers, args.rate, args.carve_trials,
+                           args.seed, budget=args.budget)
+        except (CarveFailed, BudgetExceeded) as exc:
+            # the one shift search serves every point, so its failure is theirs
+            carved = [exc] * len(powers)
+        results = [f"carve_failed:{c.best_count}" if isinstance(c, CarveFailed)
+                   else "carve_budget_exceeded" if isinstance(c, BudgetExceeded)
+                   else c for c in carved]
         books = [r for r in results if not isinstance(r, str)]
         if books:
             simulated = iter(sim.simulate_codebook_wer(

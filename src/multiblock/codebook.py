@@ -3,6 +3,11 @@
 The scaling constant matches the ball-volume / covolume budget for the
 target rate; the shift is found by randomized search (the averaging
 argument guarantees existence of a good shift, not how to find one).
+Since alpha^2 is proportional to P, the points of shift + alpha L in the
+power ball B(sqrt(Pnk)) are alpha times those of u + L in B(sqrt(Pnk) /
+alpha), a radius set by the rate alone: one shift search serves every SNR
+point of a grid, and only the scaling, the exact power filter and the
+truncation are per point.
 """
 
 import logging
@@ -77,9 +82,14 @@ def count_points_in_ball(lat, shift, radius, budget=DEFAULT_BUDGET):
     return len(coords), coords, metrics
 
 
-def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET):
-    """Search `trials` uniform shifts in the fundamental parallelotope of
-    alpha L for one whose translate packs >= 2^floor(R n k) ball points."""
+def carve(lat, powers, R, trials, seed, budget=DEFAULT_BUDGET):
+    """One code per power of the non-empty list `powers`, all from one
+    search of `trials` uniform shifts u of the fundamental parallelotope of
+    L for the one whose translate packs the most points (at least
+    2^floor(R n k)) of the ball the powers share.  Returns, per power, its
+    Codebook, or the CarveFailed of a point whose power filter left too few
+    points.  A failure of the search itself fails every power alike and is
+    raised."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = lat.n, lat.k
@@ -90,30 +100,42 @@ def carve(lat, P, R, trials, seed, budget=DEFAULT_BUDGET):
     if math.isfinite(R) and R * n * k >= int(budget).bit_length():
         raise BudgetExceeded(f"rate {R} asks for 2^floor({R * n * k:g}) "
                              f"codewords, more than {budget} nodes can find")
-    alpha = scaling_alpha(P, R, n, k, lat.volume)
-    radius = math.sqrt(P * n * k)
+    alphas = [scaling_alpha(P, R, n, k, lat.volume) for P in powers]
     target = 2 ** math.floor(R * n * k)
     gen = philox(seed, 0xCA)
 
+    # ||alpha (u + z B)|| <= sqrt(Pnk) iff ||u + z B|| <= sqrt(Pnk) / alpha,
+    # and alpha^2 / P depends on the rate alone: the first point's radius is
+    # every point's, up to rounding that the ball's closed slack absorbs
+    radius = math.sqrt(powers[0] * n * k) / alphas[0]
     best = None
     for _ in range(trials):
-        # ||alpha (u + z B)|| <= radius iff ||u + z B|| <= radius / alpha
         u = lat.point(gen.random(lat.rank))
-        count, coords, _ = count_points_in_ball(lat, u, radius / alpha, budget)
+        count, coords, _ = count_points_in_ball(lat, u, radius, budget)
         if best is None or count > best[0]:
-            best = (count, alpha * u, coords)
-    count, shift, coords = best
+            best = (count, u, coords)
+    count, u, coords = best
     if count < target:
         raise CarveFailed(
             f"best shift packs {count} points, target {target}", best_count=count)
+    points = lat.points(coords)
+    return [_power_cut(lat, P, alpha, R, alpha * u, coords, points, target)
+            for P, alpha in zip(powers, alphas)]
 
-    mats = shift[None, :, :, :] + alpha * lat.points(coords)
+
+def _power_cut(lat, P, alpha, R, shift, coords, points, target):
+    """The Codebook of the points shift + alpha z B of the searched ball
+    that meet the power constraint exactly, truncated to the lowest-energy
+    2^(ceil(R n k) + TRUNCATE_MARGIN); or the CarveFailed of fewer than
+    `target` such points."""
+    n, k = lat.n, lat.k
+    mats = shift[None, :, :, :] + alpha * points
     # the power constraint is exact, no tolerance: drop boundary overshoot
     energies = np.sum(np.abs(mats) ** 2, axis=(1, 2, 3))
     keep = energies <= P * n * k
     coords, mats, energies = coords[keep], mats[keep], energies[keep]
     if len(coords) < target:
-        raise CarveFailed(
+        return CarveFailed(
             f"power filter left {len(coords)} points, target {target}",
             best_count=int(len(coords)))
 

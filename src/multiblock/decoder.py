@@ -16,7 +16,8 @@ import numpy as np
 
 from .channel import check_full_rank
 from .errors import BudgetExceeded, DomainError
-from .lattice import DEFAULT_BUDGET, PreparedCVP, fade_blocks, realify
+from .lattice import (DEFAULT_BUDGET, PreparedCVP, _span_coords, fade_blocks,
+                      realify)
 
 
 @dataclass
@@ -45,7 +46,10 @@ def ml_decode(Y, H, codebook):
     Y = np.asarray(Y, dtype=complex)
     H = np.asarray(H, dtype=complex)
     diffs = Y[:, None] - H[:, None] @ codebook.matrices
-    metrics = np.sum(np.abs(diffs) ** 2, axis=(2, 3, 4))
+    # at extreme power a far codeword's metric overflows to inf; the sent
+    # word's is the noise energy, so the decision stands
+    with np.errstate(over="ignore"):
+        metrics = np.sum(np.abs(diffs) ** 2, axis=(2, 3, 4))
     idx = np.argmin(metrics, axis=1)
     return DecodeResult(coords=codebook.coords[idx], index=idx,
                         metric=metrics[np.arange(len(idx)), idx],
@@ -94,7 +98,7 @@ class LatticeDecoder:
         (None, budget).  Test-only witness of that error event: the
         reference decision against which `faded_decodes_to`,
         `shared_fade_decodes_to` and the trial loop are checked."""
-        ys, _ = self.prepared.project(realify(W))
+        ys = _span_coords(self.prepared.Q, realify(W))
         return _decisions(repeat(self.prepared), ys, budget)
 
 
@@ -119,7 +123,7 @@ def shared_fade_decodes_to(prep, alpha, W, budget=DEFAULT_BUDGET):
     LLL-reduced preparation `lat.faded_cvp(H)`, which the caller builds once
     per fade and shares across every alpha.  The caller checks the fade's
     rank (`check_full_rank`)."""
-    ys, _ = prep.project(realify(W) / alpha)
+    ys = _span_coords(prep.Q, realify(W) / alpha)
     return _decisions(repeat(prep), ys, budget)
 
 

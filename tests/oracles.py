@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from multiblock import channel
+from multiblock import channel, codebook
+from multiblock.codebook import Codebook, count_points_in_ball, scaling_alpha
 from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
-from multiblock.errors import BudgetExceeded
+from multiblock.errors import BudgetExceeded, CarveFailed
 from multiblock.lattice import LLL_DELTA, LLL_ETA
 from multiblock.rng import philox
 
@@ -214,6 +215,42 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
             tally["lattice"][1] += nodes
             tally["lattice"][2] += ok is None
     return tally
+
+
+def reference_carve(lat, P, R, trials, seed, budget):
+    """The carve of one power with its own shift search at its own radius
+    sqrt(Pnk) / alpha: the reference for codebook.carve, which searches one
+    radius for a whole SNR grid.  Raises what carve raises or returns at
+    this power."""
+    n, k = lat.n, lat.k
+    if math.isfinite(R) and R * n * k >= int(budget).bit_length():
+        raise BudgetExceeded(f"rate {R} exceeds budget {budget}")
+    alpha = scaling_alpha(P, R, n, k, lat.volume)
+    radius = math.sqrt(P * n * k)
+    target = 2 ** math.floor(R * n * k)
+    gen = philox(seed, 0xCA)
+    best = None
+    for _ in range(trials):
+        u = lat.point(gen.random(lat.rank))
+        count, coords, _ = count_points_in_ball(lat, u, radius / alpha, budget)
+        if best is None or count > best[0]:
+            best = (count, alpha * u, coords)
+    count, shift, coords = best
+    if count < target:
+        raise CarveFailed(f"best shift packs {count}", best_count=count)
+    mats = shift[None, :, :, :] + alpha * lat.points(coords)
+    energies = np.sum(np.abs(mats) ** 2, axis=(1, 2, 3))
+    keep = energies <= P * n * k
+    coords, mats, energies = coords[keep], mats[keep], energies[keep]
+    if len(coords) < target:
+        raise CarveFailed(f"power filter left {len(coords)}",
+                          best_count=int(len(coords)))
+    cap = 2 ** (math.ceil(R * n * k) + codebook.TRUNCATE_MARGIN)
+    if len(coords) > cap:
+        order = np.sort(np.argsort(energies, kind="stable")[:cap])
+        coords, mats = coords[order], mats[order]
+    return Codebook(lattice=lat, alpha=alpha, shift=shift, rate_target=R,
+                    power=P, coords=coords, matrices=mats)
 
 
 # ---------------------------------------------------------------------------

@@ -417,33 +417,47 @@ GOLDEN_GRID = ["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
 
 def test_failed_carve_keeps_its_row_between_the_simulated_points(
         tmp_path, monkeypatch):
-    # every point is carved before the one trial loop runs; the flag row of
-    # the point whose carve fails stays in SNR order, and the other points
-    # simulate as in a run where every carve succeeds
-    from multiblock import cli
-    from multiblock.errors import CarveFailed
+    # one shift search serves the grid, and each point's power filter is its
+    # own: a point whose filter leaves too few codewords (here the middle
+    # one, its alpha inflated so that few scaled points meet its power) is
+    # flagged in SNR order, and the other points simulate as in a run where
+    # every carve succeeds
+    from multiblock import codebook
     code, text = run_cli(GOLDEN_GRID, tmp_path, "full.csv")
     assert code == 0
     full = parse_csv(text)
-    carve, calls = cli.carve, []
+    scaling = codebook.scaling_alpha
 
-    def failing_in_the_middle(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
-            raise CarveFailed("best shift packs 3 points, target 4",
-                              best_count=3)
-        return carve(*args, **kwargs)
+    def inflated_in_the_middle(P, *args):
+        return scaling(P, *args) * (2.0 if P == 10.0 ** 1.2 else 1.0)
 
-    monkeypatch.setattr(cli, "carve", failing_in_the_middle)
+    monkeypatch.setattr(codebook, "scaling_alpha", inflated_in_the_middle)
     code, text = run_cli(GOLDEN_GRID, tmp_path)
     assert code == 0
     rows = parse_csv(text)
     assert [(r["snr_db"], r["decoder"]) for r in rows] == [
         ("8", "ml"), ("8", "lattice"), ("12", "both"), ("16", "ml"),
         ("16", "lattice")]
-    assert rows[2]["flag"] == "carve_failed:3"
+    assert rows[2]["flag"] == "carve_failed:0"
     assert rows[2]["word_errors"] == rows[2]["wer"] == ""
     assert rows[:2] + rows[3:] == full[:2] + full[4:]
+
+
+def test_grid_carve_searches_the_shifts_once(monkeypatch):
+    # the scaled ball radius sqrt(P n k) / alpha depends on the rate alone,
+    # so the three points share one search of --carve-trials (16) shifts
+    # drawn from one stream
+    from multiblock import codebook
+    balls, streams = [], []
+    count, philox = codebook.count_points_in_ball, codebook.philox
+    monkeypatch.setattr(codebook, "count_points_in_ball",
+                        lambda *args: balls.append(args) or count(*args))
+    monkeypatch.setattr(codebook, "philox",
+                        lambda seed, *stream: streams.append(stream)
+                        or philox(seed, *stream))
+    assert main(GOLDEN_GRID) == 0
+    assert len(balls) == 16
+    assert streams == [(0xCA,)]
 
 
 def test_every_carve_failing_runs_no_trial(tmp_path):
@@ -937,6 +951,28 @@ def test_out_of_range_value_exits_2(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, "error: ")
+
+
+EXTREME_SNR = {
+    # a far-below-noise point whose W / alpha overflows t.t on the lattice
+    # path, and a far-above-noise one whose far ML metrics overflow
+    "--field q_i --model constant --snr-db=-3200,10 --rate 1 --trials 50 "
+    "--seed 1 --decoder lattice --infinite":
+        "c4bd338f2c8414443853c95a53c3c2a3b85b17260a75212e8096dd1171f4e37d",
+    "--field q_i --model constant --snr-db 10,3080 --rate 1 --trials 5 "
+    "--seed 1":
+        "5e4bd940937927eb34d61809a33bb69493a97971518cb5e6549d5b9706db3ee7",
+}
+
+
+@pytest.mark.parametrize("args", EXTREME_SNR)
+def test_extreme_snr_runs_warn_nothing(args):
+    # a run that exits 0 prints nothing on stderr, numpy warnings included
+    proc = subprocess.run([sys.executable, "-m", "multiblock.cli", "simulate"]
+                          + args.split(), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == EXTREME_SNR[args]
 
 
 def test_non_finite_capacity_exits_3(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ def identity_channel(k, n):
 
 
 def test_ml_noiseless_recovers_codeword(qi_lattice):
-    book = carve(qi_lattice, 10.0, 2.0, trials=4, seed=1)
+    [book] = carve(qi_lattice, [10.0], 2.0, trials=4, seed=1)
     H = identity_channel(1, 1)
     for j in range(len(book)):
         res = ml_decode((H @ book.matrices[j])[None], H[None], book)
@@ -23,7 +25,7 @@ def test_ml_noiseless_recovers_codeword(qi_lattice):
 
 
 def test_ml_single_codeword(qi_lattice):
-    book = carve(qi_lattice, 1.0, 0.0, trials=4, seed=3)
+    [book] = carve(qi_lattice, [1.0], 0.0, trials=4, seed=3)
     sub = Codebook(lattice=qi_lattice, alpha=book.alpha, shift=book.shift,
                    rate_target=0.0, power=1.0, coords=book.coords[:1],
                    matrices=book.matrices[:1])
@@ -89,7 +91,7 @@ def test_lattice_decode_requires_enough_antennas(golden_lattice):
 
 def test_cross_decoder_agreement(golden_lattice):
     # at high SNR both decoders return the transmitted coordinates
-    book = carve(golden_lattice, 10 ** 2.2, 1.0, trials=4, seed=13)
+    [book] = carve(golden_lattice, [10 ** 2.2], 1.0, trials=4, seed=13)
     gen = philox(17, 4)
     pick = philox(17, 5)
     agree = 0
@@ -196,8 +198,9 @@ def test_wer_monotone_in_power(golden_lattice):
     from multiblock.sim import simulate_codebook_wer
     model = FadingModel(kind="constant", n=2, n_r=2,
                         fixed_H=np.eye(2, dtype=complex))
-    books = [carve(golden_lattice, 10 ** (snr_db / 10), 0.75, trials=4, seed=41)
-             for snr_db in (2.0, 8.0, 14.0)]
+    books = carve(golden_lattice, [10 ** (snr_db / 10)
+                                   for snr_db in (2.0, 8.0, 14.0)],
+                  0.75, trials=4, seed=41)
     wers = [pts[0].wer for pts in simulate_codebook_wer(books, model, 200,
                                                         seed=43,
                                                         decoders=("ml",))]
@@ -214,7 +217,7 @@ def _bits(a):
 
 
 def _stack(lat, n_r, seed, words=40):
-    book = carve(lat, 10 ** 1.2, 1.0, trials=4, seed=seed)
+    [book] = carve(lat, [10 ** 1.2], 1.0, trials=4, seed=seed)
     gen = philox(seed, n_r)
     H = complex_gaussian(gen, (words, lat.k, n_r, lat.n))
     idx = gen.integers(len(book), size=words)
@@ -301,3 +304,18 @@ def test_degenerate_fade_raises_before_any_search(golden_lattice, monkeypatch,
     monkeypatch.setattr(PreparedCVP, "exists_closer", no_search)
     with pytest.raises(DegenerateLattice):
         faded_decodes_to(H, 1.0, golden_lattice, W)
+
+
+def test_ml_decodes_the_sent_word_where_far_metrics_overflow(qi_lattice):
+    # at 3080 dB the metrics of far codewords overflow to inf; the sent
+    # word's is the noise energy, so it is still the decision, and no
+    # overflow warning is raised
+    [book] = carve(qi_lattice, [10.0 ** 308], 1.0, trials=4, seed=1)
+    gen = philox(3, 0)
+    idx = gen.integers(len(book), size=40)
+    H = complex_gaussian(gen, (40, 1, 1, 1))
+    Y = H @ book.matrices[idx] + complex_gaussian(gen, H.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ml_decode(Y, H, book)
+    assert res.index.tolist() == idx.tolist()

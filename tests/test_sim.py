@@ -25,7 +25,7 @@ from oracles import reference_trial_loop
 def test_lemma4_minimum_distance_bound(golden_lattice):
     # received-constellation min distance respects
     # d_H^2 >= alpha^2 n k prod det(H_i^dag H_i)^{1/nk}
-    book = carve(golden_lattice, 10 ** 1.4, 0.75, trials=4, seed=21)
+    [book] = carve(golden_lattice, [10 ** 1.4], 0.75, trials=4, seed=21)
     n, k = 2, 1
     diffs = book.matrices[:, None] - book.matrices[None, :]
     for t in range(20):
@@ -43,7 +43,7 @@ def test_lemma4_minimum_distance_bound(golden_lattice):
 def test_noiseless_wer_zero(qi_lattice):
     model = FadingModel(kind="constant", n=1, n_r=1,
                         fixed_H=np.eye(1, dtype=complex))
-    book = carve(qi_lattice, 10.0, 1.0, trials=4, seed=2)
+    [book] = carve(qi_lattice, [10.0], 1.0, trials=4, seed=2)
     [pts] = simulate_codebook_wer([book], model, 100, seed=3, noiseless=True)
     assert all(p.wer == 0.0 for p in pts)
 
@@ -67,7 +67,7 @@ def test_rate_above_capacity_does_not_converge(catalog):
 
 def test_iid_model_wer_runs(qi_lattice):
     model = FadingModel(kind="iid_rayleigh", n=1, n_r=2)
-    book = carve(qi_lattice, 10.0, 1.0, trials=4, seed=5)
+    [book] = carve(qi_lattice, [10.0], 1.0, trials=4, seed=5)
     [pts] = simulate_codebook_wer([book], model, 50, seed=7)
     assert {p.decoder for p in pts} == {"ml", "lattice"}
     for p in pts:
@@ -78,7 +78,7 @@ def test_iid_model_wer_runs(qi_lattice):
 def test_multiblock_algebra_end_to_end(zeta20_lattice):
     # genuinely multiblock shape: k = 2 blocks of 2x2, rank-16 order lattice,
     # carved and decoded over an iid Rayleigh 2x2 channel
-    book = carve(zeta20_lattice, 10 ** 1.8, 0.5, trials=64, seed=11)
+    [book] = carve(zeta20_lattice, [10 ** 1.8], 0.5, trials=64, seed=11)
     assert book.realized_rate >= 0.5
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
     [pts] = simulate_codebook_wer([book], model, 30, seed=13)
@@ -99,7 +99,7 @@ def test_budget_hit_counts_as_lattice_error(golden_lattice):
     # a search cut off by the node budget cannot certify the word: it is
     # scored as a lattice word error and reported in the flag, and the run
     # goes on
-    book = carve(golden_lattice, 10 ** 0.8, 1.0, trials=16, seed=7)
+    [book] = carve(golden_lattice, [10 ** 0.8], 1.0, trials=16, seed=7)
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
     [(ml_full, lat_full)] = simulate_codebook_wer([book], model, 40, seed=7)
     assert lat_full.flag == ""
@@ -220,7 +220,7 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
         points = [(scaling_alpha(P, rate, lat.n, lat.k, lat.volume), None)
                   for P in powers]
     else:
-        books = [carve(lat, P, rate, trials=8, seed=3) for P in powers]
+        books = carve(lat, powers, rate, trials=8, seed=3)
         points = [(book.alpha, book) for book in books]
     books = [book for _, book in points]
     # set the chunk bound so that a chunk holds chunk_trials trials

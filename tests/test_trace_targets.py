@@ -2,7 +2,8 @@
 functions by name.  A rename in the package would silently drop a layer
 from its report, so every target must resolve; and it counts search nodes
 from the return value of `PreparedCVP.exists_closer`, so a traced run's
-count must match the run's own avg_nodes."""
+count must match the run's own avg_nodes; and a command's carving shows as
+one `carve` of --carve-trials `count_points_in_ball` searches."""
 
 import contextlib
 import csv
@@ -59,3 +60,18 @@ def test_traced_search_nodes_add_up_to_avg_nodes():
     nodes = sum(float(r["avg_nodes"]) * trials for r in rows)
     assert nodes > 0
     assert t.stats["lattice.exists_closer"].counts["nodes"] == round(nodes)
+
+
+def test_traced_fading_codebook_searches_carve_trials_shifts():
+    # the benchmark's per-layer carve metrics read one shift search per
+    # command: a fading codebook run over three SNR points counts
+    # --carve-trials ball searches in one carve
+    tracer = _load_tracer()
+    argv = ["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
+            "--nr", "2", "--snr-db", "8,12,16", "--rate", "1", "--decoder",
+            "both", "--trials", "4", "--seed", "7", "--carve-trials", "5"]
+    with tracer.Tracer() as t, contextlib.redirect_stdout(io.StringIO()):
+        assert multiblock.cli.main(argv) == 0
+    assert t.missing == []
+    assert t.stats["codebook.carve"].calls == 1
+    assert t.stats["codebook.count_points_in_ball"].calls == 5
