@@ -11,8 +11,6 @@ into complex matrices use doubles.
 
 import math
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -187,30 +185,6 @@ class CyclicAlgebra:
                 out = tuple(map(self.e_add, out, term))
         return out
 
-    def phi_entries(self, a):
-        """Left-regular matrix of a with exact E-element entries: entry (r, c)
-        is sigma^c(x_{(r-c) mod n}), multiplied by gamma above the diagonal."""
-        n = self.n
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                entry = self.sigma_pow(a[(r - c) % n], c)
-                if r < c:
-                    entry = self.e_scale(entry, self.gamma)
-                row.append(entry)
-            rows.append(row)
-        return rows
-
-    def multiblock_embed(self, a):
-        """(alpha_1(A), ..., alpha_k(A)) as k n x n blocks; a zero entry stays 0."""
-        blocks = np.zeros((self.k, self.n, self.n), dtype=complex)
-        for r, row in enumerate(self.phi_entries(a)):
-            for c, entry in enumerate(row):
-                if not all(x.is_zero() for x in entry):
-                    blocks[:, r, c] = self.embed_e(entry)
-        return blocks
-
     def reduced_trace(self, x):
         """Tr_{E/K}(x) for an E-element x as an exact element of K: the
         reduced trace of x, and Trd(a) = Tr_{E/K}(a_0) for an algebra
@@ -219,23 +193,6 @@ class CyclicAlgebra:
         for c in range(self.n):
             acc = self.e_add(acc, self.sigma_pow(x, c))
         return self._in_center(acc, "reduced trace")
-
-    def reduced_norm(self, a):
-        """Nrd(a) = det(phi(a)) as an exact element of K (Leibniz expansion,
-        fine for the catalog degrees n <= 3).  Test-only witness of the NVD
-        mechanism |pdet(phi(a))|^2 = |N_{K/Q}(Nrd a)|, a nonzero integer
-        for every nonzero a of the natural order of a division algebra."""
-        entries = self.phi_entries(a)
-        acc = self.e_zero()
-        for perm in permutations(range(self.n)):
-            term = self.e_scalar(self.center.one())
-            for r in range(self.n):
-                term = self.e_mul(term, entries[r][perm[r]])
-            # the sign of perm is the parity of its inversion count
-            if sum(a > b for a, b in combinations(perm, 2)) % 2:
-                term = self.e_scale(term, -1)
-            acc = self.e_add(acc, term)
-        return self._in_center(acc, "reduced norm")
 
     def _in_center(self, x, what):
         """The center element an E-element x must be, or PrecisionFailure
@@ -271,17 +228,11 @@ class NaturalOrder:
             raise CatalogInconsistent(f"{algebra.name}: z-basis is not linearly independent")
         self._zdisc = None
 
-    @cached_property
-    def z_basis(self):
-        """The z-basis u^j c_i, u^0 block first; built on first use."""
-        return tuple(self.algebra._u_times(j, c)
-                     for j in range(self.algebra.n) for c in self._cs)
-
     def element_from_z(self, zcoords):
         """The order element with the given integer z-coordinates: its u^j
         coefficient is the sum of z_(jN+i) c_i.  Test-only: it builds the
-        order elements on which reduced_norm() witnesses the NVD mechanism
-        |pdet(phi(a))|^2 = |N_{K/Q}(Nrd a)|."""
+        order elements on which `witnesses.reduced_norm` witnesses the NVD
+        mechanism |pdet(phi(a))|^2 = |N_{K/Q}(Nrd a)|."""
         alg, N = self.algebra, len(self._cs)
         coeffs = []
         for j in range(alg.n):
@@ -345,10 +296,33 @@ def order_lattice(order):
     matrix lattice (raises DegenerateLattice through the constructor if the
     Gram matrix is numerically rank deficient).  Its det_min is 1 when the
     algebra is asserted to be a division algebra (a nonzero element has
-    |pdet| = sqrt|N(Nrd a)| >= 1), and unknown (None) otherwise."""
+    |pdet| = sqrt|N(Nrd a)| >= 1), and unknown (None) otherwise.
+
+    Basis row j N + i embeds the z-basis element u^j c_i, whose left-regular
+    matrix has entry (r, c) = sigma^c(c_i) if r >= c and gamma sigma^c(c_i)
+    if r < c, where (r - c) mod n = j, and 0 elsewhere.  So each c_i needs
+    only its n images sigma^c(c_i), one sigma step apart, and gamma times
+    those with c >= 1: each is computed and embedded once, then placed in
+    every row that holds it, and a zero image stays 0.  The blocks are those
+    of embedding each u^j c_i on its own, bit for bit."""
     from .lattice import MatrixLattice
     alg = order.algebra
-    blocks = np.array([alg.multiblock_embed(b) for b in order.z_basis])
+    n, N = alg.n, len(order._cs)
+    blocks = np.zeros((n * N, alg.k, n, n), dtype=complex)
+    for i, c_i in enumerate(order._cs):
+        images = [c_i]
+        for _ in range(n - 1):
+            images.append(alg.sigma(images[-1]))
+        for c, image in enumerate(images):
+            # rows r >= c of column c hold sigma^c(c_i), rows r < c its
+            # gamma multiple
+            parts = [(image, range(c, n))]
+            if c:
+                parts.append((alg.e_scale(image, alg.gamma), range(c)))
+            for entry, rows in parts:
+                if not all(x.is_zero() for x in entry):
+                    values = alg.embed_e(entry)
+                    for r in rows:
+                        blocks[((r - c) % n) * N + i, :, r, c] = values
     return MatrixLattice(blocks,
                          det_min=1.0 if alg.division_asserted else None)
-

@@ -102,18 +102,34 @@ class LatticeDecoder:
         return _decisions(repeat(self.prepared), ys, budget)
 
 
-def faded_decodes_to(H, alpha, lat, W, budget=DEFAULT_BUDGET):
-    """`LatticeDecoder.decodes_to` for a stack of residuals W (T, k, n_r, n),
-    each with its own fade H_t of the stack H (T, k, n_r, n), with no
-    decoder and no LLL per fade: one stacked QR factors the faded bases
-    H_t (U B) of the lattice's own LLL basis U B, searched at W_t / alpha.
-    The decision does not depend on the basis, so it is the decoder's; only
-    the node counts differ.  The caller checks the fades' rank
+def faded_decodes_to(H, lat, searches, budget=DEFAULT_BUDGET):
+    """`LatticeDecoder.decodes_to` at several SNR points on one stack of
+    fades H (T, k, n_r, n), with no decoder and no LLL per fade.  Each
+    search (alpha, rows, W) of `searches` is a point's: W holds the
+    residuals of the trials `rows` (an index array into H), searched at
+    W / alpha.  One stacked QR factors the faded bases H_t (U B) of the
+    lattice's own LLL basis U B for the union of the rows, as they do not
+    depend on alpha.  Each point's targets are scattered into the union's
+    order, so it reads their span coordinates in the union's factors with
+    no copy of them.  The decision does not depend on the basis, so
+    it is the decoder's; only the node counts differ.  Returns one list of
+    (ok, nodes) per search.  The caller checks the fades' rank
     (`check_full_rank`); a zero or non-finite pivot of a faded basis still
     raises DegenerateLattice."""
-    preps, ys = PreparedCVP.stack(realify(fade_blocks(H, lat.reduced_blocks)),
-                                  realify(W) / alpha)
-    return _decisions(preps, ys, budget)
+    searched = np.zeros(len(H), dtype=bool)
+    for _, rows, _ in searches:
+        searched[rows] = True
+    place = np.cumsum(searched) - 1         # trial t's index in the union
+    preps, Q = PreparedCVP.stack(realify(fade_blocks(H[searched],
+                                                     lat.reduced_blocks)))
+    out = []
+    for alpha, rows, W in searches:
+        at = place[rows]
+        t = np.zeros(Q.shape[:2])
+        t[at] = realify(W) / alpha
+        ys = _span_coords(Q, t)[at]
+        out.append(_decisions([preps[i] for i in at], ys, budget))
+    return out
 
 
 def shared_fade_decodes_to(prep, alpha, W, budget=DEFAULT_BUDGET):

@@ -90,10 +90,15 @@ class MatrixLattice:
     def point(self, coords):
         """Point with the given coordinates, as blocks: a lattice point for
         integer ones."""
-        return np.tensordot(np.asarray(coords, dtype=float), self.blocks, axes=(0, 0))
+        return self.points(np.asarray(coords, dtype=float).reshape(1, -1))[0]
 
     def points(self, coord_rows):
-        return np.tensordot(np.asarray(coord_rows, dtype=float), self.blocks, axes=(1, 0))
+        """The point of each row of coordinates, as a stack of blocks: one
+        matrix product on the operands np.tensordot would form, (rows, rank)
+        by (rank, k n n), without its bookkeeping."""
+        rows = np.asarray(coord_rows, dtype=float)
+        flat = np.dot(rows, self.blocks.reshape(self.rank, -1))
+        return flat.reshape((len(rows),) + self.blocks.shape[1:])
 
     @cached_property
     def cvp(self):
@@ -342,36 +347,30 @@ class PreparedCVP:
         return self
 
     @classmethod
-    def stack(cls, bases, targets):
+    def stack(cls, bases):
         """Preparations of each basis of a stack (T, rank, dim), with no
         LLL (each basis as given, U the identity), by one stacked QR; and
-        the span coordinates y = Q^T t of each target of the stack `targets`
-        (T, dim) in its own basis, as `project` computes them.  Whether a
-        nonzero lattice point is closer to a target than 0 does not depend
-        on the basis (Agrell et al. 2002), so `exists_closer` decides the
-        same on these preparations as on LLL-reduced ones; only its node
-        count differs."""
+        the stack of their Q factors (T, dim, rank), in which
+        `_span_coords` reads the span coordinates y = Q^T t of targets as
+        `project` computes them.  Whether a nonzero lattice point is closer
+        to a target than 0 does not depend on the basis (Agrell et al.
+        2002), so `exists_closer` decides the same on these preparations as
+        on LLL-reduced ones; only its node count differs."""
         bases = np.asarray(bases, dtype=float)
         Q, R = _signed_qr(np.swapaxes(bases, 1, 2))
         eye = np.eye(bases.shape[1], dtype=np.int64)
         preps = [cls.__new__(cls)._factored(b, eye, q, r)
                  for b, q, r in zip(bases, Q, R)]
-        return preps, _span_coords(Q, np.asarray(targets, dtype=float))
+        return preps, Q
 
     def project(self, target):
-        """(y, offset2): the coordinates y = Q^T t of the target t in the
-        orthonormal basis of the lattice span, and its squared distance
-        offset2 >= 0 to that span.  For a stack (T, dim) of targets, y is
-        (T, rank) and offset2 an array; each row is computed by the same
-        matrix-vector and dot products as a single target."""
+        """(y, offset2): the coordinates y = Q^T t of the target t (dim,) in
+        the orthonormal basis of the lattice span, as `_span_coords` gives
+        them to a stack, and its squared distance offset2 = t.t - y.y >= 0
+        to that span, a float."""
         t = np.asarray(target, dtype=float)
-        if t.ndim == 1:
-            y, offset2 = self.project(t[None])
-            return y[0], float(offset2[0])
-        y = _span_coords(self.Q, t)
-        offset2 = (np.matmul(t[:, None, :], t[:, :, None])
-                   - np.matmul(y[:, None, :], y[:, :, None]))[:, 0, 0]
-        return y, np.maximum(offset2, 0.0)
+        y = _span_coords(self.Q, t[None])[0]
+        return y, max(float(t @ t - y @ y), 0.0)
 
     def closest(self, target, budget=DEFAULT_BUDGET):
         """CVP; returns (metric2, coords, nodes, exact_flag).  On budget

@@ -4,7 +4,8 @@ A field is defined by a monic integer minimal polynomial and an explicit
 integral basis (rational polynomials in the root theta).  Elements,
 products, trace forms, norms and discriminants are exact: every rational vector
 is held as integer numerators over one common denominator, and products
-are taken on the integer theta polynomials modulo the minimal polynomial.
+are taken on the integer theta polynomials modulo the minimal polynomial
+(a zero or unit operand takes none).
 The relative canonical embedding (one root per complex-conjugate pair,
 positive imaginary part) is computed in doubles.
 """
@@ -241,6 +242,11 @@ class NumberField:
         return FieldElement._from_ints(self, [0] * self.degree, 1)
 
     def one(self):
+        return self._one
+
+    @cached_property
+    def _one(self):
+        """The unit, built once: `mul` compares operands with it."""
         return self.from_theta_poly([1])
 
     def _theta_ints(self, x):
@@ -262,7 +268,14 @@ class NumberField:
 
     def mul(self, a, b):
         """Exact product: integer theta polynomials multiplied and reduced
-        modulo the monic min_poly, then mapped back to the integral basis."""
+        modulo the monic min_poly, then mapped back to the integral basis.
+        A zero or unit operand needs no product: the other operand, or the
+        zero, is returned as it is, its lowest-terms (nums, den) being the
+        one the full product would give."""
+        if a.is_zero() or b == self._one:
+            return a
+        if b.is_zero() or a == self._one:
+            return b
         pa, da = self._theta_ints(a)
         pb, db = self._theta_ints(b)
         return self._from_theta_ints(poly_mod(poly_mul(pa, pb), self.min_poly), da * db)

@@ -100,7 +100,8 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     residual W_t = Y_t - H_t X_t: a trial that `certified` proves correct at
     the point's alpha costs 0 nodes, and every other one is searched, on a
     constant channel on the faded lattice's one preparation, on a fading
-    one by `faded_decodes_to`.  A search that exhausts `budget` counts as an
+    one by `faded_decodes_to`, which QR-factors each chunk's faded bases
+    once for every point.  A search that exhausts `budget` counts as an
     error (a conservative WER), a budget hit and `budget` nodes.  Returns
     one {decoder: [errors, nodes, budget hits]} per point."""
     tallies = [{d: [0, 0, 0] for d in decoders} for _ in points]
@@ -125,21 +126,23 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
         words = (np.stack([book.matrices[i] for book, i in zip(books, idx)])
                  if picks else zero)
         Y = channel.transmit_stack(words, H, seed, streams, noiseless)
-        if "lattice" in decoders:
-            W = np.broadcast_to(Y - H @ words, (len(points),) + Y.shape[1:])
-        for p, ((alpha, book), tally) in enumerate(zip(points, tallies)):
-            if "ml" in decoders:
+        if "ml" in decoders:
+            for p, (book, tally) in enumerate(zip(books, tallies)):
                 res = ml_decode(Y[p], H, book)
                 tally["ml"][0] += int(np.count_nonzero(res.index != idx[p]))
                 tally["ml"][1] += res.nodes
-            if "lattice" in decoders:
+        if "lattice" in decoders:
+            W = np.broadcast_to(Y - H @ words, (len(points),) + Y.shape[1:])
+            searches = []
+            for p, (alpha, _) in enumerate(points):
                 todo = np.flatnonzero(~certified(lat, alpha, sv, W[p]))
-                if shared:
-                    outcomes = shared_fade_decodes_to(prep, alpha, W[p][todo],
-                                                      budget)
-                else:
-                    outcomes = faded_decodes_to(H[todo], alpha, lat,
-                                                W[p][todo], budget)
+                searches.append((alpha, todo, W[p][todo]))
+            if shared:
+                results = [shared_fade_decodes_to(prep, alpha, W_p, budget)
+                           for alpha, _, W_p in searches]
+            else:
+                results = faded_decodes_to(H, lat, searches, budget)
+            for outcomes, tally in zip(results, tallies):
                 for ok, nodes in outcomes:
                     tally["lattice"][0] += not ok
                     tally["lattice"][1] += nodes

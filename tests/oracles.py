@@ -13,6 +13,7 @@ from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
 from multiblock.errors import BudgetExceeded, CarveFailed
 from multiblock.lattice import LLL_DELTA, LLL_ETA
 from multiblock.rng import philox
+from witnesses import multiblock_embed
 
 
 def brute_shortest(basis_rows, box=3):
@@ -209,8 +210,9 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
             if dec is not None:
                 ((ok, nodes),) = dec.decodes_to(W, budget)
             else:
-                ((ok, nodes),) = faded_decodes_to(H[None], alpha, lat, W,
-                                                  budget)
+                [[(ok, nodes)]] = faded_decodes_to(H[None], lat,
+                                                   [(alpha, np.arange(1), W)],
+                                                   budget)
             tally["lattice"][0] += not ok
             tally["lattice"][1] += nodes
             tally["lattice"][2] += ok is None
@@ -454,11 +456,28 @@ def _flat_coords(a):
     return [q for x in a for c in x for q in c.coords]
 
 
+def z_basis(order):
+    """The z-basis u^j c_i of a natural order, u^0 block first, c_i = e w_a
+    the N = n deg(K) elements of the O_E basis: the basis on which the
+    order's lattice, coordinates and discriminant are defined, as algebra
+    elements."""
+    alg = order.algebra
+    return tuple(alg._u_times(j, c) for j in range(alg.n) for c in order._cs)
+
+
+def reference_order_lattice(order):
+    """The blocks of `order_lattice(order)` by the per-element route, one
+    `witnesses.multiblock_embed` per z-basis element: each entry sigma^c(c_i)
+    and gamma sigma^c(c_i) recomputed and re-embedded in every row that
+    holds it."""
+    return np.array([multiblock_embed(order.algebra, b) for b in z_basis(order)])
+
+
 def reference_coordinates(order, a):
-    """The z-coordinates of the algebra element a over order.z_basis, as
+    """The z-coordinates of the algebra element a over z_basis(order), as
     Fractions, by Gauss-Jordan on the flat rational coordinates of the
     z-basis; a lies in the order iff every one is an integer."""
-    cols = [_flat_coords(b) for b in order.z_basis]
+    cols = [_flat_coords(b) for b in z_basis(order)]
     return fraction_solve([list(row) for row in zip(*cols)], _flat_coords(a))
 
 
@@ -471,7 +490,7 @@ def reference_z_discriminant(order):
     integer denominators, is the determinant of the reduced-trace form, the
     order discriminant on which the paper's gap to capacity depends."""
     alg, K = order.algebra, order.algebra.center
-    basis = order.z_basis
+    basis = z_basis(order)
     r = len(basis)
     gram = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):

@@ -460,6 +460,26 @@ def test_grid_carve_searches_the_shifts_once(monkeypatch):
     assert streams == [(0xCA,)]
 
 
+def test_fading_grid_factors_each_chunk_once(monkeypatch, capsys):
+    # the faded bases H_t (U B) do not depend on alpha, so one stacked QR
+    # per chunk serves the uncertified trials of all three points: in
+    # chunks of 7 trials, 3 stacks holding the 12 trials that 8 dB searches
+    # (a point at a higher SNR searches a subset of them), where one stack
+    # per chunk and point held 20 bases in 9 stacks
+    from multiblock import lattice, sim
+    stack, sizes = lattice.PreparedCVP.stack, []
+    monkeypatch.setattr(lattice.PreparedCVP, "stack", classmethod(
+        lambda cls, bases: sizes.append(len(bases)) or stack(bases)))
+    assert main(GOLDEN_GRID) == 0
+    whole = capsys.readouterr().out
+    assert len(sizes) == 1 and sum(sizes) == 12
+    sizes.clear()
+    monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
+    assert main(GOLDEN_GRID) == 0
+    assert capsys.readouterr().out == whole
+    assert len(sizes) == 3 and sum(sizes) == 12
+
+
 def test_every_carve_failing_runs_no_trial(tmp_path):
     # with no codebook there is no trial, so a singular fixed H is never
     # rank-checked: the run exits 0 with one flag row per point

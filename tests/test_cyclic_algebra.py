@@ -3,15 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multiblock import cyclic_algebra
+from multiblock import cyclic_algebra, numfield
+from multiblock.catalog import load_catalog
 from multiblock.cli import main
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
 from multiblock.errors import CatalogInconsistent, PrecisionFailure
 from multiblock.lattice import field_lattice, min_pdet
 from multiblock.numfield import NumberField
 
-from oracles import reference_coordinates, reference_z_discriminant
-from witnesses import algebra_one, algebra_u, pdet, trivial_algebra
+from oracles import (reference_coordinates, reference_order_lattice,
+                     reference_z_discriminant, z_basis)
+from witnesses import (algebra_one, algebra_u, multiblock_embed, pdet,
+                       reduced_norm, trivial_algebra)
 
 # z-discriminants frozen after dual-route verification (exact trace form vs
 # the float Gram volume identity Vol = 2^{-kn^2} sqrt|d|)
@@ -36,12 +39,12 @@ def _gamma_theta(q_i):
 def test_left_regular_of_one_is_identity(golden, zeta20, cube2, q_i):
     for alg in (golden, zeta20, cube2, _gamma_theta(q_i)):
         for i in range(alg.k):
-            assert np.allclose(alg.multiblock_embed(algebra_one(alg))[i],
+            assert np.allclose(multiblock_embed(alg, algebra_one(alg))[i],
                                np.eye(alg.n), atol=1e-12)
 
 
 def test_golden_phi_u(golden):
-    M = golden.multiblock_embed(algebra_u(golden))[0]
+    M = multiblock_embed(golden, algebra_u(golden))[0]
     assert np.allclose(M, np.array([[0, 1j], [1, 0]]), atol=1e-12)
     det = np.linalg.det(M)
     assert abs(det - (-1j)) < 1e-12
@@ -52,7 +55,7 @@ def test_u_relation_all_embeddings(golden, zeta20, cube2, q_i):
     for alg in (golden, zeta20, cube2, _gamma_theta(q_i)):
         u = algebra_u(alg)
         for i in range(alg.k):
-            M = alg.multiblock_embed(u)[i]
+            M = multiblock_embed(alg, u)[i]
             P = np.linalg.matrix_power(M, alg.n)
             g = alg.center.canonical_embed(alg.gamma)[i]
             assert np.max(np.abs(P - g * np.eye(alg.n))) < 1e-9
@@ -65,39 +68,81 @@ def test_representation_multiplicative(golden, zeta20, golden_order, zeta20_orde
             a, _ = random_order_element(order, rng)
             b, _ = random_order_element(order, rng)
             ab = alg.product(a, b)
-            lhs = alg.multiblock_embed(ab)
-            rhs = alg.multiblock_embed(a) @ alg.multiblock_embed(b)
+            lhs = multiblock_embed(alg, ab)
+            rhs = multiblock_embed(alg, a) @ multiblock_embed(alg, b)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_multiblock_embed_shapes(golden, zeta20):
-    assert golden.multiblock_embed(algebra_one(golden)).shape == (1, 2, 2)
-    blocks = zeta20.multiblock_embed(algebra_one(zeta20))
+    assert multiblock_embed(golden, algebra_one(golden)).shape == (1, 2, 2)
+    blocks = multiblock_embed(zeta20, algebra_one(zeta20))
     assert blocks.shape == (2, 2, 2)
     assert np.allclose(blocks, np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-12)
 
 
 def test_order_lattice_embeds_only_nonzero_entries(monkeypatch, golden,
                                                    zeta20):
-    # a z-basis element u^j c_i has one nonzero E-coefficient, so phi of it
-    # has n nonzero entries of n^2, each embedding its n center coefficients
+    # each c_i of the O_E basis has n images sigma^c(c_i) and n - 1 gamma
+    # multiples gamma sigma^c(c_i), c >= 1: 2n - 1 E-elements, each
+    # embedding its n center coefficients once for all the rows u^j c_i
     calls = []
     embed = NumberField.canonical_embed
     monkeypatch.setattr(NumberField, "canonical_embed",
                         lambda self, x: calls.append(x) or embed(self, x))
-    for alg, expected in ((golden, 32), (zeta20, 64)):
+    for alg, expected in ((golden, 24), (zeta20, 48)):
         order = NaturalOrder(alg)
+        N = order.rank // alg.n
         calls.clear()
-        lat = order_lattice(order)
-        assert len(calls) == lat.rank * alg.n * alg.n == expected, alg.name
+        order_lattice(order)
+        assert len(calls) == N * (2 * alg.n - 1) * alg.n == expected, alg.name
+
+
+def test_order_lattice_matches_the_per_element_route(catalog, golden, zeta20,
+                                                     cube2):
+    # byte for byte the blocks of one multiblock embedding per z-basis
+    # element, zero entries included
+    algebras = [golden, zeta20, cube2] + [trivial_algebra(catalog.field(name))
+                                          for name in sorted(catalog.fields)]
+    for alg in algebras:
+        order = NaturalOrder(alg)
+        blocks = order_lattice(order).blocks
+        ref = reference_order_lattice(order)
+        assert blocks.dtype == ref.dtype and blocks.shape == ref.shape, alg.name
+        assert blocks.tobytes() == ref.tobytes(), alg.name
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("golden", (2, 2, 7, 0)),
+    ("zeta20", (2, 0, 10, 0)),
+])
+def test_exact_set_up_multiplies_only_unknown_products(monkeypatch, name,
+                                                      expected):
+    # poly_mul calls while building the algebra (its center included), its
+    # natural order, the order's lattice and the order discriminant: a zero
+    # or unit operand takes no product (71 and 103 in all when every
+    # product was taken)
+    calls = []
+    poly_mul = numfield.poly_mul
+    monkeypatch.setattr(numfield, "poly_mul",
+                        lambda a, b: calls.append(1) or poly_mul(a, b))
+    counts = []
+    alg = load_catalog().algebra(name)       # a fresh catalog builds anew
+    counts.append(len(calls))
+    order = NaturalOrder(alg)
+    counts.append(len(calls))
+    order_lattice(order)
+    counts.append(len(calls))
+    order.z_discriminant()
+    counts.append(len(calls))
+    assert tuple(b - a for a, b in zip([0] + counts, counts)) == expected
 
 
 def test_pdet_matches_exact_reduced_norm(golden, golden_order):
     rng = np.random.default_rng(31)
     for _ in range(25):
         a, _ = random_order_element(golden_order, rng, -3, 4)
-        val = abs(pdet(golden.multiblock_embed(a))) ** 2
-        nrd = golden.reduced_norm(a)
+        val = abs(pdet(multiblock_embed(golden, a))) ** 2
+        nrd = reduced_norm(golden, a)
         exact = abs(golden.center.norm(nrd))
         assert exact.denominator == 1
         assert abs(val - float(exact)) <= 1e-6 * max(1.0, float(exact))
@@ -108,7 +153,7 @@ def test_nvd_certificate_random_elements(golden, zeta20, golden_order, zeta20_or
     for alg, order in ((golden, golden_order), (zeta20, zeta20_order)):
         for _ in range(100):
             a, _ = random_order_element(order, rng)
-            val = abs(pdet(alg.multiblock_embed(a))) ** 2
+            val = abs(pdet(multiblock_embed(alg, a))) ** 2
             nearest = round(val)
             assert nearest >= 1
             assert abs(val - nearest) <= 1e-6 * max(1.0, val)
@@ -116,7 +161,7 @@ def test_nvd_certificate_random_elements(golden, zeta20, golden_order, zeta20_or
 
 def test_order_closed_under_multiplication(golden, golden_order):
     rng = np.random.default_rng(41)
-    basis = golden_order.z_basis
+    basis = z_basis(golden_order)
     for _ in range(20):
         i, j = rng.integers(0, len(basis), size=2)
         prod = golden.product(basis[i], basis[j])
@@ -274,7 +319,7 @@ def test_element_from_z_round_trips_on_golden(golden_order):
     z = [3, -1, 0, 2, 0, 0, -5, 1]
     a = golden_order.element_from_z(z)
     assert reference_coordinates(golden_order, a) == z
-    for i, b in enumerate(golden_order.z_basis):
+    for i, b in enumerate(z_basis(golden_order)):
         unit = [int(t == i) for t in range(golden_order.rank)]
         assert golden_order.element_from_z(unit) == b
 
@@ -336,7 +381,7 @@ def test_reduced_trace_lands_in_center(golden, golden_order):
     trd = golden.reduced_trace(a[0])
     # Trd(a) = trace of phi(a) at every embedding
     for i in range(golden.k):
-        M = golden.multiblock_embed(a)[i]
+        M = multiblock_embed(golden, a)[i]
         val = golden.center.canonical_embed(trd)[i]
         assert abs(np.trace(M) - val) < 1e-9
 

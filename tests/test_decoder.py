@@ -6,7 +6,8 @@ import pytest
 from multiblock.codebook import Codebook, carve
 from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
 from multiblock.errors import DegenerateLattice, SingularChannel
-from multiblock.lattice import MatrixLattice, PreparedCVP, realify
+from multiblock.lattice import (MatrixLattice, PreparedCVP, _span_coords,
+                               realify)
 from multiblock.rng import complex_gaussian, philox
 
 from witnesses import mismatched_bound, qr_reduce
@@ -279,14 +280,36 @@ def test_empty_residual_stack_decides_nothing(golden_lattice):
     dec = LatticeDecoder(np.broadcast_to(np.eye(2, dtype=complex), (k, 2, 2)),
                          1.0, golden_lattice)
     assert dec.decodes_to(np.zeros((0, k, 2, 2), dtype=complex)) == []
-    y, offset2 = dec.prepared.project(np.zeros((0, dec.prepared.Q.shape[0])))
-    assert y.shape == (0, dec.prepared.rank) and offset2.shape == (0,)
+
+
+def test_project_reads_one_target(golden_lattice):
+    # golden faded by the 3 x 2 identity spans 8 of 12 dimensions: y is the
+    # target's row of the stacked span coordinates, bit for bit, and offset2
+    # a float, its squared distance to the span, never below 0 (a target in
+    # the span may round t.t - y.y below 0)
+    H = np.broadcast_to(np.eye(3, 2, dtype=complex), (golden_lattice.k, 3, 2))
+    prep = golden_lattice.faded_cvp(H)
+    gen = philox(53, 0)
+    off = gen.standard_normal((20, 12))
+    inside = gen.standard_normal((200, prep.rank)) @ prep.Q.T
+    clipped = 0
+    for targets in (off, inside):
+        rows = _span_coords(prep.Q, targets)
+        for t, row in zip(targets, rows):
+            y, offset2 = prep.project(t)
+            assert y.tobytes() == row.tobytes()
+            assert type(offset2) is float and offset2 >= 0.0
+            dist2 = float(np.sum((t - prep.Q @ y) ** 2))
+            assert offset2 == pytest.approx(dist2, rel=1e-9, abs=1e-12)
+            clipped += float(t @ t - y @ y) < 0.0
+    assert clipped > 0      # the floor at 0 is exercised
 
 
 def test_empty_fade_stack_decides_nothing(golden_lattice):
     k = golden_lattice.k
     empty = np.zeros((0, k, 2, 2), dtype=complex)
-    assert faded_decodes_to(empty, 1.0, golden_lattice, empty) == []
+    assert faded_decodes_to(empty, golden_lattice,
+                            [(1.0, np.arange(0), empty)]) == [[]]
 
 
 @pytest.mark.parametrize("entry", [0.0, np.nan])
@@ -303,7 +326,7 @@ def test_degenerate_fade_raises_before_any_search(golden_lattice, monkeypatch,
 
     monkeypatch.setattr(PreparedCVP, "exists_closer", no_search)
     with pytest.raises(DegenerateLattice):
-        faded_decodes_to(H, 1.0, golden_lattice, W)
+        faded_decodes_to(H, golden_lattice, [(1.0, np.arange(3), W)])
 
 
 def test_ml_decodes_the_sent_word_where_far_metrics_overflow(qi_lattice):

@@ -71,6 +71,28 @@ def test_mul_matches_fraction_reference(catalog, data):
 
 @PROPERTY
 @given(st.data())
+def test_zero_or_unit_operand_gives_the_full_product(catalog, data):
+    # such products return at once, with the (nums, den) of the Fraction
+    # route; operands of two fields are still refused first
+    K = draw_field(data, catalog)
+    x = draw_element(data, K)
+    # built afresh, so they are recognized by value, not by identity
+    trivial = data.draw(st.sampled_from([K.element([0] * K.degree),
+                                         K.from_theta_poly([1])]))
+    for a, b in ((x, trivial), (trivial, x), (trivial, trivial)):
+        ref = reference_field_mul(K, a, b)
+        prod = a * b
+        assert (prod.nums, prod.den) == (ref.nums, ref.den)
+    other = data.draw(st.sampled_from([L for L in all_fields(catalog)
+                                       if L is not K]))
+    for y in (other.zero(), other.one()):
+        for a, b in ((x, y), (y, x), (trivial, y), (y, trivial)):
+            with pytest.raises(ValueError):
+                a * b
+
+
+@PROPERTY
+@given(st.data())
 def test_mul_is_associative_and_commutative(catalog, data):
     K = draw_field(data, catalog)
     a, b, c = (draw_element(data, K) for _ in range(3))

@@ -37,6 +37,24 @@ def test_realify_convention():
     assert np.allclose(realify(X), [1, 2, 3, 4, 5, 6, 7, 8])
 
 
+def test_points_are_the_tensordot_product_bit_for_bit(golden_lattice,
+                                                      zeta20_lattice,
+                                                      qi_lattice):
+    # one matrix product on the operands np.tensordot forms
+    gen = philox(61, 0)
+    for lat in (golden_lattice, zeta20_lattice, qi_lattice):
+        rows = gen.integers(-4, 5, size=(9, lat.rank))
+        coords = gen.standard_normal(lat.rank)
+        want = np.tensordot(rows.astype(float), lat.blocks, axes=(1, 0))
+        assert lat.points(rows).shape == want.shape
+        assert lat.points(rows).tobytes() == want.tobytes()
+        want = np.tensordot(coords, lat.blocks, axes=(0, 0))
+        assert lat.point(coords).shape == want.shape
+        assert lat.point(coords).tobytes() == want.tobytes()
+        assert lat.point(rows[0].tolist()).tobytes() == \
+            lat.points(rows[:1])[0].tobytes()
+
+
 def test_gram_is_re_trace_inner_product(golden_lattice):
     L = golden_lattice
     for i in range(L.rank):

@@ -245,14 +245,21 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
     if "lattice" not in decoders:
         assert searches == [] and masks == []
         return
-    # the loop asks point p's certificate, then searches, in chunk c as its
-    # (c * points + p)-th certificate: split the log by point
-    ends = [n for _, n in masks[1:]] + [len(searches)]
+    # chunk c asks every point's certificate, point p's as its (c * points
+    # + p)-th, before any search; then it searches the trials each left
+    # unproved, point by point: split the log by point
     per_point = [([], []) for _ in points]
-    for i, ((mask, begin), end) in enumerate(zip(masks, ends)):
+    at = 0
+    for i, (mask, begin) in enumerate(masks):
+        if i % len(points) == 0:
+            chunk_start = at
+        assert begin == chunk_start
         proved, searched = per_point[i % len(points)]
         proved.extend(mask.tolist())
-        searched.extend(searches[begin:end])
+        end = at + int(np.count_nonzero(~mask))
+        searched.extend(searches[at:end])
+        at = end
+    assert at == len(searches)
     for p, (proved, searched) in enumerate(per_point):
         reference = reference_searches[p]
         # the reference searched every trial; the loop searched exactly the
@@ -381,7 +388,7 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     if kind == "constant":
         got = shared_fade_decodes_to(lat.faded_cvp(H[0]), alpha, W)
     else:
-        got = faded_decodes_to(H, alpha, lat, W)
+        [got] = faded_decodes_to(H, lat, [(alpha, np.arange(len(H)), W)])
     assert len(got) == len(streams)
     for t in range(len(streams)):
         ((ok, _),) = LatticeDecoder(H[t], alpha, lat).decodes_to(W[t:t + 1])
@@ -397,8 +404,40 @@ def test_lattice_searches_decide_both_ways_on_fades(catalog):
     streams = [(t,) for t in range(40)]
     H = channel.sample_stack(model, lat.k, 5, streams)
     W = channel.transmit_stack(np.zeros_like(H), H, 5, streams, False)
-    oks = [ok for ok, _ in faded_decodes_to(H, alpha, lat, W)]
+    [outcomes] = faded_decodes_to(H, lat, [(alpha, np.arange(len(H)), W)])
+    oks = [ok for ok, _ in outcomes]
     assert True in oks and False in oks
+
+
+def test_grid_search_decides_as_each_point_alone(catalog, monkeypatch):
+    # one stacked QR over the union of the points' trials gives each point
+    # the span coordinates, outcomes and node counts, bit for bit, of a
+    # stack of its own trials
+    lat = _lattice(catalog, "zeta20")
+    model = FadingModel(kind="iid_rayleigh", n=2, n_r=3)
+    streams = [(t,) for t in range(40)]
+    H = channel.sample_stack(model, lat.k, 11, streams)
+    W = channel.transmit_stack(np.zeros((40, lat.k, 2, 2)), H, 11, streams,
+                               False)
+    gen = philox(11, 0x5E)
+    searches = []
+    for snr_db in (8.0, 12.0, 16.0):
+        alpha = scaling_alpha(10.0 ** (snr_db / 10.0), 1.0, lat.n, lat.k,
+                              lat.volume)
+        rows = np.flatnonzero(gen.random(40) < 0.6)
+        searches.append((alpha, rows, W[rows]))
+    log = _recording_searches(monkeypatch)
+    got = faded_decodes_to(H, lat, searches)
+    grid, alone = list(log), []
+    for (alpha, rows, W_p), outcomes in zip(searches, got):
+        log.clear()
+        assert faded_decodes_to(H[rows], lat,
+                                [(alpha, np.arange(len(rows)), W_p)]) == \
+            [outcomes]
+        alone.extend(log)
+    assert grid == alone
+    oks = {ok for outcomes in got for ok, _ in outcomes}
+    assert oks == {True, False}      # both outcomes exercised
 
 
 def test_chunk_bound_counts_faded_bases(catalog):

@@ -30,7 +30,6 @@ TEST_ONLY = {
     "decoder.py: LatticeDecoder.decodes_to": TRACED,
     "lattice.py: PreparedCVP.closest": "LatticeDecoder.decode builds on it",
     "cyclic_algebra.py: CyclicAlgebra.product": EXACT_NORM,
-    "cyclic_algebra.py: CyclicAlgebra.reduced_norm": EXACT_NORM,
     "cyclic_algebra.py: NaturalOrder.element_from_z": EXACT_NORM,
 }
 

@@ -1,6 +1,8 @@
 """Witnesses of the paper's side claims that no command runs, each naming
 the claim its tests check."""
 
+from itertools import combinations, permutations
+
 import numpy as np
 
 from multiblock.channel import check_full_rank
@@ -56,6 +58,52 @@ def mismatched_bound(H, X):
     lam = np.clip(np.linalg.eigvalsh(H.conj().T @ H), 0.0, None)
     ell = np.clip(np.linalg.eigvalsh(X @ X.conj().T)[::-1], 0.0, None)
     return float(lam @ ell)
+
+
+def phi_entries(alg, a):
+    """Left-regular matrix phi(a) of an element a of the cyclic algebra alg,
+    with exact E-element entries: entry (r, c) is sigma^c(a_{(r-c) mod n}),
+    multiplied by gamma above the diagonal.  The matrix both witnesses
+    below read."""
+    n = alg.n
+    images = [[alg.sigma_pow(a[(r - c) % n], c) for c in range(n)]
+              for r in range(n)]
+    return [[alg.e_scale(e, alg.gamma) if r < c else e
+             for c, e in enumerate(row)] for r, row in enumerate(images)]
+
+
+def multiblock_embed(alg, a):
+    """(alpha_1(A), ..., alpha_k(A)) as k n x n blocks for an element a of
+    the cyclic algebra alg: phi(a) (`phi_entries`) at each chosen
+    embedding; a zero entry stays 0.  Witness that the multiblock embedding
+    is multiplicative, phi(ab) = phi(a) phi(b), on which the paper's
+    nonvanishing determinant argument rests, and the per-element route
+    that `order_lattice` replaced (see `oracles.reference_order_lattice`)."""
+    blocks = np.zeros((alg.k, alg.n, alg.n), dtype=complex)
+    for r, row in enumerate(phi_entries(alg, a)):
+        for c, entry in enumerate(row):
+            if not all(x.is_zero() for x in entry):
+                blocks[:, r, c] = alg.embed_e(entry)
+    return blocks
+
+
+def reduced_norm(alg, a):
+    """Nrd(a) = det(phi(a)) as an exact element of the center K of the
+    cyclic algebra alg (Leibniz expansion, fine for the catalog degrees
+    n <= 3).  Witness of the NVD mechanism |pdet(phi(a))|^2 =
+    |N_{K/Q}(Nrd a)|, a nonzero integer for every nonzero a of the natural
+    order of a division algebra."""
+    phi = phi_entries(alg, a)
+    acc = alg.e_zero()
+    for perm in permutations(range(alg.n)):
+        term = alg.e_scalar(alg.center.one())
+        for r, c in enumerate(perm):
+            term = alg.e_mul(term, phi[r][c])
+        # the sign of perm is the parity of its inversion count
+        if sum(x > y for x, y in combinations(perm, 2)) % 2:
+            term = alg.e_scale(term, -1)
+        acc = alg.e_add(acc, term)
+    return alg._in_center(acc, "reduced norm")
 
 
 def trivial_algebra(field):
