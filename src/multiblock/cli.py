@@ -416,7 +416,10 @@ def build_parser():
                    help="lattice family constant C_L")
     p.add_argument("--delta", type=float, default=None,
                    help="large-deviation delta in nats")
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=int, default=20000,
+                   help="capacity fades; a correlated model draws chains x "
+                        "floor(samples / chains) of them, chains = max(8, "
+                        "min(64, floor(samples / 64))), so it needs >= 8")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_rates)
@@ -448,7 +451,9 @@ def main(argv=None):
             SingularChannel, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (CatalogError, CarveFailed, DomainError, ValueError, OSError) as exc:
+    # an array too large to allocate is one the options asked for
+    except (CatalogError, CarveFailed, DomainError, ValueError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

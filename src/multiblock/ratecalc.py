@@ -70,14 +70,32 @@ def _theorem_rate(mu, P, n, n_r, C_L):
 def _capacity_grams(model, samples, seed):
     """H^dag H of the fades of a capacity estimate: (samples, n, n) i.i.d.
     blocks on the stream (seed, 0xE7), else (chains, length, n, n), chain c
-    at seed path (seed, c)."""
+    at seed path (seed, c): chains = max(8, min(64, samples // 64)) chains of
+    length samples // chains, so a correlated model needs samples >= 8."""
     if model.kind == "iid_rayleigh" or model.rho == 0.0:
         H = complex_gaussian(philox(seed, 0xE7), (samples, model.n_r, model.n))
     else:
+        if samples < 8:
+            raise DomainError(f"a correlated model draws at least 8 chains, "
+                              f"so it needs samples >= 8, not {samples}")
         chains = max(8, min(64, samples // 64))
-        H = channel.sample_stack(model, max(1, samples // chains), seed,
+        H = channel.sample_stack(model, samples // chains, seed,
                                  [(c,) for c in range(chains)])
     return H.conj().swapaxes(-1, -2) @ H
+
+
+def _log2det_hpd(A):
+    """log2 det A for each Hermitian positive definite matrix of a stack
+    (..., m, m): the sum of the logs of the pivots of one elimination
+    without pivoting, run across the whole stack.  Each pivot of such a
+    matrix is real and positive, and the elimination is backward stable."""
+    logs = 0.0
+    for _ in range(A.shape[-1]):
+        piv = A[..., 0, 0].real
+        logs = logs + np.log(piv)
+        A = (A[..., 1:, 1:]
+             - A[..., 1:, :1] / piv[..., None, None] * A[..., :1, 1:])
+    return logs / LOG2
 
 
 def ergodic_capacity_mc(model, powers, samples, seed):
@@ -91,12 +109,12 @@ def ergodic_capacity_mc(model, powers, samples, seed):
     if model.kind == "constant":    # no sampling: log2 det(I + (P/n) H H^dag)
         H = model.fixed_H
         G = H @ H.conj().T
-        return [(float(np.linalg.slogdet(np.eye(model.n_r) + (P / n) * G)[1]
-                       / LOG2), 0.0) for P in powers]
+        return [(float(_log2det_hpd(np.eye(model.n_r) + (P / n) * G)), 0.0)
+                for P in powers]
     G = _capacity_grams(model, samples, seed)
     estimates = []
     for P in powers:
-        vals = np.linalg.slogdet(np.eye(n) + (P / n) * G)[1] / LOG2
+        vals = _log2det_hpd(np.eye(n) + (P / n) * G)
         if vals.ndim == 2:      # chains: the mean of each is one sample
             vals = vals.mean(axis=1)
         estimates.append((float(vals.mean()),
@@ -129,16 +147,18 @@ def chernoff(n, n_r, delta):
     if _vdelta_gap(n, n_r, hi) < delta:
         raise DomainError(f"delta = {delta} not reachable below the pole at {pole}")
     lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _vdelta_gap(n, n_r, mid) < delta:
-            lo = mid
-        else:
-            hi = mid
-        if abs(_vdelta_gap(n, n_r, 0.5 * (lo + hi)) - delta) < 1e-10:
-            break
     v = 0.5 * (lo + hi)
-    if abs(_vdelta_gap(n, n_r, v) - delta) >= 1e-10:
+    gap = _vdelta_gap(n, n_r, v)
+    for _ in range(200):
+        if gap < delta:
+            lo = v
+        else:
+            hi = v
+        v = 0.5 * (lo + hi)
+        gap = _vdelta_gap(n, n_r, v)
+        if abs(gap - delta) < 1e-10:
+            break
+    if abs(gap - delta) >= 1e-10:
         raise DomainError("bisection failed to reach residual 1e-10")
     K = -sum(v * digamma(j - v) - math.lgamma(j) + math.lgamma(j - v)
              for j in range(pole, n_r + 1))
@@ -183,8 +203,9 @@ def rate_report(model, powers, C_L, samples=20000, seed=0):
     if not 0 < C_L < math.inf:
         raise DomainError(f"C_L must be finite and > 0, not {C_L}")
     n, n_r = model.n, model.n_r
-    # an estimate that overflows is refused below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an estimate that overflows, or meets a zero pivot, is refused below,
+    # not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         estimates = ergodic_capacity_mc(model, powers, samples, seed)
     if model.kind == "constant":
         mu = channel.logdet_statistic(model.fixed_H[None])

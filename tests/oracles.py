@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from multiblock import channel, codebook
+from multiblock import channel, codebook, ratecalc
 from multiblock.codebook import Codebook, count_points_in_ball, scaling_alpha
 from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
 from multiblock.errors import BudgetExceeded, CarveFailed
@@ -503,7 +503,9 @@ def reference_z_discriminant(order):
 def reference_gauss_markov_capacity(model, P, samples, seed):
     """ratecalc.ergodic_capacity_mc on a correlated model as it drew its
     chains, one `channel.sample` at a time: the reference for the stacked
-    draw.  Returns (estimate, standard error)."""
+    draw.  Each chain's log-dets are ratecalc's own `_log2det_hpd`, so the
+    reference pins the stacking, not the elimination.  Returns (estimate,
+    standard error)."""
     n = model.n
     chains = max(8, min(64, samples // 64))
     length = max(1, samples // chains)
@@ -511,8 +513,7 @@ def reference_gauss_markov_capacity(model, P, samples, seed):
     for c in range(chains):
         H = channel.sample(model, length, (seed, c))
         grams = np.eye(n) + (P / n) * (H.conj().swapaxes(1, 2) @ H)
-        vals = np.linalg.slogdet(grams)[1] / math.log(2.0)
-        means.append(vals.mean())
+        means.append(ratecalc._log2det_hpd(grams).mean())
     means = np.array(means)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(chains))
 

@@ -965,6 +965,14 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
     ["simulate", "--field", "q_i", "--model", "constant", "--snr-db", "10",
      "--rate", "1e308", "--trials", "5", "--seed", "1", "--decoder",
      "lattice", "--infinite"],
+    # a correlated model's capacity draws at least 8 chains of one block
+    ["rates", "--model", "gauss_markov", "--rho", "0.5", "--n", "1", "--nr",
+     "1", "--snr-db", "10", "--cl", "4", "--samples", "3"],
+    # more fades than any address space holds: refused at allocation
+    ["rates", "--n", "2", "--nr", "2", "--snr-db", "10", "--cl", "4",
+     "--samples", str(10 ** 17)],
+    ["rates", "--model", "gauss_markov", "--rho", "0.7", "--n", "2", "--nr",
+     "2", "--snr-db", "10", "--cl", "4", "--samples", str(10 ** 17)],
 ])
 def test_out_of_range_value_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -1000,6 +1008,21 @@ def test_non_finite_capacity_exits_3(capsys):
     # its standard error nan, which no CSV row may carry
     assert main(["rates", "--n", "1", "--nr", "1", "--snr-db", "3080",
                  "--cl", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "numerical failure: capacity estimate")
+
+
+@pytest.mark.parametrize("args", [
+    "--n 2 --nr 2 --snr-db 3080 --cl 4",
+    # a rank-one H^dag H at 160 dB: a Schur complement cancels to zero
+    "--n 2 --nr 1 --snr-db 160 --cl 4",
+])
+def test_capacity_elimination_failure_exits_3_without_a_warning(capsys, args):
+    # the elimination's overflow, invalid and zero-pivot steps are refused
+    # as one line; a numpy warning would be an error under this suite's
+    # filter
+    assert main(["rates"] + args.split()) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, "numerical failure: capacity estimate")

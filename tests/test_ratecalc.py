@@ -7,7 +7,7 @@ from scipy import integrate, special
 from multiblock import ratecalc as rc
 from multiblock.channel import FadingModel
 from multiblock.errors import DomainError, SingularChannel
-from multiblock.rng import philox
+from multiblock.rng import complex_gaussian, philox
 
 from oracles import reference_gauss_markov_capacity
 
@@ -201,7 +201,46 @@ def test_stacked_gauss_markov_capacity_matches_per_chain_loop(n, n_r, rho,
         for P in powers]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_log2det_hpd_matches_slogdet(n):
+    # the unpivoted elimination across a stack against LAPACK's pivoted LU,
+    # on I + (P/n) H^dag H in the i.i.d. (samples, n, n) and the chains'
+    # (chains, length, n, n) shapes, from far below to far above the noise
+    H = complex_gaussian(philox(17, n), (1000, n, n))
+    G = H.conj().swapaxes(-1, -2) @ H
+    for P in np.logspace(-6, 12, 19):
+        A = np.eye(n) + (P / n) * G
+        for stack in (A, A.reshape(20, 50, n, n)):
+            got = rc._log2det_hpd(stack)
+            want = np.linalg.slogdet(stack)[1] / LN2
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want)
+                          <= 1e-11 * np.maximum(1.0, np.abs(want))), P
+
+
+def test_correlated_capacity_needs_eight_samples():
+    # the chains are at least 8, each at least one block long
+    gm = FadingModel(kind="gauss_markov", n=1, n_r=1, rho=0.5)
+    with pytest.raises(DomainError, match="samples >= 8, not 7"):
+        rc.ergodic_capacity_mc(gm, [10.0], 7, seed=1)
+    assert len(rc.ergodic_capacity_mc(gm, [10.0], 8, seed=1)) == 1
+    # at rho = 0 the blocks are i.i.d.: one stream, no chains
+    iid = FadingModel(kind="gauss_markov", n=1, n_r=1, rho=0.0)
+    assert len(rc.ergodic_capacity_mc(iid, [10.0], 3, seed=1)) == 1
+
+
 # -- Chernoff machinery -------------------------------------------------------
+
+def test_chernoff_evaluates_each_point_once(monkeypatch):
+    # the residual check reads the gap that the next step compares, so the
+    # reachability check near the pole and each of the 34 midpoints of this
+    # solve are evaluated once
+    calls, real = [], rc._vdelta_gap
+    monkeypatch.setattr(rc, "_vdelta_gap", lambda n, n_r, v:
+                        calls.append(v) or real(n, n_r, v))
+    rc.chernoff(2, 2, 0.5)
+    assert len(calls) == len(set(calls)) == 35
+
 
 def test_vdelta_forced_point():
     # psi(1) - psi(1/2) = 2 ln 2 pins v at exactly 1/2
