@@ -6,7 +6,10 @@ denominator, so the hot paths build no per-coefficient Fraction; a Fraction
 appears only where a result leaves as one.  Determinants and inverses take
 integer rows (an inverse also their one denominator) and use fraction-free
 elimination (Bareiss 1968; Cohen, *A Course in Computational Algebraic
-Number Theory*, Alg. 2.2.6), whose every division is exact.  Used
+Number Theory*, Alg. 2.2.6), whose every division is exact.  A row whose
+multiplier is 0 while the pivot equals the previous one is skipped, since
+that step gives it back unchanged: the identity, the basis matrix of every
+catalog field, costs O(n^2).  Used
 wherever a result must be a provably exact integer (field discriminants,
 order discriminants, algebraic norms).  Geometry elsewhere runs in doubles.
 """
@@ -27,7 +30,8 @@ def common_denominator(values):
 
 
 def poly_mul(a, b):
-    """Product of two integer polynomials (ascending, untrimmed)."""
+    """Product of two polynomials (ascending, untrimmed): integer ones in
+    exact arithmetic, float ones in the irreducibility screen."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -108,8 +112,9 @@ def bareiss_det(rows):
         p, row_k = a[k][k], a[k]
         for row_i in a[k + 1:]:
             f = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
+            if f or p != prev:      # else the step gives the row back
+                for j in range(k + 1, n):
+                    row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
         prev = p
     return sign * a[n - 1][n - 1] if n else 1
 
@@ -135,6 +140,8 @@ def inverse(rows, den):
             if i == k:
                 continue
             f = row_i[k]
+            if not f and p == prev:     # the step gives the row back
+                continue
             for j in range(2 * n):
                 if j != k:
                     row_i[j] = (p * row_i[j] - f * row_k[j]) // prev

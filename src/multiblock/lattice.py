@@ -19,11 +19,11 @@ command searches gets LLL(0.99) preprocessing once: the lattice's own
 basis, and on a constant channel the faded lattice H L.  A stack of faded
 bases that each serve one search (a fading channel's, faded from the
 lattice's LLL basis) is QR-factored as given, in one stacked pass.  The
-LLL computes Gram-Schmidt data once by QR and updates it in place after
-each size reduction and swap, recomputing it by QR when a large
-size-reduction coefficient signals lost precision.  Its unimodular
-transform is an int64 array, and enumeration coordinates map back to the
-input basis by one matrix product.
+LLL computes Gram-Schmidt data once by QR and updates it in place, on
+lists of Python floats, after each size reduction and swap, recomputing it
+by QR when a large size-reduction coefficient signals lost precision.  It
+returns its unimodular transform as an int64 array, and enumeration
+coordinates map back to the input basis by one matrix product.
 """
 
 import math
@@ -126,14 +126,13 @@ class MatrixLattice:
 
 def field_lattice(field):
     """Canonical embedding of the ring of integers of a totally complex
-    field, as a rank-2k lattice of 1x1 blocks.  Its det_min is 1: a nonzero
+    field, as a rank-2k lattice of 1x1 blocks: basis row j holds the values
+    of the integral basis element w_j at the k chosen roots, the field's
+    table of basis values read by column.  Its det_min is 1: a nonzero
     integer a has |pdet| = sqrt|N(a)| >= 1."""
-    k = field.k
-    blocks = np.empty((field.degree, k, 1, 1), dtype=complex)
-    for j in range(field.degree):
-        w = field.element([1 if t == j else 0 for t in range(field.degree)])
-        blocks[j, :, 0, 0] = field.canonical_embed(w)
-    return MatrixLattice(blocks, det_min=1.0)
+    values = field._basis_values[:field.k].T
+    return MatrixLattice(values.reshape(field.degree, field.k, 1, 1).copy(),
+                         det_min=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,38 +160,47 @@ def lll_reduce(basis):
     (Schnorr-Euchner 1994).  PrecisionFailure is raised before an entry of U
     could exceed 2^52, beyond which the float rows would no longer equal
     U @ basis exactly (and int64 arithmetic could wrap).  A non-finite entry
-    raises DegenerateLattice: no reduction of such a basis terminates."""
+    raises DegenerateLattice: no reduction of such a basis terminates.
+
+    The rows of the basis, of mu and of U are lists of Python floats and
+    ints, which below rank about 40 (the catalog's lattices have rank at
+    most 16) cost less than numpy's per-call dispatch on rows this short.
+    Each step makes the float operations of the array version, in the same
+    order, so the outputs are the same bits; that version is
+    `oracles.reference_numpy_lll` in the tests."""
     b = np.array(basis, dtype=float)
     if not np.all(np.isfinite(b)):
         raise DegenerateLattice("LLL input has a non-finite entry")
     r = b.shape[0]
     mu, B = _gso(b)
-    # rows are held in lists so that a swap exchanges two references
-    b = list(b)
-    U = list(np.eye(r, dtype=np.int64))
+    # a swap exchanges two row references
+    b, mu = b.tolist(), mu.tolist()
+    U = np.eye(r, dtype=np.int64).tolist()
     ubound = [1.0] * r      # upper bounds on max |U[i]|, refreshed on demand
     k = 1
     while k < r:
         lost_precision = False
-        row = mu[k].tolist()
+        row = mu[k]
         for j in range(k - 1, -1, -1):
             if abs(row[j]) > LLL_ETA:
                 q = round(row[j])
                 bound = ubound[k] + abs(q) * ubound[j]
                 if bound > _U_LIMIT:
-                    ubound = np.abs(U).max(axis=1).astype(float).tolist()
+                    ubound = [float(max(map(abs, u))) for u in U]
                     bound = ubound[k] + abs(q) * ubound[j]
                     if bound > _U_LIMIT:
                         raise PrecisionFailure(
                             "LLL transform entries exceed 2^52")
                 ubound[k] = bound
                 lost_precision = lost_precision or abs(q) > _Q_GUARD
-                b[k] -= q * b[j]
-                U[k] -= q * U[j]
-                mu[k, :j + 1] -= q * mu[j, :j + 1]      # mu[j, j] == 1
-                row = mu[k].tolist()
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                U[k] = [x - q * y for x, y in zip(U[k], U[j])]
+                mu_j = mu[j]
+                for i in range(j + 1):      # mu[j][j] == 1
+                    row[i] -= q * mu_j[i]
         if lost_precision:
             mu, B = _gso(np.array(b))
+            mu = mu.tolist()
             continue
         m = row[k - 1]
         if B[k] >= (LLL_DELTA - m * m) * B[k - 1]:
@@ -201,17 +209,21 @@ def lll_reduce(basis):
         b[k - 1], b[k] = b[k], b[k - 1]
         U[k - 1], U[k] = U[k], U[k - 1]
         ubound[k - 1], ubound[k] = ubound[k], ubound[k - 1]
-        mu[[k - 1, k], :k - 1] = mu[[k, k - 1], :k - 1]
         Bk1 = B[k] + m * m * B[k - 1]
         m_new = m * B[k - 1] / Bk1
         B[k] = B[k - 1] * B[k] / Bk1
         B[k - 1] = Bk1
-        mu[k, k - 1] = m_new
-        t = mu[k + 1:, k].copy()
-        mu[k + 1:, k] = mu[k + 1:, k - 1] - m * t
-        mu[k + 1:, k - 1] = t + m_new * mu[k + 1:, k]
+        # rows k-1 and k trade their first k-1 entries: swap the rows, then
+        # set their entries at the diagonal (those above it are never read)
+        mu[k - 1], mu[k] = row, mu[k - 1]
+        row[k - 1] = 1.0
+        mu[k][k - 1], mu[k][k] = m_new, 1.0
+        for mu_i in mu[k + 1:]:
+            t = mu_i[k]
+            mu_i[k] = mu_i[k - 1] - m * t
+            mu_i[k - 1] = t + m_new * mu_i[k]
         k = max(k - 1, 1)
-    return np.array(b), np.array(U)
+    return np.array(b), np.array(U, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ is held as integer numerators over one common denominator, and products
 are taken on the integer theta polynomials modulo the minimal polynomial
 (a zero or unit operand takes none).
 The relative canonical embedding (one root per complex-conjugate pair,
-positive imaginary part) is computed in doubles.
+positive imaginary part) is computed in doubles.  Roots are found and
+Newton-polished in numpy (its complex array multiply is fused on some
+hosts, so polishing on Python numbers would move their bits); after that
+the constructor works on Python complex numbers, whose arithmetic gives
+the same unfused results as numpy scalars without their dispatch.
 """
 
 import itertools
@@ -151,9 +155,10 @@ class NumberField:
         self.disc_expected = disc_expected
         self.suboptimal = suboptimal
 
-        roots = polished_roots(self.min_poly, ROOT_RESIDUAL_TOL, name)
+        roots = polished_roots(self.min_poly, ROOT_RESIDUAL_TOL, name).tolist()
         self._check_irreducible(roots)
-        self.roots = self._choose_embeddings(roots)
+        roots = self._choose_embeddings(roots)
+        self.roots = np.array(roots)
 
         # change of basis: column j = theta-power coefficients of basis[j],
         # held as integer numerators over one denominator
@@ -166,15 +171,12 @@ class NumberField:
         self._basis_det = bareiss_det(self._basis_mat)
         if self._basis_det == 0:
             raise CatalogInconsistent(f"{name}: integral basis is not linearly independent")
-        # Tr(theta^m), m = 0..3n-3: integers, theta being an algebraic
-        # integer; trace_form reads them all, discriminant those to 2n-2
-        self._theta_traces = power_sums(self.min_poly, 3 * (n - 1))
         self._disc = None
         # complex values of each basis element at every root (2k x 2k), each
         # coefficient converted to a double once
         float_basis = [[complex(float(c)) for c in b] for b in self.basis]
         self._basis_values = np.array(
-            [[_eval_poly(b, r) for b in float_basis] for r in self.roots])
+            [[_eval_poly(b, r) for b in float_basis] for r in roots])
 
     @cached_property
     def _basis_inv(self):
@@ -182,6 +184,12 @@ class NumberField:
         denominator); computed when the field first maps a theta polynomial
         back to the integral basis."""
         return inverse(self._basis_mat, self._basis_den)
+
+    @cached_property
+    def _theta_traces(self):
+        """Tr(theta^m), m = 0..3n-3: integers, theta being an algebraic
+        integer; trace_form reads them all, discriminant those to 2n-2."""
+        return power_sums(self.min_poly, 3 * (self.degree - 1))
 
     # -- construction checks ------------------------------------------------
 
@@ -192,22 +200,26 @@ class NumberField:
         every such product is tried.  Floats only choose the candidates: a
         product whose x^(deg g - 1) coefficient lies more than 1e-3 from an
         integer is skipped, and the rest is rounded to integers and rejected
-        only when it divides min_poly exactly."""
-        # (sum of the atom's roots, ascending coefficients)
-        atoms = ([(r.real, np.array([-r.real, 1.0]))
-                  for r in roots if abs(r.imag) < REAL_ROOT_TOL]
-                 + [(2 * r.real, np.array([abs(r) ** 2, -2 * r.real, 1.0]))
-                    for r in roots if r.imag >= REAL_ROOT_TOL])
+        only when it divides min_poly exactly.  `roots` is a list of Python
+        complex numbers."""
+        # per atom, in three lists that combinations walk in step: the sum
+        # of its roots, its degree and its ascending coefficients
+        real = [r for r in roots if abs(r.imag) < REAL_ROOT_TOL]
+        pairs = [r for r in roots if r.imag >= REAL_ROOT_TOL]
+        traces = [r.real for r in real] + [2 * r.real for r in pairs]
+        degrees = [1] * len(real) + [2] * len(pairs)
+        polys = ([[-r.real, 1.0] for r in real]
+                 + [[abs(r) ** 2, -2 * r.real, 1.0] for r in pairs])
         half = self.degree // 2
         for size in range(1, half + 1):
-            if sum(len(g) - 1 for _, g in atoms[:size]) > half:
+            if sum(degrees[:size]) > half:
                 break           # the real atoms come first: least degree
-            for subset in itertools.combinations(atoms, size):
-                trace = sum(t for t, _ in subset)
-                if (sum(len(g) - 1 for _, g in subset) > half
-                        or abs(trace - round(trace)) > 1e-3):
+            for ts, ds, gs in zip(*(itertools.combinations(atom, size)
+                                    for atom in (traces, degrees, polys))):
+                trace = sum(ts)
+                if sum(ds) > half or abs(trace - round(trace)) > 1e-3:
                     continue
-                g = [round(c) for c in reduce(np.convolve, [g for _, g in subset])]
+                g = [round(c) for c in reduce(poly_mul, gs)]
                 if not any(poly_mod(self.min_poly, g)):
                     raise CatalogInconsistent(
                         f"{self.name}: min_poly has the integer factor "
@@ -215,8 +227,9 @@ class NumberField:
 
     def _choose_embeddings(self, roots):
         """Pick the positive-imaginary root of each conjugate pair and order
-        the full root list as [chosen..., conjugates...]."""
-        if np.min(np.abs(roots.imag)) < REAL_ROOT_TOL:
+        the full root list (Python complex numbers) as [chosen...,
+        conjugates...]."""
+        if min(abs(r.imag) for r in roots) < REAL_ROOT_TOL:
             raise NotTotallyComplex(f"{self.name}: min_poly has a real root")
         upper = [r for r in roots if r.imag > 0]
         lower = [r for r in roots if r.imag < 0]
@@ -231,7 +244,7 @@ class NumberField:
                 raise NotTotallyComplex(f"{self.name}: unpaired complex root {r}")
             pool.remove(match)
             paired.append(match)
-        return np.array(upper + paired)
+        return upper + paired
 
     # -- element plumbing ---------------------------------------------------
 

@@ -68,9 +68,12 @@ def _theorem_rate(mu, P, n, n_r, C_L):
 
 
 def _capacity_grams(model, samples, seed):
-    """H^dag H of the fades of a capacity estimate: (samples, n, n) i.i.d.
-    blocks on the stream (seed, 0xE7), else (chains, length, n, n), chain c
-    at seed path (seed, c): chains = max(8, min(64, samples // 64)) chains of
+    """The smaller Gram of the fades of a capacity estimate, H^dag H (n x n)
+    when n_r >= n, else H H^dag (n_r x n_r): det(I_n + c H^dag H) =
+    det(I_{n_r} + c H H^dag), and the n x n matrix of rank n_r < n would
+    be ill-conditioned.  The fades are (samples, n_r, n) i.i.d. blocks on
+    the stream (seed, 0xE7), else (chains, length, n_r, n), chain c at seed
+    path (seed, c): chains = max(8, min(64, samples // 64)) chains of
     length samples // chains, so a correlated model needs samples >= 8."""
     if model.kind == "iid_rayleigh" or model.rho == 0.0:
         H = complex_gaussian(philox(seed, 0xE7), (samples, model.n_r, model.n))
@@ -81,7 +84,8 @@ def _capacity_grams(model, samples, seed):
         chains = max(8, min(64, samples // 64))
         H = channel.sample_stack(model, samples // chains, seed,
                                  [(c,) for c in range(chains)])
-    return H.conj().swapaxes(-1, -2) @ H
+    Hdag = H.conj().swapaxes(-1, -2)
+    return H @ Hdag if model.n_r < model.n else Hdag @ H
 
 
 def _log2det_hpd(A):
@@ -101,8 +105,9 @@ def _log2det_hpd(A):
 def ergodic_capacity_mc(model, powers, samples, seed):
     """Monte Carlo estimates of E[log2 det(I + (P/n) H^dag H)], one
     (estimate, standard error) per power P of `powers`, all from one draw
-    of fades whose H^dag H each power scales in turn.  For correlated
-    models the error is estimated across independent chains."""
+    of fades whose smaller Gram (`_capacity_grams`) each power scales in
+    turn.  For correlated models the error is estimated across independent
+    chains."""
     if samples < 2:
         raise DomainError("a standard error needs at least 2 samples")
     n = model.n
@@ -112,9 +117,10 @@ def ergodic_capacity_mc(model, powers, samples, seed):
         return [(float(_log2det_hpd(np.eye(model.n_r) + (P / n) * G)), 0.0)
                 for P in powers]
     G = _capacity_grams(model, samples, seed)
+    eye = np.eye(G.shape[-1])
     estimates = []
     for P in powers:
-        vals = _log2det_hpd(np.eye(n) + (P / n) * G)
+        vals = _log2det_hpd(eye + (P / n) * G)
         if vals.ndim == 2:      # chains: the mean of each is one sample
             vals = vals.mean(axis=1)
         estimates.append((float(vals.mean()),

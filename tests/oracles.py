@@ -10,8 +10,10 @@ import numpy as np
 from multiblock import channel, codebook, ratecalc
 from multiblock.codebook import Codebook, count_points_in_ball, scaling_alpha
 from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
-from multiblock.errors import BudgetExceeded, CarveFailed
-from multiblock.lattice import LLL_DELTA, LLL_ETA
+from multiblock.errors import (BudgetExceeded, CarveFailed, DegenerateLattice,
+                               PrecisionFailure)
+from multiblock.lattice import LLL_DELTA, LLL_ETA, _Q_GUARD, _U_LIMIT, _gso
+from multiblock.numfield import ROOT_RESIDUAL_TOL, polished_roots
 from multiblock.rng import philox
 from witnesses import multiblock_embed
 
@@ -123,6 +125,92 @@ def reference_lll(basis, delta=LLL_DELTA, eta=LLL_ETA):
             mu, norms = gso()
             k = max(k - 1, 1)
     return b, U
+
+
+def reference_numpy_lll(basis):
+    """The incremental LLL of lattice.lll_reduce with its rows, mu and U as
+    numpy arrays: each size reduction and swap is one numpy operation on a
+    row or column slice.  lll_reduce runs the same float operations in the
+    same order on lists of Python numbers, so the two agree bit for bit,
+    exceptions included.  Returns (reduced, U) as arrays."""
+    b = np.array(basis, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise DegenerateLattice("LLL input has a non-finite entry")
+    r = b.shape[0]
+    mu, B = _gso(b)
+    # rows are held in lists so that a swap exchanges two references
+    b = list(b)
+    U = list(np.eye(r, dtype=np.int64))
+    ubound = [1.0] * r      # upper bounds on max |U[i]|, refreshed on demand
+    k = 1
+    while k < r:
+        lost_precision = False
+        row = mu[k].tolist()
+        for j in range(k - 1, -1, -1):
+            if abs(row[j]) > LLL_ETA:
+                q = round(row[j])
+                bound = ubound[k] + abs(q) * ubound[j]
+                if bound > _U_LIMIT:
+                    ubound = np.abs(U).max(axis=1).astype(float).tolist()
+                    bound = ubound[k] + abs(q) * ubound[j]
+                    if bound > _U_LIMIT:
+                        raise PrecisionFailure(
+                            "LLL transform entries exceed 2^52")
+                ubound[k] = bound
+                lost_precision = lost_precision or abs(q) > _Q_GUARD
+                b[k] -= q * b[j]
+                U[k] -= q * U[j]
+                mu[k, :j + 1] -= q * mu[j, :j + 1]      # mu[j, j] == 1
+                row = mu[k].tolist()
+        if lost_precision:
+            mu, B = _gso(np.array(b))
+            continue
+        m = row[k - 1]
+        if B[k] >= (LLL_DELTA - m * m) * B[k - 1]:
+            k += 1
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        U[k - 1], U[k] = U[k], U[k - 1]
+        ubound[k - 1], ubound[k] = ubound[k], ubound[k - 1]
+        mu[[k - 1, k], :k - 1] = mu[[k, k - 1], :k - 1]
+        Bk1 = B[k] + m * m * B[k - 1]
+        m_new = m * B[k - 1] / Bk1
+        B[k] = B[k - 1] * B[k] / Bk1
+        B[k - 1] = Bk1
+        mu[k, k - 1] = m_new
+        t = mu[k + 1:, k].copy()
+        mu[k + 1:, k] = mu[k + 1:, k - 1] - m * t
+        mu[k + 1:, k - 1] = t + m_new * mu[k + 1:, k]
+        k = max(k - 1, 1)
+    return np.array(b), np.array(U)
+
+
+def reference_field_lattice_blocks(field):
+    """The blocks of lattice.field_lattice built one integral basis element
+    at a time: a FieldElement per w_j, embedded by canonical_embed (the
+    field's table of basis values times a unit vector)."""
+    blocks = np.empty((field.degree, field.k, 1, 1), dtype=complex)
+    for j in range(field.degree):
+        w = field.element([1 if t == j else 0 for t in range(field.degree)])
+        blocks[j, :, 0, 0] = field.canonical_embed(w)
+    return blocks
+
+
+def reference_chosen_roots(min_poly, name):
+    """NumberField's root order computed on numpy scalars: the polished
+    roots as an array, the positive-imaginary ones sorted and each matched
+    to its nearest conjugate among np.complex128 values, as
+    [chosen..., conjugates...]."""
+    roots = polished_roots(min_poly, ROOT_RESIDUAL_TOL, name)
+    upper = sorted((r for r in roots if r.imag > 0),
+                   key=lambda z: (z.real, z.imag))
+    pool = [r for r in roots if r.imag < 0]
+    paired = []
+    for r in upper:
+        match = min(pool, key=lambda z: abs(z - r.conjugate()))
+        pool.remove(match)
+        paired.append(match)
+    return np.array(upper + paired)
 
 
 def reference_enumerate(rows, diag, y, radius2, budget, leaf):

@@ -306,12 +306,25 @@ def test_sheared_fixed_h_digest(tmp_path, capsys, digest, command):
 
 
 # The byte contract must not hang on the BLAS kernel or the SIMD width the
-# host picks: each child reruns the pinned digests with OpenBLAS forced to
-# its old x86 Prescott kernel, or with numpy's AVX2 and AVX-512 loops
-# switched off.  The variables are set only in the child, and each child
-# first proves that its switch took effect.
-_DIGEST_TESTS = [f"{__file__}::test_golden_command_digest",
-                 f"{__file__}::test_sheared_fixed_h_digest"]
+# host picks: each child reruns the pinned digests, and the bit-for-bit
+# checks of the list LLL, the field lattice, the roots and the basis values
+# against their numpy oracles, with OpenBLAS forced to its old x86 Prescott
+# kernel, or with numpy's AVX2 and AVX-512 loops switched off.  The
+# variables are set only in the child, and each child first proves that
+# its switch took effect.
+_LLL_TESTS = os.path.join(os.path.dirname(__file__), "test_lll_properties.py")
+_FIELD_TESTS = os.path.join(os.path.dirname(__file__), "test_numfield.py")
+_DIGEST_TESTS = [
+    f"{__file__}::test_golden_command_digest",
+    f"{__file__}::test_sheared_fixed_h_digest",
+    f"{_LLL_TESTS}::test_lll_matches_numpy_oracle_on_catalog_lattices",
+    f"{_LLL_TESTS}::test_lll_matches_numpy_oracle_on_random_bases",
+    f"{_LLL_TESTS}::test_lll_matches_numpy_oracle_on_faded_golden",
+    f"{_LLL_TESTS}::test_lll_matches_numpy_oracle_at_its_guards",
+    f"{_FIELD_TESTS}::test_field_lattice_blocks_match_per_element_embedding_bit_for_bit",
+    f"{_FIELD_TESTS}::test_roots_match_numpy_scalar_choice_bit_for_bit",
+    f"{_FIELD_TESTS}::test_basis_values_match_fraction_horner_bit_for_bit",
+]
 _PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", *_DIGEST_TESTS]
 _RUN_DIGESTS = f"import sys, pytest\nsys.exit(pytest.main({_PYTEST_ARGS}))\n"
 _X86 = platform.machine().lower() in {"x86_64", "amd64", "i386", "i686"}
@@ -1015,8 +1028,8 @@ def test_non_finite_capacity_exits_3(capsys):
 
 @pytest.mark.parametrize("args", [
     "--n 2 --nr 2 --snr-db 3080 --cl 4",
-    # a rank-one H^dag H at 160 dB: a Schur complement cancels to zero
-    "--n 2 --nr 1 --snr-db 160 --cl 4",
+    # n_r < n: the 2 x 2 Gram H H^dag, whose elimination overflows too
+    "--n 3 --nr 2 --snr-db 3080 --cl 4",
 ])
 def test_capacity_elimination_failure_exits_3_without_a_warning(capsys, args):
     # the elimination's overflow, invalid and zero-pivot steps are refused
@@ -1026,6 +1039,21 @@ def test_capacity_elimination_failure_exits_3_without_a_warning(capsys, args):
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, "numerical failure: capacity estimate")
+
+
+def test_capacity_with_fewer_receive_antennas_holds_at_160_db(capsys):
+    # n_r = 1 < n = 2: the estimate reads the 1 x 1 Gram |h|^2, not the
+    # rank-one 2 x 2 H^dag H, whose elimination cancels to a zero pivot.
+    # At P = 1e16, C = E log2(1 + (P/2) |h|^2) = log2(P/2) + psi(2)/ln 2 up
+    # to 1e-15, |h|^2 being Gamma(2, 1) and psi(2) = 1 - Euler's gamma
+    assert main(["rates", "--n", "2", "--nr", "1", "--snr-db", "160",
+                 "--cl", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    row = parse_csv(out)[0]
+    exact = math.log2(1e16 / 2) + (1 - 0.5772156649015329) / math.log(2)
+    assert exact == pytest.approx(52.760798, abs=1e-6)
+    assert abs(float(row["C_est"]) - exact) <= 4 * float(row["C_stderr"])
 
 
 def test_output_write_failing_partway_keeps_old_file(tmp_path, monkeypatch,

@@ -192,3 +192,45 @@ def test_inverse_matches_fraction_solve(m):
     assert inv_den > 0
     assert math.gcd(inv_den, *(x for row in nums for x in row)) == 1
     assert [[Fraction(x, inv_den) for x in row] for row in nums] == fraction_inverse(m)
+
+
+@st.composite
+def planted_matrices(draw):
+    """Integer matrices with an identity block on the diagonal and some
+    columns zero from a drawn row down: elimination steps whose multiplier
+    is 0 under a pivot equal to the previous one, which leave their row as
+    it is, next to steps that do not (a column zero from the top makes the
+    matrix singular)."""
+    n = draw(st.integers(1, 9))
+    m = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+         for _ in range(n)]
+    start = draw(st.integers(0, n - 1))
+    for i in range(start, start + draw(st.integers(1, n - start))):
+        m[i][start:i] = [0] * (i - start)
+        m[i][i] = 1
+        for r in range(start, i):
+            m[r][i] = 0
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        for r in range(draw(st.integers(0, n - 1)), n):
+            m[r][j] = 0
+    return m
+
+
+@PROPERTY
+@given(planted_matrices())
+def test_bareiss_det_and_inverse_on_planted_identity_blocks(m):
+    assert bareiss_det(m) == fraction_det(m)
+    if fraction_det(m) == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse(m, 1)
+        return
+    nums, den = inverse(m, 1)
+    assert [[Fraction(x, den) for x in row] for row in nums] == fraction_inverse(m)
+
+
+def test_identity_determinant_and_inverse():
+    # the basis matrix of every catalog field
+    for n in (1, 2, 8, 16):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert bareiss_det(eye) == 1
+        assert inverse(eye, 3) == ([[3 * x for x in row] for row in eye], 1)

@@ -1,13 +1,15 @@
 """Property tests for the incremental LLL and for Schnorr-Euchner CVP.
 
 The LLL is checked from its definition on a Gram-Schmidt orthogonalization
-computed here, and against the recompute-based oracles.reference_lll; the
+computed here, against the recompute-based oracles.reference_lll, and bit
+for bit against the numpy-array version oracles.reference_numpy_lll; the
 Schnorr-Euchner searches are checked against the exhaustive
 oracles.brute_closest and oracles.brute_ball.  Hypothesis runs
 derandomized, so every process draws the same examples.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,15 +20,18 @@ from hypothesis.extra.numpy import arrays
 
 from multiblock.errors import DegenerateLattice, PrecisionFailure
 from multiblock.exact import bareiss_det
-from multiblock.lattice import (LLL_DELTA, LLL_ETA, PreparedCVP, lll_reduce,
-                                realify)
+from multiblock.lattice import (LLL_DELTA, LLL_ETA, PreparedCVP, field_lattice,
+                                lll_reduce, realify)
 from multiblock.rng import complex_gaussian, philox
 
-from oracles import brute_ball, brute_closest, reference_lll
+from oracles import (brute_ball, brute_closest, reference_lll,
+                     reference_numpy_lll)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
 ENTRY = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
+# reducing this basis needs transform entries near 1e16 > 2^52
+GUARD_BASIS = np.array([[1e-8, 0, 0], [1, 1e-8, 0], [1e8, 1, 1e-8]])
 
 
 @st.composite
@@ -128,6 +133,58 @@ def test_lll_agrees_with_reference_on_faded_golden(golden_lattice, seed, alpha):
     assert_unimodular(T.astype(np.int64))
 
 
+def assert_same_lll(basis):
+    """lll_reduce gives the numpy oracle's reduced rows and U bit for bit,
+    or raises the same exception with the same message."""
+    try:
+        want_reduced, want_U = reference_numpy_lll(basis)
+    except (DegenerateLattice, PrecisionFailure) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            lll_reduce(basis)
+        return
+    reduced, U = lll_reduce(basis)
+    assert reduced.dtype == want_reduced.dtype
+    assert reduced.tobytes() == want_reduced.tobytes()
+    assert U.dtype == want_U.dtype and np.array_equal(U, want_U)
+
+
+def test_lll_matches_numpy_oracle_on_catalog_lattices(catalog, golden_lattice,
+                                                      zeta20_lattice):
+    lattices = [field_lattice(catalog.field(name))
+                for name in sorted(catalog.fields)]
+    lattices += [golden_lattice, zeta20_lattice]
+    assert len(lattices) == 11
+    for lat in lattices:
+        assert_same_lll(lat.real_basis)
+
+
+def test_lll_matches_numpy_oracle_on_random_bases():
+    # ranks 2..32, a few spare columns, each row scaled by e^u with u
+    # uniform on [-4.5, 4.5]: swaps and size reductions far from unit
+    gen = np.random.default_rng(20261020)
+    for r in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16, 18, 20, 22, 24,
+              26, 28, 30, 32, 32):
+        b = gen.standard_normal((r, r + int(gen.integers(0, 3))))
+        assert_same_lll(b * np.exp(gen.uniform(-4.5, 4.5, (r, 1))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 20.0))
+def test_lll_matches_numpy_oracle_on_faded_golden(golden_lattice, seed, alpha):
+    lat = golden_lattice
+    H = complex_gaussian(philox(seed), (lat.k, 2, lat.n))
+    assert_same_lll(realify(np.einsum("irc,jicd->jird", H, alpha * lat.blocks)))
+
+
+def test_lll_matches_numpy_oracle_at_its_guards():
+    # a GSO recompute (coefficient ~1e12 > 2^26), and the PrecisionFailure
+    # raised before a transform entry leaves the exact range
+    assert_same_lll(np.array([[1.0, 0.0], [1e12 + 0.3, 1e-3]]))
+    with pytest.raises(PrecisionFailure):
+        reference_numpy_lll(GUARD_BASIS)
+    assert_same_lll(GUARD_BASIS)
+
+
 def test_lll_large_coefficient_recomputes_gso():
     # the size-reduction coefficient ~1e12 exceeds the recompute threshold
     basis = np.array([[1.0, 0.0], [1e12 + 0.3, 1e-3]])
@@ -141,10 +198,8 @@ def test_lll_large_coefficient_recomputes_gso():
 
 
 def test_lll_raises_before_transform_leaves_exact_range():
-    # reducing this basis needs transform entries near 1e16 > 2^52
-    basis = np.array([[1e-8, 0, 0], [1, 1e-8, 0], [1e8, 1, 1e-8]])
     with pytest.raises(PrecisionFailure):
-        lll_reduce(basis)
+        lll_reduce(GUARD_BASIS)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

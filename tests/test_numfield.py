@@ -10,9 +10,11 @@ from multiblock import numfield
 from multiblock.catalog import load_catalog
 from multiblock.errors import CatalogInconsistent, NotTotallyComplex
 from multiblock.exact import poly_mod
+from multiblock.lattice import field_lattice
 from multiblock.numfield import NumberField
 
-from oracles import fraction_inverse
+from oracles import (fraction_inverse, reference_chosen_roots,
+                     reference_field_lattice_blocks)
 
 POWER_BASIS_2 = [[1], [0, 1]]
 POWER_BASIS_4 = [[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]]
@@ -243,6 +245,53 @@ def test_basis_values_match_fraction_horner_bit_for_bit(catalog):
     for f in catalog.fields.values():
         ref = np.array([[_fraction_horner(b, r) for b in f.basis] for r in f.roots])
         assert f._basis_values.tobytes() == ref.tobytes(), f.name
+
+
+def test_field_lattice_blocks_match_per_element_embedding_bit_for_bit(catalog):
+    # the blocks read from the table of basis values are the canonical
+    # embeddings of the integral basis elements, one at a time
+    for name in sorted(catalog.fields):
+        f = catalog.field(name)
+        want = reference_field_lattice_blocks(f)
+        assert field_lattice(f).blocks.tobytes() == want.tobytes(), name
+
+
+# three polynomials outside the catalog whose roots are spread more widely
+OTHER_MIN_POLYS = {"cyclo7": [1] * 7, "x16+1": [1] + [0] * 15 + [1],
+                   "cyclo24": [1, 0, 0, 0, -1, 0, 0, 0, 1]}
+
+
+def test_roots_match_numpy_scalar_choice_bit_for_bit(catalog):
+    # the constructor chooses and orders the roots on Python complex
+    # numbers; the choice on np.complex128 scalars gives the same bits
+    fields = [catalog.field(name) for name in sorted(catalog.fields)]
+    fields += [NumberField(name, poly, _power_basis(len(poly) - 1))
+               for name, poly in OTHER_MIN_POLYS.items()]
+    for f in fields:
+        want = reference_chosen_roots(f.min_poly, f.name)
+        assert f.roots.dtype == want.dtype, f.name
+        assert f.roots.tobytes() == want.tobytes(), f.name
+
+
+def test_theta_traces_wait_for_their_first_reader(monkeypatch):
+    # building a field, its lattice and a product computes no power sum;
+    # the discriminant computes them once, and the trace form reuses them
+    calls = []
+    power_sums = numfield.power_sums
+    monkeypatch.setattr(numfield, "power_sums",
+                        lambda *args: calls.append(args) or power_sums(*args))
+    cat = load_catalog()
+    for name in sorted(cat.fields):
+        f = cat.field(name)
+        field_lattice(f)
+        theta = f.from_theta_poly([0, 1])
+        assert theta * theta == f.from_theta_poly([0, 0, 1])
+    assert calls == []
+    f = cat.field("cyclo8")
+    assert f.discriminant() == 256
+    assert len(calls) == 1
+    f.trace_form(f.one())
+    assert len(calls) == 1
 
 
 def test_basis_inverse_is_lazy_and_exact():

@@ -218,6 +218,22 @@ def test_log2det_hpd_matches_slogdet(n):
                           <= 1e-11 * np.maximum(1.0, np.abs(want))), P
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_single_receive_antenna_log_dets_match_closed_form(n):
+    # n_r = 1 < n: each draw's log-det is log2(1 + (P/n) ||h||^2), which
+    # the rank-one n x n matrix I + (P/n) H^dag H cannot resolve at high SNR
+    model = FadingModel(kind="iid_rayleigh", n=n, n_r=1)
+    G = rc._capacity_grams(model, 2000, 9)
+    assert G.shape == (2000, 1, 1)
+    h = complex_gaussian(philox(9, 0xE7), (2000, 1, n))
+    norms = np.sum(h.real ** 2 + h.imag ** 2, axis=(-2, -1))
+    for P_dB in (100, 120, 140, 160):
+        P = 10.0 ** (P_dB / 10)
+        got = rc._log2det_hpd(np.eye(1) + (P / n) * G)
+        want = np.log2(1 + (P / n) * norms)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), P_dB
+
+
 def test_correlated_capacity_needs_eight_samples():
     # the chains are at least 8, each at least one block long
     gm = FadingModel(kind="gauss_markov", n=1, n_r=1, rho=0.5)
