@@ -1,15 +1,13 @@
 """Decoders for the multiblock channel: ML over a finite codebook, and naive
 lattice decoding (closest point in the infinite shifted scaled lattice).
-A lattice decision of the CLI searches H L at W / alpha, never a scaled
-basis: a constant channel's residuals, at every SNR point, on the one
-preparation of H L that the trial loop builds (`shared_fade_decodes_to`),
-and a fading channel's on faded copies of the lattice's LLL basis
-(`faded_decodes_to`).  No CLI command builds a `LatticeDecoder`, which
-LLL-reduces alpha H B of its own at each alpha and is the tests' reference.
-"""
+One routine, `lattice_decisions`, makes every lattice decision of the CLI:
+it searches H L at W / alpha, never a scaled basis, on the preparations
+`lattice` builds (`MatrixLattice.faded_cvp` for a constant channel's one
+fade, `faded_stack` for a fading chunk).  No CLI command builds a
+`LatticeDecoder`, which LLL-reduces alpha H B of its own at each alpha and
+is the tests' reference."""
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -59,8 +57,8 @@ def ml_decode(Y, H, codebook):
 class LatticeDecoder:
     """Naive lattice decoder for a fixed (H, alpha, L, shift): closest point
     of shift + alpha L to Y under the faded metric, LLL-reducing alpha H B.
-    Test-only: the reference whose decisions `faded_decodes_to` and
-    `shared_fade_decodes_to` reproduce, and the decoder of acceptance
+    Test-only: the reference whose decisions `lattice_decisions` reproduces
+    on the trial loop's preparations, and the decoder of acceptance
     criterion 7; no CLI command builds one."""
 
     def __init__(self, H, alpha, lat, shift=None):
@@ -96,62 +94,32 @@ class LatticeDecoder:
         when a nonzero point of alpha H L is strictly closer to W_t than 0
         (up to ties of measure zero).  A search that exhausts `budget` gives
         (None, budget).  Test-only witness of that error event: the
-        reference decision against which `faded_decodes_to`,
-        `shared_fade_decodes_to` and the trial loop are checked."""
-        ys = _span_coords(self.prepared.Q, realify(W))
-        return _decisions(repeat(self.prepared), ys, budget)
+        reference decision, on this decoder's own preparation of alpha H L,
+        against which the trial loop's preparations are checked."""
+        return lattice_decisions([self.prepared] * len(W), self.prepared.Q,
+                                 [(1.0, np.arange(len(W)), W)], budget)[0]
 
 
-def faded_decodes_to(H, lat, searches, budget=DEFAULT_BUDGET):
+def lattice_decisions(preps, Q, searches, budget=DEFAULT_BUDGET):
     """`LatticeDecoder.decodes_to` at several SNR points on one stack of
-    fades H (T, k, n_r, n), with no decoder and no LLL per fade.  Each
-    search (alpha, rows, W) of `searches` is a point's: W holds the
-    residuals of the trials `rows` (an index array into H), searched at
-    W / alpha.  One stacked QR factors the faded bases H_t (U B) of the
-    lattice's own LLL basis U B for the union of the rows, as they do not
-    depend on alpha.  Each point's targets are scattered into the union's
-    order, so it reads their span coordinates in the union's factors with
-    no copy of them.  The decision does not depend on the basis, so
-    it is the decoder's; only the node counts differ.  Returns one list of
-    (ok, nodes) per search.  The caller checks the fades' rank
-    (`check_full_rank`); a zero or non-finite pivot of a faded basis still
-    raises DegenerateLattice."""
-    searched = np.zeros(len(H), dtype=bool)
-    for _, rows, _ in searches:
-        searched[rows] = True
-    place = np.cumsum(searched) - 1         # trial t's index in the union
-    preps, Q = PreparedCVP.stack(realify(fade_blocks(H[searched],
-                                                     lat.reduced_blocks)))
+    preparations of faded lattices H_t L, `preps`, whose Q factors are the
+    stack `Q` (U, dim, rank), or the one (dim, rank) they all share.  Each
+    search (alpha, at, W) is a point's: the residuals W of the trials at
+    stack indices `at`, searched at W / alpha and scattered into the
+    stack's order, so the span coordinates are read with no copy of Q.
+    The decision does not depend on the basis (Agrell et al. 2002), only
+    the node counts do.  Returns one list of (ok, nodes) per search.  The
+    caller checks the fades' rank (`check_full_rank`)."""
     out = []
-    for alpha, rows, W in searches:
-        at = place[rows]
-        t = np.zeros(Q.shape[:2])
+    for alpha, at, W in searches:
+        t = np.zeros((len(preps), Q.shape[-2]))
         t[at] = realify(W) / alpha
-        ys = _span_coords(Q, t)[at]
-        out.append(_decisions([preps[i] for i in at], ys, budget))
+        outcomes = []
+        for i, y in zip(at, _span_coords(Q, t)[at]):
+            try:
+                found, nodes = preps[i].exists_closer(y, budget)
+                outcomes.append((not found, nodes))
+            except BudgetExceeded:
+                outcomes.append((None, budget))
+        out.append(outcomes)
     return out
-
-
-def shared_fade_decodes_to(prep, alpha, W, budget=DEFAULT_BUDGET):
-    """`LatticeDecoder(H, alpha, lat).decodes_to(W)` for a stack of residuals
-    W (T, k, n_r, n) that all share the one fade H (k, n_r, n), with no
-    decoder: the searches run at W_t / alpha on `prep`, the faded lattice's
-    LLL-reduced preparation `lat.faded_cvp(H)`, which the caller builds once
-    per fade and shares across every alpha.  The caller checks the fade's
-    rank (`check_full_rank`)."""
-    ys = _span_coords(prep.Q, realify(W) / alpha)
-    return _decisions(repeat(prep), ys, budget)
-
-
-def _decisions(preps, ys, budget):
-    """(ok, nodes) per target, from the search of preparation t for a
-    nonzero point closer than 0 to the target with span coordinates ys[t]."""
-    out = []
-    for prep, y in zip(preps, ys):
-        try:
-            found, nodes = prep.exists_closer(y, budget)
-            out.append((not found, nodes))
-        except BudgetExceeded:
-            out.append((None, budget))
-    return out
-

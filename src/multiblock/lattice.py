@@ -16,9 +16,9 @@ nested loop, and each center one straight-line sum.  CPython nests at most
 function.  Every search runs on an unscaled preparation: a search on
 alpha L divides its target and radius by alpha instead.  Each lattice a
 command searches gets LLL(0.99) preprocessing once: the lattice's own
-basis, and on a constant channel the faded lattice H L.  A stack of faded
-bases that each serve one search (a fading channel's, faded from the
-lattice's LLL basis) is QR-factored as given, in one stacked pass.  The
+basis, and on a constant channel the faded lattice H L (`faded_cvp`).
+A fading channel's faded copies of the LLL basis each serve one search and
+are QR-factored as given, in one stacked pass (`faded_stack`).  The
 LLL computes Gram-Schmidt data once by QR and updates it in place, on
 lists of Python floats, after each size reduction and swap, recomputing it
 by QR when a large size-reduction coefficient signals lost precision.  It
@@ -108,7 +108,7 @@ class MatrixLattice:
     @cached_property
     def reduced_blocks(self):
         """The LLL-reduced basis of `cvp`, U B, as blocks: the basis that
-        faded searches fade."""
+        `faded_stack` fades."""
         return self.points(self.cvp.U)
 
     def faded_cvp(self, H):
@@ -118,6 +118,11 @@ class MatrixLattice:
         basis = realify(fade_blocks(H, self.blocks))
         return (self.cvp if np.array_equal(basis, self.real_basis)
                 else PreparedCVP(basis))
+
+    def faded_stack(self, H):
+        """`PreparedCVP.stack` of the faded LLL bases H_t (U B) of a stack
+        of fades H (T, k, n_r, n): no LLL per fade, and no alpha."""
+        return PreparedCVP.stack(realify(fade_blocks(H, self.reduced_blocks)))
 
     def __repr__(self):
         return (f"MatrixLattice(n={self.n}, k={self.k}, rank={self.rank}, "

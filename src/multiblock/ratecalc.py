@@ -67,14 +67,20 @@ def _theorem_rate(mu, P, n, n_r, C_L):
     return rate_theorem2(mu, P, n, n_r, C_L)
 
 
+def _smaller_gram(H):
+    """The smaller Gram of each fade of a stack H (..., n_r, n), H^dag H or
+    H H^dag: det(I_n + c H^dag H) = det(I_{n_r} + c H H^dag), and the larger
+    matrix, of rank min(n, n_r), has condition number near c."""
+    Hdag = H.conj().swapaxes(-1, -2)
+    return H @ Hdag if H.shape[-2] < H.shape[-1] else Hdag @ H
+
+
 def _capacity_grams(model, samples, seed):
-    """The smaller Gram of the fades of a capacity estimate, H^dag H (n x n)
-    when n_r >= n, else H H^dag (n_r x n_r): det(I_n + c H^dag H) =
-    det(I_{n_r} + c H H^dag), and the n x n matrix of rank n_r < n would
-    be ill-conditioned.  The fades are (samples, n_r, n) i.i.d. blocks on
-    the stream (seed, 0xE7), else (chains, length, n_r, n), chain c at seed
-    path (seed, c): chains = max(8, min(64, samples // 64)) chains of
-    length samples // chains, so a correlated model needs samples >= 8."""
+    """The smaller Gram (`_smaller_gram`) of each fade of a capacity
+    estimate.  The fades are (samples, n_r, n) i.i.d. blocks on the stream
+    (seed, 0xE7), else (chains, length, n_r, n), chain c at seed path
+    (seed, c): chains = max(8, min(64, samples // 64)) chains of length
+    samples // chains, so a correlated model needs samples >= 8."""
     if model.kind == "iid_rayleigh" or model.rho == 0.0:
         H = complex_gaussian(philox(seed, 0xE7), (samples, model.n_r, model.n))
     else:
@@ -84,8 +90,7 @@ def _capacity_grams(model, samples, seed):
         chains = max(8, min(64, samples // 64))
         H = channel.sample_stack(model, samples // chains, seed,
                                  [(c,) for c in range(chains)])
-    Hdag = H.conj().swapaxes(-1, -2)
-    return H @ Hdag if model.n_r < model.n else Hdag @ H
+    return _smaller_gram(H)
 
 
 def _log2det_hpd(A):
@@ -106,15 +111,14 @@ def ergodic_capacity_mc(model, powers, samples, seed):
     """Monte Carlo estimates of E[log2 det(I + (P/n) H^dag H)], one
     (estimate, standard error) per power P of `powers`, all from one draw
     of fades whose smaller Gram (`_capacity_grams`) each power scales in
-    turn.  For correlated models the error is estimated across independent
-    chains."""
+    turn (a constant channel's fixed block's, exactly).  For correlated
+    models the error is estimated across independent chains."""
     if samples < 2:
         raise DomainError("a standard error needs at least 2 samples")
     n = model.n
-    if model.kind == "constant":    # no sampling: log2 det(I + (P/n) H H^dag)
-        H = model.fixed_H
-        G = H @ H.conj().T
-        return [(float(_log2det_hpd(np.eye(model.n_r) + (P / n) * G)), 0.0)
+    if model.kind == "constant":    # no sampling
+        G = _smaller_gram(model.fixed_H)
+        return [(float(_log2det_hpd(np.eye(len(G)) + (P / n) * G)), 0.0)
                 for P in powers]
     G = _capacity_grams(model, samples, seed)
     eye = np.eye(G.shape[-1])

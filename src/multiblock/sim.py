@@ -15,7 +15,8 @@ minimum determinant det_min, every nonzero X of alpha L has ||H X||^2 >=
 lam2 = nk alpha^2 det_min^{2/nk} prod_i det(H_i^dag H_i)^{1/nk} (AM-GM over
 the nk eigenvalues of the faded blocks' Grams), so 4 ||W||^2 < lam2 proves
 the decision correct at 0 nodes (the packing-radius argument), and only
-the other trials are searched, as `decoder` describes.
+the other trials are searched, by `decoder.lattice_decisions` on one stack
+of preparations per chunk for every point.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import channel
 from .codebook import scaling_alpha
-from .decoder import faded_decodes_to, ml_decode, shared_fade_decodes_to
+from .decoder import lattice_decisions, ml_decode
 from .errors import DomainError
 from .lattice import DEFAULT_BUDGET
 from .rng import philox
@@ -98,12 +99,12 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     constant channel's fade is checked and prepared once.  Each point picks
     its words from its own stream.  The lattice decision reads only the
     residual W_t = Y_t - H_t X_t: a trial that `certified` proves correct at
-    the point's alpha costs 0 nodes, and every other one is searched, on a
-    constant channel on the faded lattice's one preparation, on a fading
-    one by `faded_decodes_to`, which QR-factors each chunk's faded bases
-    once for every point.  A search that exhausts `budget` counts as an
-    error (a conservative WER), a budget hit and `budget` nodes.  Returns
-    one {decoder: [errors, nodes, budget hits]} per point."""
+    the point's alpha costs 0 nodes, and the union of every point's other
+    trials is searched by one `lattice_decisions` per chunk, on a constant
+    channel's one preparation or a fading chunk's `lat.faded_stack`.  A
+    search that exhausts `budget` counts as an error (a conservative WER),
+    a budget hit and `budget` nodes.  Returns one {decoder: [errors, nodes,
+    budget hits]} per point."""
     tallies = [{d: [0, 0, 0] for d in decoders} for _ in points]
     if "lattice" in decoders and model.n_r < model.n:
         # the faded infinite lattice is not discrete here; only ML applies
@@ -133,15 +134,17 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                 tally["ml"][1] += res.nodes
         if "lattice" in decoders:
             W = np.broadcast_to(Y - H @ words, (len(points),) + Y.shape[1:])
-            searches = []
-            for p, (alpha, _) in enumerate(points):
-                todo = np.flatnonzero(~certified(lat, alpha, sv, W[p]))
-                searches.append((alpha, todo, W[p][todo]))
-            if shared:
-                results = [shared_fade_decodes_to(prep, alpha, W_p, budget)
-                           for alpha, _, W_p in searches]
-            else:
-                results = faded_decodes_to(H, lat, searches, budget)
+            todo = [np.flatnonzero(~certified(lat, alpha, sv, W_p))
+                    for (alpha, _), W_p in zip(points, W)]
+            searched = np.zeros(len(streams), dtype=bool)
+            searched[np.concatenate(todo)] = True
+            place = np.cumsum(searched) - 1     # trial t's index in the stack
+            # a constant channel's searched trials share its one preparation
+            preps, Q = (([prep] * np.count_nonzero(searched), prep.Q) if shared
+                        else lat.faded_stack(H[searched]))
+            searches = [(alpha, place[rows], W_p[rows])
+                        for (alpha, _), rows, W_p in zip(points, todo, W)]
+            results = lattice_decisions(preps, Q, searches, budget)
             for outcomes, tally in zip(results, tallies):
                 for ok, nodes in outcomes:
                     tally["lattice"][0] += not ok

@@ -9,7 +9,7 @@ import numpy as np
 
 from multiblock import channel, codebook, ratecalc
 from multiblock.codebook import Codebook, count_points_in_ball, scaling_alpha
-from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
+from multiblock.decoder import LatticeDecoder, lattice_decisions, ml_decode
 from multiblock.errors import (BudgetExceeded, CarveFailed, DegenerateLattice,
                                PrecisionFailure)
 from multiblock.lattice import LLL_DELTA, LLL_ETA, _Q_GUARD, _U_LIMIT, _gso
@@ -298,9 +298,9 @@ def reference_trial_loop(lat, model, alpha, book, trials, seed, decoders,
             if dec is not None:
                 ((ok, nodes),) = dec.decodes_to(W, budget)
             else:
-                [[(ok, nodes)]] = faded_decodes_to(H[None], lat,
-                                                   [(alpha, np.arange(1), W)],
-                                                   budget)
+                [[(ok, nodes)]] = lattice_decisions(
+                    *lat.faded_stack(H[None]), [(alpha, np.arange(1), W)],
+                    budget)
             tally["lattice"][0] += not ok
             tally["lattice"][1] += nodes
             tally["lattice"][2] += ok is None

@@ -306,14 +306,16 @@ def test_sheared_fixed_h_digest(tmp_path, capsys, digest, command):
 
 
 # The byte contract must not hang on the BLAS kernel or the SIMD width the
-# host picks: each child reruns the pinned digests, and the bit-for-bit
-# checks of the list LLL, the field lattice, the roots and the basis values
-# against their numpy oracles, with OpenBLAS forced to its old x86 Prescott
-# kernel, or with numpy's AVX2 and AVX-512 loops switched off.  The
-# variables are set only in the child, and each child first proves that
-# its switch took effect.
+# host picks: each child reruns the pinned digests, the bit-for-bit checks
+# of the list LLL, the field lattice, the roots and the basis values
+# against their numpy oracles, and the check that a stack of preparations
+# gives each SNR point the span coordinates of its own trials, with
+# OpenBLAS forced to its old x86 Prescott kernel, or with numpy's AVX2 and
+# AVX-512 loops switched off.  The variables are set only in the child, and
+# each child first proves that its switch took effect.
 _LLL_TESTS = os.path.join(os.path.dirname(__file__), "test_lll_properties.py")
 _FIELD_TESTS = os.path.join(os.path.dirname(__file__), "test_numfield.py")
+_SIM_TESTS = os.path.join(os.path.dirname(__file__), "test_sim.py")
 _DIGEST_TESTS = [
     f"{__file__}::test_golden_command_digest",
     f"{__file__}::test_sheared_fixed_h_digest",
@@ -324,6 +326,7 @@ _DIGEST_TESTS = [
     f"{_FIELD_TESTS}::test_field_lattice_blocks_match_per_element_embedding_bit_for_bit",
     f"{_FIELD_TESTS}::test_roots_match_numpy_scalar_choice_bit_for_bit",
     f"{_FIELD_TESTS}::test_basis_values_match_fraction_horner_bit_for_bit",
+    f"{_SIM_TESTS}::test_grid_search_decides_as_each_point_alone",
 ]
 _PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", *_DIGEST_TESTS]
 _RUN_DIGESTS = f"import sys, pytest\nsys.exit(pytest.main({_PYTEST_ARGS}))\n"

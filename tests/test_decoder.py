@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multiblock.codebook import Codebook, carve
-from multiblock.decoder import LatticeDecoder, faded_decodes_to, ml_decode
+from multiblock.decoder import LatticeDecoder, lattice_decisions, ml_decode
 from multiblock.errors import DegenerateLattice, SingularChannel
 from multiblock.lattice import (MatrixLattice, PreparedCVP, _span_coords,
                                realify)
@@ -308,8 +308,8 @@ def test_project_reads_one_target(golden_lattice):
 def test_empty_fade_stack_decides_nothing(golden_lattice):
     k = golden_lattice.k
     empty = np.zeros((0, k, 2, 2), dtype=complex)
-    assert faded_decodes_to(empty, golden_lattice,
-                            [(1.0, np.arange(0), empty)]) == [[]]
+    assert lattice_decisions(*golden_lattice.faded_stack(empty),
+                             [(1.0, np.arange(0), empty)]) == [[]]
 
 
 @pytest.mark.parametrize("entry", [0.0, np.nan])
@@ -326,7 +326,8 @@ def test_degenerate_fade_raises_before_any_search(golden_lattice, monkeypatch,
 
     monkeypatch.setattr(PreparedCVP, "exists_closer", no_search)
     with pytest.raises(DegenerateLattice):
-        faded_decodes_to(H, golden_lattice, [(1.0, np.arange(3), W)])
+        lattice_decisions(*golden_lattice.faded_stack(H),
+                          [(1.0, np.arange(3), W)])
 
 
 def test_ml_decodes_the_sent_word_where_far_metrics_overflow(qi_lattice):

@@ -234,6 +234,27 @@ def test_single_receive_antenna_log_dets_match_closed_form(n):
         assert np.all(np.abs(got - want) <= 1e-12 * want), P_dB
 
 
+TALL_H = np.array([[1, 0.3 + 0.2j], [0.5j, 1.2], [0.7, -0.4]])
+
+
+@pytest.mark.parametrize("P_dB", [40, 80, 120, 160, 200])
+def test_constant_tall_channel_capacity_matches_closed_form(P_dB):
+    # n_r = 3 > n = 2: the capacity of the fixed block is
+    # sum log2(1 + (P/n) lam) over the eigenvalues of H^dag H.  H H^dag has
+    # rank 2, so the 3 x 3 matrix I + (P/n) H H^dag has condition number
+    # near P/n: its log-det is off by 0.07 bits at 160 dB and -inf at
+    # 200 dB, where rate_report would refuse it.  The 2 x 2 Gram is exact
+    model = FadingModel(kind="constant", n=2, n_r=3, fixed_H=TALL_H)
+    P = 10.0 ** (P_dB / 10)
+    lam = np.linalg.eigvalsh(TALL_H.conj().T @ TALL_H)
+    want = float(np.sum(np.log2(1 + (P / 2) * lam)))
+    [(got, stderr)] = rc.ergodic_capacity_mc(model, [P], 2, seed=0)
+    assert stderr == 0.0
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+    [report] = rc.rate_report(model, [P], 1.0)
+    assert report.capacity == got and math.isfinite(report.capacity)
+
+
 def test_correlated_capacity_needs_eight_samples():
     # the chains are at least 8, each at least one block long
     gm = FadingModel(kind="gauss_markov", n=1, n_r=1, rho=0.5)

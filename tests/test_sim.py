@@ -11,11 +11,10 @@ from multiblock.channel import FadingModel, check_full_rank
 from multiblock.cli import main
 from multiblock.codebook import carve, scaling_alpha
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
-from multiblock.decoder import (LatticeDecoder, faded_decodes_to,
-                                shared_fade_decodes_to)
+from multiblock.decoder import LatticeDecoder, lattice_decisions
 from multiblock.errors import BudgetExceeded
 from multiblock.lattice import (DEFAULT_BUDGET, MatrixLattice, PreparedCVP,
-                                field_lattice, min_pdet, realify)
+                                _span_coords, field_lattice, min_pdet, realify)
 from multiblock.rng import complex_gaussian, philox
 from multiblock.sim import simulate_codebook_wer, simulate_infinite_wer
 
@@ -385,10 +384,8 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
     words = alpha * lat.points(sent)
     W = channel.transmit_stack(words, H, seed, streams, False) - H @ words
-    if kind == "constant":
-        got = shared_fade_decodes_to(lat.faded_cvp(H[0]), alpha, W)
-    else:
-        [got] = faded_decodes_to(H, lat, [(alpha, np.arange(len(H)), W)])
+    [got] = lattice_decisions(*_stack(lat, model, H),
+                              [(alpha, np.arange(len(H)), W)])
     assert len(got) == len(streams)
     for t in range(len(streams)):
         ((ok, _),) = LatticeDecoder(H[t], alpha, lat).decodes_to(W[t:t + 1])
@@ -404,17 +401,37 @@ def test_lattice_searches_decide_both_ways_on_fades(catalog):
     streams = [(t,) for t in range(40)]
     H = channel.sample_stack(model, lat.k, 5, streams)
     W = channel.transmit_stack(np.zeros_like(H), H, 5, streams, False)
-    [outcomes] = faded_decodes_to(H, lat, [(alpha, np.arange(len(H)), W)])
+    [outcomes] = lattice_decisions(*lat.faded_stack(H),
+                                   [(alpha, np.arange(len(H)), W)])
     oks = [ok for ok, _ in outcomes]
     assert True in oks and False in oks
 
 
-def test_grid_search_decides_as_each_point_alone(catalog, monkeypatch):
-    # one stacked QR over the union of the points' trials gives each point
-    # the span coordinates, outcomes and node counts, bit for bit, of a
-    # stack of its own trials
+def _stack(lat, model, H):
+    """The trial loop's stack of preparations for the trials of H: a
+    constant channel's one preparation of H L, shared, or one faded LLL
+    basis per fade, QR-factored as given."""
+    if model.kind == "constant":
+        prep = lat.faded_cvp(H[0])
+        return [prep] * len(H), prep.Q
+    return lat.faded_stack(H)
+
+
+SHEARED = np.array([[1, 50], [0, 1]], dtype=complex)
+
+
+@pytest.mark.parametrize("model", [
+    FadingModel(kind="iid_rayleigh", n=2, n_r=3),
+    FadingModel(kind="constant", n=2, n_r=2, fixed_H=SHEARED)],
+    ids=["iid_rayleigh", "sheared_constant"])
+def test_grid_search_decides_as_each_point_alone(catalog, monkeypatch, model):
+    # one stack of preparations for the union of the points' trials gives
+    # each point the span coordinates, outcomes and node counts, bit for
+    # bit, of a stack of its own trials: a fading chunk's stacked QR, or a
+    # constant channel's one LLL-reduced preparation of its sheared faded
+    # lattice, whose shared Q reads each point's targets alone as it reads
+    # them in the union
     lat = _lattice(catalog, "zeta20")
-    model = FadingModel(kind="iid_rayleigh", n=2, n_r=3)
     streams = [(t,) for t in range(40)]
     H = channel.sample_stack(model, lat.k, 11, streams)
     W = channel.transmit_stack(np.zeros((40, lat.k, 2, 2)), H, 11, streams,
@@ -427,17 +444,60 @@ def test_grid_search_decides_as_each_point_alone(catalog, monkeypatch):
         rows = np.flatnonzero(gen.random(40) < 0.6)
         searches.append((alpha, rows, W[rows]))
     log = _recording_searches(monkeypatch)
-    got = faded_decodes_to(H, lat, searches)
+    preps, Q = _stack(lat, model, H)
+    got = lattice_decisions(preps, Q, searches)
     grid, alone = list(log), []
     for (alpha, rows, W_p), outcomes in zip(searches, got):
         log.clear()
-        assert faded_decodes_to(H[rows], lat,
-                                [(alpha, np.arange(len(rows)), W_p)]) == \
+        assert lattice_decisions(*_stack(lat, model, H[rows]),
+                                 [(alpha, np.arange(len(rows)), W_p)]) == \
             [outcomes]
         alone.extend(log)
+        if model.kind == "constant":
+            # the shared factor reads the point's own targets, unscattered
+            ys = _span_coords(Q, realify(W_p) / alpha)
+            assert [entry[0] for entry in log] == [y.tobytes() for y in ys]
     assert grid == alone
     oks = {ok for outcomes in got for ok, _ in outcomes}
     assert oks == {True, False}      # both outcomes exercised
+
+
+@pytest.mark.parametrize("kind", ["constant", "iid_rayleigh"])
+def test_one_routine_decides_every_searched_trial(catalog, monkeypatch, kind):
+    # structural guard: the trial loop asks `lattice_decisions` once per
+    # chunk for every SNR point, every search of a trial runs inside it,
+    # and the nodes of those searches are the points' avg_nodes x trials
+    lat = _lattice(catalog, "golden")
+    model = FadingModel(kind=kind, n=2, n_r=2,
+                        fixed_H=SHEARED if kind == "constant" else None)
+    calls, nodes, inside = [], [], [False]
+    decide, search = sim.lattice_decisions, PreparedCVP.exists_closer
+
+    def recording_decisions(*args):
+        calls.append(args)
+        inside[0] = True
+        try:
+            return decide(*args)
+        finally:
+            inside[0] = False
+
+    def recording_search(self, y, budget=DEFAULT_BUDGET):
+        assert inside[0], "a trial searched outside lattice_decisions"
+        found, n = search(self, y, budget)
+        nodes.append(n)
+        return found, n
+
+    monkeypatch.setattr(sim, "lattice_decisions", recording_decisions)
+    monkeypatch.setattr(PreparedCVP, "exists_closer", recording_search)
+    monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
+    trials = 40
+    got = simulate_infinite_wer(lat, model, [10 ** 0.8, 10 ** 1.2, 10 ** 1.6],
+                                1.0, trials, seed=3)
+    assert len(calls) == math.ceil(trials / 7)
+    assert all(len(searches) == 3 for _, _, searches, _ in calls)
+    assert len(nodes) > 20
+    assert sum(nodes) == round(sum(p.avg_nodes * trials for p in got))
+    assert not any(p.flag for p in got)
 
 
 def test_chunk_bound_counts_faded_bases(catalog):
