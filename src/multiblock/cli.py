@@ -30,7 +30,7 @@ from .errors import (BudgetExceeded, CarveFailed, CatalogError,
                      DegenerateLattice, DomainError, EmptyBall,
                      PrecisionFailure, SingularChannel)
 from .lattice import (DEFAULT_BUDGET, field_lattice, invariant_report,
-                      min_pdet)
+                      min_pdet, probe_radius)
 
 CONFIG_ERROR, NUMERICAL_ERROR = 2, 3
 
@@ -303,7 +303,7 @@ def cmd_catalog_verify(args):
         # division falsification probe: no tiny product determinants among
         # small order elements
         try:
-            val, _ = min_pdet(lat, 1.5 * np.sqrt(lat.n * lat.k), args.budget)
+            val, _ = min_pdet(lat, probe_radius(lat), args.budget)
             probe_ok, probe_msg = val > 1e-6, f"division_probe_min_pdet={val:.6f}"
         except EmptyBall:
             probe_ok, probe_msg = True, "division_probe_empty_ball"
@@ -417,9 +417,9 @@ def build_parser():
     p.add_argument("--delta", type=float, default=None,
                    help="large-deviation delta in nats")
     p.add_argument("--samples", type=int, default=20000,
-                   help="capacity fades; a correlated model draws chains x "
-                        "floor(samples / chains) of them, chains = max(8, "
-                        "min(64, floor(samples / 64))), so it needs >= 8")
+                   help="i.i.d. capacity fades, one draw of the block "
+                        "marginal for every sampled model (>= 2); a constant "
+                        "channel's block is taken exactly")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_rates)

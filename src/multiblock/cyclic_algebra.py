@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CatalogInconsistent, PrecisionFailure
 from .exact import bareiss_det
-from .numfield import polished_roots
+from .numfield import _eval_poly, polished_roots
 
 ETA_RESIDUAL_TOL = 1e-13
 
@@ -151,13 +151,8 @@ class CyclicAlgebra:
         """Values of an E-element at the k chosen embeddings, each
         coefficient embedded once."""
         embedded = [self.center.canonical_embed(c) for c in x]
-        values = []
-        for i, eta in enumerate(self._eta_roots):
-            acc = 0j
-            for vals in reversed(embedded):
-                acc = acc * eta + complex(vals[i])
-            values.append(acc)
-        return values
+        return [_eval_poly([complex(vals[i]) for vals in embedded], eta)
+                for i, eta in enumerate(self._eta_roots)]
 
     # -- algebra elements -------------------------------------------------------
 

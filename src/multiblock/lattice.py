@@ -528,13 +528,18 @@ def normalized_min_det(lat, det_min):
     return det_min / lat.volume ** (lat.n * lat.k / lat.rank)
 
 
+def probe_radius(lat):
+    """The default radius of the det_min probe ball, 1.5 sqrt(n k)."""
+    return 1.5 * np.sqrt(lat.n * lat.k)
+
+
 def invariant_report(lat, radius=None, budget=DEFAULT_BUDGET):
     """Bundle the geometric invariants of one lattice.  The lattice's own
     det_min is certified algebraically (NVD orders); without one, det_min
     comes from ball enumeration and is only an upper bound."""
     h, _, _ = hermite_invariant(lat, budget)
     if radius is None:
-        radius = 1.5 * np.sqrt(lat.n * lat.k)
+        radius = probe_radius(lat)
     det_min, certificate = lat.det_min, "algebraic"
     if det_min is None:
         det_min, _ = min_pdet(lat, radius, budget)

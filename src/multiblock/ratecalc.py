@@ -75,24 +75,6 @@ def _smaller_gram(H):
     return H @ Hdag if H.shape[-2] < H.shape[-1] else Hdag @ H
 
 
-def _capacity_grams(model, samples, seed):
-    """The smaller Gram (`_smaller_gram`) of each fade of a capacity
-    estimate.  The fades are (samples, n_r, n) i.i.d. blocks on the stream
-    (seed, 0xE7), else (chains, length, n_r, n), chain c at seed path
-    (seed, c): chains = max(8, min(64, samples // 64)) chains of length
-    samples // chains, so a correlated model needs samples >= 8."""
-    if model.kind == "iid_rayleigh" or model.rho == 0.0:
-        H = complex_gaussian(philox(seed, 0xE7), (samples, model.n_r, model.n))
-    else:
-        if samples < 8:
-            raise DomainError(f"a correlated model draws at least 8 chains, "
-                              f"so it needs samples >= 8, not {samples}")
-        chains = max(8, min(64, samples // 64))
-        H = channel.sample_stack(model, samples // chains, seed,
-                                 [(c,) for c in range(chains)])
-    return _smaller_gram(H)
-
-
 def _log2det_hpd(A):
     """log2 det A for each Hermitian positive definite matrix of a stack
     (..., m, m): the sum of the logs of the pivots of one elimination
@@ -108,27 +90,28 @@ def _log2det_hpd(A):
 
 
 def ergodic_capacity_mc(model, powers, samples, seed):
-    """Monte Carlo estimates of E[log2 det(I + (P/n) H^dag H)], one
-    (estimate, standard error) per power P of `powers`, all from one draw
-    of fades whose smaller Gram (`_capacity_grams`) each power scales in
-    turn (a constant channel's fixed block's, exactly).  For correlated
-    models the error is estimated across independent chains."""
+    """Monte Carlo estimates of E[log2 det(I + (P/n) H^dag H)] under the
+    stationary block law, one (estimate, standard error) per power P of
+    `powers`.  The capacity reads the law only through its block marginal,
+    CN(0, 1) entries for every sampled model (a Gauss-Markov chain keeps it
+    at every rho), so each draws the same `samples` i.i.d. blocks on the
+    stream (seed, 0xE7); a constant channel's fixed block is a stack of one,
+    exact, with standard error 0.  Each power scales the stack's smaller
+    Gram (`_smaller_gram`) in turn."""
     if samples < 2:
         raise DomainError("a standard error needs at least 2 samples")
-    n = model.n
-    if model.kind == "constant":    # no sampling
-        G = _smaller_gram(model.fixed_H)
-        return [(float(_log2det_hpd(np.eye(len(G)) + (P / n) * G)), 0.0)
-                for P in powers]
-    G = _capacity_grams(model, samples, seed)
+    if model.kind == "constant":
+        G = _smaller_gram(model.fixed_H)[None]
+    else:
+        G = _smaller_gram(complex_gaussian(philox(seed, 0xE7),
+                                           (samples, model.n_r, model.n)))
     eye = np.eye(G.shape[-1])
     estimates = []
     for P in powers:
-        vals = _log2det_hpd(eye + (P / n) * G)
-        if vals.ndim == 2:      # chains: the mean of each is one sample
-            vals = vals.mean(axis=1)
-        estimates.append((float(vals.mean()),
-                          float(vals.std(ddof=1) / math.sqrt(len(vals)))))
+        vals = _log2det_hpd(eye + (P / model.n) * G)
+        stderr = (vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1
+                  else 0.0)
+        estimates.append((float(vals.mean()), float(stderr)))
     return estimates
 
 
@@ -205,8 +188,9 @@ def rate_report(model, powers, C_L, samples=20000, seed=0):
     RateReport per power, the capacities estimated from one draw of fades.
     mu is the log-det statistic of the fixed block for a constant channel
     (SingularChannel if it is rank deficient), else the Rayleigh closed
-    form; the rate is Theorem 1's when n_r >= n, else Theorem 2's.  A
-    capacity estimate that is not finite raises PrecisionFailure."""
+    form of the i.i.d. marginal that every sampled law shares; the rate is
+    Theorem 1's when n_r >= n, else Theorem 2's.  A capacity estimate that
+    is not finite raises PrecisionFailure."""
     for P in powers:
         if not 0 < P < math.inf:
             raise DomainError(f"power P must be finite and > 0, not {P}")
@@ -219,10 +203,8 @@ def rate_report(model, powers, C_L, samples=20000, seed=0):
         estimates = ergodic_capacity_mc(model, powers, samples, seed)
     if model.kind == "constant":
         mu = channel.logdet_statistic(model.fixed_H[None])
-    elif n_r >= n:
-        mu = expected_logdet_rayleigh(n, n_r)
-    else:
-        mu = expected_logdet_rayleigh(n_r, n)  # det(H H^dag), swap roles
+    else:   # the i.i.d. marginal; det(H H^dag) when n_r < n
+        mu = expected_logdet_rayleigh(min(n, n_r), max(n, n_r))
     reports = []
     for P, (cap, stderr) in zip(powers, estimates):
         if not (math.isfinite(cap) and math.isfinite(stderr)):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from multiblock import channel, codebook, ratecalc
+from multiblock import channel, codebook
 from multiblock.codebook import Codebook, count_points_in_ball, scaling_alpha
 from multiblock.decoder import LatticeDecoder, lattice_decisions, ml_decode
 from multiblock.errors import (BudgetExceeded, CarveFailed, DegenerateLattice,
@@ -586,24 +586,6 @@ def reference_z_discriminant(order):
             val = reference_trace(K, alg.reduced_trace(alg.product(basis[i], basis[j])[0]))
             gram[i][j] = gram[j][i] = val
     return fraction_det(gram)
-
-
-def reference_gauss_markov_capacity(model, P, samples, seed):
-    """ratecalc.ergodic_capacity_mc on a correlated model as it drew its
-    chains, one `channel.sample` at a time: the reference for the stacked
-    draw.  Each chain's log-dets are ratecalc's own `_log2det_hpd`, so the
-    reference pins the stacking, not the elimination.  Returns (estimate,
-    standard error)."""
-    n = model.n
-    chains = max(8, min(64, samples // 64))
-    length = max(1, samples // chains)
-    means = []
-    for c in range(chains):
-        H = channel.sample(model, length, (seed, c))
-        grams = np.eye(n) + (P / n) * (H.conj().swapaxes(1, 2) @ H)
-        means.append(ratecalc._log2det_hpd(grams).mean())
-    means = np.array(means)
-    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(chains))
 
 
 def reference_logdet_statistic(H):

@@ -199,6 +199,25 @@ def test_rates_draws_its_capacity_fades_once(monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("rho, extra", [
+    ("0.5", []), ("0.9", []), ("0.99", []), ("0.5", ["--samples", "3"])])
+def test_gauss_markov_rates_print_the_iid_rows(capsys, rho, extra):
+    # the capacity reads only the block marginal, which the chain keeps at
+    # every rho: a Gauss-Markov line prints the i.i.d. line's data rows at
+    # the same seed, and only its echoed configuration differs
+    def data_rows(model):
+        assert main(["rates", "--model", *model, "--n", "2", "--nr", "2",
+                     "--snr-db", "10,20", "--cl", "4", "--seed", "3",
+                     *extra]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return [ln for ln in out.splitlines() if not ln.startswith("#")]
+
+    rows = data_rows(["gauss_markov", "--rho", rho])
+    assert len(rows) == 3
+    assert rows == data_rows(["iid_rayleigh"])
+
+
 def test_two_main_calls_build_one_parser(monkeypatch, capsys):
     from multiblock import cli
     built, init = [], cli._Parser.__init__
@@ -981,9 +1000,9 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
     ["simulate", "--field", "q_i", "--model", "constant", "--snr-db", "10",
      "--rate", "1e308", "--trials", "5", "--seed", "1", "--decoder",
      "lattice", "--infinite"],
-    # a correlated model's capacity draws at least 8 chains of one block
+    # a standard error needs two fades, whatever the law
     ["rates", "--model", "gauss_markov", "--rho", "0.5", "--n", "1", "--nr",
-     "1", "--snr-db", "10", "--cl", "4", "--samples", "3"],
+     "1", "--snr-db", "10", "--cl", "4", "--samples", "1"],
     # more fades than any address space holds: refused at allocation
     ["rates", "--n", "2", "--nr", "2", "--snr-db", "10", "--cl", "4",
      "--samples", str(10 ** 17)],
