@@ -10,8 +10,10 @@ A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
 of an integer array, in one pass: the trial loop's fades and its one noise
 draw per chunk of trials, for every SNR point.  Each realization and noise
 draw is the pure function of its own path, so `sample` and `transmit` are
-those functions on a stack of one.  `check_full_rank` is the one rank rule
-for fades, and `logdet_statistic` reads its singular values.
+those functions on a stack of one.  `noise_energies` gives each path's
+noise energy ||W||^2 without drawing the noise itself.  `check_full_rank`
+is the one rank rule for fades, and `logdet_statistic` reads its singular
+values.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularChannel
-from .rng import complex_gaussian_streams
+from .rng import complex_gaussian_streams, gaussian_energies
 
 KINDS = ("constant", "iid_rayleigh", "gauss_markov")
 
@@ -119,6 +121,15 @@ def transmit_stack(X, H, seed, streams, noiseless):
         Y = Y + complex_gaussian_streams(seed, _tagged(0x57, streams),
                                          Y.shape[-3:])
     return Y
+
+
+def noise_energies(seed, streams, shape):
+    """||W||^2, the sum of squared moduli, of the noise of shape (k, n_r, n)
+    that `transmit_stack` adds at seed path (seed, *s) for each row s of
+    `streams`, as an array (len(streams),): read from the noise's radius
+    words alone (`gaussian_energies`), to within a few ulps of the float
+    sum over the drawn noise."""
+    return gaussian_energies(seed, _tagged(0x57, streams), int(np.prod(shape)))
 
 
 def transmit(X, H, noise_seed, noiseless=False):

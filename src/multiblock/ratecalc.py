@@ -96,13 +96,13 @@ def ergodic_capacity_mc(model, powers, samples, seed):
     CN(0, 1) entries for every sampled model (a Gauss-Markov chain keeps it
     at every rho), so each draws the same `samples` i.i.d. blocks on the
     stream (seed, 0xE7); a constant channel's fixed block is a stack of one,
-    exact, with standard error 0.  Each power scales the stack's smaller
-    Gram (`_smaller_gram`) in turn."""
-    if samples < 2:
-        raise DomainError("a standard error needs at least 2 samples")
+    exact, with standard error 0, whatever `samples` says.  Each power
+    scales the stack's smaller Gram (`_smaller_gram`) in turn."""
     if model.kind == "constant":
         G = _smaller_gram(model.fixed_H)[None]
     else:
+        if samples < 2:
+            raise DomainError("a standard error needs at least 2 samples")
         G = _smaller_gram(complex_gaussian(philox(seed, 0xE7),
                                            (samples, model.n_r, model.n)))
     eye = np.eye(G.shape[-1])

@@ -9,7 +9,8 @@ A stream path (the indices) is a row of an integer array, each index in
 function of (key, counter), so `complex_gaussian_streams` computes the draws
 of many streams at once, as array arithmetic over their keys and counters;
 each stream's draws are still the pure function of (seed, *indices), bit
-for bit those of `philox(seed, *indices)`.
+for bit those of `philox(seed, *indices)`.  `gaussian_energies` reads the
+squared norm of a stream's draws from its radius words alone.
 """
 
 import numpy as np
@@ -92,14 +93,31 @@ def _words(keys, count):
     return words.reshape(len(keys), 4 * blocks)[:, :count]
 
 
+def _uniforms(keys, count):
+    """The first `count` doubles in [0, 1) of each key's stream: a double is
+    the top 53 bits of a word."""
+    return (_words(keys, count) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
 def complex_gaussian_streams(seed, streams, shape):
     """complex_gaussian(philox(seed, *s), shape) for every stream path s,
     a row of `streams`, stacked into an array of shape (len(streams),) +
     shape, with the same bits."""
     shape = tuple(int(d) for d in np.atleast_1d(shape))
     m = int(np.prod(shape))
-    keys = _keys(seed, streams)
-    # a double is the top 53 bits of a word; the first m make u1, the next m u2
-    u = (_words(keys, 2 * m) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-    full = (len(keys),) + shape
+    # the first m doubles make u1, the next m u2
+    u = _uniforms(_keys(seed, streams), 2 * m)
+    full = (len(u),) + shape
     return _box_muller(1.0 - u[:, :m].reshape(full), u[:, m:].reshape(full))
+
+
+def gaussian_energies(seed, streams, m):
+    """The squared norm of the first m draws of each stream path s, a row of
+    `streams`: sum |z|^2 of complex_gaussian_streams(seed, streams, shape)
+    for any shape of m entries, as an array (len(streams),).  Box-Muller
+    gives |z|^2 = -ln u1 whatever the angle (Box and Muller 1958), so only
+    the stream's first m words, its radii, are drawn; each float |z|^2 is
+    -ln u1 to within a few ulps (a rounded sqrt squared, times the squared
+    modulus of a rounded unit exponential), and a sum of positive terms
+    keeps that relative error."""
+    return -np.log(1.0 - _uniforms(_keys(seed, streams), m)).sum(axis=1)

@@ -6,7 +6,9 @@ are reproducible and one trial loop serves a whole SNR grid.  It works in
 chunks of trials: one numpy pass per chunk draws every trial's fade and
 noise for all points, and per point forms the received words, ML metrics
 and residuals; only the lattice searches run per trial, and the chunking
-changes no output bit.
+changes no output bit.  The infinite lattice sends the zero point, so its
+residual is the noise: a chunk draws each trial's noise energy from the
+noise's radius words, and the full noise only for the trials it searches.
 
 Each lattice decision is read from the trial's residual W = Y - H X: naive
 lattice decoding errs exactly when some nonzero point of the faded lattice
@@ -63,7 +65,11 @@ def _chunk_trials(lat, model, books, decoders):
     `books` (one per SNR point; None for the infinite lattice, whose points
     share them); one book's ML differences to every codeword at a time; and
     on a fading channel the searched trials' faded bases with their Q and R
-    factors (about three real rank x 2 k n_r n arrays)."""
+    factors (about three real rank x 2 k n_r n arrays).  An infinite chunk
+    holds less than it is sized for, each trial's noise radius words and
+    energy and only its searched trials' complex noise, but it is sized as
+    one holding every trial's noise, so its trials and its peak memory do
+    not hang on how many a point searches."""
     words = 7 + 3 * (1 if books[0] is None else len(books))
     if "ml" in decoders:
         words += 3 * max(map(len, books))
@@ -73,20 +79,23 @@ def _chunk_trials(lat, model, books, decoders):
     return max(1, CHUNK_BYTES // per_trial)
 
 
-def certified(lat, alpha, sv, resid):
+def certified(lat, alpha, sv, d2):
     """Which trials the minimum-determinant bound proves correct: those with
     4 ||W_t||^2 < lam2 (1 - CERT_MARGIN), where lam2 = nk alpha^2
     det_min^{2/nk} prod det(H_i^dag H_i)^{1/nk}.  The product of Gram
     determinants is that of the squared singular values `sv` (T, k, n) of
-    each trial's fade, or (1, k, n) of a fade all trials share, and `resid`
-    (T, k, n_r, n) holds each trial's residual W_t = Y_t - H X_t.  A lattice
-    without a certified det_min proves nothing."""
+    each trial's fade, or (1, k, n) of a fade all trials share, and `d2`
+    (T,) holds each trial's squared residual norm ||W_t||^2.  On the
+    infinite path that is the noise energy sum -ln u1 over the noise's
+    radius words, within a few ulps of the float sum |W|^2 of the drawn
+    noise (`rng.gaussian_energies`), so far inside CERT_MARGIN that the
+    bound stays sound for the W a search would read.  A lattice without a
+    certified det_min proves nothing."""
     if lat.det_min is None:
-        return np.zeros(len(resid), dtype=bool)
+        return np.zeros(len(d2), dtype=bool)
     nk = lat.n * lat.k
     lam2 = (nk * alpha ** 2 * lat.det_min ** (2.0 / nk)
             * np.exp(2.0 * np.mean(np.log(sv), axis=(1, 2))))
-    d2 = np.sum(np.abs(resid) ** 2, axis=(1, 2, 3))
     return 4.0 * d2 < lam2 * (1.0 - CERT_MARGIN)
 
 
@@ -95,16 +104,21 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     """At each SNR point (alpha, book) of `points`, send word X_t (a random
     codeword of `book`, or the zero point when `book` is None) through fade
     H_t and noise, and decode it with each of `decoders`.  A chunk draws its
-    fades and noise and checks the fades' rank once for every point; a
-    constant channel's fade is checked and prepared once.  Each point picks
-    its words from its own stream.  The lattice decision reads only the
-    residual W_t = Y_t - H_t X_t: a trial that `certified` proves correct at
-    the point's alpha costs 0 nodes, and the union of every point's other
+    fades and checks their rank once for every point; a constant channel's
+    fade is checked and prepared once.  Each point picks its words from its
+    own stream.  The lattice decision reads only the residual W_t = Y_t -
+    H_t X_t: a trial that `certified` proves correct at the point's alpha
+    from ||W_t||^2 costs 0 nodes, and the union of every point's other
     trials is searched by one `lattice_decisions` per chunk, on a constant
     channel's one preparation or a fading chunk's `lat.faded_stack`.  A
-    search that exhausts `budget` counts as an error (a conservative WER),
-    a budget hit and `budget` nodes.  Returns one {decoder: [errors, nodes,
-    budget hits]} per point."""
+    codebook chunk draws every trial's noise, which its received words
+    need.  On the infinite lattice W_t is the noise itself, shared by every
+    point: a chunk draws each trial's noise energy alone, from the noise's
+    radius words, and the full noise only for the searched trials, bit for
+    bit the draw of the whole chunk.  A search that exhausts `budget`
+    counts as an error (a conservative WER), a budget hit and `budget`
+    nodes.  Returns one {decoder: [errors, nodes, budget hits]} per
+    point."""
     tallies = [{d: [0, 0, 0] for d in decoders} for _ in points]
     if "lattice" in decoders and model.n_r < model.n:
         # the faded infinite lattice is not discrete here; only ML applies
@@ -112,7 +126,7 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     books = [book for _, book in points]
     picks = [philox(seed, 0xC0) for book in books if book is not None]
     # the infinite lattice's points all send the zero point
-    zero = np.zeros((1, 1, lat.k, lat.n, lat.n), dtype=complex)
+    zero = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
     shared = model.kind == "constant"
     chunk = _chunk_trials(lat, model, books, decoders)
     for start in range(0, trials, chunk):
@@ -122,34 +136,53 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
             # a constant channel's trials share one fade and its preparation
             sv = channel.check_full_rank(H[:1] if shared else H)
             prep = lat.faded_cvp(H[0]) if shared else None
-        idx = [pick.integers(len(book), size=len(streams))
-               for pick, book in zip(picks, books)]
-        words = (np.stack([book.matrices[i] for book, i in zip(books, idx)])
-                 if picks else zero)
-        Y = channel.transmit_stack(words, H, seed, streams, noiseless)
+        if picks:
+            idx = [pick.integers(len(book), size=len(streams))
+                   for pick, book in zip(picks, books)]
+            words = np.stack([book.matrices[i] for book, i in zip(books, idx)])
+            Y = channel.transmit_stack(words, H, seed, streams, noiseless)
         if "ml" in decoders:
             for p, (book, tally) in enumerate(zip(books, tallies)):
                 res = ml_decode(Y[p], H, book)
                 tally["ml"][0] += int(np.count_nonzero(res.index != idx[p]))
                 tally["ml"][1] += res.nodes
-        if "lattice" in decoders:
-            W = np.broadcast_to(Y - H @ words, (len(points),) + Y.shape[1:])
-            todo = [np.flatnonzero(~certified(lat, alpha, sv, W_p))
-                    for (alpha, _), W_p in zip(points, W)]
-            searched = np.zeros(len(streams), dtype=bool)
-            searched[np.concatenate(todo)] = True
-            place = np.cumsum(searched) - 1     # trial t's index in the stack
-            # a constant channel's searched trials share its one preparation
-            preps, Q = (([prep] * np.count_nonzero(searched), prep.Q) if shared
-                        else lat.faded_stack(H[searched]))
-            searches = [(alpha, place[rows], W_p[rows])
-                        for (alpha, _), rows, W_p in zip(points, todo, W)]
-            results = lattice_decisions(preps, Q, searches, budget)
-            for outcomes, tally in zip(results, tallies):
-                for ok, nodes in outcomes:
-                    tally["lattice"][0] += not ok
-                    tally["lattice"][1] += nodes
-                    tally["lattice"][2] += ok is None
+        if "lattice" not in decoders:
+            continue
+        if picks:
+            W = Y - H @ words
+            d2 = np.sum(np.abs(W) ** 2, axis=(2, 3, 4))
+        elif noiseless or lat.det_min is None:
+            # W = 0, or a certificate that reads no energy: no radii drawn
+            d2 = [np.zeros(len(streams))] * len(points)
+        else:
+            d2 = [channel.noise_energies(seed, streams,
+                                         (lat.k, model.n_r, lat.n))
+                  ] * len(points)
+        todo = [np.flatnonzero(~certified(lat, alpha, sv, d2_p))
+                for (alpha, _), d2_p in zip(points, d2)]
+        searched = np.zeros(len(streams), dtype=bool)
+        searched[np.concatenate(todo)] = True
+        place = np.cumsum(searched) - 1     # trial t's index in the stack
+        # the searched trials' residuals, in the stack's order
+        if picks:
+            W = W[:, searched]
+        else:
+            # the infinite lattice's residual is the noise, shared by every
+            # point and drawn here only for the searched trials
+            W = [channel.transmit_stack(zero, H[searched], seed,
+                                        streams[searched], noiseless)
+                 ] * len(points)
+        # a constant channel's searched trials share its one preparation
+        preps, Q = (([prep] * np.count_nonzero(searched), prep.Q) if shared
+                    else lat.faded_stack(H[searched]))
+        searches = [(alpha, place[rows], W_p[place[rows]])
+                    for (alpha, _), rows, W_p in zip(points, todo, W)]
+        results = lattice_decisions(preps, Q, searches, budget)
+        for outcomes, tally in zip(results, tallies):
+            for ok, nodes in outcomes:
+                tally["lattice"][0] += not ok
+                tally["lattice"][1] += nodes
+                tally["lattice"][2] += ok is None
     return tallies
 
 

@@ -218,6 +218,22 @@ def test_gauss_markov_rates_print_the_iid_rows(capsys, rho, extra):
     assert rows == data_rows(["iid_rayleigh"])
 
 
+def test_constant_rates_need_no_second_sample(capsys):
+    # a constant channel samples nothing: --samples 1 prints the exact rows
+    # of --samples 2, standard error 0
+    def data_rows(samples):
+        assert main(["rates", "--model", "constant", "--n", "1", "--nr", "1",
+                     "--snr-db", "10", "--cl", "1", "--samples",
+                     samples]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return [ln for ln in out.splitlines() if not ln.startswith("#")]
+
+    rows = data_rows("1")
+    assert len(rows) == 2
+    assert rows == data_rows("2")
+
+
 def test_two_main_calls_build_one_parser(monkeypatch, capsys):
     from multiblock import cli
     built, init = [], cli._Parser.__init__
@@ -1000,7 +1016,7 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
     ["simulate", "--field", "q_i", "--model", "constant", "--snr-db", "10",
      "--rate", "1e308", "--trials", "5", "--seed", "1", "--decoder",
      "lattice", "--infinite"],
-    # a standard error needs two fades, whatever the law
+    # a standard error needs two fades, whatever the sampled law
     ["rates", "--model", "gauss_markov", "--rho", "0.5", "--n", "1", "--nr",
      "1", "--snr-db", "10", "--cl", "4", "--samples", "1"],
     # more fades than any address space holds: refused at allocation

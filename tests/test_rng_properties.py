@@ -5,7 +5,9 @@ arithmetic on their keys and counters; every stream must be bit for bit the
 scalar complex_gaussian(philox(seed, *path), shape).  The keys hashed by
 column and the words of both lanes in one array must be bit for bit those of
 the one-key, one-lane references in tests/oracles.py and of numpy's own
-Philox.  The WER drivers draw the codeword picks of a run chunk by chunk
+Philox.  The squared norm of a stream's draws, read from its radius words
+alone, must be that of the drawn complex Gaussians to within a few ulps.
+The WER drivers draw the codeword picks of a run chunk by chunk
 from one generator; the concatenated chunks must be the draws of one trial
 at a time.  Hypothesis runs derandomized, so every process draws the same
 examples.
@@ -88,6 +90,24 @@ def test_an_empty_stack_has_no_keys_and_no_words(count):
     assert reference_words(keys, count).shape == (0, count)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16])
+@PROPERTY
+@given(seed=SEEDS, paths=stream_paths())
+def test_energies_are_the_squared_norms_of_the_streams_draws(m, seed, paths):
+    # read from the radius words alone, within a few ulps of sum |z|^2
+    z = complex_gaussian_streams(seed, paths, (m,))
+    direct = np.sum(np.abs(z) ** 2, axis=1)
+    energies = rng.gaussian_energies(seed, paths, m)
+    assert energies.shape == (len(paths),)
+    assert np.all(np.abs(energies - direct) <= 1e-14 * direct)
+
+
+def test_no_streams_have_an_empty_stack_of_energies():
+    assert rng.gaussian_energies(5, [], 4).shape == (0,)
+    assert rng.gaussian_energies(5, np.zeros((0, 2), dtype=np.int64),
+                                 1).shape == (0,)
+
+
 @PROPERTY
 @given(SEEDS)
 def test_an_empty_path_keys_like_numpy_philox_on_the_seed_alone(seed):
@@ -114,6 +134,8 @@ def test_an_empty_path_keys_like_numpy_philox_on_the_seed_alone(seed):
 def test_a_path_index_outside_0_to_2_63_or_not_an_integer_is_refused(paths):
     with pytest.raises(ValueError, match=r"integers in \[0, 2\^63\)"):
         rng._keys(5, paths)
+    with pytest.raises(ValueError, match=r"integers in \[0, 2\^63\)"):
+        rng.gaussian_energies(5, paths, 3)
 
 
 def test_philox_refuses_a_path_index_outside_its_domain():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiblock import channel, decoder, lattice, rng, sim
+from multiblock.catalog import load_catalog
 from multiblock.channel import FadingModel, check_full_rank
 from multiblock.cli import main
 from multiblock.codebook import carve, scaling_alpha
@@ -315,7 +317,8 @@ def test_certified_trial_has_no_closer_point(catalog, name, extra_rx, kind,
     sent[0] = 0
     words = alpha * lat.points(sent)
     Y = channel.transmit_stack(words, H, seed, streams, False)
-    proved = sim.certified(lat, alpha, check_full_rank(H), Y - H @ words)
+    d2 = np.sum(np.abs(Y - H @ words) ** 2, axis=(1, 2, 3))
+    proved = sim.certified(lat, alpha, check_full_rank(H), d2)
     for t in np.flatnonzero(proved):
         dec = LatticeDecoder(H[t], alpha, lat)
         ((ok, _),) = dec.decodes_to((Y[t] - H[t] @ words[t])[None])
@@ -349,7 +352,7 @@ def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
     for lat in lattices:
         assert lat.det_min is None
         assert not sim.certified(lat, 1.0, np.ones((3, lat.k, lat.n)),
-                                 np.zeros((3, lat.k, 2, lat.n))).any()
+                                 np.zeros(3)).any()
         searches.clear()
         simulate_infinite_wer(lat, model, [10 ** 2.0, 10 ** 3.0], 1.0, 25,
                               seed=4)
@@ -631,5 +634,101 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
     assert main(["simulate", "--field", "cyclo8", "--model", "constant",
                  "--snr-db", "4,8,12", "--rate", "1", "--trials", "200",
                  "--seed", "7", "--infinite"]) == 0
-    assert calls == {"sample_stack": 1, "_words": 1, "check_full_rank": 1}
+    # the infinite path draws every trial's noise radii, then the searched
+    # trials' full noise
+    assert calls == {"sample_stack": 1, "_words": 2, "check_full_rank": 1}
     capsys.readouterr()
+
+
+# -- the infinite path draws full noise only for the trials it searches ------
+
+
+def test_infinite_path_draws_full_noise_only_for_searched_trials(monkeypatch,
+                                                                 capsys):
+    # structural guard: the certificate reads every trial's noise energy
+    # from its radius words; the complex noise on tag 0x57 is drawn only for
+    # the trials some SNR point searches, and a search reads each of them
+    # bit for bit as the draw of the whole chunk (one chunk here)
+    drawn, certificates, decisions = [], [], []
+    draw, prove, decide = (channel.complex_gaussian_streams, sim.certified,
+                           sim.lattice_decisions)
+
+    def recording_draw(seed, streams, shape):
+        drawn.append(np.array(streams))
+        return draw(seed, streams, shape)
+
+    def recording_certificate(*args):
+        certificates.append(prove(*args))
+        return certificates[-1]
+
+    def recording_decisions(preps, Q, searches, budget):
+        decisions.append(searches)
+        return decide(preps, Q, searches, budget)
+
+    monkeypatch.setattr(channel, "complex_gaussian_streams", recording_draw)
+    monkeypatch.setattr(sim, "certified", recording_certificate)
+    monkeypatch.setattr(sim, "lattice_decisions", recording_decisions)
+    assert main(["simulate", "--field", "cyclo8", "--model", "constant",
+                 "--snr-db", "4,8,12", "--rate", "1", "--trials", "200",
+                 "--seed", "7", "--infinite"]) == 0
+    capsys.readouterr()
+    assert len(certificates) == 3 and len(decisions) == 1
+    searched = np.flatnonzero(~np.logical_and.reduce(certificates))
+    assert 0 < len(searched) < 200
+    [paths] = drawn
+    assert paths.tolist() == [[0x57, t] for t in searched]
+    # every drawn trial is searched by some point, each at its stack index
+    at = [set(rows.tolist()) for _, rows, _ in decisions[0]]
+    assert set.union(*at) == set(range(len(searched)))
+    for proved, (_, rows, _) in zip(certificates, decisions[0]):
+        assert searched[rows].tolist() == np.flatnonzero(~proved).tolist()
+    lat = field_lattice(load_catalog().field("cyclo8"))
+    H = np.ones((200, lat.k, 1, 1), dtype=complex)
+    full = channel.transmit_stack(np.zeros((lat.k, 1, 1)), H, 7,
+                                  np.arange(200)[:, None], False)
+    for _, rows, W in decisions[0]:
+        assert np.array_equal(W.view(np.uint64),
+                              full[searched[rows]].view(np.uint64))
+
+
+SPLIT_GOLDEN = """
+# the Golden algebra's data with gamma = 1, a norm: not a division algebra
+name = split_golden
+center = q_i
+n = 2
+rel_poly = -5,0 ; 0,0 ; 1,0
+sigma_eta = 0,0 ; -1,0
+gamma = 1,0
+rel_basis = 1,0 | 0,0 ; 1/2,0 | 1/2,0
+"""
+
+
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_infinite_path_without_det_min_matches_the_reference(
+        tmp_path, monkeypatch, noiseless):
+    # a catalog algebra that asserts no division carries no det_min: the
+    # infinite path draws no noise radii, searches every trial, and tallies
+    # each point as the one-trial-at-a-time reference
+    for name in ("fields.txt", "algebras.txt"):
+        text = resources.files("multiblock").joinpath("catalog", name)
+        (tmp_path / name).write_text(text.read_text("utf-8")
+                                     + (SPLIT_GOLDEN if name == "algebras.txt"
+                                        else ""))
+    monkeypatch.setenv("MULTIBLOCK_CATALOG", str(tmp_path))
+    lat = order_lattice(NaturalOrder(load_catalog().algebra("split_golden")))
+    assert lat.det_min is None
+
+    def no_radii(*args):
+        raise AssertionError("noise radii drawn for a lattice without det_min")
+
+    monkeypatch.setattr(channel, "noise_energies", no_radii)
+    monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
+    model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
+    points = [(scaling_alpha(10.0 ** (snr_db / 10.0), 1.0, lat.n, lat.k,
+                             lat.volume), None) for snr_db in (4, 8, 16)]
+    run = (25, 7, ("lattice",), DEFAULT_BUDGET, noiseless)
+    got = sim._trial_loop(lat, model, points, *run)
+    expected = [reference_trial_loop(lat, model, alpha, None, *run)
+                for alpha, _ in points]
+    assert got == expected
+    assert any(tally["lattice"][0] for tally in got) != noiseless
