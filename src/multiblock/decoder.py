@@ -14,8 +14,8 @@ import numpy as np
 
 from .channel import check_full_rank
 from .errors import BudgetExceeded, DomainError
-from .lattice import (DEFAULT_BUDGET, PreparedCVP, _span_coords, fade_blocks,
-                      realify)
+from .lattice import (DEFAULT_BUDGET, PreparedCVP, _span_coords,
+                      closer_threshold, fade_blocks, realify, zero_path)
 
 
 @dataclass
@@ -96,30 +96,48 @@ class LatticeDecoder:
         (None, budget).  Test-only witness of that error event: the
         reference decision, on this decoder's own preparation of alpha H L,
         against which the trial loop's preparations are checked."""
-        return lattice_decisions([self.prepared] * len(W), self.prepared.Q,
+        prep = self.prepared
+        return lattice_decisions([prep] * len(W), prep.Q, prep.diag,
                                  [(1.0, np.arange(len(W)), W)], budget)[0]
 
 
-def lattice_decisions(preps, Q, searches, budget=DEFAULT_BUDGET):
+def lattice_decisions(preps, Q, diag, searches, budget=DEFAULT_BUDGET):
     """`LatticeDecoder.decodes_to` at several SNR points on one stack of
-    preparations of faded lattices H_t L, `preps`, whose Q factors are the
-    stack `Q` (U, dim, rank), or the one (dim, rank) they all share.  Each
-    search (alpha, at, W) is a point's: the residuals W of the trials at
-    stack indices `at`, searched at W / alpha and scattered into the
-    stack's order, so the span coordinates are read with no copy of Q.
-    The decision does not depend on the basis (Agrell et al. 2002), only
-    the node counts do.  Returns one list of (ok, nodes) per search.  The
+    preparations of faded lattices H_t L, `preps`, whose Q factors and R
+    diagonals are the stacks `Q` (U, dim, rank) and `diag` (U, rank), or
+    the one Q (dim, rank) and diagonal (rank,) they all share.  Each search
+    (alpha, at, W) is a point's: the residuals W of the trials at stack
+    indices `at`, searched at W / alpha and scattered into the stack's
+    order, so the span coordinates are read with no copy of Q.  One
+    `zero_path` pass over every point's targets decides those whose walk
+    would be the zero path; each other target is walked by
+    `exists_closer`, under the threshold computed once for both.  The
+    decision does not depend on the basis (Agrell et al. 2002), only the
+    node counts do.  Returns one list of (ok, nodes) per search.  The
     caller checks the fades' rank (`check_full_rank`)."""
-    out = []
+    ys = []
     for alpha, at, W in searches:
         t = np.zeros((len(preps), Q.shape[-2]))
         t[at] = realify(W) / alpha
-        outcomes = []
-        for i, y in zip(at, _span_coords(Q, t)[at]):
-            try:
-                found, nodes = preps[i].exists_closer(y, budget)
-                outcomes.append((not found, nodes))
-            except BudgetExceeded:
-                outcomes.append((None, budget))
-        out.append(outcomes)
+        ys.append(_span_coords(Q, t)[at])
+    Y = np.concatenate(ys)
+    rows = np.concatenate([at for _, at, _ in searches])
+    thr = [closer_threshold(y) for y in Y.tolist()]
+    decided = zero_path(Y, diag if diag.ndim == 1 else diag[rows], thr,
+                        budget)
+    zero_nodes = 2 * Y.shape[1] - 1
+    outcomes = []
+    for i, y, th, done in zip(rows.tolist(), Y, thr, decided.tolist()):
+        if done:
+            outcomes.append((True, zero_nodes))
+            continue
+        try:
+            found, nodes = preps[i].exists_closer(y, budget, th)
+            outcomes.append((not found, nodes))
+        except BudgetExceeded:
+            outcomes.append((None, budget))
+    out, start = [], 0
+    for y in ys:
+        out.append(outcomes[start:start + len(y)])
+        start += len(y)
     return out

@@ -8,7 +8,11 @@ Re Tr(X Y^dagger), so all geometry runs on the realified basis.
 Every search is one Schnorr-Euchner walk, and each caller gives it a
 leaf rule: the error test stops at the first nonzero point closer than 0,
 shortest and closest vectors keep the least leaf and shrink the radius to
-it, and a ball keeps every leaf.  The walk of each rank is Python source
+it, and a ball keeps every leaf.  Many error tests end at once: the walk
+tries 0 first at every level and finds every other candidate pruned.
+`zero_path` decides a batch of such targets in whole-array operations,
+repeating the walk's float operations on that one path, and leaves every
+other target to the walk.  The walk of each rank is Python source
 generated from the rank alone and compiled on its first search, then
 cached for the process: every coordinate is a local, each level one
 nested loop, and each center one straight-line sum.  CPython nests at most
@@ -332,6 +336,56 @@ def _walk_source(r):
     return "\n".join(lines) + "\n"
 
 
+def closer_threshold(y):
+    """The squared radius of `exists_closer`'s search for the span
+    coordinates y (a list of floats): ||y||^2 by math.fsum, times 1 - 1e-12,
+    so that 0 itself, at metric about ||y||^2, falls outside it."""
+    return math.fsum(v * v for v in y) * (1 - 1e-12)
+
+
+def zero_path(Y, diag, thr, budget):
+    """Which targets of a batch the walk of `exists_closer` would decide on
+    its zero path, (found, nodes) = (False, 2 r - 1), each decided in about
+    20 whole-array operations whatever the rank r.  Y (T, r) holds the span
+    coordinates, diag the diagonal of R, one row (r,) every target shares or
+    one row per target (T, r), and thr (T,) the thresholds
+    `closer_threshold`.
+
+    On the zero path every level r-1..1 tries 0 first and keeps it within
+    the radius, level 0's first candidate is pruned, and then every +-1
+    sibling at levels 1..r-1 is pruned: no leaf, and 2 r - 1 nodes.  With
+    z = 0 above it, level l's center is c_l = y_l / d_l (y_l minus products
+    with 0.0 is y_l), and its metric b_l sums (c_j d_j)^2 from the top down
+    to l.  A sibling at least as near as 0 (|c_l| >= 1/2, where the walk
+    would not try 0 first) is within the radius whenever 0 is, so pruned
+    siblings also prove that every center rounds to 0.  The batch repeats
+    the walk's float operations in its order: IEEE division, np.rint at
+    level 0 (half to even, as `round`), and a sequential np.cumsum, as the
+    walk's b + t * t.  A target whose threshold is not positive
+    (`exists_closer` walks none) or not finite (no metric exceeds it) is
+    never decided, and neither is any target under a budget below 2 r - 1:
+    the walk decides them as it always has."""
+    T, r = Y.shape
+    thr = np.asarray(thr, dtype=float)
+    if budget < 2 * r - 1:
+        return np.zeros(T, dtype=bool)
+    # a far target's centers and squares may overflow or compare as NaN:
+    # such a target is not decided here, and the walk reads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = Y / diag
+        t = c * diag
+        c0 = c[:, 0]
+        t[:, 0] = (c0 - np.rint(c0)) * diag[..., 0]
+        # b[:, l] is the metric after level l, b[:, r] = 0 above the top
+        b = np.zeros((T, r + 1))
+        b[:, r - 1::-1] = np.cumsum((t * t)[:, ::-1], axis=1)
+        # the sibling at level l is 1 if c_l >= 0 else -1
+        u = (c[:, 1:] - np.where(c[:, 1:] >= 0, 1.0, -1.0)) * diag[..., 1:]
+        decided = ((thr > 0) & (b[:, 0] > thr) & (b[:, 1] <= thr)
+                   & np.all(u * u + b[:, 2:] > thr[:, None], axis=1))
+    return decided
+
+
 def _least_leaf(radius2, nonzero):
     """(leaf, best): a leaf rule that keeps in best = [metric, z] the least
     leaf (nonzero if asked; the first of equal leaves wins) and shrinks the
@@ -363,13 +417,19 @@ class PreparedCVP:
         self._diag = [self._rows[i][i] for i in range(self.rank)]
         return self
 
+    @cached_property
+    def diag(self):
+        """The diagonal of R, an array (rank,): what `zero_path` reads."""
+        return np.array(self._diag)
+
     @classmethod
     def stack(cls, bases):
         """Preparations of each basis of a stack (T, rank, dim), with no
-        LLL (each basis as given, U the identity), by one stacked QR; and
-        the stack of their Q factors (T, dim, rank), in which
-        `_span_coords` reads the span coordinates y = Q^T t of targets as
-        `project` computes them.  Whether a nonzero lattice point is closer
+        LLL (each basis as given, U the identity), by one stacked QR; the
+        stack of their Q factors (T, dim, rank), in which `_span_coords`
+        reads the span coordinates y = Q^T t of targets as `project`
+        computes them; and the stack of the diagonals of their R factors
+        (T, rank), which `zero_path` reads.  Whether a nonzero lattice point is closer
         to a target than 0 does not depend on the basis (Agrell et al.
         2002), so `exists_closer` decides the same on these preparations as
         on LLL-reduced ones; only its node count differs."""
@@ -378,7 +438,7 @@ class PreparedCVP:
         eye = np.eye(bases.shape[1], dtype=np.int64)
         preps = [cls.__new__(cls)._factored(b, eye, q, r)
                  for b, q, r in zip(bases, Q, R)]
-        return preps, Q
+        return preps, Q, np.diagonal(R, axis1=1, axis2=2)
 
     def project(self, target):
         """(y, offset2): the coordinates y = Q^T t of the target t (dim,) in
@@ -409,14 +469,16 @@ class PreparedCVP:
         metric, z = best
         return metric + offset2, _apply_u(z, self.U), nodes, exact
 
-    def exists_closer(self, y, budget=DEFAULT_BUDGET):
+    def exists_closer(self, y, budget=DEFAULT_BUDGET, thr=None):
         """(found, nodes): found iff some nonzero-coordinate point lies
         strictly closer to the target than 0, given the target's span
         coordinates y from `project`.  The target's distance to the span
         adds the same amount to both distances, so the search reads y alone
-        and stops at its first nonzero leaf within ||y||^2 (1 - 1e-12)."""
+        and stops at its first nonzero leaf within the threshold thr,
+        `closer_threshold(y)`, computed here unless the caller has it."""
         y = y.tolist()
-        thr = math.fsum(v * v for v in y) * (1 - 1e-12)
+        if thr is None:
+            thr = closer_threshold(y)
         if thr <= 0:
             return False, 0
         found = False

@@ -22,7 +22,8 @@ _MASK = (1 << 64) - 1
 # fresh generator at counter 1.  Lane 0 multiplies x0, lane 1 multiplies x2.
 _M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
               dtype=np.uint64).reshape(2, 1, 1)
-_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+              dtype=np.uint64).reshape(2, 1, 1)
 _ROUNDS = 10
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _M_HI, _M_LO = _M >> _32, _M & _LOW32
@@ -70,17 +71,15 @@ def _words(keys, count):
     """The first `count` 64-bit outputs of Philox4x64-10 under each row
     (key0, key1) of the uint64 array `keys`: shape (len(keys), count).
     Both lanes run as one array: a holds (x0, x2), b holds (x1, x3), each of
-    shape (2, blocks, streams), so the per-stream round keys broadcast along
-    the contiguous axis."""
+    shape (2, blocks, streams), so the per-stream round key, a (2, 1,
+    streams) array, broadcasts along the contiguous axis."""
     blocks = -(-count // 4)
     a = np.zeros((2, blocks, len(keys)), dtype=np.uint64)
     a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
     b = np.zeros_like(a)
-    # the key of round r is key + r * W, one (2, 1, streams) slice per round
-    schedule = (keys.T[None, :, None, :]
-                + np.arange(_ROUNDS, dtype=np.uint64)[:, None, None, None]
-                * _W[None, :, None, None])
-    for k in schedule:
+    # the key of round r is key + r * W: W added after each round
+    k = keys.T[:, None, :].copy()
+    for _ in range(_ROUNDS):
         # the 128-bit products M * a from 32-bit halves, high word by carries
         a_hi, a_lo = a >> _32, a & _LOW32
         t = _M_LO * a_lo
@@ -88,8 +87,11 @@ def _words(keys, count):
         v = _M_LO * a_hi + (u & _LOW32)
         hi = _M_HI * a_hi + (u >> _32) + (v >> _32)
         a, b = hi[::-1] ^ b ^ k, (_M * a)[::-1]
+        k += _W
     # word 4 j + i of a stream is x_i of its block j
-    words = np.stack((a, b), axis=-1).transpose(2, 1, 0, 3)
+    words = np.empty((len(keys), blocks, 4), dtype=np.uint64)
+    words[:, :, 0::2] = a.transpose(2, 1, 0)
+    words[:, :, 1::2] = b.transpose(2, 1, 0)
     return words.reshape(len(keys), 4 * blocks)[:, :count]
 
 

@@ -115,7 +115,8 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     need.  On the infinite lattice W_t is the noise itself, shared by every
     point: a chunk draws each trial's noise energy alone, from the noise's
     radius words, and the full noise only for the searched trials, bit for
-    bit the draw of the whole chunk.  A search that exhausts `budget`
+    bit the draw of the whole chunk; a chunk that searches no trial draws
+    no full noise and asks no decision.  A search that exhausts `budget`
     counts as an error (a conservative WER), a budget hit and `budget`
     nodes.  Returns one {decoder: [errors, nodes, budget hits]} per
     point."""
@@ -162,6 +163,8 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                 for (alpha, _), d2_p in zip(points, d2)]
         searched = np.zeros(len(streams), dtype=bool)
         searched[np.concatenate(todo)] = True
+        if not searched.any():
+            continue
         place = np.cumsum(searched) - 1     # trial t's index in the stack
         # the searched trials' residuals, in the stack's order
         if picks:
@@ -173,11 +176,11 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                                         streams[searched], noiseless)
                  ] * len(points)
         # a constant channel's searched trials share its one preparation
-        preps, Q = (([prep] * np.count_nonzero(searched), prep.Q) if shared
-                    else lat.faded_stack(H[searched]))
+        stack = (([prep] * np.count_nonzero(searched), prep.Q, prep.diag)
+                 if shared else lat.faded_stack(H[searched]))
         searches = [(alpha, place[rows], W_p[place[rows]])
                     for (alpha, _), rows, W_p in zip(points, todo, W)]
-        results = lattice_decisions(preps, Q, searches, budget)
+        results = lattice_decisions(*stack, searches, budget)
         for outcomes, tally in zip(results, tallies):
             for ok, nodes in outcomes:
                 tally["lattice"][0] += not ok

@@ -2,9 +2,11 @@ import os
 
 import pytest
 
+from multiblock import decoder
 from multiblock.catalog import load_catalog
 from multiblock.cyclic_algebra import CyclicAlgebra, NaturalOrder, order_lattice
-from multiblock.lattice import field_lattice
+from multiblock.errors import BudgetExceeded
+from multiblock.lattice import DEFAULT_BUDGET, PreparedCVP, field_lattice
 
 # subprocesses import the package from src/ as this process does (pytest's
 # pythonpath setting), so the suite runs without an install
@@ -84,3 +86,41 @@ def qi_lattice(q_i):
 @pytest.fixture(scope="session")
 def hex_lattice(q_omega):
     return field_lattice(q_omega)
+
+
+@pytest.fixture
+def search_log(monkeypatch):
+    """The log of every lattice search `decoder.lattice_decisions` makes:
+    one entry [bits of the target's span coordinates, outcome] per target,
+    in the order the routine reads them, the outcome (found, nodes) or
+    "budget exceeded".  A target is recorded once, by the `zero_path`
+    descent that decides it, at (False, 2 r - 1), or by the
+    `exists_closer` walk of a target the descent leaves."""
+    log, walks = [], []
+    descend, search = decoder.zero_path, PreparedCVP.exists_closer
+
+    def recording_descent(Y, diag, thr, budget):
+        decided = descend(Y, diag, thr, budget)
+        for y, done in zip(Y, decided):
+            log.append([y.tobytes()])
+            if done:
+                log[-1].append((False, 2 * Y.shape[1] - 1))
+            else:
+                walks.append(log[-1])
+        return decided
+
+    def recording_walk(self, y, budget=DEFAULT_BUDGET, thr=None):
+        # the walks come in the descent's order, one per target it left
+        entry = walks.pop(0)
+        assert entry[0] == y.tobytes()
+        try:
+            found, nodes = search(self, y, budget, thr)
+        except BudgetExceeded:
+            entry.append("budget exceeded")
+            raise
+        entry.append((found, nodes))
+        return found, nodes
+
+    monkeypatch.setattr(decoder, "zero_path", recording_descent)
+    monkeypatch.setattr(PreparedCVP, "exists_closer", recording_walk)
+    return log

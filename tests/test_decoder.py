@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from multiblock import decoder
 from multiblock.codebook import Codebook, carve
 from multiblock.decoder import LatticeDecoder, lattice_decisions, ml_decode
 from multiblock.errors import DegenerateLattice, SingularChannel
@@ -241,12 +242,13 @@ def test_stacked_ml_decode_matches_single_word_formula(request, lattice_name,
 
 
 @pytest.mark.parametrize("lattice_name,n_r", STACK_CASES)
-def test_stacked_decodes_to_searches_single_word_targets(request, monkeypatch,
+def test_stacked_decodes_to_searches_single_word_targets(request, search_log,
                                                          lattice_name, n_r):
     # the span coordinates of each search of a stack carry the bits of its
-    # own residual W_t = Y_t - H X_t, each row is decided as a stack of one
-    # decides it, and the decision is the naive decoder's error event: ok
-    # iff decode(Y_t) returns the sent point
+    # own residual W_t = Y_t - H X_t, whether the zero-path descent or a
+    # walk decides it, each row is decided as a stack of one decides it, and
+    # the decision is the naive decoder's error event: ok iff decode(Y_t)
+    # returns the sent point
     lat = request.getfixturevalue(lattice_name)
     book, H, idx, _ = _stack(lat, n_r, 43)
     dec = LatticeDecoder(H[0], book.alpha, lat, book.shift)
@@ -256,18 +258,10 @@ def test_stacked_decodes_to_searches_single_word_targets(request, monkeypatch,
     sent = book.matrices[idx]
     Y = H[0] @ sent + 0.4 * lam1 * complex_gaussian(philox(43, 0), H.shape)
     W = Y - H[0] @ sent
-    searched = []
-    search = PreparedCVP.exists_closer
-
-    def recording(self, y, budget):
-        searched.append(y)
-        return search(self, y, budget)
-
-    monkeypatch.setattr(PreparedCVP, "exists_closer", recording)
     outcomes = dec.decodes_to(W)
-    assert len(searched) == len(W)
-    for t, y in enumerate(searched):
-        assert _bits(y) == _bits(dec.prepared.Q.T @ realify(W[t]))
+    assert len(search_log) == len(W)
+    for t, (y, _) in enumerate(search_log):
+        assert y == _bits(dec.prepared.Q.T @ realify(W[t]))
     assert outcomes == [dec.decodes_to(W[t:t + 1])[0] for t in range(len(W))]
     for t, (ok, _) in enumerate(outcomes):
         assert ok == (dec.decode(Y[t]).coords == list(book.coords[idx[t]]))
@@ -324,6 +318,7 @@ def test_degenerate_fade_raises_before_any_search(golden_lattice, monkeypatch,
     def no_search(*args):
         raise AssertionError("searched a degenerate lattice")
 
+    monkeypatch.setattr(decoder, "zero_path", no_search)
     monkeypatch.setattr(PreparedCVP, "exists_closer", no_search)
     with pytest.raises(DegenerateLattice):
         lattice_decisions(*golden_lattice.faded_stack(H),

@@ -170,27 +170,6 @@ def _lattice(catalog, name):
     return order_lattice(NaturalOrder(catalog.algebra(name)))
 
 
-def _recording_searches(monkeypatch):
-    """Record, per lattice search, the bits of its target's span coordinates
-    and its outcome."""
-    log = []
-    search = PreparedCVP.exists_closer
-
-    def recording(self, y, budget=DEFAULT_BUDGET):
-        entry = [np.asarray(y).tobytes()]
-        log.append(entry)
-        try:
-            found, nodes = search(self, y, budget)
-        except BudgetExceeded:
-            entry.append("budget exceeded")
-            raise
-        entry.append((found, nodes))
-        return found, nodes
-
-    monkeypatch.setattr(PreparedCVP, "exists_closer", recording)
-    return log
-
-
 def _recording_certificates(monkeypatch, searches):
     """Record, per certificate (one per chunk and SNR point), which trials
     it proved correct, and how many searches the log `searches` held when
@@ -210,7 +189,8 @@ def _recording_certificates(monkeypatch, searches):
 @pytest.mark.parametrize("chunk_trials", [1, 20])
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
-                                                       case, chunk_trials):
+                                                       search_log, case,
+                                                       chunk_trials):
     # one run over the whole SNR grid tallies each point as the one-trial-
     # at-a-time reference run at that point alone
     name, model, grid, rate, decoders, budget, noiseless, infinite = \
@@ -232,19 +212,18 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
     assert chunk == chunk_trials
     trials = 2 * chunk + 7                # two full chunks and a partial one
     run = (trials, 29, decoders, budget, noiseless)
-    searches = _recording_searches(monkeypatch)
     expected, reference_searches = [], []
     for alpha, book in points:
         expected.append(reference_trial_loop(lat, model, alpha, book, *run))
-        reference_searches.append(list(searches))
-        searches.clear()
-    masks = _recording_certificates(monkeypatch, searches)
+        reference_searches.append(list(search_log))
+        search_log.clear()
+    masks = _recording_certificates(monkeypatch, search_log)
     got = sim._trial_loop(lat, model, points, *run)
     assert len(got) == len(points)
     if "ml" in decoders:
         assert [g["ml"] for g in got] == [e["ml"] for e in expected]
     if "lattice" not in decoders:
-        assert searches == [] and masks == []
+        assert search_log == [] and masks == []
         return
     # chunk c asks every point's certificate, point p's as its (c * points
     # + p)-th, before any search; then it searches the trials each left
@@ -258,9 +237,9 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
         proved, searched = per_point[i % len(points)]
         proved.extend(mask.tolist())
         end = at + int(np.count_nonzero(~mask))
-        searched.extend(searches[at:end])
+        searched.extend(search_log[at:end])
         at = end
-    assert at == len(searches)
+    assert at == len(search_log)
     for p, (proved, searched) in enumerate(per_point):
         reference = reference_searches[p]
         # the reference searched every trial; the loop searched exactly the
@@ -337,7 +316,7 @@ def test_carried_det_min_bounds_the_ball(catalog):
         assert lat.det_min <= smallest * (1 + 1e-9)
 
 
-def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
+def test_uncertified_lattices_run_every_search(catalog, search_log):
     # the Golden algebra's data with gamma = 1, a norm: a non-division
     # algebra that asserts nothing, and a hand-built lattice, carry no
     # det_min, so every trial is searched
@@ -348,15 +327,14 @@ def test_uncertified_lattices_run_every_search(catalog, monkeypatch):
     lattices = [order_lattice(NaturalOrder(split)),
                 MatrixLattice(_lattice(catalog, "golden").blocks)]
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
-    searches = _recording_searches(monkeypatch)
     for lat in lattices:
         assert lat.det_min is None
         assert not sim.certified(lat, 1.0, np.ones((3, lat.k, lat.n)),
                                  np.zeros(3)).any()
-        searches.clear()
+        search_log.clear()
         simulate_infinite_wer(lat, model, [10 ** 2.0, 10 ** 3.0], 1.0, 25,
                               seed=4)
-        assert len(searches) == 2 * 25
+        assert len(search_log) == 2 * 25
 
 
 # -- fading searches prepared by one stacked QR, with no LLL of their own ----
@@ -416,7 +394,7 @@ def _stack(lat, model, H):
     basis per fade, QR-factored as given."""
     if model.kind == "constant":
         prep = lat.faded_cvp(H[0])
-        return [prep] * len(H), prep.Q
+        return [prep] * len(H), prep.Q, prep.diag
     return lat.faded_stack(H)
 
 
@@ -427,7 +405,7 @@ SHEARED = np.array([[1, 50], [0, 1]], dtype=complex)
     FadingModel(kind="iid_rayleigh", n=2, n_r=3),
     FadingModel(kind="constant", n=2, n_r=2, fixed_H=SHEARED)],
     ids=["iid_rayleigh", "sheared_constant"])
-def test_grid_search_decides_as_each_point_alone(catalog, monkeypatch, model):
+def test_grid_search_decides_as_each_point_alone(catalog, search_log, model):
     # one stack of preparations for the union of the points' trials gives
     # each point the span coordinates, outcomes and node counts, bit for
     # bit, of a stack of its own trials: a fading chunk's stacked QR, or a
@@ -446,35 +424,37 @@ def test_grid_search_decides_as_each_point_alone(catalog, monkeypatch, model):
                               lat.volume)
         rows = np.flatnonzero(gen.random(40) < 0.6)
         searches.append((alpha, rows, W[rows]))
-    log = _recording_searches(monkeypatch)
-    preps, Q = _stack(lat, model, H)
-    got = lattice_decisions(preps, Q, searches)
-    grid, alone = list(log), []
+    stack = _stack(lat, model, H)
+    got = lattice_decisions(*stack, searches)
+    grid, alone = list(search_log), []
     for (alpha, rows, W_p), outcomes in zip(searches, got):
-        log.clear()
+        search_log.clear()
         assert lattice_decisions(*_stack(lat, model, H[rows]),
                                  [(alpha, np.arange(len(rows)), W_p)]) == \
             [outcomes]
-        alone.extend(log)
+        alone.extend(search_log)
         if model.kind == "constant":
             # the shared factor reads the point's own targets, unscattered
-            ys = _span_coords(Q, realify(W_p) / alpha)
-            assert [entry[0] for entry in log] == [y.tobytes() for y in ys]
+            ys = _span_coords(stack[1], realify(W_p) / alpha)
+            assert [entry[0] for entry in search_log] == [y.tobytes() for y in ys]
     assert grid == alone
     oks = {ok for outcomes in got for ok, _ in outcomes}
     assert oks == {True, False}      # both outcomes exercised
 
 
 @pytest.mark.parametrize("kind", ["constant", "iid_rayleigh"])
-def test_one_routine_decides_every_searched_trial(catalog, monkeypatch, kind):
+def test_one_routine_decides_every_searched_trial(catalog, monkeypatch,
+                                                  search_log, kind):
     # structural guard: the trial loop asks `lattice_decisions` once per
-    # chunk for every SNR point, every search of a trial runs inside it,
-    # and the nodes of those searches are the points' avg_nodes x trials
+    # chunk for every SNR point, every search of a trial runs inside it (a
+    # descent, or a walk the descent left), and the nodes of those searches
+    # are the points' avg_nodes x trials
     lat = _lattice(catalog, "golden")
     model = FadingModel(kind=kind, n=2, n_r=2,
                         fixed_H=SHEARED if kind == "constant" else None)
-    calls, nodes, inside = [], [], [False]
-    decide, search = sim.lattice_decisions, PreparedCVP.exists_closer
+    calls, inside = [], [False]
+    decide, descend = sim.lattice_decisions, decoder.zero_path
+    search = PreparedCVP.exists_closer
 
     def recording_decisions(*args):
         calls.append(args)
@@ -484,20 +464,24 @@ def test_one_routine_decides_every_searched_trial(catalog, monkeypatch, kind):
         finally:
             inside[0] = False
 
-    def recording_search(self, y, budget=DEFAULT_BUDGET):
+    def inside_descent(*args):
+        assert inside[0], "a trial descended outside lattice_decisions"
+        return descend(*args)
+
+    def inside_search(self, y, budget=DEFAULT_BUDGET, thr=None):
         assert inside[0], "a trial searched outside lattice_decisions"
-        found, n = search(self, y, budget)
-        nodes.append(n)
-        return found, n
+        return search(self, y, budget, thr)
 
     monkeypatch.setattr(sim, "lattice_decisions", recording_decisions)
-    monkeypatch.setattr(PreparedCVP, "exists_closer", recording_search)
+    monkeypatch.setattr(decoder, "zero_path", inside_descent)
+    monkeypatch.setattr(PreparedCVP, "exists_closer", inside_search)
     monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
     trials = 40
     got = simulate_infinite_wer(lat, model, [10 ** 0.8, 10 ** 1.2, 10 ** 1.6],
                                 1.0, trials, seed=3)
     assert len(calls) == math.ceil(trials / 7)
-    assert all(len(searches) == 3 for _, _, searches, _ in calls)
+    assert all(len(args[3]) == 3 for args in calls)
+    nodes = [outcome[1] for _, outcome in search_log]
     assert len(nodes) > 20
     assert sum(nodes) == round(sum(p.avg_nodes * trials for p in got))
     assert not any(p.flag for p in got)
@@ -517,6 +501,7 @@ def test_chunk_bound_counts_faded_bases(catalog):
 
 def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
                                                                  monkeypatch,
+                                                                 search_log,
                                                                  capsys,
                                                                  tmp_path):
     # structural guard: a command LLL-reduces each lattice it searches
@@ -540,7 +525,6 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
 
     monkeypatch.setattr(lattice, "lll_reduce", counting_reduce)
     monkeypatch.setattr(decoder.LatticeDecoder, "__init__", counting_init)
-    searches = _recording_searches(monkeypatch)
     sheared = np.array([[1, 50], [0, 1]], dtype=complex)
     hfile = tmp_path / "h.txt"
     hfile.write_text("1 50\n0 1\n")
@@ -559,7 +543,7 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
     for name, extra in runs:
         kind = "--field" if name in catalog.fields else "--algebra"
         reduced.clear()
-        searches.clear()
+        search_log.clear()
         assert main(["simulate", kind, name, "--snr-db", "0,4,8", "--rate",
                      "1", "--trials", "100", "--seed", "7"] + extra) == 0
         lat = _lattice(catalog, name)
@@ -573,7 +557,7 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
             want = [lat.real_basis]
         want = list(dict.fromkeys(b.tobytes() for b in want))
         assert reduced == want, (name, extra)
-        assert len(searches) > 20, (name, extra)
+        assert len(search_log) > 20, (name, extra)
     reduced.clear()
     assert main(["invariants", "--all"]) == 0
     assert len(reduced) == len(set(reduced)) == (len(catalog.fields)
@@ -584,6 +568,7 @@ def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
 
 def test_identity_constant_run_factors_only_the_lattice_basis(catalog,
                                                               monkeypatch,
+                                                              search_log,
                                                               capsys):
     # every alpha divides the targets, never the basis: on the identity
     # fade, three SNR points search lat.cvp, and no QR factors a basis
@@ -597,13 +582,12 @@ def test_identity_constant_run_factors_only_the_lattice_basis(catalog,
         return signed_qr(A)
 
     monkeypatch.setattr(lattice, "_signed_qr", counting)
-    searches = _recording_searches(monkeypatch)
     assert main(["simulate", "--field", "cyclo8", "--model", "constant",
                  "--snr-db", "4,8,12", "--rate", "1", "--trials", "200",
                  "--seed", "7", "--infinite"]) == 0
     capsys.readouterr()
     assert factored == [reduced.T.tobytes()]
-    assert len(searches) > 20
+    assert len(search_log) > 20
 
 
 def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
@@ -640,6 +624,29 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
     capsys.readouterr()
 
 
+def test_a_chunk_that_searches_no_trial_draws_no_noise(monkeypatch, capsys):
+    # at 30 dB the chunks of this line certify every trial (7 chunks, each
+    # drawing its trials' noise radii), and a chunk that searches no trial
+    # draws no full noise and asks no decision
+    words, masks, decisions = [], [], []
+    draw, prove, decide = rng._words, sim.certified, sim.lattice_decisions
+    monkeypatch.setattr(rng, "_words",
+                        lambda *args: words.append(args) or draw(*args))
+    monkeypatch.setattr(sim, "certified",
+                        lambda *args: masks.append(prove(*args)) or masks[-1])
+    monkeypatch.setattr(sim, "lattice_decisions",
+                        lambda *args: decisions.append(args) or decide(*args))
+    assert main(["simulate", "--field", "cyclo8", "--model", "constant",
+                 "--snr-db", "30", "--rate", "1", "--trials", "20000",
+                 "--seed", "1", "--infinite"]) == 0
+    capsys.readouterr()
+    # one SNR point: one certificate per chunk
+    searching = sum(not mask.all() for mask in masks)
+    assert searching < len(masks)
+    assert len(words) == len(masks) + searching
+    assert len(decisions) == searching
+
+
 # -- the infinite path draws full noise only for the trials it searches ------
 
 
@@ -661,9 +668,9 @@ def test_infinite_path_draws_full_noise_only_for_searched_trials(monkeypatch,
         certificates.append(prove(*args))
         return certificates[-1]
 
-    def recording_decisions(preps, Q, searches, budget):
+    def recording_decisions(preps, Q, diag, searches, budget):
         decisions.append(searches)
-        return decide(preps, Q, searches, budget)
+        return decide(preps, Q, diag, searches, budget)
 
     monkeypatch.setattr(channel, "complex_gaussian_streams", recording_draw)
     monkeypatch.setattr(sim, "certified", recording_certificate)

@@ -2,7 +2,8 @@
 functions by name.  A rename in the package would silently drop a layer
 from its report, so every target must resolve; and it counts search nodes
 from the return value of `PreparedCVP.exists_closer`, so a traced run's
-count must match the run's own avg_nodes; and a command's carving shows as
+count, with the nodes of the searches `decoder.zero_path` decides without a
+walk, must match the run's own avg_nodes; and a command's carving shows as
 one `carve` of --carve-trials `count_points_in_ball` searches."""
 
 import contextlib
@@ -41,11 +42,20 @@ def test_every_trace_target_resolves_and_is_restored():
     assert [_resolve(t) for t in tracer.TARGETS] == before
 
 
-def test_traced_search_nodes_add_up_to_avg_nodes():
+def test_traced_search_nodes_add_up_to_avg_nodes(monkeypatch):
     # the benchmark reads search effort from the tracer's count of the
     # nodes `exists_closer` returns; a change of its signature or of its
-    # result must keep that count equal to the run's own avg_nodes
+    # result must keep that count, with the 2 r - 1 nodes of each search
+    # the zero-path descent decides, equal to the run's own avg_nodes
     tracer = _load_tracer()
+    descended, descend = [], multiblock.decoder.zero_path
+
+    def counting_descent(Y, diag, thr, budget):
+        decided = descend(Y, diag, thr, budget)
+        descended.append(int(decided.sum()) * (2 * Y.shape[1] - 1))
+        return decided
+
+    monkeypatch.setattr(multiblock.decoder, "zero_path", counting_descent)
     trials = 300
     argv = ["simulate", "--field", "cyclo8", "--model", "constant",
             "--snr-db", "2,6", "--rate", "1", "--trials", str(trials),
@@ -59,7 +69,9 @@ def test_traced_search_nodes_add_up_to_avg_nodes():
     assert len(rows) == 2
     nodes = sum(float(r["avg_nodes"]) * trials for r in rows)
     assert nodes > 0
-    assert t.stats["lattice.exists_closer"].counts["nodes"] == round(nodes)
+    walked = t.stats["lattice.exists_closer"].counts["nodes"]
+    assert walked > 0 and sum(descended) > 0
+    assert walked + sum(descended) == round(nodes)
 
 
 def test_traced_fading_codebook_searches_carve_trials_shifts():

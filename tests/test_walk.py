@@ -1,11 +1,15 @@
-"""The generated Schnorr-Euchner walk against its reference.
+"""The generated Schnorr-Euchner walk, and the zero-path descent that
+decides a batch of searches without it, against the reference walk.
 
 `lattice._enumerate` runs a walk generated and compiled once per rank;
 `oracles.reference_enumerate` is the list-based loop it replaces.  Both
 must visit the same nodes, call the leaf rule with the same leaves and
 metrics, and stop or run out of budget at the same node: on every search
 that two digest command lines make, and on Hypothesis factors of ranks
-1-40, whose walks above rank 16 run in nested segments.
+1-40, whose walks above rank 16 run in nested segments.  Every search that
+`lattice.zero_path` decides must be one whose walk finds no closer point in
+exactly 2 r - 1 nodes: on the same factors, and on every search of four
+command lines.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import subprocess
 import sys
 import textwrap
 import tokenize
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multiblock import cli, lattice
+from multiblock import cli, decoder, lattice, sim
 from multiblock.cyclic_algebra import NaturalOrder, order_lattice
 from multiblock.errors import BudgetExceeded
 from multiblock.rng import philox
@@ -57,12 +62,13 @@ def _run(walk, rows, diag, y, radius2, budget, leaf):
 # replayed searches
 
 # The W1 and W3 digest command lines at the smallest trial counts that still
-# make an `exists_closer` search (W1 also carves its codebook by `ball`).
+# make an `exists_closer` walk (W1 also carves its codebook by `ball`): the
+# zero-path descent decides W3's first 2,333 searched trials
 REPLAYED = {
     "W1": "simulate --algebra golden --model iid_rayleigh --nr 2 --snr-db "
           "8,12,16 --rate 1 --trials 1 --seed 7",
     "W3": "simulate --field cyclo32 --model constant --snr-db 20 --rate 3.74 "
-          "--trials 15 --seed 1729 --decoder lattice --infinite",
+          "--trials 2334 --seed 1729 --decoder lattice --infinite",
 }
 # leaf rules whose returned radius depends only on (z, metric), so that a
 # recorded search can be replayed with its own leaf
@@ -91,6 +97,53 @@ def test_replayed_searches_match_reference(name, monkeypatch):
     for rows, diag, y, radius2, budget, leaf, nodes, log in calls:
         for walk in WALKS.values():
             assert _run(walk, rows, diag, y, radius2, budget, leaf) == (nodes, log)
+
+
+# Command lines whose searches the descent decides in part: (line, searches
+# it decides, searches)
+DESCENT_REPLAYED = {
+    "W1": ("simulate --algebra golden --model iid_rayleigh --nr 2 --snr-db "
+           "8,12,16 --rate 1 --trials 2000 --seed 7", 401, 1799),
+    "W3": ("simulate --field cyclo32 --model constant --snr-db 20 --rate 3.74 "
+           "--trials 1500 --seed 1729 --decoder lattice --infinite", 111, 111),
+    "Z": ("simulate --algebra zeta20 --model iid_rayleigh --nr 2 --snr-db 6,10 "
+          "--rate 1 --trials 1000 --seed 1 --decoder lattice --infinite",
+          482, 1988),
+    "cyclo8": ("simulate --field cyclo8 --model constant --snr-db 4,8,12 "
+               "--rate 1 --trials 3000 --seed 5 --decoder lattice --infinite",
+               759, 2174),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_REPLAYED))
+def test_replayed_descents_decide_as_the_walk(name, monkeypatch):
+    # each `lattice_decisions` call of the command, replayed with a descent
+    # that decides nothing, walks every search to the same outcomes and
+    # node counts
+    line, want_decided, want_searches = DESCENT_REPLAYED[name]
+    decide, descend = sim.lattice_decisions, decoder.zero_path
+    decided = []
+
+    def counting(*args):
+        decided.append(descend(*args))
+        return decided[-1]
+
+    def deciding_nothing(Y, diag, thr, budget):
+        return np.zeros(len(Y), dtype=bool)
+
+    def replaying(*args):
+        got = decide(*args)
+        monkeypatch.setattr(decoder, "zero_path", deciding_nothing)
+        assert decide(*args) == got
+        monkeypatch.setattr(decoder, "zero_path", counting)
+        return got
+
+    monkeypatch.setattr(decoder, "zero_path", counting)
+    monkeypatch.setattr(sim, "lattice_decisions", replaying)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(line.split()) == 0
+    assert sum(int(d.sum()) for d in decided) == want_decided
+    assert sum(len(d) for d in decided) == want_searches
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +232,74 @@ def test_walk_matches_reference_on_degree_three_algebra(cube2):
     for target in gen.standard_normal((3, lat.real_basis.shape[1])):
         y, _ = lat.cvp.project(target)
         assert_walks_agree(lat.cvp._rows, lat.cvp._diag, y.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the zero-path descent against the reference walk
+
+def _closer_walk(rows, diag, y, thr, budget):
+    """(found, nodes) of `exists_closer`'s search under threshold thr, on
+    the reference walk; "budget" when the walk runs out."""
+    found = []
+
+    def leaf(z, metric):
+        found.append(any(z))
+        return None if found[-1] else thr
+    try:
+        nodes = reference_enumerate(rows, diag, y, thr, budget, leaf)
+    except BudgetExceeded:
+        return "budget"
+    return any(found), nodes
+
+
+def _descend(Y, diag, budget):
+    """The thresholds of the targets Y and the descent's decisions on them,
+    with the one diagonal shared and as one row per target, which must
+    agree; a numpy warning fails the test."""
+    Y = np.array(Y, dtype=float).reshape(len(Y), len(diag))
+    thr = [lattice.closer_threshold(y) for y in Y.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decided = lattice.zero_path(Y, np.array(diag), thr, budget)
+        per_row = lattice.zero_path(Y, np.tile(diag, (len(Y), 1)), thr,
+                                    budget)
+    assert decided.tolist() == per_row.tolist()
+    return thr, decided.tolist()
+
+
+def assert_descent_is_the_walk(rows, diag, y):
+    """Every target the descent decides is one whose walk finds no closer
+    point in exactly 2 r - 1 nodes; y = 0, centers tied at +-0.5 above
+    level 0, a top center just past 0.5, targets whose squares overflow and
+    every target under a budget below 2 r - 1 go to the walk, and a small
+    target near 0 does not."""
+    r = len(diag)
+    small = [0.01 * d for d in diag]
+    ties = [0.1 * diag[0]] + [(-0.5 if l % 2 else 0.5) * diag[l]
+                              for l in range(1, r)]
+    past = small[:-1] + [0.55 * diag[-1]]
+    far = [1e160 * (v + 5.0) for v in y]     # each square overflows
+    targets = [y, [0.01 * v for v in y], small, [0.0] * r, ties, past, far]
+    thr, decided = _descend(targets, diag, 10 ** 8)
+    assert decided[2]
+    assert not decided[3]
+    assert not decided[4] or r == 1
+    assert not decided[5] and not decided[6]
+    for target, th, done in zip(targets, thr, decided):
+        if done:
+            assert _closer_walk(rows, diag, target, th, 10 ** 8) == \
+                (False, 2 * r - 1)
+    _, decided = _descend(targets, diag, 2 * r - 2)
+    assert not any(decided)
+    assert _closer_walk(rows, diag, small, thr[2], 2 * r - 2) == "budget"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(triangular_factors())
+@example(_fixed_factors(17, 17))
+@example(_fixed_factors(40, 40))
+def test_zero_path_decides_only_searches_the_walk_ends_at_once(factors):
+    assert_descent_is_the_walk(*factors)
 
 
 # ---------------------------------------------------------------------------
