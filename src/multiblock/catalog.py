@@ -19,7 +19,6 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .cyclic_algebra import CyclicAlgebra
 from .errors import CatalogError, CatalogInconsistent
 from .numfield import NumberField
 
@@ -144,7 +143,10 @@ def parse_algebra_entry(entry, fields):
 
 
 def _build_algebra(args, center):
-    """The CyclicAlgebra of parse_algebra_entry's arguments over `center`."""
+    """The CyclicAlgebra of parse_algebra_entry's arguments over `center`.
+    The algebra layer is imported here, so a field-only command never loads
+    it."""
+    from .cyclic_algebra import CyclicAlgebra
     k = center.element
     return CyclicAlgebra(
         args["name"], center, args["n"], [k(c) for c in args["rel_poly"]],

@@ -100,6 +100,12 @@ def carve(lat, powers, R, trials, seed, budget=DEFAULT_BUDGET):
     if math.isfinite(R) and R * n * k >= int(budget).bit_length():
         raise BudgetExceeded(f"rate {R} asks for 2^floor({R * n * k:g}) "
                              f"codewords, more than {budget} nodes can find")
+    # the power ball's squared radius P n k, which sizes the search and
+    # filters every codeword, must be a double like P itself
+    for P in powers:
+        if not P * n * k < math.inf:
+            raise ValueError(f"power P = {P:g} gives a codeword energy "
+                             f"P n k = {n * k} P that is not a finite double")
     alphas = [scaling_alpha(P, R, n, k, lat.volume) for P in powers]
     target = 2 ** math.floor(R * n * k)
     gen = philox(seed, 0xCA)

@@ -339,8 +339,16 @@ def _walk_source(r):
 def closer_threshold(y):
     """The squared radius of `exists_closer`'s search for the span
     coordinates y (a list of floats): ||y||^2 by math.fsum, times 1 - 1e-12,
-    so that 0 itself, at metric about ||y||^2, falls outside it."""
-    return math.fsum(v * v for v in y) * (1 - 1e-12)
+    so that 0 itself, at metric about ||y||^2, falls outside it.  When the
+    squares are finite but their sum is not, fsum refuses with an
+    OverflowError; a partial sum of squares never exceeds the whole, so the
+    correctly rounded ||y||^2 is then inf, as when a square itself
+    overflows, and the walk reads it as it reads that case."""
+    try:
+        norm2 = math.fsum(v * v for v in y)
+    except OverflowError:
+        norm2 = math.inf
+    return norm2 * (1 - 1e-12)
 
 
 def zero_path(Y, diag, thr, budget):

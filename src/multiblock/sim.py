@@ -94,8 +94,11 @@ def certified(lat, alpha, sv, d2):
     if lat.det_min is None:
         return np.zeros(len(d2), dtype=bool)
     nk = lat.n * lat.k
-    lam2 = (nk * alpha ** 2 * lat.det_min ** (2.0 / nk)
-            * np.exp(2.0 * np.mean(np.log(sv), axis=(1, 2))))
+    # near 3080 dB the bound overflows to inf, which exceeds every finite
+    # 4 ||W||^2 as the bound itself does
+    with np.errstate(over="ignore"):
+        lam2 = (nk * alpha ** 2 * lat.det_min ** (2.0 / nk)
+                * np.exp(2.0 * np.mean(np.log(sv), axis=(1, 2))))
     return 4.0 * d2 < lam2 * (1.0 - CERT_MARGIN)
 
 

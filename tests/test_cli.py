@@ -1016,6 +1016,13 @@ def test_second_file_failing_keeps_both_targets(tmp_path, monkeypatch, capsys):
     ["simulate", "--field", "q_i", "--model", "constant", "--snr-db", "10",
      "--rate", "1e308", "--trials", "5", "--seed", "1", "--decoder",
      "lattice", "--infinite"],
+    # a codeword energy P n k that overflows a double, though P does not:
+    # the search ball's radius would be inf
+    ["carve", "--algebra", "golden", "--snr-db", "3080", "--rate", "0.5",
+     "--seed", "1"],
+    ["simulate", "--algebra", "golden", "--model", "iid_rayleigh", "--nr",
+     "2", "--snr-db", "10,3080", "--rate", "1", "--trials", "5", "--seed",
+     "1"],
     # a standard error needs two fades, whatever the sampled law
     ["rates", "--model", "gauss_markov", "--rho", "0.5", "--n", "1", "--nr",
      "1", "--snr-db", "10", "--cl", "4", "--samples", "1"],
@@ -1041,6 +1048,22 @@ EXTREME_SNR = {
     "--field q_i --model constant --snr-db 10,3080 --rate 1 --trials 5 "
     "--seed 1":
         "5e4bd940937927eb34d61809a33bb69493a97971518cb5e6549d5b9706db3ee7",
+    # far-below-noise points whose squares are finite but whose ||y||^2
+    # overflows: the search threshold is inf, as when a square overflows,
+    # on the infinite, codebook and fading algebra paths
+    "--field q_i --model constant --snr-db=-3082 --rate 1 --trials 50 "
+    "--seed 1 --decoder lattice --infinite":
+        "0fc6a6c46ff33a1497f1e609b968aed30e0cc98877c448e02fe9877e0b357364",
+    "--field q_i --model constant --snr-db=-3090 --rate 0 --trials 50 "
+    "--seed 1 --decoder lattice":
+        "c3de579cc319bfcb435bb7214e6bed518c8bf539c1d85eeecc2bcd08a72d8e94",
+    "--algebra golden --model gauss_markov --rho 0.5 --nr 3 --snr-db=-3082 "
+    "--rate 1 --trials 50 --seed 1 --decoder lattice --infinite":
+        "67ac9859c1e2f45d2b15e5008d53b3b924e95c2f8be3e991c93d29c3ab7ca307",
+    # far above noise at n k = 2, where the certificate's bound overflows
+    "--algebra golden --model iid_rayleigh --nr 2 --snr-db 10,3080 --rate 1 "
+    "--trials 5 --seed 1 --decoder lattice --infinite":
+        "c41812bd3f03b87c165e84c245b68e23b941d8892b7d47dc9b083a57006153d1",
 }
 
 

@@ -98,6 +98,18 @@ def test_carve_beyond_budget_raises_before_any_search(qi_lattice,
     assert {args[2] for args in searched} == {math.sqrt(10.0) / alpha}
 
 
+def test_carve_refuses_an_overflowing_power_ball_before_any_search(
+        golden_lattice, monkeypatch):
+    # at n k = 2 and P = 1e308 the squared radius P n k is inf: a search
+    # would gather every lattice point within the budget
+    searched = []
+    monkeypatch.setattr(codebook, "count_points_in_ball",
+                        lambda *args: searched.append(args) or (0, None, None))
+    with pytest.raises(ValueError, match="P n k = 2 P"):
+        carve(golden_lattice, [10.0, 1e308], 0.5, trials=4, seed=1)
+    assert searched == []
+
+
 def test_rate_zero_carve_succeeds(qi_lattice):
     [book] = carve(qi_lattice, [1.0], 0.0, 4, seed=3)
     assert len(book) >= 1
