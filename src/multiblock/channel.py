@@ -8,12 +8,12 @@ A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
 A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
 `transmit_stack` serve a whole stack of paths (s, *indices), the index rows
 of an integer array, in one pass: the trial loop's fades and its one noise
-draw per chunk of trials, for every SNR point.  Each realization and noise
-draw is the pure function of its own path, so `sample` and `transmit` are
-those functions on a stack of one.  `noise_energies` gives each path's
-noise energy ||W||^2 without drawing the noise itself.  `check_full_rank`
-is the one rank rule for fades, and `logdet_statistic` reads its singular
-values.
+draw per chunk of trials, or per search batch of the trials it searches,
+for every SNR point.  Each realization and noise draw is the pure function
+of its own path, so `sample` and `transmit` are those functions on a stack
+of one.  `noise_energies` gives each path's noise energy ||W||^2 without
+drawing the noise itself.  `check_full_rank` is the one rank rule for
+fades, and `logdet_statistic` reads its singular values.
 """
 
 from dataclasses import dataclass
@@ -83,13 +83,13 @@ def _tagged(tag, streams):
 
 def sample_stack(model, k, seed, streams):
     """Blocks H_1..H_k of the realizations at seed paths (seed, *s) for the
-    rows s of `streams`, stacked: shape (len(streams), k, n_r, n).  i.i.d.
-    blocks are drawn in one call; Gauss-Markov runs its k-step recurrence on
-    all realizations at once."""
+    rows s of `streams`, stacked: shape (len(streams), k, n_r, n).  A
+    constant model's stack is a read-only broadcast of its one block, with
+    no copy per trial; i.i.d. blocks are drawn in one call; Gauss-Markov
+    runs its k-step recurrence on all realizations at once."""
     shape = (k, model.n_r, model.n)
     if model.kind == "constant":
-        return np.broadcast_to(np.asarray(model.fixed_H, dtype=complex),
-                               (len(streams),) + shape).copy()
+        return np.broadcast_to(model.fixed_H, (len(streams),) + shape)
     g = complex_gaussian_streams(seed, _tagged(0x48, streams), shape)
     if model.kind == "iid_rayleigh" or model.rho == 0.0:
         return g

@@ -451,9 +451,12 @@ def main(argv=None):
             SingularChannel, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    # an array too large to allocate is one the options asked for
+    # an array too large to allocate is one the options asked for; Python's
+    # own allocations (a list that grows) raise a MemoryError with no text
     except (CatalogError, CarveFailed, DomainError, ValueError, OSError,
             MemoryError) as exc:
+        if isinstance(exc, MemoryError) and not str(exc):
+            exc = "out of memory"
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

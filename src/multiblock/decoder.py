@@ -3,7 +3,7 @@ lattice decoding (closest point in the infinite shifted scaled lattice).
 One routine, `lattice_decisions`, makes every lattice decision of the CLI:
 it searches H L at W / alpha, never a scaled basis, on the preparations
 `lattice` builds (`MatrixLattice.faded_cvp` for a constant channel's one
-fade, `faded_stack` for a fading chunk).  No CLI command builds a
+fade, `faded_stack` for a fading search batch).  No CLI command builds a
 `LatticeDecoder`, which LLL-reduces alpha H B of its own at each alpha and
 is the tests' reference."""
 
@@ -15,7 +15,7 @@ import numpy as np
 from .channel import check_full_rank
 from .errors import BudgetExceeded, DomainError
 from .lattice import (DEFAULT_BUDGET, PreparedCVP, _span_coords,
-                      closer_threshold, fade_blocks, realify, zero_path)
+                      closer_thresholds, fade_blocks, realify, zero_path)
 
 
 @dataclass
@@ -122,7 +122,7 @@ def lattice_decisions(preps, Q, diag, searches, budget=DEFAULT_BUDGET):
         ys.append(_span_coords(Q, t)[at])
     Y = np.concatenate(ys)
     rows = np.concatenate([at for _, at, _ in searches])
-    thr = [closer_threshold(y) for y in Y.tolist()]
+    thr = closer_thresholds(Y)
     decided = zero_path(Y, diag if diag.ndim == 1 else diag[rows], thr,
                         budget)
     zero_nodes = 2 * Y.shape[1] - 1

@@ -336,19 +336,26 @@ def _walk_source(r):
     return "\n".join(lines) + "\n"
 
 
-def closer_threshold(y):
-    """The squared radius of `exists_closer`'s search for the span
-    coordinates y (a list of floats): ||y||^2 by math.fsum, times 1 - 1e-12,
-    so that 0 itself, at metric about ||y||^2, falls outside it.  When the
+def closer_thresholds(Y):
+    """The squared radius of `exists_closer`'s search for each row y of the
+    span coordinates Y (T, r), as a list: ||y||^2 by math.fsum over the
+    row of one array of squares Y * Y (an IEEE product, so the same bits as
+    Python's y_i * y_i), times 1 - 1e-12, so that 0 itself, at metric about
+    ||y||^2, falls outside it.  A square that overflows is inf.  When the
     squares are finite but their sum is not, fsum refuses with an
     OverflowError; a partial sum of squares never exceeds the whole, so the
     correctly rounded ||y||^2 is then inf, as when a square itself
     overflows, and the walk reads it as it reads that case."""
-    try:
-        norm2 = math.fsum(v * v for v in y)
-    except OverflowError:
-        norm2 = math.inf
-    return norm2 * (1 - 1e-12)
+    with np.errstate(over="ignore"):
+        squares = (Y * Y).tolist()
+    thr = []
+    for row in squares:
+        try:
+            norm2 = math.fsum(row)
+        except OverflowError:
+            norm2 = math.inf
+        thr.append(norm2 * (1 - 1e-12))
+    return thr
 
 
 def zero_path(Y, diag, thr, budget):
@@ -357,7 +364,7 @@ def zero_path(Y, diag, thr, budget):
     20 whole-array operations whatever the rank r.  Y (T, r) holds the span
     coordinates, diag the diagonal of R, one row (r,) every target shares or
     one row per target (T, r), and thr (T,) the thresholds
-    `closer_threshold`.
+    `closer_thresholds`.
 
     On the zero path every level r-1..1 tries 0 first and keeps it within
     the radius, level 0's first candidate is pruned, and then every +-1
@@ -483,10 +490,10 @@ class PreparedCVP:
         coordinates y from `project`.  The target's distance to the span
         adds the same amount to both distances, so the search reads y alone
         and stops at its first nonzero leaf within the threshold thr,
-        `closer_threshold(y)`, computed here unless the caller has it."""
-        y = y.tolist()
+        `closer_thresholds`, computed here unless the caller has it."""
         if thr is None:
-            thr = closer_threshold(y)
+            [thr] = closer_thresholds(y[None])
+        y = y.tolist()
         if thr <= 0:
             return False, 0
         found = False

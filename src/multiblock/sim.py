@@ -7,8 +7,12 @@ chunks of trials: one numpy pass per chunk draws every trial's fade and
 noise for all points, and per point forms the received words, ML metrics
 and residuals; only the lattice searches run per trial, and the chunking
 changes no output bit.  The infinite lattice sends the zero point, so its
-residual is the noise: a chunk draws each trial's noise energy from the
-noise's radius words, and the full noise only for the trials it searches.
+residual is the noise: a certification chunk draws each trial's noise
+energy from the noise's radius words, and a search batch gathers the
+trials it leaves uncertified, across chunk boundaries, then draws their
+full noise in one pass, bit for bit each chunk's own draw (each trial's
+noise is the pure function of its stream path).  Chunks and batches are
+each sized by what they hold.
 
 Each lattice decision is read from the trial's residual W = Y - H X: naive
 lattice decoding errs exactly when some nonzero point of the faded lattice
@@ -18,7 +22,7 @@ lam2 = nk alpha^2 det_min^{2/nk} prod_i det(H_i^dag H_i)^{1/nk} (AM-GM over
 the nk eigenvalues of the faded blocks' Grams), so 4 ||W||^2 < lam2 proves
 the decision correct at 0 nodes (the packing-radius argument), and only
 the other trials are searched, by `decoder.lattice_decisions` on one stack
-of preparations per chunk for every point.
+of preparations per search batch for every point.
 """
 
 import math
@@ -60,23 +64,45 @@ def _wer_stderr(errors, trials):
 
 
 def _chunk_trials(lat, model, books, decoders):
-    """Trials per chunk: as many as keep within CHUNK_BYTES the fades, noise
-    and searched targets; the words, received words and residuals of each of
-    `books` (one per SNR point; None for the infinite lattice, whose points
-    share them); one book's ML differences to every codeword at a time; and
-    on a fading channel the searched trials' faded bases with their Q and R
-    factors (about three real rank x 2 k n_r n arrays).  An infinite chunk
-    holds less than it is sized for, each trial's noise radius words and
-    energy and only its searched trials' complex noise, but it is sized as
-    one holding every trial's noise, so its trials and its peak memory do
-    not hang on how many a point searches."""
+    """Trials per search batch, and per codebook chunk: as many as keep
+    within CHUNK_BYTES the fades, noise and searched targets; the words,
+    received words and residuals of each of `books` (one per SNR point;
+    None for the infinite lattice, whose points share them); one book's ML
+    differences to every codeword at a time; for each point, its searched
+    targets' Python objects (span coordinates and their squares as lists,
+    a threshold and an outcome: under 80 bytes per rank and 160 more, by
+    tracemalloc); and on a fading channel the searched trials' faded bases
+    with their Q and R factors (about three real rank x 2 k n_r n arrays)
+    and each trial's preparation, its R as lists (about 40 rank^2 + 104
+    rank + 640 bytes).  A batch is sized as one in which every point
+    searches every trial, so its peak memory does not hang on how many a
+    point searches."""
     words = 7 + 3 * (1 if books[0] is None else len(books))
     if "ml" in decoders:
         words += 3 * max(map(len, books))
     per_trial = 16 * lat.k * lat.n * max(lat.n, model.n_r) * words
-    if "lattice" in decoders and model.kind != "constant":
-        per_trial += 3 * 8 * lat.rank * 2 * lat.k * model.n_r * lat.n
+    if "lattice" in decoders:
+        per_trial += len(books) * (80 * lat.rank + 160)
+        if model.kind != "constant":
+            per_trial += (3 * 8 * lat.rank * 2 * lat.k * model.n_r * lat.n
+                          + 40 * lat.rank ** 2 + 104 * lat.rank + 640)
     return max(1, CHUNK_BYTES // per_trial)
+
+
+def _certify_trials(lat, model, points):
+    """Trials per certification chunk of the infinite path, as many as keep
+    within CHUNK_BYTES what the chunk holds per trial, by tracemalloc: its
+    stream row, path, key and energy, one certificate row per SNR point of
+    `points`, and the temporaries of the widest Philox draw, about six
+    words per word drawn, in blocks of four.  On a fading channel that is
+    the fade's draw (two words per complex entry), and the chunk holds the
+    fade too; a constant channel's trials share one fade, and its widest
+    draw is the noise's radius words, one per entry."""
+    entries = lat.k * model.n_r * lat.n
+    fade = 0 if model.kind == "constant" else 2 * entries
+    drawn = 4 * -(-max(fade, entries) // 4)
+    words = fade + 6 * drawn + 16 + len(points)
+    return max(1, CHUNK_BYTES // (8 * words))
 
 
 def certified(lat, alpha, sv, d2):
@@ -102,6 +128,82 @@ def certified(lat, alpha, sv, d2):
     return 4.0 * d2 < lam2 * (1.0 - CERT_MARGIN)
 
 
+class _SearchBatch:
+    """The trials that some SNR point leaves uncertified, gathered across
+    chunks until `capacity` of them are held: their stream rows and fades,
+    on a codebook each point's residuals, and each point's rows in the
+    batch.  `flush` decides them all by one `lattice_decisions` call on one
+    stack, a constant channel's one preparation `prep` or the batch's
+    `lat.faded_stack`; on the infinite lattice it first draws the batch's
+    full noise, the residual every point shares, by one `transmit_stack`
+    on the batch's stream rows, bit for bit each chunk's own draw."""
+
+    def __init__(self, lat, points, capacity, seed, budget, noiseless,
+                 tallies):
+        self.lat, self.points, self.capacity = lat, points, capacity
+        self.seed, self.budget, self.noiseless = seed, budget, noiseless
+        self.tallies, self.prep = tallies, None
+        self._empty()
+
+    def _empty(self):
+        self.size, self.streams, self.fades, self.residuals = 0, [], [], []
+        self.rows = [[] for _ in self.points]
+
+    def add(self, streams, H, todo, W=None):
+        """Gather the trials of a chunk, with stream rows `streams` and
+        fades H, that some point searches: point p the chunk's trials
+        todo[p].  A codebook chunk gives its residuals W (points, T, k,
+        n_r, n).  The batch is flushed whenever it is full, so a chunk's
+        trials may be decided in two batches."""
+        searched = np.zeros(len(streams), dtype=bool)
+        searched[np.concatenate(todo)] = True
+        at = np.flatnonzero(searched)
+        place = np.cumsum(searched) - 1     # trial t's index in `at`
+        done = 0
+        while done < len(at):
+            if self.size == self.capacity:
+                self.flush()
+            take = at[done:done + self.capacity - self.size]
+            self.streams.append(streams[take])
+            self.fades.append(H[take])
+            if W is not None:
+                self.residuals.append(W[:, take])
+            for rows, mine in zip(self.rows, todo):
+                mine = mine[(mine >= take[0]) & (mine <= take[-1])]
+                rows.append(self.size - done + place[mine])
+            self.size += len(take)
+            done += len(take)
+
+    def flush(self):
+        """Decide every trial the batch holds and empty it."""
+        if not self.size:
+            return
+        lat, H = self.lat, np.concatenate(self.fades)
+        if self.residuals:
+            W = np.concatenate(self.residuals, axis=1)
+        else:
+            # the infinite lattice sends the zero point: its residual is the
+            # noise, shared by every point
+            zero = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
+            W = [channel.transmit_stack(zero, H, self.seed,
+                                        np.concatenate(self.streams),
+                                        self.noiseless)] * len(self.points)
+        prep = self.prep
+        stack = (([prep] * self.size, prep.Q, prep.diag) if prep is not None
+                 else lat.faded_stack(H))
+        searches = []
+        for (alpha, _), rows, W_p in zip(self.points, self.rows, W):
+            rows = np.concatenate(rows)
+            searches.append((alpha, rows, W_p[rows]))
+        results = lattice_decisions(*stack, searches, self.budget)
+        for outcomes, tally in zip(results, self.tallies):
+            for ok, nodes in outcomes:
+                tally["lattice"][0] += not ok
+                tally["lattice"][1] += nodes
+                tally["lattice"][2] += ok is None
+        self._empty()
+
+
 def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                 noiseless):
     """At each SNR point (alpha, book) of `points`, send word X_t (a random
@@ -111,35 +213,38 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     fade is checked and prepared once.  Each point picks its words from its
     own stream.  The lattice decision reads only the residual W_t = Y_t -
     H_t X_t: a trial that `certified` proves correct at the point's alpha
-    from ||W_t||^2 costs 0 nodes, and the union of every point's other
-    trials is searched by one `lattice_decisions` per chunk, on a constant
-    channel's one preparation or a fading chunk's `lat.faded_stack`.  A
-    codebook chunk draws every trial's noise, which its received words
-    need.  On the infinite lattice W_t is the noise itself, shared by every
-    point: a chunk draws each trial's noise energy alone, from the noise's
-    radius words, and the full noise only for the searched trials, bit for
-    bit the draw of the whole chunk; a chunk that searches no trial draws
-    no full noise and asks no decision.  A search that exhausts `budget`
-    counts as an error (a conservative WER), a budget hit and `budget`
-    nodes.  Returns one {decoder: [errors, nodes, budget hits]} per
-    point."""
+    from ||W_t||^2 costs 0 nodes, and every point's other trials go to one
+    `_SearchBatch`, which decides the union of the trials it holds by one
+    `lattice_decisions` call.  A codebook chunk, of `_chunk_trials`
+    trials, draws every trial's noise, which its received words need, and
+    its batch is flushed at the chunk's end, because its residuals live
+    there.  On the infinite lattice W_t is the noise itself, shared by
+    every point: a certification chunk, of `_certify_trials` trials, draws
+    each trial's noise energy alone, from the noise's radius words, and the
+    batch gathers the uncertified trials of as many chunks as fill it
+    (`_chunk_trials` trials) before it draws their full noise; a run that
+    searches no trial draws no full noise and asks no decision.  A search
+    that exhausts `budget` counts as an error (a conservative WER), a
+    budget hit and `budget` nodes.  Returns one {decoder: [errors, nodes,
+    budget hits]} per point."""
     tallies = [{d: [0, 0, 0] for d in decoders} for _ in points]
     if "lattice" in decoders and model.n_r < model.n:
         # the faded infinite lattice is not discrete here; only ML applies
         raise DomainError("lattice decoding requires n_r >= n")
     books = [book for _, book in points]
     picks = [philox(seed, 0xC0) for book in books if book is not None]
-    # the infinite lattice's points all send the zero point
-    zero = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
     shared = model.kind == "constant"
-    chunk = _chunk_trials(lat, model, books, decoders)
+    capacity = _chunk_trials(lat, model, books, decoders)
+    chunk = capacity if picks else _certify_trials(lat, model, points)
+    batch = _SearchBatch(lat, points, capacity, seed, budget, noiseless,
+                         tallies)
     for start in range(0, trials, chunk):
         streams = np.arange(start, min(start + chunk, trials))[:, None]
         H = channel.sample_stack(model, lat.k, seed, streams)
         if "lattice" in decoders and not (shared and start):
             # a constant channel's trials share one fade and its preparation
             sv = channel.check_full_rank(H[:1] if shared else H)
-            prep = lat.faded_cvp(H[0]) if shared else None
+            batch.prep = lat.faded_cvp(H[0]) if shared else None
         if picks:
             idx = [pick.integers(len(book), size=len(streams))
                    for pick, book in zip(picks, books)]
@@ -164,31 +269,10 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                   ] * len(points)
         todo = [np.flatnonzero(~certified(lat, alpha, sv, d2_p))
                 for (alpha, _), d2_p in zip(points, d2)]
-        searched = np.zeros(len(streams), dtype=bool)
-        searched[np.concatenate(todo)] = True
-        if not searched.any():
-            continue
-        place = np.cumsum(searched) - 1     # trial t's index in the stack
-        # the searched trials' residuals, in the stack's order
+        batch.add(streams, H, todo, W if picks else None)
         if picks:
-            W = W[:, searched]
-        else:
-            # the infinite lattice's residual is the noise, shared by every
-            # point and drawn here only for the searched trials
-            W = [channel.transmit_stack(zero, H[searched], seed,
-                                        streams[searched], noiseless)
-                 ] * len(points)
-        # a constant channel's searched trials share its one preparation
-        stack = (([prep] * np.count_nonzero(searched), prep.Q, prep.diag)
-                 if shared else lat.faded_stack(H[searched]))
-        searches = [(alpha, place[rows], W_p[place[rows]])
-                    for (alpha, _), rows, W_p in zip(points, todo, W)]
-        results = lattice_decisions(*stack, searches, budget)
-        for outcomes, tally in zip(results, tallies):
-            for ok, nodes in outcomes:
-                tally["lattice"][0] += not ok
-                tally["lattice"][1] += nodes
-                tally["lattice"][2] += ok is None
+            batch.flush()
+    batch.flush()
     return tallies
 
 

@@ -683,6 +683,25 @@ def test_linalg_error_exits_3(monkeypatch, capsys):
     assert_one_line(capsys.readouterr().err, "numerical failure: SVD did not converge")
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 8.00 GiB"),
+     "error: Unable to allocate 8.00 GiB")])
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys, exc, line):
+    # a list that outgrows memory raises MemoryError with no text, which
+    # still names its cause; numpy's names the array it could not allocate
+    from multiblock import sim
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(sim, "simulate_infinite_wer", fail)
+    code = main(QI_CONSTANT)
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == line + "\n"
+
+
 @pytest.mark.parametrize("extra", [["--infinite"], []])
 def test_lattice_decoding_needs_nr_at_least_n_before_any_trial(capsys, extra):
     # noiseless, every trial would pass the certificate: the antenna guard

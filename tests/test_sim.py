@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from importlib import resources
 
@@ -170,27 +171,51 @@ def _lattice(catalog, name):
     return order_lattice(NaturalOrder(catalog.algebra(name)))
 
 
-def _recording_certificates(monkeypatch, searches):
-    """Record, per certificate (one per chunk and SNR point), which trials
-    it proved correct, and how many searches the log `searches` held when
-    it was asked."""
+def _recording_certificates(monkeypatch):
+    """Record every certificate's mask, one per chunk and SNR point, in the
+    order the loop asks them."""
     masks = []
     prove = sim.certified
 
     def recording(*args):
-        mask = prove(*args)
-        masks.append((mask, len(searches)))
-        return mask
+        masks.append(prove(*args))
+        return masks[-1]
 
     monkeypatch.setattr(sim, "certified", recording)
     return masks
 
 
-@pytest.mark.parametrize("chunk_trials", [1, 20])
-@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def _recording_decisions(monkeypatch, masks):
+    """Record, per `lattice_decisions` call, how many trials its stack
+    holds, how many targets each point searches, and how many certificates
+    `masks` held when it was asked."""
+    calls = []
+    decide = sim.lattice_decisions
+
+    def recording(preps, Q, diag, searches, budget):
+        calls.append((len(preps), [len(at) for _, at, _ in searches],
+                      len(masks)))
+        return decide(preps, Q, diag, searches, budget)
+
+    monkeypatch.setattr(sim, "lattice_decisions", recording)
+    return calls
+
+
+# (trials per chunk, trials per search batch): a codebook chunk is its own
+# batch; on the infinite lattice a batch of 50 gathers the uncertified
+# trials of several 1-trial chunks, and one of 3 flushes within a chunk of
+# 20 and before the run ends
+LOOP_SIZES = [(case, sizes) for case in sorted(LOOP_CASES)
+              for sizes in [(1, 1), (20, 20)]
+              + ([(1, 50), (20, 3)] if LOOP_CASES[case][-1] else [])]
+
+
+@pytest.mark.parametrize("case, sizes", LOOP_SIZES,
+                         ids=[f"{case}-{c}" + (f"-{b}" if b != c else "")
+                              for case, (c, b) in LOOP_SIZES])
 def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
                                                        search_log, case,
-                                                       chunk_trials):
+                                                       sizes):
     # one run over the whole SNR grid tallies each point as the one-trial-
     # at-a-time reference run at that point alone
     name, model, grid, rate, decoders, budget, noiseless, infinite = \
@@ -203,13 +228,9 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
     else:
         books = carve(lat, powers, rate, trials=8, seed=3)
         points = [(book.alpha, book) for book in books]
-    books = [book for _, book in points]
-    # set the chunk bound so that a chunk holds chunk_trials trials
-    monkeypatch.setattr(sim, "CHUNK_BYTES", 10 ** 12)
-    per_trial = 10 ** 12 // sim._chunk_trials(lat, model, books, decoders)
-    monkeypatch.setattr(sim, "CHUNK_BYTES", chunk_trials * per_trial)
-    chunk = sim._chunk_trials(lat, model, books, decoders)
-    assert chunk == chunk_trials
+    chunk, batch = sizes
+    monkeypatch.setattr(sim, "_certify_trials", lambda *args: chunk)
+    monkeypatch.setattr(sim, "_chunk_trials", lambda *args: batch)
     trials = 2 * chunk + 7                # two full chunks and a partial one
     run = (trials, 29, decoders, budget, noiseless)
     expected, reference_searches = [], []
@@ -217,28 +238,49 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
         expected.append(reference_trial_loop(lat, model, alpha, book, *run))
         reference_searches.append(list(search_log))
         search_log.clear()
-    masks = _recording_certificates(monkeypatch, search_log)
+    masks = _recording_certificates(monkeypatch)
+    calls = _recording_decisions(monkeypatch, masks)
     got = sim._trial_loop(lat, model, points, *run)
     assert len(got) == len(points)
     if "ml" in decoders:
         assert [g["ml"] for g in got] == [e["ml"] for e in expected]
     if "lattice" not in decoders:
-        assert search_log == [] and masks == []
+        assert search_log == [] and masks == [] and calls == []
         return
     # chunk c asks every point's certificate, point p's as its (c * points
-    # + p)-th, before any search; then it searches the trials each left
-    # unproved, point by point: split the log by point
+    # + p)-th; a batch holds the trials that some point left unproved
+    chunks = [masks[c:c + len(points)]
+              for c in range(0, len(masks), len(points))]
+    assert len(chunks) == math.ceil(trials / chunk)
+    unions = [int(np.count_nonzero(~np.logical_and.reduce(m)))
+              for m in chunks]
+    held = [size for size, _, _ in calls]
+    if infinite:
+        # the batch fills across chunks and is flushed when full, and once
+        # at the end of the run
+        total = sum(unions)
+        assert held == [batch] * (total // batch) + (
+            [total % batch] if total % batch else [])
+        if sizes == (1, 50):
+            assert len(calls) == 1 and sum(map(bool, unions)) > 1
+        if sizes == (20, 3):
+            assert calls[0][2] < len(masks)
+    else:
+        # a codebook chunk's batch is flushed at the chunk's end
+        assert held == [u for u in unions if u]
+        assert [asked for _, _, asked in calls] == [
+            len(points) * (c + 1) for c, u in enumerate(unions) if u]
+    # each call searches the trials each point left unproved, point by
+    # point: split the log by point
     per_point = [([], []) for _ in points]
+    for p, (proved, _) in enumerate(per_point):
+        for m in chunks:
+            proved.extend(m[p].tolist())
     at = 0
-    for i, (mask, begin) in enumerate(masks):
-        if i % len(points) == 0:
-            chunk_start = at
-        assert begin == chunk_start
-        proved, searched = per_point[i % len(points)]
-        proved.extend(mask.tolist())
-        end = at + int(np.count_nonzero(~mask))
-        searched.extend(search_log[at:end])
-        at = end
+    for _, counts, _ in calls:
+        for (_, searched), count in zip(per_point, counts):
+            searched.extend(search_log[at:at + count])
+            at += count
     assert at == len(search_log)
     for p, (proved, searched) in enumerate(per_point):
         reference = reference_searches[p]
@@ -446,9 +488,11 @@ def test_grid_search_decides_as_each_point_alone(catalog, search_log, model):
 def test_one_routine_decides_every_searched_trial(catalog, monkeypatch,
                                                   search_log, kind):
     # structural guard: the trial loop asks `lattice_decisions` once per
-    # chunk for every SNR point, every search of a trial runs inside it (a
-    # descent, or a walk the descent left), and the nodes of those searches
-    # are the points' avg_nodes x trials
+    # full search batch and once at the end of the run, for every SNR point
+    # (a batch gathers the uncertified trials of chunks of 5 until it holds
+    # 7), every search of a trial runs inside it (a descent, or a walk the
+    # descent left), and the nodes of those searches are the points'
+    # avg_nodes x trials
     lat = _lattice(catalog, "golden")
     model = FadingModel(kind=kind, n=2, n_r=2,
                         fixed_H=SHEARED if kind == "constant" else None)
@@ -475,11 +519,18 @@ def test_one_routine_decides_every_searched_trial(catalog, monkeypatch,
     monkeypatch.setattr(sim, "lattice_decisions", recording_decisions)
     monkeypatch.setattr(decoder, "zero_path", inside_descent)
     monkeypatch.setattr(PreparedCVP, "exists_closer", inside_search)
+    monkeypatch.setattr(sim, "_certify_trials", lambda *args: 5)
     monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
+    masks = _recording_certificates(monkeypatch)
     trials = 40
     got = simulate_infinite_wer(lat, model, [10 ** 0.8, 10 ** 1.2, 10 ** 1.6],
                                 1.0, trials, seed=3)
-    assert len(calls) == math.ceil(trials / 7)
+    assert len(masks) == 3 * math.ceil(trials / 5)
+    searched = sum(int(np.count_nonzero(~np.logical_and.reduce(masks[c:c + 3])))
+                   for c in range(0, len(masks), 3))
+    assert len(calls) == math.ceil(searched / 7) > 1
+    assert [len(args[0]) for args in calls[:-1]] == [7] * (len(calls) - 1)
+    assert sum(len(args[0]) for args in calls) == searched
     assert all(len(args[3]) == 3 for args in calls)
     nodes = [outcome[1] for _, outcome in search_log]
     assert len(nodes) > 20
@@ -488,8 +539,9 @@ def test_one_routine_decides_every_searched_trial(catalog, monkeypatch,
 
 
 def test_chunk_bound_counts_faded_bases(catalog):
-    # a fading chunk of a rank-16 lattice holds every trial's faded basis
-    # and its Q and R factors (real, rank x 2 k n_r n each) within the bound
+    # a fading search batch of a rank-16 lattice holds every trial's faded
+    # basis and its Q and R factors (real, rank x 2 k n_r n each) within the
+    # bound
     lat = _lattice(catalog, "zeta20")
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=3)
     chunk = sim._chunk_trials(lat, model, [None], ("lattice",))
@@ -497,6 +549,67 @@ def test_chunk_bound_counts_faded_bases(catalog):
     assert chunk * 3 * 8 * lat.rank * dim <= sim.CHUNK_BYTES
     constant = FadingModel(kind="constant", n=2, n_r=3)
     assert sim._chunk_trials(lat, constant, [None], ("lattice",)) > chunk
+
+
+@pytest.mark.parametrize("name, kind, n_r", [
+    ("cyclo32", "constant", 1), ("golden", "iid_rayleigh", 2),
+    ("zeta20", "gauss_markov", 3)])
+def test_a_chunk_and_a_batch_at_capacity_keep_within_the_bound(
+        catalog, monkeypatch, name, kind, n_r):
+    # by tracemalloc, a certification chunk of `_certify_trials` trials
+    # (fades, rank check, noise radii and three certificates) and a search
+    # batch of `_chunk_trials` trials in which three SNR points search every
+    # trial (full noise, targets, preparations, descents and walks) each
+    # peak at or below CHUNK_BYTES
+    lat = _lattice(catalog, name)
+    model = FadingModel(kind=kind, n=lat.n, n_r=n_r,
+                        rho=0.7 if kind == "gauss_markov" else 0.0)
+    points = [(scaling_alpha(10.0 ** (snr_db / 10.0), 1.0, lat.n, lat.k,
+                             lat.volume), None) for snr_db in (0, 10, 20)]
+    run = (29, ("lattice",), DEFAULT_BUDGET, False)
+    chunk = sim._certify_trials(lat, model, points)
+    capacity = sim._chunk_trials(lat, model, [None] * len(points),
+                                 ("lattice",))
+    assert chunk > capacity
+    peaks = []
+
+    def peak_at_add(batch, *args):
+        # the chunk's certificates are done: keep its peak, batch nothing
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    sim._trial_loop(lat, model, points, 3, *run)        # build caches first
+    with monkeypatch.context() as patched:
+        patched.setattr(sim._SearchBatch, "add", peak_at_add)
+        tracemalloc.start()
+        try:
+            sim._trial_loop(lat, model, points, chunk, *run)
+        finally:
+            tracemalloc.stop()
+    [cert_peak] = peaks
+    streams = np.arange(capacity)[:, None]
+    H = channel.sample_stack(model, lat.k, 29, streams)
+    todo = [np.arange(capacity)] * len(points)
+
+    def decide():
+        tallies = [{"lattice": [0, 0, 0]} for _ in points]
+        batch = sim._SearchBatch(lat, points, capacity, 29, DEFAULT_BUDGET,
+                                 False, tallies)
+        if kind == "constant":
+            batch.prep = lat.faded_cvp(H[0])
+        batch.add(streams, H, todo)
+        batch.flush()
+        return tallies
+
+    tallies = decide()                                  # compile the walk
+    assert all(t["lattice"][1] for t in tallies)
+    tracemalloc.start()
+    try:
+        decide()
+        batch_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert_peak <= sim.CHUNK_BYTES
+    assert batch_peak <= sim.CHUNK_BYTES
 
 
 def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
@@ -625,9 +738,12 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
 
 
 def test_a_chunk_that_searches_no_trial_draws_no_noise(monkeypatch, capsys):
-    # at 30 dB the chunks of this line certify every trial (7 chunks, each
-    # drawing its trials' noise radii), and a chunk that searches no trial
-    # draws no full noise and asks no decision
+    # each chunk of these lines draws its trials' noise radii (7 chunks), and
+    # no chunk draws full noise or asks a decision of its own: at 30 dB every
+    # trial is certified, so the run draws no full noise and asks no
+    # decision; at rate 2 and 16 dB two chunks leave one trial each, and
+    # the one search batch draws both trials' full noise and decides them
+    # once, at the end of the run
     words, masks, decisions = [], [], []
     draw, prove, decide = rng._words, sim.certified, sim.lattice_decisions
     monkeypatch.setattr(rng, "_words",
@@ -636,15 +752,19 @@ def test_a_chunk_that_searches_no_trial_draws_no_noise(monkeypatch, capsys):
                         lambda *args: masks.append(prove(*args)) or masks[-1])
     monkeypatch.setattr(sim, "lattice_decisions",
                         lambda *args: decisions.append(args) or decide(*args))
-    assert main(["simulate", "--field", "cyclo8", "--model", "constant",
-                 "--snr-db", "30", "--rate", "1", "--trials", "20000",
-                 "--seed", "1", "--infinite"]) == 0
-    capsys.readouterr()
-    # one SNR point: one certificate per chunk
-    searching = sum(not mask.all() for mask in masks)
-    assert searching < len(masks)
-    assert len(words) == len(masks) + searching
-    assert len(decisions) == searching
+    for snr_db, rate, searching, draws in [("30", "1", 0, 0), ("16", "2", 2, 1)]:
+        for log in (words, masks, decisions):
+            log.clear()
+        assert main(["simulate", "--field", "cyclo8", "--model", "constant",
+                     "--snr-db", snr_db, "--rate", rate, "--trials", "20000",
+                     "--seed", "1", "--infinite"]) == 0
+        capsys.readouterr()
+        # one SNR point: one certificate per chunk
+        assert len(masks) == 7
+        assert sum(not mask.all() for mask in masks) == searching
+        assert len(words) == len(masks) + draws
+        assert len(decisions) == draws
+        assert sum(len(args[0]) for args in decisions) == searching
 
 
 # -- the infinite path draws full noise only for the trials it searches ------
@@ -729,6 +849,7 @@ def test_infinite_path_without_det_min_matches_the_reference(
         raise AssertionError("noise radii drawn for a lattice without det_min")
 
     monkeypatch.setattr(channel, "noise_energies", no_radii)
+    monkeypatch.setattr(sim, "_certify_trials", lambda *args: 5)
     monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
     points = [(scaling_alpha(10.0 ** (snr_db / 10.0), 1.0, lat.n, lat.k,

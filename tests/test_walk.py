@@ -257,7 +257,7 @@ def _descend(Y, diag, budget):
     with the one diagonal shared and as one row per target, which must
     agree; a numpy warning fails the test."""
     Y = np.array(Y, dtype=float).reshape(len(Y), len(diag))
-    thr = [lattice.closer_threshold(y) for y in Y.tolist()]
+    thr = lattice.closer_thresholds(Y)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         decided = lattice.zero_path(Y, np.array(diag), thr, budget)
@@ -300,6 +300,41 @@ def assert_descent_is_the_walk(rows, diag, y):
 @example(_fixed_factors(40, 40))
 def test_zero_path_decides_only_searches_the_walk_ends_at_once(factors):
     assert_descent_is_the_walk(*factors)
+
+
+# near sqrt(max double) = 1.34e154 a square overflows; two squares above
+# max / 2 are finite and their sum is not
+BIG = st.sampled_from([1.0e154, 1.2e154, 1.3e154, 1.34e154, 1.35e154,
+                       1e200, 1.7e308])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.one_of(st.floats(allow_nan=False,
+                                             allow_infinity=False),
+                                   BIG, BIG.map(lambda v: -v)),
+                         min_size=4, max_size=4),
+                min_size=1, max_size=6))
+@example([[1.3e154, 1.3e154, 0.0, 0.0]])        # fsum refuses: inf
+@example([[1.35e154, 0.0, 0.0, 0.0]])           # the square is inf
+@example([[1e-200, 1e-200, 1.0, -0.0]])         # underflowing squares
+def test_thresholds_from_one_array_are_the_per_element_form(rows):
+    # Y * Y holds, bit for bit, Python's products y_i * y_i, so fsum over
+    # its rows gives each target's threshold as fsum over a generator of
+    # squares did, overflow to inf included, and numpy warns of nothing
+    def per_element(y):
+        try:
+            norm2 = math.fsum(v * v for v in y)
+        except OverflowError:
+            norm2 = math.inf
+        return norm2 * (1 - 1e-12)
+
+    Y = np.array(rows, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lattice.closer_thresholds(Y)
+    want = [per_element(y) for y in rows]
+    assert np.array(got).view(np.uint64).tolist() == \
+        np.array(want).view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
