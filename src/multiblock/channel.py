@@ -7,13 +7,15 @@ simplest stationary ergodic family with tunable memory.
 A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
 A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
 `transmit_stack` serve a whole stack of paths (s, *indices), the index rows
-of an integer array, in one pass: the trial loop's fades and its one noise
-draw per chunk of trials, or per search batch of the trials it searches,
-for every SNR point.  Each realization and noise draw is the pure function
-of its own path, so `sample` and `transmit` are those functions on a stack
-of one.  `noise_energies` gives each path's noise energy ||W||^2 without
-drawing the noise itself.  `check_full_rank` is the one rank rule for
-fades, and `logdet_statistic` reads its singular values.
+of an integer array, in one pass, for every SNR point: the fades of a
+chunk of trials, and the noise of a search batch.  Each realization and
+noise draw is the pure function of its own path, so `sample` and
+`transmit` are those functions on a stack of one, and `fades_and_noise`
+draws a codebook chunk's fades and noise, bit for bit those two, in one
+Philox pass over the paths of both.  `noise_energies` gives each path's
+noise energy ||W||^2 without drawing the noise itself.  `check_full_rank`
+is the one rank rule for fades, and `logdet_statistic` reads its singular
+values.
 """
 
 from dataclasses import dataclass
@@ -81,24 +83,46 @@ def _tagged(tag, streams):
     return np.insert(streams, 0, tag, axis=1)
 
 
+# the tags of the fade and the noise streams: trial path s draws its fade
+# at (seed, 0x48, *s) and its noise at (seed, 0x57, *s)
+_FADE, _NOISE = 0x48, 0x57
+
+
 def sample_stack(model, k, seed, streams):
     """Blocks H_1..H_k of the realizations at seed paths (seed, *s) for the
     rows s of `streams`, stacked: shape (len(streams), k, n_r, n).  A
     constant model's stack is a read-only broadcast of its one block, with
     no copy per trial; i.i.d. blocks are drawn in one call; Gauss-Markov
     runs its k-step recurrence on all realizations at once."""
-    shape = (k, model.n_r, model.n)
-    if model.kind == "constant":
-        return np.broadcast_to(model.fixed_H, (len(streams),) + shape)
-    g = complex_gaussian_streams(seed, _tagged(0x48, streams), shape)
+    return fades_and_noise(model, k, seed, streams, True)[0]
+
+
+def fades_and_noise(model, k, seed, streams, noiseless):
+    """(H, W): the fades `sample_stack(model, k, seed, streams)` and the
+    noise W (len(streams), k, n_r, n) that `transmit_stack` adds at the
+    same paths, or None if `noiseless`, bit for bit.  A sampled model draws
+    both from one Philox pass over the paths of both tags (each stream is
+    the pure function of its path)."""
+    shape, T = (k, model.n_r, model.n), len(streams)
+    sampled = model.kind != "constant"
+    paths = [_tagged(tag, streams)
+             for tag, drawn in ((_FADE, sampled), (_NOISE, not noiseless))
+             if drawn]
+    g = (complex_gaussian_streams(seed, np.concatenate(paths), shape)
+         if paths else None)
+    # the noise rows come last
+    W = None if noiseless else g[len(g) - T:]
+    if not sampled:
+        return np.broadcast_to(model.fixed_H, (T,) + shape), W
+    g = g[:T]
     if model.kind == "iid_rayleigh" or model.rho == 0.0:
-        return g
+        return g, W
     blocks = np.empty_like(g)
     blocks[:, 0] = g[:, 0]
     scale = np.sqrt(1.0 - model.rho ** 2)
     for i in range(1, k):
         blocks[:, i] = model.rho * blocks[:, i - 1] + scale * g[:, i]
-    return blocks
+    return blocks, W
 
 
 def sample(model, k, seed):
@@ -116,11 +140,16 @@ def transmit_stack(X, H, seed, streams, noiseless):
     leading axes) over a stack of fades H, realization s drawing its
     unit-variance circular symmetric noise, shared by every point, at seed
     path (seed, *streams[s]), rows of `streams`."""
+    W = (None if noiseless else
+         complex_gaussian_streams(seed, _tagged(_NOISE, streams), H.shape[-3:]))
+    return received(X, H, W)
+
+
+def received(X, H, W):
+    """Y = H X + W for words X over fades H, as `transmit_stack` forms it,
+    with the noise W drawn (by `fades_and_noise`), or none if W is None."""
     Y = H @ np.asarray(X, dtype=complex)
-    if not noiseless:
-        Y = Y + complex_gaussian_streams(seed, _tagged(0x57, streams),
-                                         Y.shape[-3:])
-    return Y
+    return Y if W is None else Y + W
 
 
 def noise_energies(seed, streams, shape):
@@ -129,7 +158,7 @@ def noise_energies(seed, streams, shape):
     `streams`, as an array (len(streams),): read from the noise's radius
     words alone (`gaussian_energies`), to within a few ulps of the float
     sum over the drawn noise."""
-    return gaussian_energies(seed, _tagged(0x57, streams), int(np.prod(shape)))
+    return gaussian_energies(seed, _tagged(_NOISE, streams), int(np.prod(shape)))
 
 
 def transmit(X, H, noise_seed, noiseless=False):

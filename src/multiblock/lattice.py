@@ -425,17 +425,24 @@ class PreparedCVP:
         self._factored(reduced, U, *_signed_qr(reduced.T))
 
     def _factored(self, reduced, U, Q, R):
-        self.reduced, self.U, self.Q = reduced, U, Q
+        self.reduced, self.U, self.Q, self._R = reduced, U, Q, R
         self.rank = reduced.shape[0]
-        # what every search reads, as Python lists
-        self._rows = R.tolist()
-        self._diag = [self._rows[i][i] for i in range(self.rank)]
         return self
+
+    # what every walk reads, R and its diagonal as Python lists, built on
+    # the first walk: a target that `zero_path` decides reads neither
+    @cached_property
+    def _rows(self):
+        return self._R.tolist()
+
+    @cached_property
+    def _diag(self):
+        return [self._rows[i][i] for i in range(self.rank)]
 
     @cached_property
     def diag(self):
         """The diagonal of R, an array (rank,): what `zero_path` reads."""
-        return np.array(self._diag)
+        return np.diagonal(self._R).copy()
 
     @classmethod
     def stack(cls, bases):

@@ -73,10 +73,12 @@ def _chunk_trials(lat, model, books, decoders):
     a threshold and an outcome: under 80 bytes per rank and 160 more, by
     tracemalloc); and on a fading channel the searched trials' faded bases
     with their Q and R factors (about three real rank x 2 k n_r n arrays)
-    and each trial's preparation, its R as lists (about 40 rank^2 + 104
-    rank + 640 bytes).  A batch is sized as one in which every point
-    searches every trial, so its peak memory does not hang on how many a
-    point searches."""
+    and the R lists that a walk builds on a preparation's first read
+    (about 40 rank^2 + 104 rank + 640 bytes).  A target that `zero_path`
+    decides builds no lists, but those bytes are still counted for every
+    trial: at low SNR a batch walks nearly all of its trials.  A batch is
+    sized as one in which every point searches every trial, so its peak
+    memory does not hang on how many a point searches."""
     words = 7 + 3 * (1 if books[0] is None else len(books))
     if "ml" in decoders:
         words += 3 * max(map(len, books))
@@ -216,12 +218,13 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     from ||W_t||^2 costs 0 nodes, and every point's other trials go to one
     `_SearchBatch`, which decides the union of the trials it holds by one
     `lattice_decisions` call.  A codebook chunk, of `_chunk_trials`
-    trials, draws every trial's noise, which its received words need, and
-    its batch is flushed at the chunk's end, because its residuals live
-    there.  On the infinite lattice W_t is the noise itself, shared by
-    every point: a certification chunk, of `_certify_trials` trials, draws
-    each trial's noise energy alone, from the noise's radius words, and the
-    batch gathers the uncertified trials of as many chunks as fill it
+    trials, draws every trial's fade and noise, which its received words
+    need, in one Philox pass (`channel.fades_and_noise`), and its batch is
+    flushed at the chunk's end, because its residuals live there.  On the
+    infinite lattice W_t is the noise itself, shared by every point: a
+    certification chunk, of `_certify_trials` trials, draws each trial's
+    noise energy alone, from the noise's radius words, and the batch
+    gathers the uncertified trials of as many chunks as fill it
     (`_chunk_trials` trials) before it draws their full noise; a run that
     searches no trial draws no full noise and asks no decision.  A search
     that exhausts `budget` counts as an error (a conservative WER), a
@@ -240,7 +243,11 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                          tallies)
     for start in range(0, trials, chunk):
         streams = np.arange(start, min(start + chunk, trials))[:, None]
-        H = channel.sample_stack(model, lat.k, seed, streams)
+        if picks:
+            H, noise = channel.fades_and_noise(model, lat.k, seed, streams,
+                                               noiseless)
+        else:
+            H = channel.sample_stack(model, lat.k, seed, streams)
         if "lattice" in decoders and not (shared and start):
             # a constant channel's trials share one fade and its preparation
             sv = channel.check_full_rank(H[:1] if shared else H)
@@ -249,7 +256,7 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
             idx = [pick.integers(len(book), size=len(streams))
                    for pick, book in zip(picks, books)]
             words = np.stack([book.matrices[i] for book, i in zip(books, idx)])
-            Y = channel.transmit_stack(words, H, seed, streams, noiseless)
+            Y = channel.received(words, H, noise)
         if "ml" in decoders:
             for p, (book, tally) in enumerate(zip(books, tallies)):
                 res = ml_decode(Y[p], H, book)

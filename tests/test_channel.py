@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from multiblock.channel import (FadingModel, logdet_statistic, sample,
-                               sample_stack, transmit, transmit_stack)
+from multiblock.channel import (FadingModel, fades_and_noise, logdet_statistic,
+                               received, sample, sample_stack, transmit,
+                               transmit_stack)
 from multiblock.errors import SingularChannel
 from multiblock.rng import complex_gaussian, philox
 
@@ -229,3 +230,29 @@ def test_no_streams_give_empty_stacks(kind, rho, streams):
     for noiseless in (False, True):
         Y = transmit_stack(np.zeros((0, 4, 2, 2)), H, 61, streams, noiseless)
         assert Y.shape == (0, 4, 3, 2) and Y.dtype == complex
+
+
+SHEARED = np.array([[1.0, 0.5 - 0.25j], [0.0, 0.75j], [0.2, 1.0]])
+
+
+@pytest.mark.parametrize("kind,rho,fixed_H", [("iid_rayleigh", 0.0, None),
+                                              ("gauss_markov", 0.5, None),
+                                              ("constant", 0.0, SHEARED)])
+@pytest.mark.parametrize("noiseless", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 23])
+def test_the_fused_draw_is_sample_stack_then_transmit_stack(kind, rho, fixed_H,
+                                                            noiseless, count):
+    # one Philox pass over the fade and the noise paths gives the bits of
+    # `sample_stack` followed by `transmit_stack`, an empty stack included
+    model = FadingModel(kind=kind, n=2, n_r=3, rho=rho, fixed_H=fixed_H)
+    k, seed = 4, 29
+    streams = np.arange(50, 50 + count)[:, None]
+    X = complex_gaussian(philox(30), (2, count, k, 2, 2))
+    H, W = fades_and_noise(model, k, seed, streams, noiseless)
+    fades = sample_stack(model, k, seed, streams)
+    assert H.shape == fades.shape and H.tobytes() == fades.tobytes()
+    assert (W is None) == noiseless
+    if W is not None:
+        assert W.shape == (count, k, 3, 2)
+    Y = transmit_stack(X, fades, seed, streams, noiseless)
+    assert received(X, H, W).tobytes() == Y.tobytes()

@@ -306,6 +306,49 @@ def test_empty_fade_stack_decides_nothing(golden_lattice):
                              [(1.0, np.arange(0), empty)]) == [[]]
 
 
+def _noisy_stack(lat, trials, seed):
+    """i.i.d. fades and unit noise for `trials` trials of `lat` at n_r = n,
+    drawn from the test's own streams."""
+    shape = (trials, lat.k, lat.n, lat.n)
+    return (complex_gaussian(philox(seed, 0), shape),
+            complex_gaussian(philox(seed, 1), shape))
+
+
+def test_a_preparation_that_zero_path_decides_builds_no_lists(golden_lattice):
+    # far inside the packing radius every target's walk is the zero path:
+    # `zero_path` decides them all, and no preparation builds its R lists
+    H, W = _noisy_stack(golden_lattice, 30, 53)
+    preps, Q, diag = golden_lattice.faded_stack(H)
+    [outcomes] = lattice_decisions(preps, Q, diag, [(1.0, np.arange(30),
+                                                     1e-6 * W)])
+    assert outcomes == [(True, 2 * golden_lattice.rank - 1)] * 30
+    assert not any("_rows" in p.__dict__ or "_diag" in p.__dict__
+                   for p in preps)
+
+
+def test_a_walked_preparation_decides_as_on_eager_lists(golden_lattice):
+    # the lists a walk builds on first read are those every preparation
+    # built up front: the same outcomes and node counts, and only the
+    # walked preparations hold them
+    H, W = _noisy_stack(golden_lattice, 60, 59)
+    searches = [(alpha, np.arange(60), W) for alpha in (2.0, 4.0, 8.0)]
+    lazy = golden_lattice.faded_stack(H)
+    eager = golden_lattice.faded_stack(H)
+    for prep in eager[0]:
+        rows = prep._R.tolist()
+        prep.__dict__.update(_rows=rows,
+                             _diag=[rows[i][i] for i in range(prep.rank)])
+    got = lattice_decisions(*lazy, searches)
+    assert got == lattice_decisions(*eager, searches)
+    oks = {ok for outcomes in got for ok, _ in outcomes}
+    assert oks == {True, False}
+    walked = [p for p in lazy[0] if "_rows" in p.__dict__]
+    assert 0 < len(walked) < len(lazy[0])
+    for prep in walked:
+        assert prep._rows == prep._R.tolist()
+        assert prep._diag == prep.diag.tolist()
+
+
 @pytest.mark.parametrize("entry", [0.0, np.nan])
 def test_degenerate_fade_raises_before_any_search(golden_lattice, monkeypatch,
                                                   entry):

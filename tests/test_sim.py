@@ -708,6 +708,7 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
     # structural guard: fades and noise are keyed by the trial, never by the
     # power, so a command draws each chunk's fades and noise, and checks its
     # fades' rank, once for all of its SNR points (one chunk here); a
+    # codebook chunk draws its fades and noise in one Philox pass, and a
     # constant channel's one fade is checked once per command
     calls = Counter()
 
@@ -720,20 +721,21 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
 
         monkeypatch.setattr(owner, name, counting)
 
-    for owner, name in [(channel, "sample_stack"), (channel, "check_full_rank"),
-                        (rng, "_words")]:
+    for owner, name in [(channel, "sample_stack"), (channel, "fades_and_noise"),
+                        (channel, "check_full_rank"), (rng, "_words")]:
         count(owner, name)
     assert main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
                  "--nr", "2", "--snr-db", "8,12,16", "--rate", "1",
                  "--decoder", "both", "--trials", "20", "--seed", "7"]) == 0
-    assert calls == {"sample_stack": 1, "_words": 2, "check_full_rank": 1}
+    assert calls == {"fades_and_noise": 1, "_words": 1, "check_full_rank": 1}
     calls.clear()
     assert main(["simulate", "--field", "cyclo8", "--model", "constant",
                  "--snr-db", "4,8,12", "--rate", "1", "--trials", "200",
                  "--seed", "7", "--infinite"]) == 0
     # the infinite path draws every trial's noise radii, then the searched
-    # trials' full noise
-    assert calls == {"sample_stack": 1, "_words": 2, "check_full_rank": 1}
+    # trials' full noise; its fades come from `sample_stack`
+    assert calls == {"sample_stack": 1, "fades_and_noise": 1, "_words": 2,
+                     "check_full_rank": 1}
     capsys.readouterr()
 
 
