@@ -58,19 +58,10 @@ def _number(where, key, token, rational=False):
     raise CatalogError(f"{where}: {key}: {token!r} is not {kind}")
 
 
-def _numbers(where, key, tokens, rational=False):
-    """`_number` of each of `tokens`: one int pass over the list, and only
-    if some token is not an int the per-token path, with its error."""
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        return [_number(where, key, t, rational) for t in tokens]
-
-
 def _rationals(where, key, text, sep=None):
     parts = text.split(sep) if sep else text.split()
-    return _numbers(where, key, [p.strip() for p in parts if p.strip()],
-                    rational=True)
+    return [_number(where, key, p.strip(), rational=True)
+            for p in parts if p.strip()]
 
 
 def _check_doubles(where, args, keys):
@@ -98,7 +89,7 @@ def parse_field_entry(entry):
     except KeyError as exc:
         raise CatalogError(f"field entry missing key {exc}") from exc
     where = f"field {name!r}"
-    min_poly = _numbers(where, "min_poly", min_poly.split())
+    min_poly = [_number(where, "min_poly", c) for c in min_poly.split()]
     basis = [_rationals(where, "basis", b) for b in basis.split(";")]
     if "degree" in entry and (_number(where, "degree", entry["degree"])
                               != len(min_poly) - 1):

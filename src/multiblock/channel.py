@@ -5,15 +5,15 @@ Gauss-Markov chain H_i = rho H_{i-1} + sqrt(1 - rho^2) G_i, which is the
 simplest stationary ergodic family with tunable memory.
 
 A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
-A seed is a path: an int s, or a tuple (s, *indices).  `sample_stack` and
-`transmit_stack` serve a whole stack of paths (s, *indices), the index rows
-of an integer array, in one pass, for every SNR point: the fades of a
-chunk of trials, and the noise of a search batch.  Each realization and
+A seed is a path: an int s, or a tuple (s, *indices).  `fades_and_noise`
+and `transmit_stack` serve a whole stack of paths (s, *indices), the index
+rows of an integer array, in one pass, for every SNR point:
+`fades_and_noise` draws a chunk of trials' fades, and on the codebook path
+their noise too, in one Philox pass over the paths of both, and
+`transmit_stack` draws the noise of a search batch.  Each realization and
 noise draw is the pure function of its own path, so `sample` and
-`transmit` are those functions on a stack of one, and `fades_and_noise`
-draws a codebook chunk's fades and noise, bit for bit those two, in one
-Philox pass over the paths of both.  `noise_energies` gives each path's
-noise energy ||W||^2 without drawing the noise itself.  `check_full_rank`
+`transmit` are those functions on a stack of one.  `noise_energies` gives
+each path's noise energy ||W||^2 without drawing the noise itself.  `check_full_rank`
 is the one rank rule for fades, and `logdet_statistic` reads its singular
 values.
 """
@@ -88,21 +88,16 @@ def _tagged(tag, streams):
 _FADE, _NOISE = 0x48, 0x57
 
 
-def sample_stack(model, k, seed, streams):
-    """Blocks H_1..H_k of the realizations at seed paths (seed, *s) for the
-    rows s of `streams`, stacked: shape (len(streams), k, n_r, n).  A
-    constant model's stack is a read-only broadcast of its one block, with
-    no copy per trial; i.i.d. blocks are drawn in one call; Gauss-Markov
-    runs its k-step recurrence on all realizations at once."""
-    return fades_and_noise(model, k, seed, streams, True)[0]
-
-
 def fades_and_noise(model, k, seed, streams, noiseless):
-    """(H, W): the fades `sample_stack(model, k, seed, streams)` and the
-    noise W (len(streams), k, n_r, n) that `transmit_stack` adds at the
-    same paths, or None if `noiseless`, bit for bit.  A sampled model draws
-    both from one Philox pass over the paths of both tags (each stream is
-    the pure function of its path)."""
+    """(H, W): blocks H_1..H_k of the realizations at seed paths (seed, *s)
+    for the rows s of `streams`, stacked: shape (len(streams), k, n_r, n),
+    and the noise W of the same shape that `transmit_stack` adds at the
+    same paths, bit for bit, or None if `noiseless`.  A constant model's
+    stack is a read-only broadcast of its one block, with no copy per
+    trial; a sampled model draws its blocks and the noise from one Philox
+    pass over the paths of both tags (each stream is the pure function of
+    its path); Gauss-Markov runs its k-step recurrence on all realizations
+    at once."""
     shape, T = (k, model.n_r, model.n), len(streams)
     sampled = model.kind != "constant"
     paths = [_tagged(tag, streams)
@@ -128,11 +123,12 @@ def fades_and_noise(model, k, seed, streams, noiseless):
 def sample(model, k, seed):
     """One realization H_1..H_k.  With the same seed path, gauss_markov at
     rho = 0 reproduces iid_rayleigh block for block.  Test-only: the one-path
-    fade of the oracles against which `sample_stack`'s callers are checked."""
+    fade of the oracles against which `fades_and_noise`'s callers are
+    checked."""
     if k < 1:
         raise ValueError("k must be >= 1")
     root, path = _path(seed)
-    return sample_stack(model, k, root, path)[0]
+    return fades_and_noise(model, k, root, path, True)[0][0]
 
 
 def transmit_stack(X, H, seed, streams, noiseless):

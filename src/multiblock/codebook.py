@@ -25,10 +25,6 @@ log = logging.getLogger(__name__)
 # a carved book keeps at most 2^(ceil(R n k) + TRUNCATE_MARGIN) codewords
 TRUNCATE_MARGIN = 2
 
-# the shift search draws its shifts' coordinates this many shifts at a time,
-# so its memory does not grow with its trial count
-SHIFT_BLOCK = 1024
-
 
 def log_c_nk(n, k):
     """ln C_{n,k} with C_{n,k} = (pi n k)^{n^2 k} / (n^2 k)!, in log space."""
@@ -119,14 +115,11 @@ def carve(lat, powers, R, trials, seed, budget=DEFAULT_BUDGET):
     # every point's, up to rounding that the ball's closed slack absorbs
     radius = math.sqrt(powers[0] * n * k) / alphas[0]
     best = None
-    # the shift coordinates in blocks of rows: row t holds the doubles of
-    # the t-th draw gen.random(rank), bit for bit
-    for start in range(0, trials, SHIFT_BLOCK):
-        for shift in gen.random((min(SHIFT_BLOCK, trials - start), lat.rank)):
-            u = lat.point(shift)
-            count, coords, _ = count_points_in_ball(lat, u, radius, budget)
-            if best is None or count > best[0]:
-                best = (count, u, coords)
+    for _ in range(trials):
+        u = lat.point(gen.random(lat.rank))
+        count, coords, _ = count_points_in_ball(lat, u, radius, budget)
+        if best is None or count > best[0]:
+            best = (count, u, coords)
     count, u, coords = best
     if count < target:
         raise CarveFailed(

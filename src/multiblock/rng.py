@@ -51,17 +51,8 @@ def _keys(seed, paths):
 
 
 def philox(seed, *stream):
-    """Generator on an independent Philox stream keyed by (seed, stream).
-    A path of Python ints is hashed as `_keys` hashes it, in Python integer
-    arithmetic; any other path goes through `_keys` and its check."""
-    if all(type(i) is int and 0 <= i < 1 << 63 for i in stream):
-        acc = 0
-        for i in stream:
-            acc = (acc * int(_HASH) + i + 1) & _MASK
-        key = np.array([int(seed) & _MASK, acc], dtype=np.uint64)
-    else:
-        key = _keys(seed, [stream])[0]
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator on an independent Philox stream keyed by (seed, stream)."""
+    return np.random.Generator(np.random.Philox(key=_keys(seed, [stream])[0]))
 
 
 def _box_muller(u1, u2):

@@ -243,11 +243,9 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                          tallies)
     for start in range(0, trials, chunk):
         streams = np.arange(start, min(start + chunk, trials))[:, None]
-        if picks:
-            H, noise = channel.fades_and_noise(model, lat.k, seed, streams,
-                                               noiseless)
-        else:
-            H = channel.sample_stack(model, lat.k, seed, streams)
+        # the infinite path draws its noise later, trial by trial
+        H, noise = channel.fades_and_noise(model, lat.k, seed, streams,
+                                           noiseless or not picks)
         if "lattice" in decoders and not (shared and start):
             # a constant channel's trials share one fade and its preparation
             sv = channel.check_full_rank(H[:1] if shared else H)

@@ -4,15 +4,13 @@ algebra only when a command first uses it."""
 import collections
 import contextlib
 import io
-from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from multiblock.catalog import load_catalog, parse_field_entry
+from multiblock.catalog import load_catalog
 from multiblock.cli import main
 from multiblock.cyclic_algebra import CyclicAlgebra
-from multiblock.errors import CatalogError
 from multiblock.numfield import NumberField
 
 FIELD_NAMES = ("cyclo15", "cyclo16", "cyclo32", "cyclo5", "cyclo8", "q_i",
@@ -215,26 +213,6 @@ def test_a_malformed_field_token_names_its_entry_and_key(tmp_path,
                  fields_extra="\nname = tok\nmin_poly = 1 0 1\nbasis = 1 ; 1/0 1\n")
     _fails_with(capsys, ["invariants", "--field", "q_i"],
                 "field 'tok': basis: '1/0' is not a rational")
-
-
-def test_a_token_list_parses_as_each_token_alone():
-    # one int pass serves an all-integer list; a list with another token
-    # is parsed token by token, ints staying ints, and the first token that
-    # is neither names itself
-    args = parse_field_entry({"name": "tok", "min_poly": "1 0 1",
-                              "basis": "1 ; 1/2 -3 ; 0 4/6"})
-    assert args["min_poly"] == [1, 0, 1]
-    assert args["basis"] == [[1], [Fraction(1, 2), -3], [0, Fraction(2, 3)]]
-    assert [type(c) for b in args["basis"] for c in b] == [
-        int, Fraction, int, int, Fraction]
-    with pytest.raises(CatalogError,
-                       match=r"^field 'tok': basis: 'x' is not a rational$"):
-        parse_field_entry({"name": "tok", "min_poly": "1 0 1",
-                           "basis": "1 ; 1/2 x 1/0"})
-    with pytest.raises(CatalogError,
-                       match=r"^field 'tok': min_poly: '1/2' is not an integer$"):
-        parse_field_entry({"name": "tok", "min_poly": "1 1/2 x",
-                           "basis": "1 ; 0 1"})
 
 
 def test_a_malformed_algebra_token_names_its_entry_and_key(tmp_path,

@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 from multiblock.channel import (FadingModel, fades_and_noise, logdet_statistic,
-                               received, sample, sample_stack, transmit,
-                               transmit_stack)
+                               received, sample, transmit, transmit_stack)
 from multiblock.errors import SingularChannel
 from multiblock.rng import complex_gaussian, philox
 
@@ -198,7 +197,7 @@ def test_stacks_carry_the_one_realization_bits(kind, rho):
     model = FadingModel(kind=kind, n=2, n_r=3, rho=rho)
     k, seed = 4, 61
     streams = [(t,) for t in range(100, 140)]
-    H = sample_stack(model, k, seed, streams)
+    H, _ = fades_and_noise(model, k, seed, streams, True)
     X = complex_gaussian(philox(62), (len(streams), k, 2, 2))
     Y = transmit_stack(X, H, seed, streams, False)
     for t, (s,) in enumerate(streams):
@@ -225,7 +224,7 @@ def test_stacks_carry_the_one_realization_bits(kind, rho):
                          ids=["list", "array"])
 def test_no_streams_give_empty_stacks(kind, rho, streams):
     model = FadingModel(kind=kind, n=2, n_r=3, rho=rho)
-    H = sample_stack(model, 4, 61, streams)
+    H, _ = fades_and_noise(model, 4, 61, streams, True)
     assert H.shape == (0, 4, 3, 2) and H.dtype == complex
     for noiseless in (False, True):
         Y = transmit_stack(np.zeros((0, 4, 2, 2)), H, 61, streams, noiseless)
@@ -240,16 +239,17 @@ SHEARED = np.array([[1.0, 0.5 - 0.25j], [0.0, 0.75j], [0.2, 1.0]])
                                               ("constant", 0.0, SHEARED)])
 @pytest.mark.parametrize("noiseless", [False, True])
 @pytest.mark.parametrize("count", [0, 1, 23])
-def test_the_fused_draw_is_sample_stack_then_transmit_stack(kind, rho, fixed_H,
-                                                            noiseless, count):
+def test_the_fused_draw_is_the_fades_then_transmit_stack(kind, rho, fixed_H,
+                                                         noiseless, count):
     # one Philox pass over the fade and the noise paths gives the bits of
-    # `sample_stack` followed by `transmit_stack`, an empty stack included
+    # the fades drawn alone followed by `transmit_stack`, an empty stack
+    # included
     model = FadingModel(kind=kind, n=2, n_r=3, rho=rho, fixed_H=fixed_H)
     k, seed = 4, 29
     streams = np.arange(50, 50 + count)[:, None]
     X = complex_gaussian(philox(30), (2, count, k, 2, 2))
     H, W = fades_and_noise(model, k, seed, streams, noiseless)
-    fades = sample_stack(model, k, seed, streams)
+    fades, _ = fades_and_noise(model, k, seed, streams, True)
     assert H.shape == fades.shape and H.tobytes() == fades.tobytes()
     assert (W is None) == noiseless
     if W is not None:

@@ -572,14 +572,14 @@ def test_simulate_degenerate_fade_exits_3(tmp_path, capsys, monkeypatch,
     # a hand-built fade (all zero, or not finite) among a run's i.i.d. fades
     # ends the run with exit 3, one line on stderr and no CSV
     from multiblock import channel
-    sample_stack = channel.sample_stack
+    fades_and_noise = channel.fades_and_noise
 
     def degenerate(*args):
-        H = sample_stack(*args)
+        H, W = fades_and_noise(*args)
         H[len(H) // 2] = entry
-        return H
+        return H, W
 
-    monkeypatch.setattr(channel, "sample_stack", degenerate)
+    monkeypatch.setattr(channel, "fades_and_noise", degenerate)
     code, text = run_cli(["simulate", "--algebra", "golden", "--model",
                           "iid_rayleigh", "--nr", "2", "--snr-db", "12",
                           "--rate", "1", "--trials", "20", "--seed", "7",
@@ -719,15 +719,15 @@ def test_near_singular_fade_exits_3_even_when_certified(monkeypatch, capsys):
     # one trial's fade is numerically rank deficient; noiseless, its
     # received word is the sent one, yet the run must stop, not certify it
     from multiblock import channel
-    sample_stack = channel.sample_stack
+    fades_and_noise = channel.fades_and_noise
 
-    def near_singular(model, k, seed, streams):
-        H = sample_stack(model, k, seed, streams)
+    def near_singular(model, k, seed, streams, noiseless):
+        H, W = fades_and_noise(model, k, seed, streams, noiseless)
         for t in np.flatnonzero(np.all(streams == (3,), axis=1)):
             H[t, 0, :, 1] = H[t, 0, :, 0] * (1 + 1e-14)
-        return H
+        return H, W
 
-    monkeypatch.setattr(channel, "sample_stack", near_singular)
+    monkeypatch.setattr(channel, "fades_and_noise", near_singular)
     code = main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
                  "--nr", "2", "--snr-db", "20", "--rate", "1", "--trials", "5",
                  "--seed", "1", "--decoder", "lattice", "--infinite",

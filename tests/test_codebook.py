@@ -251,28 +251,6 @@ def test_grid_carve_matches_the_per_point_reference(request, case):
     assert all(isinstance(w, Codebook) == succeeds for w in want)
 
 
-@pytest.mark.parametrize("block", [1, 3, 16])
-def test_shifts_drawn_in_blocks_are_the_one_at_a_time_draws(golden_lattice,
-                                                             monkeypatch,
-                                                             block):
-    # the search's shift coordinates, drawn SHIFT_BLOCK shifts at a time,
-    # are bit for bit the reference's one gen.random(rank) per shift, and
-    # each shift still takes one ball count
-    monkeypatch.setattr(codebook, "SHIFT_BLOCK", block)
-    counted, count = [], codebook.count_points_in_ball
-    monkeypatch.setattr(codebook, "count_points_in_ball",
-                        lambda lat, u, *args: counted.append(u)
-                        or count(lat, u, *args))
-    [got] = carve(golden_lattice, [10.0 ** 1.6], 2.0, 7, 1)
-    want = reference_carve(golden_lattice, 10.0 ** 1.6, 2.0, 7, 1,
-                           DEFAULT_BUDGET)
-    _assert_same_carve(got, want)
-    gen = philox(1, 0xCA)
-    assert [_bits(u) for u in counted] == [
-        _bits(golden_lattice.point(gen.random(golden_lattice.rank)))
-        for _ in range(7)]
-
-
 def test_grid_carve_refuses_a_budget_like_the_reference(qi_lattice):
     # the 2^floor(R n k) > budget refusal comes before any alpha or search,
     # at every point of the reference and once for the grid

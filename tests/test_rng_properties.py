@@ -145,41 +145,6 @@ def test_philox_refuses_a_path_index_outside_its_domain():
         philox(5, 0xC0, 2 ** 63)
 
 
-def philox_key(seed, *stream):
-    return philox(seed, *stream).bit_generator.state["state"]["key"].tolist()
-
-
-@PROPERTY
-@given(st.integers(0, 2 ** 70),
-       st.lists(st.integers(0, INDEX_MAX) | st.sampled_from([0, INDEX_MAX]),
-                max_size=4))
-def test_philox_keys_a_path_of_python_ints_as_keys_does(seed, stream):
-    assert philox_key(seed, *stream) == rng._keys(seed, [tuple(stream)])[0].tolist()
-
-
-@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 7,
-                                  2 ** 70 + 3])
-@pytest.mark.parametrize("stream", [(), (0,), (INDEX_MAX,), (0xC0, 0),
-                                    (0x48, INDEX_MAX, 0)])
-def test_philox_keys_at_the_ends_of_the_index_range(seed, stream):
-    key = rng._keys(seed, [stream])[0].tolist()
-    assert philox_key(seed, *stream) == key
-    # numpy integers take the array path to the same key
-    assert philox_key(seed, *map(np.int64, stream)) == key
-
-
-@pytest.mark.parametrize("stream", [(-1,), (0, 2 ** 63), (2 ** 64 - 1,),
-                                    (2 ** 64,), (3, -2 ** 70), (1.5,), ("a",),
-                                    (True,), (np.int64(-1),),
-                                    (np.uint64(2 ** 63),)])
-def test_philox_refuses_a_bad_index_as_keys_does(stream):
-    with pytest.raises(ValueError) as keys_error:
-        rng._keys(5, [stream])
-    with pytest.raises(ValueError) as philox_error:
-        philox(5, *stream)
-    assert str(philox_error.value) == str(keys_error.value)
-
-
 @PROPERTY
 @given(SEEDS, st.integers(1, 2 ** 20), st.integers(1, 300),
        st.integers(1, 64))

@@ -332,7 +332,7 @@ def test_certified_trial_has_no_closer_point(catalog, name, extra_rx, kind,
     alpha = scaling_alpha(10.0 ** (snr_db / 10.0), rate, lat.n, lat.k,
                           lat.volume)
     streams = [(t,) for t in range(16)]
-    H = channel.sample_stack(model, lat.k, seed, streams)
+    H = channel.fades_and_noise(model, lat.k, seed, streams, True)[0]
     # the zero point and nonzero points of alpha L are sent
     sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
     sent[0] = 0
@@ -403,7 +403,7 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     alpha = scaling_alpha(10.0 ** (snr_db / 10.0), rate, lat.n, lat.k,
                           lat.volume)
     streams = [(t,) for t in range(12)]
-    H = channel.sample_stack(model, lat.k, seed, streams)
+    H = channel.fades_and_noise(model, lat.k, seed, streams, True)[0]
     sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
     words = alpha * lat.points(sent)
     W = channel.transmit_stack(words, H, seed, streams, False) - H @ words
@@ -422,7 +422,7 @@ def test_lattice_searches_decide_both_ways_on_fades(catalog):
     model = FadingModel(kind="iid_rayleigh", n=2, n_r=2)
     alpha = scaling_alpha(10.0, 1.0, lat.n, lat.k, lat.volume)
     streams = [(t,) for t in range(40)]
-    H = channel.sample_stack(model, lat.k, 5, streams)
+    H = channel.fades_and_noise(model, lat.k, 5, streams, True)[0]
     W = channel.transmit_stack(np.zeros_like(H), H, 5, streams, False)
     [outcomes] = lattice_decisions(*lat.faded_stack(H),
                                    [(alpha, np.arange(len(H)), W)])
@@ -456,7 +456,7 @@ def test_grid_search_decides_as_each_point_alone(catalog, search_log, model):
     # them in the union
     lat = _lattice(catalog, "zeta20")
     streams = [(t,) for t in range(40)]
-    H = channel.sample_stack(model, lat.k, 11, streams)
+    H = channel.fades_and_noise(model, lat.k, 11, streams, True)[0]
     W = channel.transmit_stack(np.zeros((40, lat.k, 2, 2)), H, 11, streams,
                                False)
     gen = philox(11, 0x5E)
@@ -587,7 +587,7 @@ def test_a_chunk_and_a_batch_at_capacity_keep_within_the_bound(
             tracemalloc.stop()
     [cert_peak] = peaks
     streams = np.arange(capacity)[:, None]
-    H = channel.sample_stack(model, lat.k, 29, streams)
+    H = channel.fades_and_noise(model, lat.k, 29, streams, True)[0]
     todo = [np.arange(capacity)] * len(points)
 
     def decide():
@@ -721,7 +721,7 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
 
         monkeypatch.setattr(owner, name, counting)
 
-    for owner, name in [(channel, "sample_stack"), (channel, "fades_and_noise"),
+    for owner, name in [(channel, "fades_and_noise"),
                         (channel, "check_full_rank"), (rng, "_words")]:
         count(owner, name)
     assert main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
@@ -733,9 +733,8 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
                  "--snr-db", "4,8,12", "--rate", "1", "--trials", "200",
                  "--seed", "7", "--infinite"]) == 0
     # the infinite path draws every trial's noise radii, then the searched
-    # trials' full noise; its fades come from `sample_stack`
-    assert calls == {"sample_stack": 1, "fades_and_noise": 1, "_words": 2,
-                     "check_full_rank": 1}
+    # trials' full noise; its chunk draws only fades
+    assert calls == {"fades_and_noise": 1, "_words": 2, "check_full_rank": 1}
     capsys.readouterr()
 
 
