@@ -13,9 +13,9 @@ their noise too, in one Philox pass over the paths of both, and
 `transmit_stack` draws the noise of a search batch.  Each realization and
 noise draw is the pure function of its own path, so `sample` and
 `transmit` are those functions on a stack of one.  `noise_energies` gives
-each path's noise energy ||W||^2 without drawing the noise itself.  `check_full_rank`
-is the one rank rule for fades, and `logdet_statistic` reads its singular
-values.
+each path's noise energy ||W||^2 without drawing the noise itself.
+`check_full_rank` is the one rank rule for fades, and `logdet_statistic`
+reads its singular values.
 """
 
 from dataclasses import dataclass
