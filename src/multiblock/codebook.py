@@ -25,6 +25,9 @@ log = logging.getLogger(__name__)
 # a carved book keeps at most 2^(ceil(R n k) + TRUNCATE_MARGIN) codewords
 TRUNCATE_MARGIN = 2
 
+# bound on the bytes of the 2^floor(R n k) codewords a carve must hold
+CARVE_BYTES = 1 << 28
+
 
 def log_c_nk(n, k):
     """ln C_{n,k} with C_{n,k} = (pi n k)^{n^2 k} / (n^2 k)!, in log space."""
@@ -100,6 +103,11 @@ def carve(lat, powers, R, trials, seed, budget=DEFAULT_BUDGET):
     if math.isfinite(R) and R * n * k >= int(budget).bit_length():
         raise BudgetExceeded(f"rate {R} asks for 2^floor({R * n * k:g}) "
                              f"codewords, more than {budget} nodes can find")
+    # and its codewords hold 8 bytes per coordinate, 16 per complex entry
+    if math.isfinite(R) and 2 ** math.floor(R * n * k) * (
+            8 * lat.rank + 16 * k * n * n) > CARVE_BYTES:
+        raise BudgetExceeded(f"rate {R} asks for 2^floor({R * n * k:g}) "
+                             f"codewords, more than {CARVE_BYTES} bytes hold")
     # the power ball's squared radius P n k, which sizes the search and
     # filters every codeword, must be a double like P itself
     for P in powers:

@@ -89,7 +89,7 @@ class LatticeDecoder:
                             nodes=nodes, approximate=not exact)
 
     def decodes_to(self, W, budget=DEFAULT_BUDGET):
-        """(ok, nodes) for each residual W_t = Y_t - H X_t of a stack W
+        """(ok, nodes) for each trial's noise W_t = Y_t - H X_t of a stack W
         (T, k, n_r, n): ok iff decode(Y_t) returns X_t, which fails exactly
         when a nonzero point of alpha H L is strictly closer to W_t than 0
         (up to ties of measure zero).  A search that exhausts `budget` gives
@@ -106,7 +106,7 @@ def lattice_decisions(preps, Q, diag, searches, budget=DEFAULT_BUDGET):
     preparations of faded lattices H_t L, `preps`, whose Q factors and R
     diagonals are the stacks `Q` (U, dim, rank) and `diag` (U, rank), or
     the one Q (dim, rank) and diagonal (rank,) they all share.  Each search
-    (alpha, at, W) is a point's: the residuals W of the trials at stack
+    (alpha, at, W) is a point's: the noise W of the trials at stack
     indices `at`, searched at W / alpha and scattered into the stack's
     order, so the span coordinates are read with no copy of Q.  One
     `zero_path` pass over every point's targets decides those whose walk

@@ -2,27 +2,24 @@
 
 Trials are seed-split: trial t of a run with seed s draws its fade and noise
 from independent Philox streams keyed by (s, t), never by the power, so runs
-are reproducible and one trial loop serves a whole SNR grid.  It works in
-chunks of trials: one numpy pass per chunk draws every trial's fade and
-noise for all points, and per point forms the received words, ML metrics
-and residuals; only the lattice searches run per trial, and the chunking
-changes no output bit.  The infinite lattice sends the zero point, so its
-residual is the noise: a certification chunk draws each trial's noise
-energy from the noise's radius words, and a search batch gathers the
-trials it leaves uncertified, across chunk boundaries, then draws their
-full noise in one pass, bit for bit each chunk's own draw (each trial's
-noise is the pure function of its stream path).  Chunks and batches are
-each sized by what they hold.
+are reproducible and one trial loop serves a whole SNR grid, in chunks of
+trials that change no output bit.
 
-Each lattice decision is read from the trial's residual W = Y - H X: naive
-lattice decoding errs exactly when some nonzero point of the faded lattice
-alpha H L is closer to W than 0.  When the lattice carries a certified
-minimum determinant det_min, every nonzero X of alpha L has ||H X||^2 >=
-lam2 = nk alpha^2 det_min^{2/nk} prod_i det(H_i^dag H_i)^{1/nk} (AM-GM over
-the nk eigenvalues of the faded blocks' Grams), so 4 ||W||^2 < lam2 proves
-the decision correct at 0 nodes (the packing-radius argument), and only
-the other trials are searched, by `decoder.lattice_decisions` on one stack
-of preparations per search batch for every point.
+Each lattice decision reads only the trial's noise W, which every point
+shares: naive lattice decoding errs exactly when some nonzero point of the
+faded lattice alpha H L is closer to W than 0, whatever word was sent.
+When the lattice carries a certified minimum determinant det_min, every
+nonzero X of alpha L has ||H X||^2 >= lam2 = nk alpha^2 det_min^{2/nk}
+prod_i det(H_i^dag H_i)^{1/nk} (AM-GM over the nk eigenvalues of the faded
+blocks' Grams), so 4 ||W||^2 < lam2 proves the decision correct at 0 nodes
+(the packing-radius argument).  A codebook chunk draws the noise with its
+fades, as ML's received words need it; the infinite lattice's chunk draws
+each trial's noise energy alone, from the noise's radius words.  The other
+trials gather in a search batch across chunk boundaries, decided by
+`decoder.lattice_decisions` on one stack of preparations for every point;
+on the infinite lattice the batch first draws their full noise in one
+pass, bit for bit each chunk's own draw.  Chunks and batches are each
+sized by what they hold.
 """
 
 import math
@@ -42,7 +39,7 @@ from .rng import philox
 CHUNK_BYTES = 1 << 20
 
 # Relative margin by which a certificate must hold: far above the float
-# error of the residuals and singular values it is computed from.
+# error of the noise energies and singular values it is computed from.
 CERT_MARGIN = 1e-9
 
 
@@ -65,23 +62,24 @@ def _wer_stderr(errors, trials):
 
 def _chunk_trials(lat, model, books, decoders):
     """Trials per search batch, and per codebook chunk: as many as keep
-    within CHUNK_BYTES the fades, noise and searched targets; the words,
-    received words and residuals of each of `books` (one per SNR point;
-    None for the infinite lattice, whose points share them); one book's ML
-    differences to every codeword at a time; for each point, its searched
-    targets' Python objects (span coordinates and their squares as lists,
-    a threshold and an outcome: under 80 bytes per rank and 160 more, by
-    tracemalloc); and on a fading channel the searched trials' faded bases
-    with their Q and R factors (about three real rank x 2 k n_r n arrays)
-    and the R lists that a walk builds on a preparation's first read
-    (about 40 rank^2 + 104 rank + 640 bytes).  A target that `zero_path`
-    decides builds no lists, but those bytes are still counted for every
-    trial: at low SNR a batch walks nearly all of its trials.  A batch is
-    sized as one in which every point searches every trial, so its peak
-    memory does not hang on how many a point searches."""
-    words = 7 + 3 * (1 if books[0] is None else len(books))
+    within CHUNK_BYTES ten arrays of a trial's fade shape (a chunk's fades
+    and noise, a batch's copies, its full noise and received words on the
+    infinite lattice, and the searched targets); with ML, one book of
+    `books` (one per SNR point; None on the infinite lattice) at a time:
+    its words, received words and differences to every codeword; for each
+    point, its searched targets' Python objects (span coordinates and their
+    squares as lists, a threshold and an outcome: under 80 bytes per rank
+    and 160 more, by tracemalloc); and on a fading channel the searched
+    trials' faded bases with their Q and R factors (about three real rank x
+    2 k n_r n arrays) and the R lists that a walk builds on a preparation's
+    first read (about 40 rank^2 + 104 rank + 640 bytes).  A target that
+    `zero_path` decides builds no lists, but those bytes are still counted
+    for every trial: at low SNR a batch walks nearly all of its trials.  A
+    batch is sized as one in which every point searches every trial, so its
+    peak memory does not hang on how many a point searches."""
+    words = 10
     if "ml" in decoders:
-        words += 3 * max(map(len, books))
+        words += 2 + 3 * max(map(len, books))
     per_trial = 16 * lat.k * lat.n * max(lat.n, model.n_r) * words
     if "lattice" in decoders:
         per_trial += len(books) * (80 * lat.rank + 160)
@@ -113,11 +111,11 @@ def certified(lat, alpha, sv, d2):
     det_min^{2/nk} prod det(H_i^dag H_i)^{1/nk}.  The product of Gram
     determinants is that of the squared singular values `sv` (T, k, n) of
     each trial's fade, or (1, k, n) of a fade all trials share, and `d2`
-    (T,) holds each trial's squared residual norm ||W_t||^2.  On the
-    infinite path that is the noise energy sum -ln u1 over the noise's
-    radius words, within a few ulps of the float sum |W|^2 of the drawn
-    noise (`rng.gaussian_energies`), so far inside CERT_MARGIN that the
-    bound stays sound for the W a search would read.  A lattice without a
+    (T,) holds each trial's noise energy ||W_t||^2: on a codebook the float
+    sum over the drawn noise, on the infinite path the sum -ln u1 over the
+    noise's radius words, within a few ulps of that float sum
+    (`rng.gaussian_energies`), so far inside CERT_MARGIN that the bound
+    stays sound for the W a search would read.  A lattice without a
     certified det_min proves nothing."""
     if lat.det_min is None:
         return np.zeros(len(d2), dtype=bool)
@@ -132,13 +130,14 @@ def certified(lat, alpha, sv, d2):
 
 class _SearchBatch:
     """The trials that some SNR point leaves uncertified, gathered across
-    chunks until `capacity` of them are held: their stream rows and fades,
-    on a codebook each point's residuals, and each point's rows in the
-    batch.  `flush` decides them all by one `lattice_decisions` call on one
-    stack, a constant channel's one preparation `prep` or the batch's
-    `lat.faded_stack`; on the infinite lattice it first draws the batch's
-    full noise, the residual every point shares, by one `transmit_stack`
-    on the batch's stream rows, bit for bit each chunk's own draw."""
+    chunks until `capacity` of them are held: their stream rows, fades and,
+    on a codebook, the rows of the noise their chunk drew, and each point's
+    rows in the batch.  `flush` decides them all by one `lattice_decisions`
+    call on one stack, a constant channel's one preparation `prep` or the
+    batch's `lat.faded_stack`, every point searching the one noise array;
+    on the infinite lattice it first draws that noise by one
+    `transmit_stack` on the batch's stream rows, bit for bit each chunk's
+    own draw."""
 
     def __init__(self, lat, points, capacity, seed, budget, noiseless,
                  tallies):
@@ -148,15 +147,15 @@ class _SearchBatch:
         self._empty()
 
     def _empty(self):
-        self.size, self.streams, self.fades, self.residuals = 0, [], [], []
+        self.size, self.streams, self.fades, self.noise = 0, [], [], []
         self.rows = [[] for _ in self.points]
 
-    def add(self, streams, H, todo, W=None):
+    def add(self, streams, H, todo, noise=None):
         """Gather the trials of a chunk, with stream rows `streams` and
         fades H, that some point searches: point p the chunk's trials
-        todo[p].  A codebook chunk gives its residuals W (points, T, k,
-        n_r, n).  The batch is flushed whenever it is full, so a chunk's
-        trials may be decided in two batches."""
+        todo[p].  A codebook chunk gives the noise (T, k, n_r, n) it drew.
+        The batch is flushed whenever it is full, so a chunk's trials may
+        be decided in two batches."""
         searched = np.zeros(len(streams), dtype=bool)
         searched[np.concatenate(todo)] = True
         at = np.flatnonzero(searched)
@@ -168,8 +167,8 @@ class _SearchBatch:
             take = at[done:done + self.capacity - self.size]
             self.streams.append(streams[take])
             self.fades.append(H[take])
-            if W is not None:
-                self.residuals.append(W[:, take])
+            if noise is not None:
+                self.noise.append(noise[take])
             for rows, mine in zip(self.rows, todo):
                 mine = mine[(mine >= take[0]) & (mine <= take[-1])]
                 rows.append(self.size - done + place[mine])
@@ -181,22 +180,19 @@ class _SearchBatch:
         if not self.size:
             return
         lat, H = self.lat, np.concatenate(self.fades)
-        if self.residuals:
-            W = np.concatenate(self.residuals, axis=1)
-        else:
-            # the infinite lattice sends the zero point: its residual is the
-            # noise, shared by every point
-            zero = np.zeros((lat.k, lat.n, lat.n), dtype=complex)
-            W = [channel.transmit_stack(zero, H, self.seed,
-                                        np.concatenate(self.streams),
-                                        self.noiseless)] * len(self.points)
+        if self.noise:
+            W = np.concatenate(self.noise)
+        else:       # the zero word's received words are the noise
+            W = channel.transmit_stack(np.zeros((lat.k, lat.n, lat.n)), H,
+                                       self.seed, np.concatenate(self.streams),
+                                       self.noiseless)
         prep = self.prep
         stack = (([prep] * self.size, prep.Q, prep.diag) if prep is not None
                  else lat.faded_stack(H))
         searches = []
-        for (alpha, _), rows, W_p in zip(self.points, self.rows, W):
+        for (alpha, _), rows in zip(self.points, self.rows):
             rows = np.concatenate(rows)
-            searches.append((alpha, rows, W_p[rows]))
+            searches.append((alpha, rows, W[rows]))
         results = lattice_decisions(*stack, searches, self.budget)
         for outcomes, tally in zip(results, self.tallies):
             for ok, nodes in outcomes:
@@ -213,19 +209,18 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     H_t and noise, and decode it with each of `decoders`.  A chunk draws its
     fades and checks their rank once for every point; a constant channel's
     fade is checked and prepared once.  Each point picks its words from its
-    own stream.  The lattice decision reads only the residual W_t = Y_t -
-    H_t X_t: a trial that `certified` proves correct at the point's alpha
-    from ||W_t||^2 costs 0 nodes, and every point's other trials go to one
-    `_SearchBatch`, which decides the union of the trials it holds by one
-    `lattice_decisions` call.  A codebook chunk, of `_chunk_trials`
-    trials, draws every trial's fade and noise, which its received words
-    need, in one Philox pass (`channel.fades_and_noise`), and its batch is
-    flushed at the chunk's end, because its residuals live there.  On the
-    infinite lattice W_t is the noise itself, shared by every point: a
-    certification chunk, of `_certify_trials` trials, draws each trial's
-    noise energy alone, from the noise's radius words, and the batch
-    gathers the uncertified trials of as many chunks as fill it
-    (`_chunk_trials` trials) before it draws their full noise; a run that
+    own stream.  The lattice decision reads only the trial's noise, which
+    every point shares: a trial that `certified` proves correct at the
+    point's alpha from the noise energy costs 0 nodes, and every point's
+    other trials go to one `_SearchBatch`, which gathers them across chunk
+    boundaries and decides the union of the trials it holds by one
+    `lattice_decisions` call.  A codebook chunk, of `_chunk_trials` trials,
+    draws every trial's fade and noise, which ML's received words need, in
+    one Philox pass (`channel.fades_and_noise`); the certificate reads the
+    energy of that noise and the batch keeps its searched rows.  On the
+    infinite lattice a certification chunk, of `_certify_trials` trials,
+    draws each trial's noise energy alone, from the noise's radius words,
+    and the batch draws the full noise of the trials it holds; a run that
     searches no trial draws no full noise and asks no decision.  A search
     that exhausts `budget` counts as an error (a conservative WER), a
     budget hit and `budget` nodes.  Returns one {decoder: [errors, nodes,
@@ -250,33 +245,26 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
             # a constant channel's trials share one fade and its preparation
             sv = channel.check_full_rank(H[:1] if shared else H)
             batch.prep = lat.faded_cvp(H[0]) if shared else None
-        if picks:
-            idx = [pick.integers(len(book), size=len(streams))
-                   for pick, book in zip(picks, books)]
-            words = np.stack([book.matrices[i] for book, i in zip(books, idx)])
-            Y = channel.received(words, H, noise)
         if "ml" in decoders:
-            for p, (book, tally) in enumerate(zip(books, tallies)):
-                res = ml_decode(Y[p], H, book)
-                tally["ml"][0] += int(np.count_nonzero(res.index != idx[p]))
+            for pick, book, tally in zip(picks, books, tallies):
+                sent = pick.integers(len(book), size=len(streams))
+                Y = channel.received(book.matrices[sent], H, noise)
+                res = ml_decode(Y, H, book)
+                tally["ml"][0] += int(np.count_nonzero(res.index != sent))
                 tally["ml"][1] += res.nodes
         if "lattice" not in decoders:
             continue
-        if picks:
-            W = Y - H @ words
-            d2 = np.sum(np.abs(W) ** 2, axis=(2, 3, 4))
-        elif noiseless or lat.det_min is None:
-            # W = 0, or a certificate that reads no energy: no radii drawn
-            d2 = [np.zeros(len(streams))] * len(points)
+        if noiseless or lat.det_min is None:
+            # no noise, or a certificate that reads no energy: none summed
+            d2 = np.zeros(len(streams))
+        elif picks:
+            d2 = np.sum(np.abs(noise) ** 2, axis=(1, 2, 3))
         else:
-            d2 = [channel.noise_energies(seed, streams,
-                                         (lat.k, model.n_r, lat.n))
-                  ] * len(points)
-        todo = [np.flatnonzero(~certified(lat, alpha, sv, d2_p))
-                for (alpha, _), d2_p in zip(points, d2)]
-        batch.add(streams, H, todo, W if picks else None)
-        if picks:
-            batch.flush()
+            d2 = channel.noise_energies(seed, streams,
+                                        (lat.k, model.n_r, lat.n))
+        todo = [np.flatnonzero(~certified(lat, alpha, sv, d2))
+                for alpha, _ in points]
+        batch.add(streams, H, todo, noise)
     batch.flush()
     return tallies
 

@@ -513,10 +513,11 @@ def test_grid_carve_searches_the_shifts_once(monkeypatch):
 
 def test_fading_grid_factors_each_chunk_once(monkeypatch, capsys):
     # the faded bases H_t (U B) do not depend on alpha, so one stacked QR
-    # per chunk serves the uncertified trials of all three points: in
-    # chunks of 7 trials, 3 stacks holding the 12 trials that 8 dB searches
-    # (a point at a higher SNR searches a subset of them), where one stack
-    # per chunk and point held 20 bases in 9 stacks
+    # per search batch serves the uncertified trials of all three points:
+    # in chunks and batches of 7 trials, ceil(12 / 7) = 2 stacks holding
+    # the 12 trials that 8 dB searches (a point at a higher SNR searches a
+    # subset of them), gathered across chunks, where one stack per chunk
+    # held them in 3 and one per chunk and point 20 bases in 9
     from multiblock import lattice, sim
     stack, sizes = lattice.PreparedCVP.stack, []
     monkeypatch.setattr(lattice.PreparedCVP, "stack", classmethod(
@@ -528,7 +529,7 @@ def test_fading_grid_factors_each_chunk_once(monkeypatch, capsys):
     monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
     assert main(GOLDEN_GRID) == 0
     assert capsys.readouterr().out == whole
-    assert len(sizes) == 3 and sum(sizes) == 12
+    assert sizes == [7, 5]
 
 
 def test_every_carve_failing_runs_no_trial(tmp_path):
@@ -544,6 +545,27 @@ def test_every_carve_failing_runs_no_trial(tmp_path):
     rows = parse_csv(text)
     assert [(r["snr_db"], r["flag"]) for r in rows] == [
         ("10", "carve_budget_exceeded"), ("12", "carve_budget_exceeded")]
+
+
+def test_a_carve_too_large_to_hold_is_refused_before_its_search(
+        tmp_path, capsys, monkeypatch):
+    # 2^floor(3 * 8) = 2^24 codewords of 8 * 16 + 16 * 8 = 256 bytes each is
+    # 4 GiB, beyond CARVE_BYTES, though 24 bits is within the default node
+    # budget: the carve refuses before it searches a ball
+    from multiblock import codebook
+    monkeypatch.setattr(codebook, "count_points_in_ball", None)
+    code, text = run_cli(["simulate", "--field", "cyclo32", "--model",
+                          "iid_rayleigh", "--snr-db", "0,30", "--rate", "3",
+                          "--trials", "50", "--seed", "1"], tmp_path)
+    assert code == 0
+    assert [(r["snr_db"], r["flag"]) for r in parse_csv(text)] == [
+        ("0", "carve_budget_exceeded"), ("30", "carve_budget_exceeded")]
+    assert main(["carve", "--field", "cyclo32", "--snr-db", "0", "--rate",
+                 "3", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: rate 3.0 asks for") and (
+        err.count("\n") == 1)
 
 
 def test_budget_exhaustion_exits_3(tmp_path, capsys):

@@ -98,6 +98,24 @@ def test_carve_beyond_budget_raises_before_any_search(qi_lattice,
     assert {args[2] for args in searched} == {math.sqrt(10.0) / alpha}
 
 
+def test_carve_beyond_its_memory_raises_before_any_search(qi_lattice,
+                                                         monkeypatch):
+    # the 2^floor(R n k) codewords a carve must hold take 8 bytes per
+    # coordinate and 16 per complex entry: 2^3 * (8 * 2 + 16) = 256 bytes
+    # for q_i at rate 3, refused above CARVE_BYTES, tried at it
+    searched = []
+    monkeypatch.setattr(codebook, "count_points_in_ball",
+                        lambda *args: searched.append(args) or (0, None, None))
+    monkeypatch.setattr(codebook, "CARVE_BYTES", 255)
+    with pytest.raises(BudgetExceeded, match="more than 255 bytes hold"):
+        carve(qi_lattice, [10.0, 100.0], 3.0, trials=4, seed=1)
+    assert searched == []
+    monkeypatch.setattr(codebook, "CARVE_BYTES", 256)
+    with pytest.raises(CarveFailed):
+        carve(qi_lattice, [10.0, 100.0], 3.0, trials=4, seed=1)
+    assert len(searched) == 4
+
+
 def test_carve_refuses_an_overflowing_power_ball_before_any_search(
         golden_lattice, monkeypatch):
     # at n k = 2 and P = 1e308 the squared radius P n k is inf: a search

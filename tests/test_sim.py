@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,8 +202,9 @@ def _recording_decisions(monkeypatch, masks):
     return calls
 
 
-# (trials per chunk, trials per search batch): a codebook chunk is its own
-# batch; on the infinite lattice a batch of 50 gathers the uncertified
+# (trials per chunk, trials per search batch): a codebook chunk holds as
+# many trials as a batch, whose uncertified ones may fill a batch across
+# chunks; on the infinite lattice a batch of 50 gathers the uncertified
 # trials of several 1-trial chunks, and one of 3 flushes within a chunk of
 # 20 and before the run ends
 LOOP_SIZES = [(case, sizes) for case in sorted(LOOP_CASES)
@@ -254,22 +256,16 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
     assert len(chunks) == math.ceil(trials / chunk)
     unions = [int(np.count_nonzero(~np.logical_and.reduce(m)))
               for m in chunks]
+    # the batch fills across chunks and is flushed when full, and once at
+    # the end of the run
     held = [size for size, _, _ in calls]
-    if infinite:
-        # the batch fills across chunks and is flushed when full, and once
-        # at the end of the run
-        total = sum(unions)
-        assert held == [batch] * (total // batch) + (
-            [total % batch] if total % batch else [])
-        if sizes == (1, 50):
-            assert len(calls) == 1 and sum(map(bool, unions)) > 1
-        if sizes == (20, 3):
-            assert calls[0][2] < len(masks)
-    else:
-        # a codebook chunk's batch is flushed at the chunk's end
-        assert held == [u for u in unions if u]
-        assert [asked for _, _, asked in calls] == [
-            len(points) * (c + 1) for c, u in enumerate(unions) if u]
+    total = sum(unions)
+    assert held == [batch] * (total // batch) + (
+        [total % batch] if total % batch else [])
+    if sizes == (1, 50):
+        assert len(calls) == 1 and sum(map(bool, unions)) > 1
+    if sizes == (20, 3):
+        assert calls[0][2] < len(masks)
     # each call searches the trials each point left unproved, point by
     # point: split the log by point
     per_point = [([], []) for _ in points]
@@ -292,10 +288,11 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
             # every received word is its sent point
             assert all(proved)
         unproved = [s for s, ok in zip(reference, proved) if not ok]
-        if model.kind == "constant":
+        if model.kind == "constant" or not infinite:
             # the loop searches H L at W / alpha, the reference alpha H L at
-            # W: the span coordinates differ in the last bits, the outcomes
-            # and node counts do not
+            # W; on a codebook the loop's W is the drawn noise, the
+            # reference's Y - H X: the span coordinates differ in the last
+            # bits, the outcomes and node counts do not
             searched = [s[-1:] for s in searched]
             unproved = [s[-1:] for s in unproved]
         assert searched == unproved, p
@@ -312,6 +309,50 @@ def test_chunked_loop_matches_reference_trial_by_trial(catalog, monkeypatch,
         assert errors == ref_errors - freed and hits == ref_hits - freed
         assert nodes == sum(budget if s[-1] == "budget exceeded" else s[-1][1]
                             for s in searched)
+
+
+# the codebook `simulate` lines whose output tests/golden/commands.sha256
+# pins, by test id
+CODEBOOK_DIGEST_LINES = {
+    "w1_200": "simulate --algebra golden --model iid_rayleigh --nr 2 "
+              "--snr-db 8,12,16 --rate 1 --trials 200 --seed 7",
+    "w1_20": "simulate --algebra golden --model iid_rayleigh --nr 2 "
+             "--snr-db 8,12,16 --rate 1 --trials 20 --seed 314159",
+    "cyclo8_constant": "simulate --field cyclo8 --model constant --snr-db 12 "
+                       "--rate 1 --trials 200 --seed 5 --decoder both",
+    "golden_constant_nr3": "simulate --algebra golden --model constant --nr 3 "
+                           "--snr-db 4,8,12 --rate 1 --trials 300 --seed 5 "
+                           "--decoder both",
+    "q_omega_gauss_markov": "simulate --field q_omega --model gauss_markov "
+                            "--rho 0.7 --snr-db 10,14 --rate 1 --trials 100 "
+                            "--seed 3",
+    "golden_gauss_markov": "simulate --algebra golden --model gauss_markov "
+                           "--rho 0.9 --nr 2 --snr-db 8,16 --rate 1 "
+                           "--trials 300 --seed 3",
+}
+
+
+@pytest.mark.parametrize("line", sorted(CODEBOOK_DIGEST_LINES))
+def test_codebook_lattice_tallies_are_the_infinite_paths(catalog, line):
+    # naive lattice decoding errs exactly when some nonzero point of alpha H
+    # L is closer to the noise than 0, whatever word was sent: on each
+    # pinned codebook line, every point's lattice errors, nodes and budget
+    # hits are those of the infinite lattice at its book's alpha
+    from multiblock import cli
+    command = CODEBOOK_DIGEST_LINES[line]
+    pinned = Path(__file__).with_name("golden") / "commands.sha256"
+    assert f"  {command}\n" in pinned.read_text()
+    args = cli.build_parser().parse_args(command.split())
+    lat, _, _ = cli._load_lattice(catalog, args.field, args.algebra)
+    model = cli._model_from_args(args, lat.n)
+    books = carve(lat, [cli._snr_power(snr_db) for snr_db in args.snr_db],
+                  args.rate, args.carve_trials, args.seed)
+    run = (args.trials, args.seed)
+    codebook = sim._trial_loop(lat, model, [(b.alpha, b) for b in books],
+                               *run, ("ml", "lattice"), DEFAULT_BUDGET, False)
+    infinite = sim._trial_loop(lat, model, [(b.alpha, None) for b in books],
+                               *run, ("lattice",), DEFAULT_BUDGET, False)
+    assert [t["lattice"] for t in codebook] == [t["lattice"] for t in infinite]
 
 
 # -- soundness of the minimum-determinant certificate ------------------------
@@ -560,7 +601,9 @@ def test_a_chunk_and_a_batch_at_capacity_keep_within_the_bound(
     # (fades, rank check, noise radii and three certificates) and a search
     # batch of `_chunk_trials` trials in which three SNR points search every
     # trial (full noise, targets, preparations, descents and walks) each
-    # peak at or below CHUNK_BYTES
+    # peak at or below CHUNK_BYTES, whether the batch draws its trials'
+    # noise (the infinite lattice) or holds the rows of the noise that a
+    # codebook chunk drew with its fades
     lat = _lattice(catalog, name)
     model = FadingModel(kind=kind, n=lat.n, n_r=n_r,
                         rho=0.7 if kind == "gauss_markov" else 0.0)
@@ -587,29 +630,36 @@ def test_a_chunk_and_a_batch_at_capacity_keep_within_the_bound(
             tracemalloc.stop()
     [cert_peak] = peaks
     streams = np.arange(capacity)[:, None]
-    H = channel.fades_and_noise(model, lat.k, 29, streams, True)[0]
+    fades = channel.fades_and_noise(model, lat.k, 29, streams, True)[0]
     todo = [np.arange(capacity)] * len(points)
 
-    def decide():
+    def decide(noisy):
+        # a codebook chunk draws its fades and noise in one pass
+        H, noise = (channel.fades_and_noise(model, lat.k, 29, streams, False)
+                    if noisy else (fades, None))
         tallies = [{"lattice": [0, 0, 0]} for _ in points]
         batch = sim._SearchBatch(lat, points, capacity, 29, DEFAULT_BUDGET,
                                  False, tallies)
         if kind == "constant":
             batch.prep = lat.faded_cvp(H[0])
-        batch.add(streams, H, todo)
+        batch.add(streams, H, todo, noise)
         batch.flush()
         return tallies
 
-    tallies = decide()                                  # compile the walk
+    tallies = decide(False)                             # compile the walk
     assert all(t["lattice"][1] for t in tallies)
-    tracemalloc.start()
-    try:
-        decide()
-        batch_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the noise a codebook chunk hands over is the noise the batch draws
+    assert decide(True) == tallies
+    batch_peaks = []
+    for noisy in (False, True):
+        tracemalloc.start()
+        try:
+            decide(noisy)
+            batch_peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert cert_peak <= sim.CHUNK_BYTES
-    assert batch_peak <= sim.CHUNK_BYTES
+    assert max(batch_peaks) <= sim.CHUNK_BYTES
 
 
 def test_fading_runs_prepare_no_decoder_and_one_lll_per_lattice(catalog,
@@ -708,7 +758,8 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
     # structural guard: fades and noise are keyed by the trial, never by the
     # power, so a command draws each chunk's fades and noise, and checks its
     # fades' rank, once for all of its SNR points (one chunk here); a
-    # codebook chunk draws its fades and noise in one Philox pass, and a
+    # codebook chunk draws its fades and noise in one Philox pass, and its
+    # certificate and search read that noise without drawing it again; a
     # constant channel's one fade is checked once per command
     calls = Counter()
 
@@ -722,7 +773,9 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
         monkeypatch.setattr(owner, name, counting)
 
     for owner, name in [(channel, "fades_and_noise"),
-                        (channel, "check_full_rank"), (rng, "_words")]:
+                        (channel, "check_full_rank"), (rng, "_words"),
+                        (channel, "noise_energies"),
+                        (channel, "transmit_stack")]:
         count(owner, name)
     assert main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
                  "--nr", "2", "--snr-db", "8,12,16", "--rate", "1",
@@ -734,7 +787,8 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
                  "--seed", "7", "--infinite"]) == 0
     # the infinite path draws every trial's noise radii, then the searched
     # trials' full noise; its chunk draws only fades
-    assert calls == {"fades_and_noise": 1, "_words": 2, "check_full_rank": 1}
+    assert calls == {"fades_and_noise": 1, "_words": 2, "check_full_rank": 1,
+                     "noise_energies": 1, "transmit_stack": 1}
     capsys.readouterr()
 
 
