@@ -8,8 +8,8 @@ A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
 A seed is a path: an int s, or a tuple (s, *indices).  `fades_and_noise`
 and `transmit_stack` serve a whole stack of paths (s, *indices), the index
 rows of an integer array, in one pass, for every SNR point:
-`fades_and_noise` draws a chunk of trials' fades, and on the codebook path
-their noise too, in one Philox pass over the paths of both, and
+`fades_and_noise` draws a chunk of trials' fades, and for ML their noise
+too, in one Philox pass over the paths of both, and
 `transmit_stack` draws the noise of a search batch.  Each realization and
 noise draw is the pure function of its own path, so `sample` and
 `transmit` are those functions on a stack of one.  `noise_energies` gives

@@ -10,24 +10,17 @@ leaf rule: the error test stops at the first nonzero point closer than 0,
 shortest and closest vectors keep the least leaf and shrink the radius to
 it, and a ball keeps every leaf.  Many error tests end at once: the walk
 tries 0 first at every level and finds every other candidate pruned.
-`zero_path` decides a batch of such targets in whole-array operations,
-repeating the walk's float operations on that one path, and leaves every
-other target to the walk.  The walk of each rank is Python source
-generated from the rank alone and compiled on its first search, then
-cached for the process: every coordinate is a local, each level one
-nested loop, and each center one straight-line sum.  CPython nests at most
-20 blocks, so levels go in segments of 16, each lower segment a nested
-function.  Every search runs on an unscaled preparation: a search on
-alpha L divides its target and radius by alpha instead.  Each lattice a
-command searches gets LLL(0.99) preprocessing once: the lattice's own
-basis, and on a constant channel the faded lattice H L (`faded_cvp`).
-A fading channel's faded copies of the LLL basis each serve one search and
-are QR-factored as given, in one stacked pass (`faded_stack`).  The
-LLL computes Gram-Schmidt data once by QR and updates it in place, on
-lists of Python floats, after each size reduction and swap, recomputing it
-by QR when a large size-reduction coefficient signals lost precision.  It
-returns its unimodular transform as an int64 array, and enumeration
-coordinates map back to the input basis by one matrix product.
+`zero_path` decides a batch of such targets in whole-array operations and
+leaves every other target to the walk, whose Python source is generated
+per rank and compiled on its first search (`_walk_source`).  Every search
+runs on an unscaled preparation: a search on alpha L divides its target
+and radius by alpha instead.  Each lattice a command searches gets
+LLL(0.99) preprocessing once (`lll_reduce`): the lattice's own basis, and
+on a constant channel the faded lattice H L (`faded_cvp`).  A fading
+channel's faded copies of the LLL basis each serve one search and are
+QR-factored as given, in one stacked pass (`faded_stack`).  Enumeration
+coordinates map back to the input basis by the LLL's unimodular
+transform, an int64 array.
 """
 
 import math

@@ -172,11 +172,30 @@ class NumberField:
         if self._basis_det == 0:
             raise CatalogInconsistent(f"{name}: integral basis is not linearly independent")
         self._disc = None
-        # complex values of each basis element at every root (2k x 2k), each
-        # coefficient converted to a double once
-        float_basis = [[complex(float(c)) for c in b] for b in self.basis]
-        self._basis_values = np.array(
-            [[_eval_poly(b, r) for b in float_basis] for r in roots])
+
+    @cached_property
+    def _basis_values(self):
+        """Values of each basis element at every root (2k x 2k) by Horner's
+        rule, each coefficient a double once; an element whose top
+        coefficients are all of the previous one's continues from its value
+        (theta^(j+1) is theta^j z + 0j, bit for bit)."""
+        plan, prev = [], ()
+        for b in self.basis:
+            cut = len(b) - len(prev)
+            keep = cut >= 0 and b[cut:] == prev
+            plan.append((keep, [complex(float(c)) for c in
+                                reversed(b[:cut] if keep else b)]))
+            prev = b
+        rows = []
+        for r in self.roots.tolist():
+            acc, row = 0j, []
+            for keep, coeffs in plan:
+                acc = acc if keep else 0j
+                for c in coeffs:
+                    acc = acc * r + c
+                row.append(acc)
+            rows.append(row)
+        return np.array(rows)
 
     @cached_property
     def _basis_inv(self):

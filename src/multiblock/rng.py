@@ -9,8 +9,9 @@ A stream path (the indices) is a row of an integer array, each index in
 function of (key, counter), so `complex_gaussian_streams` computes the draws
 of many streams at once, as array arithmetic over their keys and counters;
 each stream's draws are still the pure function of (seed, *indices), bit
-for bit those of `philox(seed, *indices)`.  `gaussian_energies` reads the
-squared norm of a stream's draws from its radius words alone.
+for bit those of `philox(seed, *indices)`; the rounds run in place.
+`gaussian_energies` reads the squared norm of a stream's draws from its
+radius words alone.
 """
 
 import numpy as np
@@ -22,11 +23,9 @@ _MASK = (1 << 64) - 1
 # fresh generator at counter 1.  Lane 0 multiplies x0, lane 1 multiplies x2.
 _M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
               dtype=np.uint64).reshape(2, 1, 1)
-_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
-              dtype=np.uint64).reshape(2, 1, 1)
+_W0, _W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
 _ROUNDS = 10
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_M_HI, _M_LO = _M >> _32, _M & _LOW32
 _HASH, _ONE = np.uint64(1000003), np.uint64(1)
 
 
@@ -67,27 +66,55 @@ def complex_gaussian(gen, shape):
     return _box_muller(u1, gen.random(shape))
 
 
+def _rounds(keys, blocks):
+    """Philox's rounds on every stream's first `blocks` blocks: the state
+    (a, b), a holding (x0, x2) and b (x1, x3), each (2, blocks, streams).
+    M, its halves and the round keys are full arrays of that shape (numpy
+    copies a broadcast operand), and each step writes out= into buffers
+    allocated once per call.  Lanes swap by reversing two operands, one
+    the output, with no copy."""
+    shape = (2, blocks, len(keys))
+    a, b = np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64)
+    a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    lo, m, m_hi, m_lo, k, hi, al, u, v = (
+        np.empty(shape, dtype=np.uint64) for _ in range(9))
+    m[:] = _M
+    np.right_shift(m, _32, out=m_hi)
+    np.bitwise_and(m, _LOW32, out=m_lo)
+    k[:] = keys.T[:, None, :]
+    for _ in range(_ROUNDS):
+        # the 128-bit products M a from 32-bit halves, high word by carries
+        np.right_shift(a, _32, out=hi)
+        np.bitwise_and(a, _LOW32, out=al)
+        np.multiply(m_lo, al, out=v)
+        v >>= _32
+        np.multiply(m_hi, al, out=u)
+        u += v
+        np.multiply(m_lo, hi, out=v)
+        np.bitwise_and(u, _LOW32, out=al)
+        v += al
+        hi *= m_hi
+        u >>= _32
+        hi += u
+        v >>= _32
+        hi += v
+        # new a = hi[::-1] ^ b ^ k and new b = (M a)[::-1]
+        np.multiply(m[::-1], a[::-1], out=lo)
+        np.bitwise_xor(hi, b[::-1], out=a[::-1])
+        a ^= k
+        b, lo = lo, b
+        # the key of round r is key + r * W
+        k[0] += _W0
+        k[1] += _W1
+    return a, b
+
+
 def _words(keys, count):
     """The first `count` 64-bit outputs of Philox4x64-10 under each row
     (key0, key1) of the uint64 array `keys`: shape (len(keys), count).
-    Both lanes run as one array: a holds (x0, x2), b holds (x1, x3), each of
-    shape (2, blocks, streams), so the per-stream round key, a (2, 1,
-    streams) array, broadcasts along the contiguous axis."""
+    The rounds' buffers, 5.5 words per word drawn, are freed first."""
     blocks = -(-count // 4)
-    a = np.zeros((2, blocks, len(keys)), dtype=np.uint64)
-    a[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    b = np.zeros_like(a)
-    # the key of round r is key + r * W: W added after each round
-    k = keys.T[:, None, :].copy()
-    for _ in range(_ROUNDS):
-        # the 128-bit products M * a from 32-bit halves, high word by carries
-        a_hi, a_lo = a >> _32, a & _LOW32
-        t = _M_LO * a_lo
-        u = _M_HI * a_lo + (t >> _32)
-        v = _M_LO * a_hi + (u & _LOW32)
-        hi = _M_HI * a_hi + (u >> _32) + (v >> _32)
-        a, b = hi[::-1] ^ b ^ k, (_M * a)[::-1]
-        k += _W
+    a, b = _rounds(keys, blocks)
     # word 4 j + i of a stream is x_i of its block j
     words = np.empty((len(keys), blocks, 4), dtype=np.uint64)
     words[:, :, 0::2] = a.transpose(2, 1, 0)

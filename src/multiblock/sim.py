@@ -8,18 +8,15 @@ trials that change no output bit.
 Each lattice decision reads only the trial's noise W, which every point
 shares: naive lattice decoding errs exactly when some nonzero point of the
 faded lattice alpha H L is closer to W than 0, whatever word was sent.
-When the lattice carries a certified minimum determinant det_min, every
-nonzero X of alpha L has ||H X||^2 >= lam2 = nk alpha^2 det_min^{2/nk}
-prod_i det(H_i^dag H_i)^{1/nk} (AM-GM over the nk eigenvalues of the faded
-blocks' Grams), so 4 ||W||^2 < lam2 proves the decision correct at 0 nodes
-(the packing-radius argument).  A codebook chunk draws the noise with its
-fades, as ML's received words need it; the infinite lattice's chunk draws
-each trial's noise energy alone, from the noise's radius words.  The other
-trials gather in a search batch across chunk boundaries, decided by
+On a lattice with a certified minimum determinant, a noise energy below
+a quarter of a bound on the faded lattice's squared minimum distance
+proves the decision correct at 0 nodes (`certified`).  A chunk draws the
+noise with its fades only for ML's received words; otherwise it draws
+each trial's noise energy alone, from its radius words.  The other trials
+gather in a search batch across chunks, decided by
 `decoder.lattice_decisions` on one stack of preparations for every point;
-on the infinite lattice the batch first draws their full noise in one
-pass, bit for bit each chunk's own draw.  Chunks and batches are each
-sized by what they hold.
+without ML the batch first draws their full noise, bit for bit each
+chunk's own draw.  Chunks and batches are each sized by what they hold.
 """
 
 import math
@@ -37,6 +34,9 @@ from .rng import philox
 # Bound on the bytes of the arrays one chunk of trials holds, so memory does
 # not grow with the trial count or the codebook size.
 CHUNK_BYTES = 1 << 20
+
+# Peak words of memory per word drawn by `rng._words`.
+DRAW_WORDS = 6
 
 # Relative margin by which a certificate must hold: far above the float
 # error of the noise energies and singular values it is computed from.
@@ -61,22 +61,20 @@ def _wer_stderr(errors, trials):
 
 
 def _chunk_trials(lat, model, books, decoders):
-    """Trials per search batch, and per codebook chunk: as many as keep
+    """Trials per search batch, and per chunk with ML: as many as keep
     within CHUNK_BYTES ten arrays of a trial's fade shape (a chunk's fades
-    and noise, a batch's copies, its full noise and received words on the
-    infinite lattice, and the searched targets); with ML, one book of
-    `books` (one per SNR point; None on the infinite lattice) at a time:
-    its words, received words and differences to every codeword; for each
-    point, its searched targets' Python objects (span coordinates and their
-    squares as lists, a threshold and an outcome: under 80 bytes per rank
-    and 160 more, by tracemalloc); and on a fading channel the searched
-    trials' faded bases with their Q and R factors (about three real rank x
-    2 k n_r n arrays) and the R lists that a walk builds on a preparation's
-    first read (about 40 rank^2 + 104 rank + 640 bytes).  A target that
-    `zero_path` decides builds no lists, but those bytes are still counted
-    for every trial: at low SNR a batch walks nearly all of its trials.  A
-    batch is sized as one in which every point searches every trial, so its
-    peak memory does not hang on how many a point searches."""
+    and noise, a batch's copies, the full noise and received words it may
+    draw, and the searched targets); with ML, one book of `books` (one per
+    SNR point; None on the infinite lattice) at a time: its words, received
+    words and differences to every codeword; per point, the searched
+    targets' Python objects (span coordinates and their squares as lists, a
+    threshold and an outcome: under 80 bytes per rank and 160 more, by
+    tracemalloc); and on a fading channel the faded bases with their Q and
+    R factors (about three real rank x 2 k n_r n arrays) and the R lists a
+    walk builds on first read (about 40 rank^2 + 104 rank + 640 bytes),
+    counted for every trial though `zero_path` decides most targets without
+    them: at low SNR a batch walks nearly all.  So its peak does not hang
+    on how many trials a point searches."""
     words = 10
     if "ml" in decoders:
         words += 2 + 3 * max(map(len, books))
@@ -90,30 +88,30 @@ def _chunk_trials(lat, model, books, decoders):
 
 
 def _certify_trials(lat, model, points):
-    """Trials per certification chunk of the infinite path, as many as keep
+    """Trials per certification chunk (a run without ML), as many as keep
     within CHUNK_BYTES what the chunk holds per trial, by tracemalloc: its
-    stream row, path, key and energy, one certificate row per SNR point of
-    `points`, and the temporaries of the widest Philox draw, about six
-    words per word drawn, in blocks of four.  On a fading channel that is
-    the fade's draw (two words per complex entry), and the chunk holds the
-    fade too; a constant channel's trials share one fade, and its widest
-    draw is the noise's radius words, one per entry."""
+    stream row, path, key and energy, a certificate row per point, and the
+    widest Philox draw in blocks of four: a fading channel's fade (two
+    words per complex entry, also held), or the constant channel's noise
+    radii (one per entry)."""
     entries = lat.k * model.n_r * lat.n
     fade = 0 if model.kind == "constant" else 2 * entries
     drawn = 4 * -(-max(fade, entries) // 4)
-    words = fade + 6 * drawn + 16 + len(points)
+    words = fade + DRAW_WORDS * drawn + 16 + len(points)
     return max(1, CHUNK_BYTES // (8 * words))
 
 
 def certified(lat, alpha, sv, d2):
     """Which trials the minimum-determinant bound proves correct: those with
     4 ||W_t||^2 < lam2 (1 - CERT_MARGIN), where lam2 = nk alpha^2
-    det_min^{2/nk} prod det(H_i^dag H_i)^{1/nk}.  The product of Gram
+    det_min^{2/nk} prod det(H_i^dag H_i)^{1/nk} bounds ||H X||^2 for every
+    nonzero X of alpha L (AM-GM over the nk eigenvalues of the faded
+    blocks' Grams; the packing-radius argument).  The product of Gram
     determinants is that of the squared singular values `sv` (T, k, n) of
     each trial's fade, or (1, k, n) of a fade all trials share, and `d2`
-    (T,) holds each trial's noise energy ||W_t||^2: on a codebook the float
-    sum over the drawn noise, on the infinite path the sum -ln u1 over the
-    noise's radius words, within a few ulps of that float sum
+    (T,) holds each trial's noise energy ||W_t||^2: with ML the float sum
+    over the drawn noise, otherwise the sum -ln u1 over the noise's radius
+    words, within a few ulps of that float sum
     (`rng.gaussian_energies`), so far inside CERT_MARGIN that the bound
     stays sound for the W a search would read.  A lattice without a
     certified det_min proves nothing."""
@@ -131,13 +129,12 @@ def certified(lat, alpha, sv, d2):
 class _SearchBatch:
     """The trials that some SNR point leaves uncertified, gathered across
     chunks until `capacity` of them are held: their stream rows, fades and,
-    on a codebook, the rows of the noise their chunk drew, and each point's
-    rows in the batch.  `flush` decides them all by one `lattice_decisions`
-    call on one stack, a constant channel's one preparation `prep` or the
-    batch's `lat.faded_stack`, every point searching the one noise array;
-    on the infinite lattice it first draws that noise by one
-    `transmit_stack` on the batch's stream rows, bit for bit each chunk's
-    own draw."""
+    with ML, the rows of the noise their chunk drew, and each point's rows
+    in the batch.  `flush` decides them all by one `lattice_decisions` call
+    on one stack, a constant channel's one preparation `prep` or the
+    batch's `lat.faded_stack`, every point searching the one noise array,
+    which without ML it first draws by one `transmit_stack`, bit for bit
+    each chunk's own draw."""
 
     def __init__(self, lat, points, capacity, seed, budget, noiseless,
                  tallies):
@@ -153,7 +150,7 @@ class _SearchBatch:
     def add(self, streams, H, todo, noise=None):
         """Gather the trials of a chunk, with stream rows `streams` and
         fades H, that some point searches: point p the chunk's trials
-        todo[p].  A codebook chunk gives the noise (T, k, n_r, n) it drew.
+        todo[p].  A chunk with ML gives the noise (T, k, n_r, n) it drew.
         The batch is flushed whenever it is full, so a chunk's trials may
         be decided in two batches."""
         searched = np.zeros(len(streams), dtype=bool)
@@ -205,32 +202,25 @@ class _SearchBatch:
 def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                 noiseless):
     """At each SNR point (alpha, book) of `points`, send word X_t (a random
-    codeword of `book`, or the zero point when `book` is None) through fade
-    H_t and noise, and decode it with each of `decoders`.  A chunk draws its
-    fades and checks their rank once for every point; a constant channel's
-    fade is checked and prepared once.  Each point picks its words from its
-    own stream.  The lattice decision reads only the trial's noise, which
-    every point shares: a trial that `certified` proves correct at the
-    point's alpha from the noise energy costs 0 nodes, and every point's
-    other trials go to one `_SearchBatch`, which gathers them across chunk
-    boundaries and decides the union of the trials it holds by one
-    `lattice_decisions` call.  A codebook chunk, of `_chunk_trials` trials,
-    draws every trial's fade and noise, which ML's received words need, in
-    one Philox pass (`channel.fades_and_noise`); the certificate reads the
-    energy of that noise and the batch keeps its searched rows.  On the
-    infinite lattice a certification chunk, of `_certify_trials` trials,
-    draws each trial's noise energy alone, from the noise's radius words,
-    and the batch draws the full noise of the trials it holds; a run that
-    searches no trial draws no full noise and asks no decision.  A search
-    that exhausts `budget` counts as an error (a conservative WER), a
-    budget hit and `budget` nodes.  Returns one {decoder: [errors, nodes,
-    budget hits]} per point."""
+    codeword of `book`, from the point's own stream, or the zero point when
+    `book` is None) through fade H_t and noise, and decode it with each of
+    `decoders`.  A chunk draws its fades and checks their rank once for
+    every point; a constant channel's fade is checked and prepared once.
+    A trial that `certified` proves correct at a point costs 0 nodes; the
+    others go to one `_SearchBatch`.  With ML a chunk has `_chunk_trials`
+    trials and draws their noise with the fades, in one Philox pass;
+    without ML it has `_certify_trials` trials and draws only their noise
+    energies.  A search that exhausts `budget` counts as an error (a
+    conservative WER), a budget hit and `budget` nodes.  Returns one
+    {decoder: [errors, nodes, budget hits]} per point."""
     tallies = [{d: [0, 0, 0] for d in decoders} for _ in points]
     if "lattice" in decoders and model.n_r < model.n:
         # the faded infinite lattice is not discrete here; only ML applies
         raise DomainError("lattice decoding requires n_r >= n")
     books = [book for _, book in points]
-    picks = [philox(seed, 0xC0) for book in books if book is not None]
+    # without ML no word is picked: a lattice decision reads the noise alone
+    picks = ([philox(seed, 0xC0) for book in books if book is not None]
+             if "ml" in decoders else [])
     shared = model.kind == "constant"
     capacity = _chunk_trials(lat, model, books, decoders)
     chunk = capacity if picks else _certify_trials(lat, model, points)
@@ -238,7 +228,7 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                          tallies)
     for start in range(0, trials, chunk):
         streams = np.arange(start, min(start + chunk, trials))[:, None]
-        # the infinite path draws its noise later, trial by trial
+        # without ML the batch draws the searched trials' noise
         H, noise = channel.fades_and_noise(model, lat.k, seed, streams,
                                            noiseless or not picks)
         if "lattice" in decoders and not (shared and start):

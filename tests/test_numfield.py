@@ -240,9 +240,21 @@ def _fraction_horner(coeffs, z):
     return acc
 
 
+# bases that are not chains of powers: an element that does not end in
+# the previous one's coefficients restarts Horner's rule
+OTHER_BASES = {"q_i": ["1", "1 2"], "q_omega": ["0 1", "1 1"],
+               "cyclo8": ["1", "0 1", "0 1 1", "0 0 1 1"],
+               "quartic117": ["1", "1/2 1/2", "0 0 1", "1/3 0 0 1"]}
+
+
 def test_basis_values_match_fraction_horner_bit_for_bit(catalog):
-    # each coefficient is converted to a double once, not once per root
-    for f in catalog.fields.values():
+    # each coefficient is converted to a double once, not once per root,
+    # and a power continues from the one before it
+    fields = [catalog.field(name) for name in sorted(catalog.fields)]
+    fields += [NumberField(name, catalog.field(name).min_poly,
+                           [[Fraction(c) for c in b.split()] for b in basis])
+               for name, basis in OTHER_BASES.items()]
+    for f in fields:
         ref = np.array([[_fraction_horner(b, r) for b in f.basis] for r in f.roots])
         assert f._basis_values.tobytes() == ref.tobytes(), f.name
 

@@ -5,7 +5,9 @@ arithmetic on their keys and counters; every stream must be bit for bit the
 scalar complex_gaussian(philox(seed, *path), shape).  The keys hashed by
 column and the words of both lanes in one array must be bit for bit those of
 the one-key, one-lane references in tests/oracles.py and of numpy's own
-Philox.  The squared norm of a stream's draws, read from its radius words
+Philox, also at the shapes the commands draw, where the engine's peak
+memory must stay within the figure the trial loop sizes its chunks by.
+The squared norm of a stream's draws, read from its radius words
 alone, must be that of the drawn complex Gaussians to within a few ulps.
 The WER drivers draw the codeword picks of a run chunk by chunk
 from one generator; the concatenated chunks must be the draws of one trial
@@ -14,13 +16,14 @@ examples.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiblock import rng
+from multiblock import rng, sim
 from multiblock.rng import complex_gaussian, complex_gaussian_streams, philox
 from oracles import reference_key, reference_words
 
@@ -79,6 +82,33 @@ def test_philox_words_equal_numpy_philox(seed, paths, count):
     raw = np.stack([philox(seed, *p).bit_generator.random_raw(count)
                     for p in paths])
     assert np.array_equal(words, raw)
+
+
+@pytest.mark.parametrize("streams, count", [
+    (1500, 8), (111, 16), (2016, 8), (1, 40000)])
+def test_philox_words_at_the_commands_shapes_equal_numpy_philox(streams,
+                                                                count):
+    # a certification chunk's radius words, a search batch's noise, a full
+    # certification chunk and one long stream
+    keys = rng._keys(1729, np.arange(streams)[:, None])
+    words = rng._words(keys, count)
+    assert np.array_equal(words, reference_words(keys, count))
+    raw = np.stack([philox(1729, t).bit_generator.random_raw(count)
+                    for t in range(streams)])
+    assert np.array_equal(words, raw)
+
+
+def test_a_philox_draw_peaks_within_the_chunks_figure():
+    # by tracemalloc, at a certification chunk's 1,500 x 8 words
+    keys = rng._keys(1729, np.arange(1500)[:, None])
+    rng._words(keys, 8)
+    tracemalloc.start()
+    try:
+        rng._words(keys, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sim.DRAW_WORDS * 8 * 1500 * 8
 
 
 @pytest.mark.parametrize("count", [1, 4, 33])

@@ -789,6 +789,22 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
     # trials' full noise; its chunk draws only fades
     assert calls == {"fades_and_noise": 1, "_words": 2, "check_full_rank": 1,
                      "noise_energies": 1, "transmit_stack": 1}
+    # a lattice-only codebook run picks no word and takes the infinite
+    # path's chunks: noise radii, then the searched trials' full noise
+    count(sim, "philox")
+    for line, fade_words in [
+            (["--field", "cyclo8", "--model", "constant", "--trials", "200"],
+             0),
+            (["--algebra", "golden", "--model", "iid_rayleigh", "--nr", "2",
+              "--trials", "20"], 1)]:
+        calls.clear()
+        assert main(["simulate", *line, "--snr-db", "4,8,12", "--rate", "1",
+                     "--seed", "7", "--decoder", "lattice"]) == 0
+        searched = calls.pop("transmit_stack", 0)
+        assert searched <= 1
+        assert calls == {"fades_and_noise": 1, "check_full_rank": 1,
+                         "_words": fade_words + 1 + searched,
+                         "noise_energies": 1}
     capsys.readouterr()
 
 
