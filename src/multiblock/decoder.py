@@ -132,7 +132,7 @@ def lattice_decisions(preps, Q, diag, searches, budget=DEFAULT_BUDGET):
             outcomes.append((True, zero_nodes))
             continue
         try:
-            found, nodes = preps[i].exists_closer(y, budget, th)
+            found, nodes = preps[i].exists_closer(y, th, budget)
             outcomes.append((not found, nodes))
         except BudgetExceeded:
             outcomes.append((None, budget))

@@ -484,15 +484,13 @@ class PreparedCVP:
         metric, z = best
         return metric + offset2, _apply_u(z, self.U), nodes, exact
 
-    def exists_closer(self, y, budget=DEFAULT_BUDGET, thr=None):
+    def exists_closer(self, y, thr, budget=DEFAULT_BUDGET):
         """(found, nodes): found iff some nonzero-coordinate point lies
         strictly closer to the target than 0, given the target's span
         coordinates y from `project`.  The target's distance to the span
         adds the same amount to both distances, so the search reads y alone
         and stops at its first nonzero leaf within the threshold thr,
-        `closer_thresholds`, computed here unless the caller has it."""
-        if thr is None:
-            [thr] = closer_thresholds(y[None])
+        `closer_thresholds`."""
         y = y.tolist()
         if thr <= 0:
             return False, 0

@@ -5,18 +5,18 @@ from independent Philox streams keyed by (s, t), never by the power, so runs
 are reproducible and one trial loop serves a whole SNR grid, in chunks of
 trials that change no output bit.
 
-Each lattice decision reads only the trial's noise W, which every point
-shares: naive lattice decoding errs exactly when some nonzero point of the
-faded lattice alpha H L is closer to W than 0, whatever word was sent.
-On a lattice with a certified minimum determinant, a noise energy below
-a quarter of a bound on the faded lattice's squared minimum distance
-proves the decision correct at 0 nodes (`certified`).  A chunk draws the
-noise with its fades only for ML's received words; otherwise it draws
-each trial's noise energy alone, from its radius words.  The other trials
-gather in a search batch across chunks, decided by
-`decoder.lattice_decisions` on one stack of preparations for every point;
-without ML the batch first draws their full noise, bit for bit each
-chunk's own draw.  Chunks and batches are each sized by what they hold.
+The loop is a chunk source with two readers.  Each chunk draws its fades,
+and its noise only for ML's received words, and hands them to each reader.
+The ML reader decodes one book at a time.  The lattice reader reads only
+the trial's noise W, which every point shares: naive lattice decoding errs
+exactly when some nonzero point of the faded lattice alpha H L is closer
+to W than 0, whatever word was sent.  On a lattice with a certified
+minimum determinant, a noise energy below a quarter of a bound on the
+faded lattice's squared minimum distance proves the decision correct at 0
+nodes (`certified`); without drawn noise the energy is read from the
+noise's radius words.  The other trials gather across chunks, decided by
+`decoder.lattice_decisions` on one stack of preparations for every point.
+Chunks and batches are each sized by what they hold.
 """
 
 import math
@@ -63,18 +63,18 @@ def _wer_stderr(errors, trials):
 def _chunk_trials(lat, model, books, decoders):
     """Trials per search batch, and per chunk with ML: as many as keep
     within CHUNK_BYTES ten arrays of a trial's fade shape (a chunk's fades
-    and noise, a batch's copies, the full noise and received words it may
-    draw, and the searched targets); with ML, one book of `books` (one per
-    SNR point; None on the infinite lattice) at a time: its words, received
-    words and differences to every codeword; per point, the searched
-    targets' Python objects (span coordinates and their squares as lists, a
-    threshold and an outcome: under 80 bytes per rank and 160 more, by
-    tracemalloc); and on a fading channel the faded bases with their Q and
-    R factors (about three real rank x 2 k n_r n arrays) and the R lists a
-    walk builds on first read (about 40 rank^2 + 104 rank + 640 bytes),
-    counted for every trial though `zero_path` decides most targets without
-    them: at low SNR a batch walks nearly all.  So its peak does not hang
-    on how many trials a point searches."""
+    and noise, the rows of both the lattice reader holds, the full noise
+    and received words it may draw, and the searched targets); with ML, one
+    book of `books` (one per SNR point; None on the infinite lattice) at a
+    time: its words, received words and differences to every codeword; per
+    point, the searched targets' Python objects (span coordinates and their
+    squares as lists, a threshold and an outcome: under 80 bytes per rank
+    and 160 more, by tracemalloc); and on a fading channel the faded bases
+    with their Q and R factors (about three real rank x 2 k n_r n arrays)
+    and the R lists a walk builds on first read (about 40 rank^2 + 104 rank
+    + 640 bytes), counted for every trial though `zero_path` decides most
+    targets without them: at low SNR a batch walks nearly all.  So its peak
+    does not hang on how many trials a point searches."""
     words = 10
     if "ml" in decoders:
         words += 2 + 3 * max(map(len, books))
@@ -127,76 +127,101 @@ def certified(lat, alpha, sv, d2):
 
 
 class _SearchBatch:
-    """The trials that some SNR point leaves uncertified, gathered across
-    chunks until `capacity` of them are held: their stream rows, fades and,
-    with ML, the rows of the noise their chunk drew, and each point's rows
-    in the batch.  `flush` decides them all by one `lattice_decisions` call
-    on one stack, a constant channel's one preparation `prep` or the
-    batch's `lat.faded_stack`, every point searching the one noise array,
-    which without ML it first draws by one `transmit_stack`, bit for bit
-    each chunk's own draw."""
+    """The lattice reader: certifies each chunk's trials at every SNR point
+    and holds those some point leaves unproved, across chunks, until
+    `capacity` are held: their stream rows, fades, rows of the noise their
+    chunk drew, if any, and which points search each.  `flush` decides them
+    all by one `lattice_decisions` call on one stack, a constant channel's
+    one preparation `prep` or the batch's `lat.faded_stack`, every point
+    searching one noise array, which it draws by one `transmit_stack` when
+    no chunk drew it, bit for bit each chunk's own draw."""
 
-    def __init__(self, lat, points, capacity, seed, budget, noiseless,
+    def __init__(self, lat, model, points, capacity, seed, budget, noiseless,
                  tallies):
+        if model.n_r < model.n:
+            # the faded infinite lattice is not discrete here; only ML applies
+            raise DomainError("lattice decoding requires n_r >= n")
         self.lat, self.points, self.capacity = lat, points, capacity
         self.seed, self.budget, self.noiseless = seed, budget, noiseless
-        self.tallies, self.prep = tallies, None
-        self._empty()
+        self.tallies, self.shape = tallies, (lat.k, model.n_r, lat.n)
+        self.shared, self.sv, self.prep = model.kind == "constant", None, None
+        self.size, self.held = 0, []
 
-    def _empty(self):
-        self.size, self.streams, self.fades, self.noise = 0, [], [], []
-        self.rows = [[] for _ in self.points]
-
-    def add(self, streams, H, todo, noise=None):
-        """Gather the trials of a chunk, with stream rows `streams` and
-        fades H, that some point searches: point p the chunk's trials
-        todo[p].  A chunk with ML gives the noise (T, k, n_r, n) it drew.
-        The batch is flushed whenever it is full, so a chunk's trials may
-        be decided in two batches."""
-        searched = np.zeros(len(streams), dtype=bool)
-        searched[np.concatenate(todo)] = True
-        at = np.flatnonzero(searched)
-        place = np.cumsum(searched) - 1     # trial t's index in `at`
-        done = 0
-        while done < len(at):
+    def read(self, streams, H, noise):
+        """Certify a chunk's trials, with stream rows `streams`, fades H and
+        the noise (T, k, n_r, n) the chunk drew or None, and gather those
+        that some point searches.  The batch is flushed whenever it is full,
+        so a chunk's trials may be decided in two batches."""
+        lat = self.lat
+        if self.prep is None:
+            # a constant channel's trials share one fade and its preparation
+            self.sv = channel.check_full_rank(H[:1] if self.shared else H)
+            self.prep = lat.faded_cvp(H[0]) if self.shared else None
+        if self.noiseless or lat.det_min is None:
+            # no noise, or a certificate that reads no energy: none summed
+            d2 = np.zeros(len(streams))
+        elif noise is None:
+            d2 = channel.noise_energies(self.seed, streams, self.shape)
+        else:
+            d2 = np.sum(np.abs(noise) ** 2, axis=(1, 2, 3))
+        searched = np.stack([~certified(lat, alpha, self.sv, d2)
+                             for alpha, _ in self.points], axis=1)
+        at = np.flatnonzero(searched.any(axis=1))
+        while len(at):
             if self.size == self.capacity:
                 self.flush()
-            take = at[done:done + self.capacity - self.size]
-            self.streams.append(streams[take])
-            self.fades.append(H[take])
-            if noise is not None:
-                self.noise.append(noise[take])
-            for rows, mine in zip(self.rows, todo):
-                mine = mine[(mine >= take[0]) & (mine <= take[-1])]
-                rows.append(self.size - done + place[mine])
+            take, at = np.split(at, [self.capacity - self.size])
+            self.held.append((streams[take], H[take], searched[take],
+                              None if noise is None else noise[take]))
             self.size += len(take)
-            done += len(take)
 
     def flush(self):
         """Decide every trial the batch holds and empty it."""
         if not self.size:
             return
-        lat, H = self.lat, np.concatenate(self.fades)
-        if self.noise:
-            W = np.concatenate(self.noise)
-        else:       # the zero word's received words are the noise
+        lat, prep = self.lat, self.prep
+        streams, H, masks, noise = zip(*self.held)
+        H = np.concatenate(H)
+        if noise[0] is None:    # the zero word's received words are the noise
             W = channel.transmit_stack(np.zeros((lat.k, lat.n, lat.n)), H,
-                                       self.seed, np.concatenate(self.streams),
+                                       self.seed, np.concatenate(streams),
                                        self.noiseless)
-        prep = self.prep
+        else:
+            W = np.concatenate(noise)
         stack = (([prep] * self.size, prep.Q, prep.diag) if prep is not None
                  else lat.faded_stack(H))
-        searches = []
-        for (alpha, _), rows in zip(self.points, self.rows):
-            rows = np.concatenate(rows)
-            searches.append((alpha, rows, W[rows]))
+        # point p searches the held trials of mask column p
+        searches = [(alpha, rows, W[rows]) for (alpha, _), rows in
+                    zip(self.points, map(np.flatnonzero,
+                                         np.concatenate(masks).T))]
         results = lattice_decisions(*stack, searches, self.budget)
         for outcomes, tally in zip(results, self.tallies):
             for ok, nodes in outcomes:
                 tally["lattice"][0] += not ok
                 tally["lattice"][1] += nodes
                 tally["lattice"][2] += ok is None
-        self._empty()
+        self.size, self.held = 0, []
+
+
+class _MLReader:
+    """Sends each point's words, codewords of its book picked at random from
+    the point's own stream, through a chunk's fades and noise and decodes
+    them, one book at a time; it holds no trial between chunks."""
+
+    def __init__(self, books, seed, tallies):
+        self.books, self.tallies = books, tallies
+        self.picks = [philox(seed, 0xC0) for _ in books]
+
+    def read(self, streams, H, noise):
+        for pick, book, tally in zip(self.picks, self.books, self.tallies):
+            sent = pick.integers(len(book), size=len(streams))
+            Y = channel.received(book.matrices[sent], H, noise)
+            res = ml_decode(Y, H, book)
+            tally["ml"][0] += int(np.count_nonzero(res.index != sent))
+            tally["ml"][1] += res.nodes
+
+    def flush(self):
+        pass
 
 
 def _trial_loop(lat, model, points, trials, seed, decoders, budget,
@@ -204,58 +229,31 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     """At each SNR point (alpha, book) of `points`, send word X_t (a random
     codeword of `book`, from the point's own stream, or the zero point when
     `book` is None) through fade H_t and noise, and decode it with each of
-    `decoders`.  A chunk draws its fades and checks their rank once for
-    every point; a constant channel's fade is checked and prepared once.
-    A trial that `certified` proves correct at a point costs 0 nodes; the
-    others go to one `_SearchBatch`.  With ML a chunk has `_chunk_trials`
-    trials and draws their noise with the fades, in one Philox pass;
-    without ML it has `_certify_trials` trials and draws only their noise
-    energies.  A search that exhausts `budget` counts as an error (a
-    conservative WER), a budget hit and `budget` nodes.  Returns one
-    {decoder: [errors, nodes, budget hits]} per point."""
+    `decoders`.  The loop is the chunk source: it draws each chunk's fades,
+    and with ML their noise, in one Philox pass, hands them to each reader
+    (`_MLReader`, `_SearchBatch` for the lattice), and at the end has each
+    flush what it holds.  With ML a chunk has `_chunk_trials` trials,
+    without it `_certify_trials`.  A search that exhausts `budget` counts
+    as an error (a conservative WER), a budget hit and `budget` nodes.
+    Returns one {decoder: [errors, nodes, budget hits]} per point."""
     tallies = [{d: [0, 0, 0] for d in decoders} for _ in points]
-    if "lattice" in decoders and model.n_r < model.n:
-        # the faded infinite lattice is not discrete here; only ML applies
-        raise DomainError("lattice decoding requires n_r >= n")
     books = [book for _, book in points]
-    # without ML no word is picked: a lattice decision reads the noise alone
-    picks = ([philox(seed, 0xC0) for book in books if book is not None]
-             if "ml" in decoders else [])
-    shared = model.kind == "constant"
     capacity = _chunk_trials(lat, model, books, decoders)
-    chunk = capacity if picks else _certify_trials(lat, model, points)
-    batch = _SearchBatch(lat, points, capacity, seed, budget, noiseless,
-                         tallies)
+    ml = "ml" in decoders
+    readers = [_MLReader(books, seed, tallies)] if ml else []
+    if "lattice" in decoders:
+        readers.append(_SearchBatch(lat, model, points, capacity, seed,
+                                    budget, noiseless, tallies))
+    # without ML no word is picked: a lattice decision reads the noise alone
+    chunk = capacity if ml else _certify_trials(lat, model, points)
     for start in range(0, trials, chunk):
         streams = np.arange(start, min(start + chunk, trials))[:, None]
-        # without ML the batch draws the searched trials' noise
         H, noise = channel.fades_and_noise(model, lat.k, seed, streams,
-                                           noiseless or not picks)
-        if "lattice" in decoders and not (shared and start):
-            # a constant channel's trials share one fade and its preparation
-            sv = channel.check_full_rank(H[:1] if shared else H)
-            batch.prep = lat.faded_cvp(H[0]) if shared else None
-        if "ml" in decoders:
-            for pick, book, tally in zip(picks, books, tallies):
-                sent = pick.integers(len(book), size=len(streams))
-                Y = channel.received(book.matrices[sent], H, noise)
-                res = ml_decode(Y, H, book)
-                tally["ml"][0] += int(np.count_nonzero(res.index != sent))
-                tally["ml"][1] += res.nodes
-        if "lattice" not in decoders:
-            continue
-        if noiseless or lat.det_min is None:
-            # no noise, or a certificate that reads no energy: none summed
-            d2 = np.zeros(len(streams))
-        elif picks:
-            d2 = np.sum(np.abs(noise) ** 2, axis=(1, 2, 3))
-        else:
-            d2 = channel.noise_energies(seed, streams,
-                                        (lat.k, model.n_r, lat.n))
-        todo = [np.flatnonzero(~certified(lat, alpha, sv, d2))
-                for alpha, _ in points]
-        batch.add(streams, H, todo, noise)
-    batch.flush()
+                                           noiseless or not ml)
+        for reader in readers:
+            reader.read(streams, H, noise)
+    for reader in readers:
+        reader.flush()
     return tallies
 
 

@@ -109,12 +109,12 @@ def search_log(monkeypatch):
                 walks.append(log[-1])
         return decided
 
-    def recording_walk(self, y, budget=DEFAULT_BUDGET, thr=None):
+    def recording_walk(self, y, thr, budget=DEFAULT_BUDGET):
         # the walks come in the descent's order, one per target it left
         entry = walks.pop(0)
         assert entry[0] == y.tobytes()
         try:
-            found, nodes = search(self, y, budget, thr)
+            found, nodes = search(self, y, thr, budget)
         except BudgetExceeded:
             entry.append("budget exceeded")
             raise

@@ -319,7 +319,8 @@ def test_exists_closer_matches_full_cvp(golden_lattice):
     errors = 0
     for _ in range(300):
         w = 1.1 * gen.normal(size=golden_lattice.real_basis.shape[1])
-        found, _ = prep.exists_closer(prep.project(w)[0])
+        y = prep.project(w)[0]
+        found, _ = prep.exists_closer(y, lab.closer_thresholds(y[None])[0])
         _, coords, _, _ = prep.closest(w)
         cvp_moved = any(coords)
         errors += cvp_moved
@@ -345,7 +346,7 @@ def test_exists_closer_reads_only_span_coordinates(golden_lattice):
                   + 50.0 * complement @ gen.normal(size=complement.shape[1]))
         y, offset2 = prep.project(target)
         assert offset2 > 100.0 * float(y @ y)
-        found, _ = prep.exists_closer(y)
+        found, _ = prep.exists_closer(y, lab.closer_thresholds(y[None])[0])
         _, coords, _, _ = prep.closest(target)
         assert found == any(coords)
         moved += found

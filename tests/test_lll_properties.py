@@ -20,8 +20,9 @@ from hypothesis.extra.numpy import arrays
 
 from multiblock.errors import DegenerateLattice, PrecisionFailure
 from multiblock.exact import bareiss_det
-from multiblock.lattice import (LLL_DELTA, LLL_ETA, PreparedCVP, field_lattice,
-                                lll_reduce, realify)
+from multiblock.lattice import (LLL_DELTA, LLL_ETA, PreparedCVP,
+                                closer_thresholds, field_lattice, lll_reduce,
+                                realify)
 from multiblock.rng import complex_gaussian, philox
 
 from oracles import (brute_ball, brute_closest, reference_lll,
@@ -112,7 +113,8 @@ def test_cvp_matches_brute_force(basis, raw_target):
                                (0.5 * target, brute_closest(basis, 0.5 * target))):
         w2 = float(w @ w)
         assume(not (any(w_z) and abs(w_metric - w2) < 1e-9 * w2))
-        found, _ = prep.exists_closer(prep.project(w)[0])
+        y = prep.project(w)[0]
+        found, _ = prep.exists_closer(y, closer_thresholds(y[None])[0])
         assert found == (any(w_z) and w_metric < w2)
 
 

@@ -337,7 +337,8 @@ def test_codebook_lattice_tallies_are_the_infinite_paths(catalog, line):
     # naive lattice decoding errs exactly when some nonzero point of alpha H
     # L is closer to the noise than 0, whatever word was sent: on each
     # pinned codebook line, every point's lattice errors, nodes and budget
-    # hits are those of the infinite lattice at its book's alpha
+    # hits are those of the infinite lattice at its book's alpha; and the
+    # readers are independent: ML alone tallies as ML beside the lattice
     from multiblock import cli
     command = CODEBOOK_DIGEST_LINES[line]
     pinned = Path(__file__).with_name("golden") / "commands.sha256"
@@ -353,6 +354,9 @@ def test_codebook_lattice_tallies_are_the_infinite_paths(catalog, line):
     infinite = sim._trial_loop(lat, model, [(b.alpha, None) for b in books],
                                *run, ("lattice",), DEFAULT_BUDGET, False)
     assert [t["lattice"] for t in codebook] == [t["lattice"] for t in infinite]
+    alone = sim._trial_loop(lat, model, [(b.alpha, b) for b in books], *run,
+                            ("ml",), DEFAULT_BUDGET, False)
+    assert alone == [{"ml": t["ml"]} for t in codebook]
 
 
 # -- soundness of the minimum-determinant certificate ------------------------
@@ -553,9 +557,9 @@ def test_one_routine_decides_every_searched_trial(catalog, monkeypatch,
         assert inside[0], "a trial descended outside lattice_decisions"
         return descend(*args)
 
-    def inside_search(self, y, budget=DEFAULT_BUDGET, thr=None):
+    def inside_search(self, y, thr, budget=DEFAULT_BUDGET):
         assert inside[0], "a trial searched outside lattice_decisions"
-        return search(self, y, budget, thr)
+        return search(self, y, thr, budget)
 
     monkeypatch.setattr(sim, "lattice_decisions", recording_decisions)
     monkeypatch.setattr(decoder, "zero_path", inside_descent)
@@ -592,6 +596,28 @@ def test_chunk_bound_counts_faded_bases(catalog):
     assert sim._chunk_trials(lat, constant, [None], ("lattice",)) > chunk
 
 
+@pytest.mark.parametrize("decoder", ["both", "lattice"])
+def test_a_constant_fade_is_checked_and_prepared_once_per_run(monkeypatch,
+                                                              capsys,
+                                                              decoder):
+    # the lattice reader checks a constant channel's one fade and prepares
+    # H L once for the whole run, not once per chunk: 6 chunks here, with
+    # and without ML
+    calls = Counter()
+    for owner, name in [(channel, "check_full_rank"),
+                        (MatrixLattice, "faded_cvp")]:
+        monkeypatch.setattr(owner, name,
+                            lambda *args, real=getattr(owner, name),
+                            name=name: calls.update([name]) or real(*args))
+    monkeypatch.setattr(sim, "_certify_trials", lambda *args: 7)
+    monkeypatch.setattr(sim, "_chunk_trials", lambda *args: 7)
+    assert main(["simulate", "--field", "cyclo8", "--model", "constant",
+                 "--snr-db", "4,8", "--rate", "1", "--trials", "40",
+                 "--seed", "7", "--decoder", decoder]) == 0
+    capsys.readouterr()
+    assert calls == {"check_full_rank": 1, "faded_cvp": 1}
+
+
 @pytest.mark.parametrize("name, kind, n_r", [
     ("cyclo32", "constant", 1), ("golden", "iid_rayleigh", 2),
     ("zeta20", "gauss_markov", 3)])
@@ -600,10 +626,10 @@ def test_a_chunk_and_a_batch_at_capacity_keep_within_the_bound(
     # by tracemalloc, a certification chunk of `_certify_trials` trials
     # (fades, rank check, noise radii and three certificates) and a search
     # batch of `_chunk_trials` trials in which three SNR points search every
-    # trial (full noise, targets, preparations, descents and walks) each
-    # peak at or below CHUNK_BYTES, whether the batch draws its trials'
-    # noise (the infinite lattice) or holds the rows of the noise that a
-    # codebook chunk drew with its fades
+    # trial (certificates, full noise, targets, preparations, descents and
+    # walks) each peak at or below CHUNK_BYTES, whether the lattice reader
+    # draws the batch's noise (the infinite lattice) or holds the rows of the
+    # noise that a codebook chunk drew with its fades
     lat = _lattice(catalog, name)
     model = FadingModel(kind=kind, n=lat.n, n_r=n_r,
                         rho=0.7 if kind == "gauss_markov" else 0.0)
@@ -614,36 +640,41 @@ def test_a_chunk_and_a_batch_at_capacity_keep_within_the_bound(
     capacity = sim._chunk_trials(lat, model, [None] * len(points),
                                  ("lattice",))
     assert chunk > capacity
-    peaks = []
+    prove, proved = sim.certified, []
 
-    def peak_at_add(batch, *args):
-        # the chunk's certificates are done: keep its peak, batch nothing
-        peaks.append(tracemalloc.get_traced_memory()[1])
+    def prove_all(*args):
+        # the certificate is computed, and then proves every trial: the
+        # reader holds nothing
+        proved.append(prove(*args))
+        return np.ones_like(proved[-1])
 
     sim._trial_loop(lat, model, points, 3, *run)        # build caches first
     with monkeypatch.context() as patched:
-        patched.setattr(sim._SearchBatch, "add", peak_at_add)
+        patched.setattr(sim, "certified", prove_all)
         tracemalloc.start()
         try:
             sim._trial_loop(lat, model, points, chunk, *run)
+            cert_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    [cert_peak] = peaks
+    assert [len(mask) for mask in proved] == [chunk] * len(points)
     streams = np.arange(capacity)[:, None]
     fades = channel.fades_and_noise(model, lat.k, 29, streams, True)[0]
-    todo = [np.arange(capacity)] * len(points)
 
     def decide(noisy):
-        # a codebook chunk draws its fades and noise in one pass
+        # a codebook chunk draws its fades and noise in one pass; no trial
+        # is proved, so every point searches every trial
         H, noise = (channel.fades_and_noise(model, lat.k, 29, streams, False)
                     if noisy else (fades, None))
         tallies = [{"lattice": [0, 0, 0]} for _ in points]
-        batch = sim._SearchBatch(lat, points, capacity, 29, DEFAULT_BUDGET,
-                                 False, tallies)
-        if kind == "constant":
-            batch.prep = lat.faded_cvp(H[0])
-        batch.add(streams, H, todo, noise)
-        batch.flush()
+        with monkeypatch.context() as patched:
+            patched.setattr(sim, "certified",
+                            lambda *args: np.zeros(capacity, dtype=bool))
+            batch = sim._SearchBatch(lat, model, points, capacity, 29,
+                                     DEFAULT_BUDGET, False, tallies)
+            batch.read(streams, H, noise)
+            assert batch.size == capacity
+            batch.flush()
         return tallies
 
     tallies = decide(False)                             # compile the walk
