@@ -58,6 +58,15 @@ def _number(where, key, token, rational=False):
     raise CatalogError(f"{where}: {key}: {token!r} is not {kind}")
 
 
+def _flag(where, entry, key):
+    """An entry's true/false flag `key` (any case; false when absent); a
+    CatalogError naming the entry `where` and the key if it is neither."""
+    token = entry.get(key, "false")
+    if token.lower() not in ("true", "false"):
+        raise CatalogError(f"{where}: {key}: {token!r} is not true or false")
+    return token.lower() == "true"
+
+
 def _rationals(where, key, text, sep=None):
     parts = text.split(sep) if sep else text.split()
     return [_number(where, key, p.strip(), rational=True)
@@ -95,9 +104,9 @@ def parse_field_entry(entry):
                               != len(min_poly) - 1):
         raise CatalogError(f"{name}: degree does not match min_poly")
     disc = _number(where, "disc", entry["disc"]) if "disc" in entry else None
-    suboptimal = entry.get("suboptimal", "false").lower() == "true"
     return dict(name=name, min_poly=min_poly, basis=basis,
-                disc_expected=disc, suboptimal=suboptimal)
+                disc_expected=disc,
+                suboptimal=_flag(where, entry, "suboptimal"))
 
 
 def parse_algebra_entry(entry, fields):
@@ -135,11 +144,10 @@ def parse_algebra_entry(entry, fields):
     rel_basis = [e_elem("rel_basis", p) for p in rel_basis.split(";")]
     if len(rel_basis) != n:
         raise CatalogError(f"{name}: rel_basis must have {n} elements")
-    division = entry.get("division", "false").lower() == "true"
     return center, dict(name=name, n=n, rel_poly=rel_poly,
                         sigma_eta=e_elem("sigma_eta", sigma_eta.replace(";", "|")),
                         gamma=k_elem("gamma", gamma), rel_basis=rel_basis,
-                        division_asserted=division)
+                        division_asserted=_flag(where, entry, "division"))
 
 
 def _build_algebra(args, center):

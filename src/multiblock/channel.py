@@ -6,16 +6,15 @@ simplest stationary ergodic family with tunable memory.
 
 A realization (a fade) is the complex array H_1..H_k of shape (k, n_r, n).
 A seed is a path: an int s, or a tuple (s, *indices).  `fades_and_noise`
-and `transmit_stack` serve a whole stack of paths (s, *indices), the index
-rows of an integer array, in one pass, for every SNR point:
-`fades_and_noise` draws a chunk of trials' fades, and for ML their noise
-too, in one Philox pass over the paths of both, and
-`transmit_stack` draws the noise of a search batch.  Each realization and
-noise draw is the pure function of its own path, so `sample` and
-`transmit` are those functions on a stack of one.  `noise_energies` gives
-each path's noise energy ||W||^2 without drawing the noise itself.
-`check_full_rank` is the one rank rule for fades, and `logdet_statistic`
-reads its singular values.
+and `noise` serve a whole stack of paths (s, *indices), the index rows of
+an integer array, in one pass, for every SNR point: `fades_and_noise`
+draws a chunk of trials' fades, and for ML their noise too, in one Philox
+pass over the paths of both, and `noise` draws the noise W alone, of a
+search batch.  Each realization and noise draw is the pure function of its
+own path, so `sample` and `transmit` are those functions on a stack of
+one.  `noise_energies` gives each path's noise energy ||W||^2 without
+drawing the noise itself.  `check_full_rank` is the one rank rule for
+fades, and `logdet_statistic` reads its singular values.
 """
 
 from dataclasses import dataclass
@@ -91,18 +90,17 @@ _FADE, _NOISE = 0x48, 0x57
 def fades_and_noise(model, k, seed, streams, noiseless):
     """(H, W): blocks H_1..H_k of the realizations at seed paths (seed, *s)
     for the rows s of `streams`, stacked: shape (len(streams), k, n_r, n),
-    and the noise W of the same shape that `transmit_stack` adds at the
-    same paths, bit for bit, or None if `noiseless`.  A constant model's
-    stack is a read-only broadcast of its one block, with no copy per
-    trial; a sampled model draws its blocks and the noise from one Philox
-    pass over the paths of both tags (each stream is the pure function of
-    its path); Gauss-Markov runs its k-step recurrence on all realizations
-    at once."""
+    and the noise W of the same shape that `noise` draws at the same
+    paths, bit for bit, or None if `noiseless`.  A constant model's stack
+    is a read-only broadcast of its one block, with no copy per trial; a
+    sampled model draws its blocks and the noise from one Philox pass over
+    the paths of both tags (each stream is the pure function of its path);
+    Gauss-Markov runs its k-step recurrence on all realizations at once."""
     shape, T = (k, model.n_r, model.n), len(streams)
     sampled = model.kind != "constant"
-    paths = [_tagged(tag, streams)
-             for tag, drawn in ((_FADE, sampled), (_NOISE, not noiseless))
-             if drawn]
+    paths = [_tagged(_FADE, streams)] if sampled else []
+    if not noiseless:
+        paths.append(_tagged(_NOISE, streams))
     g = (complex_gaussian_streams(seed, np.concatenate(paths), shape)
          if paths else None)
     # the noise rows come last
@@ -131,29 +129,20 @@ def sample(model, k, seed):
     return fades_and_noise(model, k, root, path, True)[0][0]
 
 
-def transmit_stack(X, H, seed, streams, noiseless):
-    """Y = H X + W for a stack of words X (or one per SNR point, stacked on
-    leading axes) over a stack of fades H, realization s drawing its
-    unit-variance circular symmetric noise, shared by every point, at seed
-    path (seed, *streams[s]), rows of `streams`."""
-    W = (None if noiseless else
-         complex_gaussian_streams(seed, _tagged(_NOISE, streams), H.shape[-3:]))
-    return received(X, H, W)
-
-
-def received(X, H, W):
-    """Y = H X + W for words X over fades H, as `transmit_stack` forms it,
-    with the noise W drawn (by `fades_and_noise`), or none if W is None."""
-    Y = H @ np.asarray(X, dtype=complex)
-    return Y if W is None else Y + W
+def noise(seed, streams, shape):
+    """The unit-variance circular symmetric noise W of shape (k, n_r, n) at
+    seed path (seed, *s) for each row s of `streams`, stacked: shape
+    (len(streams), k, n_r, n), bit for bit what `fades_and_noise` draws at
+    the same paths."""
+    return complex_gaussian_streams(seed, _tagged(_NOISE, streams), shape)
 
 
 def noise_energies(seed, streams, shape):
     """||W||^2, the sum of squared moduli, of the noise of shape (k, n_r, n)
-    that `transmit_stack` adds at seed path (seed, *s) for each row s of
-    `streams`, as an array (len(streams),): read from the noise's radius
-    words alone (`gaussian_energies`), to within a few ulps of the float
-    sum over the drawn noise."""
+    that `noise` draws at seed path (seed, *s) for each row s of `streams`,
+    as an array (len(streams),): read from the noise's radius words alone
+    (`gaussian_energies`), to within a few ulps of the float sum over the
+    drawn noise."""
     return gaussian_energies(seed, _tagged(_NOISE, streams), int(np.prod(shape)))
 
 
@@ -162,9 +151,8 @@ def transmit(X, H, noise_seed, noiseless=False):
     circular symmetric noise.
     Test-only: the one-trial channel of the oracle `reference_trial_loop`,
     against which the chunked trial loop is checked bit for bit."""
-    root, path = _path(noise_seed)
-    X = np.asarray(X, dtype=complex)
-    return transmit_stack(X[None], H[None], root, path, noiseless)[0]
+    Y = H @ np.asarray(X, dtype=complex)
+    return Y if noiseless else Y + noise(*_path(noise_seed), H.shape)[0]
 
 
 def check_full_rank(H):

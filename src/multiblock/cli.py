@@ -180,6 +180,10 @@ def cmd_invariants(args):
 
 
 def cmd_carve(args):
+    if (args.output and args.export
+            and os.path.realpath(args.output) == os.path.realpath(args.export)):
+        # the codebook would silently replace the CSV
+        raise ValueError(f"--output and --export name one file: {args.export}")
     P = _snr_power(args.snr_db)
     cat = load_catalog()
     lat, name, _ = _load_lattice(cat, args.field, args.algebra)

@@ -6,17 +6,18 @@ are reproducible and one trial loop serves a whole SNR grid, in chunks of
 trials that change no output bit.
 
 The loop is a chunk source with two readers.  Each chunk draws its fades,
-and its noise only for ML's received words, and hands them to each reader.
-The ML reader decodes one book at a time.  The lattice reader reads only
-the trial's noise W, which every point shares: naive lattice decoding errs
-exactly when some nonzero point of the faded lattice alpha H L is closer
-to W than 0, whatever word was sent.  On a lattice with a certified
-minimum determinant, a noise energy below a quarter of a bound on the
-faded lattice's squared minimum distance proves the decision correct at 0
-nodes (`certified`); without drawn noise the energy is read from the
-noise's radius words.  The other trials gather across chunks, decided by
-`decoder.lattice_decisions` on one stack of preparations for every point.
-Chunks and batches are each sized by what they hold.
+and its noise only when ML runs (zero noise when the run asks for none),
+and hands them to each reader.  The ML reader sends and decodes one book
+at a time.  The lattice reader reads only the trial's noise W, which every
+point shares: naive lattice decoding errs exactly when some nonzero point
+of the faded lattice alpha H L is closer to W than 0, whatever word was
+sent.  On a lattice with a certified minimum determinant, a noise energy
+below a quarter of a bound on the faded lattice's squared minimum
+distance proves the decision correct at 0 nodes (`certified`); without
+drawn noise the energy is read from the noise's radius words.  The other
+trials gather across chunks, decided by `decoder.lattice_decisions` on one
+stack of preparations for every point.  Chunks and batches are each sized
+by what they hold.
 """
 
 import math
@@ -63,10 +64,10 @@ def _wer_stderr(errors, trials):
 def _chunk_trials(lat, model, books, decoders):
     """Trials per search batch, and per chunk with ML: as many as keep
     within CHUNK_BYTES ten arrays of a trial's fade shape (a chunk's fades
-    and noise, the rows of both the lattice reader holds, the full noise
-    and received words it may draw, and the searched targets); with ML, one
-    book of `books` (one per SNR point; None on the infinite lattice) at a
-    time: its words, received words and differences to every codeword; per
+    and noise, the rows of both the lattice reader holds, the noise it may
+    draw, and the searched targets: a bound with room to spare); with ML,
+    one book of `books` (one per SNR point; None on the infinite lattice) at
+    a time: its words, received words and differences to every codeword; per
     point, the searched targets' Python objects (span coordinates and their
     squares as lists, a threshold and an outcome: under 80 bytes per rank
     and 160 more, by tracemalloc); and on a fading channel the faded bases
@@ -133,18 +134,22 @@ class _SearchBatch:
     chunk drew, if any, and which points search each.  `flush` decides them
     all by one `lattice_decisions` call on one stack, a constant channel's
     one preparation `prep` or the batch's `lat.faded_stack`, every point
-    searching one noise array, which it draws by one `transmit_stack` when
+    searching one noise array, which it draws by one `channel.noise` when
     no chunk drew it, bit for bit each chunk's own draw."""
 
-    def __init__(self, lat, model, points, capacity, seed, budget, noiseless,
-                 tallies):
+    def __init__(self, lat, model, points, capacity, seed, budget, tallies):
         if model.n_r < model.n:
             # the faded infinite lattice is not discrete here; only ML applies
             raise DomainError("lattice decoding requires n_r >= n")
         self.lat, self.points, self.capacity = lat, points, capacity
-        self.seed, self.budget, self.noiseless = seed, budget, noiseless
-        self.tallies, self.shape = tallies, (lat.k, model.n_r, lat.n)
-        self.shared, self.sv, self.prep = model.kind == "constant", None, None
+        self.seed, self.budget, self.tallies = seed, budget, tallies
+        self.shape = (lat.k, model.n_r, lat.n)
+        self.sv = self.prep = None
+        if model.kind == "constant":
+            # the trials share one fade: checked and prepared once
+            H = np.broadcast_to(model.fixed_H, self.shape)
+            self.sv = channel.check_full_rank(H[None])
+            self.prep = lat.faded_cvp(H)
         self.size, self.held = 0, []
 
     def read(self, streams, H, noise):
@@ -153,18 +158,14 @@ class _SearchBatch:
         that some point searches.  The batch is flushed whenever it is full,
         so a chunk's trials may be decided in two batches."""
         lat = self.lat
-        if self.prep is None:
-            # a constant channel's trials share one fade and its preparation
-            self.sv = channel.check_full_rank(H[:1] if self.shared else H)
-            self.prep = lat.faded_cvp(H[0]) if self.shared else None
-        if self.noiseless or lat.det_min is None:
-            # no noise, or a certificate that reads no energy: none summed
+        sv = channel.check_full_rank(H) if self.prep is None else self.sv
+        if lat.det_min is None:     # a certificate that reads no energy
             d2 = np.zeros(len(streams))
         elif noise is None:
             d2 = channel.noise_energies(self.seed, streams, self.shape)
         else:
             d2 = np.sum(np.abs(noise) ** 2, axis=(1, 2, 3))
-        searched = np.stack([~certified(lat, alpha, self.sv, d2)
+        searched = np.stack([~certified(lat, alpha, sv, d2)
                              for alpha, _ in self.points], axis=1)
         at = np.flatnonzero(searched.any(axis=1))
         while len(at):
@@ -181,15 +182,10 @@ class _SearchBatch:
             return
         lat, prep = self.lat, self.prep
         streams, H, masks, noise = zip(*self.held)
-        H = np.concatenate(H)
-        if noise[0] is None:    # the zero word's received words are the noise
-            W = channel.transmit_stack(np.zeros((lat.k, lat.n, lat.n)), H,
-                                       self.seed, np.concatenate(streams),
-                                       self.noiseless)
-        else:
-            W = np.concatenate(noise)
+        W = (channel.noise(self.seed, np.concatenate(streams), self.shape)
+             if noise[0] is None else np.concatenate(noise))
         stack = (([prep] * self.size, prep.Q, prep.diag) if prep is not None
-                 else lat.faded_stack(H))
+                 else lat.faded_stack(np.concatenate(H)))
         # point p searches the held trials of mask column p
         searches = [(alpha, rows, W[rows]) for (alpha, _), rows in
                     zip(self.points, map(np.flatnonzero,
@@ -215,8 +211,7 @@ class _MLReader:
     def read(self, streams, H, noise):
         for pick, book, tally in zip(self.picks, self.books, self.tallies):
             sent = pick.integers(len(book), size=len(streams))
-            Y = channel.received(book.matrices[sent], H, noise)
-            res = ml_decode(Y, H, book)
+            res = ml_decode(H @ book.matrices[sent] + noise, H, book)
             tally["ml"][0] += int(np.count_nonzero(res.index != sent))
             tally["ml"][1] += res.nodes
 
@@ -228,9 +223,10 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
                 noiseless):
     """At each SNR point (alpha, book) of `points`, send word X_t (a random
     codeword of `book`, from the point's own stream, or the zero point when
-    `book` is None) through fade H_t and noise, and decode it with each of
-    `decoders`.  The loop is the chunk source: it draws each chunk's fades,
-    and with ML their noise, in one Philox pass, hands them to each reader
+    `book` is None) through fade H_t and noise, none if `noiseless`, and
+    decode it with each of `decoders`.  The loop is the chunk source: it
+    draws each chunk's fades, and with ML their noise, in one Philox pass
+    (a noiseless chunk hands zero noise instead), hands them to each reader
     (`_MLReader`, `_SearchBatch` for the lattice), and at the end has each
     flush what it holds.  With ML a chunk has `_chunk_trials` trials,
     without it `_certify_trials`.  A search that exhausts `budget` counts
@@ -243,13 +239,15 @@ def _trial_loop(lat, model, points, trials, seed, decoders, budget,
     readers = [_MLReader(books, seed, tallies)] if ml else []
     if "lattice" in decoders:
         readers.append(_SearchBatch(lat, model, points, capacity, seed,
-                                    budget, noiseless, tallies))
+                                    budget, tallies))
     # without ML no word is picked: a lattice decision reads the noise alone
     chunk = capacity if ml else _certify_trials(lat, model, points)
     for start in range(0, trials, chunk):
         streams = np.arange(start, min(start + chunk, trials))[:, None]
         H, noise = channel.fades_and_noise(model, lat.k, seed, streams,
                                            noiseless or not ml)
+        if noiseless:
+            noise = np.zeros(H.shape, complex)
         for reader in readers:
             reader.read(streams, H, noise)
     for reader in readers:

@@ -215,6 +215,33 @@ def test_a_malformed_field_token_names_its_entry_and_key(tmp_path,
                 "field 'tok': basis: '1/0' is not a rational")
 
 
+@pytest.mark.parametrize("key,value", [("division", "ture"),
+                                       ("division", "yes"),
+                                       ("suboptimal", "1")])
+def test_a_flag_other_than_true_or_false_names_its_entry_and_key(
+        tmp_path, monkeypatch, capsys, key, value):
+    # a misspelt flag used to read as false: golden lost its det_min, and
+    # `invariants` printed an enumerated bound with exit 0
+    if key == "division":
+        edit = lambda text: text.replace("division = true\n",
+                                         f"division = {value}\n", 1)
+        _catalog_dir(tmp_path, monkeypatch, edit=edit)
+        where, argv = "algebra 'golden'", ["invariants", "--algebra", "golden"]
+    else:
+        _catalog_dir(tmp_path, monkeypatch, fields_extra=(
+            f"\nname = flagged\nmin_poly = 1 0 1\nbasis = 1 ; 0 1\n"
+            f"suboptimal = {value}\n"))
+        where, argv = "field 'flagged'", ["invariants", "--field", "q_i"]
+    _fails_with(capsys, argv, f"{where}: {key}: {value!r} is not true or false")
+
+
+def test_flags_read_true_or_false_in_any_case(tmp_path, monkeypatch):
+    for value, asserted in [("TRUE", True), ("False", False)]:
+        _catalog_dir(tmp_path, monkeypatch, edit=lambda text: text.replace(
+            "division = true\n", f"division = {value}\n", 1))
+        assert load_catalog().algebra("golden").division_asserted is asserted
+
+
 def test_a_malformed_algebra_token_names_its_entry_and_key(tmp_path,
                                                            monkeypatch, capsys):
     _catalog_dir(tmp_path, monkeypatch,

@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 
 from multiblock.channel import (FadingModel, fades_and_noise, logdet_statistic,
-                               received, sample, transmit, transmit_stack)
+                               noise, noise_energies, sample, transmit)
 from multiblock.errors import SingularChannel
 from multiblock.rng import complex_gaussian, philox
+from multiblock.sim import CERT_MARGIN
 
 from oracles import reference_logdet_statistic
 
@@ -64,21 +65,17 @@ def test_transmit_noiseless_exact():
     assert np.array_equal(Y, H @ X)
 
 
-def _noise_words(fade, seed, count, start=0):
+def _noise_words(shape, seed, count, start=0):
     """transmit(0, fade, noise_seed=(seed, t)) for t = start, ...,
-    start + count - 1, drawn as one stack: the same bits
-    (test_stacks_carry_the_one_realization_bits)."""
-    H = np.broadcast_to(fade, (count,) + fade.shape)
-    X = np.zeros(H.shape[:2] + (H.shape[3],) * 2, dtype=complex)
-    return transmit_stack(X, H, seed, [(t,) for t in range(start, start + count)],
-                          False)
+    start + count - 1 over a fade of `shape`, drawn as one stack: the same
+    bits (test_stacks_carry_the_one_realization_bits)."""
+    return noise(seed, [(t,) for t in range(start, start + count)], shape)
 
 
 def test_noise_is_chi_square():
     # X = 0: 2||W||^2 ~ chi^2 with 2 k n n_r degrees of freedom
     k, n, n_r = 2, 2, 2
-    model = iid_model(n, n_r)
-    Y = _noise_words(sample(model, k, seed=10), 11, 10000)
+    Y = _noise_words((k, n_r, n), 11, 10000)
     vals = 2.0 * np.sum(np.abs(Y) ** 2, axis=(1, 2, 3))
     res = stats.kstest(vals, stats.chi2(2 * k * n * n_r).cdf)
     assert res.pvalue > 0.01
@@ -87,12 +84,10 @@ def test_noise_is_chi_square():
 def test_chi_square_tail_bound():
     # P{||W||^2/(k n^2) >= 1 + eps} <= 2 exp(-k n^2 eps^2 / 8)
     k, n, eps, trials = 8, 2, 0.5, 100000
-    model = iid_model(n, n)
-    H = sample(model, k, seed=12)
     m = k * n * n
     hits = 0
     for start in range(0, trials, 10000):
-        Y = _noise_words(H, 13, 10000, start)
+        Y = _noise_words((k, n, n), 13, 10000, start)
         hits += int(np.count_nonzero(np.sum(np.abs(Y) ** 2, axis=(1, 2, 3)) / m
                                      >= 1 + eps))
     assert hits / trials <= 2 * math.exp(-m * eps * eps / 8.0)
@@ -193,13 +188,14 @@ def test_model_validation():
                                       ("gauss_markov", 0.7)])
 def test_stacks_carry_the_one_realization_bits(kind, rho):
     # each realization and received word of a stack has the bits of the
-    # one-realization arithmetic on its own seed path
+    # one-realization arithmetic on its own seed path, the received words
+    # formed as the ML reader forms them
     model = FadingModel(kind=kind, n=2, n_r=3, rho=rho)
     k, seed = 4, 61
     streams = [(t,) for t in range(100, 140)]
     H, _ = fades_and_noise(model, k, seed, streams, True)
     X = complex_gaussian(philox(62), (len(streams), k, 2, 2))
-    Y = transmit_stack(X, H, seed, streams, False)
+    Y = H @ X + noise(seed, streams, (k, 3, 2))
     for t, (s,) in enumerate(streams):
         g = complex_gaussian(philox(seed, 0x48, s), (k, 3, 2))
         blocks = g
@@ -226,9 +222,9 @@ def test_no_streams_give_empty_stacks(kind, rho, streams):
     model = FadingModel(kind=kind, n=2, n_r=3, rho=rho)
     H, _ = fades_and_noise(model, 4, 61, streams, True)
     assert H.shape == (0, 4, 3, 2) and H.dtype == complex
-    for noiseless in (False, True):
-        Y = transmit_stack(np.zeros((0, 4, 2, 2)), H, 61, streams, noiseless)
-        assert Y.shape == (0, 4, 3, 2) and Y.dtype == complex
+    W = noise(61, streams, (4, 3, 2))
+    assert W.shape == (0, 4, 3, 2) and W.dtype == complex
+    assert noise_energies(61, streams, (4, 3, 2)).shape == (0,)
 
 
 SHEARED = np.array([[1.0, 0.5 - 0.25j], [0.0, 0.75j], [0.2, 1.0]])
@@ -242,17 +238,38 @@ SHEARED = np.array([[1.0, 0.5 - 0.25j], [0.0, 0.75j], [0.2, 1.0]])
 def test_the_fused_draw_is_the_fades_then_transmit_stack(kind, rho, fixed_H,
                                                          noiseless, count):
     # one Philox pass over the fade and the noise paths gives the bits of
-    # the fades drawn alone followed by `transmit_stack`, an empty stack
-    # included
+    # the fades drawn alone followed by `noise` (which replaced
+    # `transmit_stack`, whose name the test keeps), an empty stack included;
+    # the noise of a subset of the paths is those rows of the whole draw
     model = FadingModel(kind=kind, n=2, n_r=3, rho=rho, fixed_H=fixed_H)
     k, seed = 4, 29
     streams = np.arange(50, 50 + count)[:, None]
-    X = complex_gaussian(philox(30), (2, count, k, 2, 2))
     H, W = fades_and_noise(model, k, seed, streams, noiseless)
     fades, _ = fades_and_noise(model, k, seed, streams, True)
     assert H.shape == fades.shape and H.tobytes() == fades.tobytes()
     assert (W is None) == noiseless
+    drawn = noise(seed, streams, (k, 3, 2))
+    assert drawn.shape == (count, k, 3, 2) and drawn.dtype == complex
     if W is not None:
-        assert W.shape == (count, k, 3, 2)
-    Y = transmit_stack(X, fades, seed, streams, noiseless)
-    assert received(X, H, W).tobytes() == Y.tobytes()
+        assert W.shape == drawn.shape and W.tobytes() == drawn.tobytes()
+    rows = np.arange(count)[1::3]
+    assert noise(seed, streams[rows], (k, 3, 2)).tobytes() == \
+        drawn[rows].tobytes()
+
+
+@pytest.mark.parametrize("kind,rho,fixed_H", [("iid_rayleigh", 0.0, None),
+                                              ("gauss_markov", 0.5, None),
+                                              ("constant", 0.0, SHEARED)])
+@pytest.mark.parametrize("count", [0, 1, 23])
+def test_noise_energies_are_the_drawn_noises(kind, rho, fixed_H, count):
+    # the certificate's energies, read from the radius words alone, are the
+    # float sums over the noise `fades_and_noise` draws at the same paths,
+    # far inside the margin by which a certificate must hold
+    model = FadingModel(kind=kind, n=2, n_r=3, rho=rho, fixed_H=fixed_H)
+    k, seed = 4, 29
+    streams = np.arange(50, 50 + count)[:, None]
+    _, W = fades_and_noise(model, k, seed, streams, False)
+    direct = np.sum(np.abs(W) ** 2, axis=(1, 2, 3))
+    energies = noise_energies(seed, streams, (k, 3, 2))
+    assert energies.shape == (count,)
+    assert np.all(np.abs(energies - direct) <= 1e-5 * CERT_MARGIN * direct)

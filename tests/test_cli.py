@@ -910,6 +910,28 @@ def test_carve_export_failure_leaves_csv_unwritten(tmp_path, capsys):
     assert_one_line(err, "error: ")
 
 
+def test_carve_refuses_one_file_for_the_csv_and_the_export(tmp_path, capsys,
+                                                           monkeypatch):
+    # the codebook text would replace the CSV: refused before any work,
+    # whether the two paths are spelled alike, differ, or meet by a link
+    from multiblock import cli
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.txt").write_text("earlier result\n")
+    os.symlink("same.txt", "link.txt")
+    loaded = []
+    monkeypatch.setattr(cli, "load_catalog", lambda: loaded.append(1))
+    for output, export in [("same.txt", "same.txt"),
+                           ("same.txt", "./same.txt"),
+                           ("link.txt", str(tmp_path / "same.txt"))]:
+        assert main(CARVE_Q_I + ["--output", output, "--export", export]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_line(err, "error: --output and --export name one file")
+    assert not loaded
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "same.txt"]
+    assert (tmp_path / "same.txt").read_text() == "earlier result\n"
+
+
 @pytest.mark.parametrize("target", ["/dev/full", "directory"])
 def test_in_place_output_failing_leaves_export_unwritten(tmp_path, capsys,
                                                          target):

@@ -382,7 +382,7 @@ def test_certified_trial_has_no_closer_point(catalog, name, extra_rx, kind,
     sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
     sent[0] = 0
     words = alpha * lat.points(sent)
-    Y = channel.transmit_stack(words, H, seed, streams, False)
+    Y = H @ words + channel.noise(seed, streams, H.shape[1:])
     d2 = np.sum(np.abs(Y - H @ words) ** 2, axis=(1, 2, 3))
     proved = sim.certified(lat, alpha, check_full_rank(H), d2)
     for t in np.flatnonzero(proved):
@@ -451,7 +451,7 @@ def test_qr_only_decision_is_the_lll_decoders(catalog, name, extra_rx, kind,
     H = channel.fades_and_noise(model, lat.k, seed, streams, True)[0]
     sent = philox(seed, 0x5E).integers(-2, 3, size=(len(streams), lat.rank))
     words = alpha * lat.points(sent)
-    W = channel.transmit_stack(words, H, seed, streams, False) - H @ words
+    W = H @ words + channel.noise(seed, streams, H.shape[1:]) - H @ words
     [got] = lattice_decisions(*_stack(lat, model, H),
                               [(alpha, np.arange(len(H)), W)])
     assert len(got) == len(streams)
@@ -468,7 +468,7 @@ def test_lattice_searches_decide_both_ways_on_fades(catalog):
     alpha = scaling_alpha(10.0, 1.0, lat.n, lat.k, lat.volume)
     streams = [(t,) for t in range(40)]
     H = channel.fades_and_noise(model, lat.k, 5, streams, True)[0]
-    W = channel.transmit_stack(np.zeros_like(H), H, 5, streams, False)
+    W = channel.noise(5, streams, H.shape[1:])
     [outcomes] = lattice_decisions(*lat.faded_stack(H),
                                    [(alpha, np.arange(len(H)), W)])
     oks = [ok for ok, _ in outcomes]
@@ -502,8 +502,7 @@ def test_grid_search_decides_as_each_point_alone(catalog, search_log, model):
     lat = _lattice(catalog, "zeta20")
     streams = [(t,) for t in range(40)]
     H = channel.fades_and_noise(model, lat.k, 11, streams, True)[0]
-    W = channel.transmit_stack(np.zeros((40, lat.k, 2, 2)), H, 11, streams,
-                               False)
+    W = channel.noise(11, streams, H.shape[1:])
     gen = philox(11, 0x5E)
     searches = []
     for snr_db in (8.0, 12.0, 16.0):
@@ -671,7 +670,7 @@ def test_a_chunk_and_a_batch_at_capacity_keep_within_the_bound(
             patched.setattr(sim, "certified",
                             lambda *args: np.zeros(capacity, dtype=bool))
             batch = sim._SearchBatch(lat, model, points, capacity, 29,
-                                     DEFAULT_BUDGET, False, tallies)
+                                     DEFAULT_BUDGET, tallies)
             batch.read(streams, H, noise)
             assert batch.size == capacity
             batch.flush()
@@ -806,7 +805,7 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
     for owner, name in [(channel, "fades_and_noise"),
                         (channel, "check_full_rank"), (rng, "_words"),
                         (channel, "noise_energies"),
-                        (channel, "transmit_stack")]:
+                        (channel, "noise")]:
         count(owner, name)
     assert main(["simulate", "--algebra", "golden", "--model", "iid_rayleigh",
                  "--nr", "2", "--snr-db", "8,12,16", "--rate", "1",
@@ -819,7 +818,7 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
     # the infinite path draws every trial's noise radii, then the searched
     # trials' full noise; its chunk draws only fades
     assert calls == {"fades_and_noise": 1, "_words": 2, "check_full_rank": 1,
-                     "noise_energies": 1, "transmit_stack": 1}
+                     "noise_energies": 1, "noise": 1}
     # a lattice-only codebook run picks no word and takes the infinite
     # path's chunks: noise radii, then the searched trials' full noise
     count(sim, "philox")
@@ -831,7 +830,7 @@ def test_a_command_draws_each_chunks_fades_and_noise_once(monkeypatch,
         calls.clear()
         assert main(["simulate", *line, "--snr-db", "4,8,12", "--rate", "1",
                      "--seed", "7", "--decoder", "lattice"]) == 0
-        searched = calls.pop("transmit_stack", 0)
+        searched = calls.pop("noise", 0)
         assert searched <= 1
         assert calls == {"fades_and_noise": 1, "check_full_rank": 1,
                          "_words": fade_words + 1 + searched,
@@ -912,9 +911,7 @@ def test_infinite_path_draws_full_noise_only_for_searched_trials(monkeypatch,
     for proved, (_, rows, _) in zip(certificates, decisions[0]):
         assert searched[rows].tolist() == np.flatnonzero(~proved).tolist()
     lat = field_lattice(load_catalog().field("cyclo8"))
-    H = np.ones((200, lat.k, 1, 1), dtype=complex)
-    full = channel.transmit_stack(np.zeros((lat.k, 1, 1)), H, 7,
-                                  np.arange(200)[:, None], False)
+    full = channel.noise(7, np.arange(200)[:, None], (lat.k, 1, 1))
     for _, rows, W in decisions[0]:
         assert np.array_equal(W.view(np.uint64),
                               full[searched[rows]].view(np.uint64))
